@@ -13,11 +13,12 @@ consistency check that the certification layer relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .numeric import (
+    EXT_COMPLEX,
     LaurentPoly,
     PolyMatrix,
     Tolerances,
@@ -30,6 +31,7 @@ from .numeric import (
     nullspace,
     poly_div_exact,
     quotient_interpolate,
+    word_product,
 )
 from .presentation import (
     AbelianizationMap,
@@ -40,25 +42,9 @@ from .presentation import (
 )
 from .words import EndoF2, GroupRingElem, Word, fox_derivative, parse_word, ring_one_minus
 
-_EXTENDED = np.clongdouble if np.finfo(np.longdouble).eps < 1e-17 else np.complex128
-
 
 def _common_dtype(matrices: Sequence[np.ndarray]):
     return np.result_type(complex, *(np.asarray(m).dtype for m in matrices))
-
-
-def _word_product(word: Word, matrices: Sequence[np.ndarray]) -> np.ndarray:
-    dim = matrices[0].shape[0]
-    out = np.eye(dim, dtype=_common_dtype(matrices))
-    inverses: dict[int, np.ndarray] = {}
-    for gen, exp in word.letters:
-        if exp > 0:
-            out = out @ matrices[gen]
-        else:
-            if gen not in inverses:
-                inverses[gen] = matrix_inverse(matrices[gen])
-            out = out @ inverses[gen]
-    return out
 
 
 def _ring_matrix(elem: GroupRingElem, matrices: Sequence[np.ndarray]) -> np.ndarray:
@@ -66,7 +52,7 @@ def _ring_matrix(elem: GroupRingElem, matrices: Sequence[np.ndarray]) -> np.ndar
     dim = matrices[0].shape[0]
     out = np.zeros((dim, dim), dtype=_common_dtype(matrices))
     for word, coeff in elem.terms.items():
-        out = out + coeff * _word_product(word, matrices)
+        out = out + coeff * word_product(word, matrices)
     return out
 
 
@@ -110,7 +96,7 @@ def phi_map(elem: GroupRingElem, rep: RingRep) -> PolyMatrix:
     buckets: dict[int, np.ndarray] = {}
     for word, coeff in elem.terms.items():
         weight = alpha.weight(word)
-        term = coeff * _word_product(word, rep.matrices)
+        term = coeff * word_product(word, rep.matrices)
         buckets[weight] = buckets.get(weight, zero) + term
     cells = []
     for i in range(dim):
@@ -128,9 +114,6 @@ class AlexanderMatrix:
 
     blocks: tuple[tuple[PolyMatrix, ...], ...]
     block_size: int
-
-    def assembled(self) -> PolyMatrix:
-        return PolyMatrix.from_blocks([list(row) for row in self.blocks])
 
     def without_generator(self, k: int) -> PolyMatrix:
         kept = [
@@ -259,14 +242,21 @@ def _is_real_rep(rep: RepImages) -> bool:
     return all(np.max(np.abs(np.asarray(m).imag)) < 1e-12 for m in rep.values())
 
 
-def _radius_scan(compute: Callable[[float], LaurentPoly]) -> LaurentPoly:
-    last_error: Exception | None = None
-    for radius in (2.0, 2.4, 1.7):
-        try:
-            return compute(radius)
-        except ArithmeticError as err:
-            last_error = err
-    raise ArithmeticError(f"quotient interpolation failed at all radii: {last_error}")
+def _pencil_quotient(p, q, r, s, rep: RepImages, tols: Tolerances) -> LaurentPoly:
+    """det(P - tQ) / det(R - tS), a polynomial of degree dim R, by sampling.
+
+    Realified when the representation is real.
+    """
+    p, q, r, s = (np.asarray(m).astype(EXT_COMPLEX) for m in (p, q, r, s))
+    quotient = quotient_interpolate(
+        lambda z: matrix_det(p - z * q),
+        lambda z: matrix_det(r - z * s),
+        r.shape[0],
+        tol=tols.det,
+    )
+    if _is_real_rep(rep):
+        quotient = quotient.realified(1e-6)
+    return quotient
 
 
 def bundle_twisted_alexander(
@@ -284,30 +274,13 @@ def bundle_twisted_alexander(
     division on a circle away from 1 followed by interpolation; longhand
     coefficient division would amplify roundoff combinatorially.
     """
-    tols = tolerances or Tolerances()
     endo = _as_endo(spec)
-    fox = _fiber_fox_blocks(endo, rep)
-    dim = rep[0].shape[0]
     mer = np.asarray(rep[2])
-    pencil_const = np.block(fox).astype(_EXTENDED)
-    mer_big = np.kron(np.eye(2), mer).astype(_EXTENDED)
-    mer_small = mer.astype(_EXTENDED)
-    eye_small = np.eye(dim, dtype=_EXTENDED)
-
-    def numerator_at(z):
-        return matrix_det(pencil_const - z * mer_big)
-
-    def denominator_at(z):
-        return matrix_det(eye_small - z * mer_small)
-
-    quotient = _radius_scan(
-        lambda radius: quotient_interpolate(
-            numerator_at, denominator_at, dim, tol=tols.det, radius=radius
-        )
+    return _pencil_quotient(
+        np.block(_fiber_fox_blocks(endo, rep)), np.kron(np.eye(2), mer),
+        np.eye(mer.shape[0]), mer,
+        rep, tolerances or Tolerances(),
     )
-    if _is_real_rep(rep):
-        quotient = quotient.realified(1e-6)
-    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +301,8 @@ def res_l_map(rep: RepImages) -> np.ndarray:
     fiber = (rep[0], rep[1])
     dim = rep[0].shape[0]
     eye = np.eye(dim, dtype=complex)
-    left = eye - _word_product(_WORD_ABA, fiber)
-    right = np.asarray(rep[0], dtype=complex) - _word_product(_WORD_COMMUTATOR, fiber)
+    left = eye - word_product(_WORD_ABA, fiber)
+    right = np.asarray(rep[0], dtype=complex) - word_product(_WORD_COMMUTATOR, fiber)
     out = np.hstack([left, right])
     if _is_real_rep(rep):
         # real kernel bases keep the restricted action (and its
@@ -447,24 +420,9 @@ def route_agreement(
     wada = bundle_twisted_alexander(endo, rep, tolerances=tols)
 
     action = monodromy_action(endo, rep, "forward", tolerances=tols)
-    dim = rep[0].shape[0]
-    matrix = action.matrix.astype(_EXTENDED)
-    mer = np.asarray(rep[2]).astype(_EXTENDED)
-    eye_big = np.eye(2 * dim, dtype=_EXTENDED)
-    eye_small = np.eye(dim, dtype=_EXTENDED)
-
-    def numerator_at(z):
-        return matrix_det(matrix - z * eye_big)
-
-    def denominator_at(z):
-        return matrix_det(mer - z * eye_small)
-
-    quotient = _radius_scan(
-        lambda radius: quotient_interpolate(
-            numerator_at, denominator_at, dim, tol=tols.det, radius=radius
-        )
+    mer = np.asarray(rep[2])
+    quotient = _pencil_quotient(
+        action.matrix, np.eye(2 * mer.shape[0]), mer, np.eye(mer.shape[0]), rep, tols
     )
-    if _is_real_rep(rep):
-        quotient = quotient.realified(1e-6)
     match = equal_up_to_unit(wada, quotient, tol=match_tol, allow_reciprocal=True)
     return RouteAgreement(wada=wada, action_quotient=quotient, match=match)

@@ -103,20 +103,25 @@ class CertificateEvidence:
         return self.fired and abs(self.deflated_at_one) > MARGIN_FACTOR * self.tolerance
 
 
+def integer_coeffs(poly: LaurentPoly, *, tol: float = 1e-6) -> Optional[list[int]]:
+    """Integer coefficients of poly, or of its unit normalization, or None."""
+    ints = integer_round(poly, tol=tol)
+    if ints is None:
+        ints = integer_round(normalize_unit(poly), tol=tol)
+    return ints
+
+
 def evidence_from_poly(
     label: str, poly: LaurentPoly, *, tol: float = 1e-6
 ) -> CertificateEvidence:
     """Package a computed polynomial as certificate evidence."""
     source, expected = CERTIFICATE_SOURCES[label]
     mult, deflated = root_multiplicity(poly, 1.0, tol=tol)
-    ints = integer_round(poly, tol=tol)
-    if ints is None:
-        ints = integer_round(normalize_unit(poly), tol=tol)
     return CertificateEvidence(
         label=label,
         source=source,
         polynomial=poly,
-        integer_coeffs=ints,
+        integer_coeffs=integer_coeffs(poly, tol=tol),
         multiplicity=mult,
         deflated_at_one=complex(deflated.evaluate(1.0)),
         tolerance=tol,
@@ -231,6 +236,39 @@ def _solution_report(
     )
 
 
+def select_solutions(
+    spec: MonodromySpec,
+    *,
+    seed: int = 0,
+    starts: int = 64,
+    tolerances: Optional[Tolerances] = None,
+    solution_index: Optional[int] = None,
+) -> list[tuple[int, HolonomySolution]]:
+    """Indexed trace solutions of a hyperbolic monodromy, lifted through the tower.
+
+    Returns every (index, solution) pair, or only the one at
+    `solution_index`.  Raises ValueError for a non-hyperbolic word or an
+    index out of range, and ArithmeticError when no solution is found.
+    """
+    if not is_hyperbolic(spec):
+        raise ValueError(
+            f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
+        )
+    solutions = build_solutions(
+        monodromy_endo(spec), starts=starts, seed=seed, tolerances=tolerances
+    )
+    if solution_index is not None:
+        if not 0 <= solution_index < len(solutions):
+            raise ValueError(
+                f"solution index {solution_index} out of range "
+                f"(found {len(solutions)} solutions)"
+            )
+        return [(solution_index, solutions[solution_index])]
+    if not solutions:
+        raise ArithmeticError("no trace solutions found; try more --starts")
+    return list(enumerate(solutions))
+
+
 def certify(
     spec: MonodromySpec | str,
     *,
@@ -246,29 +284,18 @@ def certify(
     Each trace solution is processed independently; a failure inside one
     solution is recorded on that solution and the others still complete.
     With `with_cross_checks` (the default) the structural consistency
-    checks run as well and may downgrade per-solution verdicts.
+    checks run as well and may downgrade per-solution verdicts.  Input
+    errors and an empty solution set raise as in `select_solutions`.
     """
     if isinstance(spec, str):
         spec = parse_monodromy(spec)
-    if not is_hyperbolic(spec):
-        raise ValueError(
-            f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
-        )
     tols = tolerances or Tolerances()
     chosen = _validated_reps(reps)
+    picked = select_solutions(
+        spec, seed=seed, starts=starts, tolerances=tols,
+        solution_index=solution_index,
+    )
     endo = monodromy_endo(spec)
-    solutions = build_solutions(endo, starts=starts, seed=seed, tolerances=tols)
-    if solution_index is not None:
-        if not 0 <= solution_index < len(solutions):
-            raise ValueError(
-                f"solution index {solution_index} out of range "
-                f"(found {len(solutions)} solutions)"
-            )
-        solutions = [solutions[solution_index]]
-        indices = [solution_index]
-    else:
-        indices = list(range(len(solutions)))
-
     report = RigidityReport(
         spec=spec,
         seed=seed,
@@ -277,7 +304,7 @@ def certify(
         reps=chosen,
         solutions=[
             _solution_report(index, sol, endo, chosen, tols)
-            for index, sol in zip(indices, solutions)
+            for index, sol in picked
         ],
     )
     if with_cross_checks:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -28,21 +30,17 @@ from .certify import (
     ALL_REPS,
     INCONCLUSIVE,
     CertificateEvidence,
+    _pair,
     certify,
+    evidence_from_poly,
+    integer_coeffs,
     report_json,
     report_text,
+    select_solutions,
 )
-from .holonomy import build_solutions, holonomy_residuals
-from .numeric import (
-    LaurentPoly,
-    Tolerances,
-    char_poly,
-    integer_round,
-    normalize_unit,
-    root_multiplicity,
-)
+from .holonomy import holonomy_residuals
+from .numeric import LaurentPoly, Tolerances, char_poly, integer_round
 from .presentation import (
-    is_hyperbolic,
     load_presentation,
     monodromy_endo,
     monodromy_trace,
@@ -261,8 +259,19 @@ class CliConfig:
         if (self.monodromy is None) == (self.input_path is None):
             raise ValueError("exactly one input source is required")
         for name in ("det", "root", "null"):
-            if getattr(self.tolerances, name) <= 0:
-                raise ValueError(f"tolerance --tol-{name} must be positive")
+            value = getattr(self.tolerances, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"tolerance --tol-{name} must be positive and finite, "
+                    f"got {value}"
+                )
+        if self.starts < 1:
+            raise ValueError(f"--starts must be at least 1, got {self.starts}")
+
+    def solver_options(self) -> dict:
+        """Keyword arguments for certify and select_solutions."""
+        return dict(seed=self.seed, starts=self.starts,
+                    tolerances=self.tolerances, solution_index=self.solution)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,11 +356,6 @@ def _config(args: argparse.Namespace) -> CliConfig:
 # ---------------------------------------------------------------------------
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def _cmatrix(mat: np.ndarray) -> list[list[list[float]]]:
     return [[_pair(c) for c in row] for row in np.asarray(mat, dtype=complex)]
 
@@ -388,9 +392,7 @@ def _format_matrix_text(mat: np.ndarray, indent: str = "    ") -> list[str]:
 
 def _poly_text(poly: LaurentPoly, var: str, tol: float) -> str:
     """Factored form when the coefficients round to integers, else a list."""
-    ints = integer_round(poly, tol=tol)
-    if ints is None:
-        ints = integer_round(normalize_unit(poly), tol=tol)
+    ints = integer_coeffs(poly, tol=tol)
     if ints is not None:
         factored = factored_display(ints, var=var)
         if factored is not None:
@@ -412,195 +414,136 @@ def _certify_poly_display(tol: float) -> Callable[[CertificateEvidence], str]:
 # ---------------------------------------------------------------------------
 
 
-def _solutions_for(config: CliConfig):
-    spec = parse_monodromy(config.monodromy)
-    if not is_hyperbolic(spec):
-        raise ValueError(
-            f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
-        )
-    endo = monodromy_endo(spec)
-    solutions = build_solutions(
-        endo, starts=config.starts, seed=config.seed,
-        tolerances=config.tolerances,
-    )
-    if config.solution is not None:
-        if not 0 <= config.solution < len(solutions):
-            raise ValueError(
-                f"solution index {config.solution} out of range "
-                f"(found {len(solutions)} solutions)"
-            )
-        picked = [(config.solution, solutions[config.solution])]
-    else:
-        picked = list(enumerate(solutions))
-    return spec, endo, picked
-
-
 def _cmd_certify(config: CliConfig) -> tuple[int, str]:
-    report = certify(
-        parse_monodromy(config.monodromy),
-        seed=config.seed,
-        starts=config.starts,
-        tolerances=config.tolerances,
-        reps=config.reps,
-        solution_index=config.solution,
-    )
+    report = certify(parse_monodromy(config.monodromy), reps=config.reps,
+                     **config.solver_options())
     if config.fmt == "json":
         text = report_json(report)
     else:
         text = report_text(
             report, poly_display=_certify_poly_display(config.tolerances.root)
         )
-    if not report.solutions:
-        raise ArithmeticError("no trace solutions found; try more --starts")
     return (0 if report.verdict != INCONCLUSIVE else 4), text
 
 
+def _header(spec, config: CliConfig) -> dict:
+    """Fields every per-monodromy JSON output starts with."""
+    return {"monodromy": spec.text(), "trace": monodromy_trace(spec),
+            "seed": config.seed, "starts": config.starts}
+
+
+def _traces_line(index: int, sol) -> str:
+    a, b, c = sol.triple.as_tuple()
+    return f"solution {index}: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
+
+
 def _cmd_trace_solve(config: CliConfig) -> tuple[int, str]:
-    spec, _, picked = _solutions_for(config)
-    if not picked:
-        raise ArithmeticError("no trace solutions found; try more --starts")
+    spec = parse_monodromy(config.monodromy)
+    picked = select_solutions(spec, **config.solver_options())
     if config.fmt == "json":
-        data = {
-            "monodromy": spec.text(),
-            "trace": monodromy_trace(spec),
-            "seed": config.seed,
-            "starts": config.starts,
-            "solutions": [
-                {"index": index, "traces": [_pair(t) for t in sol.triple.as_tuple()]}
-                for index, sol in picked
-            ],
-        }
-        return 0, _dumps(data)
+        return 0, _dumps({**_header(spec, config), "solutions": [
+            {"index": index, "traces": [_pair(t) for t in sol.triple.as_tuple()]}
+            for index, sol in picked
+        ]})
     lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}   "
              f"{len(picked)} solution(s)"]
-    for index, sol in picked:
-        a, b, c = sol.triple.as_tuple()
-        lines.append(
-            f"solution {index}: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
-        )
+    lines.extend(_traces_line(index, sol) for index, sol in picked)
     return 0, "\n".join(lines) + "\n"
 
 
 def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
-    spec, endo, picked = _solutions_for(config)
-    if not picked:
-        raise ArithmeticError("no trace solutions found; try more --starts")
-    entries = []
-    for index, sol in picked:
-        entries.append({
-            "index": index,
-            "traces": [_pair(t) for t in sol.triple.as_tuple()],
-            "residuals": {
-                k: float(v)
-                for k, v in sorted(holonomy_residuals(sol.sl2, endo).items())
-            },
-            "sl2": {
-                "a": _cmatrix(sol.sl2.mat_a),
-                "b": _cmatrix(sol.sl2.mat_b),
-                "x": _cmatrix(sol.sl2.mat_x),
-            },
-            "so31": {
-                "a": _rmatrix(sol.lorentz.mat_a),
-                "b": _rmatrix(sol.lorentz.mat_b),
-                "x": _rmatrix(sol.lorentz.mat_x),
-            },
-        })
+    spec = parse_monodromy(config.monodromy)
+    picked = select_solutions(spec, **config.solver_options())
+    endo = monodromy_endo(spec)
+    residuals = [
+        {k: float(v) for k, v in sorted(holonomy_residuals(sol.sl2, endo).items())}
+        for _, sol in picked
+    ]
     if config.fmt == "json":
-        data = {
-            "monodromy": spec.text(),
-            "trace": monodromy_trace(spec),
-            "seed": config.seed,
-            "starts": config.starts,
-            "solutions": entries,
-        }
-        return 0, _dumps(data)
+        return 0, _dumps({**_header(spec, config), "solutions": [
+            {
+                "index": index,
+                "traces": [_pair(t) for t in sol.triple.as_tuple()],
+                "residuals": res,
+                "sl2": {name: _cmatrix(mat) for name, mat in
+                        zip("abx", sol.sl2.generator_images())},
+                "so31": {name: _rmatrix(mat) for name, mat in
+                         zip("abx", sol.lorentz.generator_images())},
+            }
+            for (index, sol), res in zip(picked, residuals)
+        ]})
     lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}"]
-    for entry, (index, sol) in zip(entries, picked):
-        lines.append("")
-        a, b, c = sol.triple.as_tuple()
-        lines.append(f"solution {index}: tr(a)={a:.12g}  tr(b)={b:.12g}  "
-                     f"tr(ab)={c:.12g}")
-        worst = max(entry["residuals"].values())
-        lines.append(f"  worst residual: {worst:.3g}")
-        for name, mat in (("a", sol.sl2.mat_a), ("b", sol.sl2.mat_b),
-                          ("x", sol.sl2.mat_x)):
-            lines.append(f"  sl2 {name}:")
-            lines.extend(_format_matrix_text(mat))
-        for name, mat in (("a", sol.lorentz.mat_a), ("b", sol.lorentz.mat_b),
-                          ("x", sol.lorentz.mat_x)):
-            lines.append(f"  so31 {name}:")
-            lines.extend(_format_matrix_text(mat))
+    for (index, sol), res in zip(picked, residuals):
+        lines += ["", _traces_line(index, sol),
+                  f"  worst residual: {max(res.values()):.3g}"]
+        for group, images in (
+            ("sl2", sol.sl2.generator_images()),
+            ("so31", sol.lorentz.generator_images()),
+        ):
+            for name, mat in zip("abx", images):
+                lines.append(f"  {group} {name}:")
+                lines.extend(_format_matrix_text(mat))
     return 0, "\n".join(lines) + "\n"
 
 
+def _action_data(action, evidence: CertificateEvidence, tols: Tolerances) -> dict:
+    full = char_poly(np.asarray(action.matrix, dtype=complex), tol=tols.det)
+    return {
+        "dimension": action.matrix.shape[0] // 2,
+        "kernel_dimension": int(action.kernel_basis.shape[1]),
+        "action_matrix": _cmatrix(action.matrix),
+        "action_char_poly": _poly_data(full),
+        "relative_char_poly": _poly_data(evidence.polynomial),
+        "relative_char_poly_integer": evidence.integer_coeffs,
+        "multiplicity_at_one": evidence.multiplicity,
+        "deflated_at_one": _pair(evidence.deflated_at_one),
+    }
+
+
 def _cmd_action(config: CliConfig) -> tuple[int, str]:
-    spec, endo, picked = _solutions_for(config)
-    if not picked:
-        raise ArithmeticError("no trace solutions found; try more --starts")
+    spec = parse_monodromy(config.monodromy)
+    picked = select_solutions(spec, **config.solver_options())
+    endo = monodromy_endo(spec)
     tols = config.tolerances
-    entries = []
+    results = []
     for index, sol in picked:
-        reps_out = {}
+        per_rep = {}
         for label in config.reps:
             images = sol.representation(label)
             action = monodromy_action(endo, images, "inverse", tolerances=tols)
             relative = relative_char_poly(action, tol=tols.det)
-            full = char_poly(np.asarray(action.matrix, dtype=complex),
-                             tol=tols.det)
-            mult, deflated = root_multiplicity(relative, 1.0, tol=tols.root)
-            ints = integer_round(relative, tol=tols.root)
-            if ints is None:
-                ints = integer_round(normalize_unit(relative), tol=tols.root)
-            reps_out[label] = {
-                "dimension": images[0].shape[0],
-                "kernel_dimension": int(action.kernel_basis.shape[1]),
-                "action_matrix": _cmatrix(action.matrix),
-                "action_char_poly": _poly_data(full),
-                "relative_char_poly": _poly_data(relative),
-                "relative_char_poly_integer": ints,
-                "multiplicity_at_one": mult,
-                "deflated_at_one": _pair(deflated.evaluate(1.0)),
-                "relative_poly_obj": relative,
-            }
-        entries.append((index, sol, reps_out))
+            evidence = evidence_from_poly(label, relative, tol=tols.root)
+            per_rep[label] = (action, evidence)
+        results.append((index, sol, per_rep))
     if config.fmt == "json":
-        data = {
-            "monodromy": spec.text(),
-            "trace": monodromy_trace(spec),
-            "seed": config.seed,
-            "starts": config.starts,
-            "direction": "inverse",
-            "solutions": [
-                {
-                    "index": index,
-                    "traces": [_pair(t) for t in sol.triple.as_tuple()],
-                    "representations": {
-                        label: {k: v for k, v in body.items()
-                                if k != "relative_poly_obj"}
-                        for label, body in reps_out.items()
-                    },
-                }
-                for index, sol, reps_out in entries
-            ],
-        }
-        return 0, _dumps(data)
+        solutions = [
+            {
+                "index": index,
+                "traces": [_pair(t) for t in sol.triple.as_tuple()],
+                "representations": {
+                    label: _action_data(action, evidence, tols)
+                    for label, (action, evidence) in per_rep.items()
+                },
+            }
+            for index, sol, per_rep in results
+        ]
+        return 0, _dumps({**_header(spec, config), "direction": "inverse",
+                          "solutions": solutions})
     lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}   "
              f"direction inverse"]
-    for index, sol, reps_out in entries:
-        lines.append("")
-        lines.append(f"solution {index}")
-        for label, body in reps_out.items():
-            dim = body["dimension"]
+    for index, _, per_rep in results:
+        lines += ["", f"solution {index}"]
+        for label, (action, evidence) in per_rep.items():
+            size = action.matrix.shape[0]
             lines.append(
-                f"  {label}: action matrix {2 * dim}x{2 * dim} on cocycle "
-                f"pairs, kernel dimension {body['kernel_dimension']}"
+                f"  {label}: action matrix {size}x{size} on cocycle "
+                f"pairs, kernel dimension {action.kernel_basis.shape[1]}"
             )
             lines.append(
                 f"    relative characteristic polynomial "
-                f"(multiplicity {body['multiplicity_at_one']} at t=1):"
+                f"(multiplicity {evidence.multiplicity} at t=1):"
             )
-            lines.append("      " + _poly_text(body["relative_poly_obj"], "t",
-                                               tols.root))
+            lines.append("      " + _poly_text(evidence.polynomial, "t", tols.root))
     return 0, "\n".join(lines) + "\n"
 
 
@@ -654,6 +597,25 @@ def _cmd_alexander(config: CliConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
+# A negated monodromy word such as -RRL looks like an option to argparse.
+# The only single-dash option is the lowercase -h, so a token that spells
+# a negated word can safely be moved behind "--", where argparse reads it
+# as the positional monodromy argument.
+_NEGATED_WORD = re.compile(r"-(?:[LR](?:\^\d+)?)+")
+
+
+def _route_negated_words(argv: Sequence[str]) -> list[str]:
+    head, tail = list(argv), []
+    if "--" in head:
+        cut = head.index("--")
+        head, tail = head[:cut], head[cut + 1:]
+    words = [tok for tok in head if _NEGATED_WORD.fullmatch(tok)]
+    if not words:
+        return list(argv)
+    rest = [tok for tok in head if not _NEGATED_WORD.fullmatch(tok)]
+    return rest + ["--"] + words + tail
+
+
 _HANDLERS = {
     "certify": _cmd_certify,
     "trace-solve": _cmd_trace_solve,
@@ -670,8 +632,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     ran but every solution came back inconclusive.
     """
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_route_negated_words(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

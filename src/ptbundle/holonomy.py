@@ -11,25 +11,26 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .numeric import (
+    EXT_COMPLEX,
     Tolerances,
     linear_solve,
     matrix_det,
     matrix_inverse,
     newton_multistart,
     nullspace,
+    word_product,
 )
 from .words import EndoF2, Word, parse_word
 
 # Matrices downstream of the trace solution are built in extended precision
-# so the characteristic-polynomial coefficients (up to ~10^6 for the worked
-# bundles) survive integer rounding at 1e-6.  LAPACK-backed steps (SVD
-# kernels) stay in double; everything else preserves this dtype.
-_EXT_CPLX = np.clongdouble
+# (EXT_COMPLEX) so the characteristic-polynomial coefficients (up to ~10^6
+# for the worked bundles) survive integer rounding at 1e-6.  LAPACK-backed
+# steps (SVD kernels) stay in double; everything else preserves the dtype.
 
 # ---------------------------------------------------------------------------
 # Integer polynomials in the three trace coordinates.
@@ -321,14 +322,13 @@ def solve_traces(
     seed: int = 0,
     residual_tol: float = 1e-10,
     dedup_tol: float = 1e-6,
-    keep_conjugates: bool = False,
 ) -> list[TraceTriple]:
     """Solve the trace equations by deterministic multistart Newton.
 
     Returns irreducible solutions: real triples and triples with C ~ 0
     are dropped (they cannot give an irreducible SL2 representation with
     parabolic boundary), and complex-conjugate partners are collapsed to
-    one representative unless ``keep_conjugates`` is set.
+    one representative.
     """
     eqs = trace_system(endo)
     grads = [[eq.partial(i) for i in range(3)] for eq in eqs]
@@ -358,10 +358,9 @@ def solve_traces(
             continue  # real solutions never give the discrete faithful one
         if abs(root[2]) < 1e-8:
             continue  # C = 0 breaks the explicit matrix model
-        if not keep_conjugates:
-            conj = root.conj()
-            if any(np.max(np.abs(conj - prev)) < dedup_tol for prev in kept):
-                continue
+        conj = root.conj()
+        if any(np.max(np.abs(conj - prev)) < dedup_tol for prev in kept):
+            continue
         kept.append(root)
     return [TraceTriple(*map(complex, root)) for root in kept]
 
@@ -390,20 +389,6 @@ def fiber_matrices(triple: TraceTriple) -> tuple[np.ndarray, np.ndarray]:
     return _model_matrices(a, b, c)
 
 
-def _word_product(word: Word, images: Sequence[np.ndarray]) -> np.ndarray:
-    dim = images[0].shape[0]
-    out = np.eye(dim, dtype=images[0].dtype)
-    inverses = [None] * len(images)
-    for gen, exp in word.letters:
-        if exp > 0:
-            out = out @ images[gen]
-        else:
-            if inverses[gen] is None:
-                inverses[gen] = matrix_inverse(images[gen])
-            out = out @ inverses[gen]
-    return out
-
-
 def solve_meridian(
     mat_a: np.ndarray,
     mat_b: np.ndarray,
@@ -421,8 +406,8 @@ def solve_meridian(
     """
     mat_a = np.asarray(mat_a, dtype=complex)
     mat_b = np.asarray(mat_b, dtype=complex)
-    target_a = _word_product(endo.image_a, (mat_a, mat_b))
-    target_b = _word_product(endo.image_b, (mat_a, mat_b))
+    target_a = word_product(endo.image_a, (mat_a, mat_b))
+    target_b = word_product(endo.image_b, (mat_a, mat_b))
     eye = np.eye(2, dtype=complex)
 
     best = None
@@ -460,8 +445,8 @@ class Holonomy2:
     mat_x: np.ndarray
     triple: TraceTriple
 
-    def word_matrix(self, word: Word) -> np.ndarray:
-        return _word_product(word, (self.mat_a, self.mat_b, self.mat_x))
+    def generator_images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (self.mat_a, self.mat_b, self.mat_x)
 
 
 LONGITUDE = parse_word("abAB", ("a", "b", "x"))
@@ -471,7 +456,7 @@ def _polish_triple(triple: TraceTriple, endo: EndoF2) -> tuple:
     """A few extended-precision Newton steps on the trace equations."""
     eqs = trace_system(endo)
     grads = [[eq.partial(i) for i in range(3)] for eq in eqs]
-    z = np.array([_EXT_CPLX(v) for v in triple.as_tuple()])
+    z = np.array([EXT_COMPLEX(v) for v in triple.as_tuple()])
     for _ in range(4):
         vals = np.array([eq.evaluate(z) for eq in eqs])
         jac = np.array([[g.evaluate(z) for g in row] for row in grads])
@@ -489,11 +474,11 @@ def _refine_meridian(
     solve, so two solve-and-normalize rounds starting from the seed give
     an extended-accuracy vector.  Sign pattern and lift follow the seed.
     """
-    seed_ext = seed.astype(_EXT_CPLX)
+    seed_ext = seed.astype(EXT_COMPLEX)
     seed_inv = matrix_inverse(seed_ext)
-    target_a = _word_product(endo.image_a, (mat_a, mat_b))
-    target_b = _word_product(endo.image_b, (mat_a, mat_b))
-    eye = np.eye(2, dtype=_EXT_CPLX)
+    target_a = word_product(endo.image_a, (mat_a, mat_b))
+    target_b = word_product(endo.image_b, (mat_a, mat_b))
+    eye = np.eye(2, dtype=EXT_COMPLEX)
     blocks = []
     for mat, target in ((mat_a, target_a), (mat_b, target_b)):
         conjugated = seed_ext @ mat @ seed_inv
@@ -504,7 +489,7 @@ def _refine_meridian(
     system = np.vstack(blocks)
     normal = system.conj().T @ system
     ridge = np.longdouble(1e-36) * np.max(np.abs(normal))
-    shifted = normal + ridge * np.eye(4, dtype=_EXT_CPLX)
+    shifted = normal + ridge * np.eye(4, dtype=EXT_COMPLEX)
     vec = seed_ext.reshape(-1)
     for _ in range(2):
         vec = linear_solve(shifted, vec)
@@ -543,7 +528,7 @@ def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
         ("relation_b", rep.mat_b, endo.image_b),
     ):
         lhs = rep.mat_x @ gen_mat @ x_inv
-        rhs = _word_product(image, (rep.mat_a, rep.mat_b))
+        rhs = word_product(image, (rep.mat_a, rep.mat_b))
         defect = min(
             float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))
         )
@@ -552,7 +537,8 @@ def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
         out[name] = float(abs(complex(matrix_det(mat)) - 1.0))
     out["meridian_parabolic"] = float(min(abs(np.trace(rep.mat_x) - 2.0),
                                           abs(np.trace(rep.mat_x) + 2.0)))
-    out["longitude_trace"] = abs(complex(np.trace(rep.word_matrix(LONGITUDE))) + 2.0)
+    longitude = word_product(LONGITUDE, rep.generator_images())
+    out["longitude_trace"] = abs(complex(np.trace(longitude)) + 2.0)
     return out
 
 
@@ -603,9 +589,6 @@ class Holonomy4:
     mat_a: np.ndarray
     mat_b: np.ndarray
     mat_x: np.ndarray
-
-    def word_matrix(self, word: Word) -> np.ndarray:
-        return _word_product(word, (self.mat_a, self.mat_b, self.mat_x))
 
     def generator_images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.mat_a, self.mat_b, self.mat_x)
@@ -690,7 +673,12 @@ class KillingSplit:
     complement: np.ndarray
 
 
-def killing_split(*, null_tol: float = 1e-9) -> KillingSplit:
+def killing_split() -> KillingSplit:
+    """Compute the split from scratch; ``KILLING_SPLIT`` holds the result.
+
+    The singular values at both rank decisions are at most 2e-16 or at
+    least 1.53, so the default nullspace tolerance decides them safely.
+    """
     dim = len(SL4_BASIS)
     # Matrix of the linear map X -> X^T J + J X in basis coordinates; its
     # kernel is the Lorentz Lie algebra.
@@ -699,7 +687,7 @@ def killing_split(*, null_tol: float = 1e-9) -> KillingSplit:
         image = basis.T @ LORENTZ_FORM + LORENTZ_FORM @ basis
         rows.append(image.reshape(-1))
     lie_map = np.array(rows).T  # 16 x 15, columns indexed by basis
-    skew = nullspace(lie_map, tol=null_tol)
+    skew = nullspace(lie_map)
     if skew.shape[1] != 6:
         raise ArithmeticError("Lorentz Lie algebra has unexpected dimension")
 
@@ -708,13 +696,16 @@ def killing_split(*, null_tol: float = 1e-9) -> KillingSplit:
     for p, bp in enumerate(SL4_BASIS):
         for q, bq in enumerate(SL4_BASIS):
             gram[p, q] = np.trace(bp @ bq)
-    complement = nullspace(skew.T @ gram, tol=null_tol)
+    complement = nullspace(skew.T @ gram)
     if complement.shape[1] != dim - 6:
         raise ArithmeticError("trace-form complement has unexpected dimension")
     overlap = float(np.max(np.abs(skew.T @ gram @ complement)))
     if overlap > 1e-8:
         raise ArithmeticError("splitting blocks are not trace-orthogonal")
     return KillingSplit(skew=skew, complement=complement)
+
+
+KILLING_SPLIT = killing_split()
 
 
 def restrict_block(
@@ -756,7 +747,7 @@ def rep_residuals(
     for name, gen, image in (("relation_a", 0, endo.image_a),
                              ("relation_b", 1, endo.image_b)):
         lhs = images[2] @ images[gen] @ x_inv
-        rhs = _word_product(image, mats)
+        rhs = word_product(image, mats)
         scale = max(1.0, float(np.max(np.abs(rhs))))
         out[name] = float(np.max(np.abs(lhs - rhs))) / scale
     return out
@@ -777,12 +768,11 @@ def longitude_centralizer_dims(
     """
     adj = adjoint_rep(rep)
     tau = np.asarray(
-        _word_product(LONGITUDE, (adj[0], adj[1], adj[2])), dtype=complex
+        word_product(LONGITUDE, (adj[0], adj[1], adj[2])), dtype=complex
     )
-    split = killing_split(null_tol=null_tol)
     total = nullspace(tau - np.eye(tau.shape[0]), tol=null_tol).shape[1]
     dims = [total]
-    for block in (split.skew, split.complement):
+    for block in (KILLING_SPLIT.skew, KILLING_SPLIT.complement):
         compressed = block.conj().T @ tau @ block
         dims.append(
             nullspace(compressed - np.eye(block.shape[1]), tol=null_tol).shape[1]
@@ -825,11 +815,9 @@ class HolonomySolution:
         if kind == "sl4":
             return adjoint_rep(self.lorentz)
         if kind == "v":
-            split = killing_split()
-            return restrict_block(adjoint_rep(self.lorentz), split.complement)
+            return restrict_block(adjoint_rep(self.lorentz), KILLING_SPLIT.complement)
         if kind == "pso31":
-            split = killing_split()
-            return restrict_block(adjoint_rep(self.lorentz), split.skew)
+            return restrict_block(adjoint_rep(self.lorentz), KILLING_SPLIT.skew)
         if kind == "gl16":
             return kronecker_rep(self.lorentz)
         raise ValueError(f"unknown representation kind: {kind!r}")

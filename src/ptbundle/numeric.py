@@ -1,24 +1,27 @@
 """Numeric kernel: Laurent polynomials, determinants, deflation, nullspaces.
 
-Scalars are python ``complex``; matrices are numpy arrays.  Polynomial
-determinants are computed by evaluation-interpolation: the matrix is
-evaluated at sample points on a circle (default radius 1.13, chosen off the
-unit circle where group-element spectra like to sit), each sample's
-determinant comes from a partial-pivot LU, and the coefficients are read off
-with an inverse DFT.  Every interpolated polynomial is validated at fresh
-sample points before it is returned.
+Scalars are python ``complex``; matrices are numpy arrays.  Every
+polynomial that comes from a numeric function (a determinant of a
+polynomial matrix, a characteristic polynomial, a quotient of two
+determinants) goes through one engine, ``interpolate_on_circle``: the
+function is sampled on a circle, the coefficients are read off with one
+inverse DFT, and the result is validated at two fresh points on the same
+circle before it is returned.  A failed sample or validation moves on to
+the caller's next radius.  Determinants and characteristic polynomials
+use radius 1.13, off the unit circle where group-element spectra like to
+sit; quotients use radii 2.0, 2.4 and 1.7, away from the root cluster of
+a unipotent denominator at 1.
 
-The LU/DFT stage runs in 80-bit extended precision when the platform
-provides it (x86 long double), which keeps the determinant stage's rounding
-error far below the error inherited from the input matrices.  All public
-tolerances are relative: to the largest sample magnitude for determinants,
-to the current max coefficient for deflation, to the largest singular value
-for nullspaces.
+Sampling, the LU determinants and the DFT run in 80-bit extended
+precision when the platform provides it (x86 long double), which keeps
+the interpolation's rounding error far below the error inherited from
+the input matrices.  All public tolerances are relative: to the largest
+sample magnitude for interpolation, to the current max coefficient for
+deflation, to the largest singular value for nullspaces.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,8 +33,12 @@ import numpy as np
 
 _HAS_EXTENDED = np.finfo(np.longdouble).eps < 1e-17
 _REAL_DT = np.longdouble if _HAS_EXTENDED else np.float64
-_CPLX_DT = np.clongdouble if _HAS_EXTENDED else np.complex128
+EXT_COMPLEX = np.clongdouble if _HAS_EXTENDED else np.complex128
 _PI = _REAL_DT("3.14159265358979323846264338327950288419716939937510") if _HAS_EXTENDED else np.float64(np.pi)
+
+# Sample circles: determinants and characteristic polynomials, quotients.
+DET_RADII = (1.13,)
+QUOTIENT_RADII = (2.0, 2.4, 1.7)
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,21 @@ def matrix_det(a: np.ndarray):
     numpy's det downcasts extended-precision inputs, so sampling code that
     wants clongdouble accuracy must come through here.
     """
-    return _lu_det(a)
+    a = np.array(a, copy=True)
+    n = a.shape[0]
+    det = a.dtype.type(1)
+    for k in range(n - 1):
+        p = int(np.argmax(np.abs(a[k:, k]))) + k
+        if a[p, k] == 0:
+            return a.dtype.type(0)
+        if p != k:
+            a[[k, p], k:] = a[[p, k], k:]
+            det = -det
+        piv = a[k, k]
+        det = det * piv
+        factors = a[k + 1:, k:k + 1] / piv
+        a[k + 1:, k + 1:] = a[k + 1:, k + 1:] - factors * a[k, k + 1:]
+    return det * a[n - 1, n - 1] if n else det
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,35 +108,22 @@ def matrix_inverse(a: np.ndarray) -> np.ndarray:
     return linear_solve(a, np.eye(a.shape[0], dtype=a.dtype))
 
 
-def _lu_det(a: np.ndarray):
-    """Determinant via partial-pivot LU; preserves the input dtype."""
-    a = np.array(a, copy=True)
-    n = a.shape[0]
-    if n == 0:
-        return a.dtype.type(1)
-    det = a.dtype.type(1)
-    for k in range(n - 1):
-        col = np.abs(a[k:, k])
-        p = int(np.argmax(col)) + k
-        if a[p, k] == 0:
-            return a.dtype.type(0)
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-            det = -det
-        piv = a[k, k]
-        det = det * piv
-        factors = a[k + 1:, k:k + 1] / piv
-        a[k + 1:, k + 1:] = a[k + 1:, k + 1:] - factors * a[k, k + 1:]
-    return det * a[n - 1, n - 1]
+def word_product(word, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Image of a free-group word under generator matrices indexed 0, 1, ...
 
-
-def _circle_points(count: int, radius: float, phase: float = 0.0):
-    """Sample points radius * exp(i(2 pi j / count + phase)) in extended precision."""
-    r = _REAL_DT(radius)
-    out = []
-    for j in range(count):
-        theta = 2 * _PI * _REAL_DT(j) / _REAL_DT(count) + _REAL_DT(phase)
-        out.append(r * (np.cos(theta) + 1j * np.sin(theta)))
+    The dtype follows the inputs, so extended-precision images give an
+    extended-precision product; each needed inverse is computed once.
+    """
+    dtype = np.result_type(*(np.asarray(m).dtype for m in images))
+    out = np.eye(images[0].shape[0], dtype=dtype)
+    inverses: dict[int, np.ndarray] = {}
+    for gen, exp in word.letters:
+        if exp > 0:
+            out = out @ images[gen]
+        else:
+            if gen not in inverses:
+                inverses[gen] = matrix_inverse(images[gen])
+            out = out @ inverses[gen]
     return out
 
 
@@ -342,11 +350,6 @@ class PolyMatrix:
         raise AttributeError("PolyMatrix is immutable")
 
     @classmethod
-    def from_constant(cls, m: np.ndarray) -> "PolyMatrix":
-        return cls([[LaurentPoly.term(complex(m[i, j])) for j in range(m.shape[1])]
-                    for i in range(m.shape[0])])
-
-    @classmethod
     def from_blocks(cls, blocks: Sequence[Sequence["PolyMatrix"]]) -> "PolyMatrix":
         rows: list[list[LaurentPoly]] = []
         for block_row in blocks:
@@ -359,25 +362,6 @@ class PolyMatrix:
                     row.extend(b.entries[i])
                 rows.append(row)
         return cls(rows)
-
-    def drop_columns(self, cols: set[int]) -> "PolyMatrix":
-        return PolyMatrix([[e for j, e in enumerate(row) if j not in cols]
-                           for row in self.entries])
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def scaled(self, c) -> "PolyMatrix":
-        return PolyMatrix([[e * c for e in row] for row in self.entries])
 
     def evaluate(self, z) -> np.ndarray:
         vals = [[e.evaluate(z) for e in row] for row in self.entries]
@@ -402,14 +386,58 @@ class PolyMatrix:
         return lo, hi
 
 
+def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
+                          tol: float = 1e-8,
+                          radii: Sequence[float] = DET_RADII) -> LaurentPoly:
+    """Laurent polynomial sum_{k < count} c_{lo+k} x^(lo+k) from its values.
+
+    value_at receives extended-precision points on a circle and returns the
+    function value there.  The coefficients come from one inverse DFT of
+    count samples, and the result must reproduce value_at at two fresh
+    phases within tol relative to the largest sample (or reference)
+    magnitude.  An ArithmeticError from sampling or validation moves on to
+    the next radius; when every radius fails, the error names them all.
+    """
+    k = np.arange(count)
+    theta = np.concatenate([
+        2 * _PI * k.astype(_REAL_DT) / _REAL_DT(count),
+        (np.array([0.37, 0.71]) * 2 * np.pi / count).astype(_REAL_DT),
+    ])
+    unit = np.cos(theta) + 1j * np.sin(theta)
+    # entry (k, j) is exp(-2 pi i jk / count)
+    dft = unit[:count].conj()[np.outer(k, k) % count]
+    failures = []
+    for radius in radii:
+        r = _REAL_DT(radius)
+        points = r * unit
+        try:
+            values = np.array([value_at(z) for z in points[:count]], dtype=EXT_COMPLEX)
+            raw = dft @ (values / points[:count] ** lo) / count
+            size = np.abs(raw.astype(complex))
+            coeffs = raw / r ** k.astype(_REAL_DT)
+            poly = LaurentPoly({lo + j: coeffs[j]
+                                for j in np.flatnonzero(size > 1e-12 * size.max())})
+            scale = max(float(np.max(np.abs(values.astype(complex)))), 1.0)
+            for z in points[count:]:
+                reference = value_at(z)
+                residual = abs(complex(poly.evaluate(z) - reference))
+                if not residual <= tol * max(scale, abs(complex(reference))):
+                    raise ArithmeticError(
+                        "validation residual %.3e vs scale %.3e" % (residual, scale))
+            return poly
+        except ArithmeticError as err:
+            failures.append("radius %g: %s" % (radius, err))
+    raise ArithmeticError("interpolation failed at every radius in %s (%s)"
+                          % (tuple(radii), "; ".join(failures)))
+
+
 def det_polymatrix(m: PolyMatrix, degree_bound: Optional[int] = None,
-                   tol: float = 1e-8, radius: float = 1.13) -> LaurentPoly:
+                   tol: float = 1e-8,
+                   radii: Sequence[float] = DET_RADII) -> LaurentPoly:
     """Determinant of a square PolyMatrix by evaluation-interpolation.
 
-    Samples span+1 points on the radius circle (span from the row-wise
-    exponent window, widened to degree_bound if the caller supplies a larger
-    promise), interpolates with an inverse DFT, and validates the result at
-    two fresh points; tol is relative to the largest sample magnitude.
+    Samples span+1 points (span from the row-wise exponent window, widened
+    to degree_bound if the caller supplies a larger promise).
     """
     rows, cols = m.shape
     if rows != cols:
@@ -423,50 +451,8 @@ def det_polymatrix(m: PolyMatrix, degree_bound: Optional[int] = None,
     span = hi - lo
     if degree_bound is not None:
         span = max(span, int(degree_bound))
-    count = span + 1
-    points = _circle_points(count, radius)
-    dets = [_lu_det(m.evaluate(z)) for z in points]
-    poly = _interpolate(points, dets, lo, radius)
-    _validate_interpolation(poly, dets, lambda z: _lu_det(m.evaluate(z)),
-                            count, radius, tol)
-    return poly
-
-
-def _interpolate(points, values, lo: int, radius: float) -> LaurentPoly:
-    """Recover sum_{k} c_{lo+k} x^{lo+k} from values on the sample circle."""
-    count = len(points)
-    r = _REAL_DT(radius)
-    coeffs: dict[int, complex] = {}
-    raw = []
-    for k in range(count):
-        acc = _CPLX_DT(0)
-        for j, f in enumerate(values):
-            theta = -2 * _PI * _REAL_DT(j * k % count) / _REAL_DT(count)
-            w = np.cos(theta) + 1j * np.sin(theta)
-            # divide out z_j^lo so the remaining function is an ordinary poly
-            zlo = points[j] ** lo
-            acc = acc + (f / zlo) * w
-        raw.append(acc / _CPLX_DT(count))
-    scale = max((abs(complex(c)) for c in raw), default=0.0)
-    floor = 1e-12 * scale
-    for k, c in enumerate(raw):
-        val = complex(c / (r ** k))
-        if abs(complex(c)) > floor:
-            coeffs[lo + k] = val
-    return LaurentPoly(coeffs)
-
-
-def _validate_interpolation(poly: LaurentPoly, sample_dets, evaluator,
-                            count: int, radius: float, tol: float):
-    scale = max([abs(complex(d)) for d in sample_dets] + [1.0])
-    for phase in (0.37 * 2 * np.pi / count, 0.71 * 2 * np.pi / count):
-        z = _circle_points(1, radius, phase)[0]
-        reference = evaluator(z)
-        residual = abs(complex(poly.evaluate(z) - reference))
-        if residual > tol * max(scale, abs(complex(reference))):
-            raise ArithmeticError(
-                "interpolated determinant failed validation: residual %.3e vs scale %.3e"
-                % (residual, scale))
+    return interpolate_on_circle(lambda z: matrix_det(m.evaluate(z)), span + 1,
+                                 lo=lo, tol=tol, radii=radii)
 
 
 def poly_div_exact(num: LaurentPoly, den: LaurentPoly, tol: float = 1e-8) -> LaurentPoly:
@@ -501,60 +487,38 @@ def poly_div_exact(num: LaurentPoly, den: LaurentPoly, tol: float = 1e-8) -> Lau
     return LaurentPoly.from_coeffs(quot, 0).cleaned(1e-14)
 
 
-def char_poly(m: np.ndarray, tol: float = 1e-8, radius: float = 1.13) -> LaurentPoly:
-    """det(m - t I) by sample-and-interpolate; leading coefficient snapped to (-1)^n.
-
-    Same computation as det_polymatrix on the pencil m - t I, specialized so
-    the samples are plain shifted copies of m.
-    """
+def char_poly(m: np.ndarray, tol: float = 1e-8,
+              radii: Sequence[float] = DET_RADII) -> LaurentPoly:
+    """det(m - t I) by sample-and-interpolate; leading coefficient snapped to (-1)^n."""
     n = m.shape[0]
     if n == 0:
         return LaurentPoly.one()
-    base = np.array(m, dtype=_CPLX_DT)
-    count = n + 1
-    points = _circle_points(count, radius)
-
-    def sample(z):
-        return _lu_det(base - z * np.eye(n, dtype=_CPLX_DT))
-
-    dets = [sample(z) for z in points]
-    poly = _interpolate(points, dets, 0, radius)
-    _validate_interpolation(poly, dets, sample, count, radius, tol)
-    lead = (-1.0) ** n
-    coeffs = dict(poly.coeffs)
-    coeffs[n] = complex(lead, 0.0)
-    poly = LaurentPoly(coeffs)
-    if np.isrealobj(m):
-        poly = poly.realified(1e-6)
-    return poly
+    base = np.array(m, dtype=EXT_COMPLEX)
+    eye = np.eye(n, dtype=EXT_COMPLEX)
+    poly = interpolate_on_circle(lambda z: matrix_det(base - z * eye), n + 1,
+                                 tol=tol, radii=radii)
+    poly = LaurentPoly({**poly.coeffs, n: (-1.0) ** n})
+    return poly.realified(1e-6) if np.isrealobj(m) else poly
 
 
 def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
                          quotient_degree: int, tol: float = 1e-8,
-                         radius: float = 2.0) -> LaurentPoly:
+                         radii: Sequence[float] = QUOTIENT_RADII) -> LaurentPoly:
     """Interpolate q(x) = numerator(x)/denominator(x) known to be polynomial.
 
     Both callables receive an extended-precision sample point and return the
     determinant value there.  Used where the denominator's roots cluster at
     x = 1 (unipotent meridian images) and coefficientwise long division
-    would amplify noise combinatorially; the radius keeps every sample at
-    distance >= radius-1 from that cluster.  Validated at two fresh points.
+    would amplify noise combinatorially; each radius r keeps every sample
+    at distance >= |r - 1| from that cluster.
     """
-    count = quotient_degree + 1
-    points = _circle_points(count, radius)
-    values = []
-    for z in points:
+    def value_at(z):
         den = denominator_at(z)
         if den == 0 or not np.isfinite(complex(den)):
             raise ArithmeticError("denominator vanished at a sample point")
-        values.append(numerator_at(z) / den)
-    poly = _interpolate(points, values, 0, radius)
+        return numerator_at(z) / den
 
-    def ref(z):
-        return numerator_at(z) / denominator_at(z)
-
-    _validate_interpolation(poly, values, ref, count, radius, tol)
-    return poly
+    return interpolate_on_circle(value_at, quotient_degree + 1, tol=tol, radii=radii)
 
 
 def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[int, LaurentPoly]:

@@ -88,15 +88,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)), _reduced=True)
 
-    def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = Word()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
     def max_generator(self) -> int:
         """Largest generator index appearing, or -1 for the identity."""
         return max((g for g, _ in self.letters), default=-1)

@@ -112,8 +112,14 @@ class TestConfig:
             self._base(monodromy=None)
 
     def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tol-root"):
-            self._base(tolerances=Tolerances(root=0.0))
+        for value in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol-root"):
+                self._base(tolerances=Tolerances(root=value))
+
+    def test_nonpositive_starts_rejected(self):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match="--starts"):
+                self._base(starts=value)
 
 
 class TestExitCodes:
@@ -144,6 +150,12 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+    def test_nonfinite_tolerance_flags_exit_two(self, capsys):
+        for flag, value in (("--tol-det", "nan"), ("--tol-null", "inf"),
+                            ("--starts", "0")):
+            assert run(["certify", flag, value, "--", "RRL"]) == 2
+            assert flag in capsys.readouterr().err
 
     def test_all_inconclusive_exits_four(self, capsys):
         # a root tolerance below the double-precision storage noise makes
@@ -251,6 +263,18 @@ class TestSubcommands:
     def test_solution_filter_out_of_range(self, capsys):
         assert run(["trace-solve", "LLRR", "--solution", "99"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+
+class TestNegatedWords:
+    @pytest.mark.parametrize("command", ["certify", "trace-solve"])
+    def test_leading_minus_parses_as_word(self, command, capsys):
+        codes, outputs = [], []
+        for argv in ([command, "-RRL"], [command, "--", "-RRL"]):
+            codes.append(run(argv))
+            outputs.append(capsys.readouterr().out)
+        assert codes[0] == codes[1] != 2
+        assert outputs[0] == outputs[1]
+        assert "monodromy -RRL" in outputs[0]
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from ptbundle.numeric import (
     det_polymatrix,
     equal_up_to_unit,
     integer_round,
+    interpolate_on_circle,
     laurent_allclose,
     monic_normalize,
     newton_multistart,
@@ -78,6 +79,23 @@ def test_laurent_realified_and_cleaned():
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
+
+
+def test_interpolate_on_circle_matches_scalar_dft():
+    # reference: the term-by-term inverse DFT that the engine's array DFT replaced
+    lo, count, radius = -2, 6, 1.13
+    target = P(xm2=3, xm1=-1, c=2, x1=0.5, x3=-7)
+    points = [radius * np.exp(2j * np.pi * j / count) for j in range(count)]
+    coeffs = {}
+    for k in range(count):
+        acc = 0j
+        for j, z in enumerate(points):
+            acc += target.evaluate(z) / z ** lo * np.exp(-2j * np.pi * j * k / count)
+        coeffs[lo + k] = acc / count / radius ** k
+    reference = LaurentPoly(coeffs).cleaned(1e-12)
+    got = interpolate_on_circle(target.evaluate, count, lo=lo, radii=(radius,))
+    assert laurent_allclose(got, reference, 1e-13)
+    assert laurent_allclose(got, target, 1e-14)
 
 
 def test_det_2x2_example():
@@ -195,6 +213,24 @@ def test_quotient_interpolate():
     num = target * den6
     q = quotient_interpolate(lambda z: num.evaluate(z), lambda z: den6.evaluate(z), 2)
     assert laurent_allclose(q, target, 1e-10)
+    # a degree below the true one cannot reproduce the fresh validation points
+    with pytest.raises(ArithmeticError, match="validation residual"):
+        quotient_interpolate(lambda z: num.evaluate(z), lambda z: den6.evaluate(z), 1)
+
+
+def test_quotient_interpolate_radius_retry():
+    # the denominator t - 2 vanishes at the first sample point of radius 2
+    target = P(c=5, x1=-3, x2=1)
+    den = P(c=-2, x1=1)
+    num = target * den
+    q = quotient_interpolate(lambda z: num.evaluate(z), lambda z: den.evaluate(z), 2)
+    assert laurent_allclose(q, target, 1e-10)
+    # with no other radius to move to, the error names every radius tried
+    with pytest.raises(ArithmeticError, match=r"\(2\.0,\) .*denominator vanished"):
+        quotient_interpolate(lambda z: num.evaluate(z), lambda z: den.evaluate(z), 2,
+                             radii=(2.0,))
+    with pytest.raises(ArithmeticError, match=r"every radius in \(2\.0, 2\.4, 1\.7\)"):
+        quotient_interpolate(lambda z: num.evaluate(z), lambda z: den.evaluate(z), 1)
 
 
 # ---------------------------------------------------------------------------
