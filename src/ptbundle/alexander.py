@@ -3,11 +3,14 @@
 Route one is the classical determinant construction: Fox derivatives of
 the relators, a representation tensored with the abelianization
 character, a removed column, and a determinant quotient.  Route two is
-dynamical: the monodromy acts on cocycles of the fiber group, and the
-characteristic polynomial of that action (on all cocycles modulo
+dynamical: the inverse monodromy acts on cocycles of the fiber group, and
+the characteristic polynomial of that action (on all cocycles modulo
 coboundaries, or restricted to the cocycles killing the longitude)
-recovers the same invariant.  Keeping both routes live gives an internal
-consistency check that the certification layer relies on.
+recovers the same invariant.  ``route_agreement`` compares a polynomial
+from route one with an action from route two, both computed by the
+caller.  The two routes share one Fox matrix, so their polynomials agree
+for any images; what can fail is the coboundary step of route two, which
+holds only when the images satisfy the bundle relations.
 """
 
 from __future__ import annotations
@@ -33,13 +36,7 @@ from .numeric import (
     quotient_interpolate,
     word_product,
 )
-from .presentation import (
-    AbelianizationMap,
-    MonodromySpec,
-    Presentation,
-    monodromy_endo,
-    validate_abelianization,
-)
+from .presentation import AbelianizationMap, Presentation, validate_abelianization
 from .words import EndoF2, GroupRingElem, Word, fox_derivative, parse_word, ring_one_minus
 
 
@@ -223,12 +220,6 @@ def twisted_alexander(
 RepImages = Mapping[int, np.ndarray]
 
 
-def _as_endo(spec: "MonodromySpec | EndoF2") -> EndoF2:
-    if isinstance(spec, EndoF2):
-        return spec
-    return monodromy_endo(spec)
-
-
 def _fiber_fox_blocks(endo: EndoF2, rep: RepImages) -> list[list[np.ndarray]]:
     """Constant matrices of the fiber Fox derivatives of the two images."""
     fiber = (rep[0], rep[1])
@@ -260,7 +251,7 @@ def _pencil_quotient(p, q, r, s, rep: RepImages, tols: Tolerances) -> LaurentPol
 
 
 def bundle_twisted_alexander(
-    spec: "MonodromySpec | EndoF2",
+    endo: EndoF2,
     rep: RepImages,
     *,
     tolerances: Tolerances | None = None,
@@ -274,7 +265,6 @@ def bundle_twisted_alexander(
     division on a circle away from 1 followed by interpolation; longhand
     coefficient division would amplify roundoff combinatorially.
     """
-    endo = _as_endo(spec)
     mer = np.asarray(rep[2])
     return _pencil_quotient(
         np.block(_fiber_fox_blocks(endo, rep)), np.kron(np.eye(2), mer),
@@ -313,41 +303,31 @@ def res_l_map(rep: RepImages) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CocycleAction:
-    """Monodromy action on cocycle pairs and on the longitude-killing kernel."""
+    """Inverse monodromy action on cocycle pairs and on the longitude kernel."""
 
-    direction: str
     matrix: np.ndarray
     kernel_basis: np.ndarray
     restricted: np.ndarray
 
 
 def monodromy_action(
-    spec: "MonodromySpec | EndoF2",
+    endo: EndoF2,
     rep: RepImages,
-    direction: str = "inverse",
     *,
     tolerances: Tolerances | None = None,
 ) -> CocycleAction:
-    """Action of the monodromy (or its inverse) on cocycle pairs.
+    """Action of the inverse monodromy on cocycle pairs.
 
-    The inverse direction evaluates the cocycle on the forward monodromy
-    images and multiplies by the inverse meridian; it needs Fox
-    derivatives of positive words only, so it is the default for
-    certificates.  The forward direction is kept for the cross-check
-    against the determinant route (its spectrum is reciprocal).
+    A cocycle is evaluated on the monodromy images of a and b and then
+    multiplied by the inverse meridian, so only the Fox derivatives of
+    those images are needed.  The matrix is the determinant route's
+    pencil with the meridian factored out, which is why its quotient
+    polynomial matches the Wada polynomial up to a unit.
     """
     tols = tolerances or Tolerances()
-    endo = _as_endo(spec)
-    if direction == "inverse":
-        fox = _fiber_fox_blocks(endo, rep)
-        prefactor = matrix_inverse(rep[2])
-    elif direction == "forward":
-        fox = _fiber_fox_blocks(endo.inverse(), rep)
-        prefactor = np.asarray(rep[2])
-    else:
-        raise ValueError("direction must be 'forward' or 'inverse'")
-    blocks = [[prefactor @ cell for cell in row] for row in fox]
-    matrix = np.block(blocks)
+    prefactor = matrix_inverse(rep[2])
+    fox = _fiber_fox_blocks(endo, rep)
+    matrix = np.block([[prefactor @ cell for cell in row] for row in fox])
     if _is_real_rep(rep):
         matrix = matrix.real
 
@@ -359,12 +339,7 @@ def monodromy_action(
         raise ArithmeticError(
             "monodromy action leaks out of the longitude-killing kernel"
         )
-    return CocycleAction(
-        direction=direction,
-        matrix=matrix,
-        kernel_basis=kernel,
-        restricted=restricted,
-    )
+    return CocycleAction(matrix=matrix, kernel_basis=kernel, restricted=restricted)
 
 
 def relative_char_poly(action: CocycleAction, *, tol: float = 1e-8) -> LaurentPoly:
@@ -373,18 +348,16 @@ def relative_char_poly(action: CocycleAction, *, tol: float = 1e-8) -> LaurentPo
 
 
 def coboundary_defect(action: CocycleAction, rep: RepImages) -> float:
-    """How far the action is from multiplying coboundaries by the meridian.
+    """How far the action is from multiplying coboundaries by rep(x)^-1.
 
-    Coboundaries embed the module via v -> ((1-a)v, (1-b)v); the forward
-    action must carry this to the embedding of rep(x) v, and the inverse
-    action to that of rep(x)^-1 v.  Returns the relative defect.
+    Coboundaries embed the module via v -> ((1-a)v, (1-b)v); the action
+    must carry this to the embedding of rep(x)^-1 v.  Returns the
+    relative defect.
     """
     dim = rep[0].shape[0]
     eye = np.eye(dim, dtype=complex)
     embed = np.vstack([eye - np.asarray(rep[0]), eye - np.asarray(rep[1])])
-    mer = np.asarray(rep[2])
-    target = mer if action.direction == "forward" else matrix_inverse(mer)
-    diff = action.matrix @ embed - embed @ target
+    diff = action.matrix @ embed - embed @ matrix_inverse(rep[2])
     return float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(embed))))
 
 
@@ -399,30 +372,37 @@ class RouteAgreement:
 
     wada: LaurentPoly
     action_quotient: LaurentPoly
+    coboundary_defect: float
     match: bool
 
 
 def route_agreement(
-    spec: "MonodromySpec | EndoF2",
+    wada: LaurentPoly,
+    action: CocycleAction,
     rep: RepImages,
     *,
     tolerances: Tolerances | None = None,
     match_tol: float = 1e-6,
 ) -> RouteAgreement:
-    """Cross-check the determinant route against the cocycle route.
+    """Cross-check a determinant-route polynomial against a cocycle action.
 
-    The second polynomial is the characteristic polynomial of the forward
-    action on all cocycle pairs divided by that of the coboundary action;
-    the two routes agree up to a unit and the reciprocal convention.
+    The second polynomial is det(A - t) / det(rep(x)^-1 - t): the
+    characteristic polynomial of the action on all cocycle pairs divided
+    by that of its restriction to the coboundaries.  Factoring rep(x) out
+    of the determinant route's pencil shows the two agree up to a unit,
+    with no reciprocal, whatever the images.  The division is the
+    action on cohomology only if the action carries coboundaries by
+    rep(x)^-1, which holds exactly when the images satisfy the bundle
+    relations; so a match also needs `coboundary_defect` within
+    `match_tol`.
     """
     tols = tolerances or Tolerances()
-    endo = _as_endo(spec)
-    wada = bundle_twisted_alexander(endo, rep, tolerances=tols)
-
-    action = monodromy_action(endo, rep, "forward", tolerances=tols)
-    mer = np.asarray(rep[2])
+    dim = rep[2].shape[0]
     quotient = _pencil_quotient(
-        action.matrix, np.eye(2 * mer.shape[0]), mer, np.eye(mer.shape[0]), rep, tols
+        action.matrix, np.eye(2 * dim), matrix_inverse(rep[2]), np.eye(dim), rep, tols
     )
-    match = equal_up_to_unit(wada, quotient, tol=match_tol, allow_reciprocal=True)
-    return RouteAgreement(wada=wada, action_quotient=quotient, match=match)
+    defect = coboundary_defect(action, rep)
+    match = defect <= match_tol and equal_up_to_unit(wada, quotient, tol=match_tol)
+    return RouteAgreement(
+        wada=wada, action_quotient=quotient, coboundary_defect=defect, match=match
+    )

@@ -19,14 +19,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .alexander import (
+    CocycleAction,
     bundle_twisted_alexander,
     monodromy_action,
     relative_char_poly,
-    route_agreement,
 )
 from .holonomy import (
     HolonomySolution,
-    adjoint_rep,
     build_solutions,
     fixed_vectors_dim,
     holonomy_residuals,
@@ -129,6 +128,15 @@ def evidence_from_poly(
     )
 
 
+def action_evidence(
+    label: str, endo, images, tols: Tolerances
+) -> tuple[CocycleAction, CertificateEvidence]:
+    """The cocycle action of one representation and its certificate evidence."""
+    action = monodromy_action(endo, images, tolerances=tols)
+    poly = relative_char_poly(action, tol=tols.det)
+    return action, evidence_from_poly(label, poly, tol=tols.root)
+
+
 @dataclass(frozen=True)
 class CrossCheck:
     """Outcome of one structural consistency check."""
@@ -151,6 +159,13 @@ class SolutionReport:
     route_match: Optional[bool] = None
     cross_checks: dict[str, CrossCheck] = field(default_factory=dict)
     solution: Optional[HolonomySolution] = field(default=None, repr=False)
+    images: dict[str, dict[int, np.ndarray]] = field(default_factory=dict, repr=False)
+
+    def representation(self, label: str) -> dict[int, np.ndarray]:
+        """The label's images, built on first use and then reused."""
+        if label not in self.images:
+            self.images[label] = self.solution.representation(label)
+        return self.images[label]
 
     @property
     def certificates(self) -> list[str]:
@@ -204,18 +219,16 @@ def _solution_report(
         failures.append(f"residuals: {err}")
 
     evidence: dict[str, CertificateEvidence] = {}
+    images: dict[str, dict[int, np.ndarray]] = {}
     for label in reps:
         try:
-            images = sol.representation(label)
-            residuals[f"relations_{label}"] = max(
-                rep_residuals(images, endo).values()
-            )
+            images[label] = rep = sol.representation(label)
+            residuals[f"relations_{label}"] = max(rep_residuals(rep, endo).values())
             if CERTIFICATE_SOURCES[label][0] == "action":
-                action = monodromy_action(endo, images, "inverse", tolerances=tols)
-                poly = relative_char_poly(action, tol=tols.det)
+                _, evidence[label] = action_evidence(label, endo, rep, tols)
             else:
-                poly = bundle_twisted_alexander(endo, images, tolerances=tols)
-            evidence[label] = evidence_from_poly(label, poly, tol=tols.root)
+                wada = bundle_twisted_alexander(endo, rep, tolerances=tols)
+                evidence[label] = evidence_from_poly(label, wada, tol=tols.root)
         except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
             failures.append(f"{label}: {err}")
 
@@ -233,6 +246,7 @@ def _solution_report(
         failures=failures,
         verdict=RIGID if decisive else INCONCLUSIVE,
         solution=sol,
+        images=images,
     )
 
 
@@ -339,35 +353,40 @@ def _check_torsion(sol: SolutionReport, trace: int) -> Optional[CrossCheck]:
     return CrossCheck(ok=ok, values={"ratio_at_one": ratio, "expected": expected})
 
 
-def _check_centralizer(sol: SolutionReport, tols: Tolerances) -> CrossCheck:
-    dims = longitude_centralizer_dims(sol.solution.lorentz, null_tol=tols.null)
-    return CrossCheck(
-        ok=(dims == (5, 2, 3)),
-        values={"sl4": dims[0], "lorentz": dims[1], "complement": dims[2]},
-    )
-
-
-def _check_fixed_vectors(sol: SolutionReport, tols: Tolerances) -> CrossCheck:
-    dim = fixed_vectors_dim(adjoint_rep(sol.solution.lorentz), null_tol=tols.null)
-    return CrossCheck(ok=(dim == 0), values={"dimension": dim})
+def _check_adjoint(adjoint, tols: Tolerances) -> dict[str, CrossCheck]:
+    """The longitude centralizer and fixed-vector checks on the sl4 images."""
+    dims = longitude_centralizer_dims(adjoint, null_tol=tols.null)
+    dim = fixed_vectors_dim(adjoint, null_tol=tols.null)
+    return {
+        "longitude_centralizer": CrossCheck(
+            ok=(dims == (5, 2, 3)),
+            values={"sl4": dims[0], "lorentz": dims[1], "complement": dims[2]},
+        ),
+        "fixed_vectors": CrossCheck(ok=(dim == 0), values={"dimension": dim}),
+    }
 
 
 def _check_routes(
-    sol: SolutionReport, endo, reps: tuple[str, ...], tols: Tolerances
+    sol: SolutionReport, endo, tols: Tolerances
 ) -> tuple[CrossCheck, list[str]]:
+    """Whether both polynomial routes hold on each label's images.
+
+    The routes share one Fox matrix, so their polynomials agree for any
+    images; they are the bundle's invariant only if the images satisfy
+    the bundle relations.  So the check builds the route the label's
+    certificate did not use, which fails if it cannot be built, and
+    compares the label's relation residual with the root tolerance.
+    """
     matches = {}
     failures = []
-    for label in reps:
-        if label not in sol.evidence:
-            continue
+    for label in sol.evidence:
         try:
-            agreement = route_agreement(
-                endo,
-                sol.solution.representation(label),
-                tolerances=tols,
-                match_tol=tols.root,
-            )
-            matches[label] = agreement.match
+            images = sol.representation(label)
+            if CERTIFICATE_SOURCES[label][0] == "action":
+                bundle_twisted_alexander(endo, images, tolerances=tols)
+            else:
+                monodromy_action(endo, images, tolerances=tols)
+            matches[label] = sol.residuals[f"relations_{label}"] <= tols.root
         except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
             failures.append(f"routes[{label}]: {err}")
             matches[label] = False
@@ -380,12 +399,16 @@ def cross_checks(report: RigidityReport) -> RigidityReport:
 
     The checks are: the multiplicity of 1 drops by exactly one from the
     15-dimensional polynomial to the 16-dimensional one; the leftover
-    factor evaluated at 1 has absolute value |tr(monodromy) - 2|; the
-    determinant route and the cocycle route produce the same polynomial
-    up to units; the longitude's adjoint centralizer is 5-dimensional
-    and splits 2 + 3 across the two invariant blocks; and the fiber
-    group fixes no nonzero adjoint vector.  A check that cannot run for
-    lack of inputs is skipped, not failed.
+    factor evaluated at 1 has absolute value |tr(monodromy) - 2|; for
+    every representation with evidence, both polynomial routes can be
+    built and the images satisfy the bundle relations within the root
+    tolerance (the "routes" check); the longitude's adjoint centralizer
+    is 5-dimensional and splits 2 + 3 across the two invariant blocks;
+    and the fiber group fixes no nonzero adjoint vector.  A check that
+    cannot run for lack of inputs is skipped, not failed.  The checks
+    reuse the images and residuals of the certificate pass, building
+    the sl4 images only when sl4 is not among the report's
+    representations.
     """
     endo = monodromy_endo(report.spec)
     trace = monodromy_trace(report.spec)
@@ -399,18 +422,12 @@ def cross_checks(report: RigidityReport) -> RigidityReport:
             checks["torsion"] = torsion
         if sol.solution is not None:
             try:
-                checks["longitude_centralizer"] = _check_centralizer(
-                    sol, report.tolerances
-                )
-                checks["fixed_vectors"] = _check_fixed_vectors(
-                    sol, report.tolerances
-                )
+                adjoint = sol.representation("sl4")
+                checks.update(_check_adjoint(adjoint, report.tolerances))
             except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
                 sol.failures.append(f"centralizer: {err}")
                 checks["longitude_centralizer"] = CrossCheck(ok=False, values={})
-            routes, route_failures = _check_routes(
-                sol, endo, report.reps, report.tolerances
-            )
+            routes, route_failures = _check_routes(sol, endo, report.tolerances)
             sol.failures.extend(route_failures)
             if routes.values:
                 checks["routes"] = routes

@@ -20,19 +20,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .alexander import (
-    RingRep,
-    monodromy_action,
-    relative_char_poly,
-    twisted_alexander,
-)
+from .alexander import RingRep, twisted_alexander
 from .certify import (
     ALL_REPS,
     INCONCLUSIVE,
     CertificateEvidence,
     _pair,
+    action_evidence,
     certify,
-    evidence_from_poly,
     integer_coeffs,
     report_json,
     report_text,
@@ -267,6 +262,8 @@ class CliConfig:
                 )
         if self.starts < 1:
             raise ValueError(f"--starts must be at least 1, got {self.starts}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {self.seed}")
 
     def solver_options(self) -> dict:
         """Keyword arguments for certify and select_solutions."""
@@ -507,13 +504,10 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
     tols = config.tolerances
     results = []
     for index, sol in picked:
-        per_rep = {}
-        for label in config.reps:
-            images = sol.representation(label)
-            action = monodromy_action(endo, images, "inverse", tolerances=tols)
-            relative = relative_char_poly(action, tol=tols.det)
-            evidence = evidence_from_poly(label, relative, tol=tols.root)
-            per_rep[label] = (action, evidence)
+        per_rep = {
+            label: action_evidence(label, endo, sol.representation(label), tols)
+            for label in config.reps
+        }
         results.append((index, sol, per_rep))
     if config.fmt == "json":
         solutions = [

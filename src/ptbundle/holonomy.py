@@ -754,21 +754,22 @@ def rep_residuals(
 
 
 def longitude_centralizer_dims(
-    rep: Holonomy4, *, null_tol: float = 1e-9
+    adjoint: Mapping[int, np.ndarray], *, null_tol: float = 1e-9
 ) -> tuple[int, int, int]:
     """Dimensions of the longitude's adjoint fixed space and its two halves.
 
-    Computes ker(Ad rho(l) - I) on the traceless matrices at the actual
-    longitude image (no normal-form conjugation), then the same kernel
-    restricted to the Lorentz block and to its trace-form complement.
-    The restriction is legitimate because both blocks are invariant under
-    the whole adjoint representation.  A parabolic longitude gives
-    (5, 2, 3), with a singular-value gap of roughly fourteen orders of
-    magnitude around the cutoff, so the default tolerance is not fragile.
+    ``adjoint`` holds the sl4 images (``adjoint_rep`` of the Lorentz
+    holonomy).  Computes ker(Ad rho(l) - I) on the traceless matrices at
+    the actual longitude image (no normal-form conjugation), then the
+    same kernel restricted to the Lorentz block and to its trace-form
+    complement.  The restriction is legitimate because both blocks are
+    invariant under the whole adjoint representation.  A parabolic
+    longitude gives (5, 2, 3), with a singular-value gap of roughly
+    fourteen orders of magnitude around the cutoff, so the default
+    tolerance is not fragile.
     """
-    adj = adjoint_rep(rep)
     tau = np.asarray(
-        word_product(LONGITUDE, (adj[0], adj[1], adj[2])), dtype=complex
+        word_product(LONGITUDE, (adjoint[0], adjoint[1], adjoint[2])), dtype=complex
     )
     total = nullspace(tau - np.eye(tau.shape[0]), tol=null_tol).shape[1]
     dims = [total]

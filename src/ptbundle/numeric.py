@@ -573,6 +573,8 @@ def nullspace(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+# Diverging starts overflow before the finiteness checks below discard them.
+@np.errstate(over="ignore", invalid="ignore")
 def newton_multistart(fun: Callable, jac: Callable, dim: int, starts: int = 64,
                       seed: int = 0, sampler: Optional[Callable] = None,
                       residual_tol: float = 1e-10, dedup_tol: float = 1e-6,

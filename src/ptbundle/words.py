@@ -299,17 +299,10 @@ def fox_derivative(w: Word, gen: int) -> GroupRingElem:
 
 @dataclass(frozen=True)
 class EndoF2:
-    """Endomorphism of F2 given by images of a and b (indices 0 and 1).
-
-    ``inverse_images`` carries the images of a, b under the inverse
-    automorphism when known; composing two endomorphisms with inverses
-    keeps track of the composite inverse, so monodromies built from the
-    elementary mapping classes stay invertible for free.
-    """
+    """Endomorphism of F2 given by images of a and b (indices 0 and 1)."""
 
     image_a: Word
     image_b: Word
-    inverse_images: Optional[tuple[Word, Word]] = None
 
     def apply(self, w: Word) -> Word:
         out = Word()
@@ -323,21 +316,10 @@ class EndoF2:
             out = out * (img if e > 0 else img.inverse())
         return out
 
-    def inverse(self) -> "EndoF2":
-        if self.inverse_images is None:
-            raise ValueError("endomorphism has no recorded inverse")
-        return EndoF2(self.inverse_images[0], self.inverse_images[1],
-                      inverse_images=(self.image_a, self.image_b))
-
 
 def compose(outer: EndoF2, inner: EndoF2) -> EndoF2:
     """compose(f, g) = f after g, so compose(f, g).apply(w) == f.apply(g.apply(w))."""
-    inv = None
-    if outer.inverse_images is not None and inner.inverse_images is not None:
-        inner_inv = inner.inverse()
-        outer_inv = outer.inverse()
-        inv = (inner_inv.apply(outer_inv.image_a), inner_inv.apply(outer_inv.image_b))
-    return EndoF2(outer.apply(inner.image_a), outer.apply(inner.image_b), inverse_images=inv)
+    return EndoF2(outer.apply(inner.image_a), outer.apply(inner.image_b))
 
 
 def _w(text: str) -> Word:
@@ -346,10 +328,10 @@ def _w(text: str) -> Word:
 
 # Elementary mapping classes of the once-punctured torus.  ELL negates the
 # induced map on homology (the elliptic involution).
-IDENTITY_ENDO = EndoF2(_w("a"), _w("b"), inverse_images=(_w("a"), _w("b")))
-L_TWIST = EndoF2(_w("ab"), _w("b"), inverse_images=(_w("aB"), _w("b")))
-R_TWIST = EndoF2(_w("a"), _w("ba"), inverse_images=(_w("a"), _w("bA")))
-ELL_INVOLUTION = EndoF2(_w("A"), _w("B"), inverse_images=(_w("A"), _w("B")))
+IDENTITY_ENDO = EndoF2(_w("a"), _w("b"))
+L_TWIST = EndoF2(_w("ab"), _w("b"))
+R_TWIST = EndoF2(_w("a"), _w("ba"))
+ELL_INVOLUTION = EndoF2(_w("A"), _w("B"))
 
 
 def endo_from_lr(letters: str, negate: bool = False) -> EndoF2:

@@ -284,8 +284,12 @@ class TestRouteAgreement:
     def test_routes_match_up_to_unit_and_reciprocal(self, bundles, word, kind):
         endo, sols = bundles[word]
         for sol in sols:
+            rep = sol.representation(kind)
             agree = route_agreement(
-                endo, sol.representation(kind), match_tol=1e-6
+                bundle_twisted_alexander(endo, rep),
+                monodromy_action(endo, rep),
+                rep,
+                match_tol=1e-6,
             )
             assert agree.match
             assert equal_up_to_unit(
@@ -392,7 +396,8 @@ class TestAlgebraicProperties:
         for word in BUNDLE_WORDS:
             _, sols = bundles[word]
             for sol in sols:
-                assert longitude_centralizer_dims(sol.lorentz) == (5, 2, 3)
+                adjoint = sol.representation("sl4")
+                assert longitude_centralizer_dims(adjoint) == (5, 2, 3)
 
     def test_no_invariant_vectors_in_adjoint(self, bundles):
         for word in BUNDLE_WORDS:

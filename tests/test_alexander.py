@@ -295,35 +295,21 @@ class TestCocycleAction:
                     dim,
                 )
 
-    def test_directions_are_mutually_inverse(self, llrr):
-        endo, sol = llrr
-        rep = sol.representation("v")
-        fwd = monodromy_action(endo, rep, "forward")
-        inv = monodromy_action(endo, rep, "inverse")
-        assert np.allclose(fwd.matrix @ inv.matrix, np.eye(18), atol=1e-8)
-
-    def test_unknown_direction_rejected(self, llrr):
-        endo, sol = llrr
-        with pytest.raises(ValueError):
-            monodromy_action(endo, sol.representation("v"), "sideways")
-
     def test_coboundaries_transform_by_meridian(self, llrr, rrl):
         for endo, sol in (llrr, rrl):
             rep = sol.representation("sl4")
-            for direction in ("forward", "inverse"):
-                action = monodromy_action(endo, rep, direction)
-                assert coboundary_defect(action, rep) < 1e-7
+            action = monodromy_action(endo, rep)
+            assert coboundary_defect(action, rep) < 1e-7
 
     def test_coboundary_action_similar_to_meridian(self, llrr):
         endo, sol = llrr
         rep = sol.representation("sl4")
-        action = monodromy_action(endo, rep, "forward")
+        action = monodromy_action(endo, rep)
         eye = np.eye(15)
         embed = np.vstack([eye - rep[0], eye - rep[1]]).astype(float)
         induced = np.linalg.pinv(embed) @ np.asarray(action.matrix, dtype=float) @ embed
-        assert laurent_allclose(
-            char_poly(induced), char_poly(np.asarray(rep[2], dtype=float)), tol=1e-6
-        )
+        mer_inv = np.linalg.inv(np.asarray(rep[2], dtype=float))
+        assert laurent_allclose(char_poly(induced), char_poly(mer_inv), tol=1e-6)
 
     def test_llrr_relative_char_poly(self, llrr):
         endo, sol = llrr
@@ -346,34 +332,43 @@ class TestCocycleAction:
                 mult, _ = root_multiplicity(relative_char_poly(action), 1.0)
                 assert mult == expected
 
-    def test_forward_and_inverse_relative_polys_reciprocal(self, rrl):
-        endo, sol = rrl
-        rep = sol.representation("v")
-        fwd = relative_char_poly(monodromy_action(endo, rep, "forward"))
-        inv = relative_char_poly(monodromy_action(endo, rep, "inverse"))
-        assert equal_up_to_unit(fwd, inv, tol=1e-6, allow_reciprocal=True)
+
+def both_routes(endo, rep):
+    """route_agreement on freshly built Wada polynomial and cocycle action."""
+    wada = bundle_twisted_alexander(endo, rep)
+    return route_agreement(wada, monodromy_action(endo, rep), rep)
 
 
 class TestRouteAgreement:
     @pytest.mark.parametrize("kind", ["sl4", "v"])
     def test_llrr(self, llrr, kind):
         endo, sol = llrr
-        report = route_agreement(endo, sol.representation(kind))
+        report = both_routes(endo, sol.representation(kind))
         assert report.match
 
     @pytest.mark.parametrize("kind", ["sl4", "v"])
     def test_rrl(self, rrl, kind):
         endo, sol = rrl
-        report = route_agreement(endo, sol.representation(kind))
+        report = both_routes(endo, sol.representation(kind))
         assert report.match
 
     def test_gl16_routes_also_agree(self, rrl):
         endo, sol = rrl
-        report = route_agreement(endo, sol.representation("gl16"))
+        report = both_routes(endo, sol.representation("gl16"))
         assert report.match
 
     def test_quotient_degrees_match(self, llrr):
         endo, sol = llrr
-        report = route_agreement(endo, sol.representation("sl4"))
+        report = both_routes(endo, sol.representation("sl4"))
         assert report.wada.span == 15
         assert report.action_quotient.span == 15
+
+    def test_relation_defect_breaks_match(self, rrl):
+        # the polynomials still agree; only the coboundary step fails
+        endo, sol = rrl
+        rep = dict(sol.representation("sl4"))
+        rep[0] = rep[0] @ (np.eye(15) + 3e-7 * np.diag(np.arange(15) % 3 - 1.0))
+        report = both_routes(endo, rep)
+        assert report.coboundary_defect > 1e-6
+        assert not report.match
+        assert equal_up_to_unit(report.wada, report.action_quotient, tol=1e-6)

@@ -3,8 +3,11 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+import ptbundle.alexander
+import ptbundle.certify
 from ptbundle.certify import (
     INCONCLUSIVE,
     RIGID,
@@ -18,6 +21,7 @@ from ptbundle.certify import (
     report_jsonable,
     report_text,
 )
+from ptbundle.holonomy import HolonomySolution
 from ptbundle.numeric import LaurentPoly, Tolerances, root_multiplicity
 from ptbundle.presentation import parse_monodromy
 
@@ -212,6 +216,59 @@ class TestCrossChecks:
         assert not out.solutions[0].cross_checks["multiplicity_step"].ok
         assert out.solutions[0].verdict == INCONCLUSIVE
         assert out.verdict == INCONCLUSIVE
+
+    def test_each_object_built_once_per_label(self, monkeypatch):
+        counts = {}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            HolonomySolution, "representation",
+            counted("representation", HolonomySolution.representation),
+        )
+        for name in ("bundle_twisted_alexander", "monodromy_action"):
+            wrapper = counted(name, getattr(ptbundle.alexander, name))
+            monkeypatch.setattr(ptbundle.alexander, name, wrapper)
+            monkeypatch.setattr(ptbundle.certify, name, wrapper)
+        report = certify("RRL")
+        per_solution = 3 * len(report.solutions)
+        assert counts == {
+            "representation": per_solution,
+            "bundle_twisted_alexander": per_solution,
+            "monodromy_action": per_solution,
+        }
+
+    def test_relation_defect_downgrades_verdict(self):
+        report = certify("RRL", reps=("sl4", "v"), with_cross_checks=False)
+        report.solutions[0].residuals["relations_v"] = 1e-3
+        out = cross_checks(report)
+        broken, intact = out.solutions[0], out.solutions[1]
+        assert broken.cross_checks["routes"].values == {"sl4": True, "v": False}
+        assert broken.route_match is False
+        assert broken.certificates and broken.verdict == INCONCLUSIVE
+        assert intact.route_match is True and intact.verdict == RIGID
+
+    def test_perturbed_images_fail_routes_check(self, monkeypatch):
+        original = HolonomySolution.representation
+
+        def perturbed(self, label):
+            images = dict(original(self, label))
+            if label == "sl4":
+                scale = np.eye(15) + 3e-7 * np.diag(np.arange(15) % 3 - 1.0)
+                images[0] = images[0] @ scale
+            return images
+
+        # small enough that both routes can still be built on the images
+        monkeypatch.setattr(HolonomySolution, "representation", perturbed)
+        sol = certify("RRL", solution_index=0).solutions[0]
+        assert sol.residuals["relations_sl4"] > Tolerances().root
+        assert not any(f.startswith("routes[") for f in sol.failures)
+        assert sol.cross_checks["routes"].values["sl4"] is False
+        assert sol.verdict == INCONCLUSIVE
 
     def test_tightened_tolerances_never_promote(self):
         tight = Tolerances(det=1e-9, root=1e-7, null=1e-10)

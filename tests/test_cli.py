@@ -153,7 +153,7 @@ class TestExitCodes:
 
     def test_nonfinite_tolerance_flags_exit_two(self, capsys):
         for flag, value in (("--tol-det", "nan"), ("--tol-null", "inf"),
-                            ("--starts", "0")):
+                            ("--starts", "0"), ("--seed", "-1")):
             assert run(["certify", flag, value, "--", "RRL"]) == 2
             assert flag in capsys.readouterr().err
 

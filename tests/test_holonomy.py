@@ -1,6 +1,7 @@
 """Tests for trace polynomials, trace solving, and the representation tower."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,14 @@ class TestSolveTraces:
         first = solve_traces(endo, seed=3)
         second = solve_traces(endo, seed=3)
         assert [s.as_tuple() for s in first] == [s.as_tuple() for s in second]
+
+    def test_diverging_starts_raise_no_warning(self):
+        # some LLLRRR starts overflow in TracePoly.evaluate before the
+        # Newton loop discards them as non-finite
+        endo = monodromy_endo(parse_monodromy("LLLRRR"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solve_traces(endo, seed=0)
 
     def test_conjugates_collapsed(self):
         endo = monodromy_endo(parse_monodromy("LLRR"))

@@ -215,23 +215,12 @@ def test_endo_from_lr_matches_manual_composition():
     assert rrl.image_b == w2("ba^2")
 
 
-def test_endo_inverse_roundtrip():
-    for spec in ["L", "R", "LLRR", "RRL", "LRLRRL"]:
-        phi = endo_from_lr(spec)
-        inv = phi.inverse()
-        for seed_word in [w2("a"), w2("b"), w2("abAB"), w2("a^2bA")]:
-            assert inv.apply(phi.apply(seed_word)) == seed_word
-            assert phi.apply(inv.apply(seed_word)) == seed_word
-
-
 def test_negate_endo():
     phi = endo_from_lr("RRL", negate=True)
     plain = endo_from_lr("RRL")
     # the involution inverts letters in place, it does not reverse the word
     assert phi.image_a == ELL_INVOLUTION.apply(plain.image_a)
     assert phi.image_b == ELL_INVOLUTION.apply(plain.image_b)
-    inv = phi.inverse()
-    assert inv.apply(phi.apply(w2("abAB"))) == w2("abAB")
 
 
 def test_commutator_preserved_by_lr_words():
