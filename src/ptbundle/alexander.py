@@ -2,7 +2,11 @@
 
 Route one is the classical determinant construction: Fox derivatives of
 the relators, a representation tensored with the abelianization
-character, a removed column, and a determinant quotient.  Route two is
+character, a removed column, and a determinant quotient.  The image of a
+group-ring element is the map {weight w: matrix M_w} of sum_w x^w M_w,
+the Fox minor is the block matrix of those maps, and the quotient of
+the two determinants is interpolated pointwise, as in every other
+quotient of the package.  Route two is
 dynamical: the inverse monodromy acts on cocycles of the fiber group, and
 the characteristic polynomial of that action (on all cocycles modulo
 coboundaries, or restricted to the cocycles killing the longitude)
@@ -23,7 +27,6 @@ import numpy as np
 from .numeric import (
     EXT_COMPLEX,
     LaurentPoly,
-    PolyMatrix,
     Tolerances,
     char_poly,
     det_polymatrix,
@@ -32,12 +35,12 @@ from .numeric import (
     matrix_inverse,
     normalize_unit,
     nullspace,
-    poly_div_exact,
     quotient_interpolate,
     word_product,
 )
 from .presentation import AbelianizationMap, Presentation, validate_abelianization
-from .words import EndoF2, GroupRingElem, Word, fox_derivative, parse_word, ring_one_minus
+from .words import (EndoF2, GroupRingElem, Word, format_word, fox_derivative, parse_word,
+                    ring_one_minus)
 
 
 def _common_dtype(matrices: Sequence[np.ndarray]):
@@ -80,63 +83,27 @@ class RingRep:
         return self.matrices[0].shape[0]
 
 
-def phi_map(elem: GroupRingElem, rep: RingRep) -> PolyMatrix:
+def phi_map(elem: GroupRingElem, rep: RingRep) -> dict[int, np.ndarray]:
     """Image of a group-ring element under representation (x) character.
 
-    Each word contributes coefficient times x^(weight) times its matrix
-    product; contributions are grouped by exponent and laid out as a
-    matrix of Laurent polynomials.
+    Returns {w: M_w} for the polynomial matrix sum_w x^w M_w: each word
+    adds coefficient times its matrix product to the matrix of its weight.
     """
     alpha = AbelianizationMap(rep.weights)
-    dim = rep.dimension
-    zero = np.zeros((dim, dim), dtype=_common_dtype(rep.matrices))
-    buckets: dict[int, np.ndarray] = {}
+    out: dict[int, np.ndarray] = {}
     for word, coeff in elem.terms.items():
         weight = alpha.weight(word)
-        term = coeff * word_product(word, rep.matrices)
-        buckets[weight] = buckets.get(weight, zero) + term
-    cells = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            terms = {w: block[i, j] for w, block in buckets.items() if block[i, j] != 0}
-            row.append(LaurentPoly(terms))
-        cells.append(row)
-    return PolyMatrix(cells)
-
-
-@dataclass(frozen=True)
-class AlexanderMatrix:
-    """Fox-derivative block grid: one row per relator, one column per generator."""
-
-    blocks: tuple[tuple[PolyMatrix, ...], ...]
-    block_size: int
-
-    def without_generator(self, k: int) -> PolyMatrix:
-        kept = [
-            [cell for j, cell in enumerate(row) if j != k] for row in self.blocks
-        ]
-        return PolyMatrix.from_blocks(kept)
-
-
-def alexander_matrix(pres: Presentation, rep: RingRep) -> AlexanderMatrix:
-    blocks = tuple(
-        tuple(
-            phi_map(fox_derivative(rel, j), rep)
-            for j in range(len(pres.generator_names))
-        )
-        for rel in pres.relators
-    )
-    return AlexanderMatrix(blocks=blocks, block_size=rep.dimension)
+        out[weight] = out.get(weight, 0) + coeff * word_product(word, rep.matrices)
+    return out
 
 
 @dataclass(frozen=True)
 class WadaInvariant:
     """Determinant-route value: numerator / denominator up to units.
 
-    ``quotient`` is filled when the division is exact as polynomials;
-    otherwise the invariant lives only as the fraction (that happens for
-    the one-relator trefoil presentation with the trivial character) and
+    ``quotient`` is filled when the fraction is a polynomial; otherwise
+    the invariant lives only as the fraction (that happens for the
+    one-relator trefoil presentation with the trivial character) and
     callers compare by cross-multiplication.
     """
 
@@ -175,18 +142,30 @@ def twisted_alexander(
 ) -> WadaInvariant:
     """Determinant-route twisted Alexander invariant of a presentation.
 
-    Removes the first generator column whose one-minus-generator image
-    has a nonvanishing determinant (or the caller's choice), then forms
-    det(minor) / det(image of 1 - generator).
+    Checks that the matrices satisfy every relator within the root
+    tolerance, removes the first generator column whose
+    one-minus-generator image has a nonvanishing determinant (or the
+    caller's choice), then forms det(Fox minor) / det(image of
+    1 - generator).  The quotient is interpolated pointwise from the two
+    determinants, each shifted to minimum exponent 0, and is None when it
+    is not a polynomial.
     """
     tols = tolerances or Tolerances()
     alpha = AbelianizationMap(rep.weights)
     problem = validate_abelianization(pres, alpha)
     if problem:
         raise ValueError(problem)
+    eye = np.eye(rep.dimension)
+    for i, rel in enumerate(pres.relators):
+        image = word_product(rel, rep.matrices)
+        defect = float(np.max(np.abs(image - eye))) / max(1.0, float(np.max(np.abs(image))))
+        if not defect <= tols.root:
+            raise ValueError(
+                "representation does not satisfy relator %d (%s): relative defect "
+                "%.3e exceeds the root tolerance %.3e"
+                % (i, format_word(rel, pres.generator_names), defect, tols.root))
 
-    grid = alexander_matrix(pres, rep)
-    count = len(pres.generator_names)
+    count = pres.generator_count
     candidates = [column] if column is not None else list(range(count))
     chosen = None
     denominator = None
@@ -199,11 +178,26 @@ def twisted_alexander(
     if chosen is None:
         raise ArithmeticError("no generator gives a nonzero denominator")
 
-    numerator = det_polymatrix(grid.without_generator(chosen), tol=tols.det)
-    try:
-        quotient = poly_div_exact(numerator, denominator, tol=tols.det)
-    except ArithmeticError:
-        quotient = None
+    fox = [
+        [phi_map(fox_derivative(rel, j), rep) for j in range(count) if j != chosen]
+        for rel in pres.relators
+    ]
+    zero = np.zeros_like(eye)
+    minor = {
+        w: np.block([[cell.get(w, zero) for cell in row] for row in fox])
+        for w in {w for row in fox for cell in row for w in cell}
+    }
+    # without relators the minor is 0 x 0, with determinant 1
+    numerator = det_polymatrix(minor, tol=tols.det) if fox else LaurentPoly.one()
+    num = numerator.shifted(-numerator.min_exp)
+    den = denominator.shifted(-denominator.min_exp)
+    quotient = None
+    if num.span >= den.span:
+        try:
+            quotient = quotient_interpolate(num.evaluate, den.evaluate,
+                                            num.span - den.span, tol=tols.det)
+        except ArithmeticError:
+            pass
     return WadaInvariant(
         numerator=numerator,
         denominator=denominator,

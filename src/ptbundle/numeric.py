@@ -1,16 +1,18 @@
 """Numeric kernel: Laurent polynomials, determinants, deflation, nullspaces.
 
-Scalars are python ``complex``; matrices are numpy arrays.  Every
-polynomial that comes from a numeric function (a determinant of a
-polynomial matrix, a characteristic polynomial, a quotient of two
-determinants) goes through one engine, ``interpolate_on_circle``: the
-function is sampled on a circle, the coefficients are read off with one
-inverse DFT, and the result is validated at two fresh points on the same
-circle before it is returned.  A failed sample or validation moves on to
-the caller's next radius.  Determinants and characteristic polynomials
-use radius 1.13, off the unit circle where group-element spectra like to
-sit; quotients use radii 2.0, 2.4 and 1.7, away from the root cluster of
-a unipotent denominator at 1.
+Scalars are python ``complex``; matrices are numpy arrays.  A matrix of
+Laurent polynomials sum_w x^w M_w is a map ``{exponent w: matrix M_w}``
+and is sampled with one ``tensordot`` per point.  Every polynomial that
+comes from a numeric function (a determinant of a polynomial matrix, a
+characteristic polynomial, a quotient of two determinants) goes through
+one engine, ``interpolate_on_circle``: the function is sampled on a
+circle, the coefficients are read off with one inverse DFT, and the
+result is validated at two fresh points on the same circle before it is
+returned.  A failed sample or validation moves on to the caller's next
+radius.  Determinants and characteristic polynomials use radius 1.13,
+off the unit circle where group-element spectra like to sit; quotients
+use radii 2.0, 2.4 and 1.7, away from the root cluster of a unipotent
+denominator at 1.
 
 Sampling, the LU determinants and the DFT run in 80-bit extended
 precision when the platform provides it (x86 long double), which keeps
@@ -23,7 +25,7 @@ deflation, to the largest singular value for nullspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -135,8 +137,8 @@ def word_product(word, images: Sequence[np.ndarray]) -> np.ndarray:
 class LaurentPoly:
     """Laurent polynomial sum c_e * x^e stored as {exponent: complex coeff}.
 
-    Exact zeros are never stored; near-zeros are only dropped by an explicit
-    cleaned() call so that tolerance decisions stay visible at call sites.
+    Exact zeros are never stored; near-zeros are kept, so that every
+    tolerance decision stays visible at its call site.
     """
 
     __slots__ = ("coeffs",)
@@ -162,14 +164,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1.0})
-
-    @classmethod
-    def term(cls, coeff: complex, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
-    @classmethod
-    def variable(cls) -> "LaurentPoly":
-        return cls({1: 1.0})
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[complex], min_exp: int = 0) -> "LaurentPoly":
@@ -251,17 +245,6 @@ class LaurentPoly:
             total = total + (z ** e) * c
         return total
 
-    def reciprocal(self) -> "LaurentPoly":
-        """x^(max_exp+min_exp) * p(1/x): same coefficient multiset reversed."""
-        s = self.max_exp + self.min_exp
-        return LaurentPoly({s - e: c for e, c in self.coeffs.items()})
-
-    def cleaned(self, rel_tol: float = 1e-12) -> "LaurentPoly":
-        m = self.max_abs()
-        if m == 0.0:
-            return LaurentPoly()
-        return LaurentPoly({e: c for e, c in self.coeffs.items() if abs(c) > rel_tol * m})
-
     def realified(self, rel_tol: float = 1e-6) -> "LaurentPoly":
         """Drop imaginary parts when they are relatively tiny; else unchanged."""
         m = self.max_abs()
@@ -312,78 +295,12 @@ def monic_normalize(p: LaurentPoly) -> LaurentPoly:
     return q * (1.0 / q.coeff(q.max_exp))
 
 
-def equal_up_to_unit(p: LaurentPoly, q: LaurentPoly, tol: float = 1e-8,
-                     allow_reciprocal: bool = False) -> bool:
-    """Whether p = c x^k q for a scalar c (optionally also allowing reversal)."""
+def equal_up_to_unit(p: LaurentPoly, q: LaurentPoly, tol: float = 1e-8) -> bool:
+    """Whether p = c x^k q for a scalar c."""
     if p.is_zero() or q.is_zero():
         return p.is_zero() and q.is_zero()
     pm, qm = monic_normalize(p), monic_normalize(q)
-    if pm.span != qm.span:
-        return False
-    if laurent_allclose(pm, qm, tol):
-        return True
-    return allow_reciprocal and laurent_allclose(pm, monic_normalize(qm.reciprocal()), tol)
-
-
-# ---------------------------------------------------------------------------
-# polynomial matrices
-# ---------------------------------------------------------------------------
-
-
-class PolyMatrix:
-    """Matrix with LaurentPoly entries (rows of rows)."""
-
-    __slots__ = ("entries", "shape")
-
-    def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
-        rows = [list(r) for r in entries]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged PolyMatrix")
-        else:
-            width = 0
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "shape", (len(rows), width))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[Sequence["PolyMatrix"]]) -> "PolyMatrix":
-        rows: list[list[LaurentPoly]] = []
-        for block_row in blocks:
-            height = block_row[0].shape[0]
-            if any(b.shape[0] != height for b in block_row):
-                raise ValueError("block row heights disagree")
-            for i in range(height):
-                row: list[LaurentPoly] = []
-                for b in block_row:
-                    row.extend(b.entries[i])
-                rows.append(row)
-        return cls(rows)
-
-    def evaluate(self, z) -> np.ndarray:
-        vals = [[e.evaluate(z) for e in row] for row in self.entries]
-        if not vals:
-            return np.zeros((0, 0), dtype=complex)
-        return np.array(vals)
-
-    def exponent_window(self) -> Optional[tuple[int, int]]:
-        """Row-wise window [lo, hi] containing every determinant exponent.
-
-        lo sums each row's smallest valuation over nonzero entries, hi sums
-        the largest degree; a row of zeros makes the determinant zero and
-        returns None.
-        """
-        lo = hi = 0
-        for row in self.entries:
-            vals = [e for e in row if not e.is_zero()]
-            if not vals:
-                return None
-            lo += min(e.min_exp for e in vals)
-            hi += max(e.max_exp for e in vals)
-        return lo, hi
+    return pm.span == qm.span and laurent_allclose(pm, qm, tol)
 
 
 def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
@@ -431,60 +348,28 @@ def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
                           % (tuple(radii), "; ".join(failures)))
 
 
-def det_polymatrix(m: PolyMatrix, degree_bound: Optional[int] = None,
-                   tol: float = 1e-8,
+def det_polymatrix(coeffs: Mapping[int, np.ndarray], tol: float = 1e-8,
                    radii: Sequence[float] = DET_RADII) -> LaurentPoly:
-    """Determinant of a square PolyMatrix by evaluation-interpolation.
+    """Determinant of the square polynomial matrix sum_w x^w coeffs[w].
 
-    Samples span+1 points (span from the row-wise exponent window, widened
-    to degree_bound if the caller supplies a larger promise).
+    Samples the row-wise exponent window: row i spans the smallest to the
+    largest w for which row i of coeffs[w] is nonzero, and the window is
+    the sum of those spans.  A row that is zero in every coeffs[w] (or an
+    empty map) gives the zero polynomial.
     """
-    rows, cols = m.shape
-    if rows != cols:
-        raise ValueError("determinant of non-square PolyMatrix")
-    if rows == 0:
-        return LaurentPoly.one()
-    window = m.exponent_window()
-    if window is None:
+    if not coeffs:
         return LaurentPoly.zero()
-    lo, hi = window
-    span = hi - lo
-    if degree_bound is not None:
-        span = max(span, int(degree_bound))
-    return interpolate_on_circle(lambda z: matrix_det(m.evaluate(z)), span + 1,
-                                 lo=lo, tol=tol, radii=radii)
-
-
-def poly_div_exact(num: LaurentPoly, den: LaurentPoly, tol: float = 1e-8) -> LaurentPoly:
-    """Exact Laurent division; raises ArithmeticError when the remainder is large.
-
-    Result has minimum exponent 0 (unit-normalized shift); tol is relative
-    to the numerator's max coefficient.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
+    exps = np.array(sorted(coeffs))
+    stack = np.array([coeffs[w] for w in exps], dtype=EXT_COMPLEX)
+    if stack.shape[1] != stack.shape[2]:
+        raise ValueError("determinant of a non-square polynomial matrix")
+    live = np.any(stack != 0, axis=2).T  # live[i, k]: row i of coeffs[exps[k]] is nonzero
+    if not np.all(np.any(live, axis=1)):
         return LaurentPoly.zero()
-    _, ncoeffs = num.dense()
-    _, dcoeffs = den.dense()
-    if len(ncoeffs) < len(dcoeffs):
-        raise ArithmeticError("numerator degree below denominator degree")
-    scale = num.max_abs()
-    quot = [0j] * (len(ncoeffs) - len(dcoeffs) + 1)
-    rem = list(ncoeffs)
-    dlead = dcoeffs[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        q = rem[k + len(dcoeffs) - 1] / dlead
-        quot[k] = q
-        if q != 0:
-            for i, dc in enumerate(dcoeffs):
-                rem[k + i] -= q * dc
-    worst = max(abs(c) for c in rem)
-    if worst > tol * scale:
-        raise ArithmeticError(
-            "polynomial division not exact: remainder %.3e vs numerator scale %.3e"
-            % (worst, scale))
-    return LaurentPoly.from_coeffs(quot, 0).cleaned(1e-14)
+    lo = sum(int(exps[row].min()) for row in live)
+    hi = sum(int(exps[row].max()) for row in live)
+    return interpolate_on_circle(lambda z: matrix_det(np.tensordot(z ** exps, stack, axes=1)),
+                                 hi - lo + 1, lo=lo, tol=tol, radii=radii)
 
 
 def char_poly(m: np.ndarray, tol: float = 1e-8,
@@ -504,13 +389,15 @@ def char_poly(m: np.ndarray, tol: float = 1e-8,
 def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
                          quotient_degree: int, tol: float = 1e-8,
                          radii: Sequence[float] = QUOTIENT_RADII) -> LaurentPoly:
-    """Interpolate q(x) = numerator(x)/denominator(x) known to be polynomial.
+    """Interpolate q(x) = numerator(x)/denominator(x) as a polynomial.
 
     Both callables receive an extended-precision sample point and return the
-    determinant value there.  Used where the denominator's roots cluster at
-    x = 1 (unipotent meridian images) and coefficientwise long division
-    would amplify noise combinatorially; each radius r keeps every sample
-    at distance >= |r - 1| from that cluster.
+    value there.  Pointwise division replaces coefficientwise long
+    division, which would amplify noise combinatorially where the
+    denominator's roots cluster at x = 1 (unipotent meridian images); each
+    radius r keeps every sample at distance >= |r - 1| from that cluster.
+    When q is not a polynomial of degree quotient_degree, validation fails
+    at every radius and an ArithmeticError is raised.
     """
     def value_at(z):
         den = denominator_at(z)

@@ -202,15 +202,22 @@ def load_presentation(path: str):
     """
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("presentation file must hold a JSON object, got %s"
+                         % type(data).__name__)
     try:
         names = tuple(data["generators"])
         relator_texts = list(data["relators"])
-        weights = tuple(int(e) for e in data["abelianization"])
+        weights = data["abelianization"]
     except KeyError as exc:
         raise ValueError("presentation file missing field %s" % (exc,))
+    if not isinstance(weights, list) or any(
+            isinstance(e, bool) or not isinstance(e, int) for e in weights):
+        raise ValueError("abelianization weights must be a list of integers, got %r"
+                         % (weights,))
     relators = tuple(parse_word(t, names) for t in relator_texts)
     pres = Presentation(names, relators)
-    alpha = AbelianizationMap(weights)
+    alpha = AbelianizationMap(tuple(weights))
     err = validate_abelianization(pres, alpha)
     if err is not None:
         raise ValueError("invalid presentation file: %s" % err)

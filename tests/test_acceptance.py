@@ -281,7 +281,7 @@ class TestRouteAgreement:
 
     @pytest.mark.parametrize("word", BUNDLE_WORDS)
     @pytest.mark.parametrize("kind", ("sl4", "v"))
-    def test_routes_match_up_to_unit_and_reciprocal(self, bundles, word, kind):
+    def test_routes_match_up_to_unit(self, bundles, word, kind):
         endo, sols = bundles[word]
         for sol in sols:
             rep = sol.representation(kind)
@@ -292,9 +292,6 @@ class TestRouteAgreement:
                 match_tol=1e-6,
             )
             assert agree.match
-            assert equal_up_to_unit(
-                agree.wada, agree.action_quotient, tol=1e-6, allow_reciprocal=True
-            )
 
 
 class TestMultiplicityStep:

@@ -106,11 +106,20 @@ def rrl():
     return endo, build_solutions(endo)[0]
 
 
+def entry(image, i, j):
+    """Entry (i, j) of the polynomial matrix {w: M_w} as a LaurentPoly."""
+    return LaurentPoly({w: m[i, j] for w, m in image.items()})
+
+
+def value_at(image, z):
+    return sum(z**w * m for w, m in image.items())
+
+
 class TestPhiMap:
     def test_one_minus_a_trefoil(self):
         out = phi_map(ring_one_minus(Word(((0, 1),))), TRIVIAL_REP)
-        assert out.shape == (1, 1)
-        assert laurent_allclose(out.entries[0][0], ONE_MINUS_X3, tol=1e-12)
+        assert all(m.shape == (1, 1) for m in out.values())
+        assert laurent_allclose(entry(out, 0, 0), ONE_MINUS_X3, tol=1e-12)
 
     def test_fox_column_of_trefoil_relator(self):
         word_a2b1 = parse_word("aaB", KNOT_NAMES)
@@ -122,22 +131,23 @@ class TestPhiMap:
         )
         out = phi_map(elem, TRIVIAL_REP)
         assert laurent_allclose(
-            out.entries[0][0], int_poly([-1, 0, -1, 0, -1]), tol=1e-12
+            entry(out, 0, 0), int_poly([-1, 0, -1, 0, -1]), tol=1e-12
         )
 
     def test_zero_element(self):
         out = phi_map(GroupRingElem({}), heusener_rep(0.3, 0.7))
-        assert all(cell.is_zero() for row in out.entries for cell in row)
+        assert not any(np.any(m) for m in out.values())
 
     def test_multiplicative_on_group_elements(self):
         rep = heusener_rep(1.1 - 0.4j, 0.2 + 0.9j)
         u = parse_word("abA", KNOT_NAMES)
         v = parse_word("Bab", KNOT_NAMES)
+        z = 0.7 + 0.1j
         lhs = phi_map(GroupRingElem.from_word(u * v), rep)
-        prod = phi_map(GroupRingElem.from_word(u), rep).evaluate(0.7 + 0.1j) @ phi_map(
-            GroupRingElem.from_word(v), rep
-        ).evaluate(0.7 + 0.1j)
-        assert np.allclose(lhs.evaluate(0.7 + 0.1j), prod, atol=1e-12)
+        prod = value_at(phi_map(GroupRingElem.from_word(u), rep), z) @ value_at(
+            phi_map(GroupRingElem.from_word(v), rep), z
+        )
+        assert np.allclose(value_at(lhs, z), prod, atol=1e-12)
 
 
 class TestTrefoilInvariant:
@@ -186,6 +196,28 @@ class TestTrefoilInvariant:
             quotients.append(quot)
         for other in quotients[1:]:
             assert laurent_allclose(quotients[0], other, tol=1e-8)
+
+    def test_conjugated_relator_shifts_numerator(self):
+        # a (aaBBB) a^-1: the numerator's exponents move, the quotient does not
+        conjugated = Presentation(KNOT_NAMES, (parse_word("aaaBBBA", KNOT_NAMES),))
+        inv = twisted_alexander(conjugated, heusener_rep(0.4 + 0.3j, -1.2 + 0.5j))
+        assert inv.numerator.min_exp != inv.denominator.min_exp
+        assert inv.quotient is not None
+        assert inv.quotient.min_exp == 0
+        assert equal_up_to_unit(inv.quotient, ONE_MINUS_X3, tol=1e-8)
+
+    def test_presentation_without_relators(self):
+        free = Presentation(("a",), ())
+        inv = twisted_alexander(free, RingRep((2 * np.eye(1),), (1,)))
+        assert inv.numerator == LaurentPoly.one()
+        assert laurent_allclose(inv.denominator, int_poly([1, -2]), tol=1e-12)
+        assert inv.quotient is None
+
+    def test_relator_defect_rejected(self):
+        mat_a, mat_b = heusener_rep(0.3, 0.7).matrices
+        broken = RingRep((mat_a, 2 * mat_b), (3, 2))
+        with pytest.raises(ValueError, match="relator 0"):
+            twisted_alexander(TREFOIL, broken)
 
     def test_heusener_column_independence(self):
         rep = heusener_rep(0.5 - 1.2j, -0.3 + 0.8j)

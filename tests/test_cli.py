@@ -246,6 +246,21 @@ class TestSubcommands:
         assert run(["alexander", str(path)]) == 2
         assert "representation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, problem", [
+        ("[1, 2]", "JSON object"),
+        ('{"generators": ["a", "b"], "relators": ["aaBBB"], '
+         '"abelianization": [3.9, 2]}', "integers"),
+        ('{"generators": ["a", "b"], "relators": ["aaBBB"], '
+         '"abelianization": [3, 2], '
+         '"representation": {"a": [[[1, 0]]], "b": [[[2, 0]]]}}',
+         "relator 0 (a^2B^3): relative defect 8.750e-01"),
+    ])
+    def test_alexander_malformed_file(self, tmp_path, capsys, text, problem):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(["alexander", str(path)]) == 2
+        assert problem in capsys.readouterr().err
+
     def test_output_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "out.json"
         assert run(["trace-solve", "RRL", "--format", "json",
@@ -285,3 +300,11 @@ class TestDeterminism:
             assert run(["certify", "RRL", "--seed", "3", "--format", "json",
                         "--output", str(target)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("name", ["trefoil_heusener", "trefoil_trivial"])
+    def test_alexander_json_repeats_byte_identical(self, tmp_path, name):
+        targets = [tmp_path / "a.json", tmp_path / "b.json"]
+        for target in targets:
+            assert run(["alexander", str(PRESENTATIONS / f"{name}.json"),
+                        "--format", "json", "--output", str(target)]) == 0
+        assert targets[0].read_bytes() == targets[1].read_bytes()

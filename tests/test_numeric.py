@@ -7,7 +7,6 @@ import pytest
 
 from ptbundle.numeric import (
     LaurentPoly,
-    PolyMatrix,
     Tolerances,
     char_poly,
     det_polymatrix,
@@ -19,7 +18,6 @@ from ptbundle.numeric import (
     newton_multistart,
     normalize_unit,
     nullspace,
-    poly_div_exact,
     quotient_interpolate,
     root_multiplicity,
 )
@@ -56,12 +54,10 @@ def test_laurent_basic_ops():
 
 def test_laurent_reciprocal_and_units():
     p = P(c=1, x1=-18, x2=1)
-    assert p.reciprocal() == p  # palindromic
     q = P(x3=2, x4=-36, x5=2)  # 2x^3 * p
     assert equal_up_to_unit(p, q)
     assert monic_normalize(q).coeff(0) == pytest.approx(2.0 / 2.0)
     r = P(c=2, x1=3)
-    assert equal_up_to_unit(r, P(c=3, x1=2), allow_reciprocal=True)
     assert not equal_up_to_unit(r, P(c=3, x1=2))
     # shift only: leading coefficient -3 is not a unit, so no rescale
     assert normalize_unit(P(xm2=-1, x1=-3)).coeffs == {0: -1.0, 3: -3.0}
@@ -72,8 +68,6 @@ def test_laurent_reciprocal_and_units():
 def test_laurent_realified_and_cleaned():
     p = LaurentPoly({0: 1 + 1e-9j, 1: -2 + 0j})
     assert p.realified(1e-6).coeffs == {0: 1.0, 1: -2.0}
-    q = LaurentPoly({0: 1.0, 5: 1e-15})
-    assert q.cleaned(1e-12).coeffs == {0: 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -92,24 +86,31 @@ def test_interpolate_on_circle_matches_scalar_dft():
         for j, z in enumerate(points):
             acc += target.evaluate(z) / z ** lo * np.exp(-2j * np.pi * j * k / count)
         coeffs[lo + k] = acc / count / radius ** k
-    reference = LaurentPoly(coeffs).cleaned(1e-12)
+    reference = LaurentPoly(coeffs)
     got = interpolate_on_circle(target.evaluate, count, lo=lo, radii=(radius,))
     assert laurent_allclose(got, reference, 1e-13)
     assert laurent_allclose(got, target, 1e-14)
 
 
+def poly_matrix(entries):
+    """{w: M_w} for a square matrix given as rows of LaurentPoly entries."""
+    n = len(entries)
+    exps = {e for row in entries for cell in row for e in cell.coeffs}
+    return {w: np.array([[entries[i][j].coeff(w) for j in range(n)] for i in range(n)])
+            for w in exps}
+
+
 def test_det_2x2_example():
-    x = LaurentPoly.variable()
-    one = LaurentPoly.one()
-    m = PolyMatrix([[one + x, x], [x, one - x]])
+    # [[1 + x, x], [x, 1 - x]]
+    m = {0: np.eye(2), 1: np.array([[1.0, 1.0], [1.0, -1.0]])}
     det = det_polymatrix(m)
     assert laurent_allclose(det, P(c=1, x2=-2), 1e-12)
 
 
 def test_det_zero_row():
-    z = LaurentPoly.zero()
-    m = PolyMatrix([[z, z], [LaurentPoly.one(), z]])
+    m = {0: np.array([[0.0, 0.0], [1.0, 0.0]]), 2: np.array([[0.0, 0.0], [0.0, 3.0]])}
     assert det_polymatrix(m).is_zero()
+    assert det_polymatrix({}).is_zero()
 
 
 def _cofactor_det(entries):
@@ -130,9 +131,8 @@ def test_det_against_cofactor_oracle():
         n = rng.choice([2, 3, 4])
         entries = [[LaurentPoly({e: rng.randint(-4, 4) for e in range(rng.randint(0, 3))})
                     for _ in range(n)] for _ in range(n)]
-        m = PolyMatrix(entries)
         expected = _cofactor_det(entries)
-        got = det_polymatrix(m)
+        got = det_polymatrix(poly_matrix(entries))
         assert laurent_allclose(got, expected, 1e-10)
 
 
@@ -140,32 +140,18 @@ def test_det_window_not_fooled_by_row_spans():
     # each row has span-0 entries but the determinant has span 4
     x2 = P(x2=1)
     one = LaurentPoly.one()
-    m = PolyMatrix([[x2, one], [one, x2]])
-    det = det_polymatrix(m)
+    det = det_polymatrix(poly_matrix([[x2, one], [one, x2]]))
     assert laurent_allclose(det, P(x4=1, c=-1), 1e-12)
 
 
 def test_det_laurent_entries():
-    m = PolyMatrix([[P(xm1=1), P(c=2)], [P(c=3), P(x1=4)]])
-    det = det_polymatrix(m)
+    det = det_polymatrix(poly_matrix([[P(xm1=1), P(c=2)], [P(c=3), P(x1=4)]]))
     assert laurent_allclose(det, P(c=-2), 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# division, characteristic polynomials, deflation
+# characteristic polynomials, deflation
 # ---------------------------------------------------------------------------
-
-
-def test_poly_div_exact():
-    num = P(c=1, x2=1, x4=1)
-    den = P(c=1, x1=1, x2=1)
-    q = poly_div_exact(num, den)
-    assert laurent_allclose(q, P(c=1, x1=-1, x2=1), 1e-12)
-    with pytest.raises(ArithmeticError):
-        poly_div_exact(P(c=1, x2=1), P(c=1, x1=1))
-    # Laurent shifts are fine and the result starts at exponent 0
-    q2 = poly_div_exact(num.shifted(-3), den.shifted(2))
-    assert laurent_allclose(q2, P(c=1, x1=-1, x2=1), 1e-12)
 
 
 def test_char_poly_companion():
@@ -177,9 +163,7 @@ def test_char_poly_companion():
 def test_char_poly_matches_polymatrix_route():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 6))
-    x = LaurentPoly.variable()
-    pencil = PolyMatrix([[LaurentPoly.term(complex(m[i, j])) - (x if i == j else LaurentPoly.zero())
-                          for j in range(6)] for i in range(6)])
+    pencil = {0: m, 1: -np.eye(6)}
     assert laurent_allclose(char_poly(m), det_polymatrix(pencil), 1e-9)
 
 

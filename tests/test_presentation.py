@@ -111,8 +111,18 @@ def test_load_presentation_roundtrip(tmp_path):
 
 
 def test_load_presentation_rejects_bad_weights(tmp_path):
-    data = {"generators": ["a", "b"], "relators": ["a^2B^3"], "abelianization": [2, 2]}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    with pytest.raises(ValueError):
+    cases = [
+        ([2, 2], "abelianized weight"),
+        ([3.9, 2], "integers"),
+        ([True, 2], "integers"),
+        ("32", "integers"),
+    ]
+    for weights, problem in cases:
+        data = {"generators": ["a", "b"], "relators": ["a^2B^3"], "abelianization": weights}
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=problem):
+            load_presentation(str(path))
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="JSON object"):
         load_presentation(str(path))
