@@ -218,6 +218,8 @@ def factored_display(coeffs: Sequence[int], var: str = "t") -> Optional[str]:
             check = _int_poly_mul(check, list(factor))
     if check != list(coeffs):
         return None
+    if not factors:
+        return str(unit * constant)
 
     pieces = []
     if unit * constant == -1:

@@ -5,6 +5,13 @@ the Markov surface, explicit 2x2 matrices for the fiber group, meridian
 recovery from the gluing relations, and the derived linear
 representations (Lorentz 4x4, adjoint 15x15, restricted 9x9, Kronecker
 16x16) that feed the twisted Alexander machinery.
+
+The trace equations of a word are expanded once per call (with a memo
+local to that expansion) and compiled once into a
+``CompiledTraceSystem``, which evaluates the equations and their
+partials at a whole batch of Newton starts with the exact arithmetic of
+``TracePoly.evaluate`` at each one.  The same compiled system serves the
+multistart solve and the extended-precision polish of every solution.
 """
 
 from __future__ import annotations
@@ -186,19 +193,19 @@ def _canonical_cyclic(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
 
 _GEN_TRACE = {0: TracePoly.variable(0), 1: TracePoly.variable(1)}
 
-_trace_cache: dict[tuple[tuple[int, int], ...], TracePoly] = {}
-
 
 def trace_polynomial(word: Word) -> TracePoly:
     """Trace of ``word`` (in generators a, b only) as a TracePoly.
 
     Reduces via the SL2 identities tr(uv) = tr(u)tr(v) - tr(uv^-1) and
-    tr(g^-1) = tr(g) until only the base words 1, a, b, ab remain.
+    tr(g^-1) = tr(g) until only the base words 1, a, b, ab remain.  The
+    traces of subwords are memoized for this one expansion only: the memo
+    of a long word holds megabytes that no later call needs.
     """
     for gen, _ in word.letters:
         if gen > 1:
             raise ValueError("trace polynomials are defined for fiber words only")
-    return _trace_canonical(_canonical_cyclic(word.letters))
+    return _trace_of(word.letters, {})
 
 
 def _letters_word(letters: Iterable[tuple[int, int]]) -> Word:
@@ -208,20 +215,15 @@ def _letters_word(letters: Iterable[tuple[int, int]]) -> Word:
     return out
 
 
-def _trace_of(letters: tuple[tuple[int, int], ...]) -> TracePoly:
-    return _trace_canonical(_canonical_cyclic(letters))
-
-
-def _trace_canonical(can: tuple[tuple[int, int], ...]) -> TracePoly:
-    cached = _trace_cache.get(can)
-    if cached is not None:
-        return cached
-    result = _trace_uncached(can)
-    _trace_cache[can] = result
+def _trace_of(letters: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
+    can = _canonical_cyclic(letters)
+    result = memo.get(can)
+    if result is None:
+        result = memo[can] = _trace_uncached(can, memo)
     return result
 
 
-def _trace_uncached(can: tuple[tuple[int, int], ...]) -> TracePoly:
+def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
     n = len(can)
     if n == 0:
         return TracePoly.constant(2)
@@ -249,7 +251,7 @@ def _trace_uncached(can: tuple[tuple[int, int], ...]) -> TracePoly:
             u_g = rotated[:-1]
             u = rotated[:-2]
             t_g = _GEN_TRACE[can[i][0]]
-            return t_g * _trace_of(u_g) - _trace_of(u)
+            return t_g * _trace_of(u_g, memo) - _trace_of(u, memo)
 
     # Case 2: an inverse letter.  Rotate it to the end:
     # tr(u g^-1) = tr(u) tr(g) - tr(u g).
@@ -260,14 +262,14 @@ def _trace_uncached(can: tuple[tuple[int, int], ...]) -> TracePoly:
             u = rotated[:-1]
             gen = can[i][0]
             u_g = (_letters_word(u) * Word(((gen, 1),))).letters
-            return _trace_of(u) * _GEN_TRACE[gen] - _trace_of(u_g)
+            return _trace_of(u, memo) * _GEN_TRACE[gen] - _trace_of(u_g, memo)
 
     # Case 3: all letters positive and strictly alternating.  Split off the
     # trailing two letters v: tr(u v) = tr(u) tr(v) - tr(u v^-1).
     v = can[-2:]
     u = can[:-2]
     u_v_inv = (_letters_word(u) * _letters_word(_invert_letters(v))).letters
-    return _trace_of(u) * _trace_of(v) - _trace_of(u_v_inv)
+    return _trace_of(u, memo) * _trace_of(v, memo) - _trace_of(u_v_inv, memo)
 
 
 def trace_system(endo: EndoF2) -> tuple[TracePoly, TracePoly, TracePoly]:
@@ -279,6 +281,115 @@ def trace_system(endo: EndoF2) -> tuple[TracePoly, TracePoly, TracePoly]:
     eq_a = trace_polynomial(endo.image_a) - TracePoly.variable(0)
     eq_b = trace_polynomial(endo.image_b) - TracePoly.variable(1)
     return (eq_a, eq_b, MARKOV)
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation of a trace system.
+# ---------------------------------------------------------------------------
+
+# Newton basins are chaotic: a start near a basin boundary goes to another
+# root when a value changes in its last bit.  So the batched evaluation
+# repeats, at every point, the floating-point operations of numpy's scalar
+# complex arithmetic in TracePoly.evaluate, and the solver finds the roots
+# the scalar evaluation finds, bit for bit.  That rules out three
+# shortcuts, each of which changes root sets:
+# - numpy's array complex multiply and square round differently from the
+#   scalar multiply in the last bit, so each product is written out in
+#   real ufuncs (``_cmul``);
+# - a power is built by numpy's scalar repeated squaring (``_powers``),
+#   not by ``np.power``;
+# - a polynomial is summed term by term, in term order, with ``cumsum``;
+#   ``np.sum`` and ``@`` add pairwise or in blocks.
+
+
+def _cmul(ar, ai, br, bi):
+    """Real and imaginary part of a * b, rounded as numpy's scalar multiply."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _powers(re: np.ndarray, im: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns z^0 .. z^degree for each z = re + i im, as numpy's scalar ``z ** n``.
+
+    numpy gives 1 for n = 0, 0 for z = 0, z for n = 1, z*z and z*(z*z)
+    for n = 2 and 3, and otherwise multiplies 1 by the repeated squares
+    z^(2^b) for the set bits b of n, lowest first.  (From n = 100 on
+    numpy switches to its general complex power; trace systems of the
+    words this package handles stay far below that degree.)
+    """
+    out_re = np.empty((len(re), degree + 1))
+    out_im = np.empty((len(re), degree + 1))
+    out_re[:, 0], out_im[:, 0] = 1.0, 0.0
+    if degree >= 1:
+        out_re[:, 1], out_im[:, 1] = re, im
+    if degree >= 2:
+        out_re[:, 2], out_im[:, 2] = _cmul(re, im, re, im)
+    if degree >= 3:
+        out_re[:, 3], out_im[:, 3] = _cmul(re, im, out_re[:, 2], out_im[:, 2])
+    if degree >= 4:
+        exps = np.arange(4, degree + 1)
+        acc_re, acc_im = np.ones((len(re), exps.size)), np.zeros((len(re), exps.size))
+        square = (re, im)
+        for bit in range(degree.bit_length()):
+            if bit:
+                square = _cmul(*square, *square)
+            hit = (exps >> bit) & 1 == 1
+            acc_re[:, hit], acc_im[:, hit] = _cmul(
+                acc_re[:, hit], acc_im[:, hit], square[0][:, None], square[1][:, None])
+        out_re[:, 4:], out_im[:, 4:] = acc_re, acc_im
+    zero = (re == 0) & (im == 0)
+    out_re[zero, 1:] = 0.0
+    out_im[zero, 1:] = 0.0
+    return out_re, out_im
+
+
+class CompiledTraceSystem:
+    """Three trace equations and their nine partials, compiled for Newton.
+
+    The twelve polynomials become one exponent array and one coefficient
+    array, in term order.  Calling the system on a (k, 3) array of points
+    builds the powers of each variable in one table, gathers them for
+    every term, and returns the values (k, 3) and the Jacobians
+    (k, 3, 3), row i holding the partials of equation i; every entry has
+    the bits that TracePoly.evaluate gives at that point.  ``equations``
+    and ``partials`` keep the polynomials for the extended-precision
+    polish.
+    """
+
+    def __init__(self, equations: Sequence[TracePoly]):
+        self.equations = tuple(equations)
+        self.partials = tuple(tuple(eq.partial(i) for i in range(3)) for eq in self.equations)
+        polys = self.equations + tuple(g for row in self.partials for g in row)
+        # A zero term leads each polynomial, as 0j leads the scalar sum.
+        groups = [[((0, 0, 0), 0), *p.terms.items()] for p in polys]
+        self._bounds = np.cumsum([0] + [len(group) for group in groups])
+        terms = [term for group in groups for term in group]
+        self._exps = np.array([key for key, _ in terms], dtype=np.intp)
+        self._coeffs = np.array([float(val) for _, val in terms])
+        self._degree = int(self._exps.max())
+
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Blocks of points keep each (points, terms) array near 128 kB, so
+        # long words reuse freed heap memory instead of raising peak RSS.
+        # An empty z makes one empty block.
+        block = max(1, 16384 // len(self._coeffs))
+        sums = np.concatenate([self._sums(z[lo:lo + block])
+                               for lo in range(0, max(len(z), 1), block)])
+        return sums[:, :3], sums[:, 3:].reshape(len(z), 3, 3)
+
+    def _sums(self, z: np.ndarray) -> np.ndarray:
+        # one table for the three variables: [var, point, exponent]
+        shape = (3, len(z), self._degree + 1)
+        pow_re, pow_im = _powers(z.real.T.ravel(), z.imag.T.ravel(), self._degree)
+        pow_re, pow_im = pow_re.reshape(shape), pow_im.reshape(shape)
+        term_re, term_im = self._coeffs, np.zeros_like(self._coeffs)
+        for var in range(3):
+            col = self._exps[:, var]
+            term_re, term_im = _cmul(term_re, term_im, pow_re[var][:, col], pow_im[var][:, col])
+        sums = np.empty((len(z), len(self._bounds) - 1), dtype=complex)
+        for index, (lo, hi) in enumerate(zip(self._bounds[:-1], self._bounds[1:])):
+            sums.real[:, index] = term_re[:, lo:hi].cumsum(axis=1)[:, -1]
+            sums.imag[:, index] = term_im[:, lo:hi].cumsum(axis=1)[:, -1]
+        return sums
 
 
 # ---------------------------------------------------------------------------
@@ -322,28 +433,20 @@ def solve_traces(
     seed: int = 0,
     residual_tol: float = 1e-10,
     dedup_tol: float = 1e-6,
+    system: CompiledTraceSystem | None = None,
 ) -> list[TraceTriple]:
     """Solve the trace equations by deterministic multistart Newton.
 
     Returns irreducible solutions: real triples and triples with C ~ 0
     are dropped (they cannot give an irreducible SL2 representation with
     parabolic boundary), and complex-conjugate partners are collapsed to
-    one representative.
+    one representative.  ``system`` is the compiled ``trace_system(endo)``,
+    built here when the caller has none.
     """
-    eqs = trace_system(endo)
-    grads = [[eq.partial(i) for i in range(3)] for eq in eqs]
-
-    def fun(z: np.ndarray) -> np.ndarray:
-        return np.array([eq.evaluate(z) for eq in eqs], dtype=complex)
-
-    def jac(z: np.ndarray) -> np.ndarray:
-        return np.array(
-            [[g.evaluate(z) for g in row] for row in grads], dtype=complex
-        )
-
+    if system is None:
+        system = CompiledTraceSystem(trace_system(endo))
     roots = newton_multistart(
-        fun,
-        jac,
+        system,
         3,
         starts=starts,
         seed=seed,
@@ -452,14 +555,12 @@ class Holonomy2:
 LONGITUDE = parse_word("abAB", ("a", "b", "x"))
 
 
-def _polish_triple(triple: TraceTriple, endo: EndoF2) -> tuple:
+def _polish_triple(triple: TraceTriple, system: CompiledTraceSystem) -> tuple:
     """A few extended-precision Newton steps on the trace equations."""
-    eqs = trace_system(endo)
-    grads = [[eq.partial(i) for i in range(3)] for eq in eqs]
     z = np.array([EXT_COMPLEX(v) for v in triple.as_tuple()])
     for _ in range(4):
-        vals = np.array([eq.evaluate(z) for eq in eqs])
-        jac = np.array([[g.evaluate(z) for g in row] for row in grads])
+        vals = np.array([eq.evaluate(z) for eq in system.equations])
+        jac = np.array([[g.evaluate(z) for g in row] for row in system.partials])
         z = z - linear_solve(jac, vals)
     return tuple(z)
 
@@ -510,10 +611,18 @@ def holonomy_from_triple(
     endo: EndoF2,
     *,
     null_tol: float = 1e-9,
+    system: CompiledTraceSystem | None = None,
 ) -> Holonomy2:
+    """SL2 holonomy of one trace solution, polished in extended precision.
+
+    ``system`` is the compiled ``trace_system(endo)``, built here when the
+    caller has none.
+    """
     seed_a, seed_b = fiber_matrices(triple)
     seed_x = solve_meridian(seed_a, seed_b, endo, null_tol=null_tol)
-    a, b, c = _polish_triple(triple, endo)
+    if system is None:
+        system = CompiledTraceSystem(trace_system(endo))
+    a, b, c = _polish_triple(triple, system)
     mat_a, mat_b = _model_matrices(a, b, c)
     mat_x = _refine_meridian(mat_a, mat_b, endo, seed_x)
     return Holonomy2(mat_a, mat_b, mat_x, triple)
@@ -833,8 +942,9 @@ def build_solutions(
 ) -> list[HolonomySolution]:
     """Solve the trace equations and lift every solution through the tower."""
     tols = tolerances or Tolerances()
+    system = CompiledTraceSystem(trace_system(endo))
     out = []
-    for triple in solve_traces(endo, starts=starts, seed=seed):
-        sl2 = holonomy_from_triple(triple, endo, null_tol=tols.null)
+    for triple in solve_traces(endo, starts=starts, seed=seed, system=system):
+        sl2 = holonomy_from_triple(triple, endo, null_tol=tols.null, system=system)
         out.append(HolonomySolution(triple, sl2, lorentz_holonomy(sl2)))
     return out

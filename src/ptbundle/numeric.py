@@ -20,6 +20,13 @@ the interpolation's rounding error far below the error inherited from
 the input matrices.  All public tolerances are relative: to the largest
 sample magnitude for interpolation, to the current max coefficient for
 deflation, to the largest singular value for nullspaces.
+
+``newton_multistart`` advances all of its starts together as one
+(starts, dim) array: one call of the caller's batched system per
+iteration and one batched LAPACK solve over the starts still running.
+Each start follows the rules of a lone Newton run, and a batched solve
+gives each row the bits of a solve of that row alone, so the roots are
+those of a per-start loop on the same system values.
 """
 
 from __future__ import annotations
@@ -460,57 +467,87 @@ def nullspace(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def _newton_steps(jac: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps -J^-1 F for a stack of systems, and which rows have one.
+
+    One batched LAPACK solve, which gives each row the bits a solve of that
+    row alone gives.  LAPACK's singular-matrix error names no row, so on
+    that error every row is solved alone and the singular ones are marked.
+    """
+    ok = np.ones(len(values), dtype=bool)
+    try:
+        return np.linalg.solve(jac, -values[..., None])[..., 0], ok
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(values)
+        for row in range(len(values)):
+            try:
+                steps[row] = np.linalg.solve(jac[row], -values[row])
+            except np.linalg.LinAlgError:
+                ok[row] = False
+        return steps, ok
+
+
 # Diverging starts overflow before the finiteness checks below discard them.
 @np.errstate(over="ignore", invalid="ignore")
-def newton_multistart(fun: Callable, jac: Callable, dim: int, starts: int = 64,
+def newton_multistart(system: Callable, dim: int, *, starts: int = 64,
                       seed: int = 0, sampler: Optional[Callable] = None,
                       residual_tol: float = 1e-10, dedup_tol: float = 1e-6,
                       max_iter: int = 80) -> list[np.ndarray]:
-    """Solve fun(z) = 0 (C^dim -> C^dim) by Newton from seeded random starts.
+    """Solve F(z) = 0 (C^dim -> C^dim) by Newton from seeded random starts.
 
-    Deterministic for a fixed seed.  Roots are kept when the final residual
-    infinity-norm is <= residual_tol, deduplicated at distance dedup_tol,
-    and returned sorted lexicographically by (Re, Im) of the coordinates.
+    ``system`` maps a (k, dim) array of points to the values F, shape
+    (k, dim), and the Jacobians, shape (k, dim, dim).  All starts advance
+    together, but each keeps the rules of a lone Newton run: it stops when
+    F is not finite, when its Jacobian is singular or its step not finite,
+    and it has converged when |F| < 1e-14 or the step is below 1e-15
+    relative to |z|.  Converged starts take three polish steps (a singular
+    Jacobian ends a start's polish).  Roots are kept when the final
+    residual infinity-norm is not above residual_tol, deduplicated at
+    distance dedup_tol in start order, and returned sorted
+    lexicographically by (Re, Im) of the coordinates.  Deterministic for a
+    fixed seed: the starts are drawn one after another from one generator.
     """
     rng = np.random.default_rng(seed)
+    if sampler is None:
+        def sampler(rng):
+            return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * 1.5
+    z = np.array([np.asarray(sampler(rng), dtype=complex) for _ in range(starts)],
+                 dtype=complex).reshape(starts, dim)
+    converged = np.zeros(starts, dtype=bool)
+    active = np.arange(starts)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        values, jac = system(z[active])
+        size = np.max(np.abs(values), axis=1)
+        finite = np.all(np.isfinite(values), axis=1)
+        small = finite & (size < 1e-14)
+        converged[active[small]] = True
+        going = finite & ~small
+        steps, ok = _newton_steps(jac[going], values[going])
+        ok &= np.all(np.isfinite(steps), axis=1)
+        active, steps = active[going][ok], steps[ok]
+        z[active] = z[active] + steps
+        done = np.max(np.abs(steps), axis=1) < 1e-15 * np.maximum(
+            1.0, np.max(np.abs(z[active]), axis=1))
+        converged[active[done]] = True
+        active = active[~done]
+    polished = np.flatnonzero(converged)
+    live = polished
+    for _ in range(3):
+        values, jac = system(z[live])
+        steps, ok = _newton_steps(jac, values)
+        live = live[ok]
+        z[live] = z[live] + steps[ok]
+    values, _ = system(z[polished])
+    # a NaN residual is not above the tolerance, as in a scalar comparison
+    kept = polished[~(np.max(np.abs(values), axis=1) > residual_tol)]
     found: list[np.ndarray] = []
-    for _ in range(starts):
-        if sampler is not None:
-            z = np.asarray(sampler(rng), dtype=complex)
-        else:
-            z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * 1.5
-        converged = False
-        for _ in range(max_iter):
-            fv = np.asarray(fun(z), dtype=complex)
-            if not np.all(np.isfinite(fv)):
-                break
-            if np.max(np.abs(fv)) < 1e-14:
-                converged = True
-                break
-            try:
-                step = np.linalg.solve(np.asarray(jac(z), dtype=complex), -fv)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            z = z + step
-            if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(z)))):
-                converged = True
-                break
-        if not converged:
+    for index in kept:
+        root = z[index]
+        if any(np.max(np.abs(root - w)) <= dedup_tol for w in found):
             continue
-        # a couple of polish iterations squeeze the residual to machine level
-        for _ in range(3):
-            fv = np.asarray(fun(z), dtype=complex)
-            try:
-                z = z + np.linalg.solve(np.asarray(jac(z), dtype=complex), -fv)
-            except np.linalg.LinAlgError:
-                break
-        if np.max(np.abs(np.asarray(fun(z), dtype=complex))) > residual_tol:
-            continue
-        if any(np.max(np.abs(z - w)) <= dedup_tol for w in found):
-            continue
-        found.append(z)
+        found.append(root)
     def sort_key(v):
         return tuple(x for c in v for x in (c.real, c.imag))
     return sorted(found, key=sort_key)

@@ -70,6 +70,9 @@ class TestFactoredDisplay:
     def test_repeated_linear_factor_groups_as_power(self):
         assert factored_display([1, 2, 1]) == "(t + 1)^2"
 
+    def test_constant_polynomial(self):
+        assert [factored_display([c]) for c in (1, -1, 3)] == ["1", "-1", "3"]
+
     def test_unmatched_polynomial_falls_back(self):
         # no factor of degree <= 6 divides this one
         assert factored_display([2, 0, 0, 0, 0, 0, 0, 0, 1]) is None
@@ -235,6 +238,18 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "not exact" in out
         assert "(x^2 + x + 1) (x^2 - x + 1)" in out
+
+    def test_alexander_constant_numerator(self, tmp_path, capsys):
+        # no relators: the Fox minor is 0 x 0, so the numerator is 1
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps({
+            "generators": ["a"],
+            "relators": [],
+            "abelianization": [1],
+            "representation": {"a": [[[2, 0]]]},
+        }))
+        assert run(["alexander", str(path)]) == 0
+        assert "  numerator:   1\n" in capsys.readouterr().out
 
     def test_alexander_without_representation(self, tmp_path, capsys):
         path = tmp_path / "norep.json"

@@ -13,6 +13,7 @@ from ptbundle.holonomy import (
     LORENTZ_FORM,
     MARKOV,
     SL4_BASIS,
+    CompiledTraceSystem,
     TracePoly,
     TraceTriple,
     adjoint_rep,
@@ -95,6 +96,43 @@ class TestTracePoly:
     def test_markov_partials(self):
         assert MARKOV.partial(0) == 2 * A - B * C
         assert MARKOV.partial(2) == 2 * C - A * B
+
+
+class TestCompiledTraceSystem:
+    @staticmethod
+    def random_system(rng, terms=40, degree=19):
+        return tuple(
+            TracePoly({tuple(int(e) for e in rng.integers(0, degree + 1, size=3)):
+                       int(rng.integers(-60000, 60001)) for _ in range(terms)})
+            for _ in range(3))
+
+    @staticmethod
+    def random_points(rng, count=60):
+        scale = 10.0 ** rng.uniform(-2, 1, size=(count, 1))
+        points = (rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))) * scale
+        points[::7, 0] = 0.0                              # exact zero coordinates
+        points[1::7, 1] = complex(-0.0, 0.0)
+        points[2::7, 2] = rng.integers(-3, 4, size=points[2::7, 2].shape)
+        points[3::7] *= 1e30                              # overflow scale
+        return points
+
+    @np.errstate(all="ignore")
+    def test_matches_scalar_evaluate_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        overflowed = False
+        # -A and -B sum to 0.0, not -0.0, where A or B is zero
+        for eqs in [(-A, -B, MARKOV)] + [self.random_system(rng) for _ in range(4)]:
+            system = CompiledTraceSystem(eqs)
+            points = self.random_points(rng)
+            values, jac = system(points)
+            polys = list(eqs) + [eq.partial(i) for eq in eqs for i in range(3)]
+            got = np.concatenate([values, jac.reshape(len(points), 9)], axis=1)
+            want = np.array([[p.evaluate(z) for p in polys] for z in points], dtype=complex)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert got[finite].tobytes() == want[finite].tobytes()
+            overflowed |= not finite[3::7].all()
+        assert overflowed
 
 
 class TestTracePolynomial:

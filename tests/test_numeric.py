@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from ptbundle import holonomy
+from ptbundle.holonomy import MARKOV, CompiledTraceSystem, TracePoly, solve_traces, trace_system
 from ptbundle.numeric import (
     LaurentPoly,
     Tolerances,
@@ -21,6 +23,9 @@ from ptbundle.numeric import (
     quotient_interpolate,
     root_multiplicity,
 )
+from ptbundle.presentation import monodromy_endo, parse_monodromy
+
+A, B, C = (TracePoly.variable(i) for i in range(3))
 
 
 def P(**terms):
@@ -232,26 +237,110 @@ def test_nullspace_dims_and_quality():
     assert nullspace(np.eye(4)).shape == (4, 0)
 
 
-def test_newton_markov_symmetric_root():
+def reference_multistart(fun, jac, dim, starts=64, seed=0, sampler=None,
+                         residual_tol=1e-10, dedup_tol=1e-6, max_iter=80):
+    """The per-start scalar Newton loop that newton_multistart batches."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for _ in range(starts):
+        if sampler is not None:
+            z = np.asarray(sampler(rng), dtype=complex)
+        else:
+            z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * 1.5
+        converged = False
+        for _ in range(max_iter):
+            fv = np.asarray(fun(z), dtype=complex)
+            if not np.all(np.isfinite(fv)):
+                break
+            if np.max(np.abs(fv)) < 1e-14:
+                converged = True
+                break
+            try:
+                step = np.linalg.solve(np.asarray(jac(z), dtype=complex), -fv)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            z = z + step
+            if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(z)))):
+                converged = True
+                break
+        if not converged:
+            continue
+        for _ in range(3):
+            fv = np.asarray(fun(z), dtype=complex)
+            try:
+                z = z + np.linalg.solve(np.asarray(jac(z), dtype=complex), -fv)
+            except np.linalg.LinAlgError:
+                break
+        if np.max(np.abs(np.asarray(fun(z), dtype=complex))) > residual_tol:
+            continue
+        if any(np.max(np.abs(z - w)) <= dedup_tol for w in found):
+            continue
+        found.append(z)
+    return sorted(found, key=lambda v: tuple(x for c in v for x in (c.real, c.imag)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def scalar_multistart(system, dim, **kwargs):
+    """reference_multistart on the scalar TracePoly.evaluate of a compiled system."""
     def fun(z):
-        a, b, c = z
-        return np.array([a * a + b * b + c * c - a * b * c, a - b, b - c])
+        return np.array([eq.evaluate(z) for eq in system.equations], dtype=complex)
 
     def jac(z):
-        a, b, c = z
-        return np.array([
-            [2 * a - b * c, 2 * b - a * c, 2 * c - a * b],
-            [1.0, -1.0, 0.0],
-            [0.0, 1.0, -1.0],
-        ])
+        return np.array([[g.evaluate(z) for g in row] for row in system.partials],
+                        dtype=complex)
 
-    roots = newton_multistart(fun, jac, 3, starts=40, seed=11)
+    return reference_multistart(fun, jac, dim, **kwargs)
+
+
+def roots_bytes(roots):
+    return np.array(roots, dtype=complex).tobytes()
+
+
+SYMMETRIC = CompiledTraceSystem((MARKOV, A - B, B - C))
+
+
+def test_newton_markov_symmetric_root():
+    roots = newton_multistart(SYMMETRIC, 3, starts=40, seed=11)
     assert any(np.allclose(r, [3.0, 3.0, 3.0], atol=1e-8) for r in roots)
     # determinism
-    again = newton_multistart(fun, jac, 3, starts=40, seed=11)
+    again = newton_multistart(SYMMETRIC, 3, starts=40, seed=11)
     assert len(roots) == len(again)
     for r, s in zip(roots, again):
         assert np.array_equal(r, s)
+    assert roots_bytes(roots) == roots_bytes(scalar_multistart(SYMMETRIC, 3, starts=40, seed=11))
+
+
+def test_newton_singular_jacobian_starts():
+    # the Jacobian is singular at the origin, where F = 0 (the polish step
+    # fails), and at (2, 2, 2), where F != 0 (the first step fails)
+    special = {0: [0, 0, 0], 1: [2, 2, 2]}
+    count = iter(range(10))
+
+    def sampler(rng):
+        draw = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1.5
+        return special.get(next(count), draw)
+
+    roots = newton_multistart(SYMMETRIC, 3, starts=10, seed=11, sampler=sampler)
+    count = iter(range(10))
+    expected = scalar_multistart(SYMMETRIC, 3, starts=10, seed=11, sampler=sampler)
+    assert any(np.array_equal(r, np.zeros(3)) for r in roots)
+    assert roots_bytes(roots) == roots_bytes(expected)
+
+
+@pytest.mark.parametrize("word", ["LR", "LLRR", "LLLRRR", "LRLRLR", "L^8R", "LLRLRRLR"])
+def test_solve_traces_matches_scalar_newton(word, monkeypatch):
+    endo = monodromy_endo(parse_monodromy(word))
+    system = CompiledTraceSystem(trace_system(endo))
+    for seed in (0, 3):
+        batched = solve_traces(endo, seed=seed, system=system)
+        with monkeypatch.context() as patch:
+            patch.setattr(holonomy, "newton_multistart", scalar_multistart)
+            scalar = solve_traces(endo, seed=seed, system=system)
+        assert batched
+        assert roots_bytes([t.as_tuple() for t in batched]) == roots_bytes(
+            [t.as_tuple() for t in scalar])
 
 
 def test_integer_round():
