@@ -234,8 +234,8 @@ def _pencil_quotient(p, q, r, s, rep: RepImages, tols: Tolerances) -> LaurentPol
     """
     p, q, r, s = (np.asarray(m).astype(EXT_COMPLEX) for m in (p, q, r, s))
     quotient = quotient_interpolate(
-        lambda z: matrix_det(p - z * q),
-        lambda z: matrix_det(r - z * s),
+        lambda z: matrix_det(p - z[:, None, None] * q),
+        lambda z: matrix_det(r - z[:, None, None] * s),
         r.shape[0],
         tol=tols.det,
     )

@@ -2,19 +2,21 @@
 
 Scalars are python ``complex``; matrices are numpy arrays.  A matrix of
 Laurent polynomials sum_w x^w M_w is a map ``{exponent w: matrix M_w}``
-and is sampled with one ``tensordot`` per point.  Every polynomial that
-comes from a numeric function (a determinant of a polynomial matrix, a
-characteristic polynomial, a quotient of two determinants) goes through
-one engine, ``interpolate_on_circle``: the function is sampled on a
-circle, the coefficients are read off with one inverse DFT, and the
-result is validated at two fresh points on the same circle before it is
-returned.  A failed sample or validation moves on to the caller's next
-radius.  Determinants and characteristic polynomials use radius 1.13,
-off the unit circle where group-element spectra like to sit; quotients
-use radii 2.0, 2.4 and 1.7, away from the root cluster of a unipotent
-denominator at 1.
+and is sampled at all points of a circle with one ``tensordot``.  Every
+polynomial that comes from a numeric function (a determinant of a
+polynomial matrix, a characteristic polynomial, a quotient of two
+determinants) goes through one engine, ``interpolate_on_circle``: the
+function is sampled on a circle, the coefficients are read off with one
+inverse DFT, and the result is validated at two fresh points on the same
+circle before it is returned.  The points of one radius arrive as one
+array, so their determinants are one stack for one ``matrix_det`` call.
+A failed sample or validation moves on to the caller's next radius.
+Determinants and characteristic polynomials use radius 1.13, off the
+unit circle where group-element spectra like to sit; quotients use radii
+2.0, 2.4 and 1.7, away from the root cluster of a unipotent denominator
+at 1.
 
-Sampling, the LU determinants and the DFT run in 80-bit extended
+Sampling, the stacked LU determinants and the DFT run in 80-bit extended
 precision when the platform provides it (x86 long double), which keeps
 the interpolation's rounding error far below the error inherited from
 the input matrices.  All public tolerances are relative: to the largest
@@ -60,26 +62,36 @@ class Tolerances:
 
 
 def matrix_det(a: np.ndarray):
-    """Determinant via partial-pivot LU; preserves the input dtype.
+    """Determinants of a stack (..., n, n) via partial-pivot LU.
 
-    numpy's det downcasts extended-precision inputs, so sampling code that
-    wants clongdouble accuracy must come through here.
+    The LU runs over the whole stack at once, so the Python loop runs n
+    times per stack.  Each member gets the bits of an LU of it alone in
+    extended precision and real dtypes (numpy's array complex128 multiply
+    may round apart from its scalar one).  A member with an exactly zero
+    pivot is frozen as the identity and gets exactly 0.  The dtype is
+    preserved and one (n, n) matrix gives a scalar; numpy's det downcasts
+    extended-precision inputs, so sampling code must come through here.
     """
     a = np.array(a, copy=True)
-    n = a.shape[0]
-    det = a.dtype.type(1)
+    batch, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape((int(np.prod(batch)), n, n))
+    members = np.arange(len(a))
+    det = np.ones(len(a), dtype=a.dtype)
     for k in range(n - 1):
-        p = int(np.argmax(np.abs(a[k:, k]))) + k
-        if a[p, k] == 0:
-            return a.dtype.type(0)
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-            det = -det
-        piv = a[k, k]
+        p = np.argmax(np.abs(a[:, k:, k]), axis=1) + k
+        singular = a[members, p, k] == 0   # the whole column is 0, so p == k
+        if singular.any():
+            a[singular] = np.eye(n, dtype=a.dtype)
+            det[singular] = 0
+        a[members, k], a[members, p] = a[members, p], a[members, k]
+        det = np.where(p != k, -det, det)
+        piv = a[:, k, k]
         det = det * piv
-        factors = a[k + 1:, k:k + 1] / piv
-        a[k + 1:, k + 1:] = a[k + 1:, k + 1:] - factors * a[k, k + 1:]
-    return det * a[n - 1, n - 1] if n else det
+        factors = a[:, k + 1:, k:k + 1] / piv[:, None, None]
+        a[:, k + 1:, k + 1:] -= factors * a[:, k:k + 1, k + 1:]
+    if n:
+        det = det * a[:, n - 1, n - 1]
+    return det.reshape(batch)[()]
 
 
 def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,7 +258,7 @@ class LaurentPoly:
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
     def evaluate(self, z):
-        """Horner-free evaluation; z may be complex or a numpy scalar."""
+        """Horner-free evaluation; z may be complex, a numpy scalar or an array."""
         total = z * 0
         for e, c in self.coeffs.items():
             total = total + (z ** e) * c
@@ -315,12 +327,14 @@ def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
                           radii: Sequence[float] = DET_RADII) -> LaurentPoly:
     """Laurent polynomial sum_{k < count} c_{lo+k} x^(lo+k) from its values.
 
-    value_at receives extended-precision points on a circle and returns the
-    function value there.  The coefficients come from one inverse DFT of
-    count samples, and the result must reproduce value_at at two fresh
-    phases within tol relative to the largest sample (or reference)
-    magnitude.  An ArithmeticError from sampling or validation moves on to
-    the next radius; when every radius fails, the error names them all.
+    value_at receives one extended-precision array of points on a circle
+    (count sample points, then two fresh validation phases) and returns the
+    function values there as an array of the same length: one call per
+    radius.  The coefficients come from one inverse DFT of the count
+    samples, and the result must reproduce each validation value within tol
+    relative to the largest sample (or reference) magnitude.  An
+    ArithmeticError from sampling or validation moves on to the next
+    radius; when every radius fails, the error names them all.
     """
     k = np.arange(count)
     theta = np.concatenate([
@@ -335,15 +349,15 @@ def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
         r = _REAL_DT(radius)
         points = r * unit
         try:
-            values = np.array([value_at(z) for z in points[:count]], dtype=EXT_COMPLEX)
+            sampled = np.asarray(value_at(points), dtype=EXT_COMPLEX)
+            values = sampled[:count]
             raw = dft @ (values / points[:count] ** lo) / count
             size = np.abs(raw.astype(complex))
             coeffs = raw / r ** k.astype(_REAL_DT)
             poly = LaurentPoly({lo + j: coeffs[j]
                                 for j in np.flatnonzero(size > 1e-12 * size.max())})
             scale = max(float(np.max(np.abs(values.astype(complex)))), 1.0)
-            for z in points[count:]:
-                reference = value_at(z)
+            for z, reference in zip(points[count:], sampled[count:]):
                 residual = abs(complex(poly.evaluate(z) - reference))
                 if not residual <= tol * max(scale, abs(complex(reference))):
                     raise ArithmeticError(
@@ -375,7 +389,7 @@ def det_polymatrix(coeffs: Mapping[int, np.ndarray], tol: float = 1e-8,
         return LaurentPoly.zero()
     lo = sum(int(exps[row].min()) for row in live)
     hi = sum(int(exps[row].max()) for row in live)
-    return interpolate_on_circle(lambda z: matrix_det(np.tensordot(z ** exps, stack, axes=1)),
+    return interpolate_on_circle(lambda z: matrix_det(np.tensordot(z[:, None] ** exps, stack, axes=1)),
                                  hi - lo + 1, lo=lo, tol=tol, radii=radii)
 
 
@@ -387,7 +401,7 @@ def char_poly(m: np.ndarray, tol: float = 1e-8,
         return LaurentPoly.one()
     base = np.array(m, dtype=EXT_COMPLEX)
     eye = np.eye(n, dtype=EXT_COMPLEX)
-    poly = interpolate_on_circle(lambda z: matrix_det(base - z * eye), n + 1,
+    poly = interpolate_on_circle(lambda z: matrix_det(base - z[:, None, None] * eye), n + 1,
                                  tol=tol, radii=radii)
     poly = LaurentPoly({**poly.coeffs, n: (-1.0) ** n})
     return poly.realified(1e-6) if np.isrealobj(m) else poly
@@ -398,17 +412,19 @@ def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
                          radii: Sequence[float] = QUOTIENT_RADII) -> LaurentPoly:
     """Interpolate q(x) = numerator(x)/denominator(x) as a polynomial.
 
-    Both callables receive an extended-precision sample point and return the
-    value there.  Pointwise division replaces coefficientwise long
-    division, which would amplify noise combinatorially where the
-    denominator's roots cluster at x = 1 (unipotent meridian images); each
-    radius r keeps every sample at distance >= |r - 1| from that cluster.
-    When q is not a polynomial of degree quotient_degree, validation fails
-    at every radius and an ArithmeticError is raised.
+    Both callables receive the extended-precision array of all sample and
+    validation points of one radius and return the values there.  A zero
+    or non-finite denominator at any of those points fails that radius.
+    Pointwise division replaces coefficientwise long division, which would
+    amplify noise combinatorially where the denominator's roots cluster at
+    x = 1 (unipotent meridian images); each radius r keeps every sample at
+    distance >= |r - 1| from that cluster.  When q is not a polynomial of
+    degree quotient_degree, validation fails at every radius and an
+    ArithmeticError is raised.
     """
     def value_at(z):
         den = denominator_at(z)
-        if den == 0 or not np.isfinite(complex(den)):
+        if np.any(den == 0) or not np.all(np.isfinite(np.asarray(den, dtype=complex))):
             raise ArithmeticError("denominator vanished at a sample point")
         return numerator_at(z) / den
 

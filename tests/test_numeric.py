@@ -8,6 +8,7 @@ import pytest
 from ptbundle import holonomy
 from ptbundle.holonomy import MARKOV, CompiledTraceSystem, TracePoly, solve_traces, trace_system
 from ptbundle.numeric import (
+    EXT_COMPLEX,
     LaurentPoly,
     Tolerances,
     char_poly,
@@ -16,6 +17,7 @@ from ptbundle.numeric import (
     integer_round,
     interpolate_on_circle,
     laurent_allclose,
+    matrix_det,
     monic_normalize,
     newton_multistart,
     normalize_unit,
@@ -95,6 +97,82 @@ def test_interpolate_on_circle_matches_scalar_dft():
     got = interpolate_on_circle(target.evaluate, count, lo=lo, radii=(radius,))
     assert laurent_allclose(got, reference, 1e-13)
     assert laurent_allclose(got, target, 1e-14)
+
+
+def test_interpolate_on_circle_one_call_per_radius():
+    # the sampled function gets all count + 2 points of a radius in one array
+    target = P(c=5, x1=-3, x2=1, x3=2)
+    calls = []
+
+    def value_at(z):
+        calls.append((len(z), z.dtype, float(np.max(np.abs(z)))))
+        values = target.evaluate(z)
+        if calls[-1][2] > 1.9:   # radius 2.0: corrupt the validation values
+            values[4:] += 1.0
+        return values
+
+    got = interpolate_on_circle(value_at, 4, radii=(2.0, 1.13))
+    assert laurent_allclose(got, target, 1e-12)
+    assert [(n, dtype) for n, dtype, _ in calls] == [(6, np.dtype(EXT_COMPLEX))] * 2
+    assert [r for _, _, r in calls] == pytest.approx([2.0, 1.13])
+
+
+def reference_det(a):
+    """The per-matrix LU that the stacked matrix_det must reproduce bit for bit."""
+    a = np.array(a, copy=True)
+    n = a.shape[0]
+    det = a.dtype.type(1)
+    for k in range(n - 1):
+        p = int(np.argmax(np.abs(a[k:, k]))) + k
+        if a[p, k] == 0:
+            return a.dtype.type(0)
+        if p != k:
+            a[[k, p], k:] = a[[p, k], k:]
+            det = -det
+        piv = a[k, k]
+        det = det * piv
+        factors = a[k + 1:, k:k + 1] / piv
+        a[k + 1:, k + 1:] = a[k + 1:, k + 1:] - factors * a[k, k + 1:]
+    return det * a[n - 1, n - 1] if n else det
+
+
+def _bits(x):
+    """tobytes() of each real component, without x87 long double padding."""
+    x = np.asarray(x).reshape(-1)
+    info = np.finfo(x.dtype)
+    used = (info.nmant + info.nexp + 8) // 8
+    return x.view(np.uint8).reshape(-1, info.dtype.itemsize)[:, :used].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 32])
+def test_stacked_det_matches_per_matrix_lu_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    shape = (12, n, n)
+    stack = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(EXT_COMPLEX)
+    stack[3, :, n // 2] = 0          # a singular member
+    stack[5, :, n - 1] = 0           # singular only at the last pivot
+    stack[7] *= 1e8                  # large entries beside the singular ones
+    got = matrix_det(stack)
+    assert got.shape == (12,) and got.dtype == EXT_COMPLEX
+    for member, det in zip(stack, got):
+        assert _bits(det) == _bits(reference_det(member))
+        assert _bits(matrix_det(member)) == _bits(det)
+    assert got[3] == 0 and got[5] == 0 and np.all(got[[0, 1, 2, 4, 6, 7]] != 0)
+    assert matrix_det(stack.reshape(3, 4, n, n)).shape == (3, 4)
+
+
+def test_det_of_empty_and_single_matrices():
+    assert matrix_det(np.zeros((0, 0))) == 1.0
+    ones = matrix_det(np.zeros((3, 0, 0), dtype=EXT_COMPLEX))
+    assert ones.dtype == EXT_COMPLEX and np.all(ones == 1)
+    rng = np.random.default_rng(1)
+    real = rng.standard_normal((4, 4))
+    det = matrix_det(real)
+    assert type(det) is np.float64 and _bits(det) == _bits(reference_det(real))
+    cplx = real + 1j * rng.standard_normal((4, 4))
+    det = matrix_det(cplx)
+    assert type(det) is np.complex128
+    assert det == pytest.approx(reference_det(cplx), rel=1e-14)
 
 
 def poly_matrix(entries):
@@ -220,6 +298,29 @@ def test_quotient_interpolate_radius_retry():
                              radii=(2.0,))
     with pytest.raises(ArithmeticError, match=r"every radius in \(2\.0, 2\.4, 1\.7\)"):
         quotient_interpolate(lambda z: num.evaluate(z), lambda z: den.evaluate(z), 1)
+
+
+def test_quotient_interpolate_denominator_zero_at_a_validation_point():
+    # degree 2: three samples, then the two validation points
+    target = P(c=5, x1=-3, x2=1)
+    den = P(c=3, x1=1)
+    num = target * den
+    radii = []
+
+    def den_at(z, zero_radius):
+        radii.append(round(float(abs(z[0])), 6))
+        values = den.evaluate(z)
+        if zero_radius is None or radii[-1] == zero_radius:
+            values[3] = 0
+        return values
+
+    q = quotient_interpolate(num.evaluate, lambda z: den_at(z, 2.0), 2)
+    assert laurent_allclose(q, target, 1e-10)
+    assert radii == [2.0, 2.4]
+    with pytest.raises(ArithmeticError) as err:
+        quotient_interpolate(num.evaluate, lambda z: den_at(z, None), 2)
+    for radius in ("2", "2.4", "1.7"):
+        assert "radius %s: denominator vanished" % radius in str(err.value)
 
 
 # ---------------------------------------------------------------------------
