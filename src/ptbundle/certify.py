@@ -1,6 +1,6 @@
 """Conservative rigidity certificates from root multiplicities at t = 1.
 
-The certifier runs the whole tower for every surviving trace solution:
+The certifier runs the whole tower once per PSL(2,C) character it finds:
 holonomy, derived linear representations, twisted Alexander polynomials,
 and the multiplicity of the root t = 1.  A solution is declared
 rigid-rel-cusp only when one of the three certificates fires with a
@@ -156,6 +156,7 @@ class SolutionReport:
     evidence: dict[str, CertificateEvidence]
     failures: list[str]
     verdict: str
+    orbit_roots: int = 1
     route_match: Optional[bool] = None
     cross_checks: dict[str, CrossCheck] = field(default_factory=dict)
     solution: Optional[HolonomySolution] = field(default=None, repr=False)
@@ -245,6 +246,7 @@ def _solution_report(
         evidence=evidence,
         failures=failures,
         verdict=RIGID if decisive else INCONCLUSIVE,
+        orbit_roots=sol.triple.orbit_roots,
         solution=sol,
         images=images,
     )
@@ -502,6 +504,7 @@ def report_jsonable(report: RigidityReport) -> dict:
             {
                 "index": sol.index,
                 "traces": [_pair(t) for t in sol.traces],
+                "orbit_roots": sol.orbit_roots,
                 "geometric_candidate": sol.geometric_candidate,
                 "residuals": {k: float(v) for k, v in sorted(sol.residuals.items())},
                 "evidence": {
@@ -560,7 +563,7 @@ def report_text(
     for sol in report.solutions:
         tag = "  (geometric candidate)" if sol.geometric_candidate else ""
         lines.append("")
-        lines.append(f"solution {sol.index}{tag}")
+        lines.append(f"solution {sol.index}  orbit_roots={sol.orbit_roots}{tag}")
         names = ("tr(a)", "tr(b)", "tr(ab)")
         traced = ", ".join(
             f"{name}={_format_complex(t)}" for name, t in zip(names, sol.traces)

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--starts", type=int, default=64,
                        help="number of Newton starts")
         p.add_argument("--solution", type=int, default=None,
-                       help="restrict to one trace solution by index")
+                       help="restrict to one character (orbit) by index")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        dest="fmt", help="output format")
         p.add_argument("--output", default=None,
@@ -433,7 +433,8 @@ def _header(spec, config: CliConfig) -> dict:
 
 def _traces_line(index: int, sol) -> str:
     a, b, c = sol.triple.as_tuple()
-    return f"solution {index}: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
+    return (f"solution {index}: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
+            f"  orbit_roots={sol.triple.orbit_roots}")
 
 
 def _cmd_trace_solve(config: CliConfig) -> tuple[int, str]:
@@ -441,7 +442,8 @@ def _cmd_trace_solve(config: CliConfig) -> tuple[int, str]:
     picked = select_solutions(spec, **config.solver_options())
     if config.fmt == "json":
         return 0, _dumps({**_header(spec, config), "solutions": [
-            {"index": index, "traces": [_pair(t) for t in sol.triple.as_tuple()]}
+            {"index": index, "traces": [_pair(t) for t in sol.triple.as_tuple()],
+             "orbit_roots": sol.triple.orbit_roots}
             for index, sol in picked
         ]})
     lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}   "
@@ -463,6 +465,7 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
             {
                 "index": index,
                 "traces": [_pair(t) for t in sol.triple.as_tuple()],
+                "orbit_roots": sol.triple.orbit_roots,
                 "residuals": res,
                 "sl2": {name: _cmatrix(mat) for name, mat in
                         zip("abx", sol.sl2.generator_images())},
@@ -516,6 +519,7 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
             {
                 "index": index,
                 "traces": [_pair(t) for t in sol.triple.as_tuple()],
+                "orbit_roots": sol.triple.orbit_roots,
                 "representations": {
                     label: _action_data(action, evidence, tols)
                     for label, (action, evidence) in per_rep.items()

@@ -6,6 +6,11 @@ recovery from the gluing relations, and the derived linear
 representations (Lorentz 4x4, adjoint 15x15, restricted 9x9, Kronecker
 16x16) that feed the twisted Alexander machinery.
 
+The sign changes (A, B, C) -> (eA, dB, edC), alone or with complex
+conjugation, give one PSL(2,C) character up to conjugation, so the same
+derived representations and polynomials; the solver keeps one root per
+orbit of these eight maps, and the tower runs once per character.
+
 The trace equations of a word are expanded once per call (with a memo
 local to that expansion) and compiled once into a
 ``CompiledTraceSystem``, which evaluates the equations and their
@@ -404,6 +409,7 @@ class TraceTriple:
     trace_a: complex
     trace_b: complex
     trace_ab: complex
+    orbit_roots: int = 1  # solver roots it stands for: itself, sign images, conjugates
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.trace_a, self.trace_b, self.trace_ab)
@@ -426,6 +432,10 @@ def _markov_sampler(rng: np.random.Generator) -> np.ndarray:
     return np.array([a, b, c], dtype=complex)
 
 
+# (A, B, C) -> (eA, dB, edC) for the four sign pairs (e, d).
+_SIGN_CHANGES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+
+
 def solve_traces(
     endo: EndoF2,
     *,
@@ -437,11 +447,13 @@ def solve_traces(
 ) -> list[TraceTriple]:
     """Solve the trace equations by deterministic multistart Newton.
 
-    Returns irreducible solutions: real triples and triples with C ~ 0
-    are dropped (they cannot give an irreducible SL2 representation with
-    parabolic boundary), and complex-conjugate partners are collapsed to
-    one representative.  ``system`` is the compiled ``trace_system(endo)``,
-    built here when the caller has none.
+    Returns one irreducible solution per PSL(2,C) character.  Real triples
+    and triples with C ~ 0 are dropped (they cannot give an irreducible
+    SL2 representation with parabolic boundary), and so is a root with one
+    of its eight sign and conjugation images within ``dedup_tol`` of a
+    kept root.  The first root of an orbit in sorted order is kept, and its
+    ``orbit_roots`` counts the roots it stands for.  ``system`` is the
+    compiled ``trace_system(endo)``, built here when the caller has none.
     """
     if system is None:
         system = CompiledTraceSystem(trace_system(endo))
@@ -456,16 +468,22 @@ def solve_traces(
     )
 
     kept: list[np.ndarray] = []
+    counts: list[int] = []
     for root in roots:
         if max(abs(root.imag)) < 1e-8:
             continue  # real solutions never give the discrete faithful one
         if abs(root[2]) < 1e-8:
             continue  # C = 0 breaks the explicit matrix model
-        conj = root.conj()
-        if any(np.max(np.abs(conj - prev)) < dedup_tol for prev in kept):
-            continue
-        kept.append(root)
-    return [TraceTriple(*map(complex, root)) for root in kept]
+        signed = _SIGN_CHANGES * root
+        images = np.concatenate([signed, signed.conj()])
+        for k, prev in enumerate(kept):
+            if np.min(np.max(np.abs(images - prev), axis=1)) < dedup_tol:
+                counts[k] += 1
+                break
+        else:
+            kept.append(root)
+            counts.append(1)
+    return [TraceTriple(*map(complex, r), orbit_roots=n) for r, n in zip(kept, counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (LaurentPoly, (self.coeffs,))
+
     # -- constructors --------------------------------------------------
 
     @classmethod

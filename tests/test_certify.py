@@ -1,5 +1,6 @@
 """Tests for the rigidity certifier and its report plumbing."""
 
+import copy
 import dataclasses
 import json
 
@@ -9,6 +10,7 @@ import pytest
 import ptbundle.alexander
 import ptbundle.certify
 from ptbundle.certify import (
+    ALL_REPS,
     INCONCLUSIVE,
     RIGID,
     CertificateEvidence,
@@ -21,9 +23,17 @@ from ptbundle.certify import (
     report_jsonable,
     report_text,
 )
-from ptbundle.holonomy import HolonomySolution
+from ptbundle.holonomy import (
+    CompiledTraceSystem,
+    HolonomySolution,
+    TraceTriple,
+    build_solutions,
+    holonomy_from_triple,
+    lorentz_holonomy,
+    trace_system,
+)
 from ptbundle.numeric import LaurentPoly, Tolerances, root_multiplicity
-from ptbundle.presentation import parse_monodromy
+from ptbundle.presentation import monodromy_endo, parse_monodromy
 
 
 def int_poly(coeffs):
@@ -244,6 +254,7 @@ class TestCrossChecks:
 
     def test_relation_defect_downgrades_verdict(self):
         report = certify("RRL", reps=("sl4", "v"), with_cross_checks=False)
+        report.solutions.append(copy.deepcopy(report.solutions[0]))
         report.solutions[0].residuals["relations_v"] = 1e-3
         out = cross_checks(report)
         broken, intact = out.solutions[0], out.solutions[1]
@@ -283,6 +294,36 @@ class TestCrossChecks:
                 assert after.verdict == before.verdict
 
 
+class TestOrbitCollapse:
+    """A sign image of a kept root has the representative's certificate data."""
+
+    @staticmethod
+    def certificate_data(sol, endo):
+        report = ptbundle.certify._solution_report(0, sol, endo, ALL_REPS, Tolerances())
+        return {label: (ev.multiplicity, ev.integer_coeffs)
+                for label, ev in report.evidence.items()}
+
+    @pytest.mark.parametrize("word,roots", [("RRL", 1), ("LLRR", 3)])
+    def test_sign_images_share_certificate_data(self, word, roots):
+        endo = monodromy_endo(parse_monodromy(word))
+        system = CompiledTraceSystem(trace_system(endo))
+        (kept,) = build_solutions(endo)
+        expected = self.certificate_data(kept, endo)
+        assert set(expected) == set(ALL_REPS)
+        assert all(ints is not None for _, ints in expected.values())
+        lifted = 0
+        for signs in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+            triple = TraceTriple(*(s * t for s, t in zip(signs, kept.triple.as_tuple())))
+            # only the sign lifts that solve the trace equations are roots
+            if max(abs(eq.evaluate(triple.as_tuple())) for eq in system.equations) > 1e-9:
+                continue
+            sl2 = holonomy_from_triple(triple, endo, system=system)
+            image = HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
+            assert self.certificate_data(image, endo) == expected
+            lifted += 1
+        assert lifted == roots
+
+
 class TestOptions:
     def test_representation_subset(self):
         report = certify("RRL", reps=("v",))
@@ -297,8 +338,8 @@ class TestOptions:
         assert report.reps == ("sl4", "gl16")
 
     def test_solution_filter(self):
-        report = certify("LLRR", solution_index=2, reps=("sl4",))
-        assert [sol.index for sol in report.solutions] == [2]
+        report = certify("LLLLR", solution_index=1, reps=("sl4",))
+        assert [sol.index for sol in report.solutions] == [1]
         assert report.verdict == RIGID
 
     def test_solution_filter_out_of_range(self):

@@ -186,13 +186,14 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert data["monodromy"] == "RRL"
         assert data["verdict"] == "rigid-rel-cusp"
-        assert len(data["solutions"]) == 2
+        assert len(data["solutions"]) == 1
 
     def test_trace_solve_json(self, capsys):
         assert run(["trace-solve", "LLRR", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["trace"] == 6
-        assert len(data["solutions"]) == 4
+        assert len(data["solutions"]) == 1
+        assert data["solutions"][0]["orbit_roots"] == 6
         for sol in data["solutions"]:
             assert len(sol["traces"]) == 3
 
@@ -285,10 +286,10 @@ class TestSubcommands:
         assert data["monodromy"] == "RRL"
 
     def test_solution_filter(self, capsys):
-        assert run(["trace-solve", "LLRR", "--solution", "3",
+        assert run(["trace-solve", "LLLLR", "--solution", "1",
                     "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert [sol["index"] for sol in data["solutions"]] == [3]
+        assert [sol["index"] for sol in data["solutions"]] == [1]
 
     def test_solution_filter_out_of_range(self, capsys):
         assert run(["trace-solve", "LLRR", "--solution", "99"]) == 2

@@ -59,18 +59,28 @@ def rrl_exact_trace_a():
     return -cmath.sqrt((5 - 1j * cmath.sqrt(7)) / 2)
 
 
-def triple_distance(sol: TraceTriple, target) -> float:
-    vec = np.array(sol.as_tuple())
+SIGN_CHANGES = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
+
+
+def orbit_distances(sol: TraceTriple, target) -> list[tuple[float, bool]]:
+    """Distance from each of the 8 images of sol to target, and whether
+    that image is conjugated."""
     tgt = np.array(target)
-    return min(
-        float(np.max(np.abs(vec - tgt))), float(np.max(np.abs(vec.conj() - tgt)))
-    )
+    out = []
+    for signs in SIGN_CHANGES:
+        vec = np.array(signs) * np.array(sol.as_tuple())
+        for conj in (False, True):
+            image = vec.conj() if conj else vec
+            out.append((float(np.max(np.abs(image - tgt))), conj))
+    return out
+
+
+def triple_distance(sol: TraceTriple, target) -> float:
+    return min(orbit_distances(sol, target))[0]
 
 
 def is_conjugate_representative(sol: TraceTriple, target) -> bool:
-    vec = np.array(sol.as_tuple())
-    tgt = np.array(target)
-    return float(np.max(np.abs(vec.conj() - tgt))) < float(np.max(np.abs(vec - tgt)))
+    return min(orbit_distances(sol, target))[1]
 
 
 class TestTracePoly:
@@ -226,7 +236,7 @@ class TestSolveTraces:
     def test_llrr_finds_geometric_branch(self):
         endo = monodromy_endo(parse_monodromy("LLRR"))
         sols = solve_traces(endo, seed=0)
-        assert len(sols) >= 4
+        assert sum(s.orbit_roots for s in sols) >= 4
         target = llrr_exact_triple()
         assert min(triple_distance(s, target) for s in sols) < 1e-9
         eqs = trace_system(endo)
@@ -268,6 +278,13 @@ class TestSolveTraces:
             for t in sols[i + 1 :]:
                 conj = np.array(s.as_tuple()).conj()
                 assert np.max(np.abs(conj - np.array(t.as_tuple()))) > 1e-6
+
+    @pytest.mark.parametrize("word", ["LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR"])
+    def test_one_solution_per_orbit(self, word):
+        sols = solve_traces(monodromy_endo(parse_monodromy(word)), seed=0)
+        for i, s in enumerate(sols):
+            for t in sols[i + 1 :]:
+                assert triple_distance(s, t.as_tuple()) > 1e-6
 
 
 class TestFiberMatrices:
