@@ -20,19 +20,19 @@ holds only when the images satisfy the bundle relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .numeric import (
     EXT_COMPLEX,
+    GeneratorImages,
     LaurentPoly,
     Tolerances,
     char_poly,
     det_polymatrix,
     equal_up_to_unit,
     matrix_det,
-    matrix_inverse,
     normalize_unit,
     nullspace,
     quotient_interpolate,
@@ -43,16 +43,15 @@ from .words import (EndoF2, GroupRingElem, Word, format_word, fox_derivative, pa
                     ring_one_minus)
 
 
-def _common_dtype(matrices: Sequence[np.ndarray]):
-    return np.result_type(complex, *(np.asarray(m).dtype for m in matrices))
+def _ring_matrix(elem: GroupRingElem, images: GeneratorImages) -> np.ndarray:
+    """Linear extension of a representation to the group ring (no weights).
 
-
-def _ring_matrix(elem: GroupRingElem, matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Linear extension of a representation to the group ring (no weights)."""
-    dim = matrices[0].shape[0]
-    out = np.zeros((dim, dim), dtype=_common_dtype(matrices))
+    The dtype is that of the images, so a real representation stays real.
+    """
+    dim = images[0].shape[0]
+    out = np.zeros((dim, dim), dtype=np.result_type(*images.values()))
     for word, coeff in elem.terms.items():
-        out = out + coeff * word_product(word, matrices)
+        out = out + coeff * word_product(word, images)
     return out
 
 
@@ -214,32 +213,30 @@ def twisted_alexander(
 RepImages = Mapping[int, np.ndarray]
 
 
-def _fiber_fox_blocks(endo: EndoF2, rep: RepImages) -> list[list[np.ndarray]]:
+def _fiber_fox_blocks(endo: EndoF2, rep: GeneratorImages) -> list[list[np.ndarray]]:
     """Constant matrices of the fiber Fox derivatives of the two images."""
-    fiber = (rep[0], rep[1])
     return [
-        [_ring_matrix(fox_derivative(image, j), fiber) for j in range(2)]
+        [_ring_matrix(fox_derivative(image, j), rep) for j in range(2)]
         for image in (endo.image_a, endo.image_b)
     ]
 
 
-def _is_real_rep(rep: RepImages) -> bool:
-    return all(np.max(np.abs(np.asarray(m).imag)) < 1e-12 for m in rep.values())
-
-
-def _pencil_quotient(p, q, r, s, rep: RepImages, tols: Tolerances) -> LaurentPoly:
+def _pencil_quotient(p, q, r, s, tols: Tolerances) -> LaurentPoly:
     """det(P - tQ) / det(R - tS), a polynomial of degree dim R, by sampling.
 
-    Realified when the representation is real.
+    Four matrices of a real dtype (those of a real representation) give a
+    real polynomial, which is sampled on half the circle and realified.
     """
+    real = all(np.isrealobj(m) for m in (p, q, r, s))
     p, q, r, s = (np.asarray(m).astype(EXT_COMPLEX) for m in (p, q, r, s))
     quotient = quotient_interpolate(
         lambda z: matrix_det(p - z[:, None, None] * q),
         lambda z: matrix_det(r - z[:, None, None] * s),
         r.shape[0],
         tol=tols.det,
+        real=real,
     )
-    if _is_real_rep(rep):
+    if real:
         quotient = quotient.realified(1e-6)
     return quotient
 
@@ -259,11 +256,12 @@ def bundle_twisted_alexander(
     division on a circle away from 1 followed by interpolation; longhand
     coefficient division would amplify roundoff combinatorially.
     """
+    rep = GeneratorImages.of(rep)
     mer = np.asarray(rep[2])
     return _pencil_quotient(
         np.block(_fiber_fox_blocks(endo, rep)), np.kron(np.eye(2), mer),
         np.eye(mer.shape[0]), mer,
-        rep, tolerances or Tolerances(),
+        tolerances or Tolerances(),
     )
 
 
@@ -282,13 +280,13 @@ def res_l_map(rep: RepImages) -> np.ndarray:
     generators; its value on the longitude is
     (1 - aba^-1) X + (a - aba^-1b^-1) Y.
     """
-    fiber = (rep[0], rep[1])
+    rep = GeneratorImages.of(rep)
     dim = rep[0].shape[0]
     eye = np.eye(dim, dtype=complex)
-    left = eye - word_product(_WORD_ABA, fiber)
-    right = np.asarray(rep[0], dtype=complex) - word_product(_WORD_COMMUTATOR, fiber)
+    left = eye - word_product(_WORD_ABA, rep)
+    right = np.asarray(rep[0], dtype=complex) - word_product(_WORD_COMMUTATOR, rep)
     out = np.hstack([left, right])
-    if _is_real_rep(rep):
+    if all(np.isrealobj(m) for m in rep.values()):
         # real kernel bases keep the restricted action (and its
         # characteristic polynomial) real as well
         out = out.real
@@ -319,11 +317,10 @@ def monodromy_action(
     polynomial matches the Wada polynomial up to a unit.
     """
     tols = tolerances or Tolerances()
-    prefactor = matrix_inverse(rep[2])
+    rep = GeneratorImages.of(rep)
+    prefactor = rep.inverse(2)
     fox = _fiber_fox_blocks(endo, rep)
     matrix = np.block([[prefactor @ cell for cell in row] for row in fox])
-    if _is_real_rep(rep):
-        matrix = matrix.real
 
     kernel = nullspace(res_l_map(rep), tol=tols.null)
     carried = matrix @ kernel
@@ -348,10 +345,11 @@ def coboundary_defect(action: CocycleAction, rep: RepImages) -> float:
     must carry this to the embedding of rep(x)^-1 v.  Returns the
     relative defect.
     """
+    rep = GeneratorImages.of(rep)
     dim = rep[0].shape[0]
     eye = np.eye(dim, dtype=complex)
     embed = np.vstack([eye - np.asarray(rep[0]), eye - np.asarray(rep[1])])
-    diff = action.matrix @ embed - embed @ matrix_inverse(rep[2])
+    diff = action.matrix @ embed - embed @ rep.inverse(2)
     return float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(embed))))
 
 
@@ -391,9 +389,10 @@ def route_agreement(
     `match_tol`.
     """
     tols = tolerances or Tolerances()
+    rep = GeneratorImages.of(rep)
     dim = rep[2].shape[0]
     quotient = _pencil_quotient(
-        action.matrix, np.eye(2 * dim), matrix_inverse(rep[2]), np.eye(dim), rep, tols
+        action.matrix, np.eye(2 * dim), rep.inverse(2), np.eye(dim), tols
     )
     defect = coboundary_defect(action, rep)
     match = defect <= match_tol and equal_up_to_unit(wada, quotient, tol=match_tol)

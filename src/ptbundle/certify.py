@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -160,9 +160,9 @@ class SolutionReport:
     route_match: Optional[bool] = None
     cross_checks: dict[str, CrossCheck] = field(default_factory=dict)
     solution: Optional[HolonomySolution] = field(default=None, repr=False)
-    images: dict[str, dict[int, np.ndarray]] = field(default_factory=dict, repr=False)
+    images: dict[str, Mapping[int, np.ndarray]] = field(default_factory=dict, repr=False)
 
-    def representation(self, label: str) -> dict[int, np.ndarray]:
+    def representation(self, label: str) -> Mapping[int, np.ndarray]:
         """The label's images, built on first use and then reused."""
         if label not in self.images:
             self.images[label] = self.solution.representation(label)
@@ -220,7 +220,7 @@ def _solution_report(
         failures.append(f"residuals: {err}")
 
     evidence: dict[str, CertificateEvidence] = {}
-    images: dict[str, dict[int, np.ndarray]] = {}
+    images: dict[str, Mapping[int, np.ndarray]] = {}
     for label in reps:
         try:
             images[label] = rep = sol.representation(label)

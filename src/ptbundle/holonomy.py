@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .numeric import (
     EXT_COMPLEX,
+    GeneratorImages,
     Tolerances,
     linear_solve,
     matrix_det,
@@ -527,8 +529,9 @@ def solve_meridian(
     """
     mat_a = np.asarray(mat_a, dtype=complex)
     mat_b = np.asarray(mat_b, dtype=complex)
-    target_a = word_product(endo.image_a, (mat_a, mat_b))
-    target_b = word_product(endo.image_b, (mat_a, mat_b))
+    fiber = GeneratorImages((mat_a, mat_b))
+    target_a = word_product(endo.image_a, fiber)
+    target_b = word_product(endo.image_b, fiber)
     eye = np.eye(2, dtype=complex)
 
     best = None
@@ -595,8 +598,9 @@ def _refine_meridian(
     """
     seed_ext = seed.astype(EXT_COMPLEX)
     seed_inv = matrix_inverse(seed_ext)
-    target_a = word_product(endo.image_a, (mat_a, mat_b))
-    target_b = word_product(endo.image_b, (mat_a, mat_b))
+    fiber = GeneratorImages((mat_a, mat_b))
+    target_a = word_product(endo.image_a, fiber)
+    target_b = word_product(endo.image_b, fiber)
     eye = np.eye(2, dtype=EXT_COMPLEX)
     blocks = []
     for mat, target in ((mat_a, target_a), (mat_b, target_b)):
@@ -649,13 +653,13 @@ def holonomy_from_triple(
 def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
     """Diagnostics: relation defects (up to sign), unimodularity, cusp traces."""
     out: dict[str, float] = {}
-    x_inv = matrix_inverse(rep.mat_x)
+    images = GeneratorImages(rep.generator_images())
     for name, gen_mat, image in (
         ("relation_a", rep.mat_a, endo.image_a),
         ("relation_b", rep.mat_b, endo.image_b),
     ):
-        lhs = rep.mat_x @ gen_mat @ x_inv
-        rhs = word_product(image, (rep.mat_a, rep.mat_b))
+        lhs = rep.mat_x @ gen_mat @ images.inverse(2)
+        rhs = word_product(image, images)
         defect = min(
             float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))
         )
@@ -664,7 +668,7 @@ def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
         out[name] = float(abs(complex(matrix_det(mat)) - 1.0))
     out["meridian_parabolic"] = float(min(abs(np.trace(rep.mat_x) - 2.0),
                                           abs(np.trace(rep.mat_x) + 2.0)))
-    longitude = word_product(LONGITUDE, rep.generator_images())
+    longitude = word_product(LONGITUDE, images)
     out["longitude_trace"] = abs(complex(np.trace(longitude)) + 2.0)
     return out
 
@@ -776,14 +780,14 @@ def sl4_coordinates(mat: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
     return np.array(coords)
 
 
-def adjoint_rep(rep: Holonomy4) -> dict[int, np.ndarray]:
+def adjoint_rep(rep: Holonomy4) -> GeneratorImages:
     """Conjugation action of each generator on traceless 4x4 matrices (15-dim)."""
-    images = {}
-    for index, mat in enumerate(rep.generator_images()):
+    images = []
+    for mat in rep.generator_images():
         inv = matrix_inverse(mat)
         cols = [sl4_coordinates(mat @ basis @ inv) for basis in SL4_BASIS]
-        images[index] = np.array(cols).T
-    return images
+        images.append(np.array(cols).T)
+    return GeneratorImages(images)
 
 
 @dataclass(frozen=True)
@@ -836,11 +840,11 @@ KILLING_SPLIT = killing_split()
 
 
 def restrict_block(
-    images: dict[int, np.ndarray],
+    images: Mapping[int, np.ndarray],
     block: np.ndarray,
     *,
     leak_tol: float = 1e-7,
-) -> dict[int, np.ndarray]:
+) -> GeneratorImages:
     """Compress each image to an invariant subspace given by orthonormal columns.
 
     Raises if the subspace leaks, i.e. the images do not actually
@@ -854,27 +858,24 @@ def restrict_block(
         if residual > leak_tol * max(1.0, float(np.max(np.abs(mat)))):
             raise ArithmeticError("subspace is not invariant under the action")
         out[index] = compressed
-    return out
+    return GeneratorImages(out)
 
 
-def kronecker_rep(rep: Holonomy4) -> dict[int, np.ndarray]:
+def kronecker_rep(rep: Holonomy4) -> GeneratorImages:
     """Tensor-square action g (x) g on 16 dimensions."""
-    return {
-        index: np.kron(mat, mat) for index, mat in enumerate(rep.generator_images())
-    }
+    return GeneratorImages([np.kron(mat, mat) for mat in rep.generator_images()])
 
 
 def rep_residuals(
-    images: dict[int, np.ndarray], endo: EndoF2
+    images: Mapping[int, np.ndarray], endo: EndoF2
 ) -> dict[str, float]:
     """Relation defects for a linear representation of the bundle group."""
-    mats = [images[0], images[1], images[2]]
-    x_inv = matrix_inverse(images[2])
+    images = GeneratorImages.of(images)
     out = {}
     for name, gen, image in (("relation_a", 0, endo.image_a),
                              ("relation_b", 1, endo.image_b)):
-        lhs = images[2] @ images[gen] @ x_inv
-        rhs = word_product(image, mats)
+        lhs = images[2] @ images[gen] @ images.inverse(2)
+        rhs = word_product(image, images)
         scale = max(1.0, float(np.max(np.abs(rhs))))
         out[name] = float(np.max(np.abs(lhs - rhs))) / scale
     return out
@@ -895,9 +896,7 @@ def longitude_centralizer_dims(
     fourteen orders of magnitude around the cutoff, so the default
     tolerance is not fragile.
     """
-    tau = np.asarray(
-        word_product(LONGITUDE, (adjoint[0], adjoint[1], adjoint[2])), dtype=complex
-    )
+    tau = np.asarray(word_product(LONGITUDE, adjoint), dtype=complex)
     total = nullspace(tau - np.eye(tau.shape[0]), tol=null_tol).shape[1]
     dims = [total]
     for block in (KILLING_SPLIT.skew, KILLING_SPLIT.complement):
@@ -939,13 +938,18 @@ class HolonomySolution:
     sl2: Holonomy2
     lorentz: Holonomy4
 
-    def representation(self, kind: str) -> dict[int, np.ndarray]:
+    @cached_property
+    def adjoint(self) -> GeneratorImages:
+        """The sl4 images, built once; ``v`` and ``pso31`` restrict them."""
+        return adjoint_rep(self.lorentz)
+
+    def representation(self, kind: str) -> GeneratorImages:
         if kind == "sl4":
-            return adjoint_rep(self.lorentz)
+            return self.adjoint
         if kind == "v":
-            return restrict_block(adjoint_rep(self.lorentz), KILLING_SPLIT.complement)
+            return restrict_block(self.adjoint, KILLING_SPLIT.complement)
         if kind == "pso31":
-            return restrict_block(adjoint_rep(self.lorentz), KILLING_SPLIT.skew)
+            return restrict_block(self.adjoint, KILLING_SPLIT.skew)
         if kind == "gl16":
             return kronecker_rep(self.lorentz)
         raise ValueError(f"unknown representation kind: {kind!r}")

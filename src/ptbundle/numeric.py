@@ -10,7 +10,11 @@ function is sampled on a circle, the coefficients are read off with one
 inverse DFT, and the result is validated at two fresh points on the same
 circle before it is returned.  The points of one radius arrive as one
 array, so their determinants are one stack for one ``matrix_det`` call.
-A failed sample or validation moves on to the caller's next radius.
+A polynomial with real coefficients (its caller's matrices have a real
+dtype) takes conjugate values at conjugate points, so it is sampled only
+on the closed upper half of the circle: count // 2 + 3 points per radius
+instead of count + 2.  A failed sample or validation moves on to the
+caller's next radius.
 Determinants and characteristic polynomials use radius 1.13, off the
 unit circle where group-element spectra like to sit; quotients use radii
 2.0, 2.4 and 1.7, away from the root cluster of a unipotent denominator
@@ -33,8 +37,9 @@ those of a per-start loop on the same system values.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -129,22 +134,54 @@ def matrix_inverse(a: np.ndarray) -> np.ndarray:
     return linear_solve(a, np.eye(a.shape[0], dtype=a.dtype))
 
 
-def word_product(word, images: Sequence[np.ndarray]) -> np.ndarray:
+class GeneratorImages(Mapping):
+    """Read-only generator matrices by index, each inverse kept once computed.
+
+    A representation is built once per solution and then used by every
+    word product, relation check and action of that solution, so its
+    inverses are computed once, not in each of those calls.  Being
+    read-only, the images cannot drift from their kept inverses.
+    """
+
+    def __init__(self, matrices: Mapping[int, np.ndarray] | Sequence[np.ndarray]):
+        if not isinstance(matrices, Mapping):
+            matrices = dict(enumerate(matrices))
+        self._matrices = dict(matrices)
+        self._inverses: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def of(cls, images) -> "GeneratorImages":
+        """The images themselves when they keep inverses, else a new wrapper."""
+        return images if isinstance(images, cls) else cls(images)
+
+    def __getitem__(self, gen: int) -> np.ndarray:
+        return self._matrices[gen]
+
+    def __iter__(self):
+        return iter(self._matrices)
+
+    def __len__(self) -> int:
+        return len(self._matrices)
+
+    def inverse(self, gen: int) -> np.ndarray:
+        if gen not in self._inverses:
+            self._inverses[gen] = matrix_inverse(self._matrices[gen])
+        return self._inverses[gen]
+
+
+def word_product(word, images) -> np.ndarray:
     """Image of a free-group word under generator matrices indexed 0, 1, ...
 
     The dtype follows the inputs, so extended-precision images give an
-    extended-precision product; each needed inverse is computed once.
+    extended-precision product.  ``GeneratorImages`` supply their kept
+    inverses; for a plain sequence or mapping each needed inverse is
+    computed once per call.
     """
-    dtype = np.result_type(*(np.asarray(m).dtype for m in images))
+    images = GeneratorImages.of(images)
+    dtype = np.result_type(*(np.asarray(m).dtype for m in images.values()))
     out = np.eye(images[0].shape[0], dtype=dtype)
-    inverses: dict[int, np.ndarray] = {}
     for gen, exp in word.letters:
-        if exp > 0:
-            out = out @ images[gen]
-        else:
-            if gen not in inverses:
-                inverses[gen] = matrix_inverse(images[gen])
-            out = out @ inverses[gen]
+        out = out @ (images[gen] if exp > 0 else images.inverse(gen))
     return out
 
 
@@ -327,16 +364,21 @@ def equal_up_to_unit(p: LaurentPoly, q: LaurentPoly, tol: float = 1e-8) -> bool:
 
 def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
                           tol: float = 1e-8,
-                          radii: Sequence[float] = DET_RADII) -> LaurentPoly:
+                          radii: Sequence[float] = DET_RADII,
+                          real: bool = False) -> LaurentPoly:
     """Laurent polynomial sum_{k < count} c_{lo+k} x^(lo+k) from its values.
 
     value_at receives one extended-precision array of points on a circle
-    (count sample points, then two fresh validation phases) and returns the
+    (sample points, then two fresh validation phases) and returns the
     function values there as an array of the same length: one call per
-    radius.  The coefficients come from one inverse DFT of the count
-    samples, and the result must reproduce each validation value within tol
-    relative to the largest sample (or reference) magnitude.  An
-    ArithmeticError from sampling or validation moves on to the next
+    radius.  The samples are the count points r exp(2 pi i k / count).
+    With ``real`` the caller promises real coefficients, so the value at a
+    conjugate point is the conjugate value: value_at then gets only the
+    samples k = 0 ... count // 2 and sample count - k is filled with the
+    conjugate of sample k.  The coefficients come from one inverse DFT of
+    the count samples, and the result must reproduce each validation value
+    within tol relative to the largest sample (or reference) magnitude.
+    An ArithmeticError from sampling or validation moves on to the next
     radius; when every radius fails, the error names them all.
     """
     k = np.arange(count)
@@ -347,20 +389,24 @@ def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
     unit = np.cos(theta) + 1j * np.sin(theta)
     # entry (k, j) is exp(-2 pi i jk / count)
     dft = unit[:count].conj()[np.outer(k, k) % count]
+    half = count // 2 + 1 if real else count
+    asked = np.r_[0:half, count:count + 2]
     failures = []
     for radius in radii:
         r = _REAL_DT(radius)
         points = r * unit
         try:
-            sampled = np.asarray(value_at(points), dtype=EXT_COMPLEX)
-            values = sampled[:count]
+            sampled = np.asarray(value_at(points[asked]), dtype=EXT_COMPLEX)
+            values = sampled[:half]
+            # samples count - k = conj(sample k); none are missing when half == count
+            values = np.concatenate([values, values[1:count - half + 1][::-1].conj()])
             raw = dft @ (values / points[:count] ** lo) / count
             size = np.abs(raw.astype(complex))
             coeffs = raw / r ** k.astype(_REAL_DT)
             poly = LaurentPoly({lo + j: coeffs[j]
                                 for j in np.flatnonzero(size > 1e-12 * size.max())})
             scale = max(float(np.max(np.abs(values.astype(complex)))), 1.0)
-            for z, reference in zip(points[count:], sampled[count:]):
+            for z, reference in zip(points[count:], sampled[half:]):
                 residual = abs(complex(poly.evaluate(z) - reference))
                 if not residual <= tol * max(scale, abs(complex(reference))):
                     raise ArithmeticError(
@@ -379,7 +425,8 @@ def det_polymatrix(coeffs: Mapping[int, np.ndarray], tol: float = 1e-8,
     Samples the row-wise exponent window: row i spans the smallest to the
     largest w for which row i of coeffs[w] is nonzero, and the window is
     the sum of those spans.  A row that is zero in every coeffs[w] (or an
-    empty map) gives the zero polynomial.
+    empty map) gives the zero polynomial.  Real matrices give a real
+    polynomial, sampled on half the circle.
     """
     if not coeffs:
         return LaurentPoly.zero()
@@ -393,31 +440,40 @@ def det_polymatrix(coeffs: Mapping[int, np.ndarray], tol: float = 1e-8,
     lo = sum(int(exps[row].min()) for row in live)
     hi = sum(int(exps[row].max()) for row in live)
     return interpolate_on_circle(lambda z: matrix_det(np.tensordot(z[:, None] ** exps, stack, axes=1)),
-                                 hi - lo + 1, lo=lo, tol=tol, radii=radii)
+                                 hi - lo + 1, lo=lo, tol=tol, radii=radii,
+                                 real=all(np.isrealobj(m) for m in coeffs.values()))
 
 
 def char_poly(m: np.ndarray, tol: float = 1e-8,
               radii: Sequence[float] = DET_RADII) -> LaurentPoly:
-    """det(m - t I) by sample-and-interpolate; leading coefficient snapped to (-1)^n."""
+    """det(m - t I) by sample-and-interpolate; leading coefficient snapped to (-1)^n.
+
+    A real m is sampled on half the circle and gives a realified polynomial.
+    """
     n = m.shape[0]
     if n == 0:
         return LaurentPoly.one()
+    real = np.isrealobj(m)
     base = np.array(m, dtype=EXT_COMPLEX)
     eye = np.eye(n, dtype=EXT_COMPLEX)
     poly = interpolate_on_circle(lambda z: matrix_det(base - z[:, None, None] * eye), n + 1,
-                                 tol=tol, radii=radii)
+                                 tol=tol, radii=radii, real=real)
     poly = LaurentPoly({**poly.coeffs, n: (-1.0) ** n})
-    return poly.realified(1e-6) if np.isrealobj(m) else poly
+    return poly.realified(1e-6) if real else poly
 
 
 def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
                          quotient_degree: int, tol: float = 1e-8,
-                         radii: Sequence[float] = QUOTIENT_RADII) -> LaurentPoly:
+                         radii: Sequence[float] = QUOTIENT_RADII,
+                         real: bool = False) -> LaurentPoly:
     """Interpolate q(x) = numerator(x)/denominator(x) as a polynomial.
 
     Both callables receive the extended-precision array of all sample and
-    validation points of one radius and return the values there.  A zero
-    or non-finite denominator at any of those points fails that radius.
+    validation points of one radius and return the values there.  With
+    ``real`` (both are real polynomials, as the caller knows from the dtype
+    of its matrices) the samples cover half the circle, as in
+    ``interpolate_on_circle``.  A zero or non-finite denominator at any of
+    those points fails that radius.
     Pointwise division replaces coefficientwise long division, which would
     amplify noise combinatorially where the denominator's roots cluster at
     x = 1 (unipotent meridian images); each radius r keeps every sample at
@@ -431,7 +487,8 @@ def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
             raise ArithmeticError("denominator vanished at a sample point")
         return numerator_at(z) / den
 
-    return interpolate_on_circle(value_at, quotient_degree + 1, tol=tol, radii=radii)
+    return interpolate_on_circle(value_at, quotient_degree + 1, tol=tol, radii=radii,
+                                 real=real)
 
 
 def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[int, LaurentPoly]:

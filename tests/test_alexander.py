@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import ptbundle.alexander
 from ptbundle.alexander import (
     RingRep,
     WadaInvariant,
+    _pencil_quotient,
     bundle_twisted_alexander,
     coboundary_defect,
     monodromy_action,
@@ -18,10 +20,12 @@ from ptbundle.alexander import (
 from ptbundle.holonomy import build_solutions
 from ptbundle.numeric import (
     LaurentPoly,
+    Tolerances,
     char_poly,
     equal_up_to_unit,
     integer_round,
     laurent_allclose,
+    matrix_det,
     root_multiplicity,
 )
 from ptbundle.presentation import (
@@ -311,6 +315,39 @@ class TestBundleRoute:
             )
             ratio = abs(complex(defl_gl.evaluate(1.0) / defl_sl.evaluate(1.0)))
             assert ratio == pytest.approx(abs(trace - 2), abs=1e-6)
+
+
+class TestRealPencils:
+    @pytest.mark.parametrize("n", [1, 2, 9, 16, 32])
+    def test_half_circle_matches_full_circle(self, n, monkeypatch):
+        # P = G [[A, B], [0, I]] H and Q = G diag(C, M) H, so that
+        # det(P - tQ) / det(I - tM) = det(GH) det(A - tC), of degree n; C is
+        # halved so that its roots lie near the sampling radius 2
+        rng = np.random.default_rng(n)
+        a, b, c = rng.standard_normal((3, n, n))
+        m = rng.standard_normal((n, n)) / (4 * np.sqrt(n))
+        g, h = np.eye(2 * n) + 0.3 * rng.standard_normal((2, 2 * n, 2 * n)) / np.sqrt(n)
+        zero = np.zeros((n, n))
+        p = g @ np.block([[a, b], [zero, np.eye(n)]]) @ h
+        q = g @ np.block([[c / 2, zero], [zero, m]]) @ h
+        stacks = []
+
+        def recording_det(stack):
+            stacks.append(stack.shape)
+            return matrix_det(stack)
+
+        monkeypatch.setattr(ptbundle.alexander, "matrix_det", recording_det)
+        pencil = (p, q, np.eye(n), m)
+        half = _pencil_quotient(*pencil, Tolerances())
+        half_stacks, stacks[:] = list(stacks), []
+        full = _pencil_quotient(*(x.astype(complex) for x in pencil), Tolerances())
+        # denominator, then numerator; of the n + 1 samples the real pencil
+        # computes (n + 1) // 2 + 1, and both add two validation points
+        assert half_stacks == [((n + 1) // 2 + 3, n, n), ((n + 1) // 2 + 3, 2 * n, 2 * n)]
+        assert stacks == [(n + 3, n, n), (n + 3, 2 * n, 2 * n)]
+        assert full.min_exp == half.min_exp == 0 and full.max_exp == half.max_exp == n
+        scale = full.max_abs()
+        assert all(abs(half.coeff(e) - full.coeff(e)) <= 1e-12 * scale for e in range(n + 1))
 
 
 class TestCocycleAction:

@@ -9,6 +9,8 @@ import pytest
 
 import ptbundle.alexander
 import ptbundle.certify
+import ptbundle.holonomy
+import ptbundle.numeric
 from ptbundle.certify import (
     ALL_REPS,
     INCONCLUSIVE,
@@ -251,6 +253,52 @@ class TestCrossChecks:
             "bundle_twisted_alexander": per_solution,
             "monodromy_action": per_solution,
         }
+
+    def test_no_matrix_inverted_twice(self, monkeypatch):
+        # the sl4 images are built once per solution, and each generator
+        # image is inverted once per representation
+        inverted = []
+        adjoints = []
+        original_inverse = ptbundle.numeric.matrix_inverse
+        original_adjoint = ptbundle.holonomy.adjoint_rep
+
+        def recording_inverse(mat):
+            # complex128 bytes: x87 long doubles carry unset padding bytes
+            inverted.append(np.asarray(mat, dtype=complex).tobytes())
+            return original_inverse(mat)
+
+        def recording_adjoint(rep):
+            adjoints.append(rep)
+            return original_adjoint(rep)
+
+        for module in (ptbundle.numeric, ptbundle.holonomy):
+            monkeypatch.setattr(module, "matrix_inverse", recording_inverse)
+        monkeypatch.setattr(ptbundle.holonomy, "adjoint_rep", recording_adjoint)
+        report = certify("LLRR")
+        assert len(adjoints) == len(report.solutions)
+        assert inverted and len(set(inverted)) == len(inverted)
+
+    def test_real_representations_sample_half_the_circle(self, monkeypatch):
+        # the sl4, v and gl16 images are real, so each Wada quotient and each
+        # action characteristic polynomial is sampled on half the circle
+        counts = []
+        original = ptbundle.numeric.interpolate_on_circle
+
+        def recording(value_at, count, **kwargs):
+            def counted(z):
+                counts.append((count, len(z)))
+                return value_at(z)
+            return original(counted, count, **kwargs)
+
+        monkeypatch.setattr(ptbundle.numeric, "interpolate_on_circle", recording)
+        report = certify("RRL")
+        assert report.verdict == RIGID
+        # per solution: the sl4 and v action polynomials and the gl16 Wada
+        # quotient of the certificates, then the sl4 and v Wada quotients of
+        # the routes check (degrees 15, 9 and 16)
+        assert len(counts) == 5 * len(report.solutions)
+        assert {count for count, _ in counts} == {16, 10, 17}
+        assert all(points == count // 2 + 3 for count, points in counts)
 
     def test_relation_defect_downgrades_verdict(self):
         report = certify("RRL", reps=("sl4", "v"), with_cross_checks=False)

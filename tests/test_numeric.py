@@ -116,6 +116,27 @@ def test_interpolate_on_circle_one_call_per_radius():
     assert [(n, dtype) for n, dtype, _ in calls] == [(6, np.dtype(EXT_COMPLEX))] * 2
     assert [r for _, _, r in calls] == pytest.approx([2.0, 1.13])
 
+    # real coefficients: the samples k = 0 ... count // 2, then the two
+    # validation points, for an odd and an even count
+    for target in (P(c=5, x1=-3, x2=1, x3=2), P(xm1=2, c=5, x1=-3, x2=1, x3=2)):
+        count = target.span + 1
+        calls.clear()
+
+        def value_at(z):
+            calls.append((len(z), z.dtype, float(np.max(np.abs(z)))))
+            assert np.all(z[:count // 2 + 1].imag > -1e-15)   # the upper half
+            values = target.evaluate(z)
+            if calls[-1][2] > 1.9:
+                values[-2:] += 1.0
+            return values
+
+        got = interpolate_on_circle(value_at, count, lo=target.min_exp,
+                                    radii=(2.0, 1.13), real=True)
+        assert laurent_allclose(got, target, 1e-12)
+        assert [(n, dtype) for n, dtype, _ in calls] == \
+            [(count // 2 + 3, np.dtype(EXT_COMPLEX))] * 2
+        assert [r for _, _, r in calls] == pytest.approx([2.0, 1.13])
+
 
 def reference_det(a):
     """The per-matrix LU that the stacked matrix_det must reproduce bit for bit."""
