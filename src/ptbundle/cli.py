@@ -489,7 +489,7 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
 
 
 def _action_data(action, evidence: CertificateEvidence, tols: Tolerances) -> dict:
-    full = char_poly(np.asarray(action.matrix, dtype=complex), tol=tols.det)
+    full = char_poly(action.matrix, tol=tols.det)
     return {
         "dimension": action.matrix.shape[0] // 2,
         "kernel_dimension": int(action.kernel_basis.shape[1]),

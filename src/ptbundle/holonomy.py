@@ -11,12 +11,13 @@ conjugation, give one PSL(2,C) character up to conjugation, so the same
 derived representations and polynomials; the solver keeps one root per
 orbit of these eight maps, and the tower runs once per character.
 
-The trace equations of a word are expanded once per call (with a memo
-local to that expansion) and compiled once into a
-``CompiledTraceSystem``, which evaluates the equations and their
-partials at a whole batch of Newton starts with the exact arithmetic of
-``TracePoly.evaluate`` at each one.  The same compiled system serves the
-multistart solve and the extended-precision polish of every solution.
+The two trace equations of a word are expanded together, through one
+memo of subword traces local to that ``trace_system`` call, and
+compiled once into a ``CompiledTraceSystem``, which evaluates the
+equations and their partials at a whole batch of Newton starts with the
+exact arithmetic of ``TracePoly.evaluate`` at each one.  The same
+compiled system serves the multistart solve and the extended-precision
+polish of every solution.
 """
 
 from __future__ import annotations
@@ -191,14 +192,19 @@ def _canonical_cyclic(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
     reduced = _cyclic_reduce(letters)
     if not reduced:
         return reduced
-    candidates = []
-    for base in (reduced, _invert_letters(reduced)):
-        inverse_letters = sum(1 for _, exp in base if exp < 0)
-        least = min(base[s:] + base[:s] for s in range(len(base)))
-        candidates.append((inverse_letters, least))
-    return min(candidates)[1]
+    # The inverse letters of the inverse word are the positive ones here.
+    surplus = 2 * sum(1 for _, exp in reduced if exp < 0) - len(reduced)
+    if surplus < 0:
+        bases = (reduced,)
+    elif surplus > 0:
+        bases = (_invert_letters(reduced),)
+    else:
+        bases = (reduced, _invert_letters(reduced))
+    return min(base[s:] + base[:s] for base in bases for s in range(len(base)))
 
 _GEN_TRACE = {0: TracePoly.variable(0), 1: TracePoly.variable(1)}
+_TRACE_AB = TracePoly.variable(2)
+_TWO = TracePoly.constant(2)
 
 
 def trace_polynomial(word: Word) -> TracePoly:
@@ -206,13 +212,17 @@ def trace_polynomial(word: Word) -> TracePoly:
 
     Reduces via the SL2 identities tr(uv) = tr(u)tr(v) - tr(uv^-1) and
     tr(g^-1) = tr(g) until only the base words 1, a, b, ab remain.  The
-    traces of subwords are memoized for this one expansion only: the memo
-    of a long word holds megabytes that no later call needs.
+    traces of subwords are memoized for this one call only: the memo of a
+    long word holds megabytes that no later call needs.
     """
+    return _trace_of(_fiber_letters(word), {})
+
+
+def _fiber_letters(word: Word) -> tuple[tuple[int, int], ...]:
     for gen, _ in word.letters:
         if gen > 1:
             raise ValueError("trace polynomials are defined for fiber words only")
-    return _trace_of(word.letters, {})
+    return word.letters
 
 
 def _letters_word(letters: Iterable[tuple[int, int]]) -> Word:
@@ -223,6 +233,8 @@ def _letters_word(letters: Iterable[tuple[int, int]]) -> Word:
 
 
 def _trace_of(letters: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
+    # The value of a key depends on the key alone, terms in order included,
+    # so one memo may serve several words.
     can = _canonical_cyclic(letters)
     result = memo.get(can)
     if result is None:
@@ -230,23 +242,48 @@ def _trace_of(letters: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
     return result
 
 
+def _var_times_minus(var: int, p: TracePoly, q: TracePoly) -> TracePoly:
+    """X p - q for the trace variable X = A, B or C (``var`` 0, 1 or 2).
+
+    One dict pass, with the terms in the order ``X * p - q`` and
+    ``p * X - q`` give them: those of X p, then the new ones of q; a term
+    that cancels drops out.  The order matters because
+    ``CompiledTraceSystem`` sums in term order.
+    """
+    items = p.terms.items()
+    if var == 0:
+        out = {(i + 1, j, k): val for (i, j, k), val in items}
+    elif var == 1:
+        out = {(i, j + 1, k): val for (i, j, k), val in items}
+    else:
+        out = {(i, j, k + 1): val for (i, j, k), val in items}
+    for key, val in q.terms.items():
+        val = out.get(key, 0) - val
+        if val:
+            out[key] = val
+        else:
+            del out[key]
+    poly = TracePoly()
+    poly.terms = out
+    return poly
+
+
 def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
     n = len(can)
     if n == 0:
-        return TracePoly.constant(2)
+        return _TWO
     if n == 1:
         return _GEN_TRACE[can[0][0]]
     if n == 2:
         (g1, e1), (g2, e2) = can
         if g1 == g2:
             # Same generator twice: tr(g^2) = tr(g)^2 - 2.
-            t = _GEN_TRACE[g1]
-            return t * t - 2
+            return _var_times_minus(g1, _GEN_TRACE[g1], _TWO)
         if e1 == e2:
             # ab or its inverse.
-            return TracePoly.variable(2)
+            return _TRACE_AB
         # Mixed signs: tr(a b^-1) = tr(a)tr(b) - tr(ab).
-        return _GEN_TRACE[g1] * _GEN_TRACE[g2] - TracePoly.variable(2)
+        return _var_times_minus(g1, _GEN_TRACE[g2], _TRACE_AB)
 
     # Case 1: a repeated adjacent letter (cyclically).  Rotating it to the
     # end, tr(u g g) = tr(g) tr(u g) - tr(u).
@@ -257,8 +294,7 @@ def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
             rotated = can[cut:] + can[:cut]
             u_g = rotated[:-1]
             u = rotated[:-2]
-            t_g = _GEN_TRACE[can[i][0]]
-            return t_g * _trace_of(u_g, memo) - _trace_of(u, memo)
+            return _var_times_minus(can[i][0], _trace_of(u_g, memo), _trace_of(u, memo))
 
     # Case 2: an inverse letter.  Rotate it to the end:
     # tr(u g^-1) = tr(u) tr(g) - tr(u g).
@@ -269,24 +305,28 @@ def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
             u = rotated[:-1]
             gen = can[i][0]
             u_g = (_letters_word(u) * Word(((gen, 1),))).letters
-            return _trace_of(u, memo) * _GEN_TRACE[gen] - _trace_of(u_g, memo)
+            return _var_times_minus(gen, _trace_of(u, memo), _trace_of(u_g, memo))
 
     # Case 3: all letters positive and strictly alternating.  Split off the
-    # trailing two letters v: tr(u v) = tr(u) tr(v) - tr(u v^-1).
+    # trailing two letters v, a positive ab or ba with tr(v) = C:
+    # tr(u v) = tr(u) tr(v) - tr(u v^-1).
     v = can[-2:]
     u = can[:-2]
     u_v_inv = (_letters_word(u) * _letters_word(_invert_letters(v))).letters
-    return _trace_of(u, memo) * _trace_of(v, memo) - _trace_of(u_v_inv, memo)
+    return _var_times_minus(2, _trace_of(u, memo), _trace_of(u_v_inv, memo))
 
 
 def trace_system(endo: EndoF2) -> tuple[TracePoly, TracePoly, TracePoly]:
     """Fixed-point trace equations for a fiber automorphism.
 
     Returns (tr phi(a) - A, tr phi(b) - B, markov) where markov vanishes
-    exactly when the peripheral holonomy is parabolic with trace -2.
+    exactly when the peripheral holonomy is parabolic with trace -2.  The
+    two images are expanded through one memo local to this call, so a
+    subword they share is expanded once.
     """
-    eq_a = trace_polynomial(endo.image_a) - TracePoly.variable(0)
-    eq_b = trace_polynomial(endo.image_b) - TracePoly.variable(1)
+    memo: dict = {}
+    eq_a = _trace_of(_fiber_letters(endo.image_a), memo) - TracePoly.variable(0)
+    eq_b = _trace_of(_fiber_letters(endo.image_b), memo) - TracePoly.variable(1)
     return (eq_a, eq_b, MARKOV)
 
 

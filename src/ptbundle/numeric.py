@@ -32,7 +32,9 @@ deflation, to the largest singular value for nullspaces.
 iteration and one batched LAPACK solve over the starts still running.
 Each start follows the rules of a lone Newton run, and a batched solve
 gives each row the bits of a solve of that row alone, so the roots are
-those of a per-start loop on the same system values.
+those of a per-start loop on the same system values.  A start that a
+step takes past max|z| = ``ESCAPE_RADIUS`` is escaping to infinity and
+stops there, unconverged.
 """
 
 from __future__ import annotations
@@ -563,7 +565,17 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
         return steps, ok
 
 
-# Diverging starts overflow before the finiteness checks below discard them.
+# A start that diverges grows about 2x per step, but F overflows only near
+# |z| ~ 10^(308 / degree), so on a low-degree system it would run out all
+# max_iter steps.  Past this radius a start stops, unconverged.  It is the
+# radius at which the degree-19 system of LLRLRRLR, the highest-degree
+# word of the benchmark corpus, already overflows.  On the corpus words at
+# seeds 0-39 no converging start passes 1e10, and no root changes.
+ESCAPE_RADIUS = 1e16
+
+
+# Diverging starts can still overflow before the finiteness checks below
+# discard them.
 @np.errstate(over="ignore", invalid="ignore")
 def newton_multistart(system: Callable, dim: int, *, starts: int = 64,
                       seed: int = 0, sampler: Optional[Callable] = None,
@@ -575,11 +587,12 @@ def newton_multistart(system: Callable, dim: int, *, starts: int = 64,
     (k, dim), and the Jacobians, shape (k, dim, dim).  All starts advance
     together, but each keeps the rules of a lone Newton run: it stops when
     F is not finite, when its Jacobian is singular or its step not finite,
-    and it has converged when |F| < 1e-14 or the step is below 1e-15
-    relative to |z|.  Converged starts take three polish steps (a singular
-    Jacobian ends a start's polish).  Roots are kept when the final
-    residual infinity-norm is not above residual_tol, deduplicated at
-    distance dedup_tol in start order, and returned sorted
+    or when it has not converged and its step took max|z| past
+    ``ESCAPE_RADIUS``; it has converged when |F| < 1e-14 or the step is
+    below 1e-15 relative to |z|.  Converged starts take three polish
+    steps (a singular Jacobian ends a start's polish).  Roots are kept
+    when the final residual infinity-norm is not above residual_tol,
+    deduplicated at distance dedup_tol in start order, and returned sorted
     lexicographically by (Re, Im) of the coordinates.  Deterministic for a
     fixed seed: the starts are drawn one after another from one generator.
     """
@@ -604,10 +617,10 @@ def newton_multistart(system: Callable, dim: int, *, starts: int = 64,
         ok &= np.all(np.isfinite(steps), axis=1)
         active, steps = active[going][ok], steps[ok]
         z[active] = z[active] + steps
-        done = np.max(np.abs(steps), axis=1) < 1e-15 * np.maximum(
-            1.0, np.max(np.abs(z[active]), axis=1))
+        reach = np.max(np.abs(z[active]), axis=1)
+        done = np.max(np.abs(steps), axis=1) < 1e-15 * np.maximum(1.0, reach)
         converged[active[done]] = True
-        active = active[~done]
+        active = active[~done & (reach <= ESCAPE_RADIUS)]
     polished = np.flatnonzero(converged)
     live = polished
     for _ in range(3):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ptbundle.cli import (
@@ -12,7 +13,7 @@ from ptbundle.cli import (
     format_int_poly,
     run,
 )
-from ptbundle.numeric import Tolerances
+from ptbundle.numeric import Tolerances, char_poly
 
 PRESENTATIONS = Path(__file__).resolve().parent.parent / "presentations"
 
@@ -219,6 +220,23 @@ class TestSubcommands:
         assert reps["v"]["relative_char_poly_integer"] == [
             1, -41, 132, -244, 350, -350, 244, -132, 41, -1
         ]
+
+    def test_action_char_poly_of_real_action_is_real(self, capsys):
+        # The cocycle action of a real representation is real float128;
+        # its characteristic polynomial keeps that precision and comes out
+        # with exactly real coefficients.  The printed action matrix cast
+        # to complex128 gives the same real parts.
+        assert run(["action", "--format", "json", "--", "RRL"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for rep in data["solutions"][0]["representations"].values():
+            coeffs = rep["action_char_poly"]["coefficients"]
+            assert all(im == 0.0 for _, im in coeffs)
+            matrix = np.array([[re + 1j * im for re, im in row]
+                               for row in rep["action_matrix"]])
+            _, cast = char_poly(matrix).dense()
+            scale = max(abs(c) for c in cast)
+            assert len(cast) == len(coeffs)
+            assert max(abs(re - c.real) for (re, _), c in zip(coeffs, cast)) <= 1e-9 * scale
 
     def test_action_text_shows_factored_poly(self, capsys):
         assert run(["action", "RRL", "--reps", "gl16", "--solution", "0"]) == 0

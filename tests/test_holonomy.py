@@ -1,6 +1,7 @@
 """Tests for trace polynomials, trace solving, and the representation tower."""
 
 import cmath
+import hashlib
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptbundle import holonomy
 from ptbundle.holonomy import (
     LONGITUDE,
     LORENTZ_FORM,
@@ -33,7 +35,7 @@ from ptbundle.holonomy import (
     trace_polynomial,
     trace_system,
 )
-from ptbundle.numeric import matrix_det, nullspace
+from ptbundle.numeric import ESCAPE_RADIUS, matrix_det, nullspace
 from ptbundle.presentation import monodromy_endo, parse_monodromy
 from ptbundle.words import parse_word
 
@@ -231,6 +233,87 @@ class TestTraceSystem:
         assert eqs[1] == A * C - 2 * B
         assert eqs[2] == MARKOV
 
+    # sha256 of repr(list(eq.terms.items())) for tr phi(a) - A and
+    # tr phi(b) - B.  TracePoly equality ignores term order, but
+    # CompiledTraceSystem sums in term order, so the order decides the bits
+    # of every Newton iterate.
+    TERM_ORDER = {
+        "LLRR": ("eca9390fcc5db6f27c2ef63a0efaf8af28c493a71790d892105a5f92686539a1",
+                 "fd82c9b714d54a4e77b9a3a8864689ed52fdac39227fa14543695b88c90dbc56"),
+        "LRLRLR": ("af8c75b86952c46358c736c46fb99e669140a4bdaf3fd10ea3a04c547a139f2c",
+                   "362b0483fa93602959f79b15a5d11ffb805ea6d782999e5fac7f00d1d1d5508b"),
+        "L^8R": ("5528795b23f8da2bc7a0784cb9c35c2b314e5eea28af0c5a19eda2e8ed5a2f2d",
+                 "cc4f0c49d7b020e29f16beab69b08d0e37fe60128f4c344d9cdf94a29deb2b6a"),
+        "LLRLRRLR": ("eccc898be3e7d75300a68d96dc92b20334991afd669c0785ab39b88fbe2c9658",
+                     "03dd238620341c7bae24a97ba0f52c80deee9fd466df46085e233a5ee116ff90"),
+    }
+
+    @pytest.mark.parametrize("word", sorted(TERM_ORDER))
+    def test_term_order_pinned(self, word):
+        eqs = trace_system(monodromy_endo(parse_monodromy(word)))
+        digests = tuple(hashlib.sha256(repr(list(eq.terms.items())).encode()).hexdigest()
+                        for eq in eqs[:2])
+        assert digests == self.TERM_ORDER[word]
+
+    @pytest.mark.parametrize("word", ["LLRR", "LRLRLR", "LLRLRRLR"])
+    def test_expands_each_subword_once(self, word, monkeypatch):
+        expanded = []
+        uncached = holonomy._trace_uncached
+
+        def counting(can, memo):
+            expanded.append(can)
+            return uncached(can, memo)
+
+        monkeypatch.setattr(holonomy, "_trace_uncached", counting)
+        endo = monodromy_endo(parse_monodromy(word))
+        trace_system(endo)
+        shared = list(expanded)
+        assert len(shared) == len(set(shared))
+        # and it expands just the subwords the two images need
+        expanded.clear()
+        trace_polynomial(endo.image_a)
+        trace_polynomial(endo.image_b)
+        assert set(shared) == set(expanded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1))
+    def test_fused_step_matches_operator_arithmetic(self, seed):
+        """X p - q in one pass gives the item list of the operator route.
+
+        q reuses some keys of X p, with the same coefficient (the term
+        cancels) or another one, so cancellation and the order of merged
+        keys are both exercised.
+        """
+        rng = np.random.default_rng(seed)
+
+        def random_poly(size):
+            return TracePoly({tuple(int(e) for e in rng.integers(0, 4, size=3)):
+                              int(rng.integers(-5, 6)) for _ in range(size)})
+
+        p, q = random_poly(int(rng.integers(0, 8))), random_poly(int(rng.integers(0, 8)))
+        var = int(rng.integers(0, 3))
+        shifted = (TracePoly.variable(var) * p).terms
+        reused = {key: val if rng.integers(2) else val + 1
+                  for key, val in shifted.items() if rng.integers(2)}
+        q = TracePoly({**reused, **q.terms})
+        fused = list(holonomy._var_times_minus(var, p, q).terms.items())
+        assert fused == list((TracePoly.variable(var) * p - q).terms.items())
+        assert fused == list((p * TracePoly.variable(var) - q).terms.items())
+
+
+class RecordingSystem:
+    """A trace system that keeps every batch of points and values it gives."""
+
+    def __init__(self, system):
+        self.system = system
+        self.points, self.values = [], []
+
+    def __call__(self, z):
+        values, jac = self.system(z)
+        self.points.append(z.copy())
+        self.values.append(values)
+        return values, jac
+
 
 class TestSolveTraces:
     def test_llrr_finds_geometric_branch(self):
@@ -264,12 +347,27 @@ class TestSolveTraces:
         assert [s.as_tuple() for s in first] == [s.as_tuple() for s in second]
 
     def test_diverging_starts_raise_no_warning(self):
-        # some LLLRRR starts overflow in TracePoly.evaluate before the
-        # Newton loop discards them as non-finite
-        endo = monodromy_endo(parse_monodromy("LLLRRR"))
+        # At seed 0 some LLRLRRLR starts overflow in the degree-19 system
+        # inside ESCAPE_RADIUS, before the Newton loop discards them as
+        # non-finite.
+        endo = monodromy_endo(parse_monodromy("LLRLRRLR"))
+        system = RecordingSystem(CompiledTraceSystem(trace_system(endo)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            solve_traces(endo, seed=0)
+            solve_traces(endo, seed=0, system=system)
+        stopped = sum(int((~np.isfinite(values).all(axis=1)).sum())
+                      for values in system.values)
+        assert stopped > 0
+
+    def test_escaping_starts_stop_at_the_radius(self):
+        # At seed 0 most LRLRLR starts escape to infinity; F stays finite
+        # there up to |z| ~ 1e46, so without the radius they run all 80
+        # iterations: 80 + 3 polish + 1 residual system calls.
+        endo = monodromy_endo(parse_monodromy("LRLRLR"))
+        system = RecordingSystem(CompiledTraceSystem(trace_system(endo)))
+        solve_traces(endo, seed=0, system=system)
+        assert len(system.points) < 84
+        assert max(np.max(np.abs(z), initial=0.0) for z in system.points) <= ESCAPE_RADIUS
 
     def test_conjugates_collapsed(self):
         endo = monodromy_endo(parse_monodromy("LLRR"))
