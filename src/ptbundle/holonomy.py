@@ -15,9 +15,10 @@ The two trace equations of a word are expanded together, through one
 memo of subword traces local to that ``trace_system`` call, and
 compiled once into a ``CompiledTraceSystem``, which evaluates the
 equations and their partials at a whole batch of Newton starts with the
-exact arithmetic of ``TracePoly.evaluate`` at each one.  The same
-compiled system serves the multistart solve and the extended-precision
-polish of every solution.
+exact arithmetic of ``TracePoly.evaluate`` at each one: one ``np.power``
+table, the products in real ufuncs, and one in-order ``cumsum`` per
+Jacobian row.  The same compiled system serves the multistart solve and
+the extended-precision polish of every solution.
 """
 
 from __future__ import annotations
@@ -334,108 +335,71 @@ def trace_system(endo: EndoF2) -> tuple[TracePoly, TracePoly, TracePoly]:
 # Batched evaluation of a trace system.
 # ---------------------------------------------------------------------------
 
-# Newton basins are chaotic: a start near a basin boundary goes to another
-# root when a value changes in its last bit.  So the batched evaluation
-# repeats, at every point, the floating-point operations of numpy's scalar
-# complex arithmetic in TracePoly.evaluate, and the solver finds the roots
-# the scalar evaluation finds, bit for bit.  That rules out three
-# shortcuts, each of which changes root sets:
-# - numpy's array complex multiply and square round differently from the
-#   scalar multiply in the last bit, so each product is written out in
-#   real ufuncs (``_cmul``);
-# - a power is built by numpy's scalar repeated squaring (``_powers``),
-#   not by ``np.power``;
-# - a polynomial is summed term by term, in term order, with ``cumsum``;
-#   ``np.sum`` and ``@`` add pairwise or in blocks.
-
-
-def _cmul(ar, ai, br, bi):
-    """Real and imaginary part of a * b, rounded as numpy's scalar multiply."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _powers(re: np.ndarray, im: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns z^0 .. z^degree for each z = re + i im, as numpy's scalar ``z ** n``.
-
-    numpy gives 1 for n = 0, 0 for z = 0, z for n = 1, z*z and z*(z*z)
-    for n = 2 and 3, and otherwise multiplies 1 by the repeated squares
-    z^(2^b) for the set bits b of n, lowest first.  (From n = 100 on
-    numpy switches to its general complex power; trace systems of the
-    words this package handles stay far below that degree.)
-    """
-    out_re = np.empty((len(re), degree + 1))
-    out_im = np.empty((len(re), degree + 1))
-    out_re[:, 0], out_im[:, 0] = 1.0, 0.0
-    if degree >= 1:
-        out_re[:, 1], out_im[:, 1] = re, im
-    if degree >= 2:
-        out_re[:, 2], out_im[:, 2] = _cmul(re, im, re, im)
-    if degree >= 3:
-        out_re[:, 3], out_im[:, 3] = _cmul(re, im, out_re[:, 2], out_im[:, 2])
-    if degree >= 4:
-        exps = np.arange(4, degree + 1)
-        acc_re, acc_im = np.ones((len(re), exps.size)), np.zeros((len(re), exps.size))
-        square = (re, im)
-        for bit in range(degree.bit_length()):
-            if bit:
-                square = _cmul(*square, *square)
-            hit = (exps >> bit) & 1 == 1
-            acc_re[:, hit], acc_im[:, hit] = _cmul(
-                acc_re[:, hit], acc_im[:, hit], square[0][:, None], square[1][:, None])
-        out_re[:, 4:], out_im[:, 4:] = acc_re, acc_im
-    zero = (re == 0) & (im == 0)
-    out_re[zero, 1:] = 0.0
-    out_im[zero, 1:] = 0.0
-    return out_re, out_im
+# The batched evaluation repeats, at every point, the floating-point
+# operations of TracePoly.evaluate, because a Newton start near a basin
+# boundary goes to another root when a value changes in its last bit.  It
+# relies on three rules:
+# - ``np.power`` on a complex array runs numpy's scalar ``z ** n``;
+# - numpy's array complex multiply rounds apart from the scalar one, so
+#   each product is written out in real ufuncs;
+# - ``cumsum`` adds in order, as the scalar loop does (``np.sum`` and
+#   ``@`` add pairwise or in blocks), and a sum that starts at +0 never
+#   becomes -0, so adding a zero term leaves it unchanged.
 
 
 class CompiledTraceSystem:
     """Three trace equations and their nine partials, compiled for Newton.
 
-    The twelve polynomials become one exponent array and one coefficient
-    array, in term order.  Calling the system on a (k, 3) array of points
-    builds the powers of each variable in one table, gathers them for
-    every term, and returns the values (k, 3) and the Jacobians
-    (k, 3, 3), row i holding the partials of equation i; every entry has
-    the bits that TracePoly.evaluate gives at that point.  ``equations``
-    and ``partials`` keep the polynomials for the extended-precision
-    polish.
+    The terms are laid out by Jacobian row: equation i, then its partials
+    by A, B and C, each led by a zero term (as 0j leads the scalar sum) and
+    padded with zero terms to the row's widest polynomial.  Calling the
+    system on a (k, 3) array of points builds one power table, gathers it
+    for every term, and sums each row with one ``cumsum``.  It returns the
+    values (k, 3) and the Jacobians (k, 3, 3); every entry has the bits
+    that TracePoly.evaluate gives at that point.  ``equations`` and
+    ``partials`` keep the polynomials for the extended-precision polish.
     """
 
     def __init__(self, equations: Sequence[TracePoly]):
         self.equations = tuple(equations)
         self.partials = tuple(tuple(eq.partial(i) for i in range(3)) for eq in self.equations)
-        polys = self.equations + tuple(g for row in self.partials for g in row)
-        # A zero term leads each polynomial, as 0j leads the scalar sum.
-        groups = [[((0, 0, 0), 0), *p.terms.items()] for p in polys]
-        self._bounds = np.cumsum([0] + [len(group) for group in groups])
-        terms = [term for group in groups for term in group]
-        self._exps = np.array([key for key, _ in terms], dtype=np.intp)
-        self._coeffs = np.array([float(val) for _, val in terms])
-        self._degree = int(self._exps.max())
+        rows = [(eq, *row) for eq, row in zip(self.equations, self.partials)]
+        widths = [1 + max(len(p.terms) for p in row) for row in rows]
+        terms = [term for row, width in zip(rows, widths) for p in row
+                 for term in [((0, 0, 0), 0), *p.terms.items()]
+                 + [((0, 0, 0), 0)] * (width - 1 - len(p.terms))]
+        # first term and width of each Jacobian row
+        self._rows = list(zip(np.cumsum([0] + [4 * w for w in widths[:2]]), widths))
+        exps = np.array([key for key, _ in terms], dtype=np.intp)
+        self._coeffs = np.array([[float(val)] for _, val in terms])
+        self._exponents = np.arange(exps.max() + 1)[:, None]
+        # row of A^i, B^j, C^k of each term in the power table
+        self._gather = (exps + np.arange(3) * len(self._exponents)).T
 
     def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Blocks of points keep each (points, terms) array near 128 kB, so
-        # long words reuse freed heap memory instead of raising peak RSS.
-        # An empty z makes one empty block.
-        block = max(1, 16384 // len(self._coeffs))
+        # Blocks of points keep each complex (padded terms, points) array
+        # near 128 kB, so long words reuse freed heap memory instead of
+        # raising peak RSS.  An empty z makes one empty block.
+        block = max(1, 8192 // len(self._coeffs))
         sums = np.concatenate([self._sums(z[lo:lo + block])
-                               for lo in range(0, max(len(z), 1), block)])
-        return sums[:, :3], sums[:, 3:].reshape(len(z), 3, 3)
+                               for lo in range(0, max(len(z), 1), block)], axis=2)
+        return sums[:, 0].T, sums[:, 1:].transpose(2, 0, 1)
 
     def _sums(self, z: np.ndarray) -> np.ndarray:
-        # one table for the three variables: [var, point, exponent]
-        shape = (3, len(z), self._degree + 1)
-        pow_re, pow_im = _powers(z.real.T.ravel(), z.imag.T.ravel(), self._degree)
-        pow_re, pow_im = pow_re.reshape(shape), pow_im.reshape(shape)
-        term_re, term_im = self._coeffs, np.zeros_like(self._coeffs)
-        for var in range(3):
-            col = self._exps[:, var]
-            term_re, term_im = _cmul(term_re, term_im, pow_re[var][:, col], pow_im[var][:, col])
-        sums = np.empty((len(z), len(self._bounds) - 1), dtype=complex)
-        for index, (lo, hi) in enumerate(zip(self._bounds[:-1], self._bounds[1:])):
-            sums.real[:, index] = term_re[:, lo:hi].cumsum(axis=1)[:, -1]
-            sums.imag[:, index] = term_im[:, lo:hi].cumsum(axis=1)[:, -1]
+        # [variable and exponent, point]
+        table = np.power(z.T[:, None], self._exponents).reshape(3 * len(self._exponents), len(z))
+        a, b, c = (table.take(rows, axis=0) for rows in self._gather)
+        # coeff * A^i as numpy's scalar int * complex, imaginary part 0
+        re = self._coeffs * a.real - a.imag * 0.0
+        im = self._coeffs * a.imag + a.real * 0.0
+        for factor in b, c:
+            re, im = re * factor.real - im * factor.imag, re * factor.imag + im * factor.real
+        terms = np.empty(re.shape, dtype=complex)
+        terms.real, terms.imag = re, im
+        sums = np.empty((3, 4, len(z)), dtype=complex)
+        for row, (start, width) in enumerate(self._rows):
+            part = terms[start:start + 4 * width].reshape(4, width, len(z))
+            sums[row] = part.cumsum(axis=1)[:, -1]
         return sums
 
 

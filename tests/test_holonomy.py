@@ -35,7 +35,7 @@ from ptbundle.holonomy import (
     trace_polynomial,
     trace_system,
 )
-from ptbundle.numeric import ESCAPE_RADIUS, matrix_det, nullspace
+from ptbundle.numeric import ESCAPE_RADIUS, matrix_det, newton_multistart, nullspace
 from ptbundle.presentation import monodromy_endo, parse_monodromy
 from ptbundle.words import parse_word
 
@@ -112,11 +112,15 @@ class TestTracePoly:
 
 class TestCompiledTraceSystem:
     @staticmethod
-    def random_system(rng, terms=40, degree=19):
-        return tuple(
-            TracePoly({tuple(int(e) for e in rng.integers(0, degree + 1, size=3)):
-                       int(rng.integers(-60000, 60001)) for _ in range(terms)})
-            for _ in range(3))
+    def random_poly(rng, terms=40, low=0, degree=19, variables=3):
+        """Random terms in the first ``variables`` coordinates."""
+        keys = (tuple(int(e) for e in rng.integers(low, degree + 1, size=variables))
+                + (0,) * (3 - variables) for _ in range(terms))
+        return TracePoly({key: int(rng.integers(-60000, 60001)) for key in keys})
+
+    @classmethod
+    def random_system(cls, rng, **kwargs):
+        return tuple(cls.random_poly(rng, **kwargs) for _ in range(3))
 
     @staticmethod
     def random_points(rng, count=60):
@@ -132,8 +136,14 @@ class TestCompiledTraceSystem:
     def test_matches_scalar_evaluate_bit_for_bit(self):
         rng = np.random.default_rng(5)
         overflowed = False
-        # -A and -B sum to 0.0, not -0.0, where A or B is zero
-        for eqs in [(-A, -B, MARKOV)] + [self.random_system(rng) for _ in range(4)]:
+        systems = [
+            (-A, -B, MARKOV),  # -A and -B sum to 0.0, not -0.0, where A or B is zero
+            *[self.random_system(rng) for _ in range(4)],
+            self.random_system(rng, terms=12, low=100, degree=120),  # numpy's general power
+            # rows of very unequal widths; the first equation has no C, so a zero partial
+            (self.random_poly(rng, terms=60, variables=2), A - 2, MARKOV),
+        ]
+        for eqs in systems:
             system = CompiledTraceSystem(eqs)
             points = self.random_points(rng)
             values, jac = system(points)
@@ -145,6 +155,46 @@ class TestCompiledTraceSystem:
             assert got[finite].tobytes() == want[finite].tobytes()
             overflowed |= not finite[3::7].all()
         assert overflowed
+        assert not systems[-1][0].partial(2)
+
+    @np.errstate(all="ignore")
+    def test_array_power_is_scalar_power(self):
+        # The power table relies on np.power running numpy's scalar z ** n.
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        z *= 10.0 ** rng.uniform(-3, 40, 40)
+        z[:4] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        exponents = np.arange(121)
+        got = np.power(z[:, None], exponents)
+        want = np.array([[w ** int(n) for n in exponents] for w in z])
+        assert not np.isfinite(want).all()
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_batch(self):
+        system = CompiledTraceSystem(trace_system(monodromy_endo(parse_monodromy("LLRR"))))
+        values, jac = system(np.zeros((0, 3), dtype=complex))
+        assert values.shape == (0, 3)
+        assert jac.shape == (0, 3, 3)
+
+    def test_system_without_roots_gives_none(self):
+        # The Jacobian row of the constant 1 is zero, so every start stops
+        # at once and the polish and residual run on an empty batch.
+        system = CompiledTraceSystem((TracePoly.constant(1), A - B, B - C))
+        assert newton_multistart(system, 3, seed=0) == []
+
+    @np.errstate(all="ignore")
+    def test_points_evaluate_independently_of_the_batch(self):
+        rng = np.random.default_rng(8)
+        system = CompiledTraceSystem(self.random_system(rng))
+        assert 8192 // len(system._coeffs) < 64  # the batch spans several blocks
+        points = self.random_points(rng, count=64)
+        point = points[5].copy()
+        alone = [a.tobytes() for a in system(point[None])]
+        for index in range(64):
+            batch = points.copy()
+            batch[index] = point
+            values, jac = system(batch)
+            assert [values[index].tobytes(), jac[index].tobytes()] == alone
 
 
 class TestTracePolynomial:
