@@ -17,8 +17,15 @@ compiled once into a ``CompiledTraceSystem``, which evaluates the
 equations and their partials at a whole batch of Newton starts with the
 exact arithmetic of ``TracePoly.evaluate`` at each one: one ``np.power``
 table, the products in real ufuncs, and one in-order ``cumsum`` per
-Jacobian row.  The same compiled system serves the multistart solve and
-the extended-precision polish of every solution.
+Jacobian row.  The same compiled system serves the multistart solve in
+double precision and, on EXT_COMPLEX points, the polish of every solution.
+
+Each solution is lifted once, in extended precision: the polished triple
+gives the fiber pair and both phi-images, the four sign patterns of the
+gluing relations are tried once, and the one intertwining system with a
+one-dimensional kernel gives the meridian by inverse iteration.  The
+Killing split of the traceless 4x4 matrices is a constant built from an
+explicit basis.
 """
 
 from __future__ import annotations
@@ -355,9 +362,10 @@ class CompiledTraceSystem:
     padded with zero terms to the row's widest polynomial.  Calling the
     system on a (k, 3) array of points builds one power table, gathers it
     for every term, and sums each row with one ``cumsum``.  It returns the
-    values (k, 3) and the Jacobians (k, 3, 3); every entry has the bits
-    that TracePoly.evaluate gives at that point.  ``equations`` and
-    ``partials`` keep the polynomials for the extended-precision polish.
+    values (k, 3) and the Jacobians (k, 3, 3) in the complex dtype of the
+    points (complex128 for the Newton starts, EXT_COMPLEX for the polish);
+    every entry has the bits that TracePoly.evaluate gives at that point.
+    ``equations`` and ``partials`` keep the polynomials.
     """
 
     def __init__(self, equations: Sequence[TracePoly]):
@@ -394,9 +402,9 @@ class CompiledTraceSystem:
         im = self._coeffs * a.imag + a.real * 0.0
         for factor in b, c:
             re, im = re * factor.real - im * factor.imag, re * factor.imag + im * factor.real
-        terms = np.empty(re.shape, dtype=complex)
+        terms = np.empty(re.shape, dtype=z.dtype)
         terms.real, terms.imag = re, im
-        sums = np.empty((3, 4, len(z)), dtype=complex)
+        sums = np.empty((3, 4, len(z)), dtype=z.dtype)
         for row, (start, width) in enumerate(self._rows):
             part = terms[start:start + 4 * width].reshape(4, width, len(z))
             sums[row] = part.cumsum(axis=1)[:, -1]
@@ -438,6 +446,10 @@ def _markov_sampler(rng: np.random.Generator) -> np.ndarray:
     return np.array([a, b, c], dtype=complex)
 
 
+# Roots this close in max norm are one root, and a root this close to an
+# image of a kept root is in that root's orbit.
+_DEDUP_TOL = 1e-6
+
 # (A, B, C) -> (eA, dB, edC) for the four sign pairs (e, d).
 _SIGN_CHANGES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
 
@@ -447,8 +459,6 @@ def solve_traces(
     *,
     starts: int = 64,
     seed: int = 0,
-    residual_tol: float = 1e-10,
-    dedup_tol: float = 1e-6,
     system: CompiledTraceSystem | None = None,
 ) -> list[TraceTriple]:
     """Solve the trace equations by deterministic multistart Newton.
@@ -456,7 +466,7 @@ def solve_traces(
     Returns one irreducible solution per PSL(2,C) character.  Real triples
     and triples with C ~ 0 are dropped (they cannot give an irreducible
     SL2 representation with parabolic boundary), and so is a root with one
-    of its eight sign and conjugation images within ``dedup_tol`` of a
+    of its eight sign and conjugation images within ``_DEDUP_TOL`` of a
     kept root.  The first root of an orbit in sorted order is kept, and its
     ``orbit_roots`` counts the roots it stands for.  ``system`` is the
     compiled ``trace_system(endo)``, built here when the caller has none.
@@ -469,8 +479,8 @@ def solve_traces(
         starts=starts,
         seed=seed,
         sampler=_markov_sampler,
-        residual_tol=residual_tol,
-        dedup_tol=dedup_tol,
+        residual_tol=1e-10,
+        dedup_tol=_DEDUP_TOL,
     )
 
     kept: list[np.ndarray] = []
@@ -483,7 +493,7 @@ def solve_traces(
         signed = _SIGN_CHANGES * root
         images = np.concatenate([signed, signed.conj()])
         for k, prev in enumerate(kept):
-            if np.min(np.max(np.abs(images - prev), axis=1)) < dedup_tol:
+            if np.min(np.max(np.abs(images - prev), axis=1)) < _DEDUP_TOL:
                 counts[k] += 1
                 break
         else:
@@ -493,75 +503,20 @@ def solve_traces(
 
 
 # ---------------------------------------------------------------------------
-# Explicit 2x2 matrices.
+# SL2 holonomy of one solution.
 # ---------------------------------------------------------------------------
 
 
 def _model_matrices(a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix pair with the given traces; dtype follows the scalars."""
-    mat_a = np.array([[a * c - b, a / c], [a * c, b]]) / c
-    mat_b = np.array([[b * c - a, -b / c], [-b * c, a]]) / c
-    return mat_a, mat_b
-
-
-def fiber_matrices(triple: TraceTriple) -> tuple[np.ndarray, np.ndarray]:
     """Maclachlan-Reid normal form for the free group on a, b.
 
     The pair has tr a = A, tr b = B, tr ab = C, and both matrices have
     determinant 1 exactly when the triple satisfies the Markov relation.
+    The dtype follows the scalars.
     """
-    a, b, c = (complex(v) for v in triple.as_tuple())
-    if abs(c) < 1e-12:
-        raise ValueError("trace of ab must be nonzero for the matrix model")
-    return _model_matrices(a, b, c)
-
-
-def solve_meridian(
-    mat_a: np.ndarray,
-    mat_b: np.ndarray,
-    endo: EndoF2,
-    *,
-    null_tol: float = 1e-9,
-) -> np.ndarray:
-    """Meridian matrix X with X rho(g) X^-1 = +-rho(phi(g)) for g = a, b.
-
-    The gluing relations only determine the conjugation up to sign in
-    SL2, so all four sign patterns are tried; the intertwining space must
-    be one-dimensional (the fiber representation is irreducible).  X is
-    scaled to determinant 1 and the lift with trace nearest -2 is
-    returned.
-    """
-    mat_a = np.asarray(mat_a, dtype=complex)
-    mat_b = np.asarray(mat_b, dtype=complex)
-    fiber = GeneratorImages((mat_a, mat_b))
-    target_a = word_product(endo.image_a, fiber)
-    target_b = word_product(endo.image_b, fiber)
-    eye = np.eye(2, dtype=complex)
-
-    best = None
-    for sign_a in (1, -1):
-        for sign_b in (1, -1):
-            # Row-major vec: vec(XP - QX) = (I (x) P^T - Q (x) I) vec(X).
-            block_a = np.kron(eye, mat_a.T) - np.kron(sign_a * target_a, eye)
-            block_b = np.kron(eye, mat_b.T) - np.kron(sign_b * target_b, eye)
-            system = np.vstack([block_a, block_b])
-            basis = nullspace(system, tol=null_tol)
-            if basis.shape[1] == 1:
-                if best is not None:
-                    raise ArithmeticError(
-                        "meridian intertwiner is not unique across sign lifts"
-                    )
-                best = basis[:, 0].reshape(2, 2)
-    if best is None:
-        raise ArithmeticError("no meridian intertwiner found; traces may be spurious")
-
-    det = best[0, 0] * best[1, 1] - best[0, 1] * best[1, 0]
-    if abs(det) < 1e-12:
-        raise ArithmeticError("meridian intertwiner is singular")
-    best = best / cmath.sqrt(det)
-    if abs(np.trace(-best) + 2.0) < abs(np.trace(best) + 2.0):
-        best = -best
-    return best
+    mat_a = np.array([[a * c - b, a / c], [a * c, b]]) / c
+    mat_b = np.array([[b * c - a, -b / c], [-b * c, a]]) / c
+    return mat_a, mat_b
 
 
 @dataclass(frozen=True)
@@ -580,56 +535,13 @@ class Holonomy2:
 LONGITUDE = parse_word("abAB", ("a", "b", "x"))
 
 
-def _polish_triple(triple: TraceTriple, system: CompiledTraceSystem) -> tuple:
+def _polish_triple(triple: TraceTriple, system: CompiledTraceSystem) -> np.ndarray:
     """A few extended-precision Newton steps on the trace equations."""
-    z = np.array([EXT_COMPLEX(v) for v in triple.as_tuple()])
+    z = np.array(triple.as_tuple(), dtype=EXT_COMPLEX)
     for _ in range(4):
-        vals = np.array([eq.evaluate(z) for eq in system.equations])
-        jac = np.array([[g.evaluate(z) for g in row] for row in system.partials])
-        z = z - linear_solve(jac, vals)
-    return tuple(z)
-
-
-def _refine_meridian(
-    mat_a: np.ndarray, mat_b: np.ndarray, endo: EndoF2, seed: np.ndarray
-) -> np.ndarray:
-    """Sharpen a double-precision meridian by inverse iteration.
-
-    The meridian spans the kernel of the stacked intertwining system;
-    rebuilt in extended precision that kernel direction dominates the
-    solve, so two solve-and-normalize rounds starting from the seed give
-    an extended-accuracy vector.  Sign pattern and lift follow the seed.
-    """
-    seed_ext = seed.astype(EXT_COMPLEX)
-    seed_inv = matrix_inverse(seed_ext)
-    fiber = GeneratorImages((mat_a, mat_b))
-    target_a = word_product(endo.image_a, fiber)
-    target_b = word_product(endo.image_b, fiber)
-    eye = np.eye(2, dtype=EXT_COMPLEX)
-    blocks = []
-    for mat, target in ((mat_a, target_a), (mat_b, target_b)):
-        conjugated = seed_ext @ mat @ seed_inv
-        sign = 1 if np.max(np.abs(conjugated - target)) <= np.max(
-            np.abs(conjugated + target)
-        ) else -1
-        blocks.append(np.kron(eye, mat.T) - np.kron(sign * target, eye))
-    system = np.vstack(blocks)
-    normal = system.conj().T @ system
-    ridge = np.longdouble(1e-36) * np.max(np.abs(normal))
-    shifted = normal + ridge * np.eye(4, dtype=EXT_COMPLEX)
-    vec = seed_ext.reshape(-1)
-    for _ in range(2):
-        vec = linear_solve(shifted, vec)
-        vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2))
-    residual = float(np.max(np.abs(system @ vec)))
-    if residual > 1e-12:
-        return seed_ext  # refinement failed; the double solution stands
-    out = vec.reshape(2, 2)
-    det = out[0, 0] * out[1, 1] - out[0, 1] * out[1, 0]
-    out = out / np.sqrt(det)
-    if np.max(np.abs(out - seed_ext)) > np.max(np.abs(out + seed_ext)):
-        out = -out
-    return out
+        values, jac = system(z[None])
+        z = z - linear_solve(jac[0], values[0])
+    return z
 
 
 def holonomy_from_triple(
@@ -639,19 +551,57 @@ def holonomy_from_triple(
     null_tol: float = 1e-9,
     system: CompiledTraceSystem | None = None,
 ) -> Holonomy2:
-    """SL2 holonomy of one trace solution, polished in extended precision.
+    """SL2 holonomy of one trace solution, built once in extended precision.
 
-    ``system`` is the compiled ``trace_system(endo)``, built here when the
-    caller has none.
+    The triple is polished on the trace equations and gives the fiber pair
+    of ``_model_matrices``.  The meridian X satisfies
+    X rho(g) X^-1 = +-rho(phi(g)) for g = a, b; the gluing relations fix
+    the conjugation only up to sign in SL2, so all four sign patterns are
+    tried, and exactly one intertwining space must be one-dimensional (the
+    fiber representation is irreducible).  Those rank decisions run in
+    double precision; the kernel vector is then sharpened by inverse
+    iteration on the chosen system, X is scaled to determinant 1, and the
+    lift with trace nearest -2 is returned.  ``system`` is the compiled
+    ``trace_system(endo)``, built here when the caller has none.
     """
-    seed_a, seed_b = fiber_matrices(triple)
-    seed_x = solve_meridian(seed_a, seed_b, endo, null_tol=null_tol)
+    if abs(triple.trace_ab) < 1e-12:
+        raise ValueError("trace of ab must be nonzero for the matrix model")
     if system is None:
         system = CompiledTraceSystem(trace_system(endo))
-    a, b, c = _polish_triple(triple, system)
-    mat_a, mat_b = _model_matrices(a, b, c)
-    mat_x = _refine_meridian(mat_a, mat_b, endo, seed_x)
-    return Holonomy2(mat_a, mat_b, mat_x, triple)
+    mats = _model_matrices(*_polish_triple(triple, system))
+    fiber = GeneratorImages(mats)
+    targets = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
+    eye = np.eye(2, dtype=EXT_COMPLEX)
+    found = []
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        # Row-major vec: vec(XP - QX) = (I (x) P^T - Q (x) I) vec(X).
+        stacked = np.vstack([np.kron(eye, mat.T) - np.kron(sign * target, eye)
+                             for mat, target, sign in zip(mats, targets, signs)])
+        basis = nullspace(stacked, tol=null_tol)
+        if basis.shape[1] == 1:
+            found.append((stacked, basis[:, 0]))
+    if not found:
+        raise ArithmeticError("no meridian intertwiner found; traces may be spurious")
+    if len(found) > 1:
+        raise ArithmeticError("meridian intertwiner is not unique across sign lifts")
+    ((stacked, vec),) = found
+    # The kernel direction dominates a solve with the normal matrix, so two
+    # solve-and-normalize rounds from the double vector give it to extended
+    # accuracy.
+    normal = stacked.conj().T @ stacked
+    shifted = normal + np.longdouble(1e-36) * np.max(np.abs(normal)) * np.eye(4)
+    vec = vec.astype(EXT_COMPLEX)
+    for _ in range(2):
+        vec = linear_solve(shifted, vec)
+        vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2))
+    mat_x = vec.reshape(2, 2)
+    det = mat_x[0, 0] * mat_x[1, 1] - mat_x[0, 1] * mat_x[1, 0]
+    if abs(det) < 1e-12:
+        raise ArithmeticError("meridian intertwiner is singular")
+    mat_x = mat_x / np.sqrt(det)
+    if abs(np.trace(-mat_x) + 2.0) < abs(np.trace(mat_x) + 2.0):
+        mat_x = -mat_x
+    return Holonomy2(*mats, mat_x, triple)
 
 
 def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
@@ -691,7 +641,7 @@ _HERMITIAN_BASIS = (
 LORENTZ_FORM = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
-def psl2_to_lorentz(mat: np.ndarray, *, real_tol: float = 1e-9) -> np.ndarray:
+def psl2_to_lorentz(mat: np.ndarray) -> np.ndarray:
     """Image of a PSL2 element in SO(3,1) via the Hermitian action H -> M H M*.
 
     Coordinates on Hermitian matrices: x1 = Re H[0,1], x2 = Im H[0,1],
@@ -703,7 +653,7 @@ def psl2_to_lorentz(mat: np.ndarray, *, real_tol: float = 1e-9) -> np.ndarray:
     for basis in _HERMITIAN_BASIS:
         image = mat @ basis @ mat.conj().T
         herm_defect = float(np.max(np.abs(image - image.conj().T)))
-        if herm_defect > real_tol * scale:
+        if herm_defect > 1e-9 * scale:
             raise ArithmeticError("Hermitian action produced a non-Hermitian matrix")
         x1 = image[0, 1].real
         x2 = image[0, 1].imag
@@ -809,57 +759,44 @@ class KillingSplit:
 
 
 def killing_split() -> KillingSplit:
-    """Compute the split from scratch; ``KILLING_SPLIT`` holds the result.
+    """The split from an explicit basis, in long double; ``KILLING_SPLIT`` holds it.
 
-    The singular values at both rank decisions are at most 2e-16 or at
-    least 1.53, so the default nullspace tolerance decides them safely.
+    With spatial indices i < j in 0..2 and the time index 3, the Lorentz
+    Lie algebra has the orthonormal basis of rotations (E_ij - E_ji)/sqrt2
+    and boosts (E_i3 + E_3i)/sqrt2.  Its complement takes (E_ij + E_ji)/sqrt2,
+    (E_i3 - E_3i)/sqrt2 and the three diagonal coordinates.  Each pair
+    (i, j) owns two off-diagonal coordinates, so both blocks are
+    orthonormal, and tr(XY) = 0 for X in one block and Y in the other.
     """
-    dim = len(SL4_BASIS)
-    # Matrix of the linear map X -> X^T J + J X in basis coordinates; its
-    # kernel is the Lorentz Lie algebra.
-    rows = []
-    for basis in SL4_BASIS:
-        image = basis.T @ LORENTZ_FORM + LORENTZ_FORM @ basis
-        rows.append(image.reshape(-1))
-    lie_map = np.array(rows).T  # 16 x 15, columns indexed by basis
-    skew = nullspace(lie_map)
-    if skew.shape[1] != 6:
-        raise ArithmeticError("Lorentz Lie algebra has unexpected dimension")
+    half = np.sqrt(np.longdouble(0.5))
 
-    # Trace form B(X, Y) = tr(XY) as a Gram matrix on the basis.
-    gram = np.zeros((dim, dim))
-    for p, bp in enumerate(SL4_BASIS):
-        for q, bq in enumerate(SL4_BASIS):
-            gram[p, q] = np.trace(bp @ bq)
-    complement = nullspace(skew.T @ gram)
-    if complement.shape[1] != dim - 6:
-        raise ArithmeticError("trace-form complement has unexpected dimension")
-    overlap = float(np.max(np.abs(skew.T @ gram @ complement)))
-    if overlap > 1e-8:
-        raise ArithmeticError("splitting blocks are not trace-orthogonal")
-    return KillingSplit(skew=skew, complement=complement)
+    def column(i: int, j: int, sign: int) -> np.ndarray:
+        mat = np.zeros((4, 4), dtype=np.longdouble)
+        mat[i, j], mat[j, i] = half, sign * half
+        return sl4_coordinates(mat)
+
+    spatial, boosts = ((0, 1), (0, 2), (1, 2)), ((0, 3), (1, 3), (2, 3))
+    skew = [column(i, j, -1) for i, j in spatial] + [column(i, j, 1) for i, j in boosts]
+    complement = [column(i, j, 1) for i, j in spatial] + [column(i, j, -1) for i, j in boosts]
+    complement += list(np.eye(len(SL4_BASIS), dtype=np.longdouble)[-3:])
+    return KillingSplit(skew=np.array(skew).T, complement=np.array(complement).T)
 
 
 KILLING_SPLIT = killing_split()
 
 
-def restrict_block(
-    images: Mapping[int, np.ndarray],
-    block: np.ndarray,
-    *,
-    leak_tol: float = 1e-7,
-) -> GeneratorImages:
+def restrict_block(images: Mapping[int, np.ndarray], block: np.ndarray) -> GeneratorImages:
     """Compress each image to an invariant subspace given by orthonormal columns.
 
     Raises if the subspace leaks, i.e. the images do not actually
-    preserve it to within ``leak_tol``.
+    preserve it to within 1e-7 relative to each image.
     """
     out = {}
     for index, mat in images.items():
         carried = mat @ block
         compressed = block.conj().T @ carried
         residual = float(np.max(np.abs(carried - block @ compressed)))
-        if residual > leak_tol * max(1.0, float(np.max(np.abs(mat)))):
+        if residual > 1e-7 * max(1.0, float(np.max(np.abs(mat)))):
             raise ArithmeticError("subspace is not invariant under the action")
         out[index] = compressed
     return GeneratorImages(out)

@@ -365,11 +365,38 @@ class TestOrbitCollapse:
             # only the sign lifts that solve the trace equations are roots
             if max(abs(eq.evaluate(triple.as_tuple())) for eq in system.equations) > 1e-9:
                 continue
-            sl2 = holonomy_from_triple(triple, endo, system=system)
-            image = HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
-            assert self.certificate_data(image, endo) == expected
+            assert self.certificate_data(self.lift(triple, endo, system), endo) == expected
             lifted += 1
         assert lifted == roots
+
+    @staticmethod
+    def lift(triple, endo, system):
+        sl2 = holonomy_from_triple(triple, endo, system=system)
+        return HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
+
+    def test_every_image_of_every_character_rounds(self):
+        # L^4R^4 keeps two characters with tr a or tr b = 0, and all eight
+        # sign and conjugate images of each solve the trace equations.
+        # Rounding to integers must not depend on which image is lifted.
+        endo = monodromy_endo(parse_monodromy("L^4R^4"))
+        system = CompiledTraceSystem(trace_system(endo))
+        solutions = build_solutions(endo)
+        assert len(solutions) == 2
+        for kept in solutions:
+            found = []
+            for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+                signed = np.array(signs) * np.array(kept.triple.as_tuple())
+                for image in signed, signed.conj():
+                    if max(abs(eq.evaluate(image)) for eq in system.equations) > 1e-9:
+                        continue
+                    lifted = self.lift(TraceTriple(*image), endo, system)
+                    data = self.certificate_data(lifted, endo)
+                    found.append({label: coeffs for label, (_, coeffs) in data.items()})
+            assert len(found) == 8
+            for ints in found:
+                assert set(ints) == set(ALL_REPS)
+                assert None not in ints.values()
+                assert ints == found[0]
 
 
 class TestOptions:

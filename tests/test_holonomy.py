@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ptbundle import holonomy
 from ptbundle.holonomy import (
+    KILLING_SPLIT,
     LONGITUDE,
     LORENTZ_FORM,
     MARKOV,
@@ -20,7 +21,6 @@ from ptbundle.holonomy import (
     TraceTriple,
     adjoint_rep,
     build_solutions,
-    fiber_matrices,
     holonomy_from_triple,
     holonomy_residuals,
     killing_split,
@@ -30,12 +30,11 @@ from ptbundle.holonomy import (
     rep_residuals,
     restrict_block,
     sl4_coordinates,
-    solve_meridian,
     solve_traces,
     trace_polynomial,
     trace_system,
 )
-from ptbundle.numeric import ESCAPE_RADIUS, matrix_det, newton_multistart, nullspace
+from ptbundle.numeric import ESCAPE_RADIUS, EXT_COMPLEX, matrix_det, newton_multistart, nullspace
 from ptbundle.presentation import monodromy_endo, parse_monodromy
 from ptbundle.words import parse_word
 
@@ -132,6 +131,14 @@ class TestCompiledTraceSystem:
         points[3::7] *= 1e30                              # overflow scale
         return points
 
+    @staticmethod
+    def value_bytes(x):
+        """Bytes of the real and imaginary parts, without the padding of an
+        80-bit long double."""
+        parts = np.stack([x.real, x.imag])
+        width = 10 if np.finfo(parts.dtype).nmant == 63 else parts.dtype.itemsize
+        return parts.view(np.uint8).reshape(parts.shape + (-1,))[..., :width].tobytes()
+
     @np.errstate(all="ignore")
     def test_matches_scalar_evaluate_bit_for_bit(self):
         rng = np.random.default_rng(5)
@@ -146,14 +153,17 @@ class TestCompiledTraceSystem:
         for eqs in systems:
             system = CompiledTraceSystem(eqs)
             points = self.random_points(rng)
-            values, jac = system(points)
             polys = list(eqs) + [eq.partial(i) for eq in eqs for i in range(3)]
-            got = np.concatenate([values, jac.reshape(len(points), 9)], axis=1)
-            want = np.array([[p.evaluate(z) for p in polys] for z in points], dtype=complex)
-            finite = np.isfinite(want)
-            assert np.array_equal(np.isfinite(got), finite)
-            assert got[finite].tobytes() == want[finite].tobytes()
-            overflowed |= not finite[3::7].all()
+            # the Newton starts in double, and the polish in extended precision
+            for z in points, points.astype(EXT_COMPLEX):
+                values, jac = system(z)
+                assert values.dtype == jac.dtype == z.dtype
+                got = np.concatenate([values, jac.reshape(len(z), 9)], axis=1)
+                want = np.array([[p.evaluate(w) for p in polys] for w in z], dtype=z.dtype)
+                finite = np.isfinite(want)
+                assert np.array_equal(np.isfinite(got), finite)
+                assert self.value_bytes(got[finite]) == self.value_bytes(want[finite])
+                overflowed |= not finite[3::7].all()
         assert overflowed
         assert not systems[-1][0].partial(2)
 
@@ -439,7 +449,8 @@ class TestFiberMatrices:
     def test_trace_coordinates_recovered(self):
         endo = monodromy_endo(parse_monodromy("LLRR"))
         sol = solve_traces(endo, seed=0)[0]
-        mat_a, mat_b = fiber_matrices(sol)
+        rep = holonomy_from_triple(sol, endo)
+        mat_a, mat_b = (m.astype(complex) for m in (rep.mat_a, rep.mat_b))
         assert np.trace(mat_a) == pytest.approx(sol.trace_a)
         assert np.trace(mat_b) == pytest.approx(sol.trace_b)
         assert np.trace(mat_a @ mat_b) == pytest.approx(sol.trace_ab)
@@ -447,8 +458,9 @@ class TestFiberMatrices:
         assert np.linalg.det(mat_b) == pytest.approx(1.0)
 
     def test_rejects_vanishing_trace_ab(self):
+        endo = monodromy_endo(parse_monodromy("LLRR"))
         with pytest.raises(ValueError):
-            fiber_matrices(TraceTriple(1.0, 1.0, 0.0))
+            holonomy_from_triple(TraceTriple(1.0, 1.0, 0.0), endo)
 
 
 class TestMeridian:
@@ -481,6 +493,14 @@ class TestMeridian:
         ):
             expected = expected.conj()
         assert np.max(np.abs(rep.mat_x - expected)) < 1e-8
+
+    @pytest.mark.parametrize("word,message", [
+        ("LLLR", "no meridian intertwiner found"),
+        ("LLLLRR", "not unique across sign lifts"),
+    ])
+    def test_failure_names_the_cause(self, word, message):
+        with pytest.raises(ArithmeticError, match=message):
+            build_solutions(monodromy_endo(parse_monodromy(word)))
 
     def test_residuals_small(self):
         for name in ("LLRR", "RRL"):
@@ -635,6 +655,14 @@ class TestDerivedReps:
         for col in split.skew.T:
             mat = sum(c * basis for c, basis in zip(col, SL4_BASIS))
             assert np.max(np.abs(mat.T @ LORENTZ_FORM + LORENTZ_FORM @ mat)) < 1e-10
+
+    def test_killing_split_is_exact_in_long_double(self):
+        gram = np.array([[np.trace(bp @ bq) for bq in SL4_BASIS] for bp in SL4_BASIS])
+        for block in (KILLING_SPLIT.skew, KILLING_SPLIT.complement):
+            assert block.dtype == np.longdouble
+            assert np.max(np.abs(block.T @ block - np.eye(block.shape[1]))) < 1e-18
+        overlap = KILLING_SPLIT.skew.T @ gram @ KILLING_SPLIT.complement
+        assert np.max(np.abs(overlap)) < 1e-18
 
     def test_restricted_blocks_are_invariant(self, llrr_solution):
         endo, sol = llrr_solution

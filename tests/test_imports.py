@@ -1,4 +1,5 @@
-"""Static check: every name a package module imports is used in that module."""
+"""Static checks: every name a package module imports is used in that module,
+and every module-level helper is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,59 @@ def test_guard_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_private_names(tree: ast.Module) -> dict[str, ast.AST]:
+    """Module-level ``_name`` definitions: functions, classes, assignments."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((name, node) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def referenced_names(node: ast.AST) -> list[str]:
+    """Names a node refers to: a name, an attribute or a ``from`` import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """``module:_name`` for each module-level helper that no code outside its
+    own definition refers to."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = [(node, name) for tree in trees.values() for node in ast.walk(tree)
+                  for name in referenced_names(node)]
+    found = []
+    for module, tree in trees.items():
+        for name, definition in module_private_names(tree).items():
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(ref == name and id(node) not in inside for node, ref in references):
+                found.append(f"{module}:{name}")
+    return sorted(found)
+
+
+def test_guard_finds_unreferenced_helpers():
+    sources = {
+        "m": "_dead = 1\n_used = 2\ndef _self_calls():\n    return _self_calls()\n"
+             "def _imported():\n    pass\nprint(_used)\n",
+        "n": "from .m import _imported\n",
+    }
+    assert unreferenced_helpers(sources) == ["m:_dead", "m:_self_calls"]
+
+
+def test_no_unreferenced_helpers():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreferenced_helpers(sources) == []
