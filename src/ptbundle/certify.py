@@ -297,11 +297,20 @@ def certify(
 ) -> RigidityReport:
     """Run the full certification pipeline for a monodromy word.
 
-    Each trace solution is processed independently; a failure inside one
-    solution is recorded on that solution and the others still complete.
-    With `with_cross_checks` (the default) the structural consistency
-    checks run as well and may downgrade per-solution verdicts.  Input
-    errors and an empty solution set raise as in `select_solutions`.
+    Not every stage keeps a failure to its solution.  The trace solve and
+    the lift of every solution run for the whole word, in
+    `select_solutions` through `build_solutions`, and an error in either
+    aborts the word: when `holonomy_from_triple` finds no meridian
+    intertwiner for one solution, or no unique one, its ArithmeticError
+    ends the call, the other solutions are lost with it, and the command
+    line exits 3.  After the lift, each solution is processed on its
+    own: an ArithmeticError, ValueError or LinAlgError in its residuals,
+    in one representation's images or certificate, or in one of its
+    cross-checks is recorded in that solution's `failures`, and the
+    other representations and solutions still complete.  With
+    `with_cross_checks` (the default) the structural consistency checks
+    run as well and may downgrade per-solution verdicts.  Input errors
+    and an empty solution set raise as in `select_solutions`.
     """
     if isinstance(spec, str):
         spec = parse_monodromy(spec)

@@ -11,14 +11,18 @@ conjugation, give one PSL(2,C) character up to conjugation, so the same
 derived representations and polynomials; the solver keeps one root per
 orbit of these eight maps, and the tower runs once per character.
 
-The two trace equations of a word are expanded together, through one
-memo of subword traces local to that ``trace_system`` call, and
-compiled once into a ``CompiledTraceSystem``, which evaluates the
-equations and their partials at a whole batch of Newton starts with the
-exact arithmetic of ``TracePoly.evaluate`` at each one: one ``np.power``
-table, the products in real ufuncs, and one in-order ``cumsum`` per
-Jacobian row.  The same compiled system serves the multistart solve in
-double precision and, on EXT_COMPLEX points, the polish of every solution.
+The two trace equations of a word are expanded together, in two passes
+local to that ``trace_system`` call.  A plan records, for each canonical
+subword, the SL2 step tr = X tr(p) - tr(q) that splits it into two other
+subwords p and q, and how often each subword is used; the expansion runs
+the plan children first and drops each subword's polynomial after its
+last use.  The equations are compiled once into a
+``CompiledTraceSystem``, which evaluates the equations and their
+partials at a whole batch of Newton starts with the exact arithmetic of
+``TracePoly.evaluate`` at each one: one ``np.power`` table, the products
+in real ufuncs, and one in-order ``cumsum`` per Jacobian row.  The same
+compiled system serves the multistart solve in double precision and, on
+EXT_COMPLEX points, the polish of every solution.
 
 Each solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
@@ -31,6 +35,7 @@ explicit basis.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -192,10 +197,14 @@ def _canonical_cyclic(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
     """Canonical cyclic representative of a word, up to inversion.
 
     Trace is a conjugation-invariant class function with tr(g) = tr(g^-1),
-    so this canonical form is a valid memoization key.  Between the word
+    so this canonical form is a valid key for its trace.  Between the word
     and its inverse, the one with fewer inverse letters wins; the
-    recursion's termination argument needs canonicalization to never
-    increase that count.  Ties go to the least rotation.
+    reduction's termination argument needs canonicalization to never
+    increase that count.  Ties go to the least rotation.  That rotation
+    starts a maximal run of the least letter, since one that starts inside
+    a run meets a greater letter sooner, so only those are compared.  A
+    word with no such start is one letter repeated, and all its rotations
+    are equal.
     """
     reduced = _cyclic_reduce(letters)
     if not reduced:
@@ -208,11 +217,25 @@ def _canonical_cyclic(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, 
         bases = (_invert_letters(reduced),)
     else:
         bases = (reduced, _invert_letters(reduced))
-    return min(base[s:] + base[:s] for base in bases for s in range(len(base)))
+    rotations = []
+    for base in bases:
+        least, prev = min(base), base[-1]
+        for s, letter in enumerate(base):
+            if letter == least != prev:
+                rotations.append(base[s:] + base[:s])
+            prev = letter
+    return min(rotations, default=bases[0])
 
-_GEN_TRACE = {0: TracePoly.variable(0), 1: TracePoly.variable(1)}
-_TRACE_AB = TracePoly.variable(2)
-_TWO = TracePoly.constant(2)
+
+_Key = tuple[tuple[int, int], ...]
+
+# Traces of the canonical words 1, a, b and ab, where the splits end.
+_BASE_TRACES = {
+    (): TracePoly.constant(2),
+    ((0, 1),): TracePoly.variable(0),
+    ((1, 1),): TracePoly.variable(1),
+    ((0, 1), (1, 1)): TracePoly.variable(2),
+}
 
 
 def trace_polynomial(word: Word) -> TracePoly:
@@ -220,10 +243,11 @@ def trace_polynomial(word: Word) -> TracePoly:
 
     Reduces via the SL2 identities tr(uv) = tr(u)tr(v) - tr(uv^-1) and
     tr(g^-1) = tr(g) until only the base words 1, a, b, ab remain.  The
-    traces of subwords are memoized for this one call only: the memo of a
-    long word holds megabytes that no later call needs.
+    reduction is planned first, then expanded children first.  Each
+    subword's polynomial is dropped after its last use, so the expansion
+    of a long word holds only the polynomials it still needs.
     """
-    return _trace_of(_fiber_letters(word), {})
+    return _expand([word])[0]
 
 
 def _fiber_letters(word: Word) -> tuple[tuple[int, int], ...]:
@@ -238,16 +262,6 @@ def _letters_word(letters: Iterable[tuple[int, int]]) -> Word:
     for gen, exp in letters:
         out = out * Word(((gen, exp),))
     return out
-
-
-def _trace_of(letters: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
-    # The value of a key depends on the key alone, terms in order included,
-    # so one memo may serve several words.
-    can = _canonical_cyclic(letters)
-    result = memo.get(can)
-    if result is None:
-        result = memo[can] = _trace_uncached(can, memo)
-    return result
 
 
 def _var_times_minus(var: int, p: TracePoly, q: TracePoly) -> TracePoly:
@@ -276,22 +290,21 @@ def _var_times_minus(var: int, p: TracePoly, q: TracePoly) -> TracePoly:
     return poly
 
 
-def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
+def _split(can: _Key) -> tuple[int, _Key, _Key]:
+    """One SL2 step tr(can) = X tr(p) - tr(q) for a canonical word.
+
+    ``can`` is not a base word.  Returns the variable X (0, 1 or 2 for A,
+    B, C) and the canonical keys of p and q.
+    """
     n = len(can)
-    if n == 0:
-        return _TWO
-    if n == 1:
-        return _GEN_TRACE[can[0][0]]
     if n == 2:
-        (g1, e1), (g2, e2) = can
+        (g1, _), (g2, _) = can
         if g1 == g2:
             # Same generator twice: tr(g^2) = tr(g)^2 - 2.
-            return _var_times_minus(g1, _GEN_TRACE[g1], _TWO)
-        if e1 == e2:
-            # ab or its inverse.
-            return _TRACE_AB
-        # Mixed signs: tr(a b^-1) = tr(a)tr(b) - tr(ab).
-        return _var_times_minus(g1, _GEN_TRACE[g2], _TRACE_AB)
+            return g1, ((g1, 1),), ()
+        # Mixed signs (same signs is the base word ab):
+        # tr(a b^-1) = tr(a)tr(b) - tr(ab).
+        return g1, ((g2, 1),), ((0, 1), (1, 1))
 
     # Case 1: a repeated adjacent letter (cyclically).  Rotating it to the
     # end, tr(u g g) = tr(g) tr(u g) - tr(u).
@@ -300,9 +313,7 @@ def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
         if can[i] == can[j]:
             cut = (j + 1) % n
             rotated = can[cut:] + can[:cut]
-            u_g = rotated[:-1]
-            u = rotated[:-2]
-            return _var_times_minus(can[i][0], _trace_of(u_g, memo), _trace_of(u, memo))
+            return can[i][0], _canonical_cyclic(rotated[:-1]), _canonical_cyclic(rotated[:-2])
 
     # Case 2: an inverse letter.  Rotate it to the end:
     # tr(u g^-1) = tr(u) tr(g) - tr(u g).
@@ -313,7 +324,7 @@ def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
             u = rotated[:-1]
             gen = can[i][0]
             u_g = (_letters_word(u) * Word(((gen, 1),))).letters
-            return _var_times_minus(gen, _trace_of(u, memo), _trace_of(u_g, memo))
+            return gen, _canonical_cyclic(u), _canonical_cyclic(u_g)
 
     # Case 3: all letters positive and strictly alternating.  Split off the
     # trailing two letters v, a positive ab or ba with tr(v) = C:
@@ -321,7 +332,51 @@ def _trace_uncached(can: tuple[tuple[int, int], ...], memo: dict) -> TracePoly:
     v = can[-2:]
     u = can[:-2]
     u_v_inv = (_letters_word(u) * _letters_word(_invert_letters(v))).letters
-    return _var_times_minus(2, _trace_of(u, memo), _trace_of(u_v_inv, memo))
+    return 2, _canonical_cyclic(u), _canonical_cyclic(u_v_inv)
+
+
+def _plan(
+    roots: Sequence[_Key],
+) -> tuple[dict[_Key, tuple[int, _Key, _Key]], Counter]:
+    """The splits that the canonical words ``roots`` need, and their uses.
+
+    The splits come children first, p's before q's, as a depth-first
+    walk from each root in turn meets them.  A key is used once per split
+    that names it and once per root.
+    """
+    plan: dict[_Key, tuple[int, _Key, _Key]] = {}
+    uses = Counter(roots)
+    # (key, None) is a key to split, (key, split) one whose children are planned
+    pending: list = [(root, None) for root in reversed(roots)]
+    while pending:
+        key, split = pending.pop()
+        if split is not None:
+            plan[key] = split
+        elif key not in plan and key not in _BASE_TRACES:
+            split = _split(key)
+            uses.update(split[1:])
+            pending.append((key, split))
+            pending.extend((child, None) for child in reversed(split[1:]))
+    return plan, uses
+
+
+def _expand(words: Sequence[Word]) -> list[TracePoly]:
+    """Traces of fiber words, expanded through one plan.
+
+    A key's polynomial, its term order included, depends on the key alone,
+    so each subword is expanded once whichever word needs it, and its
+    polynomial is dropped after its last use.
+    """
+    roots = [_canonical_cyclic(_fiber_letters(word)) for word in words]
+    plan, uses = _plan(roots)
+    values = dict(_BASE_TRACES)
+    for key, (var, p, q) in plan.items():
+        values[key] = _var_times_minus(var, values[p], values[q])
+        for child in (p, q):
+            uses[child] -= 1
+            if not uses[child]:
+                del values[child]
+    return [values[root] for root in roots]
 
 
 def trace_system(endo: EndoF2) -> tuple[TracePoly, TracePoly, TracePoly]:
@@ -329,13 +384,12 @@ def trace_system(endo: EndoF2) -> tuple[TracePoly, TracePoly, TracePoly]:
 
     Returns (tr phi(a) - A, tr phi(b) - B, markov) where markov vanishes
     exactly when the peripheral holonomy is parabolic with trace -2.  The
-    two images are expanded through one memo local to this call, so a
-    subword they share is expanded once.
+    two images are expanded through one plan local to this call, so a
+    subword they share is expanded once, and each subword's polynomial is
+    dropped after its last use by either image.
     """
-    memo: dict = {}
-    eq_a = _trace_of(_fiber_letters(endo.image_a), memo) - TracePoly.variable(0)
-    eq_b = _trace_of(_fiber_letters(endo.image_b), memo) - TracePoly.variable(1)
-    return (eq_a, eq_b, MARKOV)
+    trace_a, trace_b = _expand([endo.image_a, endo.image_b])
+    return (trace_a - TracePoly.variable(0), trace_b - TracePoly.variable(1), MARKOV)
 
 
 # ---------------------------------------------------------------------------

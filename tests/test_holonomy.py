@@ -2,6 +2,8 @@
 
 import cmath
 import hashlib
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -280,6 +282,22 @@ class TestTracePolynomial:
         assert abs(got - expected) < 1e-7 * max(1.0, abs(expected))
 
 
+# Every hyperbolic L/R word of length 2 to 7, all rotations included (240),
+# and the longer and negated words of the benchmark corpus.
+LR_WORDS = ["".join(letters) for n in range(2, 8) for letters in itertools.product("LR", repeat=n)
+            if "L" in letters and "R" in letters] + ["LLRLRRLR", "L^8R", "L^12R", "-LLRR", "-RRL"]
+
+
+@pytest.fixture(scope="module")
+def lr_word_systems():
+    out = {}
+    for word in LR_WORDS:
+        spec = parse_monodromy(word)
+        endo = monodromy_endo(spec)
+        out[word] = (spec, endo, trace_system(endo))
+    return out
+
+
 class TestTraceSystem:
     def test_llrr_equations(self):
         eqs = trace_system(monodromy_endo(parse_monodromy("LLRR")))
@@ -317,23 +335,65 @@ class TestTraceSystem:
 
     @pytest.mark.parametrize("word", ["LLRR", "LRLRLR", "LLRLRRLR"])
     def test_expands_each_subword_once(self, word, monkeypatch):
-        expanded = []
-        uncached = holonomy._trace_uncached
+        planned, built = [], []
+        plan, fused = holonomy._plan, holonomy._var_times_minus
 
-        def counting(can, memo):
-            expanded.append(can)
-            return uncached(can, memo)
+        def recording_plan(roots):
+            out = plan(roots)
+            planned.append(set(out[0]))
+            return out
 
-        monkeypatch.setattr(holonomy, "_trace_uncached", counting)
+        def counting(var, p, q):
+            built.append(var)
+            return fused(var, p, q)
+
+        monkeypatch.setattr(holonomy, "_plan", recording_plan)
+        monkeypatch.setattr(holonomy, "_var_times_minus", counting)
         endo = monodromy_endo(parse_monodromy(word))
         trace_system(endo)
-        shared = list(expanded)
-        assert len(shared) == len(set(shared))
-        # and it expands just the subwords the two images need
-        expanded.clear()
+        # one plan for both images, and one polynomial built per planned subword
+        [shared] = planned
+        assert len(built) == len(shared)
+        # and it plans just the subwords the two images need
+        planned.clear()
         trace_polynomial(endo.image_a)
         trace_polynomial(endo.image_b)
-        assert set(shared) == set(expanded)
+        assert shared == planned[0] | planned[1]
+
+    def test_expansion_frees_subwords_after_last_use(self):
+        # A memo that keeps every subword trace until the call ends peaks
+        # at about 14 MB here.
+        endo = monodromy_endo(parse_monodromy("LLRLRRLR"))
+        tracemalloc.start()
+        try:
+            trace_system(endo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
+    def test_matches_letter_maps(self, lr_word_systems):
+        """The letters act on characters: L by (A, B, C) -> (C, B, BC - A) and
+        R by (A, B, C) -> (A, C, AC - B), in reading order.  The elliptic
+        involution of a negated word fixes every character.  This oracle
+        does not depend on the order of terms."""
+        wrong = []
+        for word, (spec, _, eqs) in lr_word_systems.items():
+            a, b, c = A, B, C
+            for letter in spec.letters:
+                a, b, c = (c, b, b * c - a) if letter == "L" else (a, c, a * c - b)
+            if (eqs[0], eqs[1]) != (a - A, b - B):
+                wrong.append(word)
+        assert wrong == []
+
+    def test_degree_at_most_word_length(self, lr_word_systems):
+        """tr of a word of length n has total degree at most n."""
+        over = []
+        for word, (_, endo, eqs) in lr_word_systems.items():
+            for image, trace in ((endo.image_a, eqs[0] + A), (endo.image_b, eqs[1] + B)):
+                if max(map(sum, trace.terms)) > len(image):
+                    over.append((word, str(image)))
+        assert over == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
