@@ -25,7 +25,6 @@ from typing import Mapping
 import numpy as np
 
 from .numeric import (
-    EXT_COMPLEX,
     GeneratorImages,
     LaurentPoly,
     Tolerances,
@@ -35,6 +34,7 @@ from .numeric import (
     matrix_det,
     normalize_unit,
     nullspace,
+    pencil_det,
     quotient_interpolate,
     word_product,
 )
@@ -224,15 +224,18 @@ def _fiber_fox_blocks(endo: EndoF2, rep: GeneratorImages) -> list[list[np.ndarra
 def _pencil_quotient(p, q, r, s, tols: Tolerances) -> LaurentPoly:
     """det(P - tQ) / det(R - tS), a polynomial of degree dim R, by sampling.
 
-    Four matrices of a real dtype (those of a real representation) give a
-    real polynomial, which is sampled on half the circle and realified.
+    Q and S must be invertible; None stands for the identity.  Each pencil
+    is reduced to Hessenberg form once (``pencil_det``), so a radius that
+    fails validation costs only the O(n^2)-per-point samples of the next.
+    A singular Q or S raises an ArithmeticError naming the numerator or
+    the denominator.  Real matrices (those of a real representation) give
+    a real polynomial, which is sampled on half the circle and realified.
     """
-    real = all(np.isrealobj(m) for m in (p, q, r, s))
-    p, q, r, s = (np.asarray(m).astype(EXT_COMPLEX) for m in (p, q, r, s))
+    real = all(np.isrealobj(m) for m in (p, q, r, s) if m is not None)
     quotient = quotient_interpolate(
-        lambda z: matrix_det(p - z[:, None, None] * q),
-        lambda z: matrix_det(r - z[:, None, None] * s),
-        r.shape[0],
+        pencil_det(p, q, name="numerator"),
+        pencil_det(r, s, name="denominator"),
+        np.shape(r)[0],
         tol=tols.det,
         real=real,
     )
@@ -254,7 +257,10 @@ def bundle_twisted_alexander(
     det(I - t rep(x)) has all roots at t = 1 because the meridian image
     is unipotent.  The quotient is therefore recovered by pointwise
     division on a circle away from 1 followed by interpolation; longhand
-    coefficient division would amplify roundoff combinatorially.
+    coefficient division would amplify roundoff combinatorially.  Both
+    determinants are sampled from the Fox pencil itself, P with
+    Q = I2 (x) rep(x), not from the cocycle action, so that
+    ``route_agreement`` compares two computations.
     """
     rep = GeneratorImages.of(rep)
     mer = np.asarray(rep[2])
@@ -390,10 +396,7 @@ def route_agreement(
     """
     tols = tolerances or Tolerances()
     rep = GeneratorImages.of(rep)
-    dim = rep[2].shape[0]
-    quotient = _pencil_quotient(
-        action.matrix, np.eye(2 * dim), rep.inverse(2), np.eye(dim), tols
-    )
+    quotient = _pencil_quotient(action.matrix, None, rep.inverse(2), None, tols)
     defect = coboundary_defect(action, rep)
     match = defect <= match_tol and equal_up_to_unit(wada, quotient, tol=match_tol)
     return RouteAgreement(

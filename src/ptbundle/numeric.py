@@ -9,7 +9,12 @@ determinants) goes through one engine, ``interpolate_on_circle``: the
 function is sampled on a circle, the coefficients are read off with one
 inverse DFT, and the result is validated at two fresh points on the same
 circle before it is returned.  The points of one radius arrive as one
-array, so their determinants are one stack for one ``matrix_det`` call.
+array.  Characteristic polynomials and pencil quotients sample
+det(p - t q) through ``pencil_det``: q^-1 p is reduced to upper
+Hessenberg form once per pencil, before the first radius, and the points
+of each radius are then one batched O(n^2)-per-point LU.  Polynomial
+matrices in general (``det_polymatrix``) are one stack for one
+``matrix_det`` call per radius.
 A polynomial with real coefficients (its caller's matrices have a real
 dtype) takes conjugate values at conjugate points, so it is sampled only
 on the closed upper half of the circle: count // 2 + 3 points per radius
@@ -20,12 +25,13 @@ unit circle where group-element spectra like to sit; quotients use radii
 2.0, 2.4 and 1.7, away from the root cluster of a unipotent denominator
 at 1.
 
-Sampling, the stacked LU determinants and the DFT run in 80-bit extended
-precision when the platform provides it (x86 long double), which keeps
-the interpolation's rounding error far below the error inherited from
-the input matrices.  All public tolerances are relative: to the largest
-sample magnitude for interpolation, to the current max coefficient for
-deflation, to the largest singular value for nullspaces.
+Sampling, the determinants, the Hessenberg reduction and the DFT run in
+80-bit extended precision when the platform provides it (x86 long
+double), which keeps the interpolation's rounding error far below the
+error inherited from the input matrices.  All public tolerances are
+relative: to the largest sample magnitude for interpolation, to the
+current max coefficient for deflation, to the largest singular value for
+nullspaces.
 
 ``newton_multistart`` advances all of its starts together as one
 (starts, dim) array: one call of the caller's batched system per
@@ -101,12 +107,12 @@ def matrix_det(a: np.ndarray):
     return det.reshape(batch)[()]
 
 
-def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting.
+def _eliminate(a: np.ndarray, b: np.ndarray):
+    """Solve a x = b by Gaussian elimination with partial pivoting; also det a.
 
-    Unlike numpy.linalg.solve this keeps longdouble/clongdouble inputs in
-    their own precision.  b may be a vector or a matrix of right-hand
-    sides.  Raises ArithmeticError on an exactly zero pivot.
+    The one elimination behind ``linear_solve`` and ``pencil_det``: the
+    determinant is the signed product of the pivots, taken on the way.
+    Raises ArithmeticError on an exactly zero pivot.
     """
     a = np.array(a, copy=True)
     vector = np.ndim(b) == 1
@@ -115,6 +121,7 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rhs = rhs.reshape(-1, 1)
     a = a.astype(rhs.dtype, copy=False)
     n = a.shape[0]
+    det = rhs.dtype.type(1)
     for k in range(n):
         p = int(np.argmax(np.abs(a[k:, k]))) + k
         if a[p, k] == 0:
@@ -122,18 +129,103 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if p != k:
             a[[k, p]] = a[[p, k]]
             rhs[[k, p]] = rhs[[p, k]]
+            det = -det
+        det = det * a[k, k]
         factors = a[k + 1:, k] / a[k, k]
         a[k + 1:, k:] -= factors[:, None] * a[k, k:]
         rhs[k + 1:] -= factors[:, None] * rhs[k]
     for k in range(n - 1, -1, -1):
         rhs[k] = (rhs[k] - a[k, k + 1:] @ rhs[k + 1:]) / a[k, k]
-    return rhs[:, 0] if vector else rhs
+    return (rhs[:, 0] if vector else rhs), det
+
+
+def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b by Gaussian elimination with partial pivoting.
+
+    Unlike numpy.linalg.solve this keeps longdouble/clongdouble inputs in
+    their own precision.  b may be a vector or a matrix of right-hand
+    sides.  Raises ArithmeticError on an exactly zero pivot.
+    """
+    return _eliminate(a, b)[0]
 
 
 def matrix_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse via linear_solve; preserves extended-precision dtypes."""
     a = np.asarray(a)
     return linear_solve(a, np.eye(a.shape[0], dtype=a.dtype))
+
+
+def _hessenberg(a: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg matrix similar to a, by pivoted elementary similarities.
+
+    Step k swaps the largest entry below the diagonal of column k into the
+    subdiagonal, subtracts multiples of that row from the rows below it
+    and adds the same multiples of their columns to its column.  A column
+    that is already zero below the diagonal is skipped.  The dtype is kept.
+    """
+    a = np.array(a, copy=True)
+    n = a.shape[0]
+    for k in range(n - 2):
+        p = int(np.argmax(np.abs(a[k + 1:, k]))) + k + 1
+        if a[p, k] == 0:
+            continue
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+        factors = a[k + 2:, k] / a[k + 1, k]
+        a[k + 2:, k + 1:] -= factors[:, None] * a[k + 1, k + 1:]
+        a[k + 2:, k] = 0
+        a[:, k + 1] += a[:, k + 2:] @ factors
+    return a
+
+
+def _hessenberg_det(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """det(h - z I) at each point of z, for an upper Hessenberg h.
+
+    One partial-pivot LU over all points at once: at step k the only
+    candidate pivots are the carried row k and row k + 1, so a point costs
+    O(n^2).  A point whose pivot column is exactly zero gets exactly 0.
+    """
+    n = h.shape[0]
+    shifted = np.repeat(h[None].astype(EXT_COMPLEX), len(z), axis=0)
+    shifted[:, range(n), range(n)] -= z[:, None]
+    det = np.ones(len(z), dtype=EXT_COMPLEX)
+    if n == 0:
+        return det
+    row = shifted[:, 0]
+    for k in range(n - 1):
+        below = shifted[:, k + 1, k:]
+        swap = (np.abs(below[:, 0]) > np.abs(row[:, 0]))[:, None]
+        top, other = np.where(swap, below, row), np.where(swap, row, below)
+        piv = top[:, 0]
+        det = det * np.where(swap[:, 0], -piv, piv)
+        # a zero pivot means other[:, 0] is zero too: carry it unchanged
+        factors = other[:, 0] / np.where(piv == 0, 1, piv)
+        row = other[:, 1:] - factors[:, None] * top[:, 1:]
+    return det * row[:, 0]
+
+
+def pencil_det(p: np.ndarray, q: Optional[np.ndarray] = None, *,
+               name: str = "pencil") -> Callable[[np.ndarray], np.ndarray]:
+    """z -> det(p - z q) over an array of points, q invertible (None: identity).
+
+    One elimination of q gives q^-1 p and det q, and q^-1 p is reduced to
+    upper Hessenberg form H once, in extended precision of the pencil's own
+    kind (real for real p and q).  Each call then costs O(n^2) per point:
+    det(p - z q) = det q * det(H - z I).  A singular q raises an
+    ArithmeticError that names the pencil.
+    """
+    real = np.isrealobj(p) and (q is None or np.isrealobj(q))
+    dtype = _REAL_DT if real else EXT_COMPLEX
+    a = np.asarray(p).astype(dtype)
+    det_q = dtype(1)
+    if q is not None:
+        try:
+            a, det_q = _eliminate(np.asarray(q).astype(dtype), a)
+        except ArithmeticError:
+            raise ArithmeticError("%s det(p - t q): singular q" % name) from None
+    h = _hessenberg(a)
+    return lambda z: det_q * _hessenberg_det(h, z)
 
 
 class GeneratorImages(Mapping):
@@ -450,16 +542,15 @@ def char_poly(m: np.ndarray, tol: float = 1e-8,
               radii: Sequence[float] = DET_RADII) -> LaurentPoly:
     """det(m - t I) by sample-and-interpolate; leading coefficient snapped to (-1)^n.
 
-    A real m is sampled on half the circle and gives a realified polynomial.
+    m is reduced to Hessenberg form once (``pencil_det`` with q = I), and
+    every radius samples that.  A real m is sampled on half the circle and
+    gives a realified polynomial.
     """
     n = m.shape[0]
     if n == 0:
         return LaurentPoly.one()
     real = np.isrealobj(m)
-    base = np.array(m, dtype=EXT_COMPLEX)
-    eye = np.eye(n, dtype=EXT_COMPLEX)
-    poly = interpolate_on_circle(lambda z: matrix_det(base - z[:, None, None] * eye), n + 1,
-                                 tol=tol, radii=radii, real=real)
+    poly = interpolate_on_circle(pencil_det(m), n + 1, tol=tol, radii=radii, real=real)
     poly = LaurentPoly({**poly.coeffs, n: (-1.0) ** n})
     return poly.realified(1e-6) if real else poly
 

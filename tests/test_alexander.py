@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ptbundle.alexander
+import ptbundle.numeric
 from ptbundle.alexander import (
     RingRep,
     WadaInvariant,
@@ -17,8 +18,12 @@ from ptbundle.alexander import (
     route_agreement,
     twisted_alexander,
 )
+from ptbundle.certify import RIGID, certify
 from ptbundle.holonomy import build_solutions
+from ptbundle.numeric import _hessenberg as hessenberg
+from ptbundle.numeric import _hessenberg_det as hessenberg_det
 from ptbundle.numeric import (
+    EXT_COMPLEX,
     LaurentPoly,
     Tolerances,
     char_poly,
@@ -26,6 +31,7 @@ from ptbundle.numeric import (
     integer_round,
     laurent_allclose,
     matrix_det,
+    pencil_det,
     root_multiplicity,
 )
 from ptbundle.presentation import (
@@ -330,24 +336,99 @@ class TestRealPencils:
         zero = np.zeros((n, n))
         p = g @ np.block([[a, b], [zero, np.eye(n)]]) @ h
         q = g @ np.block([[c / 2, zero], [zero, m]]) @ h
-        stacks = []
+        evaluations = []
 
-        def recording_det(stack):
-            stacks.append(stack.shape)
-            return matrix_det(stack)
+        def recording_det(h, z):
+            evaluations.append((len(z), h.shape[0]))
+            return hessenberg_det(h, z)
 
-        monkeypatch.setattr(ptbundle.alexander, "matrix_det", recording_det)
+        monkeypatch.setattr(ptbundle.numeric, "_hessenberg_det", recording_det)
         pencil = (p, q, np.eye(n), m)
         half = _pencil_quotient(*pencil, Tolerances())
-        half_stacks, stacks[:] = list(stacks), []
+        half_evaluations, evaluations[:] = list(evaluations), []
         full = _pencil_quotient(*(x.astype(complex) for x in pencil), Tolerances())
-        # denominator, then numerator; of the n + 1 samples the real pencil
-        # computes (n + 1) // 2 + 1, and both add two validation points
-        assert half_stacks == [((n + 1) // 2 + 3, n, n), ((n + 1) // 2 + 3, 2 * n, 2 * n)]
-        assert stacks == [(n + 3, n, n), (n + 3, 2 * n, 2 * n)]
+        # (points, pencil size) of each evaluation: denominator, then
+        # numerator; of the n + 1 samples the real pencil computes
+        # (n + 1) // 2 + 1, and both add two validation points
+        assert half_evaluations == [((n + 1) // 2 + 3, n), ((n + 1) // 2 + 3, 2 * n)]
+        assert evaluations == [(n + 3, n), (n + 3, 2 * n)]
         assert full.min_exp == half.min_exp == 0 and full.max_exp == half.max_exp == n
         scale = full.max_abs()
         assert all(abs(half.coeff(e) - full.coeff(e)) <= 1e-12 * scale for e in range(n + 1))
+
+
+PINNED_WORDS = ("LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR")
+
+
+@pytest.fixture(scope="module")
+def rigid_solutions():
+    """(endo, images by label) of every rigid solution of the pinned words."""
+    out = []
+    for word in PINNED_WORDS:
+        endo = monodromy_endo(parse_monodromy(word))
+        for sol in certify(word).solutions:
+            if sol.verdict == RIGID:
+                out.append((endo, {label: sol.representation(label)
+                                   for label in ("sl4", "v", "gl16")}))
+    return out
+
+
+def recorded_pencils(monkeypatch):
+    """The (p, q) of every pencil the alexander module samples, in call order."""
+    pencils = []
+
+    def recording_pencil_det(p, q=None, **kwargs):
+        pencils.append((p, q))
+        return pencil_det(p, q, **kwargs)
+
+    monkeypatch.setattr(ptbundle.alexander, "pencil_det", recording_pencil_det)
+    return pencils
+
+
+class TestPencilDeterminants:
+    def test_rigid_pencils_match_stacked_lu(self, rigid_solutions, monkeypatch):
+        # the Hessenberg samples against the stacked LU that the sampling
+        # used before, at radius 2.0: n + 1 points on the circle and the
+        # two validation phases of that count
+        pencils = recorded_pencils(monkeypatch)
+        for endo, images in rigid_solutions:
+            for rep in images.values():
+                wada = bundle_twisted_alexander(endo, rep)
+                route_agreement(wada, monodromy_action(endo, rep), rep)
+        assert len(pencils) == 4 * 3 * len(PINNED_WORDS)
+        worst = 0.0
+        for p, q in pencils:
+            n = p.shape[0]
+            phases = np.r_[np.arange(n + 1), 0.37, 0.71] / (n + 1)
+            z = (2.0 * np.exp(2j * np.pi * phases)).astype(EXT_COMPLEX)
+            got = pencil_det(p, q)(z)
+            stack = np.asarray(p).astype(EXT_COMPLEX) - z[:, None, None] * (
+                np.eye(n) if q is None else np.asarray(q)).astype(EXT_COMPLEX)
+            want = matrix_det(stack)
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        assert worst <= 1e-12, worst
+
+    def test_failed_quotient_reduces_each_pencil_once(self, monkeypatch):
+        # LLLLR solution 0: the gl16 quotient fails validation at all three
+        # radii, and each retry samples the two reductions again
+        endo = monodromy_endo(parse_monodromy("LLLLR"))
+        rep = build_solutions(endo)[0].representation("gl16")
+        reductions, radii = [], []
+
+        def recording_reduction(a):
+            reductions.append(a.shape[0])
+            return hessenberg(a)
+
+        def recording_det(h, z):
+            radii.append(round(float(np.max(np.abs(z))), 6))
+            return hessenberg_det(h, z)
+
+        monkeypatch.setattr(ptbundle.numeric, "_hessenberg", recording_reduction)
+        monkeypatch.setattr(ptbundle.numeric, "_hessenberg_det", recording_det)
+        with pytest.raises(ArithmeticError, match="every radius"):
+            bundle_twisted_alexander(endo, rep)
+        assert reductions == [32, 16]
+        assert radii == [2.0, 2.0, 2.4, 2.4, 1.7, 1.7]
 
 
 class TestCocycleAction:

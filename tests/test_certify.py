@@ -126,6 +126,21 @@ class TestEvidence:
                     ev.deflated_at_one, abs=1e-6
                 )
 
+    def test_orientation_reversed_gl16_polynomial_rounds(self):
+        # -LLRR: the gl16 coefficients lie within 3.1e-8 of integers (2.0e-6,
+        # above the rounding tolerance, when every sample was a stacked LU);
+        # the verdict is still inconclusive, from the failed action routes
+        report = certify("-LLRR")
+        (sol,) = report.solutions
+        ev = sol.evidence["gl16"]
+        coeffs = ev.integer_coeffs
+        assert coeffs == [1, 80, -3656, 29168, 121756, -692144, 1675784, -3023504, 3785030,
+                          -3023504, 1675784, -692144, 121756, 29168, -3656, 80, 1]
+        assert coeffs == coeffs[::-1] and ev.multiplicity == 4
+        _, values = ev.polynomial.dense()
+        assert max(abs(c - k) for c, k in zip(values, coeffs)) < 1e-7
+        assert sol.verdict == report.verdict == INCONCLUSIVE
+
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             CertificateEvidence(
@@ -328,6 +343,26 @@ class TestCrossChecks:
         assert not any(f.startswith("routes[") for f in sol.failures)
         assert sol.cross_checks["routes"].values["sl4"] is False
         assert sol.verdict == INCONCLUSIVE
+
+    def test_singular_pencil_is_a_label_failure(self, monkeypatch):
+        original = HolonomySolution.representation
+
+        def singular_meridian(self, label):
+            images = dict(original(self, label))
+            if label == "gl16":
+                images[2] = images[2].copy()
+                images[2][:, 0] = 0
+            return images
+
+        monkeypatch.setattr(HolonomySolution, "representation", singular_meridian)
+        # the relation residuals would stop at the singular meridian first
+        monkeypatch.setattr(ptbundle.certify, "rep_residuals",
+                            lambda images, endo: {"relation_a": 0.0})
+        sol = certify("RRL", solution_index=0).solutions[0]
+        assert "gl16: numerator det(p - t q): singular q" in sol.failures
+        # the other labels still complete
+        assert set(sol.evidence) == {"sl4", "v"}
+        assert set(sol.certificates) == {"sl4-multiplicity-5", "v-multiplicity-3"}
 
     def test_tightened_tolerances_never_promote(self):
         tight = Tolerances(det=1e-9, root=1e-7, null=1e-10)

@@ -1,7 +1,9 @@
 """Static checks: every name a package module imports is used in that module,
-and every module-level helper is used somewhere in the package."""
+every module-level helper is used somewhere in the package, and the package
+imports nothing beyond the standard library and its declared dependency."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,33 @@ def test_guard_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# pyproject.toml's only dependency; scipy, mpmath and the test tools are not
+DECLARED = {"numpy"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported that are neither stdlib nor declared."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - DECLARED)
+
+
+def test_guard_finds_foreign_imports():
+    source = ("import os.path\nimport numpy.linalg\nfrom scipy.linalg import hessenberg\n"
+              "from . import numeric\nfrom .words import Word\nimport mpmath as mp\n")
+    assert foreign_imports(source) == ["mpmath", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def module_private_names(tree: ast.Module) -> dict[str, ast.AST]:

@@ -1,11 +1,12 @@
 """Numeric kernel tests: interpolated determinants, deflation, Newton, nullspaces."""
 
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from ptbundle import holonomy
+from ptbundle import holonomy, numeric
 from ptbundle.holonomy import MARKOV, CompiledTraceSystem, TracePoly, solve_traces, trace_system
 from ptbundle.numeric import (
     EXT_COMPLEX,
@@ -17,14 +18,17 @@ from ptbundle.numeric import (
     integer_round,
     interpolate_on_circle,
     laurent_allclose,
+    linear_solve,
     matrix_det,
     monic_normalize,
     newton_multistart,
     normalize_unit,
     nullspace,
+    pencil_det,
     quotient_interpolate,
     root_multiplicity,
 )
+from ptbundle.numeric import _eliminate, _hessenberg as hessenberg
 from ptbundle.presentation import monodromy_endo, parse_monodromy
 
 A, B, C = (TracePoly.variable(i) for i in range(3))
@@ -194,6 +198,114 @@ def test_det_of_empty_and_single_matrices():
     det = matrix_det(cplx)
     assert type(det) is np.complex128
     assert det == pytest.approx(reference_det(cplx), rel=1e-14)
+
+
+def reference_solve(a, b):
+    """linear_solve as it was before the elimination was shared with pencil_det."""
+    a = np.array(a, copy=True)
+    rhs = np.array(b, copy=True, dtype=np.promote_types(a.dtype, np.asarray(b).dtype))
+    a = a.astype(rhs.dtype, copy=False)
+    n = a.shape[0]
+    for k in range(n):
+        p = int(np.argmax(np.abs(a[k:, k]))) + k
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            rhs[[k, p]] = rhs[[p, k]]
+        factors = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k:] -= factors[:, None] * a[k, k:]
+        rhs[k + 1:] -= factors[:, None] * rhs[k]
+    for k in range(n - 1, -1, -1):
+        rhs[k] = (rhs[k] - a[k, k + 1:] @ rhs[k + 1:]) / a[k, k]
+    return rhs
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, EXT_COMPLEX])
+def test_shared_elimination_keeps_linear_solve_and_lu_bits(dtype):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 9)).astype(dtype)
+    b = rng.standard_normal((9, 4)).astype(dtype)
+    if np.iscomplexobj(a):
+        a = a + 1j * rng.standard_normal((9, 9))
+    solution, det = _eliminate(a, b)
+    assert _bits(linear_solve(a, b)) == _bits(solution) == _bits(reference_solve(a, b))
+    assert _bits(linear_solve(a, b[:, 0])) == _bits(reference_solve(a, b[:, :1])[:, 0].copy())
+    assert _bits(det) == _bits(reference_det(a))
+
+
+# ---------------------------------------------------------------------------
+# Pencil determinants from one Hessenberg reduction
+# ---------------------------------------------------------------------------
+
+
+def circle_points(count, radius=2.0):
+    return (radius * np.exp(2j * np.pi * np.arange(count) / count)).astype(EXT_COMPLEX)
+
+
+def stacked_pencil(p, q, z):
+    """det(p - z q) by one stacked LU per point, the oracle of pencil_det."""
+    p, q = (np.asarray(m).astype(EXT_COMPLEX) for m in (p, q))
+    return matrix_det(p - z[:, None, None] * q)
+
+
+def test_pencil_det_of_sizes_one_and_two():
+    z = circle_points(5)
+    got = pencil_det(np.array([[3.0]]), np.array([[2.0]]))(z)
+    assert got.dtype == EXT_COMPLEX
+    assert np.max(np.abs(got - (3 - 2 * z))) <= 1e-18
+    p = np.array([[1.0, 2.0], [3.0, 4.0]])
+    q = np.array([[2.0, 1.0], [0.5, 1.0]])
+    want = (p[0, 0] - z * q[0, 0]) * (p[1, 1] - z * q[1, 1]) \
+        - (p[0, 1] - z * q[0, 1]) * (p[1, 0] - z * q[1, 0])
+    assert np.max(np.abs(pencil_det(p, q)(z) - want)) <= 1e-17 * np.max(np.abs(want))
+    assert np.max(np.abs(pencil_det(p)(z) - stacked_pencil(p, np.eye(2), z))) <= 1e-17
+
+
+@pytest.mark.parametrize("n", [3, 8, 17])
+def test_pencil_det_of_complex_pencil(n):
+    rng = np.random.default_rng(n)
+    p, q = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    z = circle_points(n + 3)
+    want = stacked_pencil(p, q, z)
+    got = pencil_det(p, q)(z)
+    assert got.dtype == EXT_COMPLEX
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_real_pencil_is_reduced_in_real_extended_precision(monkeypatch):
+    reduced = []
+
+    def recording_reduction(a):
+        reduced.append(a.dtype)
+        return hessenberg(a)
+
+    monkeypatch.setattr(numeric, "_hessenberg", recording_reduction)
+    rng = np.random.default_rng(3)
+    p, q = rng.standard_normal((2, 6, 6))
+    z = circle_points(9)
+    got = pencil_det(p, q)(z)
+    pencil_det(p.astype(complex), q)
+    assert reduced == [np.dtype(numeric._REAL_DT), np.dtype(EXT_COMPLEX)]
+    want = stacked_pencil(p, q, z)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_pencil_det_is_exactly_zero_at_an_exact_eigenvalue():
+    # triangular, so H - zI has an exactly zero pivot column at z = 2
+    # (first step), z = -1 (a middle step) and z = 3 (the last pivot)
+    p = np.diag([2.0, -1.0, 3.0]) + np.triu(np.ones((3, 3)), 1)
+    z = np.array([2.0, -1.0, 3.0, 0.5, 1j], dtype=EXT_COMPLEX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pencil_det(p)(z)
+        swapped = pencil_det(np.array([[0.0, 1.0], [0.0, 0.0]]))(np.zeros(1, dtype=EXT_COMPLEX))
+    assert list(got[:3]) == [0, 0, 0] and np.all(np.isfinite(got))
+    assert np.max(np.abs(got[3:] - stacked_pencil(p, np.eye(3), z[3:]))) <= 1e-17
+    assert swapped[0] == 0
+
+
+def test_pencil_det_singular_q_names_the_pencil():
+    with pytest.raises(ArithmeticError, match="numerator"):
+        pencil_det(np.eye(3), np.ones((3, 3)), name="numerator")
 
 
 def poly_matrix(entries):
