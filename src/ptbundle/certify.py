@@ -271,7 +271,7 @@ def select_solutions(
             f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
         )
     solutions = build_solutions(
-        monodromy_endo(spec), starts=starts, seed=seed, tolerances=tolerances
+        spec, starts=starts, seed=seed, tolerances=tolerances
     )
     if solution_index is not None:
         if not 0 <= solution_index < len(solutions):

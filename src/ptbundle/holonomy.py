@@ -11,13 +11,11 @@ conjugation, give one PSL(2,C) character up to conjugation, so the same
 derived representations and polynomials; the solver keeps one root per
 orbit of these eight maps, and the tower runs once per character.
 
-The two trace equations of a word are expanded together, in two passes
-local to that ``trace_system`` call.  A plan records, for each canonical
-subword, the SL2 step tr = X tr(p) - tr(q) that splits it into two other
-subwords p and q, and how often each subword is used; the expansion runs
-the plan children first and drops each subword's polynomial after its
-last use.  The equations are compiled once into a
-``CompiledTraceSystem``, which evaluates the equations and their
+Each twist acts on characters by a polynomial map (the mapping-class
+action on Fricke coordinates; Goldman, Geom. Topol. 2003), so
+``trace_system`` composes the letters' maps in reading order and sorts
+the terms of each fixed-point equation.  The equations are compiled once
+into a ``CompiledTraceSystem``, which evaluates the equations and their
 partials at a whole batch of Newton starts with the exact arithmetic of
 ``TracePoly.evaluate`` at each one: one ``np.power`` table, the products
 in real ufuncs, and one in-order ``cumsum`` per Jacobian row.  The same
@@ -35,10 +33,9 @@ explicit basis.
 from __future__ import annotations
 
 import cmath
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,7 +50,8 @@ from .numeric import (
     nullspace,
     word_product,
 )
-from .words import EndoF2, Word, parse_word
+from .presentation import MonodromySpec, monodromy_endo
+from .words import EndoF2, parse_word
 
 # Matrices downstream of the trace solution are built in extended precision
 # (EXT_COMPLEX) so the characteristic-polynomial coefficients (up to ~10^6
@@ -99,9 +97,6 @@ class TracePoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other: "TracePoly | int") -> "TracePoly":
         if isinstance(other, int):
             other = TracePoly.constant(other)
@@ -110,8 +105,6 @@ class TracePoly:
             out[key] = out.get(key, 0) + val
         return TracePoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "TracePoly":
         return TracePoly({k: -v for k, v in self.terms.items()})
 
@@ -119,9 +112,6 @@ class TracePoly:
         if isinstance(other, int):
             other = TracePoly.constant(other)
         return self + (-other)
-
-    def __rsub__(self, other: int) -> "TracePoly":
-        return TracePoly.constant(other) + (-self)
 
     def __mul__(self, other: "TracePoly | int") -> "TracePoly":
         if isinstance(other, int):
@@ -154,21 +144,6 @@ class TracePoly:
             out[tup] = out.get(tup, 0) + val * exp
         return TracePoly(out)
 
-    def __repr__(self) -> str:  # pragma: no cover
-        if not self.terms:
-            return "TracePoly(0)"
-        names = "ABC"
-        parts = []
-        for key in sorted(self.terms):
-            val = self.terms[key]
-            mono = "".join(
-                f"{names[i]}^{e}" if e > 1 else names[i]
-                for i, e in enumerate(key)
-                if e
-            )
-            parts.append(f"{val:+d}{mono}" if mono else f"{val:+d}")
-        return "TracePoly(" + " ".join(parts) + ")"
-
 
 MARKOV = (
     TracePoly.variable(0) * TracePoly.variable(0)
@@ -179,217 +154,28 @@ MARKOV = (
 
 
 # ---------------------------------------------------------------------------
-# Trace of an arbitrary word in the rank-2 free group.
+# The trace equations of a monodromy word.
 # ---------------------------------------------------------------------------
 
 
-def _invert_letters(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((gen, -exp) for gen, exp in reversed(letters))
-
-
-def _cyclic_reduce(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    lst = list(letters)
-    while len(lst) >= 2 and lst[0][0] == lst[-1][0] and lst[0][1] == -lst[-1][1]:
-        lst = lst[1:-1]
-    return tuple(lst)
-
-def _canonical_cyclic(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    """Canonical cyclic representative of a word, up to inversion.
-
-    Trace is a conjugation-invariant class function with tr(g) = tr(g^-1),
-    so this canonical form is a valid key for its trace.  Between the word
-    and its inverse, the one with fewer inverse letters wins; the
-    reduction's termination argument needs canonicalization to never
-    increase that count.  Ties go to the least rotation.  That rotation
-    starts a maximal run of the least letter, since one that starts inside
-    a run meets a greater letter sooner, so only those are compared.  A
-    word with no such start is one letter repeated, and all its rotations
-    are equal.
-    """
-    reduced = _cyclic_reduce(letters)
-    if not reduced:
-        return reduced
-    # The inverse letters of the inverse word are the positive ones here.
-    surplus = 2 * sum(1 for _, exp in reduced if exp < 0) - len(reduced)
-    if surplus < 0:
-        bases = (reduced,)
-    elif surplus > 0:
-        bases = (_invert_letters(reduced),)
-    else:
-        bases = (reduced, _invert_letters(reduced))
-    rotations = []
-    for base in bases:
-        least, prev = min(base), base[-1]
-        for s, letter in enumerate(base):
-            if letter == least != prev:
-                rotations.append(base[s:] + base[:s])
-            prev = letter
-    return min(rotations, default=bases[0])
-
-
-_Key = tuple[tuple[int, int], ...]
-
-# Traces of the canonical words 1, a, b and ab, where the splits end.
-_BASE_TRACES = {
-    (): TracePoly.constant(2),
-    ((0, 1),): TracePoly.variable(0),
-    ((1, 1),): TracePoly.variable(1),
-    ((0, 1), (1, 1)): TracePoly.variable(2),
-}
-
-
-def trace_polynomial(word: Word) -> TracePoly:
-    """Trace of ``word`` (in generators a, b only) as a TracePoly.
-
-    Reduces via the SL2 identities tr(uv) = tr(u)tr(v) - tr(uv^-1) and
-    tr(g^-1) = tr(g) until only the base words 1, a, b, ab remain.  The
-    reduction is planned first, then expanded children first.  Each
-    subword's polynomial is dropped after its last use, so the expansion
-    of a long word holds only the polynomials it still needs.
-    """
-    return _expand([word])[0]
-
-
-def _fiber_letters(word: Word) -> tuple[tuple[int, int], ...]:
-    for gen, _ in word.letters:
-        if gen > 1:
-            raise ValueError("trace polynomials are defined for fiber words only")
-    return word.letters
-
-
-def _letters_word(letters: Iterable[tuple[int, int]]) -> Word:
-    out = Word()
-    for gen, exp in letters:
-        out = out * Word(((gen, exp),))
-    return out
-
-
-def _var_times_minus(var: int, p: TracePoly, q: TracePoly) -> TracePoly:
-    """X p - q for the trace variable X = A, B or C (``var`` 0, 1 or 2).
-
-    One dict pass, with the terms in the order ``X * p - q`` and
-    ``p * X - q`` give them: those of X p, then the new ones of q; a term
-    that cancels drops out.  The order matters because
-    ``CompiledTraceSystem`` sums in term order.
-    """
-    items = p.terms.items()
-    if var == 0:
-        out = {(i + 1, j, k): val for (i, j, k), val in items}
-    elif var == 1:
-        out = {(i, j + 1, k): val for (i, j, k), val in items}
-    else:
-        out = {(i, j, k + 1): val for (i, j, k), val in items}
-    for key, val in q.terms.items():
-        val = out.get(key, 0) - val
-        if val:
-            out[key] = val
-        else:
-            del out[key]
-    poly = TracePoly()
-    poly.terms = out
-    return poly
-
-
-def _split(can: _Key) -> tuple[int, _Key, _Key]:
-    """One SL2 step tr(can) = X tr(p) - tr(q) for a canonical word.
-
-    ``can`` is not a base word.  Returns the variable X (0, 1 or 2 for A,
-    B, C) and the canonical keys of p and q.
-    """
-    n = len(can)
-    if n == 2:
-        (g1, _), (g2, _) = can
-        if g1 == g2:
-            # Same generator twice: tr(g^2) = tr(g)^2 - 2.
-            return g1, ((g1, 1),), ()
-        # Mixed signs (same signs is the base word ab):
-        # tr(a b^-1) = tr(a)tr(b) - tr(ab).
-        return g1, ((g2, 1),), ((0, 1), (1, 1))
-
-    # Case 1: a repeated adjacent letter (cyclically).  Rotating it to the
-    # end, tr(u g g) = tr(g) tr(u g) - tr(u).
-    for i in range(n):
-        j = (i + 1) % n
-        if can[i] == can[j]:
-            cut = (j + 1) % n
-            rotated = can[cut:] + can[:cut]
-            return can[i][0], _canonical_cyclic(rotated[:-1]), _canonical_cyclic(rotated[:-2])
-
-    # Case 2: an inverse letter.  Rotate it to the end:
-    # tr(u g^-1) = tr(u) tr(g) - tr(u g).
-    for i in range(n):
-        if can[i][1] < 0:
-            cut = (i + 1) % n
-            rotated = can[cut:] + can[:cut]
-            u = rotated[:-1]
-            gen = can[i][0]
-            u_g = (_letters_word(u) * Word(((gen, 1),))).letters
-            return gen, _canonical_cyclic(u), _canonical_cyclic(u_g)
-
-    # Case 3: all letters positive and strictly alternating.  Split off the
-    # trailing two letters v, a positive ab or ba with tr(v) = C:
-    # tr(u v) = tr(u) tr(v) - tr(u v^-1).
-    v = can[-2:]
-    u = can[:-2]
-    u_v_inv = (_letters_word(u) * _letters_word(_invert_letters(v))).letters
-    return 2, _canonical_cyclic(u), _canonical_cyclic(u_v_inv)
-
-
-def _plan(
-    roots: Sequence[_Key],
-) -> tuple[dict[_Key, tuple[int, _Key, _Key]], Counter]:
-    """The splits that the canonical words ``roots`` need, and their uses.
-
-    The splits come children first, p's before q's, as a depth-first
-    walk from each root in turn meets them.  A key is used once per split
-    that names it and once per root.
-    """
-    plan: dict[_Key, tuple[int, _Key, _Key]] = {}
-    uses = Counter(roots)
-    # (key, None) is a key to split, (key, split) one whose children are planned
-    pending: list = [(root, None) for root in reversed(roots)]
-    while pending:
-        key, split = pending.pop()
-        if split is not None:
-            plan[key] = split
-        elif key not in plan and key not in _BASE_TRACES:
-            split = _split(key)
-            uses.update(split[1:])
-            pending.append((key, split))
-            pending.extend((child, None) for child in reversed(split[1:]))
-    return plan, uses
-
-
-def _expand(words: Sequence[Word]) -> list[TracePoly]:
-    """Traces of fiber words, expanded through one plan.
-
-    A key's polynomial, its term order included, depends on the key alone,
-    so each subword is expanded once whichever word needs it, and its
-    polynomial is dropped after its last use.
-    """
-    roots = [_canonical_cyclic(_fiber_letters(word)) for word in words]
-    plan, uses = _plan(roots)
-    values = dict(_BASE_TRACES)
-    for key, (var, p, q) in plan.items():
-        values[key] = _var_times_minus(var, values[p], values[q])
-        for child in (p, q):
-            uses[child] -= 1
-            if not uses[child]:
-                del values[child]
-    return [values[root] for root in roots]
-
-
-def trace_system(endo: EndoF2) -> tuple[TracePoly, TracePoly, TracePoly]:
-    """Fixed-point trace equations for a fiber automorphism.
+def trace_system(spec: MonodromySpec) -> tuple[TracePoly, TracePoly, TracePoly]:
+    """Fixed-point trace equations for a monodromy word.
 
     Returns (tr phi(a) - A, tr phi(b) - B, markov) where markov vanishes
     exactly when the peripheral holonomy is parabolic with trace -2.  The
-    two images are expanded through one plan local to this call, so a
-    subword they share is expanded once, and each subword's polynomial is
-    dropped after its last use by either image.
+    twists act on characters by L: (A, B, C) -> (C, B, BC - A) and
+    R: (A, B, C) -> (A, C, AC - B), composed in reading order; the
+    elliptic involution of a negated word fixes every character.  The
+    terms of each fixed-point equation come sorted by exponent triple,
+    the order in which ``CompiledTraceSystem`` sums them.
     """
-    trace_a, trace_b = _expand([endo.image_a, endo.image_b])
-    return (trace_a - TracePoly.variable(0), trace_b - TracePoly.variable(1), MARKOV)
+    variables = [TracePoly.variable(i) for i in range(3)]
+    a, b, c = variables
+    for letter in spec.letters:
+        a, b, c = (c, b, b * c - a) if letter == "L" else (a, c, a * c - b)
+    eq_a, eq_b = (TracePoly(dict(sorted((image - var).terms.items())))
+                  for image, var in zip((a, b), variables))
+    return (eq_a, eq_b, MARKOV)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +295,7 @@ _SIGN_CHANGES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
 
 
 def solve_traces(
-    endo: EndoF2,
-    *,
-    starts: int = 64,
-    seed: int = 0,
-    system: CompiledTraceSystem | None = None,
+    system: CompiledTraceSystem, *, starts: int = 64, seed: int = 0
 ) -> list[TraceTriple]:
     """Solve the trace equations by deterministic multistart Newton.
 
@@ -523,10 +305,8 @@ def solve_traces(
     of its eight sign and conjugation images within ``_DEDUP_TOL`` of a
     kept root.  The first root of an orbit in sorted order is kept, and its
     ``orbit_roots`` counts the roots it stands for.  ``system`` is the
-    compiled ``trace_system(endo)``, built here when the caller has none.
+    compiled ``trace_system`` of the word.
     """
-    if system is None:
-        system = CompiledTraceSystem(trace_system(endo))
     roots = newton_multistart(
         system,
         3,
@@ -601,9 +381,9 @@ def _polish_triple(triple: TraceTriple, system: CompiledTraceSystem) -> np.ndarr
 def holonomy_from_triple(
     triple: TraceTriple,
     endo: EndoF2,
+    system: CompiledTraceSystem,
     *,
     null_tol: float = 1e-9,
-    system: CompiledTraceSystem | None = None,
 ) -> Holonomy2:
     """SL2 holonomy of one trace solution, built once in extended precision.
 
@@ -615,13 +395,11 @@ def holonomy_from_triple(
     fiber representation is irreducible).  Those rank decisions run in
     double precision; the kernel vector is then sharpened by inverse
     iteration on the chosen system, X is scaled to determinant 1, and the
-    lift with trace nearest -2 is returned.  ``system`` is the compiled
-    ``trace_system(endo)``, built here when the caller has none.
+    lift with trace nearest -2 is returned.  ``endo`` is the word's
+    automorphism and ``system`` its compiled ``trace_system``.
     """
     if abs(triple.trace_ab) < 1e-12:
         raise ValueError("trace of ab must be nonzero for the matrix model")
-    if system is None:
-        system = CompiledTraceSystem(trace_system(endo))
     mats = _model_matrices(*_polish_triple(triple, system))
     fiber = GeneratorImages(mats)
     targets = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
@@ -951,17 +729,22 @@ class HolonomySolution:
 
 
 def build_solutions(
-    endo: EndoF2,
+    spec: MonodromySpec,
     *,
     starts: int = 64,
     seed: int = 0,
     tolerances: Tolerances | None = None,
 ) -> list[HolonomySolution]:
-    """Solve the trace equations and lift every solution through the tower."""
+    """Solve the trace equations and lift every solution through the tower.
+
+    The word's automorphism and compiled trace system are built once and
+    serve the solve and every lift.
+    """
     tols = tolerances or Tolerances()
-    system = CompiledTraceSystem(trace_system(endo))
+    endo = monodromy_endo(spec)
+    system = CompiledTraceSystem(trace_system(spec))
     out = []
-    for triple in solve_traces(endo, starts=starts, seed=seed, system=system):
-        sl2 = holonomy_from_triple(triple, endo, null_tol=tols.null, system=system)
+    for triple in solve_traces(system, starts=starts, seed=seed):
+        sl2 = holonomy_from_triple(triple, endo, system, null_tol=tols.null)
         out.append(HolonomySolution(triple, sl2, lorentz_holonomy(sl2)))
     return out

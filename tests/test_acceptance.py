@@ -28,12 +28,14 @@ from ptbundle.cli import run
 from ptbundle.holonomy import (
     LORENTZ_FORM,
     MARKOV,
+    CompiledTraceSystem,
     build_solutions,
     fixed_vectors_dim,
     holonomy_residuals,
     longitude_centralizer_dims,
     rep_residuals,
     solve_traces,
+    trace_system,
 )
 from ptbundle.numeric import (
     LaurentPoly,
@@ -134,8 +136,8 @@ def bundles():
     """Monodromy endomorphism and full solution list for both worked words."""
     out = {}
     for word in BUNDLE_WORDS:
-        endo = monodromy_endo(parse_monodromy(word))
-        out[word] = (endo, build_solutions(endo))
+        spec = parse_monodromy(word)
+        out[word] = (monodromy_endo(spec), build_solutions(spec))
     return out
 
 
@@ -188,8 +190,8 @@ class TestIntegerPolynomialTargets:
 
     def test_rrl_tensor_square_determinant_route(self, tmp_path):
         start = time.perf_counter()
-        endo = monodromy_endo(parse_monodromy("RRL"))
-        sols = build_solutions(endo)
+        spec = parse_monodromy("RRL")
+        endo, sols = monodromy_endo(spec), build_solutions(spec)
         polys = [
             bundle_twisted_alexander(endo, sol.representation("gl16"))
             for sol in sols
@@ -362,8 +364,8 @@ class TestAlgebraicProperties:
 
     def test_markov_residual_of_accepted_triples(self, bundles):
         for word in BUNDLE_WORDS:
-            endo, sols = bundles[word]
-            triples = solve_traces(endo)
+            _, sols = bundles[word]
+            triples = solve_traces(CompiledTraceSystem(trace_system(parse_monodromy(word))))
             assert triples
             for triple in triples:
                 assert abs(MARKOV.evaluate(triple.as_tuple())) <= 1e-10

@@ -106,14 +106,14 @@ SECOND_CYCLOTOMIC_LIKE = int_poly([1, -1, 1])
 
 @pytest.fixture(scope="module")
 def llrr():
-    endo = monodromy_endo(parse_monodromy("LLRR"))
-    return endo, build_solutions(endo)[0]
+    spec = parse_monodromy("LLRR")
+    return monodromy_endo(spec), build_solutions(spec)[0]
 
 
 @pytest.fixture(scope="module")
 def rrl():
-    endo = monodromy_endo(parse_monodromy("RRL"))
-    return endo, build_solutions(endo)[0]
+    spec = parse_monodromy("RRL")
+    return monodromy_endo(spec), build_solutions(spec)[0]
 
 
 def entry(image, i, j):
@@ -277,10 +277,11 @@ class TestBundleRoute:
             assert poly.max_exp == dim
 
     def test_all_solution_branches_agree(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
+        spec = parse_monodromy("LLRR")
+        endo = monodromy_endo(spec)
         polys = [
             integer_round(bundle_twisted_alexander(endo, sol.representation("sl4")))
-            for sol in build_solutions(endo)
+            for sol in build_solutions(spec)
         ]
         assert all(p == polys[0] for p in polys)
 
@@ -411,8 +412,9 @@ class TestPencilDeterminants:
     def test_failed_quotient_reduces_each_pencil_once(self, monkeypatch):
         # LLLLR solution 0: the gl16 quotient fails validation at all three
         # radii, and each retry samples the two reductions again
-        endo = monodromy_endo(parse_monodromy("LLLLR"))
-        rep = build_solutions(endo)[0].representation("gl16")
+        spec = parse_monodromy("LLLLR")
+        endo = monodromy_endo(spec)
+        rep = build_solutions(spec)[0].representation("gl16")
         reductions, radii = [], []
 
         def recording_reduction(a):

@@ -388,9 +388,9 @@ class TestOrbitCollapse:
 
     @pytest.mark.parametrize("word,roots", [("RRL", 1), ("LLRR", 3)])
     def test_sign_images_share_certificate_data(self, word, roots):
-        endo = monodromy_endo(parse_monodromy(word))
-        system = CompiledTraceSystem(trace_system(endo))
-        (kept,) = build_solutions(endo)
+        spec = parse_monodromy(word)
+        endo, system = monodromy_endo(spec), CompiledTraceSystem(trace_system(spec))
+        (kept,) = build_solutions(spec)
         expected = self.certificate_data(kept, endo)
         assert set(expected) == set(ALL_REPS)
         assert all(ints is not None for _, ints in expected.values())
@@ -406,16 +406,16 @@ class TestOrbitCollapse:
 
     @staticmethod
     def lift(triple, endo, system):
-        sl2 = holonomy_from_triple(triple, endo, system=system)
+        sl2 = holonomy_from_triple(triple, endo, system)
         return HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
 
     def test_every_image_of_every_character_rounds(self):
         # L^4R^4 keeps two characters with tr a or tr b = 0, and all eight
         # sign and conjugate images of each solve the trace equations.
         # Rounding to integers must not depend on which image is lifted.
-        endo = monodromy_endo(parse_monodromy("L^4R^4"))
-        system = CompiledTraceSystem(trace_system(endo))
-        solutions = build_solutions(endo)
+        spec = parse_monodromy("L^4R^4")
+        endo, system = monodromy_endo(spec), CompiledTraceSystem(trace_system(spec))
+        solutions = build_solutions(spec)
         assert len(solutions) == 2
         for kept in solutions:
             found = []

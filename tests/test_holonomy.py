@@ -1,20 +1,16 @@
-"""Tests for trace polynomials, trace solving, and the representation tower."""
+"""Tests for the trace equations, trace solving, and the representation tower."""
 
 import cmath
-import hashlib
 import itertools
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ptbundle import holonomy
 from ptbundle.holonomy import (
     KILLING_SPLIT,
-    LONGITUDE,
     LORENTZ_FORM,
     MARKOV,
     SL4_BASIS,
@@ -33,20 +29,28 @@ from ptbundle.holonomy import (
     restrict_block,
     sl4_coordinates,
     solve_traces,
-    trace_polynomial,
     trace_system,
 )
-from ptbundle.numeric import ESCAPE_RADIUS, EXT_COMPLEX, matrix_det, newton_multistart, nullspace
+from ptbundle.numeric import (
+    ESCAPE_RADIUS,
+    EXT_COMPLEX,
+    GeneratorImages,
+    matrix_det,
+    newton_multistart,
+    nullspace,
+    word_product,
+)
 from ptbundle.presentation import monodromy_endo, parse_monodromy
-from ptbundle.words import parse_word
 
 A = TracePoly.variable(0)
 B = TracePoly.variable(1)
 C = TracePoly.variable(2)
 
 
-def fiber_word(text):
-    return parse_word(text, ("a", "b"))
+def lift_inputs(word):
+    """The automorphism and compiled trace system of a monodromy word."""
+    spec = parse_monodromy(word)
+    return monodromy_endo(spec), CompiledTraceSystem(trace_system(spec))
 
 
 # Closed-form solution of the trace system for the LLRR monodromy:
@@ -183,7 +187,7 @@ class TestCompiledTraceSystem:
         assert got.tobytes() == want.tobytes()
 
     def test_empty_batch(self):
-        system = CompiledTraceSystem(trace_system(monodromy_endo(parse_monodromy("LLRR"))))
+        _, system = lift_inputs("LLRR")
         values, jac = system(np.zeros((0, 3), dtype=complex))
         assert values.shape == (0, 3)
         assert jac.shape == (0, 3, 3)
@@ -209,83 +213,11 @@ class TestCompiledTraceSystem:
             assert [values[index].tobytes(), jac[index].tobytes()] == alone
 
 
-class TestTracePolynomial:
-    def test_base_words(self):
-        assert trace_polynomial(fiber_word("1")) == TracePoly.constant(2)
-        assert trace_polynomial(fiber_word("a")) == A
-        assert trace_polynomial(fiber_word("B")) == B
-        assert trace_polynomial(fiber_word("ab")) == C
-        assert trace_polynomial(fiber_word("ba")) == C
-
-    def test_classical_identities(self):
-        assert trace_polynomial(fiber_word("a^2")) == A * A - 2
-        assert trace_polynomial(fiber_word("aB")) == A * B - C
-        assert trace_polynomial(fiber_word("Ab")) == A * B - C
-        assert trace_polynomial(fiber_word("ab^2")) == C * B - A
-        assert trace_polynomial(fiber_word("ba^2")) == A * C - B
-        assert trace_polynomial(fiber_word("a^3b")) == A * A * C - A * B - C
-        assert trace_polynomial(fiber_word("aba^2")) == (A * C - B) * A - C
-
-    def test_commutator_is_markov_minus_two(self):
-        assert trace_polynomial(LONGITUDE) == MARKOV - 2
-
-    def test_conjugation_invariance(self):
-        w = fiber_word("a^2bAb^3")
-        conj = fiber_word("bab") * w * fiber_word("bab").inverse()
-        assert trace_polynomial(conj) == trace_polynomial(w)
-        assert trace_polynomial(w.inverse()) == trace_polynomial(w)
-
-    def test_monodromy_image_traces(self):
-        llrr = monodromy_endo(parse_monodromy("LLRR"))
-        assert trace_polynomial(llrr.image_a) == C * B - A
-        assert trace_polynomial(llrr.image_b) == ((C * B - A) * B - C) * (
-            C * B - A
-        ) - B
-        rrl = monodromy_endo(parse_monodromy("RRL"))
-        assert trace_polynomial(rrl.image_a) == (A * C - B) * A - C
-        assert trace_polynomial(rrl.image_b) == A * C - B
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_matches_matrix_traces(self, seed):
-        """The trace polynomial is an identity for every SL2 pair.
-
-        Oracle: draw a random pair of unimodular matrices, a random word,
-        and compare the polynomial evaluated at (tr a, tr b, tr ab) with
-        the trace of the literal matrix product.
-        """
-        rng = np.random.default_rng(seed)
-
-        def random_sl2():
-            while True:
-                m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-                if abs(det) > 1e-3:
-                    return m / np.sqrt(complex(det))
-
-        mat_a, mat_b = random_sl2(), random_sl2()
-        point = (
-            complex(np.trace(mat_a)),
-            complex(np.trace(mat_b)),
-            complex(np.trace(mat_a @ mat_b)),
-        )
-        letters = rng.integers(0, 4, size=rng.integers(1, 9))
-        word = parse_word("".join("abAB"[k] for k in letters), ("a", "b")) or None
-        if word is None:
-            return
-        mats = {0: mat_a, 1: mat_b}
-        prod = np.eye(2, dtype=complex)
-        for gen, exp in word.letters:
-            prod = prod @ (mats[gen] if exp > 0 else np.linalg.inv(mats[gen]))
-        expected = complex(np.trace(prod))
-        got = trace_polynomial(word).evaluate(point)
-        assert abs(got - expected) < 1e-7 * max(1.0, abs(expected))
-
-
 # Every hyperbolic L/R word of length 2 to 7, all rotations included (240),
 # and the longer and negated words of the benchmark corpus.
 LR_WORDS = ["".join(letters) for n in range(2, 8) for letters in itertools.product("LR", repeat=n)
-            if "L" in letters and "R" in letters] + ["LLRLRRLR", "L^8R", "L^12R", "-LLRR", "-RRL"]
+            if "L" in letters and "R" in letters] + ["L^4R^4", "LLRLRRLR", "L^8R", "L^12R",
+                                                     "-LLRR", "-RRL"]
 
 
 @pytest.fixture(scope="module")
@@ -293,132 +225,78 @@ def lr_word_systems():
     out = {}
     for word in LR_WORDS:
         spec = parse_monodromy(word)
-        endo = monodromy_endo(spec)
-        out[word] = (spec, endo, trace_system(endo))
+        out[word] = (monodromy_endo(spec), trace_system(spec))
     return out
+
+
+def markov_points(rng, count):
+    """Random complex A, B with C a root of C^2 - ABC + A^2 + B^2 = 0."""
+    a, b = rng.standard_normal((2, count)) + 1j * rng.standard_normal((2, count))
+    roots = np.sqrt((a * b) ** 2 - 4 * (a * a + b * b))
+    c = (a * b + np.where(rng.integers(2, size=count), roots, -roots)) / 2
+    return np.stack([a, b, c], axis=1)
 
 
 class TestTraceSystem:
     def test_llrr_equations(self):
-        eqs = trace_system(monodromy_endo(parse_monodromy("LLRR")))
+        eqs = trace_system(parse_monodromy("LLRR"))
         assert eqs[0] == C * B - 2 * A
         assert eqs[1] == ((C * B - A) * B - C) * (C * B - A) - 2 * B
         assert eqs[2] == MARKOV
 
     def test_rrl_equations(self):
-        eqs = trace_system(monodromy_endo(parse_monodromy("RRL")))
+        eqs = trace_system(parse_monodromy("RRL"))
         assert eqs[0] == (A * C - B) * A - C - A
         assert eqs[1] == A * C - 2 * B
         assert eqs[2] == MARKOV
 
-    # sha256 of repr(list(eq.terms.items())) for tr phi(a) - A and
-    # tr phi(b) - B.  TracePoly equality ignores term order, but
-    # CompiledTraceSystem sums in term order, so the order decides the bits
-    # of every Newton iterate.
-    TERM_ORDER = {
-        "LLRR": ("eca9390fcc5db6f27c2ef63a0efaf8af28c493a71790d892105a5f92686539a1",
-                 "fd82c9b714d54a4e77b9a3a8864689ed52fdac39227fa14543695b88c90dbc56"),
-        "LRLRLR": ("af8c75b86952c46358c736c46fb99e669140a4bdaf3fd10ea3a04c547a139f2c",
-                   "362b0483fa93602959f79b15a5d11ffb805ea6d782999e5fac7f00d1d1d5508b"),
-        "L^8R": ("5528795b23f8da2bc7a0784cb9c35c2b314e5eea28af0c5a19eda2e8ed5a2f2d",
-                 "cc4f0c49d7b020e29f16beab69b08d0e37fe60128f4c344d9cdf94a29deb2b6a"),
-        "LLRLRRLR": ("eccc898be3e7d75300a68d96dc92b20334991afd669c0785ab39b88fbe2c9658",
-                     "03dd238620341c7bae24a97ba0f52c80deee9fd466df46085e233a5ee116ff90"),
-    }
-
-    @pytest.mark.parametrize("word", sorted(TERM_ORDER))
+    @pytest.mark.parametrize("word", LR_WORDS)
     def test_term_order_pinned(self, word):
-        eqs = trace_system(monodromy_endo(parse_monodromy(word)))
-        digests = tuple(hashlib.sha256(repr(list(eq.terms.items())).encode()).hexdigest()
-                        for eq in eqs[:2])
-        assert digests == self.TERM_ORDER[word]
+        # TracePoly equality ignores term order, but CompiledTraceSystem
+        # sums in term order, so the order decides the bits of every Newton
+        # iterate.
+        eqs = trace_system(parse_monodromy(word))
+        for eq in eqs[:2]:
+            assert list(eq.terms) == sorted(eq.terms)
+        assert eqs[2] is MARKOV
+        assert list(MARKOV.terms) == [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
 
-    @pytest.mark.parametrize("word", ["LLRR", "LRLRLR", "LLRLRRLR"])
-    def test_expands_each_subword_once(self, word, monkeypatch):
-        planned, built = [], []
-        plan, fused = holonomy._plan, holonomy._var_times_minus
-
-        def recording_plan(roots):
-            out = plan(roots)
-            planned.append(set(out[0]))
-            return out
-
-        def counting(var, p, q):
-            built.append(var)
-            return fused(var, p, q)
-
-        monkeypatch.setattr(holonomy, "_plan", recording_plan)
-        monkeypatch.setattr(holonomy, "_var_times_minus", counting)
-        endo = monodromy_endo(parse_monodromy(word))
-        trace_system(endo)
-        # one plan for both images, and one polynomial built per planned subword
-        [shared] = planned
-        assert len(built) == len(shared)
-        # and it plans just the subwords the two images need
-        planned.clear()
-        trace_polynomial(endo.image_a)
-        trace_polynomial(endo.image_b)
-        assert shared == planned[0] | planned[1]
-
-    def test_expansion_frees_subwords_after_last_use(self):
-        # A memo that keeps every subword trace until the call ends peaks
-        # at about 14 MB here.
-        endo = monodromy_endo(parse_monodromy("LLRLRRLR"))
+    def test_composition_memory_bounded(self):
+        # The composition holds three polynomials at a time, so the peak
+        # stays near the size of the result (893 terms in tr phi(b)).
         tracemalloc.start()
         try:
-            trace_system(endo)
+            trace_system(parse_monodromy("LLRLRRLRR"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 5e6
 
-    def test_matches_letter_maps(self, lr_word_systems):
-        """The letters act on characters: L by (A, B, C) -> (C, B, BC - A) and
-        R by (A, B, C) -> (A, C, AC - B), in reading order.  The elliptic
-        involution of a negated word fixes every character.  This oracle
-        does not depend on the order of terms."""
+    def test_matches_matrix_traces(self, lr_word_systems):
+        """At points of the Markov surface, tr phi(a) and tr phi(b) from the
+        letter maps are the traces of the automorphism's image words,
+        multiplied out over the model matrices that the lift and the Wada
+        route use."""
+        rng = np.random.default_rng(0)
         wrong = []
-        for word, (spec, _, eqs) in lr_word_systems.items():
-            a, b, c = A, B, C
-            for letter in spec.letters:
-                a, b, c = (c, b, b * c - a) if letter == "L" else (a, c, a * c - b)
-            if (eqs[0], eqs[1]) != (a - A, b - B):
-                wrong.append(word)
+        for word, (endo, eqs) in lr_word_systems.items():
+            for point in markov_points(rng, 5):
+                fiber = GeneratorImages(holonomy._model_matrices(*point))
+                for eq, var, image in ((eqs[0], A, endo.image_a), (eqs[1], B, endo.image_b)):
+                    want = complex(np.trace(word_product(image, fiber)))
+                    got = (eq + var).evaluate(point)
+                    if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+                        wrong.append((word, str(image), got, want))
         assert wrong == []
 
     def test_degree_at_most_word_length(self, lr_word_systems):
         """tr of a word of length n has total degree at most n."""
         over = []
-        for word, (_, endo, eqs) in lr_word_systems.items():
+        for word, (endo, eqs) in lr_word_systems.items():
             for image, trace in ((endo.image_a, eqs[0] + A), (endo.image_b, eqs[1] + B)):
                 if max(map(sum, trace.terms)) > len(image):
                     over.append((word, str(image)))
         assert over == []
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_fused_step_matches_operator_arithmetic(self, seed):
-        """X p - q in one pass gives the item list of the operator route.
-
-        q reuses some keys of X p, with the same coefficient (the term
-        cancels) or another one, so cancellation and the order of merged
-        keys are both exercised.
-        """
-        rng = np.random.default_rng(seed)
-
-        def random_poly(size):
-            return TracePoly({tuple(int(e) for e in rng.integers(0, 4, size=3)):
-                              int(rng.integers(-5, 6)) for _ in range(size)})
-
-        p, q = random_poly(int(rng.integers(0, 8))), random_poly(int(rng.integers(0, 8)))
-        var = int(rng.integers(0, 3))
-        shifted = (TracePoly.variable(var) * p).terms
-        reused = {key: val if rng.integers(2) else val + 1
-                  for key, val in shifted.items() if rng.integers(2)}
-        q = TracePoly({**reused, **q.terms})
-        fused = list(holonomy._var_times_minus(var, p, q).terms.items())
-        assert fused == list((TracePoly.variable(var) * p - q).terms.items())
-        assert fused == list((p * TracePoly.variable(var) - q).terms.items())
 
 
 class RecordingSystem:
@@ -437,19 +315,18 @@ class RecordingSystem:
 
 class TestSolveTraces:
     def test_llrr_finds_geometric_branch(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
-        sols = solve_traces(endo, seed=0)
+        _, system = lift_inputs("LLRR")
+        sols = solve_traces(system, seed=0)
         assert sum(s.orbit_roots for s in sols) >= 4
         target = llrr_exact_triple()
         assert min(triple_distance(s, target) for s in sols) < 1e-9
-        eqs = trace_system(endo)
         for sol in sols:
-            for eq in eqs:
+            for eq in system.equations:
                 assert abs(eq.evaluate(sol.as_tuple())) < 1e-9
 
     def test_rrl_finds_geometric_branch(self):
-        endo = monodromy_endo(parse_monodromy("RRL"))
-        sols = solve_traces(endo, seed=0)
+        _, system = lift_inputs("RRL")
+        sols = solve_traces(system, seed=0)
         assert sols
         assert any(
             min(
@@ -461,20 +338,19 @@ class TestSolveTraces:
         )
 
     def test_deterministic_for_fixed_seed(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
-        first = solve_traces(endo, seed=3)
-        second = solve_traces(endo, seed=3)
+        _, system = lift_inputs("LLRR")
+        first = solve_traces(system, seed=3)
+        second = solve_traces(system, seed=3)
         assert [s.as_tuple() for s in first] == [s.as_tuple() for s in second]
 
     def test_diverging_starts_raise_no_warning(self):
         # At seed 0 some LLRLRRLR starts overflow in the degree-19 system
         # inside ESCAPE_RADIUS, before the Newton loop discards them as
         # non-finite.
-        endo = monodromy_endo(parse_monodromy("LLRLRRLR"))
-        system = RecordingSystem(CompiledTraceSystem(trace_system(endo)))
+        system = RecordingSystem(lift_inputs("LLRLRRLR")[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            solve_traces(endo, seed=0, system=system)
+            solve_traces(system, seed=0)
         stopped = sum(int((~np.isfinite(values).all(axis=1)).sum())
                       for values in system.values)
         assert stopped > 0
@@ -483,15 +359,13 @@ class TestSolveTraces:
         # At seed 0 most LRLRLR starts escape to infinity; F stays finite
         # there up to |z| ~ 1e46, so without the radius they run all 80
         # iterations: 80 + 3 polish + 1 residual system calls.
-        endo = monodromy_endo(parse_monodromy("LRLRLR"))
-        system = RecordingSystem(CompiledTraceSystem(trace_system(endo)))
-        solve_traces(endo, seed=0, system=system)
+        system = RecordingSystem(lift_inputs("LRLRLR")[1])
+        solve_traces(system, seed=0)
         assert len(system.points) < 84
         assert max(np.max(np.abs(z), initial=0.0) for z in system.points) <= ESCAPE_RADIUS
 
     def test_conjugates_collapsed(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
-        sols = solve_traces(endo, seed=0)
+        sols = solve_traces(lift_inputs("LLRR")[1], seed=0)
         for i, s in enumerate(sols):
             for t in sols[i + 1 :]:
                 conj = np.array(s.as_tuple()).conj()
@@ -499,7 +373,7 @@ class TestSolveTraces:
 
     @pytest.mark.parametrize("word", ["LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR"])
     def test_one_solution_per_orbit(self, word):
-        sols = solve_traces(monodromy_endo(parse_monodromy(word)), seed=0)
+        sols = solve_traces(lift_inputs(word)[1], seed=0)
         for i, s in enumerate(sols):
             for t in sols[i + 1 :]:
                 assert triple_distance(s, t.as_tuple()) > 1e-6
@@ -507,9 +381,9 @@ class TestSolveTraces:
 
 class TestFiberMatrices:
     def test_trace_coordinates_recovered(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
-        sol = solve_traces(endo, seed=0)[0]
-        rep = holonomy_from_triple(sol, endo)
+        endo, system = lift_inputs("LLRR")
+        sol = solve_traces(system, seed=0)[0]
+        rep = holonomy_from_triple(sol, endo, system)
         mat_a, mat_b = (m.astype(complex) for m in (rep.mat_a, rep.mat_b))
         assert np.trace(mat_a) == pytest.approx(sol.trace_a)
         assert np.trace(mat_b) == pytest.approx(sol.trace_b)
@@ -518,27 +392,27 @@ class TestFiberMatrices:
         assert np.linalg.det(mat_b) == pytest.approx(1.0)
 
     def test_rejects_vanishing_trace_ab(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
+        endo, system = lift_inputs("LLRR")
         with pytest.raises(ValueError):
-            holonomy_from_triple(TraceTriple(1.0, 1.0, 0.0), endo)
+            holonomy_from_triple(TraceTriple(1.0, 1.0, 0.0), endo, system)
 
 
 class TestMeridian:
     def test_llrr_meridian_matches_known_matrix(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
-        sols = solve_traces(endo, seed=0)
+        endo, system = lift_inputs("LLRR")
+        sols = solve_traces(system, seed=0)
         target = llrr_exact_triple()
         sol = min(sols, key=lambda s: triple_distance(s, target))
         assert triple_distance(sol, target) < 1e-9
-        rep = holonomy_from_triple(sol, endo)
+        rep = holonomy_from_triple(sol, endo, system)
         expected = np.array([[-1.0, 1j], [0.0, -1.0]])
         if is_conjugate_representative(sol, target):
             expected = expected.conj()
         assert np.max(np.abs(rep.mat_x - expected)) < 1e-8
 
     def test_rrl_meridian_matches_known_matrix(self):
-        endo = monodromy_endo(parse_monodromy("RRL"))
-        sols = solve_traces(endo, seed=0)
+        endo, system = lift_inputs("RRL")
+        sols = solve_traces(system, seed=0)
         sol = min(
             sols,
             key=lambda s: min(
@@ -546,7 +420,7 @@ class TestMeridian:
                 abs(s.trace_a - rrl_exact_trace_a().conjugate()),
             ),
         )
-        rep = holonomy_from_triple(sol, endo)
+        rep = holonomy_from_triple(sol, endo, system)
         expected = np.array([[-1.0, -(1 + 1j * cmath.sqrt(7)) / 4], [0.0, -1.0]])
         if abs(sol.trace_a - rrl_exact_trace_a().conjugate()) < abs(
             sol.trace_a - rrl_exact_trace_a()
@@ -560,13 +434,13 @@ class TestMeridian:
     ])
     def test_failure_names_the_cause(self, word, message):
         with pytest.raises(ArithmeticError, match=message):
-            build_solutions(monodromy_endo(parse_monodromy(word)))
+            build_solutions(parse_monodromy(word))
 
     def test_residuals_small(self):
         for name in ("LLRR", "RRL"):
-            endo = monodromy_endo(parse_monodromy(name))
-            for sol in solve_traces(endo, seed=0):
-                rep = holonomy_from_triple(sol, endo)
+            endo, system = lift_inputs(name)
+            for sol in solve_traces(system, seed=0):
+                rep = holonomy_from_triple(sol, endo, system)
                 res = holonomy_residuals(rep, endo)
                 assert max(res.values()) < 1e-9, (name, res)
 
@@ -594,8 +468,8 @@ class TestLorentz:
         assert np.max(np.abs(left - right)) < 1e-10
 
     def test_geometric_images_are_lorentz(self):
-        endo = monodromy_endo(parse_monodromy("LLRR"))
-        rep = holonomy_from_triple(solve_traces(endo, seed=0)[0], endo)
+        endo, system = lift_inputs("LLRR")
+        rep = holonomy_from_triple(solve_traces(system, seed=0)[0], endo, system)
         lor = lorentz_holonomy(rep)
         for mat in lor.generator_images():
             assert np.max(np.abs(mat.imag)) == 0.0
@@ -638,10 +512,10 @@ class TestLorentz:
             [[1, 0, 1, 1], [0, 1, 0, 0], [-1, 0, 0.5, -0.5], [1, 0, 0.5, 1.5]],
             dtype=float,
         )
-        endo = monodromy_endo(parse_monodromy("LLRR"))
+        endo, system = lift_inputs("LLRR")
         target = llrr_exact_triple()
-        sol = min(solve_traces(endo, seed=0), key=lambda s: triple_distance(s, target))
-        lor = lorentz_holonomy(holonomy_from_triple(sol, endo))
+        sol = min(solve_traces(system, seed=0), key=lambda s: triple_distance(s, target))
+        lor = lorentz_holonomy(holonomy_from_triple(sol, endo, system))
         mine = lor.generator_images()
         eye = np.eye(4)
         blocks = [
@@ -679,8 +553,8 @@ class TestSl4Basis:
 
 @pytest.fixture(scope="module")
 def llrr_solution():
-    endo = monodromy_endo(parse_monodromy("LLRR"))
-    sols = build_solutions(endo, seed=0)
+    spec = parse_monodromy("LLRR")
+    endo, sols = monodromy_endo(spec), build_solutions(spec, seed=0)
     target = llrr_exact_triple()
     return endo, min(sols, key=lambda s: triple_distance(s.triple, target))
 

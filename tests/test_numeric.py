@@ -29,7 +29,7 @@ from ptbundle.numeric import (
     root_multiplicity,
 )
 from ptbundle.numeric import _eliminate, _hessenberg as hessenberg
-from ptbundle.presentation import monodromy_endo, parse_monodromy
+from ptbundle.presentation import parse_monodromy
 
 A, B, C = (TracePoly.variable(i) for i in range(3))
 
@@ -565,13 +565,12 @@ def test_newton_singular_jacobian_starts():
 
 @pytest.mark.parametrize("word", ["LR", "LLRR", "LLLRRR", "LRLRLR", "L^8R", "LLRLRRLR"])
 def test_solve_traces_matches_scalar_newton(word, monkeypatch):
-    endo = monodromy_endo(parse_monodromy(word))
-    system = CompiledTraceSystem(trace_system(endo))
+    system = CompiledTraceSystem(trace_system(parse_monodromy(word)))
     for seed in (0, 3):
-        batched = solve_traces(endo, seed=seed, system=system)
+        batched = solve_traces(system, seed=seed)
         with monkeypatch.context() as patch:
             patch.setattr(holonomy, "newton_multistart", scalar_multistart)
-            scalar = solve_traces(endo, seed=seed, system=system)
+            scalar = solve_traces(system, seed=seed)
         assert batched
         assert roots_bytes([t.as_tuple() for t in batched]) == roots_bytes(
             [t.as_tuple() for t in scalar])
