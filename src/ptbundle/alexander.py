@@ -6,15 +6,15 @@ character, a removed column, and a determinant quotient.  The image of a
 group-ring element is the map {weight w: matrix M_w} of sum_w x^w M_w,
 the Fox minor is the block matrix of those maps, and the quotient of
 the two determinants is interpolated pointwise, as in every other
-quotient of the package.  Route two is
-dynamical: the inverse monodromy acts on cocycles of the fiber group, and
-the characteristic polynomial of that action (on all cocycles modulo
-coboundaries, or restricted to the cocycles killing the longitude)
-recovers the same invariant.  ``route_agreement`` compares a polynomial
-from route one with an action from route two, both computed by the
-caller.  The two routes share one Fox matrix, so their polynomials agree
-for any images; what can fail is the coboundary step of route two, which
-holds only when the images satisfy the bundle relations.
+quotient of the package.  For a bundle the minor is a pencil in t whose
+meridian factors out: the quotient is det(A - t) / det(rep(x)^-1 - t),
+with A the Fox blocks of the monodromy images times rep(x)^-1.  Route two
+is dynamical: the same A is the inverse monodromy's action on cocycles
+of the fiber group, and the characteristic polynomial of its restriction
+to the cocycles killing the longitude recovers the invariant.  Dividing
+by det(rep(x)^-1 - t) is the passage to cohomology only if A carries
+coboundaries by rep(x)^-1, which holds exactly when the images satisfy
+the bundle relations; ``coboundary_defect`` measures that.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .numeric import (
     Tolerances,
     char_poly,
     det_polymatrix,
-    equal_up_to_unit,
     matrix_det,
     normalize_unit,
     nullspace,
@@ -213,35 +212,21 @@ def twisted_alexander(
 RepImages = Mapping[int, np.ndarray]
 
 
-def _fiber_fox_blocks(endo: EndoF2, rep: GeneratorImages) -> list[list[np.ndarray]]:
-    """Constant matrices of the fiber Fox derivatives of the two images."""
-    return [
-        [_ring_matrix(fox_derivative(image, j), rep) for j in range(2)]
-        for image in (endo.image_a, endo.image_b)
-    ]
+def _fox_action(endo: EndoF2, rep: GeneratorImages) -> np.ndarray:
+    """The 2n x 2n block matrix A = (I2 (x) rep(x)^-1) P.
 
-
-def _pencil_quotient(p, q, r, s, tols: Tolerances) -> LaurentPoly:
-    """det(P - tQ) / det(R - tS), a polynomial of degree dim R, by sampling.
-
-    Q and S must be invertible; None stands for the identity.  Each pencil
-    is reduced to Hessenberg form once (``pencil_det``), so a radius that
-    fails validation costs only the O(n^2)-per-point samples of the next.
-    A singular Q or S raises an ArithmeticError naming the numerator or
-    the denominator.  Real matrices (those of a real representation) give
-    a real polynomial, which is sampled on half the circle and realified.
+    P holds the constant matrices of the fiber Fox derivatives of the two
+    monodromy images.  A singular meridian image raises an ArithmeticError
+    that names it.
     """
-    real = all(np.isrealobj(m) for m in (p, q, r, s) if m is not None)
-    quotient = quotient_interpolate(
-        pencil_det(p, q, name="numerator"),
-        pencil_det(r, s, name="denominator"),
-        np.shape(r)[0],
-        tol=tols.det,
-        real=real,
-    )
-    if real:
-        quotient = quotient.realified(1e-6)
-    return quotient
+    try:
+        prefactor = rep.inverse(2)
+    except ArithmeticError:
+        raise ArithmeticError("singular meridian image") from None
+    return np.block([
+        [prefactor @ _ring_matrix(fox_derivative(image, j), rep) for j in range(2)]
+        for image in (endo.image_a, endo.image_b)
+    ])
 
 
 def bundle_twisted_alexander(
@@ -252,23 +237,29 @@ def bundle_twisted_alexander(
 ) -> LaurentPoly:
     """Twisted Alexander polynomial of a bundle, meridian column removed.
 
-    The minor is the 2x2 block pencil (Fox blocks of the monodromy images
-    minus t times the meridian image on the diagonal) and the denominator
-    det(I - t rep(x)) has all roots at t = 1 because the meridian image
-    is unipotent.  The quotient is therefore recovered by pointwise
-    division on a circle away from 1 followed by interpolation; longhand
-    coefficient division would amplify roundoff combinatorially.  Both
-    determinants are sampled from the Fox pencil itself, P with
-    Q = I2 (x) rep(x), not from the cocycle action, so that
-    ``route_agreement`` compares two computations.
+    The minor is the 2x2 block pencil P - t (I2 (x) rep(x)), P the Fox
+    blocks of the monodromy images, and the denominator is
+    det(I - t rep(x)).  With A = (I2 (x) rep(x)^-1) P, the action matrix of
+    ``monodromy_action``, the pencil factors as (I2 (x) rep(x)) (A - t),
+    so the quotient is det rep(x) * det(A - t) / det(rep(x)^-1 - t): a
+    polynomial of degree n, returned without the unit det rep(x), which
+    is 1 for a unipotent meridian.  The denominator's roots then all sit
+    at t = 1, so the quotient is recovered by pointwise division on
+    circles away from 1 followed by interpolation; longhand coefficient
+    division would amplify roundoff combinatorially.  A and rep(x)^-1 are
+    each reduced to Hessenberg form once (``pencil_det``), so a radius
+    that fails validation costs only the O(n^2)-per-point samples of the
+    next.  A real representation gives a real polynomial, sampled on half
+    the circle and realified.
     """
+    tols = tolerances or Tolerances()
     rep = GeneratorImages.of(rep)
-    mer = np.asarray(rep[2])
-    return _pencil_quotient(
-        np.block(_fiber_fox_blocks(endo, rep)), np.kron(np.eye(2), mer),
-        np.eye(mer.shape[0]), mer,
-        tolerances or Tolerances(),
-    )
+    action = _fox_action(endo, rep)
+    mer_inv = rep.inverse(2)
+    real = np.isrealobj(action)
+    quotient = quotient_interpolate(pencil_det(action), pencil_det(mer_inv),
+                                    mer_inv.shape[0], tol=tols.det, real=real)
+    return quotient.realified(1e-6) if real else quotient
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +310,12 @@ def monodromy_action(
     A cocycle is evaluated on the monodromy images of a and b and then
     multiplied by the inverse meridian, so only the Fox derivatives of
     those images are needed.  The matrix is the determinant route's
-    pencil with the meridian factored out, which is why its quotient
-    polynomial matches the Wada polynomial up to a unit.
+    pencil with the meridian factored out (``_fox_action``), the same
+    matrix whose characteristic polynomial gives the Wada polynomial.
     """
     tols = tolerances or Tolerances()
     rep = GeneratorImages.of(rep)
-    prefactor = rep.inverse(2)
-    fox = _fiber_fox_blocks(endo, rep)
-    matrix = np.block([[prefactor @ cell for cell in row] for row in fox])
+    matrix = _fox_action(endo, rep)
 
     kernel = nullspace(res_l_map(rep), tol=tols.null)
     carried = matrix @ kernel
@@ -357,48 +346,3 @@ def coboundary_defect(action: CocycleAction, rep: RepImages) -> float:
     embed = np.vstack([eye - np.asarray(rep[0]), eye - np.asarray(rep[1])])
     diff = action.matrix @ embed - embed @ rep.inverse(2)
     return float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(embed))))
-
-
-# ---------------------------------------------------------------------------
-# Agreement of the two routes.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RouteAgreement:
-    """Determinant route vs cocycle-quotient route, compared up to units."""
-
-    wada: LaurentPoly
-    action_quotient: LaurentPoly
-    coboundary_defect: float
-    match: bool
-
-
-def route_agreement(
-    wada: LaurentPoly,
-    action: CocycleAction,
-    rep: RepImages,
-    *,
-    tolerances: Tolerances | None = None,
-    match_tol: float = 1e-6,
-) -> RouteAgreement:
-    """Cross-check a determinant-route polynomial against a cocycle action.
-
-    The second polynomial is det(A - t) / det(rep(x)^-1 - t): the
-    characteristic polynomial of the action on all cocycle pairs divided
-    by that of its restriction to the coboundaries.  Factoring rep(x) out
-    of the determinant route's pencil shows the two agree up to a unit,
-    with no reciprocal, whatever the images.  The division is the
-    action on cohomology only if the action carries coboundaries by
-    rep(x)^-1, which holds exactly when the images satisfy the bundle
-    relations; so a match also needs `coboundary_defect` within
-    `match_tol`.
-    """
-    tols = tolerances or Tolerances()
-    rep = GeneratorImages.of(rep)
-    quotient = _pencil_quotient(action.matrix, None, rep.inverse(2), None, tols)
-    defect = coboundary_defect(action, rep)
-    match = defect <= match_tol and equal_up_to_unit(wada, quotient, tol=match_tol)
-    return RouteAgreement(
-        wada=wada, action_quotient=quotient, coboundary_defect=defect, match=match
-    )

@@ -293,7 +293,6 @@ def certify(
     tolerances: Optional[Tolerances] = None,
     reps: Sequence[str] = ALL_REPS,
     solution_index: Optional[int] = None,
-    with_cross_checks: bool = True,
 ) -> RigidityReport:
     """Run the full certification pipeline for a monodromy word.
 
@@ -307,10 +306,10 @@ def certify(
     own: an ArithmeticError, ValueError or LinAlgError in its residuals,
     in one representation's images or certificate, or in one of its
     cross-checks is recorded in that solution's `failures`, and the
-    other representations and solutions still complete.  With
-    `with_cross_checks` (the default) the structural consistency checks
-    run as well and may downgrade per-solution verdicts.  Input errors
-    and an empty solution set raise as in `select_solutions`.
+    other representations and solutions still complete.  The structural
+    consistency checks then run and may downgrade per-solution verdicts.
+    Input errors and an empty solution set raise as in
+    `select_solutions`.
     """
     if isinstance(spec, str):
         spec = parse_monodromy(spec)
@@ -332,9 +331,7 @@ def certify(
             for index, sol in picked
         ],
     )
-    if with_cross_checks:
-        report = cross_checks(report)
-    return report
+    return cross_checks(report)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +379,11 @@ def _check_routes(
 ) -> tuple[CrossCheck, list[str]]:
     """Whether both polynomial routes hold on each label's images.
 
-    The routes share one Fox matrix, so their polynomials agree for any
-    images; they are the bundle's invariant only if the images satisfy
-    the bundle relations.  So the check builds the route the label's
-    certificate did not use, which fails if it cannot be built, and
-    compares the label's relation residual with the root tolerance.
+    Both routes start from one cocycle action matrix; their polynomials
+    are the bundle's invariant only if the images satisfy the bundle
+    relations.  So the check builds the route the label's certificate
+    did not use, which fails if it cannot be built, and compares the
+    label's relation residual with the root tolerance.
     """
     matches = {}
     failures = []

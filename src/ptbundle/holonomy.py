@@ -421,7 +421,7 @@ def holonomy_from_triple(
     # solve-and-normalize rounds from the double vector give it to extended
     # accuracy.
     normal = stacked.conj().T @ stacked
-    shifted = normal + np.longdouble(1e-36) * np.max(np.abs(normal)) * np.eye(4)
+    shifted = normal + np.finfo(np.longdouble).eps * np.max(np.abs(normal)) * np.eye(4)
     vec = vec.astype(EXT_COMPLEX)
     for _ in range(2):
         vec = linear_solve(shifted, vec)

@@ -9,12 +9,12 @@ determinants) goes through one engine, ``interpolate_on_circle``: the
 function is sampled on a circle, the coefficients are read off with one
 inverse DFT, and the result is validated at two fresh points on the same
 circle before it is returned.  The points of one radius arrive as one
-array.  Characteristic polynomials and pencil quotients sample
-det(p - t q) through ``pencil_det``: q^-1 p is reduced to upper
-Hessenberg form once per pencil, before the first radius, and the points
-of each radius are then one batched O(n^2)-per-point LU.  Polynomial
-matrices in general (``det_polymatrix``) are one stack for one
-``matrix_det`` call per radius.
+array.  Characteristic polynomials and their quotients sample
+det(p - t) through ``pencil_det``: p is reduced to upper Hessenberg form
+once, before the first radius, and the points of each radius are then
+one batched O(n^2)-per-point LU.  Polynomial matrices in general
+(``det_polymatrix``) are one stack for one ``matrix_det`` call per
+radius.
 A polynomial with real coefficients (its caller's matrices have a real
 dtype) takes conjugate values at conjugate points, so it is sampled only
 on the closed upper half of the circle: count // 2 + 3 points per radius
@@ -107,12 +107,12 @@ def matrix_det(a: np.ndarray):
     return det.reshape(batch)[()]
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray):
-    """Solve a x = b by Gaussian elimination with partial pivoting; also det a.
+def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b by Gaussian elimination with partial pivoting.
 
-    The one elimination behind ``linear_solve`` and ``pencil_det``: the
-    determinant is the signed product of the pivots, taken on the way.
-    Raises ArithmeticError on an exactly zero pivot.
+    Unlike numpy.linalg.solve this keeps longdouble/clongdouble inputs in
+    their own precision.  b may be a vector or a matrix of right-hand
+    sides.  Raises ArithmeticError on an exactly zero pivot.
     """
     a = np.array(a, copy=True)
     vector = np.ndim(b) == 1
@@ -121,7 +121,6 @@ def _eliminate(a: np.ndarray, b: np.ndarray):
         rhs = rhs.reshape(-1, 1)
     a = a.astype(rhs.dtype, copy=False)
     n = a.shape[0]
-    det = rhs.dtype.type(1)
     for k in range(n):
         p = int(np.argmax(np.abs(a[k:, k]))) + k
         if a[p, k] == 0:
@@ -129,24 +128,12 @@ def _eliminate(a: np.ndarray, b: np.ndarray):
         if p != k:
             a[[k, p]] = a[[p, k]]
             rhs[[k, p]] = rhs[[p, k]]
-            det = -det
-        det = det * a[k, k]
         factors = a[k + 1:, k] / a[k, k]
         a[k + 1:, k:] -= factors[:, None] * a[k, k:]
         rhs[k + 1:] -= factors[:, None] * rhs[k]
     for k in range(n - 1, -1, -1):
         rhs[k] = (rhs[k] - a[k, k + 1:] @ rhs[k + 1:]) / a[k, k]
-    return (rhs[:, 0] if vector else rhs), det
-
-
-def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting.
-
-    Unlike numpy.linalg.solve this keeps longdouble/clongdouble inputs in
-    their own precision.  b may be a vector or a matrix of right-hand
-    sides.  Raises ArithmeticError on an exactly zero pivot.
-    """
-    return _eliminate(a, b)[0]
+    return rhs[:, 0] if vector else rhs
 
 
 def matrix_inverse(a: np.ndarray) -> np.ndarray:
@@ -205,27 +192,15 @@ def _hessenberg_det(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return det * row[:, 0]
 
 
-def pencil_det(p: np.ndarray, q: Optional[np.ndarray] = None, *,
-               name: str = "pencil") -> Callable[[np.ndarray], np.ndarray]:
-    """z -> det(p - z q) over an array of points, q invertible (None: identity).
+def pencil_det(p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> det(p - z I) over an array of points.
 
-    One elimination of q gives q^-1 p and det q, and q^-1 p is reduced to
-    upper Hessenberg form H once, in extended precision of the pencil's own
-    kind (real for real p and q).  Each call then costs O(n^2) per point:
-    det(p - z q) = det q * det(H - z I).  A singular q raises an
-    ArithmeticError that names the pencil.
+    p is reduced to upper Hessenberg form H once, in extended precision of
+    its own kind (real for a real p), and each call then costs O(n^2) per
+    point: det(p - z I) = det(H - z I).
     """
-    real = np.isrealobj(p) and (q is None or np.isrealobj(q))
-    dtype = _REAL_DT if real else EXT_COMPLEX
-    a = np.asarray(p).astype(dtype)
-    det_q = dtype(1)
-    if q is not None:
-        try:
-            a, det_q = _eliminate(np.asarray(q).astype(dtype), a)
-        except ArithmeticError:
-            raise ArithmeticError("%s det(p - t q): singular q" % name) from None
-    h = _hessenberg(a)
-    return lambda z: det_q * _hessenberg_det(h, z)
+    h = _hessenberg(np.asarray(p).astype(_REAL_DT if np.isrealobj(p) else EXT_COMPLEX))
+    return lambda z: _hessenberg_det(h, z)
 
 
 class GeneratorImages(Mapping):
@@ -497,8 +472,12 @@ def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
             raw = dft @ (values / points[:count] ** lo) / count
             size = np.abs(raw.astype(complex))
             coeffs = raw / r ** k.astype(_REAL_DT)
+            # the cutoff, relative to the largest radius-scaled coefficient,
+            # sits above the DFT's rounding and below real coefficients: a
+            # degree-32 determinant with coefficients up to 2.5e11 can have
+            # constant term 1
             poly = LaurentPoly({lo + j: coeffs[j]
-                                for j in np.flatnonzero(size > 1e-12 * size.max())})
+                                for j in np.flatnonzero(size > 1e-15 * size.max())})
             scale = max(float(np.max(np.abs(values.astype(complex)))), 1.0)
             for z, reference in zip(points[count:], sampled[half:]):
                 residual = abs(complex(poly.evaluate(z) - reference))
@@ -542,8 +521,8 @@ def char_poly(m: np.ndarray, tol: float = 1e-8,
               radii: Sequence[float] = DET_RADII) -> LaurentPoly:
     """det(m - t I) by sample-and-interpolate; leading coefficient snapped to (-1)^n.
 
-    m is reduced to Hessenberg form once (``pencil_det`` with q = I), and
-    every radius samples that.  A real m is sampled on half the circle and
+    m is reduced to Hessenberg form once (``pencil_det``), and every
+    radius samples that.  A real m is sampled on half the circle and
     gives a realified polynomial.
     """
     n = m.shape[0]

@@ -8,14 +8,12 @@ import ptbundle.numeric
 from ptbundle.alexander import (
     RingRep,
     WadaInvariant,
-    _pencil_quotient,
     bundle_twisted_alexander,
     coboundary_defect,
     monodromy_action,
     phi_map,
     relative_char_poly,
     res_l_map,
-    route_agreement,
     twisted_alexander,
 )
 from ptbundle.certify import RIGID, certify
@@ -25,14 +23,15 @@ from ptbundle.numeric import _hessenberg_det as hessenberg_det
 from ptbundle.numeric import (
     EXT_COMPLEX,
     LaurentPoly,
-    Tolerances,
     char_poly,
     equal_up_to_unit,
     integer_round,
     laurent_allclose,
     matrix_det,
     pencil_det,
+    quotient_interpolate,
     root_multiplicity,
+    word_product,
 )
 from ptbundle.presentation import (
     AbelianizationMap,
@@ -42,7 +41,7 @@ from ptbundle.presentation import (
     monodromy_trace,
     parse_monodromy,
 )
-from ptbundle.words import GroupRingElem, Word, parse_word, ring_one_minus
+from ptbundle.words import GroupRingElem, Word, fox_derivative, parse_word, ring_one_minus
 
 KNOT_NAMES = ("a", "b")
 
@@ -285,19 +284,20 @@ class TestBundleRoute:
         ]
         assert all(p == polys[0] for p in polys)
 
-    def test_generic_route_agrees_cross_multiplied(self, rrl):
-        endo, sol = rrl
-        rep = sol.representation("v")
-        pres, _, alpha = bundle_presentation(parse_monodromy("RRL"))
-        ring = RingRep((rep[0], rep[1], rep[2]), alpha.exponents)
-        generic = twisted_alexander(pres, ring)
-        # columns for the fiber generators have identically zero
-        # denominators, so the meridian column is the first usable one
-        assert generic.column == 2
-        bundle = bundle_twisted_alexander(endo, rep)
-        assert equal_up_to_unit(
-            generic.numerator, bundle * generic.denominator, tol=1e-6
-        )
+    def test_generic_route_agrees_cross_multiplied(self, llrr, rrl):
+        for word, (endo, sol) in (("RRL", rrl), ("LLRR", llrr)):
+            pres, _, alpha = bundle_presentation(parse_monodromy(word))
+            for kind in ("sl4", "v", "gl16"):
+                rep = sol.representation(kind)
+                ring = RingRep((rep[0], rep[1], rep[2]), alpha.exponents)
+                generic = twisted_alexander(pres, ring)
+                # columns for the fiber generators have identically zero
+                # denominators, so the meridian column is the first usable one
+                assert generic.column == 2
+                bundle = bundle_twisted_alexander(endo, rep)
+                assert equal_up_to_unit(
+                    generic.numerator, bundle * generic.denominator, tol=1e-6
+                ), (word, kind)
 
     def test_multiplicity_drop_from_adjoint_to_tensor_square(self, llrr, rrl):
         for endo, sol in (llrr, rrl):
@@ -327,27 +327,28 @@ class TestBundleRoute:
 class TestRealPencils:
     @pytest.mark.parametrize("n", [1, 2, 9, 16, 32])
     def test_half_circle_matches_full_circle(self, n, monkeypatch):
-        # P = G [[A, B], [0, I]] H and Q = G diag(C, M) H, so that
-        # det(P - tQ) / det(I - tM) = det(GH) det(A - tC), of degree n; C is
-        # halved so that its roots lie near the sampling radius 2
+        # A = G [[C, B], [0, M]] G^-1, so that det(A - t) / det(M - t) =
+        # det(C - t), of degree n; C is scaled so that its eigenvalues
+        # spread over the disc of the sampling radius 2
         rng = np.random.default_rng(n)
-        a, b, c = rng.standard_normal((3, n, n))
+        b, c = rng.standard_normal((2, n, n))
         m = rng.standard_normal((n, n)) / (4 * np.sqrt(n))
-        g, h = np.eye(2 * n) + 0.3 * rng.standard_normal((2, 2 * n, 2 * n)) / np.sqrt(n)
-        zero = np.zeros((n, n))
-        p = g @ np.block([[a, b], [zero, np.eye(n)]]) @ h
-        q = g @ np.block([[c / 2, zero], [zero, m]]) @ h
+        g = np.eye(2 * n) + 0.3 * rng.standard_normal((2 * n, 2 * n)) / np.sqrt(n)
+        block = np.block([[2 * c / np.sqrt(n), b], [np.zeros((n, n)), m]])
+        a = g @ block @ np.linalg.inv(g)
         evaluations = []
 
         def recording_det(h, z):
             evaluations.append((len(z), h.shape[0]))
             return hessenberg_det(h, z)
 
+        def quotient(a, m, real):
+            return quotient_interpolate(pencil_det(a), pencil_det(m), n, real=real)
+
         monkeypatch.setattr(ptbundle.numeric, "_hessenberg_det", recording_det)
-        pencil = (p, q, np.eye(n), m)
-        half = _pencil_quotient(*pencil, Tolerances())
+        half = quotient(a, m, True)
         half_evaluations, evaluations[:] = list(evaluations), []
-        full = _pencil_quotient(*(x.astype(complex) for x in pencil), Tolerances())
+        full = quotient(a.astype(complex), m.astype(complex), False)
         # (points, pencil size) of each evaluation: denominator, then
         # numerator; of the n + 1 samples the real pencil computes
         # (n + 1) // 2 + 1, and both add two validation points
@@ -375,15 +376,39 @@ def rigid_solutions():
 
 
 def recorded_pencils(monkeypatch):
-    """The (p, q) of every pencil the alexander module samples, in call order."""
+    """The matrix of every pencil the alexander module samples, in call order."""
     pencils = []
 
-    def recording_pencil_det(p, q=None, **kwargs):
-        pencils.append((p, q))
-        return pencil_det(p, q, **kwargs)
+    def recording_pencil_det(p):
+        pencils.append(p)
+        return pencil_det(p)
 
     monkeypatch.setattr(ptbundle.alexander, "pencil_det", recording_pencil_det)
     return pencils
+
+
+def dense_meridian_quotient(endo, rep):
+    """det(P - z (I2 (x) rep(x))) / det(I - z rep(x)), sampled by stacked LU.
+
+    P is the block matrix of the fiber Fox derivatives of the monodromy
+    images, built here from word products; the dense meridian pencil is
+    the form of the Wada quotient before the meridian is factored out.
+    """
+    def fox_block(image, j):
+        return sum((coeff * word_product(word, rep)
+                    for word, coeff in fox_derivative(image, j).terms.items()),
+                   np.zeros_like(rep[0]))
+
+    p = np.block([[fox_block(image, j) for j in range(2)]
+                  for image in (endo.image_a, endo.image_b)]).astype(EXT_COMPLEX)
+    mer = np.asarray(rep[2]).astype(EXT_COMPLEX)
+    q = np.kron(np.eye(2), mer)
+    n = mer.shape[0]
+    return quotient_interpolate(
+        lambda z: matrix_det(p - z[:, None, None] * q),
+        lambda z: matrix_det(np.eye(n) - z[:, None, None] * mer),
+        n,
+    )
 
 
 class TestPencilDeterminants:
@@ -394,20 +419,29 @@ class TestPencilDeterminants:
         pencils = recorded_pencils(monkeypatch)
         for endo, images in rigid_solutions:
             for rep in images.values():
-                wada = bundle_twisted_alexander(endo, rep)
-                route_agreement(wada, monodromy_action(endo, rep), rep)
-        assert len(pencils) == 4 * 3 * len(PINNED_WORDS)
+                bundle_twisted_alexander(endo, rep)
+        assert len(pencils) == 2 * 3 * len(PINNED_WORDS)
         worst = 0.0
-        for p, q in pencils:
+        for p in pencils:
             n = p.shape[0]
             phases = np.r_[np.arange(n + 1), 0.37, 0.71] / (n + 1)
             z = (2.0 * np.exp(2j * np.pi * phases)).astype(EXT_COMPLEX)
-            got = pencil_det(p, q)(z)
-            stack = np.asarray(p).astype(EXT_COMPLEX) - z[:, None, None] * (
-                np.eye(n) if q is None else np.asarray(q)).astype(EXT_COMPLEX)
-            want = matrix_det(stack)
+            got = pencil_det(p)(z)
+            want = matrix_det(np.asarray(p).astype(EXT_COMPLEX) - z[:, None, None] * np.eye(n))
             worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
         assert worst <= 1e-12, worst
+
+    def test_wada_matches_dense_meridian_pencil(self, rigid_solutions):
+        worst = 0.0
+        for endo, images in rigid_solutions:
+            for rep in images.values():
+                wada = bundle_twisted_alexander(endo, rep)
+                reference = dense_meridian_quotient(endo, rep)
+                scale = max(wada.max_abs(), reference.max_abs())
+                exps = set(wada.coeffs) | set(reference.coeffs)
+                worst = max(worst, max(abs(wada.coeff(e) - reference.coeff(e))
+                                       for e in exps) / scale)
+        assert worst <= 1e-9, worst
 
     def test_failed_quotient_reduces_each_pencil_once(self, monkeypatch):
         # LLLLR solution 0: the gl16 quotient fails validation at all three
@@ -486,41 +520,44 @@ class TestCocycleAction:
 
 
 def both_routes(endo, rep):
-    """route_agreement on freshly built Wada polynomial and cocycle action."""
-    wada = bundle_twisted_alexander(endo, rep)
-    return route_agreement(wada, monodromy_action(endo, rep), rep)
+    """The Wada polynomial and the relative characteristic polynomial."""
+    action = monodromy_action(endo, rep)
+    return bundle_twisted_alexander(endo, rep), relative_char_poly(action)
 
 
 class TestRouteAgreement:
     @pytest.mark.parametrize("kind", ["sl4", "v"])
     def test_llrr(self, llrr, kind):
         endo, sol = llrr
-        report = both_routes(endo, sol.representation(kind))
-        assert report.match
+        wada, relative = both_routes(endo, sol.representation(kind))
+        assert equal_up_to_unit(wada, relative, tol=1e-6)
 
     @pytest.mark.parametrize("kind", ["sl4", "v"])
     def test_rrl(self, rrl, kind):
         endo, sol = rrl
-        report = both_routes(endo, sol.representation(kind))
-        assert report.match
+        wada, relative = both_routes(endo, sol.representation(kind))
+        assert equal_up_to_unit(wada, relative, tol=1e-6)
 
     def test_gl16_routes_also_agree(self, rrl):
+        # the longitude-killing kernel of gl16 has one more dimension, on
+        # which the action is trivial
         endo, sol = rrl
-        report = both_routes(endo, sol.representation("gl16"))
-        assert report.match
+        wada, relative = both_routes(endo, sol.representation("gl16"))
+        assert equal_up_to_unit(wada * LaurentPoly({0: -1.0, 1: 1.0}), relative, tol=1e-6)
 
     def test_quotient_degrees_match(self, llrr):
         endo, sol = llrr
-        report = both_routes(endo, sol.representation("sl4"))
-        assert report.wada.span == 15
-        assert report.action_quotient.span == 15
+        wada, relative = both_routes(endo, sol.representation("sl4"))
+        assert wada.span == 15
+        assert relative.span == 15
 
     def test_relation_defect_breaks_match(self, rrl):
-        # the polynomials still agree; only the coboundary step fails
+        # the determinant identity holds for any images; the coboundary
+        # step, and with it the match with the restricted action, fails
         endo, sol = rrl
         rep = dict(sol.representation("sl4"))
         rep[0] = rep[0] @ (np.eye(15) + 3e-7 * np.diag(np.arange(15) % 3 - 1.0))
-        report = both_routes(endo, rep)
-        assert report.coboundary_defect > 1e-6
-        assert not report.match
-        assert equal_up_to_unit(report.wada, report.action_quotient, tol=1e-6)
+        wada, relative = both_routes(endo, rep)
+        assert coboundary_defect(monodromy_action(endo, rep), rep) > 1e-6
+        assert not equal_up_to_unit(wada, relative, tol=1e-6)
+        assert laurent_allclose(wada, dense_meridian_quotient(endo, rep), tol=1e-9)

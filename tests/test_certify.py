@@ -316,7 +316,7 @@ class TestCrossChecks:
         assert all(points == count // 2 + 3 for count, points in counts)
 
     def test_relation_defect_downgrades_verdict(self):
-        report = certify("RRL", reps=("sl4", "v"), with_cross_checks=False)
+        report = certify("RRL", reps=("sl4", "v"))
         report.solutions.append(copy.deepcopy(report.solutions[0]))
         report.solutions[0].residuals["relations_v"] = 1e-3
         out = cross_checks(report)
@@ -359,7 +359,7 @@ class TestCrossChecks:
         monkeypatch.setattr(ptbundle.certify, "rep_residuals",
                             lambda images, endo: {"relation_a": 0.0})
         sol = certify("RRL", solution_index=0).solutions[0]
-        assert "gl16: numerator det(p - t q): singular q" in sol.failures
+        assert "gl16: singular meridian image" in sol.failures
         # the other labels still complete
         assert set(sol.evidence) == {"sl4", "v"}
         assert set(sol.certificates) == {"sl4-multiplicity-5", "v-multiplicity-3"}
@@ -444,7 +444,7 @@ class TestOptions:
         assert sol.verdict == RIGID
 
     def test_representation_order_is_canonical(self):
-        report = certify("RRL", reps=("gl16", "sl4"), with_cross_checks=False)
+        report = certify("RRL", reps=("gl16", "sl4"))
         assert report.reps == ("sl4", "gl16")
 
     def test_solution_filter(self):
@@ -457,11 +457,9 @@ class TestOptions:
             certify("LLRR", solution_index=9, reps=("sl4",))
 
     def test_spec_object_accepted(self):
-        report = certify(
-            parse_monodromy("RRL"), reps=("v",), with_cross_checks=False
-        )
+        report = certify(parse_monodromy("RRL"), reps=("v",))
         assert report.spec.text() == "RRL"
-        assert not report.cross_checked
+        assert report.cross_checked
 
 
 class TestSerialization:

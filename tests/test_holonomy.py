@@ -436,6 +436,14 @@ class TestMeridian:
         with pytest.raises(ArithmeticError, match=message):
             build_solutions(parse_monodromy(word))
 
+    def test_exactly_representable_character_lifts(self):
+        # the normal matrix of (0, 1, i) has an exactly zero pivot unless
+        # the inverse iteration's shift survives long double rounding
+        endo, system = lift_inputs("LLLRRRR")
+        rep = holonomy_from_triple(TraceTriple(0j, 1 + 0j, 1j), endo, system)
+        res = holonomy_residuals(rep, endo)
+        assert max(res.values()) < 1e-30, res
+
     def test_residuals_small(self):
         for name in ("LLRR", "RRL"):
             endo, system = lift_inputs(name)
