@@ -1,18 +1,17 @@
-"""Twisted Alexander polynomials by two independent routes.
+"""Twisted Alexander polynomials: the determinant route and the cocycle action.
 
-Route one is the classical determinant construction: Fox derivatives of
-the relators, a representation tensored with the abelianization
-character, a removed column, and a determinant quotient.  The image of a
-group-ring element is the map {weight w: matrix M_w} of sum_w x^w M_w,
-the Fox minor is the block matrix of those maps, and the quotient of
-the two determinants is interpolated pointwise, as in every other
-quotient of the package.  For a bundle the minor is a pencil in t whose
-meridian factors out: the quotient is det(A - t) / det(rep(x)^-1 - t),
-with A the Fox blocks of the monodromy images times rep(x)^-1.  Route two
-is dynamical: the same A is the inverse monodromy's action on cocycles
-of the fiber group, and the characteristic polynomial of its restriction
-to the cocycles killing the longitude recovers the invariant.  Dividing
-by det(rep(x)^-1 - t) is the passage to cohomology only if A carries
+The generic route is the classical determinant construction: Fox
+derivatives of the relators, a representation tensored with the
+abelianization character, a removed column, and a determinant quotient.
+The image of a group-ring element is the map {weight w: matrix M_w} of
+sum_w x^w M_w, the Fox minor is the block matrix of those maps, and the
+quotient of the two determinants is interpolated pointwise.  For a bundle
+both routes are polynomials of one matrix, A = (I2 (x) rep(x)^-1) P, P
+the Fox blocks of the monodromy images (``fox_action``).  The determinant
+route's quotient is det(A - t) / det(rep(x)^-1 - t); the cocycle route
+restricts A, the inverse monodromy's action on cocycles of the fiber
+group, to the cocycles killing the longitude.  Dividing by
+det(rep(x)^-1 - t) is the passage to cohomology only if A carries
 coboundaries by rep(x)^-1, which holds exactly when the images satisfy
 the bundle relations; ``coboundary_defect`` measures that.
 """
@@ -29,8 +28,8 @@ from .numeric import (
     LaurentPoly,
     Tolerances,
     char_poly,
+    compress,
     det_polymatrix,
-    matrix_det,
     normalize_unit,
     nullspace,
     pencil_det,
@@ -40,18 +39,6 @@ from .numeric import (
 from .presentation import AbelianizationMap, Presentation, validate_abelianization
 from .words import (EndoF2, GroupRingElem, Word, format_word, fox_derivative, parse_word,
                     ring_one_minus)
-
-
-def _ring_matrix(elem: GroupRingElem, images: GeneratorImages) -> np.ndarray:
-    """Linear extension of a representation to the group ring (no weights).
-
-    The dtype is that of the images, so a real representation stays real.
-    """
-    dim = images[0].shape[0]
-    out = np.zeros((dim, dim), dtype=np.result_type(*images.values()))
-    for word, coeff in elem.terms.items():
-        out = out + coeff * word_product(word, images)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +60,7 @@ class RingRep:
         for mat in self.matrices:
             if mat.shape != (dim, dim):
                 raise ValueError("generator matrices must be square, equal size")
-            if abs(complex(matrix_det(mat))) < 1e-12:
+            if nullspace(mat).shape[1]:
                 raise ValueError("generator matrices must be invertible")
 
     @property
@@ -212,52 +199,54 @@ def twisted_alexander(
 RepImages = Mapping[int, np.ndarray]
 
 
-def _fox_action(endo: EndoF2, rep: GeneratorImages) -> np.ndarray:
-    """The 2n x 2n block matrix A = (I2 (x) rep(x)^-1) P.
+def fox_action(endo: EndoF2, rep: RepImages) -> np.ndarray:
+    """The cocycle action A = (I2 (x) rep(x)^-1) P, P the Fox blocks of the images.
 
-    P holds the constant matrices of the fiber Fox derivatives of the two
-    monodromy images.  A singular meridian image raises an ArithmeticError
-    that names it.
+    One pass over each monodromy image with a running prefix product: a
+    letter g adds the prefix to the g block, then multiplies it by rep(g);
+    a letter g^-1 multiplies it by rep(g)^-1, then subtracts it.  A
+    singular meridian image raises an ArithmeticError that names it.
     """
+    rep = GeneratorImages.of(rep)
     try:
         prefactor = rep.inverse(2)
     except ArithmeticError:
         raise ArithmeticError("singular meridian image") from None
-    return np.block([
-        [prefactor @ _ring_matrix(fox_derivative(image, j), rep) for j in range(2)]
-        for image in (endo.image_a, endo.image_b)
-    ])
+    eye = np.eye(rep[0].shape[0], dtype=np.result_type(*rep.values()))
+    rows = []
+    for image in (endo.image_a, endo.image_b):
+        blocks = [np.zeros_like(eye), np.zeros_like(eye)]
+        prefix = eye
+        for gen, exp in image.letters:
+            if exp > 0:
+                blocks[gen] = blocks[gen] + prefix
+                prefix = prefix @ rep[gen]
+            else:
+                prefix = prefix @ rep.inverse(gen)
+                blocks[gen] = blocks[gen] - prefix
+        rows.append([prefactor @ block for block in blocks])
+    return np.block(rows)
 
 
-def bundle_twisted_alexander(
-    endo: EndoF2,
-    rep: RepImages,
-    *,
-    tolerances: Tolerances | None = None,
-) -> LaurentPoly:
-    """Twisted Alexander polynomial of a bundle, meridian column removed.
+def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,
+                             tolerances: Tolerances | None = None) -> LaurentPoly:
+    """Twisted Alexander polynomial of a bundle from its ``fox_action`` matrix A.
 
-    The minor is the 2x2 block pencil P - t (I2 (x) rep(x)), P the Fox
-    blocks of the monodromy images, and the denominator is
-    det(I - t rep(x)).  With A = (I2 (x) rep(x)^-1) P, the action matrix of
-    ``monodromy_action``, the pencil factors as (I2 (x) rep(x)) (A - t),
-    so the quotient is det rep(x) * det(A - t) / det(rep(x)^-1 - t): a
-    polynomial of degree n, returned without the unit det rep(x), which
-    is 1 for a unipotent meridian.  The denominator's roots then all sit
-    at t = 1, so the quotient is recovered by pointwise division on
-    circles away from 1 followed by interpolation; longhand coefficient
+    With the meridian column removed the minor is the pencil
+    P - t (I2 (x) rep(x)) = (I2 (x) rep(x)) (A - t) and the denominator is
+    det(I - t rep(x)), so the quotient is det(A - t) / det(rep(x)^-1 - t)
+    up to the unit det rep(x), which is 1 for a unipotent meridian.  The
+    denominator's roots all sit at t = 1, so the quotient comes from
+    pointwise division on circles away from 1 and interpolation; longhand
     division would amplify roundoff combinatorially.  A and rep(x)^-1 are
-    each reduced to Hessenberg form once (``pencil_det``), so a radius
-    that fails validation costs only the O(n^2)-per-point samples of the
-    next.  A real representation gives a real polynomial, sampled on half
-    the circle and realified.
+    each reduced to Hessenberg form once (``pencil_det``), so a retried
+    radius costs only O(n^2) per point.  A real representation gives a
+    real polynomial, sampled on half the circle.
     """
     tols = tolerances or Tolerances()
-    rep = GeneratorImages.of(rep)
-    action = _fox_action(endo, rep)
-    mer_inv = rep.inverse(2)
-    real = np.isrealobj(action)
-    quotient = quotient_interpolate(pencil_det(action), pencil_det(mer_inv),
+    mer_inv = GeneratorImages.of(rep).inverse(2)
+    real = np.isrealobj(matrix)
+    quotient = quotient_interpolate(pencil_det(matrix), pencil_det(mer_inv),
                                     mer_inv.shape[0], tol=tols.det, real=real)
     return quotient.realified(1e-6) if real else quotient
 
@@ -299,32 +288,18 @@ class CocycleAction:
     restricted: np.ndarray
 
 
-def monodromy_action(
-    endo: EndoF2,
-    rep: RepImages,
-    *,
-    tolerances: Tolerances | None = None,
-) -> CocycleAction:
-    """Action of the inverse monodromy on cocycle pairs.
+def monodromy_action(matrix: np.ndarray, rep: RepImages, *,
+                     tolerances: Tolerances | None = None) -> CocycleAction:
+    """The ``fox_action`` matrix A with its restriction to the longitude kernel.
 
-    A cocycle is evaluated on the monodromy images of a and b and then
-    multiplied by the inverse meridian, so only the Fox derivatives of
-    those images are needed.  The matrix is the determinant route's
-    pencil with the meridian factored out (``_fox_action``), the same
-    matrix whose characteristic polynomial gives the Wada polynomial.
+    A cocycle pair is evaluated on the monodromy images of a and b and
+    multiplied by the inverse meridian; the kernel holds the cocycles
+    killing the longitude.
     """
     tols = tolerances or Tolerances()
-    rep = GeneratorImages.of(rep)
-    matrix = _fox_action(endo, rep)
-
     kernel = nullspace(res_l_map(rep), tol=tols.null)
-    carried = matrix @ kernel
-    restricted = kernel.conj().T @ carried
-    leak = float(np.max(np.abs(carried - kernel @ restricted)))
-    if leak > 1e-7 * max(1.0, float(np.max(np.abs(matrix)))):
-        raise ArithmeticError(
-            "monodromy action leaks out of the longitude-killing kernel"
-        )
+    restricted = compress(matrix, kernel,
+                          "monodromy action leaks out of the longitude-killing kernel")
     return CocycleAction(matrix=matrix, kernel_basis=kernel, restricted=restricted)
 
 

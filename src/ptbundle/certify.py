@@ -21,6 +21,7 @@ import numpy as np
 from .alexander import (
     CocycleAction,
     bundle_twisted_alexander,
+    fox_action,
     monodromy_action,
     relative_char_poly,
 )
@@ -129,10 +130,10 @@ def evidence_from_poly(
 
 
 def action_evidence(
-    label: str, endo, images, tols: Tolerances
+    label: str, matrix: np.ndarray, images, tols: Tolerances
 ) -> tuple[CocycleAction, CertificateEvidence]:
-    """The cocycle action of one representation and its certificate evidence."""
-    action = monodromy_action(endo, images, tolerances=tols)
+    """The cocycle action of one ``fox_action`` matrix and its certificate evidence."""
+    action = monodromy_action(matrix, images, tolerances=tols)
     poly = relative_char_poly(action, tol=tols.det)
     return action, evidence_from_poly(label, poly, tol=tols.root)
 
@@ -161,6 +162,8 @@ class SolutionReport:
     cross_checks: dict[str, CrossCheck] = field(default_factory=dict)
     solution: Optional[HolonomySolution] = field(default=None, repr=False)
     images: dict[str, Mapping[int, np.ndarray]] = field(default_factory=dict, repr=False)
+    # each label's cocycle action matrix (``fox_action``), read by both routes
+    actions: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     def representation(self, label: str) -> Mapping[int, np.ndarray]:
         """The label's images, built on first use and then reused."""
@@ -221,14 +224,16 @@ def _solution_report(
 
     evidence: dict[str, CertificateEvidence] = {}
     images: dict[str, Mapping[int, np.ndarray]] = {}
+    actions: dict[str, np.ndarray] = {}
     for label in reps:
         try:
             images[label] = rep = sol.representation(label)
             residuals[f"relations_{label}"] = max(rep_residuals(rep, endo).values())
+            actions[label] = matrix = fox_action(endo, rep)
             if CERTIFICATE_SOURCES[label][0] == "action":
-                _, evidence[label] = action_evidence(label, endo, rep, tols)
+                _, evidence[label] = action_evidence(label, matrix, rep, tols)
             else:
-                wada = bundle_twisted_alexander(endo, rep, tolerances=tols)
+                wada = bundle_twisted_alexander(matrix, rep, tolerances=tols)
                 evidence[label] = evidence_from_poly(label, wada, tol=tols.root)
         except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
             failures.append(f"{label}: {err}")
@@ -249,6 +254,7 @@ def _solution_report(
         orbit_roots=sol.triple.orbit_roots,
         solution=sol,
         images=images,
+        actions=actions,
     )
 
 
@@ -375,25 +381,26 @@ def _check_adjoint(adjoint, tols: Tolerances) -> dict[str, CrossCheck]:
 
 
 def _check_routes(
-    sol: SolutionReport, endo, tols: Tolerances
+    sol: SolutionReport, tols: Tolerances
 ) -> tuple[CrossCheck, list[str]]:
     """Whether both polynomial routes hold on each label's images.
 
-    Both routes start from one cocycle action matrix; their polynomials
-    are the bundle's invariant only if the images satisfy the bundle
-    relations.  So the check builds the route the label's certificate
-    did not use, which fails if it cannot be built, and compares the
-    label's relation residual with the root tolerance.
+    Both routes are polynomials of the cocycle action matrix that the
+    certificate pass kept for the label, and are the bundle's invariant
+    only if the images satisfy the bundle relations.  So the check builds
+    the route the certificate did not use from that matrix, failing if it
+    cannot be built, and compares the relation residual with the root
+    tolerance.
     """
     matches = {}
     failures = []
     for label in sol.evidence:
         try:
-            images = sol.representation(label)
+            images, matrix = sol.images[label], sol.actions[label]
             if CERTIFICATE_SOURCES[label][0] == "action":
-                bundle_twisted_alexander(endo, images, tolerances=tols)
+                bundle_twisted_alexander(matrix, images, tolerances=tols)
             else:
-                monodromy_action(endo, images, tolerances=tols)
+                monodromy_action(matrix, images, tolerances=tols)
             matches[label] = sol.residuals[f"relations_{label}"] <= tols.root
         except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
             failures.append(f"routes[{label}]: {err}")
@@ -414,11 +421,10 @@ def cross_checks(report: RigidityReport) -> RigidityReport:
     is 5-dimensional and splits 2 + 3 across the two invariant blocks;
     and the fiber group fixes no nonzero adjoint vector.  A check that
     cannot run for lack of inputs is skipped, not failed.  The checks
-    reuse the images and residuals of the certificate pass, building
-    the sl4 images only when sl4 is not among the report's
-    representations.
+    reuse the images, cocycle action matrices and residuals of the
+    certificate pass, building the sl4 images only when sl4 is not among
+    the report's representations; no action matrix is built here.
     """
-    endo = monodromy_endo(report.spec)
     trace = monodromy_trace(report.spec)
     for sol in report.solutions:
         checks: dict[str, CrossCheck] = {}
@@ -435,7 +441,7 @@ def cross_checks(report: RigidityReport) -> RigidityReport:
             except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
                 sol.failures.append(f"centralizer: {err}")
                 checks["longitude_centralizer"] = CrossCheck(ok=False, values={})
-            routes, route_failures = _check_routes(sol, endo, report.tolerances)
+            routes, route_failures = _check_routes(sol, report.tolerances)
             sol.failures.extend(route_failures)
             if routes.values:
                 checks["routes"] = routes

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .alexander import RingRep, twisted_alexander
+from .alexander import RingRep, fox_action, twisted_alexander
 from .certify import (
     ALL_REPS,
     INCONCLUSIVE,
@@ -509,10 +509,10 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
     tols = config.tolerances
     results = []
     for index, sol in picked:
-        per_rep = {
-            label: action_evidence(label, endo, sol.representation(label), tols)
-            for label in config.reps
-        }
+        per_rep = {}
+        for label in config.reps:
+            images = sol.representation(label)
+            per_rep[label] = action_evidence(label, fox_action(endo, images), images, tols)
         results.append((index, sol, per_rep))
     if config.fmt == "json":
         solutions = [

@@ -43,6 +43,7 @@ from .numeric import (
     EXT_COMPLEX,
     GeneratorImages,
     Tolerances,
+    compress,
     linear_solve,
     matrix_det,
     matrix_inverse,
@@ -437,7 +438,11 @@ def holonomy_from_triple(
 
 
 def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
-    """Diagnostics: relation defects (up to sign), unimodularity, cusp traces."""
+    """Diagnostics: relation defects (up to sign), unimodularity, cusp traces.
+
+    ``meridian_parabolic`` is |tr X - 2s| for the sign s nearer tr X, or
+    1.0 when X - sI is zero relative to X: +-I is not parabolic.
+    """
     out: dict[str, float] = {}
     images = GeneratorImages(rep.generator_images())
     for name, gen_mat, image in (
@@ -452,8 +457,11 @@ def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
         out[name] = defect
     for name, mat in (("det_a", rep.mat_a), ("det_b", rep.mat_b), ("det_x", rep.mat_x)):
         out[name] = float(abs(complex(matrix_det(mat)) - 1.0))
-    out["meridian_parabolic"] = float(min(abs(np.trace(rep.mat_x) - 2.0),
-                                          abs(np.trace(rep.mat_x) + 2.0)))
+    trace = np.trace(rep.mat_x)
+    sign = 1.0 if abs(trace - 2.0) <= abs(trace + 2.0) else -1.0
+    scale = Tolerances().null * max(1.0, float(np.max(np.abs(rep.mat_x))))
+    central = float(np.max(np.abs(rep.mat_x - sign * np.eye(2)))) <= scale
+    out["meridian_parabolic"] = 1.0 if central else float(abs(trace - 2.0 * sign))
     longitude = word_product(LONGITUDE, images)
     out["longitude_trace"] = abs(complex(np.trace(longitude)) + 2.0)
     return out
@@ -618,20 +626,11 @@ KILLING_SPLIT = killing_split()
 
 
 def restrict_block(images: Mapping[int, np.ndarray], block: np.ndarray) -> GeneratorImages:
-    """Compress each image to an invariant subspace given by orthonormal columns.
-
-    Raises if the subspace leaks, i.e. the images do not actually
-    preserve it to within 1e-7 relative to each image.
-    """
-    out = {}
-    for index, mat in images.items():
-        carried = mat @ block
-        compressed = block.conj().T @ carried
-        residual = float(np.max(np.abs(carried - block @ compressed)))
-        if residual > 1e-7 * max(1.0, float(np.max(np.abs(mat)))):
-            raise ArithmeticError("subspace is not invariant under the action")
-        out[index] = compressed
-    return GeneratorImages(out)
+    """Each image compressed to an invariant subspace of orthonormal columns (``compress``)."""
+    return GeneratorImages({
+        index: compress(mat, block, "subspace is not invariant under the action")
+        for index, mat in images.items()
+    })
 
 
 def kronecker_rep(rep: Holonomy4) -> GeneratorImages:

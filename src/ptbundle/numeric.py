@@ -615,6 +615,20 @@ def nullspace(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return vh[rank:].conj().T
 
 
+def compress(m: np.ndarray, basis: np.ndarray, leak_message: str) -> np.ndarray:
+    """basis^H m basis for orthonormal columns spanning an m-invariant subspace.
+
+    Raises ArithmeticError(leak_message) when m carries the subspace out
+    of itself by more than 1e-7 relative to max(1, max|m|).
+    """
+    carried = m @ basis
+    compressed = basis.conj().T @ carried
+    leak = float(np.max(np.abs(carried - basis @ compressed)))
+    if leak > 1e-7 * max(1.0, float(np.max(np.abs(m)))):
+        raise ArithmeticError(leak_message)
+    return compressed
+
+
 def _newton_steps(jac: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton steps -J^-1 F for a stack of systems, and which rows have one.
 

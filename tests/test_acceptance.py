@@ -18,6 +18,7 @@ from ptbundle.alexander import (
     RingRep,
     bundle_twisted_alexander,
     coboundary_defect,
+    fox_action,
     monodromy_action,
     relative_char_poly,
     res_l_map,
@@ -192,10 +193,8 @@ class TestIntegerPolynomialTargets:
         start = time.perf_counter()
         spec = parse_monodromy("RRL")
         endo, sols = monodromy_endo(spec), build_solutions(spec)
-        polys = [
-            bundle_twisted_alexander(endo, sol.representation("gl16"))
-            for sol in sols
-        ]
+        reps = [sol.representation("gl16") for sol in sols]
+        polys = [bundle_twisted_alexander(fox_action(endo, rep), rep) for rep in reps]
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         assert len(polys) >= 1
@@ -209,7 +208,8 @@ class TestIntegerPolynomialTargets:
     def test_rrl_adjoint_cocycle_route(self, bundles):
         endo, sols = bundles["RRL"]
         for sol in sols:
-            action = monodromy_action(endo, sol.representation("sl4"))
+            rep = sol.representation("sl4")
+            action = monodromy_action(fox_action(endo, rep), rep)
             ints = integer_round(relative_char_poly(action), tol=1e-6)
             assert ints is not None
             assert ints in (RRL_SL4_INTS, negate(RRL_SL4_INTS))
@@ -287,10 +287,11 @@ class TestRouteAgreement:
         endo, sols = bundles[word]
         for sol in sols:
             rep = sol.representation(kind)
-            action = monodromy_action(endo, rep)
+            matrix = fox_action(endo, rep)
+            action = monodromy_action(matrix, rep)
             assert coboundary_defect(action, rep) <= 1e-6
             assert equal_up_to_unit(
-                bundle_twisted_alexander(endo, rep), relative_char_poly(action), tol=1e-6
+                bundle_twisted_alexander(matrix, rep), relative_char_poly(action), tol=1e-6
             )
 
 

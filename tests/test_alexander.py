@@ -10,6 +10,7 @@ from ptbundle.alexander import (
     WadaInvariant,
     bundle_twisted_alexander,
     coboundary_defect,
+    fox_action,
     monodromy_action,
     phi_map,
     relative_char_poly,
@@ -22,6 +23,7 @@ from ptbundle.numeric import _hessenberg as hessenberg
 from ptbundle.numeric import _hessenberg_det as hessenberg_det
 from ptbundle.numeric import (
     EXT_COMPLEX,
+    GeneratorImages,
     LaurentPoly,
     char_poly,
     equal_up_to_unit,
@@ -41,7 +43,8 @@ from ptbundle.presentation import (
     monodromy_trace,
     parse_monodromy,
 )
-from ptbundle.words import GroupRingElem, Word, fox_derivative, parse_word, ring_one_minus
+from ptbundle.words import (EndoF2, GroupRingElem, Word, fox_derivative, parse_word,
+                            ring_one_minus)
 
 KNOT_NAMES = ("a", "b")
 
@@ -247,23 +250,31 @@ class TestTrefoilInvariant:
         with pytest.raises(ValueError):
             RingRep((np.zeros((2, 2)), np.eye(2)), (3, 2))
 
+    def test_small_scalar_rep_accepted(self):
+        # det = 1e-16, but the rank decision sees a full-rank matrix
+        rep = RingRep((0.1 * np.eye(16),) * 2, (1, 0))
+        assert rep.dimension == 16
+
 
 class TestBundleRoute:
     def test_llrr_adjoint_matches_target(self, llrr):
         endo, sol = llrr
-        poly = bundle_twisted_alexander(endo, sol.representation("sl4"))
+        rep = sol.representation("sl4")
+        poly = bundle_twisted_alexander(fox_action(endo, rep), rep)
         rounded = integer_round(poly, tol=1e-6)
         assert rounded is not None
         assert int_poly(rounded) == LLRR_SL4_TARGET
 
     def test_rrl_adjoint_matches_target(self, rrl):
         endo, sol = rrl
-        poly = bundle_twisted_alexander(endo, sol.representation("sl4"))
+        rep = sol.representation("sl4")
+        poly = bundle_twisted_alexander(fox_action(endo, rep), rep)
         assert equal_up_to_unit(poly, RRL_SL4_TARGET, tol=1e-6)
 
     def test_rrl_tensor_square_matches_target(self, rrl):
         endo, sol = rrl
-        poly = bundle_twisted_alexander(endo, sol.representation("gl16"))
+        rep = sol.representation("gl16")
+        poly = bundle_twisted_alexander(fox_action(endo, rep), rep)
         rounded = integer_round(poly, tol=1e-6)
         assert rounded is not None
         assert int_poly(rounded) == RRL_GL16_TARGET
@@ -271,17 +282,17 @@ class TestBundleRoute:
     def test_degree_equals_rep_dimension(self, llrr):
         endo, sol = llrr
         for kind, dim in (("sl4", 15), ("v", 9), ("gl16", 16)):
-            poly = bundle_twisted_alexander(endo, sol.representation(kind))
+            rep = sol.representation(kind)
+            poly = bundle_twisted_alexander(fox_action(endo, rep), rep)
             assert poly.min_exp == 0
             assert poly.max_exp == dim
 
     def test_all_solution_branches_agree(self):
         spec = parse_monodromy("LLRR")
         endo = monodromy_endo(spec)
-        polys = [
-            integer_round(bundle_twisted_alexander(endo, sol.representation("sl4")))
-            for sol in build_solutions(spec)
-        ]
+        reps = [sol.representation("sl4") for sol in build_solutions(spec)]
+        polys = [integer_round(bundle_twisted_alexander(fox_action(endo, rep), rep))
+                 for rep in reps]
         assert all(p == polys[0] for p in polys)
 
     def test_generic_route_agrees_cross_multiplied(self, llrr, rrl):
@@ -294,18 +305,19 @@ class TestBundleRoute:
                 # columns for the fiber generators have identically zero
                 # denominators, so the meridian column is the first usable one
                 assert generic.column == 2
-                bundle = bundle_twisted_alexander(endo, rep)
+                bundle = bundle_twisted_alexander(fox_action(endo, rep), rep)
                 assert equal_up_to_unit(
                     generic.numerator, bundle * generic.denominator, tol=1e-6
                 ), (word, kind)
 
     def test_multiplicity_drop_from_adjoint_to_tensor_square(self, llrr, rrl):
         for endo, sol in (llrr, rrl):
+            sl4, gl16 = sol.representation("sl4"), sol.representation("gl16")
             m_sl, _ = root_multiplicity(
-                bundle_twisted_alexander(endo, sol.representation("sl4")), 1.0
+                bundle_twisted_alexander(fox_action(endo, sl4), sl4), 1.0
             )
             m_gl, _ = root_multiplicity(
-                bundle_twisted_alexander(endo, sol.representation("gl16")), 1.0
+                bundle_twisted_alexander(fox_action(endo, gl16), gl16), 1.0
             )
             assert m_sl == 5
             assert m_gl == m_sl - 1
@@ -314,11 +326,12 @@ class TestBundleRoute:
         for word, pair in (("LLRR", llrr), ("RRL", rrl)):
             endo, sol = pair
             trace = monodromy_trace(parse_monodromy(word))
+            sl4, gl16 = sol.representation("sl4"), sol.representation("gl16")
             _, defl_sl = root_multiplicity(
-                bundle_twisted_alexander(endo, sol.representation("sl4")), 1.0
+                bundle_twisted_alexander(fox_action(endo, sl4), sl4), 1.0
             )
             _, defl_gl = root_multiplicity(
-                bundle_twisted_alexander(endo, sol.representation("gl16")), 1.0
+                bundle_twisted_alexander(fox_action(endo, gl16), gl16), 1.0
             )
             ratio = abs(complex(defl_gl.evaluate(1.0) / defl_sl.evaluate(1.0)))
             assert ratio == pytest.approx(abs(trace - 2), abs=1e-6)
@@ -363,16 +376,22 @@ PINNED_WORDS = ("LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR")
 
 
 @pytest.fixture(scope="module")
-def rigid_solutions():
-    """(endo, images by label) of every rigid solution of the pinned words."""
+def pinned_solutions():
+    """(endo, images by label, verdict) of every solution of the pinned words."""
     out = []
     for word in PINNED_WORDS:
         endo = monodromy_endo(parse_monodromy(word))
         for sol in certify(word).solutions:
-            if sol.verdict == RIGID:
-                out.append((endo, {label: sol.representation(label)
-                                   for label in ("sl4", "v", "gl16")}))
+            out.append((endo, {label: sol.representation(label)
+                               for label in ("sl4", "v", "gl16")}, sol.verdict))
     return out
+
+
+@pytest.fixture(scope="module")
+def rigid_solutions(pinned_solutions):
+    """(endo, images by label) of every rigid solution of the pinned words."""
+    return [(endo, images) for endo, images, verdict in pinned_solutions
+            if verdict == RIGID]
 
 
 def recorded_pencils(monkeypatch):
@@ -387,20 +406,28 @@ def recorded_pencils(monkeypatch):
     return pencils
 
 
-def dense_meridian_quotient(endo, rep):
-    """det(P - z (I2 (x) rep(x))) / det(I - z rep(x)), sampled by stacked LU.
+def fox_blocks(endo, rep):
+    """The fiber Fox derivatives of the two monodromy images, as matrices.
 
-    P is the block matrix of the fiber Fox derivatives of the monodromy
-    images, built here from word products; the dense meridian pencil is
-    the form of the Wada quotient before the meridian is factored out.
+    Built term by term from ``fox_derivative`` and one word product per
+    term, rows by image and columns by generator.
     """
     def fox_block(image, j):
         return sum((coeff * word_product(word, rep)
                     for word, coeff in fox_derivative(image, j).terms.items()),
                    np.zeros_like(rep[0]))
 
-    p = np.block([[fox_block(image, j) for j in range(2)]
-                  for image in (endo.image_a, endo.image_b)]).astype(EXT_COMPLEX)
+    return [[fox_block(image, j) for j in range(2)]
+            for image in (endo.image_a, endo.image_b)]
+
+
+def dense_meridian_quotient(endo, rep):
+    """det(P - z (I2 (x) rep(x))) / det(I - z rep(x)), sampled by stacked LU.
+
+    P is the block matrix of ``fox_blocks``; the dense meridian pencil is
+    the form of the Wada quotient before the meridian is factored out.
+    """
+    p = np.block(fox_blocks(endo, rep)).astype(EXT_COMPLEX)
     mer = np.asarray(rep[2]).astype(EXT_COMPLEX)
     q = np.kron(np.eye(2), mer)
     n = mer.shape[0]
@@ -411,6 +438,28 @@ def dense_meridian_quotient(endo, rep):
     )
 
 
+class TestFoxAction:
+    def test_matches_fox_calculus_bit_for_bit(self, pinned_solutions):
+        # the one-pass prefix products against one word product per Fox term
+        for endo, images, _ in pinned_solutions:
+            for rep in images.values():
+                want = np.block([[rep.inverse(2) @ block for block in row]
+                                 for row in fox_blocks(endo, rep)])
+                got = fox_action(endo, rep)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    def test_inverse_letters(self):
+        # the pinned words' images have no inverse letters; with rep(x) = I
+        # the action is P itself
+        endo = EndoF2(parse_word("aBA", ("a", "b")), parse_word("B", ("a", "b")))
+        rng = np.random.default_rng(3)
+        rep = GeneratorImages([np.eye(2) + 0.1 * rng.standard_normal((2, 2))
+                               for _ in range(2)] + [np.eye(2)])
+        want = np.block(fox_blocks(endo, rep))
+        assert np.array_equal(fox_action(endo, rep), want)
+
+
 class TestPencilDeterminants:
     def test_rigid_pencils_match_stacked_lu(self, rigid_solutions, monkeypatch):
         # the Hessenberg samples against the stacked LU that the sampling
@@ -419,7 +468,7 @@ class TestPencilDeterminants:
         pencils = recorded_pencils(monkeypatch)
         for endo, images in rigid_solutions:
             for rep in images.values():
-                bundle_twisted_alexander(endo, rep)
+                bundle_twisted_alexander(fox_action(endo, rep), rep)
         assert len(pencils) == 2 * 3 * len(PINNED_WORDS)
         worst = 0.0
         for p in pencils:
@@ -435,7 +484,7 @@ class TestPencilDeterminants:
         worst = 0.0
         for endo, images in rigid_solutions:
             for rep in images.values():
-                wada = bundle_twisted_alexander(endo, rep)
+                wada = bundle_twisted_alexander(fox_action(endo, rep), rep)
                 reference = dense_meridian_quotient(endo, rep)
                 scale = max(wada.max_abs(), reference.max_abs())
                 exps = set(wada.coeffs) | set(reference.coeffs)
@@ -449,6 +498,7 @@ class TestPencilDeterminants:
         spec = parse_monodromy("LLLLR")
         endo = monodromy_endo(spec)
         rep = build_solutions(spec)[0].representation("gl16")
+        action = fox_action(endo, rep)
         reductions, radii = [], []
 
         def recording_reduction(a):
@@ -462,7 +512,7 @@ class TestPencilDeterminants:
         monkeypatch.setattr(ptbundle.numeric, "_hessenberg", recording_reduction)
         monkeypatch.setattr(ptbundle.numeric, "_hessenberg_det", recording_det)
         with pytest.raises(ArithmeticError, match="every radius"):
-            bundle_twisted_alexander(endo, rep)
+            bundle_twisted_alexander(action, rep)
         assert reductions == [32, 16]
         assert radii == [2.0, 2.0, 2.4, 2.4, 1.7, 1.7]
 
@@ -475,22 +525,20 @@ class TestCocycleAction:
     def test_kernel_dimensions(self, llrr, rrl):
         for endo, sol in (llrr, rrl):
             for kind, dim in (("sl4", 15), ("v", 9), ("gl16", 17)):
-                action = monodromy_action(endo, sol.representation(kind))
-                assert action.kernel_basis.shape == (
-                    2 * sol.representation(kind)[0].shape[0],
-                    dim,
-                )
+                rep = sol.representation(kind)
+                action = monodromy_action(fox_action(endo, rep), rep)
+                assert action.kernel_basis.shape == (2 * rep[0].shape[0], dim)
 
     def test_coboundaries_transform_by_meridian(self, llrr, rrl):
         for endo, sol in (llrr, rrl):
             rep = sol.representation("sl4")
-            action = monodromy_action(endo, rep)
+            action = monodromy_action(fox_action(endo, rep), rep)
             assert coboundary_defect(action, rep) < 1e-7
 
     def test_coboundary_action_similar_to_meridian(self, llrr):
         endo, sol = llrr
         rep = sol.representation("sl4")
-        action = monodromy_action(endo, rep)
+        action = monodromy_action(fox_action(endo, rep), rep)
         eye = np.eye(15)
         embed = np.vstack([eye - rep[0], eye - rep[1]]).astype(float)
         induced = np.linalg.pinv(embed) @ np.asarray(action.matrix, dtype=float) @ embed
@@ -499,14 +547,16 @@ class TestCocycleAction:
 
     def test_llrr_relative_char_poly(self, llrr):
         endo, sol = llrr
-        action = monodromy_action(endo, sol.representation("sl4"))
+        rep = sol.representation("sl4")
+        action = monodromy_action(fox_action(endo, rep), rep)
         rounded = integer_round(relative_char_poly(action), tol=1e-6)
         assert rounded is not None
         assert int_poly(rounded) == LLRR_SL4_TARGET
 
     def test_rrl_relative_char_poly(self, rrl):
         endo, sol = rrl
-        action = monodromy_action(endo, sol.representation("sl4"))
+        rep = sol.representation("sl4")
+        action = monodromy_action(fox_action(endo, rep), rep)
         rounded = integer_round(relative_char_poly(action), tol=1e-6)
         assert rounded is not None
         assert int_poly(rounded) == RRL_SL4_TARGET
@@ -514,15 +564,17 @@ class TestCocycleAction:
     def test_relative_multiplicities(self, llrr, rrl):
         for endo, sol in (llrr, rrl):
             for kind, expected in (("sl4", 5), ("v", 3)):
-                action = monodromy_action(endo, sol.representation(kind))
+                rep = sol.representation(kind)
+                action = monodromy_action(fox_action(endo, rep), rep)
                 mult, _ = root_multiplicity(relative_char_poly(action), 1.0)
                 assert mult == expected
 
 
 def both_routes(endo, rep):
     """The Wada polynomial and the relative characteristic polynomial."""
-    action = monodromy_action(endo, rep)
-    return bundle_twisted_alexander(endo, rep), relative_char_poly(action)
+    matrix = fox_action(endo, rep)
+    action = monodromy_action(matrix, rep)
+    return bundle_twisted_alexander(matrix, rep), relative_char_poly(action)
 
 
 class TestRouteAgreement:
@@ -558,6 +610,6 @@ class TestRouteAgreement:
         rep = dict(sol.representation("sl4"))
         rep[0] = rep[0] @ (np.eye(15) + 3e-7 * np.diag(np.arange(15) % 3 - 1.0))
         wada, relative = both_routes(endo, rep)
-        assert coboundary_defect(monodromy_action(endo, rep), rep) > 1e-6
+        assert coboundary_defect(monodromy_action(fox_action(endo, rep), rep), rep) > 1e-6
         assert not equal_up_to_unit(wada, relative, tol=1e-6)
         assert laurent_allclose(wada, dense_meridian_quotient(endo, rep), tol=1e-9)

@@ -257,17 +257,35 @@ class TestCrossChecks:
             HolonomySolution, "representation",
             counted("representation", HolonomySolution.representation),
         )
-        for name in ("bundle_twisted_alexander", "monodromy_action"):
+        for name in ("bundle_twisted_alexander", "fox_action", "monodromy_action"):
             wrapper = counted(name, getattr(ptbundle.alexander, name))
             monkeypatch.setattr(ptbundle.alexander, name, wrapper)
             monkeypatch.setattr(ptbundle.certify, name, wrapper)
         report = certify("RRL")
         per_solution = 3 * len(report.solutions)
+        # one cocycle action matrix per (solution, label) serves both routes
         assert counts == {
             "representation": per_solution,
             "bundle_twisted_alexander": per_solution,
+            "fox_action": per_solution,
             "monodromy_action": per_solution,
         }
+
+    def test_cross_checks_reuse_kept_action_matrices(self, monkeypatch):
+        report = copy.deepcopy(certify("RRL"))
+        for sol in report.solutions:
+            sol.cross_checks, sol.route_match = {}, None
+
+        def rebuilt(endo, rep):
+            raise AssertionError("cocycle action matrix built again")
+
+        monkeypatch.setattr(ptbundle.alexander, "fox_action", rebuilt)
+        monkeypatch.setattr(ptbundle.certify, "fox_action", rebuilt)
+        out = cross_checks(report)
+        assert out.verdict == RIGID
+        for sol in out.solutions:
+            assert sol.route_match is True
+            assert sol.cross_checks["routes"].values == {label: True for label in ALL_REPS}
 
     def test_no_matrix_inverted_twice(self, monkeypatch):
         # the sl4 images are built once per solution, and each generator

@@ -35,6 +35,7 @@ from ptbundle.numeric import (
     ESCAPE_RADIUS,
     EXT_COMPLEX,
     GeneratorImages,
+    Tolerances,
     matrix_det,
     newton_multistart,
     nullspace,
@@ -442,7 +443,10 @@ class TestMeridian:
         endo, system = lift_inputs("LLLRRRR")
         rep = holonomy_from_triple(TraceTriple(0j, 1 + 0j, 1j), endo, system)
         res = holonomy_residuals(rep, endo)
+        parabolic = res.pop("meridian_parabolic")
         assert max(res.values()) < 1e-30, res
+        # the lifted meridian is -I: central, so not parabolic
+        assert parabolic > Tolerances().root, parabolic
 
     def test_residuals_small(self):
         for name in ("LLRR", "RRL"):
