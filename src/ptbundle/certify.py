@@ -279,6 +279,8 @@ def select_solutions(
     solutions = build_solutions(
         spec, starts=starts, seed=seed, tolerances=tolerances
     )
+    if not solutions:
+        raise ArithmeticError("no trace solutions found; try more --starts")
     if solution_index is not None:
         if not 0 <= solution_index < len(solutions):
             raise ValueError(
@@ -286,8 +288,6 @@ def select_solutions(
                 f"(found {len(solutions)} solutions)"
             )
         return [(solution_index, solutions[solution_index])]
-    if not solutions:
-        raise ArithmeticError("no trace solutions found; try more --starts")
     return list(enumerate(solutions))
 
 

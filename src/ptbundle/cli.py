@@ -273,6 +273,13 @@ class CliConfig:
                     tolerances=self.tolerances, solution_index=self.solution)
 
 
+_TOLERANCE_HELP = {
+    "det": "determinant / interpolation tolerance",
+    "root": "root multiplicity and integer rounding tolerance",
+    "null": "nullspace rank cutoff",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptbundle",
@@ -281,45 +288,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol-det", type=float, default=Tolerances().det,
-                       help="determinant / interpolation tolerance")
-        p.add_argument("--tol-root", type=float, default=Tolerances().root,
-                       help="root multiplicity and integer rounding tolerance")
-        p.add_argument("--tol-null", type=float, default=Tolerances().null,
-                       help="nullspace rank cutoff")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the multistart trace solver")
-        p.add_argument("--starts", type=int, default=64,
-                       help="number of Newton starts")
-        p.add_argument("--solution", type=int, default=None,
-                       help="restrict to one character (orbit) by index")
+    def command(name: str, helptext: str, tolerances: str, solver: bool):
+        # only the flags the handler reads; the rest keep their defaults
+        p = sub.add_parser(name, help=helptext)
+        p.set_defaults(tol_det=Tolerances().det, tol_root=Tolerances().root,
+                       tol_null=Tolerances().null, seed=0, starts=64, solution=None)
+        for tol in tolerances.split():
+            p.add_argument(f"--tol-{tol}", type=float, help=_TOLERANCE_HELP[tol])
+        if solver:
+            p.add_argument("--seed", type=int,
+                           help="seed for the multistart trace solver")
+            p.add_argument("--starts", type=int, help="number of Newton starts")
+            p.add_argument("--solution", type=int,
+                           help="restrict to one character (orbit) by index")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        dest="fmt", help="output format")
         p.add_argument("--output", default=None,
                        help="write output to this path instead of stdout")
+        return p
 
-    def monodromy_command(name: str, helptext: str, with_reps: bool = False):
-        p = sub.add_parser(name, help=helptext)
+    for name, helptext, tolerances, with_reps in (
+        ("certify", "full pipeline and rigidity report", "det root null", True),
+        ("holonomy", "traces and 2x2 / 4x4 holonomy matrices", "null", False),
+        ("trace-solve", "trace solutions only", "null", False),
+        ("action", "monodromy action on cocycles and its characteristic "
+         "polynomials", "det root null", True),
+    ):
+        p = command(name, helptext, tolerances, solver=True)
         p.add_argument("monodromy", help="monodromy word, e.g. LLRR or -R^2L")
         if with_reps:
             p.add_argument("--reps", default=",".join(ALL_REPS),
                            help="comma-separated subset of sl4,v,gl16")
-        common(p)
-        return p
 
-    monodromy_command("certify", "full pipeline and rigidity report",
-                      with_reps=True)
-    monodromy_command("holonomy", "traces and 2x2 / 4x4 holonomy matrices")
-    monodromy_command("trace-solve", "trace solutions only")
-    monodromy_command("action", "monodromy action on cocycles and its "
-                      "characteristic polynomials", with_reps=True)
-
-    alexander = sub.add_parser(
-        "alexander", help="generic twisted Alexander invariant from a "
-        "presentation file")
+    alexander = command("alexander", "generic twisted Alexander invariant "
+                        "from a presentation file", "det root", solver=False)
     alexander.add_argument("file", help="presentation JSON path")
-    common(alexander)
     return parser
 
 
@@ -468,9 +471,9 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
                 "orbit_roots": sol.triple.orbit_roots,
                 "residuals": res,
                 "sl2": {name: _cmatrix(mat) for name, mat in
-                        zip("abx", sol.sl2.generator_images())},
+                        zip("abx", sol.sl2.values())},
                 "so31": {name: _rmatrix(mat) for name, mat in
-                         zip("abx", sol.lorentz.generator_images())},
+                         zip("abx", sol.lorentz.values())},
             }
             for (index, sol), res in zip(picked, residuals)
         ]})
@@ -479,8 +482,8 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
         lines += ["", _traces_line(index, sol),
                   f"  worst residual: {max(res.values()):.3g}"]
         for group, images in (
-            ("sl2", sol.sl2.generator_images()),
-            ("so31", sol.lorentz.generator_images()),
+            ("sl2", sol.sl2.values()),
+            ("so31", sol.lorentz.values()),
         ):
             for name, mat in zip("abx", images):
                 lines.append(f"  {group} {name}:")

@@ -25,9 +25,15 @@ EXT_COMPLEX points, the polish of every solution.
 Each solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
 gluing relations are tried once, and the one intertwining system with a
-one-dimensional kernel gives the meridian by inverse iteration.  The
-Killing split of the traceless 4x4 matrices is a constant built from an
-explicit basis.
+one-dimensional kernel gives the meridian by inverse iteration.
+
+Every layer of the tower is a Kronecker square followed by a constant
+read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
+0, 1, 2).  The Lorentz image of M is M (x) conj(M) on the Hermitian
+basis, read in Minkowski coordinates; ``sl4`` is g (x) g^-T on the
+traceless basis ``SL4_VECS``, read by ``SL4_COORDS``; ``v`` restricts
+it to the Killing complement, a constant built from an explicit basis;
+``gl16`` is g (x) g.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from .numeric import (
     compress,
     linear_solve,
     matrix_det,
-    matrix_inverse,
     newton_multistart,
     nullspace,
     word_product,
@@ -354,19 +359,6 @@ def _model_matrices(a, b, c) -> tuple[np.ndarray, np.ndarray]:
     return mat_a, mat_b
 
 
-@dataclass(frozen=True)
-class Holonomy2:
-    """SL2 data for one solution: fiber matrices, meridian, traces."""
-
-    mat_a: np.ndarray
-    mat_b: np.ndarray
-    mat_x: np.ndarray
-    triple: TraceTriple
-
-    def generator_images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.mat_a, self.mat_b, self.mat_x)
-
-
 LONGITUDE = parse_word("abAB", ("a", "b", "x"))
 
 
@@ -385,7 +377,7 @@ def holonomy_from_triple(
     system: CompiledTraceSystem,
     *,
     null_tol: float = 1e-9,
-) -> Holonomy2:
+) -> GeneratorImages:
     """SL2 holonomy of one trace solution, built once in extended precision.
 
     The triple is polished on the trace equations and gives the fiber pair
@@ -396,8 +388,9 @@ def holonomy_from_triple(
     fiber representation is irreducible).  Those rank decisions run in
     double precision; the kernel vector is then sharpened by inverse
     iteration on the chosen system, X is scaled to determinant 1, and the
-    lift with trace nearest -2 is returned.  ``endo`` is the word's
-    automorphism and ``system`` its compiled ``trace_system``.
+    lift with trace nearest -2 is returned with the fiber pair, as the
+    images of a, b, x.  ``endo`` is the word's automorphism and ``system``
+    its compiled ``trace_system``.
     """
     if abs(triple.trace_ab) < 1e-12:
         raise ValueError("trace of ab must be nonzero for the matrix model")
@@ -434,33 +427,32 @@ def holonomy_from_triple(
     mat_x = mat_x / np.sqrt(det)
     if abs(np.trace(-mat_x) + 2.0) < abs(np.trace(mat_x) + 2.0):
         mat_x = -mat_x
-    return Holonomy2(*mats, mat_x, triple)
+    return GeneratorImages([*mats, mat_x])
 
 
-def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
-    """Diagnostics: relation defects (up to sign), unimodularity, cusp traces.
+def holonomy_residuals(images: GeneratorImages, endo: EndoF2) -> dict[str, float]:
+    """Diagnostics of the SL2 images: relation defects (up to sign),
+    unimodularity, cusp traces.
 
     ``meridian_parabolic`` is |tr X - 2s| for the sign s nearer tr X, or
     1.0 when X - sI is zero relative to X: +-I is not parabolic.
     """
     out: dict[str, float] = {}
-    images = GeneratorImages(rep.generator_images())
-    for name, gen_mat, image in (
-        ("relation_a", rep.mat_a, endo.image_a),
-        ("relation_b", rep.mat_b, endo.image_b),
-    ):
-        lhs = rep.mat_x @ gen_mat @ images.inverse(2)
+    mat_x = images[2]
+    for name, gen, image in (("relation_a", 0, endo.image_a),
+                             ("relation_b", 1, endo.image_b)):
+        lhs = mat_x @ images[gen] @ images.inverse(2)
         rhs = word_product(image, images)
         defect = min(
             float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))
         )
         out[name] = defect
-    for name, mat in (("det_a", rep.mat_a), ("det_b", rep.mat_b), ("det_x", rep.mat_x)):
+    for name, mat in zip(("det_a", "det_b", "det_x"), images.values()):
         out[name] = float(abs(complex(matrix_det(mat)) - 1.0))
-    trace = np.trace(rep.mat_x)
+    trace = np.trace(mat_x)
     sign = 1.0 if abs(trace - 2.0) <= abs(trace + 2.0) else -1.0
-    scale = Tolerances().null * max(1.0, float(np.max(np.abs(rep.mat_x))))
-    central = float(np.max(np.abs(rep.mat_x - sign * np.eye(2)))) <= scale
+    scale = Tolerances().null * max(1.0, float(np.max(np.abs(mat_x))))
+    central = float(np.max(np.abs(mat_x - sign * np.eye(2)))) <= scale
     out["meridian_parabolic"] = 1.0 if central else float(abs(trace - 2.0 * sign))
     longitude = word_product(LONGITUDE, images)
     out["longitude_trace"] = abs(complex(np.trace(longitude)) + 2.0)
@@ -468,15 +460,14 @@ def holonomy_residuals(rep: Holonomy2, endo: EndoF2) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Lorentz model: PSL(2, C) acting on Hermitian matrices.
+# The tower: Kronecker squares followed by constant read-outs.
 # ---------------------------------------------------------------------------
 
-_HERMITIAN_BASIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, 1j], [-1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-    np.array([[1, 0], [0, 1]], dtype=complex),
-)
+# Matrices are vectorized row-major, so vec(P X Q) = (P (x) Q^T) vec(X).
+
+# Columns: vec of the Hermitian basis matrices sigma_x, sigma_y, sigma_z, I.
+_HERMITIAN_VECS = np.array([[0, 1, 1, 0], [0, 1j, -1j, 0],
+                            [1, 0, 0, -1], [1, 0, 0, 1]], dtype=complex).T
 
 LORENTZ_FORM = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -484,103 +475,65 @@ LORENTZ_FORM = np.diag([1.0, 1.0, 1.0, -1.0])
 def psl2_to_lorentz(mat: np.ndarray) -> np.ndarray:
     """Image of a PSL2 element in SO(3,1) via the Hermitian action H -> M H M*.
 
-    Coordinates on Hermitian matrices: x1 = Re H[0,1], x2 = Im H[0,1],
-    x3 = (H[0,0] - H[1,1])/2, x4 = (H[0,0] + H[1,1])/2, so that
-    -det H = x1^2 + x2^2 + x3^2 - x4^2.
+    The action is M (x) conj(M) on vec(H).  Coordinates on Hermitian
+    matrices: x1 = Re H[0,1], x2 = Im H[0,1], x3 = (H[0,0] - H[1,1])/2,
+    x4 = (H[0,0] + H[1,1])/2, so that -det H = x1^2 + x2^2 + x3^2 - x4^2.
     """
-    cols = []
+    images = np.kron(mat, mat.conj()) @ _HERMITIAN_VECS
     scale = max(1.0, float(np.max(np.abs(mat))) ** 2)
-    for basis in _HERMITIAN_BASIS:
-        image = mat @ basis @ mat.conj().T
-        herm_defect = float(np.max(np.abs(image - image.conj().T)))
-        if herm_defect > 1e-9 * scale:
-            raise ArithmeticError("Hermitian action produced a non-Hermitian matrix")
-        x1 = image[0, 1].real
-        x2 = image[0, 1].imag
-        x3 = (image[0, 0] - image[1, 1]).real / 2.0
-        x4 = (image[0, 0] + image[1, 1]).real / 2.0
-        cols.append([x1, x2, x3, x4])
-    out = np.array(cols).T  # dtype follows the input (real longdouble stays)
+    # vec(H*) lists conj(H) with H[0,1] and H[1,0] swapped
+    herm_defect = float(np.max(np.abs(images - images[[0, 2, 1, 3]].conj())))
+    if herm_defect > 1e-9 * scale:
+        raise ArithmeticError("Hermitian action produced a non-Hermitian matrix")
+    out = np.array([images[1].real, images[1].imag, (images[0] - images[3]).real / 2.0,
+                    (images[0] + images[3]).real / 2.0])  # real longdouble stays
     defect = float(np.max(np.abs(out.T @ LORENTZ_FORM @ out - LORENTZ_FORM)))
     if defect > 1e-7 * scale**2:
         raise ArithmeticError("Lorentz image failed the J-orthogonality check")
     return out
 
 
-@dataclass(frozen=True)
-class Holonomy4:
-    """Real 4x4 Lorentz images of the three group generators."""
-
-    mat_a: np.ndarray
-    mat_b: np.ndarray
-    mat_x: np.ndarray
-
-    def generator_images(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.mat_a, self.mat_b, self.mat_x)
+def lorentz_holonomy(sl2: GeneratorImages) -> GeneratorImages:
+    return GeneratorImages({gen: psl2_to_lorentz(mat) for gen, mat in sl2.items()})
 
 
-def lorentz_holonomy(rep: Holonomy2) -> Holonomy4:
-    return Holonomy4(
-        psl2_to_lorentz(rep.mat_a),
-        psl2_to_lorentz(rep.mat_b),
-        psl2_to_lorentz(rep.mat_x),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Linear representations derived from the Lorentz holonomy.
-# ---------------------------------------------------------------------------
-
-
-def _traceless_basis() -> list[np.ndarray]:
-    basis = []
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                mat = np.zeros((4, 4))
-                mat[i, j] = 1.0
-                basis.append(mat)
-    for k in range(3):
-        mat = np.zeros((4, 4))
-        mat[k, k] = 1.0
-        mat[k + 1, k + 1] = -1.0
-        basis.append(mat)
-    return basis
-
-
-SL4_BASIS = _traceless_basis()
+# The standard basis of traceless 4x4 matrices: the 12 off-diagonal units
+# E_ij, then E_kk - E_k+1,k+1.  SL4_COORDS reads coordinates off a vec:
+# the off-diagonal entries, then the partial sums d0, d0+d1, d0+d1+d2 of
+# the diagonal.
+_OFF_DIAGONAL = [4 * i + j for i in range(4) for j in range(4) if i != j]
+SL4_VECS = np.zeros((16, 15))
+SL4_VECS[_OFF_DIAGONAL + [0, 5, 10], range(15)] = 1.0
+SL4_VECS[[5, 10, 15], range(12, 15)] = -1.0
+SL4_BASIS = SL4_VECS.T.reshape(15, 4, 4)
+SL4_COORDS = np.zeros((15, 16))
+SL4_COORDS[range(12), _OFF_DIAGONAL] = 1.0
+SL4_COORDS[12:, [0, 5, 10]] = np.tril(np.ones((3, 3)))
 
 
 def sl4_coordinates(mat: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
-    """Coordinates of a traceless 4x4 matrix in the standard basis.
+    """Coordinates in ``SL4_BASIS`` of a traceless 4x4 matrix or a stack of them.
 
-    The 12 off-diagonal units are read off directly; the diagonal part
-    d = (d0, d1, d2, d3) with sum 0 has coordinates given by the partial
-    sums d0, d0+d1, d0+d1+d2 on the three diagonal difference matrices.
+    Each matrix must be traceless relative to its own largest entry; a
+    stack (k, 4, 4) gives coordinates (k, 15).
     """
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    trace = float(abs(np.trace(mat)))
-    if trace > tol * scale:
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
+    if np.any(np.abs(np.trace(mat, axis1=-2, axis2=-1)) > tol * scale):
         raise ValueError("matrix is not traceless")
-    coords = []
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                coords.append(mat[i, j])
-    running = 0.0
-    for k in range(3):
-        running += mat[k, k]
-        coords.append(running)
-    return np.array(coords)
+    return mat.reshape(*mat.shape[:-2], 16) @ SL4_COORDS.T
 
 
-def adjoint_rep(rep: Holonomy4) -> GeneratorImages:
-    """Conjugation action of each generator on traceless 4x4 matrices (15-dim)."""
-    images = []
-    for mat in rep.generator_images():
-        inv = matrix_inverse(mat)
-        cols = [sl4_coordinates(mat @ basis @ inv) for basis in SL4_BASIS]
-        images.append(np.array(cols).T)
+def adjoint_rep(lorentz: GeneratorImages) -> GeneratorImages:
+    """Conjugation action of each generator on traceless 4x4 matrices (15-dim).
+
+    X -> g X g^-1 is g (x) g^-T on vec(X), read in ``SL4_BASIS``, with the
+    kept inverse of each Lorentz image; every conjugated basis matrix must
+    be traceless.
+    """
+    images = {}
+    for gen, mat in lorentz.items():
+        conjugated = np.kron(mat, lorentz.inverse(gen).T) @ SL4_VECS
+        images[gen] = sl4_coordinates(conjugated.T.reshape(15, 4, 4)).T
     return GeneratorImages(images)
 
 
@@ -633,9 +586,9 @@ def restrict_block(images: Mapping[int, np.ndarray], block: np.ndarray) -> Gener
     })
 
 
-def kronecker_rep(rep: Holonomy4) -> GeneratorImages:
+def kronecker_rep(lorentz: GeneratorImages) -> GeneratorImages:
     """Tensor-square action g (x) g on 16 dimensions."""
-    return GeneratorImages([np.kron(mat, mat) for mat in rep.generator_images()])
+    return GeneratorImages({gen: np.kron(mat, mat) for gen, mat in lorentz.items()})
 
 
 def rep_residuals(
@@ -704,11 +657,11 @@ def fixed_vectors_dim(
 
 @dataclass(frozen=True)
 class HolonomySolution:
-    """Everything derived from one trace solution."""
+    """Everything derived from one trace solution: images of a, b, x by index."""
 
     triple: TraceTriple
-    sl2: Holonomy2
-    lorentz: Holonomy4
+    sl2: GeneratorImages
+    lorentz: GeneratorImages
 
     @cached_property
     def adjoint(self) -> GeneratorImages:

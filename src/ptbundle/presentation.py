@@ -194,11 +194,12 @@ def _matrix_from_json(entry, name) -> np.ndarray:
 def load_presentation(path: str):
     """Read a presentation JSON file.
 
-    Expected fields: "generators" (list of single-letter names), "relators"
-    (word syntax, uppercase letters are inverses), "abelianization" (integer
-    weights), and optionally "representation" (map generator -> matrix with
-    [re, im] cells).  Returns (Presentation, AbelianizationMap, matrices or
-    None) where matrices is a list aligned with the generator order.
+    Expected fields: "generators" (list of distinct single lowercase
+    letters), "relators" (list of words, uppercase letters are inverses),
+    "abelianization" (integer weights), and optionally "representation"
+    (map generator -> matrix with [re, im] cells).  Returns (Presentation,
+    AbelianizationMap, matrices or None) where matrices is a list aligned
+    with the generator order.
     """
     with open(path) as fh:
         data = json.load(fh)
@@ -206,17 +207,26 @@ def load_presentation(path: str):
         raise ValueError("presentation file must hold a JSON object, got %s"
                          % type(data).__name__)
     try:
-        names = tuple(data["generators"])
-        relator_texts = list(data["relators"])
+        names = data["generators"]
+        relator_texts = data["relators"]
         weights = data["abelianization"]
     except KeyError as exc:
         raise ValueError("presentation file missing field %s" % (exc,))
+    if not (isinstance(names, list)
+            and all(isinstance(n, str) and len(n) == 1 and n.isalpha() and n.islower()
+                    for n in names)
+            and len(set(names)) == len(names)):
+        raise ValueError("generators must be a list of distinct single lowercase "
+                         "letters, got %r" % (names,))
+    if not (isinstance(relator_texts, list)
+            and all(isinstance(t, str) for t in relator_texts)):
+        raise ValueError("relators must be a list of strings, got %r" % (relator_texts,))
     if not isinstance(weights, list) or any(
             isinstance(e, bool) or not isinstance(e, int) for e in weights):
         raise ValueError("abelianization weights must be a list of integers, got %r"
                          % (weights,))
     relators = tuple(parse_word(t, names) for t in relator_texts)
-    pres = Presentation(names, relators)
+    pres = Presentation(tuple(names), relators)
     alpha = AbelianizationMap(tuple(weights))
     err = validate_abelianization(pres, alpha)
     if err is not None:

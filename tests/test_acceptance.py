@@ -355,7 +355,7 @@ class TestAlgebraicProperties:
         for word in BUNDLE_WORDS:
             _, sols = bundles[word]
             for sol in sols:
-                for g in sol.lorentz.generator_images():
+                for g in sol.lorentz.values():
                     defect = float(
                         np.max(np.abs(g.T @ LORENTZ_FORM @ g - LORENTZ_FORM))
                     )

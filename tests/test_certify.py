@@ -304,8 +304,7 @@ class TestCrossChecks:
             adjoints.append(rep)
             return original_adjoint(rep)
 
-        for module in (ptbundle.numeric, ptbundle.holonomy):
-            monkeypatch.setattr(module, "matrix_inverse", recording_inverse)
+        monkeypatch.setattr(ptbundle.numeric, "matrix_inverse", recording_inverse)
         monkeypatch.setattr(ptbundle.holonomy, "adjoint_rep", recording_adjoint)
         report = certify("LLRR")
         assert len(adjoints) == len(report.solutions)

@@ -147,6 +147,20 @@ class TestExitCodes:
         assert run(["certify", "LLRR", "--frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["alexander", "--seed", "3", "presentations/trefoil_heusener.json"],
+        ["alexander", "--starts", "5", "presentations/trefoil_heusener.json"],
+        ["alexander", "--solution", "0", "presentations/trefoil_heusener.json"],
+        ["alexander", "--tol-null", "1e-5", "presentations/trefoil_heusener.json"],
+        ["trace-solve", "--tol-det", "1e-3", "RRL"],
+        ["trace-solve", "--tol-root", "1e-3", "RRL"],
+        ["holonomy", "--tol-det", "1e-3", "RRL"],
+        ["holonomy", "--tol-root", "1e-3", "RRL"],
+    ])
+    def test_flag_the_subcommand_ignores_is_unknown(self, argv, capsys):
+        assert run(argv) == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
@@ -160,6 +174,12 @@ class TestExitCodes:
                             ("--starts", "0"), ("--seed", "-1")):
             assert run(["certify", flag, value, "--", "RRL"]) == 2
             assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--solution", "0"]])
+    def test_no_solutions_is_numerical_failure(self, extra, capsys):
+        # one start with seed 2 finds no character of LR
+        assert run(["trace-solve", "--starts", "1", "--seed", "2", *extra, "LR"]) == 3
+        assert "no trace solutions found" in capsys.readouterr().err
 
     def test_all_inconclusive_exits_four(self, capsys):
         # a root tolerance below the double-precision storage noise makes
@@ -288,6 +308,17 @@ class TestSubcommands:
          '"abelianization": [3, 2], '
          '"representation": {"a": [[[1, 0]]], "b": [[[2, 0]]]}}',
          "relator 0 (a^2B^3): relative defect 8.750e-01"),
+        ('{"generators": 5, "relators": [], "abelianization": [1]}', "generators"),
+        ('{"generators": ["a", 7], "relators": ["aB"], "abelianization": [1, 1]}',
+         "generators"),
+        ('{"generators": ["a", "a"], "relators": ["aA"], "abelianization": [1, 1], '
+         '"representation": {"a": [[[2, 0]]]}}', "generators"),
+        ('{"generators": ["ab"], "relators": [], "abelianization": [1], '
+         '"representation": {"ab": [[[2, 0]]]}}', "generators"),
+        ('{"generators": ["a", "b"], "relators": [5], "abelianization": [1, 1]}',
+         "relators"),
+        ('{"generators": ["a", "b"], "relators": "aaBBB", "abelianization": [3, 2]}',
+         "relators"),
     ])
     def test_alexander_malformed_file(self, tmp_path, capsys, text, problem):
         path = tmp_path / "bad.json"

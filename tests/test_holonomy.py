@@ -14,6 +14,8 @@ from ptbundle.holonomy import (
     LORENTZ_FORM,
     MARKOV,
     SL4_BASIS,
+    SL4_COORDS,
+    SL4_VECS,
     CompiledTraceSystem,
     TracePoly,
     TraceTriple,
@@ -37,6 +39,7 @@ from ptbundle.numeric import (
     GeneratorImages,
     Tolerances,
     matrix_det,
+    matrix_inverse,
     newton_multistart,
     nullspace,
     word_product,
@@ -385,7 +388,7 @@ class TestFiberMatrices:
         endo, system = lift_inputs("LLRR")
         sol = solve_traces(system, seed=0)[0]
         rep = holonomy_from_triple(sol, endo, system)
-        mat_a, mat_b = (m.astype(complex) for m in (rep.mat_a, rep.mat_b))
+        mat_a, mat_b = (rep[k].astype(complex) for k in (0, 1))
         assert np.trace(mat_a) == pytest.approx(sol.trace_a)
         assert np.trace(mat_b) == pytest.approx(sol.trace_b)
         assert np.trace(mat_a @ mat_b) == pytest.approx(sol.trace_ab)
@@ -409,7 +412,7 @@ class TestMeridian:
         expected = np.array([[-1.0, 1j], [0.0, -1.0]])
         if is_conjugate_representative(sol, target):
             expected = expected.conj()
-        assert np.max(np.abs(rep.mat_x - expected)) < 1e-8
+        assert np.max(np.abs(rep[2] - expected)) < 1e-8
 
     def test_rrl_meridian_matches_known_matrix(self):
         endo, system = lift_inputs("RRL")
@@ -427,7 +430,7 @@ class TestMeridian:
             sol.trace_a - rrl_exact_trace_a()
         ):
             expected = expected.conj()
-        assert np.max(np.abs(rep.mat_x - expected)) < 1e-8
+        assert np.max(np.abs(rep[2] - expected)) < 1e-8
 
     @pytest.mark.parametrize("word,message", [
         ("LLLR", "no meridian intertwiner found"),
@@ -483,7 +486,7 @@ class TestLorentz:
         endo, system = lift_inputs("LLRR")
         rep = holonomy_from_triple(solve_traces(system, seed=0)[0], endo, system)
         lor = lorentz_holonomy(rep)
-        for mat in lor.generator_images():
+        for mat in lor.values():
             assert np.max(np.abs(mat.imag)) == 0.0
             assert float(matrix_det(mat)) == pytest.approx(1.0)
             defect = mat.T @ LORENTZ_FORM @ mat - LORENTZ_FORM
@@ -528,7 +531,7 @@ class TestLorentz:
         target = llrr_exact_triple()
         sol = min(solve_traces(system, seed=0), key=lambda s: triple_distance(s, target))
         lor = lorentz_holonomy(holonomy_from_triple(sol, endo, system))
-        mine = lor.generator_images()
+        mine = lor
         eye = np.eye(4)
         blocks = [
             np.kron(eye, mine[k].T) - np.kron(ref, eye)
@@ -562,6 +565,17 @@ class TestSl4Basis:
         with pytest.raises(ValueError):
             sl4_coordinates(np.eye(4))
 
+    def test_readout_inverts_basis_exactly(self):
+        assert np.array_equal(SL4_COORDS @ SL4_VECS, np.eye(15))
+
+    def test_traceless_check_is_per_matrix(self):
+        # the small matrix's trace hides under the large one's scale
+        big = np.diag([1e9, -1e9, 0.0, 0.0])
+        small = np.diag([1e-3, 0.0, 0.0, 0.0])
+        assert sl4_coordinates(big)[12] == 1e9
+        with pytest.raises(ValueError, match="not traceless"):
+            sl4_coordinates(np.array([big, small]))
+
 
 @pytest.fixture(scope="module")
 def llrr_solution():
@@ -569,6 +583,93 @@ def llrr_solution():
     endo, sols = monodromy_endo(spec), build_solutions(spec, seed=0)
     target = llrr_exact_triple()
     return endo, min(sols, key=lambda s: triple_distance(s.triple, target))
+
+
+PINNED_WORDS = ("LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR")
+
+REFERENCE_HERMITIAN_BASIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, 1j], [-1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+    np.array([[1, 0], [0, 1]], dtype=complex),
+)
+
+
+def reference_lorentz(mat):
+    """The Lorentz image as a loop: M H M* for each Hermitian basis matrix H."""
+    cols = []
+    for basis in REFERENCE_HERMITIAN_BASIS:
+        image = mat @ basis @ mat.conj().T
+        cols.append([image[0, 1].real, image[0, 1].imag,
+                     (image[0, 0] - image[1, 1]).real / 2.0,
+                     (image[0, 0] + image[1, 1]).real / 2.0])
+    return np.array(cols).T
+
+
+def reference_sl4_basis():
+    basis = []
+    for i, j in itertools.permutations(range(4), 2):
+        mat = np.zeros((4, 4))
+        mat[i, j] = 1.0
+        basis.append(mat)
+    for k in range(3):
+        mat = np.zeros((4, 4))
+        mat[k, k], mat[k + 1, k + 1] = 1.0, -1.0
+        basis.append(mat)
+    return basis
+
+
+def reference_adjoint(mat):
+    """The sl4 image as a loop: g E g^-1 for each basis matrix E, read entry by entry."""
+    inv = matrix_inverse(mat)
+    cols = []
+    for basis in reference_sl4_basis():
+        image = mat @ basis @ inv
+        coords = [image[i, j] for i, j in itertools.permutations(range(4), 2)]
+        running = 0.0
+        for k in range(3):
+            running += image[k, k]
+            coords.append(running)
+        cols.append(coords)
+    return np.array(cols).T
+
+
+@pytest.fixture(scope="module")
+def pinned_solutions():
+    per_word = [build_solutions(parse_monodromy(word), seed=0) for word in PINNED_WORDS]
+    assert all(per_word)
+    return [sol for sols in per_word for sol in sols]
+
+
+class TestKroneckerReadouts:
+    def test_images_match_per_basis_loops(self, pinned_solutions):
+        for sol in pinned_solutions:
+            lorentz = [reference_lorentz(mat) for mat in sol.sl2.values()]
+            adjoint = [reference_adjoint(mat) for mat in lorentz]
+            expected = {
+                "sl4": adjoint,
+                "v": restrict_block(dict(enumerate(adjoint)), KILLING_SPLIT.complement).values(),
+                "gl16": [np.kron(mat, mat) for mat in lorentz],
+            }
+            pairs = [(sol.lorentz, lorentz)]
+            pairs += [(sol.representation(kind), refs) for kind, refs in expected.items()]
+            for images, refs in pairs:
+                for mat, ref in zip(images.values(), refs, strict=True):
+                    assert mat.dtype == ref.dtype
+                    assert np.array_equal(mat, ref)
+
+    def test_adjoint_rejects_a_wrong_inverse(self, llrr_solution):
+        class TransposedInverse(GeneratorImages):
+            def inverse(self, gen):
+                return self[gen].T  # a Lorentz inverse is J g^T J
+
+        _, sol = llrr_solution
+        with pytest.raises(ValueError, match="not traceless"):
+            adjoint_rep(TransposedInverse(sol.lorentz))
+
+    def test_lorentz_image_must_preserve_the_form(self):
+        with pytest.raises(ArithmeticError, match="J-orthogonality"):
+            psl2_to_lorentz(np.diag([2.0, 1.0]).astype(complex))
 
 
 class TestDerivedReps:
@@ -631,7 +732,7 @@ class TestDerivedReps:
         kron = kronecker_rep(sol.lorentz)
         assert all(m.shape == (16, 16) for m in kron.values())
         assert max(rep_residuals(kron, endo).values()) < 1e-10
-        expected = np.kron(sol.lorentz.mat_a, sol.lorentz.mat_a)
+        expected = np.kron(sol.lorentz[0], sol.lorentz[0])
         assert np.max(np.abs(kron[0] - expected)) == 0.0
 
     def test_fiber_action_has_no_invariants(self, llrr_solution):
