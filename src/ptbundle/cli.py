@@ -638,7 +638,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_route_negated_words(argv))
+        args, extra = parser.parse_known_args(_route_negated_words(argv))
+        if extra:
+            # argparse gives an unknown flag's value to the positional
+            # argument and reports the positional, so name the flags alone
+            flags = [tok for tok in extra if tok.startswith("-")]
+            parser.error("unrecognized arguments: " + " ".join(flags or extra))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

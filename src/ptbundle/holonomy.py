@@ -17,10 +17,11 @@ action on Fricke coordinates; Goldman, Geom. Topol. 2003), so
 the terms of each fixed-point equation.  The equations are compiled once
 into a ``CompiledTraceSystem``, which evaluates the equations and their
 partials at a whole batch of Newton starts with the exact arithmetic of
-``TracePoly.evaluate`` at each one: one ``np.power`` table, the products
-in real ufuncs, and one in-order ``cumsum`` per Jacobian row.  The same
-compiled system serves the multistart solve in double precision and, on
-EXT_COMPLEX points, the polish of every solution.
+``TracePoly.evaluate`` at each one: one ``np.power`` table, gathered
+into real and imaginary planes, the products as in-place real ufuncs on
+those planes, and one in-order complex ``cumsum`` per Jacobian row.  The
+same compiled system serves the multistart solve in double precision
+and, on EXT_COMPLEX points, the polish of every solution.
 
 Each solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
@@ -194,10 +195,14 @@ def trace_system(spec: MonodromySpec) -> tuple[TracePoly, TracePoly, TracePoly]:
 # relies on three rules:
 # - ``np.power`` on a complex array runs numpy's scalar ``z ** n``;
 # - numpy's array complex multiply rounds apart from the scalar one, so
-#   each product is written out in real ufuncs;
-# - ``cumsum`` adds in order, as the scalar loop does (``np.sum`` and
-#   ``@`` add pairwise or in blocks), and a sum that starts at +0 never
-#   becomes -0, so adding a zero term leaves it unchanged.
+#   each product is written out in real ufuncs with the scalar's
+#   operations: int * complex is (c ar - ai 0.0, c ai + ar 0.0), where the
+#   zero products keep signed zeros and turn an infinite power into NaN,
+#   and complex * complex is (re fr - im fi, re fi + im fr);
+# - ``cumsum`` adds in order, as the scalar loop does (``np.sum``, ``@``
+#   and ``np.add.reduce`` add pairwise or in blocks, at least for one
+#   point), and a sum that starts at +0 never becomes -0, so adding a
+#   zero term leaves it unchanged.
 
 
 class CompiledTraceSystem:
@@ -206,12 +211,15 @@ class CompiledTraceSystem:
     The terms are laid out by Jacobian row: equation i, then its partials
     by A, B and C, each led by a zero term (as 0j leads the scalar sum) and
     padded with zero terms to the row's widest polynomial.  Calling the
-    system on a (k, 3) array of points builds one power table, gathers it
-    for every term, and sums each row with one ``cumsum``.  It returns the
-    values (k, 3) and the Jacobians (k, 3, 3) in the complex dtype of the
-    points (complex128 for the Newton starts, EXT_COMPLEX for the polish);
-    every entry has the bits that TracePoly.evaluate gives at that point.
-    ``equations`` and ``partials`` keep the polynomials.
+    system on a (k, 3) array of points builds one power table and gathers
+    its real and imaginary parts for every term into two real arrays.  The
+    coefficient step and the two factor products run in place on those
+    arrays, the terms are assembled as complex numbers once, and each row
+    is summed with one ``cumsum``.  It returns the values (k, 3) and the
+    Jacobians (k, 3, 3) in the complex dtype of the points (complex128 for
+    the Newton starts, EXT_COMPLEX for the polish); every entry has the
+    bits that TracePoly.evaluate gives at that point.  ``equations`` and
+    ``partials`` keep the polynomials.
     """
 
     def __init__(self, equations: Sequence[TracePoly]):
@@ -233,28 +241,34 @@ class CompiledTraceSystem:
     def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Blocks of points keep each complex (padded terms, points) array
         # near 128 kB, so long words reuse freed heap memory instead of
-        # raising peak RSS.  An empty z makes one empty block.
+        # raising peak RSS.
         block = max(1, 8192 // len(self._coeffs))
-        sums = np.concatenate([self._sums(z[lo:lo + block])
-                               for lo in range(0, max(len(z), 1), block)], axis=2)
+        sums = np.empty((3, 4, len(z)), dtype=z.dtype)
+        for lo in range(0, len(z), block):
+            self._sums(z[lo:lo + block], sums[..., lo:lo + block])
         return sums[:, 0].T, sums[:, 1:].transpose(2, 0, 1)
 
-    def _sums(self, z: np.ndarray) -> np.ndarray:
+    def _sums(self, z: np.ndarray, out: np.ndarray) -> None:
         # [variable and exponent, point]
         table = np.power(z.T[:, None], self._exponents).reshape(3 * len(self._exponents), len(z))
-        a, b, c = (table.take(rows, axis=0) for rows in self._gather)
-        # coeff * A^i as numpy's scalar int * complex, imaginary part 0
-        re = self._coeffs * a.real - a.imag * 0.0
-        im = self._coeffs * a.imag + a.real * 0.0
-        for factor in b, c:
-            re, im = re * factor.real - im * factor.imag, re * factor.imag + im * factor.real
+        # [A, B or C factor, term, point], real and imaginary planes
+        (ar, br, cr), (ai, bi, ci) = (part.take(self._gather, axis=0)
+                                      for part in (table.real, table.imag))
+        # coeff * A^i as numpy's scalar int * complex
+        re, im = self._coeffs * ar, self._coeffs * ai
+        np.subtract(re, np.multiply(ai, 0.0, out=ai), out=re)
+        np.add(im, np.multiply(ar, 0.0, out=ar), out=im)
+        # times B^j, then C^k, with ar and ai as scratch
+        for fr, fi in (br, bi), (cr, ci):
+            np.multiply(re, fi, out=ar)
+            np.multiply(im, fr, out=ai)
+            np.subtract(np.multiply(re, fr, out=re), np.multiply(im, fi, out=im), out=re)
+            np.add(ar, ai, out=im)
         terms = np.empty(re.shape, dtype=z.dtype)
         terms.real, terms.imag = re, im
-        sums = np.empty((3, 4, len(z)), dtype=z.dtype)
         for row, (start, width) in enumerate(self._rows):
             part = terms[start:start + 4 * width].reshape(4, width, len(z))
-            sums[row] = part.cumsum(axis=1)[:, -1]
-        return sums
+            out[row] = part.cumsum(axis=1)[:, -1]
 
 
 # ---------------------------------------------------------------------------

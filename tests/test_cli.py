@@ -161,6 +161,16 @@ class TestExitCodes:
         assert run(argv) == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["alexander", "--seed", "3", "presentations/trefoil_heusener.json"], "--seed"),
+        (["trace-solve", "--tol-det", "1e-8", "--", "LR"], "--tol-det"),
+    ])
+    def test_unknown_flag_is_named_without_its_value(self, argv, flag, capsys):
+        # argparse takes the flag's value for the positional argument
+        assert run(argv) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"error: unrecognized arguments: {flag}")
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()

@@ -555,7 +555,52 @@ def test_newton_singular_jacobian_starts():
     assert roots_bytes(roots) == roots_bytes(expected)
 
 
-@pytest.mark.parametrize("word", ["LR", "LLRR", "LLLRRR", "LRLRLR", "L^8R", "LLRLRRLR"])
+def fixed_starts(points):
+    """A sampler that draws the given points in order."""
+    points = iter(points)
+    return lambda rng: np.array(next(points), dtype=complex)
+
+
+# Roots -sqrt(2) (1, 1, 1) and +sqrt(2) (1, 1, 1).  Newton from the first
+# start below reaches -sqrt(2) with other last bits than from the second.
+PAIR = CompiledTraceSystem((A * A - 2, B - A, C - A))
+NEAR_MINUS = [[-1.3 + 0.1j, -1, -1], [-1, -1, -1]]
+
+
+@pytest.mark.parametrize("first, third", [NEAR_MINUS, NEAR_MINUS[::-1]])
+def test_newton_keeps_the_first_start_of_a_repeated_root(first, third):
+    alone, = newton_multistart(PAIR, 3, starts=1, sampler=fixed_starts([first]))
+    again, = newton_multistart(PAIR, 3, starts=1, sampler=fixed_starts([third]))
+    assert alone.tobytes() != again.tobytes()
+    assert np.max(np.abs(alone - again)) <= 1e-6
+    starts = [first, [1.5, 1.5, 1.5], third]
+    roots = newton_multistart(PAIR, 3, starts=3, sampler=fixed_starts(starts))
+    assert len(roots) == 2 and roots[0][0].real < 0  # the repeated root sorts first
+    assert roots[0].tobytes() == alone.tobytes()
+    expected = scalar_multistart(PAIR, 3, starts=3, sampler=fixed_starts(starts))
+    assert roots_bytes(roots) == roots_bytes(expected)
+
+
+def test_newton_batch_drops_stopped_starts_and_steps_the_rest():
+    # F overflows at the first start and the Jacobian is singular at the
+    # second, so both stop after one evaluation; the others go on
+    starts = [[1e200, 1, 1], [2, 2, 2]] + [[3.2, 2.9 + 0.1j, 3.1]] * 3 + [[0.1, -0.2, 0.1j]] * 3
+    batches = []
+
+    def system(z):
+        batches.append(len(z))
+        return SYMMETRIC(z)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = newton_multistart(system, 3, starts=8, sampler=fixed_starts(starts))
+    assert batches[:2] == [8, 6]
+    expected = scalar_multistart(SYMMETRIC, 3, starts=8, sampler=fixed_starts(starts))
+    assert len(roots) == 2
+    assert roots_bytes(roots) == roots_bytes(expected)
+
+
+@pytest.mark.parametrize("word", ["LR", "LLRR", "LLLRRR", "LRLRLR", "LRRLRR", "LLRLLR", "L^8R",
+                                  "LLRLRRLR"])
 def test_solve_traces_matches_scalar_newton(word, monkeypatch):
     system = CompiledTraceSystem(trace_system(parse_monodromy(word)))
     for seed in (0, 3):
