@@ -48,6 +48,7 @@ import numpy as np
 
 from .numeric import (
     EXT_COMPLEX,
+    ORIGIN_RADIUS,
     GeneratorImages,
     Tolerances,
     compress,
@@ -321,8 +322,10 @@ def solve_traces(
 
     Returns one irreducible solution per PSL(2,C) character.  Real triples
     and triples with C ~ 0 are dropped (they cannot give an irreducible
-    SL2 representation with parabolic boundary), and so is a root with one
-    of its eight sign and conjugation images within ``_DEDUP_TOL`` of a
+    SL2 representation with parabolic boundary).  So are triples within
+    ``ORIGIN_RADIUS`` of 0, the trivial character (0, 0, 0) of the finite
+    Q8 representation, which every word's system has, and roots with one
+    of their eight sign and conjugation images within ``_DEDUP_TOL`` of a
     kept root.  The first root of an orbit in sorted order is kept, and its
     ``orbit_roots`` counts the roots it stands for.  ``system`` is the
     compiled ``trace_system`` of the word.
@@ -340,6 +343,8 @@ def solve_traces(
     kept: list[np.ndarray] = []
     counts: list[int] = []
     for root in roots:
+        if max(abs(root)) < ORIGIN_RADIUS:
+            continue  # the trivial character, fixed by both letter maps
         if max(abs(root.imag)) < 1e-8:
             continue  # real solutions never give the discrete faithful one
         if abs(root[2]) < 1e-8:

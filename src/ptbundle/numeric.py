@@ -41,8 +41,11 @@ gives each row the bits of a solve of that row alone, so the roots are
 those of a per-start loop on the same system values.  In the common
 iteration every start goes on with a finite step, and the loop then
 selects no rows of the values, Jacobians and steps.  A start that a
-step takes past max|z| = ``ESCAPE_RADIUS`` is escaping to infinity and
-stops there, unconverged.
+step takes past max|z| = ``ESCAPE_RADIUS`` is escaping to infinity, and
+one that a step takes below max|z| = ``ORIGIN_RADIUS`` is falling into
+the root 0 that every trace system has (the trivial character); either
+stops there, unconverged.  The comment at the two constants gives the
+measured margins.
 """
 
 from __future__ import annotations
@@ -651,13 +654,21 @@ def _newton_steps(jac: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
         return steps, ok
 
 
-# A start that diverges grows about 2x per step, but F overflows only near
-# |z| ~ 10^(308 / degree), so on a low-degree system it would run out all
-# max_iter steps.  Past this radius a start stops, unconverged.  It is the
-# radius at which the degree-19 system of LLRLRRLR, the highest-degree
-# word of the benchmark corpus, already overflows.  On the corpus words at
-# seeds 0-39 no converging start passes 1e10, and no root changes.
-ESCAPE_RADIUS = 1e16
+# A step that takes max|z| outside [ORIGIN_RADIUS, ESCAPE_RADIUS] stops its
+# start, unconverged.  A diverging start grows 2x to 6x per step, and F
+# overflows only near |z| ~ 10^(308 / degree), so on a low-degree system
+# it would run out all max_iter steps.  A start drawn into the root 0 of a
+# trace system (the trivial character), where the Markov row of the
+# Jacobian vanishes, only halves |z| per step.  Measured on the 49
+# benchmark corpus words and RRL, LLRLLRR, LRRLRRLR and L^6R^2 at seeds
+# 0-39: a start that converges to a root other than 0 keeps max|z| within
+# [0.113, 3.3e9] on its way (LRLRR at seed 29 reaches 3.3e9; at seeds 0-9
+# no start passes 2.5e8), and its root has max|z| >= 0.329, while the
+# roots at 0 have max|z| <= 3.6e-5.  Every root outside the ball is the
+# same, bit for bit, as with no radius at either end.  An escape radius
+# of 1e5 changes the roots of LRLRR at seeds 2 and 9.
+ORIGIN_RADIUS = 1e-2
+ESCAPE_RADIUS = 1e10
 
 
 # Diverging starts can still overflow before the finiteness checks below
@@ -673,7 +684,7 @@ def newton_multistart(system: Callable, dim: int, *, starts: int = 64,
     (k, dim), and the Jacobians, shape (k, dim, dim).  All starts advance
     together, but each keeps the rules of a lone Newton run: it stops when
     F is not finite, when its Jacobian is singular or its step not finite,
-    or when it has not converged and its step took max|z| past
+    or when its step took max|z| below ``ORIGIN_RADIUS`` or above
     ``ESCAPE_RADIUS``; it has converged when |F| < 1e-14 or the step is
     below 1e-15 relative to |z|.  Converged starts take three polish
     steps (a singular Jacobian ends a start's polish).  Roots are kept
@@ -707,9 +718,10 @@ def newton_multistart(system: Callable, dim: int, *, starts: int = 64,
         moved = z[active] + steps
         z[active] = moved
         reach = np.abs(moved).max(axis=1)
+        inside = (reach >= ORIGIN_RADIUS) & (reach <= ESCAPE_RADIUS)
         done = np.abs(steps).max(axis=1) < 1e-15 * np.maximum(1.0, reach)
-        converged[active[done]] = True
-        active = active[~done & (reach <= ESCAPE_RADIUS)]
+        converged[active[done & inside]] = True
+        active = active[~done & inside]
     polished = np.flatnonzero(converged)
     live = polished
     for _ in range(3):

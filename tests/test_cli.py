@@ -191,6 +191,20 @@ class TestExitCodes:
         assert run(["trace-solve", "--starts", "1", "--seed", "2", *extra, "LR"]) == 3
         assert "no trace solutions found" in capsys.readouterr().err
 
+    def test_corpus_words_that_certify_exit_zero(self, capsys):
+        for word in ("LR", "LLR", "LRR", "LLRR", "LLLLR", "LRRRR", "LLRRLR", "LLLRRLR"):
+            assert run(["certify", "--", word]) == 0, word
+        capsys.readouterr()
+
+    def test_trivial_character_aborts_no_word(self, capsys):
+        # Many starts of these words' trace systems fall into the trivial
+        # character (0, 0, 0), whose lift has no unique meridian
+        # intertwiner; a root kept there would abort the whole word.
+        for word in ("LLLLRR", "LLRLLR", "LLRRRR", "LRLRLR", "LRRLRR", "LLLLRLR", "LLLRLRR",
+                     "LLRLLRR", "LLRLRLR", "LLRLRRR", "LLRRLRR", "LRLRLRR", "LLRLRRLR"):
+            assert run(["certify", "--", word]) in (0, 3, 4), word
+            assert "not unique across sign lifts" not in capsys.readouterr().err, word
+
     def test_all_inconclusive_exits_four(self, capsys):
         # a root tolerance below the double-precision storage noise makes
         # the multiplicity counter stop immediately, so nothing fires

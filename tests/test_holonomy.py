@@ -36,6 +36,7 @@ from ptbundle.holonomy import (
 from ptbundle.numeric import (
     ESCAPE_RADIUS,
     EXT_COMPLEX,
+    ORIGIN_RADIUS,
     GeneratorImages,
     Tolerances,
     matrix_det,
@@ -348,16 +349,19 @@ class TestSolveTraces:
         assert [s.as_tuple() for s in first] == [s.as_tuple() for s in second]
 
     def test_diverging_starts_raise_no_warning(self):
-        # At seed 0 some LLRLRRLR starts overflow in the degree-19 system
-        # inside ESCAPE_RADIUS, before the Newton loop discards them as
-        # non-finite.
+        # A start at 1e200 overflows the degree-19 LLRLRRLR system at its
+        # first evaluation, before the Newton loop discards it as non-finite.
+        # The second start diverges and stops at ESCAPE_RADIUS before its
+        # values overflow.
         system = RecordingSystem(lift_inputs("LLRLRRLR")[1])
+        starts = iter([[1e200, 1, 1], [1.5, 0.5j, 1 - 1j]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            solve_traces(system, seed=0)
+            newton_multistart(system, 3, starts=2,
+                              sampler=lambda rng: np.array(next(starts), dtype=complex))
         stopped = sum(int((~np.isfinite(values).all(axis=1)).sum())
                       for values in system.values)
-        assert stopped > 0
+        assert stopped == 1
 
     def test_escaping_starts_stop_at_the_radius(self):
         # At seed 0 most LRLRLR starts escape to infinity; F stays finite
@@ -367,6 +371,16 @@ class TestSolveTraces:
         solve_traces(system, seed=0)
         assert len(system.points) < 84
         assert max(np.max(np.abs(z), initial=0.0) for z in system.points) <= ESCAPE_RADIUS
+
+    @pytest.mark.parametrize("word", ["LLRR", "LRLRLR", "LLRLLR", "LLRLRRLR"])
+    def test_steps_stay_between_the_radii(self, word):
+        # Each start is evaluated where it was drawn; every later point
+        # lies in [ORIGIN_RADIUS, ESCAPE_RADIUS], though the starts of
+        # these words run into the trivial character 0 or off to infinity.
+        system = RecordingSystem(lift_inputs(word)[1])
+        solve_traces(system, seed=0)
+        reach = np.concatenate([np.abs(z).max(axis=1) for z in system.points[1:]])
+        assert ORIGIN_RADIUS <= reach.min() and reach.max() <= ESCAPE_RADIUS
 
     def test_conjugates_collapsed(self):
         sols = solve_traces(lift_inputs("LLRR")[1], seed=0)
@@ -432,13 +446,25 @@ class TestMeridian:
             expected = expected.conj()
         assert np.max(np.abs(rep[2] - expected)) < 1e-8
 
-    @pytest.mark.parametrize("word,message", [
-        ("LLLR", "no meridian intertwiner found"),
-        ("LLLLRR", "not unique across sign lifts"),
+    @pytest.mark.parametrize("word,triple,message", [
+        pytest.param("LLLR", None, "no meridian intertwiner found",
+                     id="LLLR-no meridian intertwiner found"),
+        # the trivial character, as Newton without ORIGIN_RADIUS reaches
+        # it for LLLLRR at seed 0
+        pytest.param("LLLLRR", (-2.5e-8 - 1.4e-8j, 0j, -1.4e-8 + 2.5e-8j),
+                     "not unique across sign lifts",
+                     id="LLLLRR-not unique across sign lifts"),
     ])
-    def test_failure_names_the_cause(self, word, message):
+    def test_failure_names_the_cause(self, word, triple, message):
         with pytest.raises(ArithmeticError, match=message):
-            build_solutions(parse_monodromy(word))
+            if triple is None:
+                build_solutions(parse_monodromy(word))
+            else:
+                holonomy_from_triple(TraceTriple(*triple), *lift_inputs(word))
+
+    def test_llllrr_lifts_every_triple(self):
+        solutions = build_solutions(parse_monodromy("LLLLRR"))
+        assert len(solutions) == len(solve_traces(lift_inputs("LLLLRR")[1], seed=0)) > 0
 
     def test_exactly_representable_character_lifts(self):
         # the normal matrix of (0, 1, i) has an exactly zero pivot unless
