@@ -6,13 +6,10 @@ abelianization character, a removed column, and a determinant quotient.
 The image of a group-ring element is the map {weight w: matrix M_w} of
 sum_w x^w M_w, the Fox minor is the block matrix of those maps, and the
 quotient of the two determinants is interpolated pointwise.  For a bundle
-both routes are polynomials of one matrix, A = (I2 (x) rep(x)^-1) P, P
-the Fox blocks of the monodromy images (``fox_action``).  The determinant
-route's quotient is det(A - t) / det(rep(x)^-1 - t); the cocycle route
-restricts A, the inverse monodromy's action on cocycles of the fiber
-group, to the cocycles killing the longitude.  Dividing by
-det(rep(x)^-1 - t) is the passage to cohomology only if A carries
-coboundaries by rep(x)^-1, which holds exactly when the images satisfy
+both routes are characteristic polynomials of A = (I2 (x) rep(x)^-1) P,
+P the Fox blocks of the monodromy images (``fox_action``): on cocycles
+modulo coboundaries, Z^1/B^1 (the Wada route), and on the cocycles
+killing the longitude.  A acts on Z^1/B^1 only if the images satisfy
 the bundle relations; ``coboundary_defect`` measures that.
 """
 
@@ -24,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .numeric import (
+    EXT_COMPLEX,
     GeneratorImages,
     LaurentPoly,
     Tolerances,
@@ -32,7 +30,6 @@ from .numeric import (
     det_polymatrix,
     normalize_unit,
     nullspace,
-    pencil_det,
     quotient_interpolate,
     word_product,
 )
@@ -228,27 +225,45 @@ def fox_action(endo: EndoF2, rep: RepImages) -> np.ndarray:
     return np.block(rows)
 
 
+def _coboundary_map(rep: GeneratorImages) -> np.ndarray:
+    """E = [I - rep(a); I - rep(b)]: its range is the coboundaries B^1, its kernel H^0."""
+    eye = np.eye(rep[0].shape[0], dtype=np.result_type(*rep.values()))
+    return np.vstack([eye - rep[0], eye - rep[1]])
+
+
+def fixed_char_poly(rep: RepImages, *, tolerances: Tolerances | None = None) -> LaurentPoly:
+    """det(rep(x)^-1 - t) on H^0, the vectors the fiber group fixes (1 when there are none)."""
+    tols = tolerances or Tolerances()
+    rep = GeneratorImages.of(rep)
+    fixed = nullspace(_coboundary_map(rep), tol=tols.null, refine=True)
+    return char_poly(compress(rep.inverse(2), fixed, "the meridian moves the fixed vectors"),
+                     tol=tols.det)
+
+
 def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,
                              tolerances: Tolerances | None = None) -> LaurentPoly:
     """Twisted Alexander polynomial of a bundle from its ``fox_action`` matrix A.
 
-    With the meridian column removed the minor is the pencil
-    P - t (I2 (x) rep(x)) = (I2 (x) rep(x)) (A - t) and the denominator is
-    det(I - t rep(x)), so the quotient is det(A - t) / det(rep(x)^-1 - t)
-    up to the unit det rep(x), which is 1 for a unipotent meridian.  The
-    denominator's roots all sit at t = 1, so the quotient comes from
-    pointwise division on circles away from 1 and interpolation; longhand
-    division would amplify roundoff combinatorially.  A and rep(x)^-1 are
-    each reduced to Hessenberg form once (``pencil_det``), so a retried
-    radius costs only O(n^2) per point.  A real representation gives a
-    real polynomial, sampled on half the circle.
+    A acts on B^1 = (module)/H^0 by rep(x)^-1, so the Wada quotient
+    det(A - t) / det(rep(x)^-1 - t), leading coefficient (-1)^n, is
+    det(Abar - t) / ``fixed_char_poly`` for the map Abar induced on Z^1/B^1.
+    Abar is read off the complement of B^1, refined to the extended
+    precision of A.  Raises ArithmeticError when ``coboundary_defect``
+    exceeds the root tolerance: the images then break the bundle relations.
     """
     tols = tolerances or Tolerances()
-    mer_inv = GeneratorImages.of(rep).inverse(2)
-    real = np.isrealobj(matrix)
-    quotient = quotient_interpolate(pencil_det(matrix), pencil_det(mer_inv),
-                                    mer_inv.shape[0], tol=tols.det, real=real)
-    return quotient.realified(1e-6) if real else quotient
+    rep = GeneratorImages.of(rep)
+    if not (defect := coboundary_defect(matrix, rep)) <= tols.root:
+        raise ArithmeticError(
+            "the cocycle action does not preserve the coboundaries: relative "
+            "defect %.3e exceeds the root tolerance %.3e" % (defect, tols.root))
+    complement = nullspace(_coboundary_map(rep).conj().T, tol=tols.null, refine=True)
+    _, coeffs = char_poly(complement.conj().T @ matrix @ complement, tol=tols.det).dense()
+    if complement.shape[1] > rep[0].shape[0]:  # dim Z^1/B^1 = n + dim H^0; divide in extended
+        _, fixed = fixed_char_poly(rep, tolerances=tols).dense()
+        coeffs = np.polydiv(np.array(coeffs[::-1], dtype=EXT_COMPLEX), fixed[::-1])[0][::-1]
+    poly = LaurentPoly.from_coeffs(coeffs)
+    return poly.realified(1e-6) if np.isrealobj(matrix) else poly
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +323,15 @@ def relative_char_poly(action: CocycleAction, *, tol: float = 1e-8) -> LaurentPo
     return char_poly(action.restricted, tol=tol)
 
 
-def coboundary_defect(action: CocycleAction, rep: RepImages) -> float:
-    """How far the action is from multiplying coboundaries by rep(x)^-1.
+def coboundary_defect(action: CocycleAction | np.ndarray, rep: RepImages) -> float:
+    """How far the action (or its matrix) is from carrying coboundaries by rep(x)^-1.
 
     Coboundaries embed the module via v -> ((1-a)v, (1-b)v); the action
     must carry this to the embedding of rep(x)^-1 v.  Returns the
     relative defect.
     """
     rep = GeneratorImages.of(rep)
-    dim = rep[0].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    embed = np.vstack([eye - np.asarray(rep[0]), eye - np.asarray(rep[1])])
-    diff = action.matrix @ embed - embed @ rep.inverse(2)
+    matrix = action.matrix if isinstance(action, CocycleAction) else action
+    embed = _coboundary_map(rep)
+    diff = matrix @ embed - embed @ rep.inverse(2)
     return float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(embed))))

@@ -21,6 +21,7 @@ import numpy as np
 from .alexander import (
     CocycleAction,
     bundle_twisted_alexander,
+    fixed_char_poly,
     fox_action,
     monodromy_action,
     relative_char_poly,
@@ -37,6 +38,7 @@ from .numeric import (
     LaurentPoly,
     Tolerances,
     integer_round,
+    laurent_distance,
     normalize_unit,
     root_multiplicity,
 )
@@ -56,7 +58,7 @@ ALL_REPS = ("sl4", "v", "gl16")
 # Which polynomial backs each certificate and the exact multiplicity of
 # the root t = 1 it requires.  "action" is the characteristic polynomial
 # of the monodromy action on cocycle pairs killing the longitude;
-# "wada" is the determinant-route twisted Alexander polynomial.
+# "wada" is the twisted Alexander polynomial, from the action on Z^1/B^1.
 CERTIFICATE_SOURCES = {
     "sl4": ("action", 5),
     "v": ("action", 3),
@@ -280,7 +282,7 @@ def select_solutions(
         spec, starts=starts, seed=seed, tolerances=tolerances
     )
     if not solutions:
-        raise ArithmeticError("no trace solutions found; try more --starts")
+        raise ArithmeticError("no trace solutions found: no Newton start converged")
     if solution_index is not None:
         if not 0 <= solution_index < len(solutions):
             raise ValueError(
@@ -383,30 +385,36 @@ def _check_adjoint(adjoint, tols: Tolerances) -> dict[str, CrossCheck]:
 def _check_routes(
     sol: SolutionReport, tols: Tolerances
 ) -> tuple[CrossCheck, list[str]]:
-    """Whether both polynomial routes hold on each label's images.
+    """Whether each label's action has one characteristic polynomial by both routes.
 
-    Both routes are polynomials of the cocycle action matrix that the
-    certificate pass kept for the label, and are the bundle's invariant
-    only if the images satisfy the bundle relations.  So the check builds
-    the route the certificate did not use from that matrix, failing if it
-    cannot be built, and compares the relation residual with the root
-    tolerance.
+    From the kept action matrix, the route the certificate did not use is
+    built, and the polynomial on the longitude-killing kernel is compared
+    with the one on Z^1/B^1, the Wada polynomial times ``fixed_char_poly``.
+    Each label records their relative difference after ``normalize_unit``
+    (None when a route fails); it and the relation residual must be within
+    the root tolerance.
     """
-    matches = {}
-    failures = []
-    for label in sol.evidence:
+    differences, failures = {}, []
+    for label, ev in sol.evidence.items():
+        differences[label] = None
         try:
             images, matrix = sol.images[label], sol.actions[label]
-            if CERTIFICATE_SOURCES[label][0] == "action":
-                bundle_twisted_alexander(matrix, images, tolerances=tols)
+            if ev.source == "action":
+                kernel = ev.polynomial
+                wada = bundle_twisted_alexander(matrix, images, tolerances=tols)
             else:
-                monodromy_action(matrix, images, tolerances=tols)
-            matches[label] = sol.residuals[f"relations_{label}"] <= tols.root
+                action = monodromy_action(matrix, images, tolerances=tols)
+                kernel, wada = relative_char_poly(action, tol=tols.det), ev.polynomial
+            # the modules are self-dual and a fixed dual vector kills every value
+            # on the longitude, so the kernel has dimension >= n + dim H^0
+            if kernel.span > wada.span:
+                wada = wada * fixed_char_poly(images, tolerances=tols)
+            differences[label] = laurent_distance(normalize_unit(kernel), normalize_unit(wada))
         except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
             failures.append(f"routes[{label}]: {err}")
-            matches[label] = False
-    ok = bool(matches) and all(matches.values())
-    return CrossCheck(ok=ok, values=matches), failures
+    ok = all(d is not None and d <= tols.root and sol.residuals[f"relations_{label}"] <= tols.root
+             for label, d in differences.items())
+    return CrossCheck(ok=ok, values=differences), failures
 
 
 def cross_checks(report: RigidityReport) -> RigidityReport:
@@ -415,9 +423,9 @@ def cross_checks(report: RigidityReport) -> RigidityReport:
     The checks are: the multiplicity of 1 drops by exactly one from the
     15-dimensional polynomial to the 16-dimensional one; the leftover
     factor evaluated at 1 has absolute value |tr(monodromy) - 2|; for
-    every representation with evidence, both polynomial routes can be
-    built and the images satisfy the bundle relations within the root
-    tolerance (the "routes" check); the longitude's adjoint centralizer
+    every representation with evidence, both routes give one polynomial
+    and the images satisfy the bundle relations within the root tolerance
+    (the "routes" check); the longitude's adjoint centralizer
     is 5-dimensional and splits 2 + 3 across the two invariant blocks;
     and the fiber group fixes no nonzero adjoint vector.  A check that
     cannot run for lack of inputs is skipped, not failed.  The checks
@@ -490,7 +498,7 @@ def _evidence_jsonable(ev: CertificateEvidence) -> dict:
 def _check_jsonable(check: CrossCheck) -> dict:
     values = {}
     for key, value in check.values.items():
-        if isinstance(value, (bool, int, str)):
+        if value is None or isinstance(value, (bool, int, str)):
             values[key] = value
         else:
             values[key] = float(value)

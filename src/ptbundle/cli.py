@@ -48,20 +48,11 @@ from .presentation import (
 # ---------------------------------------------------------------------------
 
 
-def deflate_at_one(coeffs: Sequence[int]) -> tuple[int, list[int]]:
-    """Exact integer division by (t - 1) for as long as it stays exact."""
-    count = 0
-    rest = list(coeffs)
-    while len(rest) > 1:
-        quot = [0] * (len(rest) - 1)
-        acc = 0
-        for i in range(len(rest) - 1, 0, -1):
-            acc = rest[i] + acc
-            quot[i - 1] = acc
-        if rest[0] + acc != 0:
-            break
-        rest = quot
-        count += 1
+def deflate_at_one(coeffs: Sequence[int], factor: Sequence[int] = (-1, 1)) -> tuple[int, list[int]]:
+    """Exact integer division by factor, t - 1 by default, for as long as it stays exact."""
+    count, rest = 0, list(coeffs)
+    while (quotient := _exact_int_division(rest, factor)) is not None:
+        count, rest = count + 1, quotient
     return count, rest
 
 
@@ -202,13 +193,7 @@ def factored_display(coeffs: Sequence[int], var: str = "t") -> Optional[str]:
         candidate = _candidate_factor(rest)
         if candidate is None:
             return None
-        power = 0
-        while True:
-            quotient = _exact_int_division(rest, candidate)
-            if quotient is None:
-                break
-            rest = quotient
-            power += 1
+        power, rest = deflate_at_one(rest, candidate)
         factors.append((tuple(candidate), power))
     constant = rest[0]
 

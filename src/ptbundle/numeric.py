@@ -9,21 +9,20 @@ determinants) goes through one engine, ``interpolate_on_circle``: the
 function is sampled on a circle, the coefficients are read off with one
 inverse DFT, and the result is validated at two fresh points on the same
 circle before it is returned.  The points of one radius arrive as one
-array.  Characteristic polynomials and their quotients sample
-det(p - t) through ``pencil_det``: p is reduced to upper Hessenberg form
-once, before the first radius, and the points of each radius are then
-one batched O(n^2)-per-point LU.  Polynomial matrices in general
-(``det_polymatrix``) are one stack for one ``matrix_det`` call per
-radius.
+array.  Characteristic polynomials sample det(p - t) through
+``pencil_det``: p is reduced to upper Hessenberg form once, before the
+first radius, and the points of each radius are then one batched
+O(n^2)-per-point LU.  Polynomial matrices in general (``det_polymatrix``)
+are one stack for one ``matrix_det`` call per radius.
 A polynomial with real coefficients (its caller's matrices have a real
 dtype) takes conjugate values at conjugate points, so it is sampled only
 on the closed upper half of the circle: count // 2 + 3 points per radius
 instead of count + 2.  A failed sample or validation moves on to the
 caller's next radius.
 Determinants and characteristic polynomials use radius 1.13, off the
-unit circle where group-element spectra like to sit; quotients use radii
-2.0, 2.4 and 1.7, away from the root cluster of a unipotent denominator
-at 1.
+unit circle where group-element spectra like to sit; the quotients of
+two determinants (``quotient_interpolate``) use radii 2.0, 2.4 and 1.7,
+away from the root cluster of a unipotent denominator at 1.
 
 Sampling, the determinants, the Hessenberg reduction and the DFT run in
 80-bit extended precision when the platform provides it (x86 long
@@ -34,17 +33,8 @@ current max coefficient for deflation, to the largest singular value for
 nullspaces.
 
 ``newton_multistart`` advances all of its starts together as one
-(starts, dim) array: one call of the caller's batched system per
-iteration and one batched LAPACK solve over the starts still running.
-Each start follows the rules of a lone Newton run, and a batched solve
-gives each row the bits of a solve of that row alone, so the roots are
-those of a per-start loop on the same system values.  In the common
-iteration every start goes on with a finite step, and the loop then
-selects no rows of the values, Jacobians and steps.  A start that a
-step takes past max|z| = ``ESCAPE_RADIUS`` is escaping to infinity, and
-one that a step takes below max|z| = ``ORIGIN_RADIUS`` is falling into
-the root 0 that every trace system has (the trivial character); either
-stops there, unconverged.  The comment at the two constants gives the
+(starts, dim) array, each by the rules of a lone Newton run; its
+docstring and the comment at ``ESCAPE_RADIUS`` give the rules and the
 measured margins.
 """
 
@@ -402,11 +392,14 @@ class LaurentPoly:
         return "LaurentPoly(%s)" % " + ".join(bits)
 
 
+def laurent_distance(p: LaurentPoly, q: LaurentPoly) -> float:
+    """Largest coefficient difference, relative to the larger max coefficient (or 1)."""
+    return (p - q).max_abs() / max(p.max_abs(), q.max_abs(), 1.0)
+
+
 def laurent_allclose(p: LaurentPoly, q: LaurentPoly, tol: float = 1e-9) -> bool:
     """Coefficientwise comparison, relative to the larger max coefficient."""
-    scale = max(p.max_abs(), q.max_abs(), 1.0)
-    exps = set(p.coeffs) | set(q.coeffs)
-    return all(abs(p.coeff(e) - q.coeff(e)) <= tol * scale for e in exps)
+    return laurent_distance(p, q) <= tol
 
 
 def normalize_unit(p: LaurentPoly, lead_tol: float = 1e-6) -> LaurentPoly:
@@ -541,22 +534,17 @@ def char_poly(m: np.ndarray, tol: float = 1e-8,
 
 def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
                          quotient_degree: int, tol: float = 1e-8,
-                         radii: Sequence[float] = QUOTIENT_RADII,
-                         real: bool = False) -> LaurentPoly:
+                         radii: Sequence[float] = QUOTIENT_RADII) -> LaurentPoly:
     """Interpolate q(x) = numerator(x)/denominator(x) as a polynomial.
 
     Both callables receive the extended-precision array of all sample and
-    validation points of one radius and return the values there.  With
-    ``real`` (both are real polynomials, as the caller knows from the dtype
-    of its matrices) the samples cover half the circle, as in
-    ``interpolate_on_circle``.  A zero or non-finite denominator at any of
-    those points fails that radius.
-    Pointwise division replaces coefficientwise long division, which would
-    amplify noise combinatorially where the denominator's roots cluster at
-    x = 1 (unipotent meridian images); each radius r keeps every sample at
-    distance >= |r - 1| from that cluster.  When q is not a polynomial of
-    degree quotient_degree, validation fails at every radius and an
-    ArithmeticError is raised.
+    validation points of one radius and return the values there.  A zero
+    or non-finite denominator at any of those points fails that radius.
+    Pointwise division replaces long division, which amplifies noise
+    combinatorially where the denominator's roots cluster at x = 1; each
+    radius r keeps every sample at distance >= |r - 1| from that cluster.
+    When q is not a polynomial of degree quotient_degree, validation fails
+    at every radius and an ArithmeticError is raised.
     """
     def value_at(z):
         den = denominator_at(z)
@@ -564,8 +552,7 @@ def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
             raise ArithmeticError("denominator vanished at a sample point")
         return numerator_at(z) / den
 
-    return interpolate_on_circle(value_at, quotient_degree + 1, tol=tol, radii=radii,
-                                 real=real)
+    return interpolate_on_circle(value_at, quotient_degree + 1, tol=tol, radii=radii)
 
 
 def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[int, LaurentPoly]:
@@ -597,14 +584,16 @@ def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[i
     return count, LaurentPoly.from_coeffs(coeffs, 0)
 
 
-def nullspace(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def nullspace(m: np.ndarray, tol: float = 1e-9, *, refine: bool = False) -> np.ndarray:
     """Orthonormal kernel basis (columns); tol is relative to sigma_max.
 
     Extended-precision inputs are cast down to double first (LAPACK has no
     longdouble kernels); callers keep precision by multiplying the basis
-    back into their own extended matrices.
+    back into their own extended matrices, or ask for ``refine``: in m's
+    own precision, one Newton step N - m^+ (m N) makes m annihilate the
+    basis and one step N (3 - N^H N) / 2 makes it orthonormal again.
     """
-    m = np.atleast_2d(np.asarray(m))
+    m = given = np.atleast_2d(np.asarray(m))
     if m.dtype == np.clongdouble:
         m = m.astype(np.complex128)
     elif m.dtype == np.longdouble:
@@ -612,12 +601,16 @@ def nullspace(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     n = m.shape[1]
     if m.size == 0:
         return np.eye(n)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         return np.eye(n, dtype=vh.dtype)
     rank = int(np.sum(s > tol * smax))
-    return vh[rank:].conj().T
+    basis = vh[rank:].conj().T
+    if refine:
+        basis = basis - vh[:rank].conj().T @ (u[:, :rank].conj().T @ (given @ basis) / s[:rank, None])
+        basis = basis @ (3 * np.eye(n - rank) - basis.conj().T @ basis) / 2
+    return basis
 
 
 def compress(m: np.ndarray, basis: np.ndarray, leak_message: str) -> np.ndarray:
@@ -628,7 +621,7 @@ def compress(m: np.ndarray, basis: np.ndarray, leak_message: str) -> np.ndarray:
     """
     carried = m @ basis
     compressed = basis.conj().T @ carried
-    leak = float(np.max(np.abs(carried - basis @ compressed)))
+    leak = float(np.max(np.abs(carried - basis @ compressed), initial=0.0))
     if leak > 1e-7 * max(1.0, float(np.max(np.abs(m)))):
         raise ArithmeticError(leak_message)
     return compressed

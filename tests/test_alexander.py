@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-import ptbundle.alexander
-import ptbundle.numeric
 from ptbundle.alexander import (
     RingRep,
     WadaInvariant,
@@ -17,10 +15,8 @@ from ptbundle.alexander import (
     res_l_map,
     twisted_alexander,
 )
-from ptbundle.certify import RIGID, certify
+from ptbundle.certify import ALL_REPS, INCONCLUSIVE, RIGID, certify
 from ptbundle.holonomy import build_solutions
-from ptbundle.numeric import _hessenberg as hessenberg
-from ptbundle.numeric import _hessenberg_det as hessenberg_det
 from ptbundle.numeric import (
     EXT_COMPLEX,
     GeneratorImages,
@@ -30,7 +26,6 @@ from ptbundle.numeric import (
     integer_round,
     laurent_allclose,
     matrix_det,
-    pencil_det,
     quotient_interpolate,
     root_multiplicity,
     word_product,
@@ -337,51 +332,22 @@ class TestBundleRoute:
             assert ratio == pytest.approx(abs(trace - 2), abs=1e-6)
 
 
-class TestRealPencils:
-    @pytest.mark.parametrize("n", [1, 2, 9, 16, 32])
-    def test_half_circle_matches_full_circle(self, n, monkeypatch):
-        # A = G [[C, B], [0, M]] G^-1, so that det(A - t) / det(M - t) =
-        # det(C - t), of degree n; C is scaled so that its eigenvalues
-        # spread over the disc of the sampling radius 2
-        rng = np.random.default_rng(n)
-        b, c = rng.standard_normal((2, n, n))
-        m = rng.standard_normal((n, n)) / (4 * np.sqrt(n))
-        g = np.eye(2 * n) + 0.3 * rng.standard_normal((2 * n, 2 * n)) / np.sqrt(n)
-        block = np.block([[2 * c / np.sqrt(n), b], [np.zeros((n, n)), m]])
-        a = g @ block @ np.linalg.inv(g)
-        evaluations = []
-
-        def recording_det(h, z):
-            evaluations.append((len(z), h.shape[0]))
-            return hessenberg_det(h, z)
-
-        def quotient(a, m, real):
-            return quotient_interpolate(pencil_det(a), pencil_det(m), n, real=real)
-
-        monkeypatch.setattr(ptbundle.numeric, "_hessenberg_det", recording_det)
-        half = quotient(a, m, True)
-        half_evaluations, evaluations[:] = list(evaluations), []
-        full = quotient(a.astype(complex), m.astype(complex), False)
-        # (points, pencil size) of each evaluation: denominator, then
-        # numerator; of the n + 1 samples the real pencil computes
-        # (n + 1) // 2 + 1, and both add two validation points
-        assert half_evaluations == [((n + 1) // 2 + 3, n), ((n + 1) // 2 + 3, 2 * n)]
-        assert evaluations == [(n + 3, n), (n + 3, 2 * n)]
-        assert full.min_exp == half.min_exp == 0 and full.max_exp == half.max_exp == n
-        scale = full.max_abs()
-        assert all(abs(half.coeff(e) - full.coeff(e)) <= 1e-12 * scale for e in range(n + 1))
-
-
 PINNED_WORDS = ("LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR")
 
 
 @pytest.fixture(scope="module")
-def pinned_solutions():
+def pinned_reports():
+    """The certify report of each pinned word."""
+    return {word: certify(word) for word in PINNED_WORDS}
+
+
+@pytest.fixture(scope="module")
+def pinned_solutions(pinned_reports):
     """(endo, images by label, verdict) of every solution of the pinned words."""
     out = []
-    for word in PINNED_WORDS:
+    for word, report in pinned_reports.items():
         endo = monodromy_endo(parse_monodromy(word))
-        for sol in certify(word).solutions:
+        for sol in report.solutions:
             out.append((endo, {label: sol.representation(label)
                                for label in ("sl4", "v", "gl16")}, sol.verdict))
     return out
@@ -392,18 +358,6 @@ def rigid_solutions(pinned_solutions):
     """(endo, images by label) of every rigid solution of the pinned words."""
     return [(endo, images) for endo, images, verdict in pinned_solutions
             if verdict == RIGID]
-
-
-def recorded_pencils(monkeypatch):
-    """The matrix of every pencil the alexander module samples, in call order."""
-    pencils = []
-
-    def recording_pencil_det(p):
-        pencils.append(p)
-        return pencil_det(p)
-
-    monkeypatch.setattr(ptbundle.alexander, "pencil_det", recording_pencil_det)
-    return pencils
 
 
 def fox_blocks(endo, rep):
@@ -461,25 +415,6 @@ class TestFoxAction:
 
 
 class TestPencilDeterminants:
-    def test_rigid_pencils_match_stacked_lu(self, rigid_solutions, monkeypatch):
-        # the Hessenberg samples against the stacked LU that the sampling
-        # used before, at radius 2.0: n + 1 points on the circle and the
-        # two validation phases of that count
-        pencils = recorded_pencils(monkeypatch)
-        for endo, images in rigid_solutions:
-            for rep in images.values():
-                bundle_twisted_alexander(fox_action(endo, rep), rep)
-        assert len(pencils) == 2 * 3 * len(PINNED_WORDS)
-        worst = 0.0
-        for p in pencils:
-            n = p.shape[0]
-            phases = np.r_[np.arange(n + 1), 0.37, 0.71] / (n + 1)
-            z = (2.0 * np.exp(2j * np.pi * phases)).astype(EXT_COMPLEX)
-            got = pencil_det(p)(z)
-            want = matrix_det(np.asarray(p).astype(EXT_COMPLEX) - z[:, None, None] * np.eye(n))
-            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
-        assert worst <= 1e-12, worst
-
     def test_wada_matches_dense_meridian_pencil(self, rigid_solutions):
         worst = 0.0
         for endo, images in rigid_solutions:
@@ -491,30 +426,6 @@ class TestPencilDeterminants:
                 worst = max(worst, max(abs(wada.coeff(e) - reference.coeff(e))
                                        for e in exps) / scale)
         assert worst <= 1e-9, worst
-
-    def test_failed_quotient_reduces_each_pencil_once(self, monkeypatch):
-        # LLLLR solution 0: the gl16 quotient fails validation at all three
-        # radii, and each retry samples the two reductions again
-        spec = parse_monodromy("LLLLR")
-        endo = monodromy_endo(spec)
-        rep = build_solutions(spec)[0].representation("gl16")
-        action = fox_action(endo, rep)
-        reductions, radii = [], []
-
-        def recording_reduction(a):
-            reductions.append(a.shape[0])
-            return hessenberg(a)
-
-        def recording_det(h, z):
-            radii.append(round(float(np.max(np.abs(z))), 6))
-            return hessenberg_det(h, z)
-
-        monkeypatch.setattr(ptbundle.numeric, "_hessenberg", recording_reduction)
-        monkeypatch.setattr(ptbundle.numeric, "_hessenberg_det", recording_det)
-        with pytest.raises(ArithmeticError, match="every radius"):
-            bundle_twisted_alexander(action, rep)
-        assert reductions == [32, 16]
-        assert radii == [2.0, 2.0, 2.4, 2.4, 1.7, 1.7]
 
 
 class TestCocycleAction:
@@ -604,12 +515,40 @@ class TestRouteAgreement:
         assert relative.span == 15
 
     def test_relation_defect_breaks_match(self, rrl):
-        # the determinant identity holds for any images; the coboundary
-        # step, and with it the match with the restricted action, fails
+        # images that break the bundle relations leave the coboundaries
+        # not invariant, so Z^1/B^1 carries no induced map: the Wada route
+        # refuses and names the defect
         endo, sol = rrl
         rep = dict(sol.representation("sl4"))
         rep[0] = rep[0] @ (np.eye(15) + 3e-7 * np.diag(np.arange(15) % 3 - 1.0))
-        wada, relative = both_routes(endo, rep)
         assert coboundary_defect(monodromy_action(fox_action(endo, rep), rep), rep) > 1e-6
-        assert not equal_up_to_unit(wada, relative, tol=1e-6)
-        assert laurent_allclose(wada, dense_meridian_quotient(endo, rep), tol=1e-9)
+        with pytest.raises(ArithmeticError, match="relative defect .* exceeds the root"):
+            both_routes(endo, rep)
+
+    def test_routes_agree_on_every_rigid_pinned_solution(self, pinned_reports):
+        # the routes check compares the polynomial on the longitude-killing
+        # kernel with the one on Z^1/B^1, for every label
+        rigid = [sol for report in pinned_reports.values() for sol in report.solutions
+                 if sol.verdict == RIGID]
+        assert len(rigid) == len(PINNED_WORDS)
+        for sol in rigid:
+            differences = sol.cross_checks["routes"].values
+            assert set(differences) == set(ALL_REPS)
+            assert max(differences.values()) <= 1e-9, differences
+        # the Wada unit is (-1)^16 for gl16, as the quotient of determinants gave
+        (rrl,) = pinned_reports["RRL"].solutions
+        assert int_poly(integer_round(rrl.evidence["gl16"].polynomial)) == RRL_GL16_TARGET
+
+    def test_llllr_geometric_candidate_fails_the_routes_check(self):
+        # LLLLR solution 0: the images break the bundle relator at a
+        # relative 1e-4, though their relation residuals pass; the gl16
+        # Wada polynomial is now built, and the two polynomials of each
+        # label's action disagree
+        (sol,) = certify("LLLLR", solution_index=0).solutions
+        assert sol.geometric_candidate
+        assert set(sol.evidence) == set(ALL_REPS)
+        assert not sol.failures
+        routes = sol.cross_checks["routes"]
+        assert not routes.ok and sol.route_match is False
+        assert all(difference > 1e-6 for difference in routes.values.values())
+        assert sol.verdict == INCONCLUSIVE

@@ -210,9 +210,9 @@ class TestCrossChecks:
         for report in (llrr_report, rrl_report):
             for sol in report.solutions:
                 assert sol.route_match is True
-                assert sol.cross_checks["routes"].values == {
-                    "sl4": True, "v": True, "gl16": True
-                }
+                differences = sol.cross_checks["routes"].values
+                assert set(differences) == {"sl4", "v", "gl16"}
+                assert max(differences.values()) <= 1e-9
 
     def test_failed_check_downgrades_verdict(self):
         # fabricate evidence whose multiplicities break the step relation
@@ -273,6 +273,7 @@ class TestCrossChecks:
 
     def test_cross_checks_reuse_kept_action_matrices(self, monkeypatch):
         report = copy.deepcopy(certify("RRL"))
+        differences = [sol.cross_checks["routes"].values for sol in report.solutions]
         for sol in report.solutions:
             sol.cross_checks, sol.route_match = {}, None
 
@@ -283,9 +284,10 @@ class TestCrossChecks:
         monkeypatch.setattr(ptbundle.certify, "fox_action", rebuilt)
         out = cross_checks(report)
         assert out.verdict == RIGID
-        for sol in out.solutions:
+        for sol, kept in zip(out.solutions, differences):
             assert sol.route_match is True
-            assert sol.cross_checks["routes"].values == {label: True for label in ALL_REPS}
+            assert sol.cross_checks["routes"].values == kept
+            assert set(kept) == set(ALL_REPS)
 
     def test_no_matrix_inverted_twice(self, monkeypatch):
         # the sl4 images are built once per solution, and each generator
@@ -311,8 +313,9 @@ class TestCrossChecks:
         assert inverted and len(set(inverted)) == len(inverted)
 
     def test_real_representations_sample_half_the_circle(self, monkeypatch):
-        # the sl4, v and gl16 images are real, so each Wada quotient and each
-        # action characteristic polynomial is sampled on half the circle
+        # the sl4, v and gl16 images are real, so every characteristic
+        # polynomial, on Z^1/B^1, on the longitude-killing kernel or on the
+        # fixed vectors H^0, is sampled on half the circle
         counts = []
         original = ptbundle.numeric.interpolate_on_circle
 
@@ -325,11 +328,12 @@ class TestCrossChecks:
         monkeypatch.setattr(ptbundle.numeric, "interpolate_on_circle", recording)
         report = certify("RRL")
         assert report.verdict == RIGID
-        # per solution: the sl4 and v action polynomials and the gl16 Wada
-        # quotient of the certificates, then the sl4 and v Wada quotients of
-        # the routes check (degrees 15, 9 and 16)
-        assert len(counts) == 5 * len(report.solutions)
-        assert {count for count, _ in counts} == {16, 10, 17}
+        # per solution, once for the certificates and once for the routes
+        # check: the sl4 and v polynomials (degrees 15 and 9, one route each
+        # time), the gl16 polynomial of degree 17 (on Z^1/B^1, then on the
+        # kernel) and the gl16 one on H^0 (degree 1; sl4 and v have no H^0)
+        assert len(counts) == 8 * len(report.solutions)
+        assert {count for count, _ in counts} == {16, 10, 18, 2}
         assert all(points == count // 2 + 3 for count, points in counts)
 
     def test_relation_defect_downgrades_verdict(self):
@@ -338,7 +342,9 @@ class TestCrossChecks:
         report.solutions[0].residuals["relations_v"] = 1e-3
         out = cross_checks(report)
         broken, intact = out.solutions[0], out.solutions[1]
-        assert broken.cross_checks["routes"].values == {"sl4": True, "v": False}
+        # both labels' polynomials agree; v's relation residual fails it
+        differences = broken.cross_checks["routes"].values
+        assert set(differences) == {"sl4", "v"} and max(differences.values()) <= 1e-9
         assert broken.route_match is False
         assert broken.certificates and broken.verdict == INCONCLUSIVE
         assert intact.route_match is True and intact.verdict == RIGID
@@ -353,12 +359,15 @@ class TestCrossChecks:
                 images[0] = images[0] @ scale
             return images
 
-        # small enough that both routes can still be built on the images
+        # the action route still builds, but the coboundaries are not
+        # invariant, so the Z^1/B^1 route refuses and no difference is recorded
         monkeypatch.setattr(HolonomySolution, "representation", perturbed)
         sol = certify("RRL", solution_index=0).solutions[0]
         assert sol.residuals["relations_sl4"] > Tolerances().root
-        assert not any(f.startswith("routes[") for f in sol.failures)
-        assert sol.cross_checks["routes"].values["sl4"] is False
+        (refused,) = [f for f in sol.failures if f.startswith("routes[")]
+        assert refused.startswith("routes[sl4]: the cocycle action does not preserve "
+                                  "the coboundaries: relative defect")
+        assert sol.cross_checks["routes"].values["sl4"] is None
         assert sol.verdict == INCONCLUSIVE
 
     def test_singular_pencil_is_a_label_failure(self, monkeypatch):

@@ -191,6 +191,15 @@ class TestExitCodes:
         assert run(["trace-solve", "--starts", "1", "--seed", "2", *extra, "LR"]) == 3
         assert "no trace solutions found" in capsys.readouterr().err
 
+    def test_stalled_starts_report_no_converged_start(self, capsys):
+        # every start of LRLRLR stalls or escapes; more starts do not help,
+        # so the message gives no advice
+        assert run(["certify", "--format", "json", "--", "LRLRLR"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no trace solutions found: "
+                              "no Newton start converged")
+        assert "--starts" not in err
+
     def test_corpus_words_that_certify_exit_zero(self, capsys):
         for word in ("LR", "LLR", "LRR", "LLRR", "LLLLR", "LRRRR", "LLRRLR", "LLLRRLR"):
             assert run(["certify", "--", word]) == 0, word
