@@ -232,12 +232,19 @@ def _coboundary_map(rep: GeneratorImages) -> np.ndarray:
 
 
 def fixed_char_poly(rep: RepImages, *, tolerances: Tolerances | None = None) -> LaurentPoly:
-    """det(rep(x)^-1 - t) on H^0, the vectors the fiber group fixes (1 when there are none)."""
+    """det(rep(x)^-1 - t) on H^0, the vectors the fiber group fixes (1 when there are none).
+
+    Kept on ``GeneratorImages``, so the Wada route and the routes check
+    share one computation per representation and tolerances.
+    """
     tols = tolerances or Tolerances()
     rep = GeneratorImages.of(rep)
-    fixed = nullspace(_coboundary_map(rep), tol=tols.null, refine=True)
-    return char_poly(compress(rep.inverse(2), fixed, "the meridian moves the fixed vectors"),
-                     tol=tols.det)
+
+    def build() -> LaurentPoly:
+        fixed = nullspace(_coboundary_map(rep), tol=tols.null, refine=True)
+        return char_poly(compress(rep.inverse(2), fixed, "the meridian moves the fixed vectors"),
+                         tol=tols.det)
+    return rep.kept(("fixed_char_poly", tols), build)
 
 
 def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,

@@ -34,7 +34,11 @@ read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
 basis, read in Minkowski coordinates; ``sl4`` is g (x) g^-T on the
 traceless basis ``SL4_VECS``, read by ``SL4_COORDS``; ``v`` restricts
 it to the Killing complement, a constant built from an explicit basis;
-``gl16`` is g (x) g.
+``gl16`` is g (x) g.  No layer inverts by elimination: a 2x2 inverse is
+the adjugate over the determinant, and every other layer reads its
+inverses off the layer below (the Lorentz image of the 2x2 inverse, the
+``sl4`` read-out of g^-1 (x) g^T, the restricted ``sl4`` inverse,
+g^-1 (x) g^-1), each built on first use.
 """
 
 from __future__ import annotations
@@ -381,6 +385,14 @@ def _model_matrices(a, b, c) -> tuple[np.ndarray, np.ndarray]:
 LONGITUDE = parse_word("abAB", ("a", "b", "x"))
 
 
+def sl2_images(mats: Sequence[np.ndarray]) -> GeneratorImages:
+    """2x2 images whose inverses are their adjugates over their determinants."""
+    def invert(gen: int) -> np.ndarray:
+        (a, b), (c, d) = mats[gen]
+        return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+    return GeneratorImages(mats, invert)
+
+
 def _polish_triple(triple: TraceTriple, system: CompiledTraceSystem) -> np.ndarray:
     """A few extended-precision Newton steps on the trace equations."""
     z = np.array(triple.as_tuple(), dtype=EXT_COMPLEX)
@@ -414,7 +426,7 @@ def holonomy_from_triple(
     if abs(triple.trace_ab) < 1e-12:
         raise ValueError("trace of ab must be nonzero for the matrix model")
     mats = _model_matrices(*_polish_triple(triple, system))
-    fiber = GeneratorImages(mats)
+    fiber = sl2_images(mats)
     targets = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
     eye = np.eye(2, dtype=EXT_COMPLEX)
     found = []
@@ -446,7 +458,7 @@ def holonomy_from_triple(
     mat_x = mat_x / np.sqrt(det)
     if abs(np.trace(-mat_x) + 2.0) < abs(np.trace(mat_x) + 2.0):
         mat_x = -mat_x
-    return GeneratorImages([*mats, mat_x])
+    return sl2_images([*mats, mat_x])
 
 
 def holonomy_residuals(images: GeneratorImages, endo: EndoF2) -> dict[str, float]:
@@ -513,7 +525,9 @@ def psl2_to_lorentz(mat: np.ndarray) -> np.ndarray:
 
 
 def lorentz_holonomy(sl2: GeneratorImages) -> GeneratorImages:
-    return GeneratorImages({gen: psl2_to_lorentz(mat) for gen, mat in sl2.items()})
+    """The Lorentz images; each inverse is the image of the SL2 inverse."""
+    return GeneratorImages({gen: psl2_to_lorentz(mat) for gen, mat in sl2.items()},
+                           lambda gen: psl2_to_lorentz(sl2.inverse(gen)))
 
 
 # The standard basis of traceless 4x4 matrices: the 12 off-diagonal units
@@ -542,18 +556,25 @@ def sl4_coordinates(mat: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
     return mat.reshape(*mat.shape[:-2], 16) @ SL4_COORDS.T
 
 
+def _conjugation(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """X -> left X right on traceless 4x4 matrices, read in ``SL4_BASIS``.
+
+    It is left (x) right^T on vec(X); every image of a basis matrix must be
+    traceless.
+    """
+    conjugated = np.kron(left, right.T) @ SL4_VECS
+    return sl4_coordinates(conjugated.T.reshape(15, 4, 4)).T
+
+
 def adjoint_rep(lorentz: GeneratorImages) -> GeneratorImages:
     """Conjugation action of each generator on traceless 4x4 matrices (15-dim).
 
-    X -> g X g^-1 is g (x) g^-T on vec(X), read in ``SL4_BASIS``, with the
-    kept inverse of each Lorentz image; every conjugated basis matrix must
-    be traceless.
+    X -> g X g^-1 with the kept inverse of each Lorentz image; its inverse
+    is the same read-out of X -> g^-1 X g.
     """
-    images = {}
-    for gen, mat in lorentz.items():
-        conjugated = np.kron(mat, lorentz.inverse(gen).T) @ SL4_VECS
-        images[gen] = sl4_coordinates(conjugated.T.reshape(15, 4, 4)).T
-    return GeneratorImages(images)
+    return GeneratorImages({gen: _conjugation(mat, lorentz.inverse(gen))
+                            for gen, mat in lorentz.items()},
+                           lambda gen: _conjugation(lorentz.inverse(gen), lorentz[gen]))
 
 
 @dataclass(frozen=True)
@@ -598,16 +619,24 @@ KILLING_SPLIT = killing_split()
 
 
 def restrict_block(images: Mapping[int, np.ndarray], block: np.ndarray) -> GeneratorImages:
-    """Each image compressed to an invariant subspace of orthonormal columns (``compress``)."""
-    return GeneratorImages({
-        index: compress(mat, block, "subspace is not invariant under the action")
-        for index, mat in images.items()
-    })
+    """Each image compressed to an invariant subspace of orthonormal columns (``compress``).
+
+    Each inverse is the compressed inverse of the full image.
+    """
+    images = GeneratorImages.of(images)
+
+    def restrict(mat: np.ndarray) -> np.ndarray:
+        return compress(mat, block, "subspace is not invariant under the action")
+    return GeneratorImages({gen: restrict(mat) for gen, mat in images.items()},
+                           lambda gen: restrict(images.inverse(gen)))
 
 
 def kronecker_rep(lorentz: GeneratorImages) -> GeneratorImages:
-    """Tensor-square action g (x) g on 16 dimensions."""
-    return GeneratorImages({gen: np.kron(mat, mat) for gen, mat in lorentz.items()})
+    """Tensor-square action g (x) g on 16 dimensions; its inverse is g^-1 (x) g^-1."""
+    def invert(gen: int) -> np.ndarray:
+        inverse = lorentz.inverse(gen)
+        return np.kron(inverse, inverse)
+    return GeneratorImages({gen: np.kron(mat, mat) for gen, mat in lorentz.items()}, invert)
 
 
 def rep_residuals(

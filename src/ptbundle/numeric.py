@@ -11,9 +11,10 @@ inverse DFT, and the result is validated at two fresh points on the same
 circle before it is returned.  The points of one radius arrive as one
 array.  Characteristic polynomials sample det(p - t) through
 ``pencil_det``: p is reduced to upper Hessenberg form once, before the
-first radius, and the points of each radius are then one batched
-O(n^2)-per-point LU.  Polynomial matrices in general (``det_polymatrix``)
-are one stack for one ``matrix_det`` call per radius.
+first radius, and the points of each radius then go through one
+batched Hyman recurrence, O(n^2) per point.  Polynomial matrices in
+general (``det_polymatrix``) are one stack for one ``matrix_det`` call
+per radius.
 A polynomial with real coefficients (its caller's matrices have a real
 dtype) takes conjugate values at conjugate points, so it is sampled only
 on the closed upper half of the circle: count // 2 + 3 points per radius
@@ -162,37 +163,41 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
 
 
 def _hessenberg_det(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """det(h - z I) at each point of z, for an upper Hessenberg h.
+    """det(h - z I) at each point of z, for an upper Hessenberg h, by Hyman's recurrence.
 
-    One partial-pivot LU over all points at once: at step k the only
-    candidate pivots are the carried row k and row k + 1, so a point costs
-    O(n^2).  A point whose pivot column is exactly zero gets exactly 0.
+    h splits at its exactly zero subdiagonal entries into diagonal blocks,
+    and det(h - z I) is the product of theirs.  On a block B - z I of size
+    m, whose subdiagonal s has no zero, the vector x with x[m-1] = 1 that
+    rows 1 ... m-1 annihilate is found from the bottom row up,
+    x[i-1] = -((B - z I)[i, i:] . x[i:]) / s[i-1]; then (B - z I) x = f e_0,
+    f the value of row 0, and Cramer's rule gives
+    det(B - z I) = (-1)^(m-1) f prod(s) (Wilkinson, The Algebraic Eigenvalue
+    Problem, 1965, sec. 7.11).  All points go at once, O(n^2) per point;
+    a diagonal entry of h that is also an isolated block gets exactly 0 at
+    its own value.
     """
     n = h.shape[0]
-    shifted = np.repeat(h[None].astype(EXT_COMPLEX), len(z), axis=0)
-    shifted[:, range(n), range(n)] -= z[:, None]
     det = np.ones(len(z), dtype=EXT_COMPLEX)
-    if n == 0:
-        return det
-    row = shifted[:, 0]
-    for k in range(n - 1):
-        below = shifted[:, k + 1, k:]
-        swap = (np.abs(below[:, 0]) > np.abs(row[:, 0]))[:, None]
-        top, other = np.where(swap, below, row), np.where(swap, row, below)
-        piv = top[:, 0]
-        det = det * np.where(swap[:, 0], -piv, piv)
-        # a zero pivot means other[:, 0] is zero too: carry it unchanged
-        factors = other[:, 0] / np.where(piv == 0, 1, piv)
-        row = other[:, 1:] - factors[:, None] * top[:, 1:]
-    return det * row[:, 0]
+    cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), n] if n else []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        block = h[lo:hi, lo:hi]
+        x = np.zeros((len(z), hi - lo), dtype=EXT_COMPLEX)
+        x[:, -1] = 1
+        for i in range(hi - lo - 1, 0, -1):
+            x[:, i - 1] = (z * x[:, i] - x[:, i:] @ block[i, i:]) / block[i, i - 1]
+        subdiagonal = np.prod(np.diagonal(block, -1))
+        sign = 1 if (hi - lo) % 2 else -1
+        det = det * (x @ block[0] - z * x[:, 0]) * (sign * subdiagonal)
+    return det
 
 
 def pencil_det(p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """z -> det(p - z I) over an array of points.
 
     p is reduced to upper Hessenberg form H once, in extended precision of
-    its own kind (real for a real p), and each call then costs O(n^2) per
-    point: det(p - z I) = det(H - z I).
+    its own kind (real for a real p), and each call then samples
+    det(p - z I) = det(H - z I) by Hyman's recurrence (``_hessenberg_det``),
+    O(n^2) per point and no pivoting.
     """
     h = _hessenberg(np.asarray(p).astype(_REAL_DT if np.isrealobj(p) else EXT_COMPLEX))
     return lambda z: _hessenberg_det(h, z)
@@ -203,15 +208,22 @@ class GeneratorImages(Mapping):
 
     A representation is built once per solution and then used by every
     word product, relation check and action of that solution, so its
-    inverses are computed once, not in each of those calls.  Being
-    read-only, the images cannot drift from their kept inverses.
+    inverses are computed once, not in each of those calls.  ``invert``
+    builds the inverse of one generator's image by construction (a layer
+    of the holonomy tower reads it off the inverse of the layer below);
+    without it an inverse is a ``matrix_inverse``.  Being read-only, the
+    images cannot drift from their kept inverses.  ``kept`` holds any
+    other object derived from the images, computed once per key.
     """
 
-    def __init__(self, matrices: Mapping[int, np.ndarray] | Sequence[np.ndarray]):
+    def __init__(self, matrices: Mapping[int, np.ndarray] | Sequence[np.ndarray],
+                 invert: Optional[Callable[[int], np.ndarray]] = None):
         if not isinstance(matrices, Mapping):
             matrices = dict(enumerate(matrices))
         self._matrices = dict(matrices)
+        self._invert = invert or (lambda gen: matrix_inverse(self._matrices[gen]))
         self._inverses: dict[int, np.ndarray] = {}
+        self._kept: dict = {}
 
     @classmethod
     def of(cls, images) -> "GeneratorImages":
@@ -229,8 +241,14 @@ class GeneratorImages(Mapping):
 
     def inverse(self, gen: int) -> np.ndarray:
         if gen not in self._inverses:
-            self._inverses[gen] = matrix_inverse(self._matrices[gen])
+            self._inverses[gen] = self._invert(gen)
         return self._inverses[gen]
+
+    def kept(self, key, build: Callable[[], object]):
+        """build(), computed on the first call with this key and then kept."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
 
 def word_product(word, images) -> np.ndarray:

@@ -40,7 +40,6 @@ from ptbundle.numeric import (
     GeneratorImages,
     Tolerances,
     matrix_det,
-    matrix_inverse,
     newton_multistart,
     nullspace,
     word_product,
@@ -645,9 +644,8 @@ def reference_sl4_basis():
     return basis
 
 
-def reference_adjoint(mat):
+def reference_adjoint(mat, inv):
     """The sl4 image as a loop: g E g^-1 for each basis matrix E, read entry by entry."""
-    inv = matrix_inverse(mat)
     cols = []
     for basis in reference_sl4_basis():
         image = mat @ basis @ inv
@@ -671,7 +669,9 @@ class TestKroneckerReadouts:
     def test_images_match_per_basis_loops(self, pinned_solutions):
         for sol in pinned_solutions:
             lorentz = [reference_lorentz(mat) for mat in sol.sl2.values()]
-            adjoint = [reference_adjoint(mat) for mat in lorentz]
+            # a Lorentz inverse is the image of the SL2 inverse
+            inverses = [reference_lorentz(sol.sl2.inverse(gen)) for gen in sol.sl2]
+            adjoint = [reference_adjoint(mat, inv) for mat, inv in zip(lorentz, inverses)]
             expected = {
                 "sl4": adjoint,
                 "v": restrict_block(dict(enumerate(adjoint)), KILLING_SPLIT.complement).values(),
@@ -683,6 +683,19 @@ class TestKroneckerReadouts:
                 for mat, ref in zip(images.values(), refs, strict=True):
                     assert mat.dtype == ref.dtype
                     assert np.array_equal(mat, ref)
+
+    def test_every_layer_inverts_by_construction(self, pinned_solutions):
+        # each layer's inverse is read off the layer below, not eliminated
+        for sol in pinned_solutions:
+            layers = [sol.sl2, sol.lorentz]
+            layers += [sol.representation(kind) for kind in ("sl4", "v", "gl16")]
+            for images in layers:
+                for gen, mat in images.items():
+                    inverse = images.inverse(gen)
+                    assert inverse.dtype == mat.dtype
+                    scale = np.max(np.abs(mat)) * np.max(np.abs(inverse))
+                    defect = np.max(np.abs(mat @ inverse - np.eye(len(mat))))
+                    assert defect <= 1e-17 * scale
 
     def test_adjoint_rejects_a_wrong_inverse(self, llrr_solution):
         class TransposedInverse(GeneratorImages):

@@ -269,6 +269,19 @@ def test_pencil_det_of_complex_pencil(n):
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_pencil_det_splits_at_zero_subdiagonals():
+    # a real Hessenberg matrix whose subdiagonal is exactly zero at two
+    # places in the middle: Hyman's recurrence runs on blocks 4, 3 and 3
+    rng = np.random.default_rng(11)
+    p = np.triu(rng.standard_normal((10, 10)), -1)
+    p[[4, 7], [3, 6]] = 0.0
+    z = circle_points(13, radius=1.13)
+    got = pencil_det(p)(z)
+    want = stacked_pencil(p, z)
+    assert got.dtype == EXT_COMPLEX
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_real_pencil_is_reduced_in_real_extended_precision(monkeypatch):
     reduced = []
 
