@@ -1,8 +1,9 @@
 """Conservative rigidity certificates from root multiplicities at t = 1.
 
-The certifier runs the whole tower once per PSL(2,C) character it finds:
-holonomy, derived linear representations, twisted Alexander polynomials,
-and the multiplicity of the root t = 1.  A solution is declared
+The certifier runs the whole tower once, on the holonomy's character,
+which the shape test of the trace solve proves to be the holonomy:
+derived linear representations, twisted Alexander polynomials, and the
+multiplicity of the root t = 1.  A solution is declared
 rigid-rel-cusp only when one of the three certificates fires with a
 clear margin, and a battery of cross-checks can only downgrade that
 verdict, never upgrade it.  The certifier never claims non-rigidity:
@@ -150,7 +151,7 @@ class CrossCheck:
 
 @dataclass
 class SolutionReport:
-    """Everything the certifier established for one trace solution."""
+    """Everything the certifier established for the holonomy's character."""
 
     index: int
     traces: tuple[complex, complex, complex]
@@ -159,7 +160,7 @@ class SolutionReport:
     evidence: dict[str, CertificateEvidence]
     failures: list[str]
     verdict: str
-    orbit_roots: int = 1
+    shape_margin: float = math.nan
     route_match: Optional[bool] = None
     cross_checks: dict[str, CrossCheck] = field(default_factory=dict)
     solution: Optional[HolonomySolution] = field(default=None, repr=False)
@@ -180,11 +181,9 @@ class SolutionReport:
 
 @dataclass
 class RigidityReport:
-    """Certification results for one monodromy, all solutions."""
+    """Certification results for one monodromy."""
 
     spec: MonodromySpec
-    seed: int
-    starts: int
     tolerances: Tolerances
     reps: tuple[str, ...]
     solutions: list[SolutionReport]
@@ -253,7 +252,7 @@ def _solution_report(
         evidence=evidence,
         failures=failures,
         verdict=RIGID if decisive else INCONCLUSIVE,
-        orbit_roots=sol.triple.orbit_roots,
+        shape_margin=sol.triple.shape_margin,
         solution=sol,
         images=images,
         actions=actions,
@@ -261,82 +260,52 @@ def _solution_report(
 
 
 def select_solutions(
-    spec: MonodromySpec,
-    *,
-    seed: int = 0,
-    starts: int = 64,
-    tolerances: Optional[Tolerances] = None,
-    solution_index: Optional[int] = None,
-) -> list[tuple[int, HolonomySolution]]:
-    """Indexed trace solutions of a hyperbolic monodromy, lifted through the tower.
+    spec: MonodromySpec, *, tolerances: Optional[Tolerances] = None
+) -> list[HolonomySolution]:
+    """The holonomy of a hyperbolic monodromy, lifted through the tower, as a list of one.
 
-    Returns every (index, solution) pair, or only the one at
-    `solution_index`.  Raises ValueError for a non-hyperbolic word or an
-    index out of range, and ArithmeticError when no solution is found.
+    Raises ValueError for a non-hyperbolic word, and ArithmeticError when
+    no flat start reaches the holonomy or its lift fails.
     """
     if not is_hyperbolic(spec):
         raise ValueError(
             f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
         )
-    solutions = build_solutions(
-        spec, starts=starts, seed=seed, tolerances=tolerances
-    )
-    if not solutions:
-        raise ArithmeticError("no trace solutions found: no Newton start converged")
-    if solution_index is not None:
-        if not 0 <= solution_index < len(solutions):
-            raise ValueError(
-                f"solution index {solution_index} out of range "
-                f"(found {len(solutions)} solutions)"
-            )
-        return [(solution_index, solutions[solution_index])]
-    return list(enumerate(solutions))
+    return build_solutions(spec, tolerances=tolerances)
 
 
 def certify(
     spec: MonodromySpec | str,
     *,
-    seed: int = 0,
-    starts: int = 64,
     tolerances: Optional[Tolerances] = None,
     reps: Sequence[str] = ALL_REPS,
-    solution_index: Optional[int] = None,
 ) -> RigidityReport:
     """Run the full certification pipeline for a monodromy word.
 
-    Not every stage keeps a failure to its solution.  The trace solve and
-    the lift of every solution run for the whole word, in
-    `select_solutions` through `build_solutions`, and an error in either
-    aborts the word: when `holonomy_from_triple` finds no meridian
-    intertwiner for one solution, or no unique one, its ArithmeticError
-    ends the call, the other solutions are lost with it, and the command
-    line exits 3.  After the lift, each solution is processed on its
-    own: an ArithmeticError, ValueError or LinAlgError in its residuals,
-    in one representation's images or certificate, or in one of its
-    cross-checks is recorded in that solution's `failures`, and the
-    other representations and solutions still complete.  The structural
-    consistency checks then run and may downgrade per-solution verdicts.
-    Input errors and an empty solution set raise as in
-    `select_solutions`.
+    The trace solve and the lift run for the whole word, in
+    `select_solutions` through `build_solutions`: when no start reaches
+    the holonomy, or its lift finds no meridian intertwiner or no unique
+    one, the ArithmeticError ends the call and the command line exits 3.
+    After the lift, an ArithmeticError, ValueError or LinAlgError in the
+    residuals, in one representation's images or certificate, or in one
+    of the cross-checks is recorded in the solution's `failures`, and
+    the other representations still complete.  The structural
+    consistency checks then run and may downgrade the verdict.  Input
+    errors raise as in `select_solutions`.
     """
     if isinstance(spec, str):
         spec = parse_monodromy(spec)
     tols = tolerances or Tolerances()
     chosen = _validated_reps(reps)
-    picked = select_solutions(
-        spec, seed=seed, starts=starts, tolerances=tols,
-        solution_index=solution_index,
-    )
+    picked = select_solutions(spec, tolerances=tols)
     endo = monodromy_endo(spec)
     report = RigidityReport(
         spec=spec,
-        seed=seed,
-        starts=starts,
         tolerances=tols,
         reps=chosen,
         solutions=[
             _solution_report(index, sol, endo, chosen, tols)
-            for index, sol in picked
+            for index, sol in enumerate(picked)
         ],
     )
     return cross_checks(report)
@@ -510,8 +479,6 @@ def report_jsonable(report: RigidityReport) -> dict:
     return {
         "monodromy": report.spec.text(),
         "trace": monodromy_trace(report.spec),
-        "seed": report.seed,
-        "starts": report.starts,
         "tolerances": {
             "det": report.tolerances.det,
             "root": report.tolerances.root,
@@ -524,7 +491,7 @@ def report_jsonable(report: RigidityReport) -> dict:
             {
                 "index": sol.index,
                 "traces": [_pair(t) for t in sol.traces],
-                "orbit_roots": sol.orbit_roots,
+                "shape_margin": sol.shape_margin,
                 "geometric_candidate": sol.geometric_candidate,
                 "residuals": {k: float(v) for k, v in sorted(sol.residuals.items())},
                 "evidence": {
@@ -575,15 +542,14 @@ def report_text(
     show = poly_display or _default_poly_display
     lines = [
         f"monodromy {report.spec.text()}   trace {monodromy_trace(report.spec)}",
-        f"seed {report.seed}   starts {report.starts}   tolerances "
-        f"det={report.tolerances.det:g} root={report.tolerances.root:g} "
+        f"tolerances det={report.tolerances.det:g} root={report.tolerances.root:g} "
         f"null={report.tolerances.null:g}",
         f"overall verdict: {report.verdict}",
     ]
     for sol in report.solutions:
         tag = "  (geometric candidate)" if sol.geometric_candidate else ""
         lines.append("")
-        lines.append(f"solution {sol.index}  orbit_roots={sol.orbit_roots}{tag}")
+        lines.append(f"solution {sol.index}  shape_margin={sol.shape_margin:.6g}{tag}")
         names = ("tr(a)", "tr(b)", "tr(ab)")
         traced = ", ".join(
             f"{name}={_format_complex(t)}" for name, t in zip(names, sol.traces)

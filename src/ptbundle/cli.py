@@ -3,8 +3,8 @@
 Subcommands expose the pipeline stages separately: trace solving,
 holonomy reconstruction, the monodromy action with its characteristic
 polynomials, the generic twisted Alexander engine for presentation
-files, and the one-shot certifier.  Every stochastic choice is pinned
-by --seed, so identical invocations produce identical output bytes.
+files, and the one-shot certifier.  Nothing is random, so identical
+invocations produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -230,10 +230,7 @@ class CliConfig:
     monodromy: Optional[str]
     input_path: Optional[str]
     tolerances: Tolerances
-    seed: int
-    starts: int
     reps: tuple[str, ...]
-    solution: Optional[int]
     fmt: str
     output: Optional[str]
 
@@ -247,15 +244,6 @@ class CliConfig:
                     f"tolerance --tol-{name} must be positive and finite, "
                     f"got {value}"
                 )
-        if self.starts < 1:
-            raise ValueError(f"--starts must be at least 1, got {self.starts}")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {self.seed}")
-
-    def solver_options(self) -> dict:
-        """Keyword arguments for certify and select_solutions."""
-        return dict(seed=self.seed, starts=self.starts,
-                    tolerances=self.tolerances, solution_index=self.solution)
 
 
 _TOLERANCE_HELP = {
@@ -273,19 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, helptext: str, tolerances: str, solver: bool):
+    def command(name: str, helptext: str, tolerances: str):
         # only the flags the handler reads; the rest keep their defaults
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(tol_det=Tolerances().det, tol_root=Tolerances().root,
-                       tol_null=Tolerances().null, seed=0, starts=64, solution=None)
+                       tol_null=Tolerances().null)
         for tol in tolerances.split():
             p.add_argument(f"--tol-{tol}", type=float, help=_TOLERANCE_HELP[tol])
-        if solver:
-            p.add_argument("--seed", type=int,
-                           help="seed for the multistart trace solver")
-            p.add_argument("--starts", type=int, help="number of Newton starts")
-            p.add_argument("--solution", type=int,
-                           help="restrict to one character (orbit) by index")
         p.add_argument("--format", choices=("text", "json"), default="text",
                        dest="fmt", help="output format")
         p.add_argument("--output", default=None,
@@ -295,18 +277,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext, tolerances, with_reps in (
         ("certify", "full pipeline and rigidity report", "det root null", True),
         ("holonomy", "traces and 2x2 / 4x4 holonomy matrices", "null", False),
-        ("trace-solve", "trace solutions only", "null", False),
+        ("trace-solve", "the holonomy's traces and shapes only", "null", False),
         ("action", "monodromy action on cocycles and its characteristic "
          "polynomials", "det root null", True),
     ):
-        p = command(name, helptext, tolerances, solver=True)
+        p = command(name, helptext, tolerances)
         p.add_argument("monodromy", help="monodromy word, e.g. LLRR or -R^2L")
         if with_reps:
             p.add_argument("--reps", default=",".join(ALL_REPS),
                            help="comma-separated subset of sl4,v,gl16")
 
     alexander = command("alexander", "generic twisted Alexander invariant "
-                        "from a presentation file", "det root", solver=False)
+                        "from a presentation file", "det root")
     alexander.add_argument("file", help="presentation JSON path")
     return parser
 
@@ -329,10 +311,7 @@ def _config(args: argparse.Namespace) -> CliConfig:
         input_path=getattr(args, "file", None),
         tolerances=Tolerances(det=args.tol_det, root=args.tol_root,
                               null=args.tol_null),
-        seed=args.seed,
-        starts=args.starts,
         reps=chosen,
-        solution=args.solution,
         fmt=args.fmt,
         output=args.output,
     )
@@ -403,7 +382,7 @@ def _certify_poly_display(tol: float) -> Callable[[CertificateEvidence], str]:
 
 def _cmd_certify(config: CliConfig) -> tuple[int, str]:
     report = certify(parse_monodromy(config.monodromy), reps=config.reps,
-                     **config.solver_options())
+                     tolerances=config.tolerances)
     if config.fmt == "json":
         text = report_json(report)
     else:
@@ -413,47 +392,47 @@ def _cmd_certify(config: CliConfig) -> tuple[int, str]:
     return (0 if report.verdict != INCONCLUSIVE else 4), text
 
 
-def _header(spec, config: CliConfig) -> dict:
+def _header(spec) -> dict:
     """Fields every per-monodromy JSON output starts with."""
-    return {"monodromy": spec.text(), "trace": monodromy_trace(spec),
-            "seed": config.seed, "starts": config.starts}
+    return {"monodromy": spec.text(), "trace": monodromy_trace(spec)}
+
+
+def _solution_data(index: int, sol) -> dict:
+    """The fields every per-monodromy JSON solution starts with."""
+    return {"index": index, "traces": [_pair(t) for t in sol.triple.as_tuple()],
+            "shape_margin": sol.triple.shape_margin}
 
 
 def _traces_line(index: int, sol) -> str:
     a, b, c = sol.triple.as_tuple()
     return (f"solution {index}: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
-            f"  orbit_roots={sol.triple.orbit_roots}")
+            f"  shape_margin={sol.triple.shape_margin:.6g}")
 
 
 def _cmd_trace_solve(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
-    picked = select_solutions(spec, **config.solver_options())
+    picked = select_solutions(spec, tolerances=config.tolerances)
     if config.fmt == "json":
-        return 0, _dumps({**_header(spec, config), "solutions": [
-            {"index": index, "traces": [_pair(t) for t in sol.triple.as_tuple()],
-             "orbit_roots": sol.triple.orbit_roots}
-            for index, sol in picked
+        return 0, _dumps({**_header(spec), "solutions": [
+            _solution_data(index, sol) for index, sol in enumerate(picked)
         ]})
-    lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}   "
-             f"{len(picked)} solution(s)"]
-    lines.extend(_traces_line(index, sol) for index, sol in picked)
+    lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}"]
+    lines.extend(_traces_line(index, sol) for index, sol in enumerate(picked))
     return 0, "\n".join(lines) + "\n"
 
 
 def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
-    picked = select_solutions(spec, **config.solver_options())
+    picked = list(enumerate(select_solutions(spec, tolerances=config.tolerances)))
     endo = monodromy_endo(spec)
     residuals = [
         {k: float(v) for k, v in sorted(holonomy_residuals(sol.sl2, endo).items())}
         for _, sol in picked
     ]
     if config.fmt == "json":
-        return 0, _dumps({**_header(spec, config), "solutions": [
+        return 0, _dumps({**_header(spec), "solutions": [
             {
-                "index": index,
-                "traces": [_pair(t) for t in sol.triple.as_tuple()],
-                "orbit_roots": sol.triple.orbit_roots,
+                **_solution_data(index, sol),
                 "residuals": res,
                 "sl2": {name: _cmatrix(mat) for name, mat in
                         zip("abx", sol.sl2.values())},
@@ -492,11 +471,11 @@ def _action_data(action, evidence: CertificateEvidence, tols: Tolerances) -> dic
 
 def _cmd_action(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
-    picked = select_solutions(spec, **config.solver_options())
+    picked = select_solutions(spec, tolerances=config.tolerances)
     endo = monodromy_endo(spec)
     tols = config.tolerances
     results = []
-    for index, sol in picked:
+    for index, sol in enumerate(picked):
         per_rep = {}
         for label in config.reps:
             images = sol.representation(label)
@@ -505,9 +484,7 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
     if config.fmt == "json":
         solutions = [
             {
-                "index": index,
-                "traces": [_pair(t) for t in sol.triple.as_tuple()],
-                "orbit_roots": sol.triple.orbit_roots,
+                **_solution_data(index, sol),
                 "representations": {
                     label: _action_data(action, evidence, tols)
                     for label, (action, evidence) in per_rep.items()
@@ -515,7 +492,7 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
             }
             for index, sol, per_rep in results
         ]
-        return 0, _dumps({**_header(spec, config), "direction": "inverse",
+        return 0, _dumps({**_header(spec), "direction": "inverse",
                           "solutions": solutions})
     lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}   "
              f"direction inverse"]
@@ -617,7 +594,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point returning the process exit status.
 
     0 success, 2 input error, 3 numerical failure, 4 when the certifier
-    ran but every solution came back inconclusive.
+    ran and its verdict is inconclusive.
     """
     parser = build_parser()
     if argv is None:

@@ -1,29 +1,30 @@
 """Holonomy reconstruction for once-punctured torus bundles.
 
-Pipeline: trace equations for the fiber generators, Newton solving over
-the Markov surface, explicit 2x2 matrices for the fiber group, meridian
-recovery from the gluing relations, and the derived linear
-representations (Lorentz 4x4, adjoint 15x15, restricted 9x9, Kronecker
-16x16) that feed the twisted Alexander machinery.
+Pipeline: the holonomy's character by multiple shooting of the letter
+maps, explicit 2x2 matrices for the fiber group, meridian recovery from
+the gluing relations, and the derived linear representations (Lorentz
+4x4, adjoint 15x15, restricted 9x9, Kronecker 16x16) that feed the
+twisted Alexander machinery.
 
-The sign changes (A, B, C) -> (eA, dB, edC), alone or with complex
-conjugation, give one PSL(2,C) character up to conjugation, so the same
-derived representations and polynomials; the solver keeps one root per
-orbit of these eight maps, and the tower runs once per character.
+Each twist acts on characters (A, B, C) = (tr a, tr b, tr ab) by a
+polynomial map, L by (C, B, BC - A) and R by (A, C, AC - B) (the
+mapping-class action on Fricke coordinates; Goldman, Geom. Topol. 2003).
+``solve_traces`` gives every letter of the word its own character chi_i,
+with chi_(i+1) = g_i(chi_i) cyclically and the Markov relation
+A^2 + B^2 + C^2 - ABC = 0 on every layer (parabolic peripheral
+holonomy), and solves these 4n equations in 3n unknowns by Gauss-Newton
+(multiple shooting; Bock and Plitt, IFAC 1984).  The four flat starts,
+every layer at the figure-eight holonomy or one of its conjugate and
+mirror images, are the same for every rotation of the word, and advance
+as one batch.  The layered triangulation of a hyperbolic bundle is
+geometric (Gueritaud and Futer, Geom. Topol. 2006), and its tetrahedron
+under layer i has shape -B^2/C^2 for an L and -C^2/A^2 for an R.  So the
+holonomy is the fixed point whose shapes all lie in one open half-plane,
+kept with Im z > 0; min |Im z_i| is the margin of that decision.  A
+leading '-' changes nothing: the elliptic involution fixes every
+character.
 
-Each twist acts on characters by a polynomial map (the mapping-class
-action on Fricke coordinates; Goldman, Geom. Topol. 2003), so
-``trace_system`` composes the letters' maps in reading order and sorts
-the terms of each fixed-point equation.  The equations are compiled once
-into a ``CompiledTraceSystem``, which evaluates the equations and their
-partials at a whole batch of Newton starts with the exact arithmetic of
-``TracePoly.evaluate`` at each one: one ``np.power`` table, gathered
-into real and imaginary planes, the products as in-place real ufuncs on
-those planes, and one in-order complex ``cumsum`` per Jacobian row.  The
-same compiled system serves the multistart solve in double precision
-and, on EXT_COMPLEX points, the polish of every solution.
-
-Each solution is lifted once, in extended precision: the polished triple
+The solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
 gluing relations are tried once, and the one intertwining system with a
 one-dimensional kernel gives the meridian by inverse iteration.
@@ -43,7 +44,6 @@ g^-1 (x) g^-1), each built on first use.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -52,13 +52,11 @@ import numpy as np
 
 from .numeric import (
     EXT_COMPLEX,
-    ORIGIN_RADIUS,
     GeneratorImages,
     Tolerances,
     compress,
     linear_solve,
     matrix_det,
-    newton_multistart,
     nullspace,
     word_product,
 )
@@ -71,298 +69,147 @@ from .words import EndoF2, parse_word
 # steps (SVD kernels) stay in double; everything else preserves the dtype.
 
 # ---------------------------------------------------------------------------
-# Integer polynomials in the three trace coordinates.
-# ---------------------------------------------------------------------------
-
-# Exponent triples (i, j, k) stand for A^i * B^j * C^k where A, B, C are
-# the traces of a, b, ab.
-
-
-class TracePoly:
-    """Polynomial with integer coefficients in the trace coordinates."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int, int], int] | None = None):
-        clean = {}
-        if terms:
-            for key, val in terms.items():
-                if val:
-                    clean[key] = int(val)
-        self.terms = clean
-
-    @staticmethod
-    def constant(value: int) -> "TracePoly":
-        return TracePoly({(0, 0, 0): value})
-
-    @staticmethod
-    def variable(index: int) -> "TracePoly":
-        key = [0, 0, 0]
-        key[index] = 1
-        return TracePoly({tuple(key): 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TracePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "TracePoly | int") -> "TracePoly":
-        if isinstance(other, int):
-            other = TracePoly.constant(other)
-        out = dict(self.terms)
-        for key, val in other.terms.items():
-            out[key] = out.get(key, 0) + val
-        return TracePoly(out)
-
-    def __neg__(self) -> "TracePoly":
-        return TracePoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "TracePoly | int") -> "TracePoly":
-        if isinstance(other, int):
-            other = TracePoly.constant(other)
-        return self + (-other)
-
-    def __mul__(self, other: "TracePoly | int") -> "TracePoly":
-        if isinstance(other, int):
-            return TracePoly({k: v * other for k, v in self.terms.items()})
-        out: dict[tuple[int, int, int], int] = {}
-        for (i1, j1, k1), v1 in self.terms.items():
-            for (i2, j2, k2), v2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                out[key] = out.get(key, 0) + v1 * v2
-        return TracePoly(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, point: Sequence[complex]) -> complex:
-        a, b, c = point
-        total = 0j
-        for (i, j, k), val in self.terms.items():
-            total += val * a**i * b**j * c**k
-        return total
-
-    def partial(self, index: int) -> "TracePoly":
-        out: dict[tuple[int, int, int], int] = {}
-        for key, val in self.terms.items():
-            exp = key[index]
-            if exp == 0:
-                continue
-            new = list(key)
-            new[index] = exp - 1
-            tup = tuple(new)
-            out[tup] = out.get(tup, 0) + val * exp
-        return TracePoly(out)
-
-
-MARKOV = (
-    TracePoly.variable(0) * TracePoly.variable(0)
-    + TracePoly.variable(1) * TracePoly.variable(1)
-    + TracePoly.variable(2) * TracePoly.variable(2)
-    - TracePoly.variable(0) * TracePoly.variable(1) * TracePoly.variable(2)
-)
-
-
-# ---------------------------------------------------------------------------
-# The trace equations of a monodromy word.
-# ---------------------------------------------------------------------------
-
-
-def trace_system(spec: MonodromySpec) -> tuple[TracePoly, TracePoly, TracePoly]:
-    """Fixed-point trace equations for a monodromy word.
-
-    Returns (tr phi(a) - A, tr phi(b) - B, markov) where markov vanishes
-    exactly when the peripheral holonomy is parabolic with trace -2.  The
-    twists act on characters by L: (A, B, C) -> (C, B, BC - A) and
-    R: (A, B, C) -> (A, C, AC - B), composed in reading order; the
-    elliptic involution of a negated word fixes every character.  The
-    terms of each fixed-point equation come sorted by exponent triple,
-    the order in which ``CompiledTraceSystem`` sums them.
-    """
-    variables = [TracePoly.variable(i) for i in range(3)]
-    a, b, c = variables
-    for letter in spec.letters:
-        a, b, c = (c, b, b * c - a) if letter == "L" else (a, c, a * c - b)
-    eq_a, eq_b = (TracePoly(dict(sorted((image - var).terms.items())))
-                  for image, var in zip((a, b), variables))
-    return (eq_a, eq_b, MARKOV)
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation of a trace system.
-# ---------------------------------------------------------------------------
-
-# The batched evaluation repeats, at every point, the floating-point
-# operations of TracePoly.evaluate, because a Newton start near a basin
-# boundary goes to another root when a value changes in its last bit.  It
-# relies on three rules:
-# - ``np.power`` on a complex array runs numpy's scalar ``z ** n``;
-# - numpy's array complex multiply rounds apart from the scalar one, so
-#   each product is written out in real ufuncs with the scalar's
-#   operations: int * complex is (c ar - ai 0.0, c ai + ar 0.0), where the
-#   zero products keep signed zeros and turn an infinite power into NaN,
-#   and complex * complex is (re fr - im fi, re fi + im fr);
-# - ``cumsum`` adds in order, as the scalar loop does (``np.sum``, ``@``
-#   and ``np.add.reduce`` add pairwise or in blocks, at least for one
-#   point), and a sum that starts at +0 never becomes -0, so adding a
-#   zero term leaves it unchanged.
-
-
-class CompiledTraceSystem:
-    """Three trace equations and their nine partials, compiled for Newton.
-
-    The terms are laid out by Jacobian row: equation i, then its partials
-    by A, B and C, each led by a zero term (as 0j leads the scalar sum) and
-    padded with zero terms to the row's widest polynomial.  Calling the
-    system on a (k, 3) array of points builds one power table and gathers
-    its real and imaginary parts for every term into two real arrays.  The
-    coefficient step and the two factor products run in place on those
-    arrays, the terms are assembled as complex numbers once, and each row
-    is summed with one ``cumsum``.  It returns the values (k, 3) and the
-    Jacobians (k, 3, 3) in the complex dtype of the points (complex128 for
-    the Newton starts, EXT_COMPLEX for the polish); every entry has the
-    bits that TracePoly.evaluate gives at that point.  ``equations`` and
-    ``partials`` keep the polynomials.
-    """
-
-    def __init__(self, equations: Sequence[TracePoly]):
-        self.equations = tuple(equations)
-        self.partials = tuple(tuple(eq.partial(i) for i in range(3)) for eq in self.equations)
-        rows = [(eq, *row) for eq, row in zip(self.equations, self.partials)]
-        widths = [1 + max(len(p.terms) for p in row) for row in rows]
-        terms = [term for row, width in zip(rows, widths) for p in row
-                 for term in [((0, 0, 0), 0), *p.terms.items()]
-                 + [((0, 0, 0), 0)] * (width - 1 - len(p.terms))]
-        # first term and width of each Jacobian row
-        self._rows = list(zip(np.cumsum([0] + [4 * w for w in widths[:2]]), widths))
-        exps = np.array([key for key, _ in terms], dtype=np.intp)
-        self._coeffs = np.array([[float(val)] for _, val in terms])
-        self._exponents = np.arange(exps.max() + 1)[:, None]
-        # row of A^i, B^j, C^k of each term in the power table
-        self._gather = (exps + np.arange(3) * len(self._exponents)).T
-
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Blocks of points keep each complex (padded terms, points) array
-        # near 128 kB, so long words reuse freed heap memory instead of
-        # raising peak RSS.
-        block = max(1, 8192 // len(self._coeffs))
-        sums = np.empty((3, 4, len(z)), dtype=z.dtype)
-        for lo in range(0, len(z), block):
-            self._sums(z[lo:lo + block], sums[..., lo:lo + block])
-        return sums[:, 0].T, sums[:, 1:].transpose(2, 0, 1)
-
-    def _sums(self, z: np.ndarray, out: np.ndarray) -> None:
-        # [variable and exponent, point]
-        table = np.power(z.T[:, None], self._exponents).reshape(3 * len(self._exponents), len(z))
-        # [A, B or C factor, term, point], real and imaginary planes
-        (ar, br, cr), (ai, bi, ci) = (part.take(self._gather, axis=0)
-                                      for part in (table.real, table.imag))
-        # coeff * A^i as numpy's scalar int * complex
-        re, im = self._coeffs * ar, self._coeffs * ai
-        np.subtract(re, np.multiply(ai, 0.0, out=ai), out=re)
-        np.add(im, np.multiply(ar, 0.0, out=ar), out=im)
-        # times B^j, then C^k, with ar and ai as scratch
-        for fr, fi in (br, bi), (cr, ci):
-            np.multiply(re, fi, out=ar)
-            np.multiply(im, fr, out=ai)
-            np.subtract(np.multiply(re, fr, out=re), np.multiply(im, fi, out=im), out=re)
-            np.add(ar, ai, out=im)
-        terms = np.empty(re.shape, dtype=z.dtype)
-        terms.real, terms.imag = re, im
-        for row, (start, width) in enumerate(self._rows):
-            part = terms[start:start + 4 * width].reshape(4, width, len(z))
-            out[row] = part.cumsum(axis=1)[:, -1]
-
-
-# ---------------------------------------------------------------------------
-# Solving the trace equations.
+# The holonomy's character, by multiple shooting of the letter maps.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TraceTriple:
-    """One solution (tr a, tr b, tr ab) of the trace equations."""
+    """The character (tr a, tr b, tr ab) of the base layer, and every layer's shape."""
 
     trace_a: complex
     trace_b: complex
     trace_ab: complex
-    orbit_roots: int = 1  # solver roots it stands for: itself, sign images, conjugates
+    shapes: tuple[complex, ...] = ()
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.trace_a, self.trace_b, self.trace_ab)
 
+    @property
+    def shape_margin(self) -> float:
+        """min |Im z_i|: how far the shapes keep from the real line (NaN without shapes)."""
+        return min((abs(z.imag) for z in self.shapes), default=float("nan"))
 
-def _markov_sampler(rng: np.random.Generator) -> np.ndarray:
-    """Random start on or near the Markov surface.
 
-    Half the draws are plain complex Gaussians; the other half pick A, B
-    at random and solve the Markov relation for C, which concentrates
-    starts on the surface carrying the geometric solution.
+def letter_map(letter: str, point, tangent):
+    """One letter's map at point = (A, B, C), and its derivative applied to tangent.
+
+    L maps (A, B, C) to (C, B, BC - A) and R maps it to (A, C, AC - B);
+    tangent = (dA, dB, dC) goes to the same rows of the Jacobian times
+    (dA, dB, dC).  The entries may be scalars or broadcasting arrays, so
+    tangent = the rows of the identity gives the Jacobian's rows, and a
+    Jacobian's rows give the chain rule.
     """
-    raw = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    if rng.integers(2) == 0:
-        return 1.5 * raw
-    a, b = 1.5 * raw[0], 1.5 * raw[1]
-    # C^2 - (AB) C + (A^2 + B^2) = 0
-    disc = cmath.sqrt((a * b) ** 2 - 4.0 * (a * a + b * b))
-    c = ((a * b) + disc) / 2.0 if rng.integers(2) == 0 else ((a * b) - disc) / 2.0
-    return np.array([a, b, c], dtype=complex)
+    (a, b, c), (da, db, dc) = point, tangent
+    if letter == "L":
+        return (c, b, b * c - a), (dc, db, c * db + b * dc - da)
+    return (a, c, a * c - b), (da, dc, c * da + a * dc - db)
 
 
-# Roots this close in max norm are one root, and a root this close to an
-# image of a kept root is in that root's orbit.
-_DEDUP_TOL = 1e-6
-
-# (A, B, C) -> (eA, dB, edC) for the four sign pairs (e, d).
-_SIGN_CHANGES = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+def _markov(a, b, c):
+    """The Markov polynomial and its gradient (last axis)."""
+    return a * a + b * b + c * c - a * b * c, np.stack([2 * a - b * c, 2 * b - a * c,
+                                                        2 * c - a * b], axis=-1)
 
 
-def solve_traces(
-    system: CompiledTraceSystem, *, starts: int = 64, seed: int = 0
-) -> list[TraceTriple]:
-    """Solve the trace equations by deterministic multistart Newton.
+def _shooting_system(x: np.ndarray, is_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values (k, 4n) and Jacobians (k, 4n, 3n) of the shooting equations.
 
-    Returns one irreducible solution per PSL(2,C) character.  Real triples
-    and triples with C ~ 0 are dropped (they cannot give an irreducible
-    SL2 representation with parabolic boundary).  So are triples within
-    ``ORIGIN_RADIUS`` of 0, the trivial character (0, 0, 0) of the finite
-    Q8 representation, which every word's system has, and roots with one
-    of their eight sign and conjugation images within ``_DEDUP_TOL`` of a
-    kept root.  The first root of an orbit in sorted order is kept, and its
-    ``orbit_roots`` counts the roots it stands for.  ``system`` is the
-    compiled ``trace_system`` of the word.
+    x (k, n, 3) holds each start's layers and is_l (n,) marks the L
+    layers; rows 3i .. 3i+2 are g_i(chi_i) - chi_(i+1 mod n) and row
+    3n + i is the Markov polynomial of chi_i.  All layers of one letter
+    go through ``letter_map`` at once.
     """
-    roots = newton_multistart(
-        system,
-        3,
-        starts=starts,
-        seed=seed,
-        sampler=_markov_sampler,
-        residual_tol=1e-10,
-        dedup_tol=_DEDUP_TOL,
-    )
+    k, n, _ = x.shape
+    images = np.empty_like(x)
+    closing = np.zeros((k, n, 3, n, 3), dtype=x.dtype)
+    for letter, mine in (("L", np.flatnonzero(is_l)), ("R", np.flatnonzero(~is_l))):
+        image, rows = letter_map(letter, np.moveaxis(x[:, mine, :, None], 2, 0), np.eye(3))
+        images[:, mine] = np.concatenate(image, axis=-1)
+        block = np.stack(np.broadcast_arrays(*rows), axis=-2)   # (k, layers, row, column)
+        closing[:, mine, :, mine] = np.moveaxis(block, 1, 0)
+    layers = np.arange(n)
+    closing[:, layers, :, (layers + 1) % n] -= np.eye(3)
+    markov, gradient = _markov(*np.moveaxis(x, -1, 0))
+    markov_rows = np.zeros((k, n, n, 3), dtype=x.dtype)
+    markov_rows[:, layers, layers] = gradient
+    values = np.concatenate([(images - np.roll(x, -1, axis=1)).reshape(k, 3 * n), markov], axis=1)
+    return values, np.concatenate([closing.reshape(k, 3 * n, 3 * n),
+                                   markov_rows.reshape(k, n, 3 * n)], axis=1)
 
-    kept: list[np.ndarray] = []
-    counts: list[int] = []
-    for root in roots:
-        if max(abs(root)) < ORIGIN_RADIUS:
-            continue  # the trivial character, fixed by both letter maps
-        if max(abs(root.imag)) < 1e-8:
-            continue  # real solutions never give the discrete faithful one
-        if abs(root[2]) < 1e-8:
-            continue  # C = 0 breaks the explicit matrix model
-        signed = _SIGN_CHANGES * root
-        images = np.concatenate([signed, signed.conj()])
-        for k, prev in enumerate(kept):
-            if np.min(np.max(np.abs(images - prev), axis=1)) < _DEDUP_TOL:
-                counts[k] += 1
-                break
-        else:
-            kept.append(root)
-            counts.append(1)
-    return [TraceTriple(*map(complex, r), orbit_roots=n) for r, n in zip(kept, counts)]
+
+def layer_shapes(chi: np.ndarray, is_l: np.ndarray) -> np.ndarray:
+    """Each layer's tetrahedron shape: -B^2/C^2 under an L, -C^2/A^2 under an R."""
+    a, b, c = np.moveaxis(chi, -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(is_l, -(b / c) ** 2, -(c / a) ** 2)
+
+
+# Every layer of a start begins at the figure-eight holonomy (the solution
+# of LR), its conjugate, its swap (B, A, C), which is the L <-> R mirror of
+# the letter maps, or the swap's conjugate.
+_FIGURE_EIGHT = np.array([1.5 - 0.75 ** 0.5 * 1j, 1.5 + 0.75 ** 0.5 * 1j, 1.5 - 0.75 ** 0.5 * 1j])
+FLAT_STARTS = np.array([_FIGURE_EIGHT, _FIGURE_EIGHT.conj(),
+                        _FIGURE_EIGHT[[1, 0, 2]], _FIGURE_EIGHT[[1, 0, 2]].conj()])
+
+# Gauss-Newton iterations a start may take; the corpus words converge in
+# 6 to 14, and random hyperbolic words of length 8 to 15 in at most 26.
+_MAX_ITER = 50
+
+# The shapes lie in one open half-plane when every |Im z_i| exceeds this,
+# relative to max(1, |z_i|), with one sign.
+_HALF_PLANE_TOL = 1e-9
+
+
+# A diverging start overflows before its finiteness check stops it.
+@np.errstate(over="ignore", invalid="ignore")
+def solve_traces(letters: str) -> list[TraceTriple]:
+    """The holonomy's character, from the four flat starts.
+
+    All starts advance together by Gauss-Newton on the normal equations
+    of ``_shooting_system``; a start stops when max|F| is at most
+    1e-13 max(1, max|chi|)^2, or when F is no longer finite.  The first
+    converged start, in the order of ``FLAT_STARTS``, whose shapes lie in
+    one open half-plane is the holonomy (Gueritaud and Futer: the
+    layered triangulation is geometric); it is returned, conjugated if
+    need be so that Im z > 0, as a list of one ``TraceTriple`` of its
+    base layer (the layer the first letter acts on).  Raises
+    ArithmeticError, naming the best residual, when no start gets there.
+    """
+    is_l = np.array([letter == "L" for letter in letters])
+    x = np.repeat(FLAT_STARTS[:, None], len(letters), axis=1)
+    residual = np.full(len(x), np.inf)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    for _ in range(_MAX_ITER):
+        values, jac = _shooting_system(x[active], is_l)
+        size = np.abs(values).max(axis=1)
+        finite = np.isfinite(size)
+        residual[active] = np.where(finite, size, np.inf)
+        # a start far enough out overflows both sides of the bound
+        done = finite & (size <= 1e-13 * np.maximum(1.0, np.abs(x[active]).max(axis=(1, 2))) ** 2)
+        converged[active[done]] = True
+        live = ~done & finite
+        active, values, jac = active[live], values[live], jac[live]
+        if not active.size:
+            break
+        adjoint = jac.conj().transpose(0, 2, 1)
+        try:
+            steps = np.linalg.solve(adjoint @ jac, -(adjoint @ values[..., None]))[..., 0]
+        except np.linalg.LinAlgError:  # a rank-deficient start takes the least-squares step
+            steps = np.array([np.linalg.lstsq(j, -v, rcond=None)[0] for j, v in zip(jac, values)])
+        x[active] += steps.reshape(x[active].shape)
+    for start in np.flatnonzero(converged):
+        shapes = layer_shapes(x[start], is_l)
+        margin = shapes.imag / np.maximum(1.0, np.abs(shapes))
+        if np.all(margin > _HALF_PLANE_TOL) or np.all(margin < -_HALF_PLANE_TOL):
+            chi = x[start] if margin[0] > 0 else x[start].conj()
+            shapes = shapes if margin[0] > 0 else shapes.conj()
+            return [TraceTriple(*map(complex, chi[0]), shapes=tuple(map(complex, shapes)))]
+    raise ArithmeticError(
+        f"no start reached a positively oriented fixed point of the letter maps "
+        f"({converged.sum()} of {len(x)} converged, none with its shapes in one "
+        f"half-plane; best residual {residual.min():.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -393,25 +240,38 @@ def sl2_images(mats: Sequence[np.ndarray]) -> GeneratorImages:
     return GeneratorImages(mats, invert)
 
 
-def _polish_triple(triple: TraceTriple, system: CompiledTraceSystem) -> np.ndarray:
-    """A few extended-precision Newton steps on the trace equations."""
-    z = np.array(triple.as_tuple(), dtype=EXT_COMPLEX)
+def _polish_triple(triple: TraceTriple, letters: str) -> np.ndarray:
+    """Four extended-precision Gauss-Newton steps on (F_A, F_B, F_C, markov).
+
+    F is the composed letter maps minus the identity, and its Jacobian
+    comes from the letters' by the chain rule; the normal equations go
+    through ``linear_solve``.  A holonomy on the curve 2C = AB, where the
+    square system (F_A, F_B, markov) is singular (the rotation LRL), is
+    regular here.
+    """
+    chi = np.array(triple.as_tuple(), dtype=EXT_COMPLEX)
+    eye = np.eye(3, dtype=EXT_COMPLEX)
     for _ in range(4):
-        values, jac = system(z[None])
-        z = z - linear_solve(jac[0], values[0])
-    return z
+        image, rows = chi, eye
+        for letter in letters:
+            image, rows = letter_map(letter, image, rows)
+        markov, gradient = _markov(*chi)
+        full = np.vstack([np.array(rows) - eye, gradient])
+        adjoint = full.conj().T
+        chi = chi - linear_solve(adjoint @ full, adjoint @ np.append(np.array(image) - chi, markov))
+    return chi
 
 
 def holonomy_from_triple(
     triple: TraceTriple,
     endo: EndoF2,
-    system: CompiledTraceSystem,
+    letters: str,
     *,
     null_tol: float = 1e-9,
 ) -> GeneratorImages:
-    """SL2 holonomy of one trace solution, built once in extended precision.
+    """SL2 holonomy of the character, built once in extended precision.
 
-    The triple is polished on the trace equations and gives the fiber pair
+    The triple is polished on the composed letter maps and gives the fiber pair
     of ``_model_matrices``.  The meridian X satisfies
     X rho(g) X^-1 = +-rho(phi(g)) for g = a, b; the gluing relations fix
     the conjugation only up to sign in SL2, so all four sign patterns are
@@ -420,12 +280,15 @@ def holonomy_from_triple(
     double precision; the kernel vector is then sharpened by inverse
     iteration on the chosen system, X is scaled to determinant 1, and the
     lift with trace nearest -2 is returned with the fiber pair, as the
-    images of a, b, x.  ``endo`` is the word's automorphism and ``system``
-    its compiled ``trace_system``.
+    images of a, b, x.  ``endo`` is the word's automorphism and
+    ``letters`` its L/R letters.
     """
     if abs(triple.trace_ab) < 1e-12:
         raise ValueError("trace of ab must be nonzero for the matrix model")
-    mats = _model_matrices(*_polish_triple(triple, system))
+    polished = _polish_triple(triple, letters)
+    if abs(polished[2]) < 1e-12:
+        raise ArithmeticError("polished trace of ab vanishes; the matrix model needs it nonzero")
+    mats = _model_matrices(*polished)
     fiber = sl2_images(mats)
     targets = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
     eye = np.eye(2, dtype=EXT_COMPLEX)
@@ -705,7 +568,7 @@ def fixed_vectors_dim(
 
 @dataclass(frozen=True)
 class HolonomySolution:
-    """Everything derived from one trace solution: images of a, b, x by index."""
+    """Everything derived from the holonomy's character: images of a, b, x by index."""
 
     triple: TraceTriple
     sl2: GeneratorImages
@@ -729,22 +592,13 @@ class HolonomySolution:
 
 
 def build_solutions(
-    spec: MonodromySpec,
-    *,
-    starts: int = 64,
-    seed: int = 0,
-    tolerances: Tolerances | None = None,
+    spec: MonodromySpec, *, tolerances: Tolerances | None = None
 ) -> list[HolonomySolution]:
-    """Solve the trace equations and lift every solution through the tower.
-
-    The word's automorphism and compiled trace system are built once and
-    serve the solve and every lift.
-    """
+    """Solve for the holonomy's character and lift it through the tower."""
     tols = tolerances or Tolerances()
     endo = monodromy_endo(spec)
-    system = CompiledTraceSystem(trace_system(spec))
     out = []
-    for triple in solve_traces(system, starts=starts, seed=seed):
-        sl2 = holonomy_from_triple(triple, endo, system, null_tol=tols.null)
+    for triple in solve_traces(spec.letters):
+        sl2 = holonomy_from_triple(triple, endo, spec.letters, null_tol=tols.null)
         out.append(HolonomySolution(triple, sl2, lorentz_holonomy(sl2)))
     return out

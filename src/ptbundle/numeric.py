@@ -32,11 +32,6 @@ error inherited from the input matrices.  All public tolerances are
 relative: to the largest sample magnitude for interpolation, to the
 current max coefficient for deflation, to the largest singular value for
 nullspaces.
-
-``newton_multistart`` advances all of its starts together as one
-(starts, dim) array, each by the rules of a lone Newton run; its
-docstring and the comment at ``ESCAPE_RADIUS`` give the rules and the
-measured margins.
 """
 
 from __future__ import annotations
@@ -643,120 +638,6 @@ def compress(m: np.ndarray, basis: np.ndarray, leak_message: str) -> np.ndarray:
     if leak > 1e-7 * max(1.0, float(np.max(np.abs(m)))):
         raise ArithmeticError(leak_message)
     return compressed
-
-
-def _newton_steps(jac: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps -J^-1 F for a stack of systems, and which rows have one.
-
-    One batched LAPACK solve, which gives each row the bits a solve of that
-    row alone gives.  LAPACK's singular-matrix error names no row, so on
-    that error every row is solved alone and the singular ones are marked.
-    """
-    ok = np.ones(len(values), dtype=bool)
-    try:
-        return np.linalg.solve(jac, -values[..., None])[..., 0], ok
-    except np.linalg.LinAlgError:
-        steps = np.zeros_like(values)
-        for row in range(len(values)):
-            try:
-                steps[row] = np.linalg.solve(jac[row], -values[row])
-            except np.linalg.LinAlgError:
-                ok[row] = False
-        return steps, ok
-
-
-# A step that takes max|z| outside [ORIGIN_RADIUS, ESCAPE_RADIUS] stops its
-# start, unconverged.  A diverging start grows 2x to 6x per step, and F
-# overflows only near |z| ~ 10^(308 / degree), so on a low-degree system
-# it would run out all max_iter steps.  A start drawn into the root 0 of a
-# trace system (the trivial character), where the Markov row of the
-# Jacobian vanishes, only halves |z| per step.  Measured on the 49
-# benchmark corpus words and RRL, LLRLLRR, LRRLRRLR and L^6R^2 at seeds
-# 0-39: a start that converges to a root other than 0 keeps max|z| within
-# [0.113, 3.3e9] on its way (LRLRR at seed 29 reaches 3.3e9; at seeds 0-9
-# no start passes 2.5e8), and its root has max|z| >= 0.329, while the
-# roots at 0 have max|z| <= 3.6e-5.  Every root outside the ball is the
-# same, bit for bit, as with no radius at either end.  An escape radius
-# of 1e5 changes the roots of LRLRR at seeds 2 and 9.
-ORIGIN_RADIUS = 1e-2
-ESCAPE_RADIUS = 1e10
-
-
-# Diverging starts can still overflow before the finiteness checks below
-# discard them.
-@np.errstate(over="ignore", invalid="ignore")
-def newton_multistart(system: Callable, dim: int, *, starts: int = 64,
-                      seed: int = 0, sampler: Optional[Callable] = None,
-                      residual_tol: float = 1e-10, dedup_tol: float = 1e-6,
-                      max_iter: int = 80) -> list[np.ndarray]:
-    """Solve F(z) = 0 (C^dim -> C^dim) by Newton from seeded random starts.
-
-    ``system`` maps a (k, dim) array of points to the values F, shape
-    (k, dim), and the Jacobians, shape (k, dim, dim).  All starts advance
-    together, but each keeps the rules of a lone Newton run: it stops when
-    F is not finite, when its Jacobian is singular or its step not finite,
-    or when its step took max|z| below ``ORIGIN_RADIUS`` or above
-    ``ESCAPE_RADIUS``; it has converged when |F| < 1e-14 or the step is
-    below 1e-15 relative to |z|.  Converged starts take three polish
-    steps (a singular Jacobian ends a start's polish).  Roots are kept
-    when the final residual infinity-norm is not above residual_tol,
-    deduplicated at distance dedup_tol in start order, and returned sorted
-    lexicographically by (Re, Im) of the coordinates.  Deterministic for a
-    fixed seed: the starts are drawn one after another from one generator.
-    A start that stalls at a root, its |F| at a rounding floor above 1e-14
-    and its steps above the step test, never converges: it runs all
-    max_iter iterations and is dropped (21 of the 49 benchmark corpus
-    words end so at seed 0).
-    """
-    rng = np.random.default_rng(seed)
-    if sampler is None:
-        def sampler(rng):
-            return (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * 1.5
-    z = np.array([np.asarray(sampler(rng), dtype=complex) for _ in range(starts)],
-                 dtype=complex).reshape(starts, dim)
-    converged = np.zeros(starts, dtype=bool)
-    active = np.arange(starts)
-    for _ in range(max_iter):
-        if not active.size:
-            break
-        values, jac = system(z[active])
-        finite = np.isfinite(values).all(axis=1)
-        small = finite & (np.abs(values).max(axis=1) < 1e-14)
-        converged[active[small]] = True
-        active, jac, values = _rows(finite & ~small, active, jac, values)
-        steps, ok = _newton_steps(jac, values)
-        active, steps = _rows(ok & np.isfinite(steps).all(axis=1), active, steps)
-        moved = z[active] + steps
-        z[active] = moved
-        reach = np.abs(moved).max(axis=1)
-        inside = (reach >= ORIGIN_RADIUS) & (reach <= ESCAPE_RADIUS)
-        done = np.abs(steps).max(axis=1) < 1e-15 * np.maximum(1.0, reach)
-        converged[active[done & inside]] = True
-        active = active[~done & inside]
-    polished = np.flatnonzero(converged)
-    live = polished
-    for _ in range(3):
-        values, jac = system(z[live])
-        steps, ok = _newton_steps(jac, values)
-        live = live[ok]
-        z[live] = z[live] + steps[ok]
-    values, _ = system(z[polished])
-    # a NaN residual is not above the tolerance, as in a scalar comparison
-    roots = z[polished[~(np.abs(values).max(axis=1) > residual_tol)]]
-    # in start order, a root within dedup_tol of a root already found
-    # repeats it; memory stays linear in the number of starts
-    found: list[int] = []
-    for index, root in enumerate(roots):
-        if not (np.abs(root - roots[found]).max(axis=1) <= dedup_tol).any():
-            found.append(index)
-    def sort_key(v):
-        return tuple(x for c in v for x in (c.real, c.imag))
-    return sorted(roots[found], key=sort_key)
-
-
-def _rows(mask: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each array's rows where mask holds, or the arrays when it holds everywhere."""
-    return arrays if mask.all() else tuple(a[mask] for a in arrays)
 
 
 def integer_round(p: LaurentPoly, tol: float = 1e-6) -> Optional[list[int]]:

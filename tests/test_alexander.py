@@ -15,12 +15,27 @@ from ptbundle.alexander import (
     res_l_map,
     twisted_alexander,
 )
-from ptbundle.certify import ALL_REPS, INCONCLUSIVE, RIGID, certify
-from ptbundle.holonomy import build_solutions
+from ptbundle.certify import (
+    ALL_REPS,
+    INCONCLUSIVE,
+    RIGID,
+    RigidityReport,
+    _solution_report,
+    certify,
+    cross_checks,
+)
+from ptbundle.holonomy import (
+    HolonomySolution,
+    TraceTriple,
+    build_solutions,
+    holonomy_from_triple,
+    lorentz_holonomy,
+)
 from ptbundle.numeric import (
     EXT_COMPLEX,
     GeneratorImages,
     LaurentPoly,
+    Tolerances,
     char_poly,
     equal_up_to_unit,
     integer_round,
@@ -540,11 +555,19 @@ class TestRouteAgreement:
         assert int_poly(integer_round(rrl.evidence["gl16"].polynomial)) == RRL_GL16_TARGET
 
     def test_llllr_geometric_candidate_fails_the_routes_check(self):
-        # LLLLR solution 0: the images break the bundle relator at a
-        # relative 1e-4, though their relation residuals pass; the gl16
-        # Wada polynomial is now built, and the two polynomials of each
+        # A fixed point of LLLLR's letter maps with real tr a and imaginary
+        # tr b and tr ab, not the holonomy: its images break the bundle
+        # relator at a relative 1e-4, though their relation residuals pass;
+        # the gl16 Wada polynomial is built, and the two polynomials of each
         # label's action disagree
-        (sol,) = certify("LLLLR", solution_index=0).solutions
+        spec, tols = parse_monodromy("LLLLR"), Tolerances()
+        endo = monodromy_endo(spec)
+        triple = TraceTriple(0.7044022574779152 + 0j, -0.6188503598659675j, 0.18293076933535973j)
+        sl2 = holonomy_from_triple(triple, endo, spec.letters)
+        solution = HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
+        report = cross_checks(RigidityReport(spec, tols, ALL_REPS, [
+            _solution_report(0, solution, endo, ALL_REPS, tols)]))
+        (sol,) = report.solutions
         assert sol.geometric_candidate
         assert set(sol.evidence) == set(ALL_REPS)
         assert not sol.failures

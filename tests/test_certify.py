@@ -26,16 +26,23 @@ from ptbundle.certify import (
     report_text,
 )
 from ptbundle.holonomy import (
-    CompiledTraceSystem,
     HolonomySolution,
     TraceTriple,
     build_solutions,
     holonomy_from_triple,
+    letter_map,
     lorentz_holonomy,
-    trace_system,
 )
-from ptbundle.numeric import LaurentPoly, Tolerances, root_multiplicity
+from ptbundle.numeric import LaurentPoly, Tolerances, laurent_distance, root_multiplicity
 from ptbundle.presentation import monodromy_endo, parse_monodromy
+
+
+def fixed_point_defect(letters, point):
+    """max |g(chi) - chi| for the composed letter maps g of a word."""
+    image = tuple(point)
+    for letter in letters:
+        image, _ = letter_map(letter, image, np.eye(3))
+    return float(np.max(np.abs(np.array(image) - point)))
 
 
 def int_poly(coeffs):
@@ -233,8 +240,6 @@ class TestCrossChecks:
         )
         report = RigidityReport(
             spec=parse_monodromy("LLRR"),
-            seed=0,
-            starts=64,
             tolerances=Tolerances(),
             reps=("sl4", "gl16"),
             solutions=[sol],
@@ -362,7 +367,7 @@ class TestCrossChecks:
         # the action route still builds, but the coboundaries are not
         # invariant, so the Z^1/B^1 route refuses and no difference is recorded
         monkeypatch.setattr(HolonomySolution, "representation", perturbed)
-        sol = certify("RRL", solution_index=0).solutions[0]
+        sol = certify("RRL").solutions[0]
         assert sol.residuals["relations_sl4"] > Tolerances().root
         (refused,) = [f for f in sol.failures if f.startswith("routes[")]
         assert refused.startswith("routes[sl4]: the cocycle action does not preserve "
@@ -384,7 +389,7 @@ class TestCrossChecks:
         # the relation residuals would stop at the singular meridian first
         monkeypatch.setattr(ptbundle.certify, "rep_residuals",
                             lambda images, endo: {"relation_a": 0.0})
-        sol = certify("RRL", solution_index=0).solutions[0]
+        sol = certify("RRL").solutions[0]
         assert "gl16: singular meridian image" in sol.failures
         # the other labels still complete
         assert set(sol.evidence) == {"sl4", "v"}
@@ -404,7 +409,7 @@ class TestCrossChecks:
 
 
 class TestOrbitCollapse:
-    """A sign image of a kept root has the representative's certificate data."""
+    """A sign image of the holonomy has the holonomy's certificate data."""
 
     @staticmethod
     def certificate_data(sol, endo):
@@ -415,7 +420,7 @@ class TestOrbitCollapse:
     @pytest.mark.parametrize("word,roots", [("RRL", 1), ("LLRR", 3)])
     def test_sign_images_share_certificate_data(self, word, roots):
         spec = parse_monodromy(word)
-        endo, system = monodromy_endo(spec), CompiledTraceSystem(trace_system(spec))
+        endo = monodromy_endo(spec)
         (kept,) = build_solutions(spec)
         expected = self.certificate_data(kept, endo)
         assert set(expected) == set(ALL_REPS)
@@ -423,41 +428,63 @@ class TestOrbitCollapse:
         lifted = 0
         for signs in ((1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
             triple = TraceTriple(*(s * t for s, t in zip(signs, kept.triple.as_tuple())))
-            # only the sign lifts that solve the trace equations are roots
-            if max(abs(eq.evaluate(triple.as_tuple())) for eq in system.equations) > 1e-9:
+            # only the sign images that the letter maps fix are characters of the bundle
+            if fixed_point_defect(spec.letters, triple.as_tuple()) > 1e-9:
                 continue
-            assert self.certificate_data(self.lift(triple, endo, system), endo) == expected
+            assert self.certificate_data(self.lift(triple, endo, spec.letters), endo) == expected
             lifted += 1
         assert lifted == roots
 
     @staticmethod
-    def lift(triple, endo, system):
-        sl2 = holonomy_from_triple(triple, endo, system)
+    def lift(triple, endo, letters):
+        sl2 = holonomy_from_triple(triple, endo, letters)
         return HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
 
     def test_every_image_of_every_character_rounds(self):
-        # L^4R^4 keeps two characters with tr a or tr b = 0, and all eight
-        # sign and conjugate images of each solve the trace equations.
-        # Rounding to integers must not depend on which image is lifted.
-        spec = parse_monodromy("L^4R^4")
-        endo, system = monodromy_endo(spec), CompiledTraceSystem(trace_system(spec))
-        solutions = build_solutions(spec)
-        assert len(solutions) == 2
-        for kept in solutions:
+        # Every sign and conjugate image of a holonomy that the letter maps
+        # fix lifts, and rounds to the same integer polynomials: rounding
+        # must not depend on which image is lifted.
+        for word, images in (("RRL", 4), ("LLRR", 8)):
+            spec = parse_monodromy(word)
+            endo = monodromy_endo(spec)
+            (kept,) = build_solutions(spec)
             found = []
             for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
                 signed = np.array(signs) * np.array(kept.triple.as_tuple())
                 for image in signed, signed.conj():
-                    if max(abs(eq.evaluate(image)) for eq in system.equations) > 1e-9:
+                    if fixed_point_defect(spec.letters, image) > 1e-9:
                         continue
-                    lifted = self.lift(TraceTriple(*image), endo, system)
+                    lifted = self.lift(TraceTriple(*image), endo, spec.letters)
                     data = self.certificate_data(lifted, endo)
                     found.append({label: coeffs for label, (_, coeffs) in data.items()})
-            assert len(found) == 8
+            assert len(found) == images, word
             for ints in found:
                 assert set(ints) == set(ALL_REPS)
                 assert None not in ints.values()
                 assert ints == found[0]
+
+    def test_every_image_of_the_holonomy_agrees(self):
+        # All eight sign and conjugate images of the holonomy of L^4R^4 are
+        # fixed by the letter maps.  Its polynomials are not integral, and
+        # each image must give the same multiplicities and, to rounding,
+        # the same polynomials.
+        spec = parse_monodromy("L^4R^4")
+        endo = monodromy_endo(spec)
+        (kept,) = build_solutions(spec)
+        found = []
+        for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+            signed = np.array(signs) * np.array(kept.triple.as_tuple())
+            for image in signed, signed.conj():
+                assert fixed_point_defect(spec.letters, image) <= 1e-9
+                lifted = self.lift(TraceTriple(*image), endo, spec.letters)
+                report = ptbundle.certify._solution_report(0, lifted, endo, ALL_REPS,
+                                                           Tolerances())
+                found.append(report.evidence)
+        for evidence in found:
+            assert set(evidence) == set(ALL_REPS)
+            for label, ev in evidence.items():
+                assert ev.multiplicity == found[0][label].multiplicity
+                assert laurent_distance(ev.polynomial, found[0][label].polynomial) < 1e-9
 
 
 class TestOptions:
@@ -474,13 +501,13 @@ class TestOptions:
         assert report.reps == ("sl4", "gl16")
 
     def test_solution_filter(self):
-        report = certify("LLLLR", solution_index=1, reps=("sl4",))
-        assert [sol.index for sol in report.solutions] == [1]
+        # the solve keeps the holonomy alone: one solution, index 0, with
+        # every shape in the upper half-plane
+        report = certify("LLLLR", reps=("sl4",))
+        assert [sol.index for sol in report.solutions] == [0]
+        assert all(z.imag > 0 for z in report.solutions[0].solution.triple.shapes)
+        assert report.solutions[0].shape_margin > 0
         assert report.verdict == RIGID
-
-    def test_solution_filter_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            certify("LLRR", solution_index=9, reps=("sl4",))
 
     def test_spec_object_accepted(self):
         report = certify(parse_monodromy("RRL"), reps=("v",))
@@ -490,8 +517,8 @@ class TestOptions:
 
 class TestSerialization:
     def test_json_deterministic_across_runs(self):
-        first = report_json(certify("RRL", seed=7, reps=("sl4",)))
-        second = report_json(certify("RRL", seed=7, reps=("sl4",)))
+        first = report_json(certify("RRL", reps=("sl4",)))
+        second = report_json(certify("RRL", reps=("sl4",)))
         assert first == second
 
     def test_json_round_trips(self, rrl_report):

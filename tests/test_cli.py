@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptbundle import holonomy
 from ptbundle.cli import (
     CliConfig,
     deflate_at_one,
@@ -94,10 +95,7 @@ class TestConfig:
             monodromy="LLRR",
             input_path=None,
             tolerances=Tolerances(),
-            seed=0,
-            starts=64,
             reps=("sl4",),
-            solution=None,
             fmt="text",
             output=None,
         )
@@ -119,11 +117,6 @@ class TestConfig:
         for value in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="tol-root"):
                 self._base(tolerances=Tolerances(root=value))
-
-    def test_nonpositive_starts_rejected(self):
-        for value in (0, -3):
-            with pytest.raises(ValueError, match="--starts"):
-                self._base(starts=value)
 
 
 class TestExitCodes:
@@ -164,6 +157,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, flag", [
         (["alexander", "--seed", "3", "presentations/trefoil_heusener.json"], "--seed"),
         (["trace-solve", "--tol-det", "1e-8", "--", "LR"], "--tol-det"),
+        # the trace solve has no random starts to seed, count or pick from
+        (["certify", "--seed", "3", "RRL"], "--seed"),
+        (["trace-solve", "--starts", "5", "RRL"], "--starts"),
+        (["holonomy", "--solution", "0", "RRL"], "--solution"),
     ])
     def test_unknown_flag_is_named_without_its_value(self, argv, flag, capsys):
         # argparse takes the flag's value for the positional argument
@@ -180,25 +177,30 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_nonfinite_tolerance_flags_exit_two(self, capsys):
-        for flag, value in (("--tol-det", "nan"), ("--tol-null", "inf"),
-                            ("--starts", "0"), ("--seed", "-1")):
+        for flag, value in (("--tol-det", "nan"), ("--tol-null", "inf")):
             assert run(["certify", flag, value, "--", "RRL"]) == 2
             assert flag in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--solution", "0"]])
+    @pytest.mark.parametrize("extra", [[], ["--format", "json"]])
     def test_no_solutions_is_numerical_failure(self, extra, capsys):
-        # one start with seed 2 finds no character of LR
-        assert run(["trace-solve", "--starts", "1", "--seed", "2", *extra, "LR"]) == 3
-        assert "no trace solutions found" in capsys.readouterr().err
+        # all four flat starts of L^15R converge to characters whose shapes
+        # do not lie in one half-plane
+        assert run(["trace-solve", *extra, "L^15R"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: no start reached a positively oriented "
+                              "fixed point of the letter maps (4 of 4 converged")
+        assert "best residual" in err
 
-    def test_stalled_starts_report_no_converged_start(self, capsys):
-        # every start of LRLRLR stalls or escapes; more starts do not help,
-        # so the message gives no advice
+    def test_stalled_starts_report_no_converged_start(self, monkeypatch, capsys):
+        # when no start converges within the iteration cap, the word exits 3
+        # with the cause on stderr and nothing on stdout
+        monkeypatch.setattr(holonomy, "_MAX_ITER", 2)
         assert run(["certify", "--format", "json", "--", "LRLRLR"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: no trace solutions found: "
-                              "no Newton start converged")
-        assert "--starts" not in err
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: no start reached a positively oriented "
+                              "fixed point of the letter maps (0 of 4 converged")
 
     def test_corpus_words_that_certify_exit_zero(self, capsys):
         for word in ("LR", "LLR", "LRR", "LLRR", "LLLLR", "LRRRR", "LLRRLR", "LLLRRLR"):
@@ -228,7 +230,7 @@ class TestExitCodes:
 
 class TestSubcommands:
     def test_certify_text(self, capsys):
-        assert run(["certify", "RRL", "--solution", "0"]) == 0
+        assert run(["certify", "RRL"]) == 0
         out = capsys.readouterr().out
         assert "overall verdict: rigid-rel-cusp" in out
         assert GL16_RRL in out
@@ -247,13 +249,12 @@ class TestSubcommands:
         data = json.loads(capsys.readouterr().out)
         assert data["trace"] == 6
         assert len(data["solutions"]) == 1
-        assert data["solutions"][0]["orbit_roots"] == 6
+        assert data["solutions"][0]["shape_margin"] == pytest.approx(0.5)
         for sol in data["solutions"]:
             assert len(sol["traces"]) == 3
 
     def test_holonomy_shapes(self, capsys):
-        assert run(["holonomy", "RRL", "--solution", "0",
-                    "--format", "json"]) == 0
+        assert run(["holonomy", "RRL", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         sol = data["solutions"][0]
         assert len(sol["sl2"]["a"]) == 2
@@ -261,8 +262,7 @@ class TestSubcommands:
         assert sol["residuals"]["relation_a"] < 1e-10
 
     def test_action_json_structure(self, capsys):
-        assert run(["action", "RRL", "--reps", "sl4,v", "--solution", "0",
-                    "--format", "json"]) == 0
+        assert run(["action", "RRL", "--reps", "sl4,v", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         reps = data["solutions"][0]["representations"]
         assert set(reps) == {"sl4", "v"}
@@ -292,7 +292,7 @@ class TestSubcommands:
             assert max(abs(re - c.real) for (re, _), c in zip(coeffs, cast)) <= 1e-9 * scale
 
     def test_action_text_shows_factored_poly(self, capsys):
-        assert run(["action", "RRL", "--reps", "gl16", "--solution", "0"]) == 0
+        assert run(["action", "RRL", "--reps", "gl16"]) == 0
         out = capsys.readouterr().out
         assert "kernel dimension 17" in out
         assert "multiplicity 5 at t=1" in out
@@ -367,16 +367,26 @@ class TestSubcommands:
         data = json.loads(target.read_text())
         assert data["monodromy"] == "RRL"
 
+
     def test_solution_filter(self, capsys):
-        assert run(["trace-solve", "LLLLR", "--solution", "1",
-                    "--format", "json"]) == 0
+        # the solve keeps the holonomy alone: the JSON solutions list and
+        # the bare "solution N" lines of the action text hold index 0 only
+        assert run(["trace-solve", "LLLLR", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert [sol["index"] for sol in data["solutions"]] == [1]
+        assert [sol["index"] for sol in data["solutions"]] == [0]
+        assert run(["action", "LLLLR", "--reps", "sl4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("solution")] == ["solution 0"]
 
     def test_solution_filter_out_of_range(self, capsys):
-        assert run(["trace-solve", "LLRR", "--solution", "99"]) == 2
-        assert "out of range" in capsys.readouterr().err
-
+        # no subcommand picks a solution: --solution is an unknown flag
+        # for every index, in range or not, and nothing reaches stdout
+        for command in ("certify", "trace-solve", "holonomy", "action"):
+            for index in ("0", "99"):
+                assert run([command, "LLRR", "--solution", index]) == 2
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.splitlines()[-1].endswith("unrecognized arguments: --solution")
 
 class TestNegatedWords:
     @pytest.mark.parametrize("command", ["certify", "trace-solve"])
@@ -395,7 +405,7 @@ class TestDeterminism:
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
         for target in (first, second):
-            assert run(["certify", "RRL", "--seed", "3", "--format", "json",
+            assert run(["certify", "RRL", "--format", "json",
                         "--output", str(target)]) == 0
         assert first.read_bytes() == second.read_bytes()
 

@@ -1,4 +1,4 @@
-"""Tests for the trace equations, trace solving, and the representation tower."""
+"""Tests for the letter maps, the holonomy solve, and the representation tower."""
 
 import cmath
 import itertools
@@ -10,51 +10,53 @@ import pytest
 
 from ptbundle import holonomy
 from ptbundle.holonomy import (
+    FLAT_STARTS,
     KILLING_SPLIT,
     LORENTZ_FORM,
-    MARKOV,
     SL4_BASIS,
     SL4_COORDS,
     SL4_VECS,
-    CompiledTraceSystem,
-    TracePoly,
     TraceTriple,
+    _markov,
+    _shooting_system,
     adjoint_rep,
     build_solutions,
     holonomy_from_triple,
     holonomy_residuals,
     killing_split,
     kronecker_rep,
+    layer_shapes,
+    letter_map,
     lorentz_holonomy,
     psl2_to_lorentz,
     rep_residuals,
     restrict_block,
     sl4_coordinates,
     solve_traces,
-    trace_system,
 )
 from ptbundle.numeric import (
-    ESCAPE_RADIUS,
     EXT_COMPLEX,
-    ORIGIN_RADIUS,
     GeneratorImages,
     Tolerances,
     matrix_det,
-    newton_multistart,
     nullspace,
     word_product,
 )
 from ptbundle.presentation import monodromy_endo, parse_monodromy
 
-A = TracePoly.variable(0)
-B = TracePoly.variable(1)
-C = TracePoly.variable(2)
-
 
 def lift_inputs(word):
-    """The automorphism and compiled trace system of a monodromy word."""
+    """The automorphism and the L/R letters of a monodromy word."""
     spec = parse_monodromy(word)
-    return monodromy_endo(spec), CompiledTraceSystem(trace_system(spec))
+    return monodromy_endo(spec), spec.letters
+
+
+def compose(letters, point):
+    """The letter maps applied to one character in reading order."""
+    image = tuple(point)
+    for letter in letters:
+        image, _ = letter_map(letter, image, np.eye(3))
+    return np.array(image)
 
 
 # Closed-form solution of the trace system for the LLRR monodromy:
@@ -94,126 +96,163 @@ def is_conjugate_representative(sol: TraceTriple, target) -> bool:
     return min(orbit_distances(sol, target))[1]
 
 
+def is_l_of(letters):
+    return np.array([letter == "L" for letter in letters])
+
+
+def value_bytes(x):
+    """Bytes of the real and imaginary parts, without the padding of an
+    80-bit long double."""
+    parts = np.stack([x.real, x.imag])
+    width = 10 if np.finfo(parts.dtype).nmant == 63 else parts.dtype.itemsize
+    return parts.view(np.uint8).reshape(parts.shape + (-1,))[..., :width].tobytes()
+
+
+def layered_system(x, letters):
+    """The shooting equations of one start x (n, 3), assembled one layer at
+    a time from ``letter_map`` and ``_markov``."""
+    n = len(letters)
+    values = np.zeros(4 * n, dtype=x.dtype)
+    jac = np.zeros((4 * n, 3 * n), dtype=x.dtype)
+    for i, letter in enumerate(letters):
+        rows, after = slice(3 * i, 3 * i + 3), (i + 1) % n
+        point = tuple(x[i, :, None])
+        image, tangent = letter_map(letter, point, np.eye(3))
+        values[rows] = np.concatenate(image) - x[after]
+        jac[rows, 3 * i:3 * i + 3] = np.stack(np.broadcast_arrays(*tangent))
+        jac[rows, 3 * after:3 * after + 3] -= np.eye(3)
+        markov, gradient = _markov(*point)
+        values[3 * n + i] = markov[0]
+        jac[3 * n + i, 3 * i:3 * i + 3] = gradient[0]
+    return values, jac
+
+
 class TestTracePoly:
+    """The trace polynomials the solve is made of: the letter maps and the
+    Markov polynomial."""
+
     def test_arithmetic(self):
-        p = A * B - 2 * C + 1
-        q = p - 1 + 2 * C
-        assert q == A * B
-        assert p * TracePoly.constant(0) == TracePoly({})
-        assert not TracePoly({})
-        assert (A - A) == TracePoly({})
+        # integer characters stay integers, exactly, and both letter maps
+        # keep the Markov polynomial, so Markov triples go to Markov triples
+        for point in [(3, 3, 3), (3, 6, 3), (2, -1, 5)]:
+            for letter in "LR":
+                image, _ = letter_map(letter, point, np.eye(3))
+                assert all(type(v) is int for v in image)
+                assert _markov(*image)[0] == _markov(*point)[0]
+        assert _markov(3, 3, 3)[0] == _markov(3, 6, 3)[0] == 0
+        # an extended-precision character stays extended
+        image, rows = letter_map("R", np.array([1, 2j, 3], dtype=EXT_COMPLEX), np.eye(3))
+        assert {np.asarray(v).dtype for v in (*image, *rows[2:])} == {np.dtype(EXT_COMPLEX)}
 
     def test_evaluate(self):
-        p = A * A + B * C - 3
-        assert p.evaluate((2.0, 1.0, 5.0)) == pytest.approx(4 + 5 - 3)
-        assert p.evaluate((1j, 2.0, 0.0)) == pytest.approx(-4)
+        assert letter_map("L", (2.0, 1.0, 5.0), np.eye(3))[0] == (5.0, 1.0, 3.0)
+        assert letter_map("R", (2.0, 1.0, 5.0), np.eye(3))[0] == (2.0, 5.0, 9.0)
+        assert letter_map("L", (1j, 2.0, 0.0), np.eye(3))[0] == pytest.approx((0.0, 2.0, -1j))
+        # a batch of characters, one per column
+        points = np.array([[2.0, 1j], [1.0, 2.0], [5.0, 0.0]])
+        image, _ = letter_map("R", points, (0, 0, 0))
+        assert np.array_equal(np.array(image), [[2.0, 1j], [5.0, 0.0], [9.0, -2.0]])
 
     def test_partials(self):
-        p = A * A * C - A * B - C
-        assert p.partial(0) == 2 * A * C - B
-        assert p.partial(1) == -A
-        assert p.partial(2) == A * A - 1
+        a, b, c = 2 + 1j, -3.0, 0.5j
+        _, rows = letter_map("L", (a, b, c), np.eye(3))
+        assert np.array_equal(np.array(rows), [[0, 0, 1], [0, 1, 0], [-1, c, b]])
+        _, rows = letter_map("R", (a, b, c), np.eye(3))
+        assert np.array_equal(np.array(rows), [[1, 0, 0], [0, 0, 1], [c, -1, a]])
+        # a tangent goes through a composition by the chain rule
+        point, tangent, product = (a, b, c), np.eye(3), np.eye(3)
+        for letter in "LLRLR":
+            _, step = letter_map(letter, point, np.eye(3))
+            point, tangent = letter_map(letter, point, tangent)
+            product = np.array(step) @ product
+        assert np.allclose(np.array(tangent), product, rtol=1e-14, atol=0)
 
     def test_markov_partials(self):
-        assert MARKOV.partial(0) == 2 * A - B * C
-        assert MARKOV.partial(2) == 2 * C - A * B
+        value, gradient = _markov(3, 3, 3)
+        assert value == 0 and np.array_equal(gradient, [-3, -3, -3])
+        rng = np.random.default_rng(4)
+        a, b, c = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        _, gradient = _markov(a, b, c)
+        assert np.array_equal(gradient, np.stack([2 * a - b * c, 2 * b - a * c, 2 * c - a * b],
+                                                 axis=-1))
+        for k in range(3):
+            step = np.eye(3)[k][:, None] * 1e-7
+            difference = (_markov(*(np.array([a, b, c]) + step))[0]
+                          - _markov(*(np.array([a, b, c]) - step))[0]) / 2e-7
+            assert np.allclose(difference, gradient[:, k], atol=1e-6)
 
 
 class TestCompiledTraceSystem:
-    @staticmethod
-    def random_poly(rng, terms=40, low=0, degree=19, variables=3):
-        """Random terms in the first ``variables`` coordinates."""
-        keys = (tuple(int(e) for e in rng.integers(low, degree + 1, size=variables))
-                + (0,) * (3 - variables) for _ in range(terms))
-        return TracePoly({key: int(rng.integers(-60000, 60001)) for key in keys})
-
-    @classmethod
-    def random_system(cls, rng, **kwargs):
-        return tuple(cls.random_poly(rng, **kwargs) for _ in range(3))
+    """The shooting equations of a batch of starts, ``_shooting_system``."""
 
     @staticmethod
-    def random_points(rng, count=60):
-        scale = 10.0 ** rng.uniform(-2, 1, size=(count, 1))
-        points = (rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))) * scale
-        points[::7, 0] = 0.0                              # exact zero coordinates
-        points[1::7, 1] = complex(-0.0, 0.0)
-        points[2::7, 2] = rng.integers(-3, 4, size=points[2::7, 2].shape)
-        points[3::7] *= 1e30                              # overflow scale
-        return points
-
-    @staticmethod
-    def value_bytes(x):
-        """Bytes of the real and imaginary parts, without the padding of an
-        80-bit long double."""
-        parts = np.stack([x.real, x.imag])
-        width = 10 if np.finfo(parts.dtype).nmant == 63 else parts.dtype.itemsize
-        return parts.view(np.uint8).reshape(parts.shape + (-1,))[..., :width].tobytes()
+    def random_layers(rng, count, n):
+        scale = 10.0 ** rng.uniform(-2, 1, size=(count, 1, 1))
+        x = (rng.standard_normal((count, n, 3)) + 1j * rng.standard_normal((count, n, 3))) * scale
+        x[::7, :, 0] = 0.0                                # exact zero coordinates
+        x[1::7, :, 1] = complex(-0.0, 0.0)
+        x[2::7, :, 2] = rng.integers(-3, 4, size=x[2::7, :, 2].shape)
+        x[3::7] *= 1e110                                  # ABC overflows in double
+        return x
 
     @np.errstate(all="ignore")
     def test_matches_scalar_evaluate_bit_for_bit(self):
         rng = np.random.default_rng(5)
         overflowed = False
-        systems = [
-            (-A, -B, MARKOV),  # -A and -B sum to 0.0, not -0.0, where A or B is zero
-            *[self.random_system(rng) for _ in range(4)],
-            self.random_system(rng, terms=12, low=100, degree=120),  # numpy's general power
-            # rows of very unequal widths; the first equation has no C, so a zero partial
-            (self.random_poly(rng, terms=60, variables=2), A - 2, MARKOV),
-        ]
-        for eqs in systems:
-            system = CompiledTraceSystem(eqs)
-            points = self.random_points(rng)
-            polys = list(eqs) + [eq.partial(i) for eq in eqs for i in range(3)]
-            # the Newton starts in double, and the polish in extended precision
-            for z in points, points.astype(EXT_COMPLEX):
-                values, jac = system(z)
+        for letters in ("LR", "LLRR", "LRLLRLRR", "L" * 12 + "R"):
+            x = self.random_layers(rng, 30, len(letters))
+            # the solve in double, and the same equations in extended precision
+            for z in x, x.astype(EXT_COMPLEX):
+                values, jac = _shooting_system(z, is_l_of(letters))
                 assert values.dtype == jac.dtype == z.dtype
-                got = np.concatenate([values, jac.reshape(len(z), 9)], axis=1)
-                want = np.array([[p.evaluate(w) for p in polys] for w in z], dtype=z.dtype)
-                finite = np.isfinite(want)
-                assert np.array_equal(np.isfinite(got), finite)
-                assert self.value_bytes(got[finite]) == self.value_bytes(want[finite])
-                overflowed |= not finite[3::7].all()
+                for k in range(len(z)):
+                    want = layered_system(z[k], letters)
+                    for got, expected in zip((values[k], jac[k]), want):
+                        finite = np.isfinite(expected)
+                        assert np.array_equal(np.isfinite(got), finite)
+                        assert value_bytes(got[finite]) == value_bytes(expected[finite])
+                    overflowed |= not np.isfinite(want[0]).all()
         assert overflowed
-        assert not systems[-1][0].partial(2)
 
-    @np.errstate(all="ignore")
     def test_array_power_is_scalar_power(self):
-        # The power table relies on np.power running numpy's scalar z ** n.
+        # layer_shapes squares the ratios of a whole batch at once; each
+        # start's shapes, and so its half-plane test, have the bits they
+        # have when its layers are squared alone
         rng = np.random.default_rng(2)
-        z = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        z *= 10.0 ** rng.uniform(-3, 40, 40)
-        z[:4] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
-        exponents = np.arange(121)
-        got = np.power(z[:, None], exponents)
-        want = np.array([[w ** int(n) for n in exponents] for w in z])
-        assert not np.isfinite(want).all()
-        assert got.tobytes() == want.tobytes()
+        letters = "LLRLRRLRR"
+        x = rng.standard_normal((64, 9, 3)) + 1j * rng.standard_normal((64, 9, 3))
+        x *= 10.0 ** rng.uniform(-3, 3, (64, 9, 1))
+        x[:2, 0, 1:] = [[3.0, 1.5], [2.0, -2j]]           # B / C real and imaginary
+        shapes = layer_shapes(x, is_l_of(letters))
+        assert shapes[0, 0].imag == shapes[1, 0].imag == 0
+        for k in range(len(x)):
+            assert layer_shapes(x[k], is_l_of(letters)).tobytes() == shapes[k].tobytes()
 
     def test_empty_batch(self):
-        _, system = lift_inputs("LLRR")
-        values, jac = system(np.zeros((0, 3), dtype=complex))
-        assert values.shape == (0, 3)
-        assert jac.shape == (0, 3, 3)
+        values, jac = _shooting_system(np.zeros((0, 4, 3), dtype=complex), is_l_of("LLRR"))
+        assert values.shape == (0, 16)
+        assert jac.shape == (0, 16, 12)
 
-    def test_system_without_roots_gives_none(self):
-        # The Jacobian row of the constant 1 is zero, so every start stops
-        # at once and the polish and residual run on an empty batch.
-        system = CompiledTraceSystem((TracePoly.constant(1), A - B, B - C))
-        assert newton_multistart(system, 3, seed=0) == []
+    def test_system_without_roots_gives_none(self, monkeypatch):
+        # The trivial character 0 solves the shooting equations of every
+        # word, and starts there converge at once; its shapes are 0/0, so it
+        # is no holonomy, and the solve gives no triple and no warning.
+        monkeypatch.setattr(holonomy, "FLAT_STARTS", np.zeros((2, 3), dtype=complex))
+        with pytest.raises(ArithmeticError, match=r"\(2 of 2 converged, none with its shapes "
+                           r"in one half-plane; best residual 0\)"):
+            solve_traces("LLRR")
 
     @np.errstate(all="ignore")
     def test_points_evaluate_independently_of_the_batch(self):
         rng = np.random.default_rng(8)
-        system = CompiledTraceSystem(self.random_system(rng))
-        assert 8192 // len(system._coeffs) < 64  # the batch spans several blocks
-        points = self.random_points(rng, count=64)
-        point = points[5].copy()
-        alone = [a.tobytes() for a in system(point[None])]
+        letters = "LLRLRRLR"
+        x = self.random_layers(rng, 64, len(letters))
+        point = x[5].copy()
+        alone = [a[0].tobytes() for a in _shooting_system(point[None], is_l_of(letters))]
         for index in range(64):
-            batch = points.copy()
+            batch = x.copy()
             batch[index] = point
-            values, jac = system(batch)
+            values, jac = _shooting_system(batch, is_l_of(letters))
             assert [values[index].tobytes(), jac[index].tobytes()] == alone
 
 
@@ -222,15 +261,6 @@ class TestCompiledTraceSystem:
 LR_WORDS = ["".join(letters) for n in range(2, 8) for letters in itertools.product("LR", repeat=n)
             if "L" in letters and "R" in letters] + ["L^4R^4", "LLRLRRLR", "L^8R", "L^12R",
                                                      "-LLRR", "-RRL"]
-
-
-@pytest.fixture(scope="module")
-def lr_word_systems():
-    out = {}
-    for word in LR_WORDS:
-        spec = parse_monodromy(word)
-        out[word] = (monodromy_endo(spec), trace_system(spec))
-    return out
 
 
 def markov_points(rng, count):
@@ -243,164 +273,223 @@ def markov_points(rng, count):
 
 class TestTraceSystem:
     def test_llrr_equations(self):
-        eqs = trace_system(parse_monodromy("LLRR"))
-        assert eqs[0] == C * B - 2 * A
-        assert eqs[1] == ((C * B - A) * B - C) * (C * B - A) - 2 * B
-        assert eqs[2] == MARKOV
+        rng = np.random.default_rng(1)
+        for a, b, c in rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)):
+            phi_a, phi_b, _ = compose("LLRR", (a, b, c))
+            assert phi_a == pytest.approx(c * b - a)
+            assert phi_b == pytest.approx(((c * b - a) * b - c) * (c * b - a) - b)
 
     def test_rrl_equations(self):
-        eqs = trace_system(parse_monodromy("RRL"))
-        assert eqs[0] == (A * C - B) * A - C - A
-        assert eqs[1] == A * C - 2 * B
-        assert eqs[2] == MARKOV
+        rng = np.random.default_rng(2)
+        for a, b, c in rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)):
+            phi_a, phi_b, _ = compose("RRL", (a, b, c))
+            assert phi_a == pytest.approx((a * c - b) * a - c)
+            assert phi_b == pytest.approx(a * c - b)
 
     @pytest.mark.parametrize("word", LR_WORDS)
     def test_term_order_pinned(self, word):
-        # TracePoly equality ignores term order, but CompiledTraceSystem
-        # sums in term order, so the order decides the bits of every Newton
-        # iterate.
-        eqs = trace_system(parse_monodromy(word))
-        for eq in eqs[:2]:
-            assert list(eq.terms) == sorted(eq.terms)
-        assert eqs[2] is MARKOV
-        assert list(MARKOV.terms) == [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]
+        # _shooting_system sums every row in a fixed order, so the order
+        # decides the bits of every Gauss-Newton iterate: at the flat starts
+        # and at random layers, its rows are those built one layer at a time,
+        # bit for bit.
+        letters = parse_monodromy(word).letters
+        rng = np.random.default_rng(len(letters))
+        size = (2, len(letters), 3)
+        x = np.concatenate([np.repeat(FLAT_STARTS[:, None], len(letters), axis=1),
+                            rng.standard_normal(size) + 1j * rng.standard_normal(size)])
+        values, jac = _shooting_system(x, is_l_of(letters))
+        for k in range(len(x)):
+            want_values, want_jac = layered_system(x[k], letters)
+            assert values[k].tobytes() == want_values.tobytes()
+            assert jac[k].tobytes() == want_jac.tobytes()
 
     def test_composition_memory_bounded(self):
-        # The composition holds three polynomials at a time, so the peak
-        # stays near the size of the result (893 terms in tr phi(b)).
+        # The solve holds dense (4n, 3n) Jacobians for the batch, so its
+        # peak grows with the square of the word's length; for nine letters
+        # it stays near 0.3 MB.
         tracemalloc.start()
         try:
-            trace_system(parse_monodromy("LLRLRRLRR"))
+            solve_traces("LLRLRRLRR")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5e6
+        assert peak <= 1e6
 
-    def test_matches_matrix_traces(self, lr_word_systems):
-        """At points of the Markov surface, tr phi(a) and tr phi(b) from the
-        letter maps are the traces of the automorphism's image words,
-        multiplied out over the model matrices that the lift and the Wada
-        route use."""
-        rng = np.random.default_rng(0)
-        wrong = []
-        for word, (endo, eqs) in lr_word_systems.items():
-            for point in markov_points(rng, 5):
-                fiber = GeneratorImages(holonomy._model_matrices(*point))
-                for eq, var, image in ((eqs[0], A, endo.image_a), (eqs[1], B, endo.image_b)):
-                    want = complex(np.trace(word_product(image, fiber)))
-                    got = (eq + var).evaluate(point)
-                    if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                        wrong.append((word, str(image), got, want))
-        assert wrong == []
-
-    def test_degree_at_most_word_length(self, lr_word_systems):
-        """tr of a word of length n has total degree at most n."""
+    def test_degree_at_most_word_length(self):
+        """tr of a word of length n has total degree at most n.  Along a
+        line t v the composed letter maps are polynomials in t, of degree at
+        most 2^(letters); their coefficients above the lengths of phi(a) and
+        phi(b) vanish."""
+        rng = np.random.default_rng(6)
         over = []
-        for word, (endo, eqs) in lr_word_systems.items():
-            for image, trace in ((endo.image_a, eqs[0] + A), (endo.image_b, eqs[1] + B)):
-                if max(map(sum, trace.terms)) > len(image):
-                    over.append((word, str(image)))
+        for word in LR_WORDS:
+            endo, letters = lift_inputs(word)
+            count = 2 ** (len(letters) + 1)
+            v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            image = tuple(v[:, None] * np.exp(2j * np.pi * np.arange(count) / count))
+            for letter in letters:
+                image, _ = letter_map(letter, image, (0, 0, 0))
+            for values, word_image in zip(image[:2], (endo.image_a, endo.image_b)):
+                coeffs = np.abs(np.fft.fft(values)) / count
+                degree = np.flatnonzero(coeffs > 1e-9 * np.abs(values).max()).max()
+                if degree > len(word_image):
+                    over.append((word, str(word_image), degree))
         assert over == []
 
+    def test_letter_jacobians_match_differences(self):
+        rng = np.random.default_rng(3)
+        point = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        for letter in "LR":
+            _, rows = letter_map(letter, point, np.eye(3))
+            for k in range(3):
+                step = np.eye(3)[k] * 1e-7
+                plus, _ = letter_map(letter, point + step, np.eye(3))
+                minus, _ = letter_map(letter, point - step, np.eye(3))
+                difference = (np.array(plus) - np.array(minus)) / 2e-7
+                assert np.allclose(difference, np.array(rows)[:, k], atol=1e-7)
 
-class RecordingSystem:
-    """A trace system that keeps every batch of points and values it gives."""
+    def test_matches_matrix_traces(self):
+        """At points of the Markov surface, the composed letter maps give the
+        traces of phi(a), phi(b) and phi(ab), multiplied out from the
+        automorphism's image words over the model matrices that the lift
+        and the Wada route use."""
+        rng = np.random.default_rng(0)
+        wrong = []
+        for word in LR_WORDS:
+            endo, letters = lift_inputs(word)
+            for point in markov_points(rng, 5):
+                fiber = GeneratorImages(holonomy._model_matrices(*point))
+                images = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
+                want = [complex(np.trace(m)) for m in (*images, images[0] @ images[1])]
+                got = compose(letters, point)
+                if np.max(np.abs(got - want)) > 1e-9 * max(1.0, np.max(np.abs(want))):
+                    wrong.append((word, got, want))
+        assert wrong == []
 
-    def __init__(self, system):
-        self.system = system
-        self.points, self.values = [], []
 
-    def __call__(self, z):
-        values, jac = self.system(z)
-        self.points.append(z.copy())
-        self.values.append(values)
-        return values, jac
+def mirror(word):
+    """The L <-> R mirror of a word."""
+    return word.translate(str.maketrans("LR", "RL"))
+
+
+def record_batches(monkeypatch):
+    """Every batch of starts the solve evaluates, in order."""
+    batches = []
+    system = holonomy._shooting_system
+
+    def record(x, is_l):
+        batches.append(x.copy())
+        return system(x, is_l)
+
+    monkeypatch.setattr(holonomy, "_shooting_system", record)
+    return batches
 
 
 class TestSolveTraces:
     def test_llrr_finds_geometric_branch(self):
-        _, system = lift_inputs("LLRR")
-        sols = solve_traces(system, seed=0)
-        assert sum(s.orbit_roots for s in sols) >= 4
-        target = llrr_exact_triple()
-        assert min(triple_distance(s, target) for s in sols) < 1e-9
-        for sol in sols:
-            for eq in system.equations:
-                assert abs(eq.evaluate(sol.as_tuple())) < 1e-9
+        (sol,) = solve_traces("LLRR")
+        assert triple_distance(sol, llrr_exact_triple()) < 1e-9
+        assert np.max(np.abs(compose("LLRR", sol.as_tuple()) - sol.as_tuple())) < 1e-12
 
     def test_rrl_finds_geometric_branch(self):
-        _, system = lift_inputs("RRL")
-        sols = solve_traces(system, seed=0)
-        assert sols
-        assert any(
-            min(
-                abs(s.trace_a - rrl_exact_trace_a()),
-                abs(s.trace_a - rrl_exact_trace_a().conjugate()),
-            )
-            < 1e-9
-            for s in sols
-        )
-
-    def test_deterministic_for_fixed_seed(self):
-        _, system = lift_inputs("LLRR")
-        first = solve_traces(system, seed=3)
-        second = solve_traces(system, seed=3)
-        assert [s.as_tuple() for s in first] == [s.as_tuple() for s in second]
-
-    def test_diverging_starts_raise_no_warning(self):
-        # A start at 1e200 overflows the degree-19 LLRLRRLR system at its
-        # first evaluation, before the Newton loop discards it as non-finite.
-        # The second start diverges and stops at ESCAPE_RADIUS before its
-        # values overflow.
-        system = RecordingSystem(lift_inputs("LLRLRRLR")[1])
-        starts = iter([[1e200, 1, 1], [1.5, 0.5j, 1 - 1j]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            newton_multistart(system, 3, starts=2,
-                              sampler=lambda rng: np.array(next(starts), dtype=complex))
-        stopped = sum(int((~np.isfinite(values).all(axis=1)).sum())
-                      for values in system.values)
-        assert stopped == 1
-
-    def test_escaping_starts_stop_at_the_radius(self):
-        # At seed 0 most LRLRLR starts escape to infinity; F stays finite
-        # there up to |z| ~ 1e46, so without the radius they run all 80
-        # iterations: 80 + 3 polish + 1 residual system calls.
-        system = RecordingSystem(lift_inputs("LRLRLR")[1])
-        solve_traces(system, seed=0)
-        assert len(system.points) < 84
-        assert max(np.max(np.abs(z), initial=0.0) for z in system.points) <= ESCAPE_RADIUS
-
-    @pytest.mark.parametrize("word", ["LLRR", "LRLRLR", "LLRLLR", "LLRLRRLR"])
-    def test_steps_stay_between_the_radii(self, word):
-        # Each start is evaluated where it was drawn; every later point
-        # lies in [ORIGIN_RADIUS, ESCAPE_RADIUS], though the starts of
-        # these words run into the trivial character 0 or off to infinity.
-        system = RecordingSystem(lift_inputs(word)[1])
-        solve_traces(system, seed=0)
-        reach = np.concatenate([np.abs(z).max(axis=1) for z in system.points[1:]])
-        assert ORIGIN_RADIUS <= reach.min() and reach.max() <= ESCAPE_RADIUS
+        # up to the sign change and conjugation that give the same character
+        (sol,) = solve_traces("RRL")
+        exact = rrl_exact_trace_a()
+        assert min(abs(sign * sol.trace_a - target) for sign in (1, -1)
+                   for target in (exact, exact.conjugate())) < 1e-9
 
     def test_conjugates_collapsed(self):
-        sols = solve_traces(lift_inputs("LLRR")[1], seed=0)
-        for i, s in enumerate(sols):
-            for t in sols[i + 1 :]:
-                conj = np.array(s.as_tuple()).conj()
-                assert np.max(np.abs(conj - np.array(t.as_tuple()))) > 1e-6
+        # starts 0 and 1 are conjugate; the representative kept has Im z > 0
+        (sol,) = solve_traces("LLRR")
+        assert all(z.imag > 0 for z in sol.shapes)
+        is_l = np.array([letter == "L" for letter in "LLRR"])
+        chi = np.array(sol.as_tuple())
+        layers = [chi := compose(letter, chi) for letter in "LLR"]
+        shapes = layer_shapes(np.array([sol.as_tuple(), *layers]), is_l)
+        assert np.allclose(shapes, sol.shapes, rtol=1e-12)
 
     @pytest.mark.parametrize("word", ["LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR"])
     def test_one_solution_per_orbit(self, word):
-        sols = solve_traces(lift_inputs(word)[1], seed=0)
-        for i, s in enumerate(sols):
-            for t in sols[i + 1 :]:
-                assert triple_distance(s, t.as_tuple()) > 1e-6
+        (sol,) = solve_traces(word)
+        assert len(sol.shapes) == len(word)
+        assert sol.shape_margin > 0.1
+
+    def test_figure_eight_shapes_are_regular(self):
+        (sol,) = solve_traces("LR")
+        assert np.max(np.abs(np.array(sol.shapes) - cmath.exp(1j * cmath.pi / 3))) < 1e-12
+        assert np.max(np.abs(np.array(sol.as_tuple()) - FLAT_STARTS[1])) < 1e-12
+
+    @pytest.mark.parametrize("word", ["LLR", "LLRR", "LLLRR", "LLRLR"])
+    def test_rotations_shift_the_shapes(self, word):
+        # each rotation is solved from scratch, and of the mirror too; the
+        # base layer of rotation k is layer k of the unrotated word
+        for unrotated in (word, mirror(word)):
+            (base,) = solve_traces(unrotated)
+            for k in range(1, len(word)):
+                (sol,) = solve_traces(unrotated[k:] + unrotated[:k])
+                expected = np.roll(np.array(base.shapes), -k)
+                assert np.max(np.abs(np.array(sol.shapes) - expected)) < 1e-9, (unrotated, k)
+
+    def test_no_positively_oriented_start_is_a_numerical_failure(self):
+        # from the flat starts all four starts of L^15R converge to
+        # characters whose shapes do not lie in one half-plane
+        with pytest.raises(ArithmeticError, match=r"no start reached a positively oriented "
+                           r"fixed point .*\(4 of 4 converged.*best residual"):
+            solve_traces("L" * 15 + "R")
+
+    def test_deterministic_for_fixed_seed(self):
+        # the flat starts are the solve's only seed
+        first, second = solve_traces("LLRLRRLR"), solve_traces("LLRLRRLR")
+        assert first == second
+
+    def test_diverging_starts_raise_no_warning(self, monkeypatch):
+        # A start at 1e200 overflows the Markov rows at its first
+        # evaluation, and so does the convergence bound max(1, max|chi|)^2;
+        # it stops there unconverged, and the other start goes on alone.
+        batches = record_batches(monkeypatch)
+        monkeypatch.setattr(holonomy, "FLAT_STARTS", np.array([[1e200, 1, 1], FLAT_STARTS[0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (sol,) = solve_traces("LLRLRRLR")
+            assert [len(x) for x in batches[:2]] == [2, 1]
+            monkeypatch.setattr(holonomy, "FLAT_STARTS", FLAT_STARTS[:1])
+            assert solve_traces("LLRLRRLR") == [sol]
+            monkeypatch.setattr(holonomy, "FLAT_STARTS", np.array([[1e200, 1, 1]], dtype=complex))
+            with pytest.raises(ArithmeticError, match=r"\(0 of 1 converged.*best residual inf\)"):
+                solve_traces("LLRLRRLR")
+
+    def test_escaping_starts_stop_at_the_radius(self, monkeypatch):
+        # A start at 1e20 escapes to 1e107 in one step, and stops one step
+        # later, where its equations are no longer finite: that is its only
+        # radius.  The flat start beside it converges unchanged.
+        batches = record_batches(monkeypatch)
+        monkeypatch.setattr(holonomy, "FLAT_STARTS", np.array([[1e20] * 3, FLAT_STARTS[0]],
+                                                               dtype=complex))
+        (sol,) = solve_traces("LRLRLR")
+        reach = [np.abs(x[0]).max() for x in batches]
+        assert [len(x) for x in batches[:4]] == [2, 2, 2, 1]
+        assert reach[1] > 1e100 and np.isnan(reach[2])
+        monkeypatch.setattr(holonomy, "FLAT_STARTS", FLAT_STARTS[:1])
+        assert solve_traces("LRLRLR") == [sol]
+
+    @pytest.mark.parametrize("word", ["LLRR", "LRLRLR", "LLRLLR", "LLRLRRLR"])
+    def test_steps_stay_between_the_radii(self, word, monkeypatch):
+        # Newton from random starts runs into the trivial character 0 or
+        # off to infinity on these words; from the flat starts every layer
+        # of every iterate keeps max|chi_i| between 1 and 10, and every
+        # start converges (stops finite) well inside the iteration cap.
+        batches = record_batches(monkeypatch)
+        solve_traces(word)
+        reach = np.concatenate([np.abs(x).max(axis=2).ravel() for x in batches])
+        assert 1.0 <= reach.min() and reach.max() <= 10.0
+        assert len(batches) <= 10 < holonomy._MAX_ITER
 
 
 class TestFiberMatrices:
     def test_trace_coordinates_recovered(self):
-        endo, system = lift_inputs("LLRR")
-        sol = solve_traces(system, seed=0)[0]
-        rep = holonomy_from_triple(sol, endo, system)
+        endo, letters = lift_inputs("LLRR")
+        (sol,) = solve_traces(letters)
+        rep = holonomy_from_triple(sol, endo, letters)
         mat_a, mat_b = (rep[k].astype(complex) for k in (0, 1))
         assert np.trace(mat_a) == pytest.approx(sol.trace_a)
         assert np.trace(mat_b) == pytest.approx(sol.trace_b)
@@ -409,67 +498,73 @@ class TestFiberMatrices:
         assert np.linalg.det(mat_b) == pytest.approx(1.0)
 
     def test_rejects_vanishing_trace_ab(self):
-        endo, system = lift_inputs("LLRR")
+        endo, letters = lift_inputs("LLRR")
         with pytest.raises(ValueError):
-            holonomy_from_triple(TraceTriple(1.0, 1.0, 0.0), endo, system)
+            holonomy_from_triple(TraceTriple(1.0, 1.0, 0.0), endo, letters)
 
 
 class TestMeridian:
     def test_llrr_meridian_matches_known_matrix(self):
-        endo, system = lift_inputs("LLRR")
-        sols = solve_traces(system, seed=0)
+        endo, letters = lift_inputs("LLRR")
+        (sol,) = solve_traces(letters)
         target = llrr_exact_triple()
-        sol = min(sols, key=lambda s: triple_distance(s, target))
         assert triple_distance(sol, target) < 1e-9
-        rep = holonomy_from_triple(sol, endo, system)
+        rep = holonomy_from_triple(sol, endo, letters)
         expected = np.array([[-1.0, 1j], [0.0, -1.0]])
         if is_conjugate_representative(sol, target):
             expected = expected.conj()
         assert np.max(np.abs(rep[2] - expected)) < 1e-8
 
     def test_rrl_meridian_matches_known_matrix(self):
-        endo, system = lift_inputs("RRL")
-        sols = solve_traces(system, seed=0)
-        sol = min(
-            sols,
-            key=lambda s: min(
-                abs(s.trace_a - rrl_exact_trace_a()),
-                abs(s.trace_a - rrl_exact_trace_a().conjugate()),
-            ),
-        )
-        rep = holonomy_from_triple(sol, endo, system)
+        endo, letters = lift_inputs("RRL")
+        (sol,) = solve_traces(letters)
+        rep = holonomy_from_triple(sol, endo, letters)
         expected = np.array([[-1.0, -(1 + 1j * cmath.sqrt(7)) / 4], [0.0, -1.0]])
-        if abs(sol.trace_a - rrl_exact_trace_a().conjugate()) < abs(
-            sol.trace_a - rrl_exact_trace_a()
+        exact = rrl_exact_trace_a()
+        if min(abs(sol.trace_a + exact.conjugate()), abs(sol.trace_a - exact.conjugate())) < min(
+            abs(sol.trace_a + exact), abs(sol.trace_a - exact)
         ):
             expected = expected.conj()
         assert np.max(np.abs(rep[2] - expected)) < 1e-8
 
     @pytest.mark.parametrize("word,triple,message", [
-        pytest.param("LLLR", None, "no meridian intertwiner found",
+        # a root of tr phi(a) = A, tr phi(b) = B and the Markov relation
+        # with tr phi(ab) != C, so no fixed point of the letter maps
+        pytest.param("LLLR", ((1 - 1j * 7 ** 0.5) / 2, -1 + 0j, -1 + 0j),
+                     "no meridian intertwiner found",
                      id="LLLR-no meridian intertwiner found"),
-        # the trivial character, as Newton without ORIGIN_RADIUS reaches
-        # it for LLLLRR at seed 0
+        # near the trivial character, which the polish drives to C = 0
         pytest.param("LLLLRR", (-2.5e-8 - 1.4e-8j, 0j, -1.4e-8 + 2.5e-8j),
-                     "not unique across sign lifts",
-                     id="LLLLRR-not unique across sign lifts"),
+                     "polished trace of ab vanishes",
+                     id="LLLLRR-polished trace of ab vanishes"),
     ])
     def test_failure_names_the_cause(self, word, triple, message):
         with pytest.raises(ArithmeticError, match=message):
-            if triple is None:
-                build_solutions(parse_monodromy(word))
-            else:
-                holonomy_from_triple(TraceTriple(*triple), *lift_inputs(word))
+            holonomy_from_triple(TraceTriple(*triple), *lift_inputs(word))
 
     def test_llllrr_lifts_every_triple(self):
-        solutions = build_solutions(parse_monodromy("LLLLRR"))
-        assert len(solutions) == len(solve_traces(lift_inputs("LLLLRR")[1], seed=0)) > 0
+        (solution,) = build_solutions(parse_monodromy("LLLLRR"))
+        assert solution.triple == solve_traces("LLLLRR")[0]
+
+    @pytest.mark.parametrize("word", ["LRL", "RLR"])
+    def test_polish_is_regular_on_the_markov_c_curve(self, word):
+        # the holonomy of LRL has 2C = AB, where the Jacobian of
+        # (F_A, F_B, markov) is singular; the four-row polish still lifts it
+        endo, letters = lift_inputs(word)
+        (sol,) = solve_traces(letters)
+        a, b, c = sol.as_tuple()
+        assert abs(2 * c - a * b) < 1e-12
+        res = holonomy_residuals(holonomy_from_triple(sol, endo, letters), endo)
+        assert max(res.values()) < 1e-9, res
 
     def test_exactly_representable_character_lifts(self):
-        # the normal matrix of (0, 1, i) has an exactly zero pivot unless
-        # the inverse iteration's shift survives long double rounding
-        endo, system = lift_inputs("LLLRRRR")
-        rep = holonomy_from_triple(TraceTriple(0j, 1 + 0j, 1j), endo, system)
+        # (0, -1, i) is a fixed point of the letter maps of LLLRRRR, and its
+        # normal matrix has an exactly zero pivot unless the inverse
+        # iteration's shift survives long double rounding
+        endo, letters = lift_inputs("LLLRRRR")
+        triple = (0j, -1 + 0j, 1j)
+        assert np.array_equal(compose(letters, triple), triple)
+        rep = holonomy_from_triple(TraceTriple(*triple), endo, letters)
         res = holonomy_residuals(rep, endo)
         parabolic = res.pop("meridian_parabolic")
         assert max(res.values()) < 1e-30, res
@@ -478,9 +573,9 @@ class TestMeridian:
 
     def test_residuals_small(self):
         for name in ("LLRR", "RRL"):
-            endo, system = lift_inputs(name)
-            for sol in solve_traces(system, seed=0):
-                rep = holonomy_from_triple(sol, endo, system)
+            endo, letters = lift_inputs(name)
+            for sol in solve_traces(letters):
+                rep = holonomy_from_triple(sol, endo, letters)
                 res = holonomy_residuals(rep, endo)
                 assert max(res.values()) < 1e-9, (name, res)
 
@@ -508,8 +603,8 @@ class TestLorentz:
         assert np.max(np.abs(left - right)) < 1e-10
 
     def test_geometric_images_are_lorentz(self):
-        endo, system = lift_inputs("LLRR")
-        rep = holonomy_from_triple(solve_traces(system, seed=0)[0], endo, system)
+        endo, letters = lift_inputs("LLRR")
+        rep = holonomy_from_triple(solve_traces(letters)[0], endo, letters)
         lor = lorentz_holonomy(rep)
         for mat in lor.values():
             assert np.max(np.abs(mat.imag)) == 0.0
@@ -552,10 +647,9 @@ class TestLorentz:
             [[1, 0, 1, 1], [0, 1, 0, 0], [-1, 0, 0.5, -0.5], [1, 0, 0.5, 1.5]],
             dtype=float,
         )
-        endo, system = lift_inputs("LLRR")
-        target = llrr_exact_triple()
-        sol = min(solve_traces(system, seed=0), key=lambda s: triple_distance(s, target))
-        lor = lorentz_holonomy(holonomy_from_triple(sol, endo, system))
+        endo, letters = lift_inputs("LLRR")
+        (sol,) = solve_traces(letters)
+        lor = lorentz_holonomy(holonomy_from_triple(sol, endo, letters))
         mine = lor
         eye = np.eye(4)
         blocks = [
@@ -605,9 +699,8 @@ class TestSl4Basis:
 @pytest.fixture(scope="module")
 def llrr_solution():
     spec = parse_monodromy("LLRR")
-    endo, sols = monodromy_endo(spec), build_solutions(spec, seed=0)
-    target = llrr_exact_triple()
-    return endo, min(sols, key=lambda s: triple_distance(s.triple, target))
+    (sol,) = build_solutions(spec)
+    return monodromy_endo(spec), sol
 
 
 PINNED_WORDS = ("LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR")
@@ -660,7 +753,7 @@ def reference_adjoint(mat, inv):
 
 @pytest.fixture(scope="module")
 def pinned_solutions():
-    per_word = [build_solutions(parse_monodromy(word), seed=0) for word in PINNED_WORDS]
+    per_word = [build_solutions(parse_monodromy(word)) for word in PINNED_WORDS]
     assert all(per_word)
     return [sol for sols in per_word for sol in sols]
 

@@ -1,4 +1,4 @@
-"""Numeric kernel tests: interpolated determinants, deflation, Newton, nullspaces."""
+"""Numeric kernel tests: interpolated determinants, deflation, nullspaces."""
 
 import random
 import warnings
@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from ptbundle import holonomy, numeric
-from ptbundle.holonomy import MARKOV, CompiledTraceSystem, TracePoly, solve_traces, trace_system
+from ptbundle.holonomy import FLAT_STARTS, solve_traces
 from ptbundle.numeric import (
     EXT_COMPLEX,
-    ORIGIN_RADIUS,
     LaurentPoly,
     Tolerances,
     char_poly,
@@ -22,7 +21,6 @@ from ptbundle.numeric import (
     linear_solve,
     matrix_det,
     monic_normalize,
-    newton_multistart,
     normalize_unit,
     nullspace,
     pencil_det,
@@ -31,8 +29,6 @@ from ptbundle.numeric import (
 )
 from ptbundle.numeric import _hessenberg as hessenberg
 from ptbundle.presentation import parse_monodromy
-
-A, B, C = (TracePoly.variable(i) for i in range(3))
 
 
 def P(**terms):
@@ -463,7 +459,7 @@ def test_quotient_interpolate_denominator_zero_at_a_validation_point():
 
 
 # ---------------------------------------------------------------------------
-# nullspace, Newton, rounding
+# nullspace, Gauss-Newton of the holonomy solve, rounding
 # ---------------------------------------------------------------------------
 
 
@@ -477,182 +473,110 @@ def test_nullspace_dims_and_quality():
     assert nullspace(np.eye(4)).shape == (4, 0)
 
 
-def reference_multistart(fun, jac, dim, starts=64, seed=0, sampler=None,
-                         residual_tol=1e-10, dedup_tol=1e-6, max_iter=80):
-    """The per-start scalar Newton loop that newton_multistart batches."""
-    rng = np.random.default_rng(seed)
-    found = []
-    for _ in range(starts):
-        if sampler is not None:
-            z = np.asarray(sampler(rng), dtype=complex)
-        else:
-            z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * 1.5
-        converged = False
-        for _ in range(max_iter):
-            fv = np.asarray(fun(z), dtype=complex)
-            if not np.all(np.isfinite(fv)):
-                break
-            if np.max(np.abs(fv)) < 1e-14:
-                converged = True
-                break
-            try:
-                step = np.linalg.solve(np.asarray(jac(z), dtype=complex), -fv)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            z = z + step
-            if np.max(np.abs(step)) < 1e-15 * max(1.0, float(np.max(np.abs(z)))):
-                converged = True
-                break
-        if not converged:
-            continue
-        for _ in range(3):
-            fv = np.asarray(fun(z), dtype=complex)
-            try:
-                z = z + np.linalg.solve(np.asarray(jac(z), dtype=complex), -fv)
-            except np.linalg.LinAlgError:
-                break
-        if np.max(np.abs(np.asarray(fun(z), dtype=complex))) > residual_tol:
-            continue
-        if any(np.max(np.abs(z - w)) <= dedup_tol for w in found):
-            continue
-        found.append(z)
-    return sorted(found, key=lambda v: tuple(x for c in v for x in (c.real, c.imag)))
+def solve_from(starts, letters, monkeypatch):
+    """The holonomy solve from the given starts instead of the flat ones,
+    or the message of its ArithmeticError."""
+    with monkeypatch.context() as patch:
+        patch.setattr(holonomy, "FLAT_STARTS", np.array(starts, dtype=complex))
+        try:
+            (sol,) = solve_traces(letters)
+        except ArithmeticError as err:
+            return str(err)
+    return sol
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def scalar_multistart(system, dim, **kwargs):
-    """reference_multistart on the scalar TracePoly.evaluate of a compiled system."""
-    def fun(z):
-        return np.array([eq.evaluate(z) for eq in system.equations], dtype=complex)
-
-    def jac(z):
-        return np.array([[g.evaluate(z) for g in row] for row in system.partials],
-                        dtype=complex)
-
-    return reference_multistart(fun, jac, dim, **kwargs)
+def triple_bytes(sol):
+    return np.array([*sol.as_tuple(), *sol.shapes]).tobytes()
 
 
-def roots_bytes(roots):
-    return np.array(roots, dtype=complex).tobytes()
-
-
-def in_ball(root):
-    return np.abs(root).max() < ORIGIN_RADIUS
-
-
-# Roots (3, 3, 3) and the double root 0, where the Markov row of the
-# Jacobian vanishes and Newton only halves |z| per step.
-SYMMETRIC = CompiledTraceSystem((MARKOV, A - B, B - C))
+def mirror(word):
+    return word.translate(str.maketrans("LR", "RL"))
 
 
 def test_newton_markov_symmetric_root():
-    roots = newton_multistart(SYMMETRIC, 3, starts=40, seed=11)
-    assert any(np.allclose(r, [3.0, 3.0, 3.0], atol=1e-8) for r in roots)
-    # determinism
-    again = newton_multistart(SYMMETRIC, 3, starts=40, seed=11)
-    assert len(roots) == len(again)
-    for r, s in zip(roots, again):
-        assert np.array_equal(r, s)
-    # the starts drawn into 0 stop at the ball; the scalar loop, which has
-    # no radius, converges there, and agrees outside the ball
-    expected = scalar_multistart(SYMMETRIC, 3, starts=40, seed=11)
-    assert not any(map(in_ball, roots)) and any(map(in_ball, expected))
-    assert roots_bytes(roots) == roots_bytes([r for r in expected if not in_ball(r)])
+    # The Markov relation is symmetric in A and B, the swap (B, A, C) turns
+    # the letter maps of a word into those of its L <-> R mirror, and the
+    # flat starts into each other.  The mirror reverses the orientation, so
+    # its holonomy is the conjugate of the swap, with shapes 1 / conj(z).
+    swap = [1, 0, 2]
+    assert {FLAT_STARTS[k][swap].tobytes() for k in range(4)} == {
+        start.tobytes() for start in FLAT_STARTS}
+    for word in ("LR", "LLR", "LLRR", "LLLRR", "LLRLR", "LLRLRRLR"):
+        (sol,) = solve_traces(word)
+        (image,) = solve_traces(mirror(word))
+        swapped = np.array(sol.as_tuple())[swap].conj()
+        assert np.max(np.abs(np.array(image.as_tuple()) - swapped)) < 1e-12, word
+        assert np.max(np.abs(np.array(image.shapes) - 1 / np.conj(sol.shapes))) < 1e-12, word
 
 
-def test_newton_singular_jacobian_starts():
-    # the Jacobian is singular at the origin, where F = 0 (the polish step
-    # fails), and at (2, 2, 2), where F != 0 (the first step fails)
-    special = {0: [0, 0, 0], 1: [2, 2, 2]}
-    count = iter(range(10))
+def test_newton_singular_jacobian_starts(monkeypatch):
+    # a batch whose normal equations are singular steps each start by
+    # least squares instead, and reaches the same holonomy
+    solve = np.linalg.solve
+    calls = []
 
-    def sampler(rng):
-        draw = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 1.5
-        return special.get(next(count), draw)
+    def singular_once(a, b):
+        calls.append(len(a))
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
 
-    roots = newton_multistart(SYMMETRIC, 3, starts=10, seed=11, sampler=sampler)
-    count = iter(range(10))
-    expected = scalar_multistart(SYMMETRIC, 3, starts=10, seed=11, sampler=sampler)
-    assert any(np.array_equal(r, np.zeros(3)) for r in roots)
-    assert roots_bytes(roots) == roots_bytes(expected)
-
-
-def fixed_starts(points):
-    """A sampler that draws the given points in order."""
-    points = iter(points)
-    return lambda rng: np.array(next(points), dtype=complex)
+    expected = solve_traces("LLRR")
+    monkeypatch.setattr(holonomy.np.linalg, "solve", singular_once)
+    (sol,) = solve_traces("LLRR")
+    monkeypatch.undo()
+    assert calls[0] == len(FLAT_STARTS)
+    assert np.max(np.abs(np.array(sol.as_tuple()) - expected[0].as_tuple())) < 1e-12
 
 
-# Roots -sqrt(2) (1, 1, 1) and +sqrt(2) (1, 1, 1).  Newton from the first
-# start below reaches -sqrt(2) with other last bits than from the second.
-PAIR = CompiledTraceSystem((A * A - 2, B - A, C - A))
-NEAR_MINUS = [[-1.3 + 0.1j, -1, -1], [-1, -1, -1]]
+# Two starts near the figure-eight start that reach the holonomy of LLRR
+# with different last bits.
+NEAR_HOLONOMY = [list(FLAT_STARTS[0]), list(FLAT_STARTS[0] + 0.01)]
 
 
-@pytest.mark.parametrize("first, third", [NEAR_MINUS, NEAR_MINUS[::-1]])
-def test_newton_keeps_the_first_start_of_a_repeated_root(first, third):
-    alone, = newton_multistart(PAIR, 3, starts=1, sampler=fixed_starts([first]))
-    again, = newton_multistart(PAIR, 3, starts=1, sampler=fixed_starts([third]))
-    assert alone.tobytes() != again.tobytes()
-    assert np.max(np.abs(alone - again)) <= 1e-6
-    starts = [first, [1.5, 1.5, 1.5], third]
-    roots = newton_multistart(PAIR, 3, starts=3, sampler=fixed_starts(starts))
-    assert len(roots) == 2 and roots[0][0].real < 0  # the repeated root sorts first
-    assert roots[0].tobytes() == alone.tobytes()
-    expected = scalar_multistart(PAIR, 3, starts=3, sampler=fixed_starts(starts))
-    assert roots_bytes(roots) == roots_bytes(expected)
+@pytest.mark.parametrize("first, third", [NEAR_HOLONOMY, NEAR_HOLONOMY[::-1]])
+def test_newton_keeps_the_first_start_of_a_repeated_root(first, third, monkeypatch):
+    alone = solve_from([first], "LLRR", monkeypatch)
+    again = solve_from([third], "LLRR", monkeypatch)
+    assert triple_bytes(alone) != triple_bytes(again)
+    assert np.max(np.abs(np.array([*alone.as_tuple(), *alone.shapes])
+                         - [*again.as_tuple(), *again.shapes])) <= 1e-12
+    # the trivial character between them converges first, and is no holonomy
+    batched = solve_from([first, [0, 0, 0], third], "LLRR", monkeypatch)
+    assert triple_bytes(batched) == triple_bytes(alone)
 
 
-def test_newton_batch_drops_stopped_starts_and_steps_the_rest():
-    # F overflows at the first start and the Jacobian is singular at the
-    # second, so both stop after one evaluation.  In four steps the middle
-    # three near (3, 3, 3) and the last three halve max|z| from 0.2 to
-    # 0.019; the fifth step converges the middle three and takes the last
-    # three into the ball around the double root 0.
-    starts = [[1e200, 1, 1], [2, 2, 2]] + [[3.2, 2.9 + 0.1j, 3.1]] * 3 + [[0.1, -0.2, 0.1j]] * 3
-    batches, reach = [], []
+def test_newton_batch_drops_stopped_starts_and_steps_the_rest(monkeypatch):
+    # F overflows at the first start, and the second is the trivial
+    # character, so both stop after one evaluation.  The other three step
+    # together; one converges in seven evaluations, two in eight.  The
+    # first of them in order is the holonomy, with the bits it has alone.
+    starts = [[1e200, 1, 1], [0, 0, 0], FLAT_STARTS[3], FLAT_STARTS[0] + 0.01, FLAT_STARTS[2]]
+    batches = []
+    system = holonomy._shooting_system
 
-    def system(z):
-        batches.append(len(z))
-        reach.append(np.abs(z).max(axis=1))
-        return SYMMETRIC(z)
+    def record(x, is_l):
+        batches.append(len(x))
+        return system(x, is_l)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        roots = newton_multistart(system, 3, starts=8, sampler=fixed_starts(starts))
-    # five loop evaluations, three polish steps and the residual
-    assert batches == [8, 6, 6, 6, 6, 3, 3, 3, 3]
-    assert all(r[3:].min() >= ORIGIN_RADIUS for r in reach[1:5])
-    assert reach[4][3:].max() < 2 * ORIGIN_RADIUS
-    expected = scalar_multistart(SYMMETRIC, 3, starts=8, sampler=fixed_starts(starts))
-    assert len(roots) == 1 and [in_ball(r) for r in expected] == [True, False]
-    assert roots_bytes(roots) == roots_bytes(expected[1:])
+    monkeypatch.setattr(holonomy, "_shooting_system", record)
+    sol = solve_from(starts, "LLRLLR", monkeypatch)
+    assert batches == [5, 3, 3, 3, 3, 3, 3, 2]
+    assert triple_bytes(sol) == triple_bytes(solve_from(starts[2:3], "LLRLLR", monkeypatch))
 
 
 @pytest.mark.parametrize("word", ["LR", "LLRR", "LLLRRR", "LRLRLR", "LRRLRR", "LLRLLR", "L^8R",
                                   "LLRLRRLR"])
 def test_solve_traces_matches_scalar_newton(word, monkeypatch):
-    # The scalar loop has no radius at either end, so equal triples show
-    # that the radii drop no kept root.  At these seeds every root it finds
-    # for LRLRLR, LLRLLR and LLRLRRLR is the trivial character, so those
-    # words have no triples.
-    system = CompiledTraceSystem(trace_system(parse_monodromy(word)))
-    for seed in (0, 3):
-        batched = solve_traces(system, seed=seed)
-        found = []
-
-        def recorded(*args, **kwargs):
-            found.append(scalar_multistart(*args, **kwargs))
-            return found[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(holonomy, "newton_multistart", recorded)
-            scalar = solve_traces(system, seed=seed)
-        assert found[0]
-        assert not any(in_ball(t.as_tuple()) for t in batched)
-        assert roots_bytes([t.as_tuple() for t in batched]) == roots_bytes(
-            [t.as_tuple() for t in scalar])
+    # The flat starts solved one at a time, in order: the first that
+    # reaches the holonomy gives the batched triple, bit for bit.
+    letters = parse_monodromy(word).letters
+    (batched,) = solve_traces(letters)
+    for start in FLAT_STARTS:
+        alone = solve_from([start], letters, monkeypatch)
+        if not isinstance(alone, str):
+            break
+    assert triple_bytes(batched) == triple_bytes(alone)
 
 
 def test_integer_round():
