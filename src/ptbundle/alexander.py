@@ -28,6 +28,7 @@ from .numeric import (
     char_poly,
     compress,
     det_polymatrix,
+    keep_product,
     normalize_unit,
     nullspace,
     quotient_interpolate,
@@ -201,7 +202,8 @@ def fox_action(endo: EndoF2, rep: RepImages) -> np.ndarray:
 
     One pass over each monodromy image with a running prefix product: a
     letter g adds the prefix to the g block, then multiplies it by rep(g);
-    a letter g^-1 multiplies it by rep(g)^-1, then subtracts it.  A
+    a letter g^-1 multiplies it by rep(g)^-1, then subtracts it.  The
+    prefix ends on the image's ``word_product``, which ``rep`` keeps.  A
     singular meridian image raises an ArithmeticError that names it.
     """
     rep = GeneratorImages.of(rep)
@@ -221,6 +223,7 @@ def fox_action(endo: EndoF2, rep: RepImages) -> np.ndarray:
             else:
                 prefix = prefix @ rep.inverse(gen)
                 blocks[gen] = blocks[gen] - prefix
+        keep_product(rep, image, prefix)
         rows.append([prefactor @ block for block in blocks])
     return np.block(rows)
 

@@ -219,7 +219,7 @@ def _solution_report(
     failures: list[str] = []
     residuals: dict[str, float] = {}
     try:
-        residuals.update(holonomy_residuals(sol.sl2, endo))
+        residuals.update(holonomy_residuals(sol.sl2, endo, null_tol=tols.null))
     except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
         failures.append(f"residuals: {err}")
 
@@ -229,8 +229,9 @@ def _solution_report(
     for label in reps:
         try:
             images[label] = rep = sol.representation(label)
-            residuals[f"relations_{label}"] = max(rep_residuals(rep, endo).values())
+            # the relation residuals read the products fox_action keeps
             actions[label] = matrix = fox_action(endo, rep)
+            residuals[f"relations_{label}"] = max(rep_residuals(rep, endo).values())
             if CERTIFICATE_SOURCES[label][0] == "action":
                 _, evidence[label] = action_evidence(label, matrix, rep, tols)
             else:

@@ -426,7 +426,8 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
     picked = list(enumerate(select_solutions(spec, tolerances=config.tolerances)))
     endo = monodromy_endo(spec)
     residuals = [
-        {k: float(v) for k, v in sorted(holonomy_residuals(sol.sl2, endo).items())}
+        {k: float(v) for k, v in sorted(holonomy_residuals(
+            sol.sl2, endo, null_tol=config.tolerances.null).items())}
         for _, sol in picked
     ]
     if config.fmt == "json":

@@ -13,7 +13,9 @@ mapping-class action on Fricke coordinates; Goldman, Geom. Topol. 2003).
 with chi_(i+1) = g_i(chi_i) cyclically and the Markov relation
 A^2 + B^2 + C^2 - ABC = 0 on every layer (parabolic peripheral
 holonomy), and solves these 4n equations in 3n unknowns by Gauss-Newton
-(multiple shooting; Bock and Plitt, IFAC 1984).  The four flat starts,
+(multiple shooting; Bock and Plitt, IFAC 1984), with the Jacobians of the
+whole batch assembled in a fixed number of array operations, each entry
+by the floating-point operations of the letter maps.  The four flat starts,
 every layer at the figure-eight holonomy or one of its conjugate and
 mirror images, are the same for every rotation of the word, and advance
 as one batch.  The layered triangulation of a hyperbolic bundle is
@@ -26,8 +28,9 @@ character.
 
 The solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
-gluing relations are tried once, and the one intertwining system with a
-one-dimensional kernel gives the meridian by inverse iteration.
+gluing relations are tried once on systems built from Kronecker blocks
+formed once, and the one intertwining system with a one-dimensional
+kernel gives the meridian by inverse iteration.
 
 Every layer of the tower is a Kronecker square followed by a constant
 read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
@@ -112,30 +115,52 @@ def _markov(a, b, c):
                                                         2 * c - a * b], axis=-1)
 
 
+# Tables indexed by letter, 0 for R and 1 for L.  ``letter_map`` builds
+# the image (first, second, p C - s) from the coordinates (first, second,
+# p, s) of chi = (A, B, C) picked by _PICKS: R gives (A, C, AC - B) and L
+# gives (C, B, BC - A).  The first two rows of the letter's derivative are
+# the constant _FIXED_ROWS, and the third is C u + p v - w, with (u, v, w)
+# from _THIRD_ROW: (e_0, e_2, e_1) for R and (e_1, e_2, e_0) for L.
+_PICKS = np.array([[0, 2, 0, 1], [2, 1, 1, 0]])
+_FIXED_ROWS = np.eye(3)[[[0, 2], [2, 1]]]
+_THIRD_ROW = np.eye(3)[[[0, 2, 1], [1, 2, 0]]]
+
+
 def _shooting_system(x: np.ndarray, is_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values (k, 4n) and Jacobians (k, 4n, 3n) of the shooting equations.
 
     x (k, n, 3) holds each start's layers and is_l (n,) marks the L
     layers; rows 3i .. 3i+2 are g_i(chi_i) - chi_(i+1 mod n) and row
-    3n + i is the Markov polynomial of chi_i.  All layers of one letter
-    go through ``letter_map`` at once.
+    3n + i is the Markov polynomial of chi_i.  The entries that depend
+    only on the word, the fixed rows of each letter's block and the -I
+    closing blocks, are laid out from is_l.  The images, the third row of
+    every letter's block and the Markov rows are computed for the whole
+    batch at once, by the operations ``letter_map`` and ``_markov`` apply
+    to one layer, and scattered in.
     """
     k, n, _ = x.shape
-    images = np.empty_like(x)
-    closing = np.zeros((k, n, 3, n, 3), dtype=x.dtype)
-    for letter, mine in (("L", np.flatnonzero(is_l)), ("R", np.flatnonzero(~is_l))):
-        image, rows = letter_map(letter, np.moveaxis(x[:, mine, :, None], 2, 0), np.eye(3))
-        images[:, mine] = np.concatenate(image, axis=-1)
-        block = np.stack(np.broadcast_arrays(*rows), axis=-2)   # (k, layers, row, column)
-        closing[:, mine, :, mine] = np.moveaxis(block, 1, 0)
-    layers = np.arange(n)
-    closing[:, layers, :, (layers + 1) % n] -= np.eye(3)
-    markov, gradient = _markov(*np.moveaxis(x, -1, 0))
-    markov_rows = np.zeros((k, n, n, 3), dtype=x.dtype)
-    markov_rows[:, layers, layers] = gradient
-    values = np.concatenate([(images - np.roll(x, -1, axis=1)).reshape(k, 3 * n), markov], axis=1)
-    return values, np.concatenate([closing.reshape(k, 3 * n, 3 * n),
-                                   markov_rows.reshape(k, n, 3 * n)], axis=1)
+    layers, letter = np.arange(n), is_l.astype(np.intp)
+    after = (layers + 1) % n
+    first, second, p, s = x[:, layers[:, None], _PICKS[letter]].transpose(2, 0, 1)
+    c = x[..., 2]
+    images = np.stack([first, second, p * c - s], axis=-1)
+    u, v, w = _THIRD_ROW[letter].transpose(1, 0, 2)
+    third = c[..., None] * u + p[..., None] * v - w
+    if n == 1:  # the closing block is the layer's own
+        third = third - v
+    fixed = np.zeros((n, 3, n, 3))
+    fixed[layers, :2, layers] = _FIXED_ROWS[letter]
+    fixed[layers, :, after] -= np.eye(3)
+    # _markov's terms: (BC, AC, AB), and A^2 + B^2 + C^2 - ABC
+    products = x[..., [1, 0, 0]] * x[..., [2, 2, 1]]
+    squares = x * x
+    markov = squares[..., 0] + squares[..., 1] + squares[..., 2] - products[..., 2] * c
+    jac = np.zeros((k, 4 * n, n, 3), dtype=x.dtype)
+    jac[:, :3 * n] = fixed.reshape(3 * n, n, 3)
+    jac[:, 3 * layers + 2, layers] = third
+    jac[:, 3 * n + layers, layers] = 2 * x - products
+    values = np.concatenate([(images - x[:, after]).reshape(k, 3 * n), markov], axis=1)
+    return values, jac.reshape(k, 4 * n, 3 * n)
 
 
 def layer_shapes(chi: np.ndarray, is_l: np.ndarray) -> np.ndarray:
@@ -182,15 +207,17 @@ def solve_traces(letters: str) -> list[TraceTriple]:
     converged = np.zeros(len(x), dtype=bool)
     active = np.arange(len(x))
     for _ in range(_MAX_ITER):
-        values, jac = _shooting_system(x[active], is_l)
+        current = x[active]
+        values, jac = _shooting_system(current, is_l)
         size = np.abs(values).max(axis=1)
         finite = np.isfinite(size)
         residual[active] = np.where(finite, size, np.inf)
         # a start far enough out overflows both sides of the bound
-        done = finite & (size <= 1e-13 * np.maximum(1.0, np.abs(x[active]).max(axis=(1, 2))) ** 2)
+        done = finite & (size <= 1e-13 * np.maximum(1.0, np.abs(current).max(axis=(1, 2))) ** 2)
         converged[active[done]] = True
         live = ~done & finite
-        active, values, jac = active[live], values[live], jac[live]
+        if not live.all():
+            active, current, values, jac = active[live], current[live], values[live], jac[live]
         if not active.size:
             break
         adjoint = jac.conj().transpose(0, 2, 1)
@@ -198,7 +225,7 @@ def solve_traces(letters: str) -> list[TraceTriple]:
             steps = np.linalg.solve(adjoint @ jac, -(adjoint @ values[..., None]))[..., 0]
         except np.linalg.LinAlgError:  # a rank-deficient start takes the least-squares step
             steps = np.array([np.linalg.lstsq(j, -v, rcond=None)[0] for j, v in zip(jac, values)])
-        x[active] += steps.reshape(x[active].shape)
+        x[active] = current + steps.reshape(current.shape)
     for start in np.flatnonzero(converged):
         shapes = layer_shapes(x[start], is_l)
         margin = shapes.imag / np.maximum(1.0, np.abs(shapes))
@@ -262,6 +289,12 @@ def _polish_triple(triple: TraceTriple, letters: str) -> np.ndarray:
     return chi
 
 
+def _kron2(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """np.kron of 2x2 matrices, over stacks of them: the products it forms."""
+    product = left[..., :, None, :, None] * right[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
+
+
 def holonomy_from_triple(
     triple: TraceTriple,
     endo: EndoF2,
@@ -275,7 +308,9 @@ def holonomy_from_triple(
     of ``_model_matrices``.  The meridian X satisfies
     X rho(g) X^-1 = +-rho(phi(g)) for g = a, b; the gluing relations fix
     the conjugation only up to sign in SL2, so all four sign patterns are
-    tried, and exactly one intertwining space must be one-dimensional (the
+    tried, each on blocks I (x) rho(g)^T - (+-rho(phi(g))) (x) I taken from
+    the Kronecker products formed once for both generators and both signs,
+    and exactly one intertwining space must be one-dimensional (the
     fiber representation is irreducible).  Those rank decisions run in
     double precision; the kernel vector is then sharpened by inverse
     iteration on the chosen system, X is scaled to determinant 1, and the
@@ -290,13 +325,16 @@ def holonomy_from_triple(
         raise ArithmeticError("polished trace of ab vanishes; the matrix model needs it nonzero")
     mats = _model_matrices(*polished)
     fiber = sl2_images(mats)
-    targets = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
+    targets = np.array([word_product(image, fiber) for image in (endo.image_a, endo.image_b)])
     eye = np.eye(2, dtype=EXT_COMPLEX)
+    # Row-major vec: vec(XP - QX) = (I (x) P^T - Q (x) I) vec(X) for
+    # P = rho(g) and Q = +-rho(phi(g)), g = a, b; blocks[s, g] holds g's
+    # block with the sign +1 (s = 0) or -1 (s = 1).
+    blocks = (_kron2(eye, np.transpose(mats, (0, 2, 1)))
+              - _kron2(np.multiply.outer([1, -1], targets), eye))
     found = []
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        # Row-major vec: vec(XP - QX) = (I (x) P^T - Q (x) I) vec(X).
-        stacked = np.vstack([np.kron(eye, mat.T) - np.kron(sign * target, eye)
-                             for mat, target, sign in zip(mats, targets, signs)])
+    for signs in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        stacked = blocks[signs, (0, 1)].reshape(8, 4)
         basis = nullspace(stacked, tol=null_tol)
         if basis.shape[1] == 1:
             found.append((stacked, basis[:, 0]))
@@ -324,12 +362,14 @@ def holonomy_from_triple(
     return sl2_images([*mats, mat_x])
 
 
-def holonomy_residuals(images: GeneratorImages, endo: EndoF2) -> dict[str, float]:
+def holonomy_residuals(images: GeneratorImages, endo: EndoF2, *,
+                       null_tol: float = 1e-9) -> dict[str, float]:
     """Diagnostics of the SL2 images: relation defects (up to sign),
     unimodularity, cusp traces.
 
     ``meridian_parabolic`` is |tr X - 2s| for the sign s nearer tr X, or
-    1.0 when X - sI is zero relative to X: +-I is not parabolic.
+    1.0 when max|X - sI| is at most null_tol max(1, max|X|): +-I is not
+    parabolic.
     """
     out: dict[str, float] = {}
     mat_x = images[2]
@@ -345,7 +385,7 @@ def holonomy_residuals(images: GeneratorImages, endo: EndoF2) -> dict[str, float
         out[name] = float(abs(complex(matrix_det(mat)) - 1.0))
     trace = np.trace(mat_x)
     sign = 1.0 if abs(trace - 2.0) <= abs(trace + 2.0) else -1.0
-    scale = Tolerances().null * max(1.0, float(np.max(np.abs(mat_x))))
+    scale = null_tol * max(1.0, float(np.max(np.abs(mat_x))))
     central = float(np.max(np.abs(mat_x - sign * np.eye(2)))) <= scale
     out["meridian_parabolic"] = 1.0 if central else float(abs(trace - 2.0 * sign))
     longitude = word_product(LONGITUDE, images)

@@ -251,15 +251,28 @@ def word_product(word, images) -> np.ndarray:
 
     The dtype follows the inputs, so extended-precision images give an
     extended-precision product.  ``GeneratorImages`` supply their kept
-    inverses; for a plain sequence or mapping each needed inverse is
-    computed once per call.
+    inverses and keep the product (or the one ``keep_product`` gave), so
+    it is shared and must not be changed in place; for a plain sequence
+    or mapping each needed inverse is computed once per call.
     """
     images = GeneratorImages.of(images)
-    dtype = np.result_type(*(np.asarray(m).dtype for m in images.values()))
-    out = np.eye(images[0].shape[0], dtype=dtype)
-    for gen, exp in word.letters:
-        out = out @ (images[gen] if exp > 0 else images.inverse(gen))
-    return out
+
+    def build() -> np.ndarray:
+        dtype = np.result_type(*(np.asarray(m).dtype for m in images.values()))
+        out = np.eye(images[0].shape[0], dtype=dtype)
+        for gen, exp in word.letters:
+            out = out @ (images[gen] if exp > 0 else images.inverse(gen))
+        return out
+    return images.kept(("word_product", word.letters), build)
+
+
+def keep_product(images: GeneratorImages, word, product: np.ndarray) -> None:
+    """Keep product, word multiplied out by the caller, for ``word_product``.
+
+    It must have the bits ``word_product`` would give; an earlier kept
+    product stays.
+    """
+    images.kept(("word_product", word.letters), lambda: product)
 
 
 # ---------------------------------------------------------------------------

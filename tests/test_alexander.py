@@ -418,6 +418,29 @@ class TestFoxAction:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
 
+    def test_keeps_the_image_products(self, pinned_solutions):
+        # the prefix ends on each monodromy image's product, and word_product,
+        # which the relation residuals call, then reads it without
+        # multiplying the image again
+        class Counted(GeneratorImages):
+            reads = 0
+
+            def __getitem__(self, gen):
+                self.reads += 1
+                return super().__getitem__(gen)
+
+        for endo, images, _ in pinned_solutions:
+            for rep in images.values():
+                counted = Counted(dict(rep), rep.inverse)
+                fox_action(endo, counted)
+                for image in (endo.image_a, endo.image_b):
+                    reads = counted.reads
+                    product = word_product(image, counted)
+                    assert counted.reads == reads
+                    want = word_product(image, GeneratorImages(dict(rep), rep.inverse))
+                    assert product.dtype == want.dtype
+                    assert np.array_equal(product, want)
+
     def test_inverse_letters(self):
         # the pinned words' images have no inverse letters; with rep(x) = I
         # the action is P itself

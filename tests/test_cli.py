@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ptbundle.certify
+import ptbundle.cli
 from ptbundle import holonomy
 from ptbundle.cli import (
     CliConfig,
@@ -260,6 +262,20 @@ class TestSubcommands:
         assert len(sol["sl2"]["a"]) == 2
         assert len(sol["so31"]["x"]) == 4
         assert sol["residuals"]["relation_a"] < 1e-10
+
+    def test_tol_null_reaches_the_central_meridian_decision(self, monkeypatch):
+        seen = []
+        original = holonomy.holonomy_residuals
+
+        def record(images, endo, *, null_tol):
+            seen.append(null_tol)
+            return original(images, endo, null_tol=null_tol)
+
+        monkeypatch.setattr(ptbundle.cli, "holonomy_residuals", record)
+        monkeypatch.setattr(ptbundle.certify, "holonomy_residuals", record)
+        for command in ("holonomy", "certify"):
+            assert run([command, "--tol-null", "1e-10", "--", "LLRR"]) == 0
+        assert seen == [1e-10, 1e-10]
 
     def test_action_json_structure(self, capsys):
         assert run(["action", "RRL", "--reps", "sl4,v", "--format", "json"]) == 0

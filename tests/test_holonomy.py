@@ -199,7 +199,7 @@ class TestCompiledTraceSystem:
     def test_matches_scalar_evaluate_bit_for_bit(self):
         rng = np.random.default_rng(5)
         overflowed = False
-        for letters in ("LR", "LLRR", "LRLLRLRR", "L" * 12 + "R"):
+        for letters in ("L", "R", "LR", "LLRR", "LRLLRLRR", "L" * 12 + "R"):
             x = self.random_layers(rng, 30, len(letters))
             # the solve in double, and the same equations in extended precision
             for z in x, x.astype(EXT_COMPLEX):
@@ -570,6 +570,56 @@ class TestMeridian:
         assert max(res.values()) < 1e-30, res
         # the lifted meridian is -I: central, so not parabolic
         assert parabolic > Tolerances().root, parabolic
+
+    @staticmethod
+    def reference_systems(triple, endo, letters):
+        """The four sign patterns' intertwining systems, one np.kron pair per block."""
+        mats = holonomy._model_matrices(*holonomy._polish_triple(triple, letters))
+        fiber = holonomy.sl2_images(mats)
+        targets = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
+        eye = np.eye(2, dtype=EXT_COMPLEX)
+        return [np.vstack([np.kron(eye, mat.T) - np.kron(sign * target, eye)
+                           for mat, target, sign in zip(mats, targets, signs)])
+                for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+
+    @pytest.mark.parametrize("word", ["LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR", "LRL",
+                                      "LLLRRRR"])
+    def test_intertwining_systems_pinned(self, word, monkeypatch):
+        # The lift hands nullspace the systems the per-pattern np.kron
+        # construction gives, bit for bit and signed zeros included, so
+        # every later step of the lift keeps its bits.  LRL's holonomy lies
+        # on 2C = AB; LLLRRRR is lifted at its exactly representable
+        # character (0, -1, i), whose systems hold exact zeros.
+        endo, letters = lift_inputs(word)
+        if word == "LLLRRRR":
+            triple = TraceTriple(0j, -1 + 0j, 1j)
+        else:
+            (triple,) = solve_traces(letters)
+        seen = []
+        original = holonomy.nullspace
+
+        def record(stacked, **kwargs):
+            seen.append(stacked.copy())
+            return original(stacked, **kwargs)
+
+        monkeypatch.setattr(holonomy, "nullspace", record)
+        holonomy_from_triple(triple, endo, letters)
+        want = self.reference_systems(triple, endo, letters)
+        assert [(got.dtype, got.shape) for got in seen] == [(w.dtype, w.shape) for w in want]
+        assert [value_bytes(got) for got in seen] == [value_bytes(w) for w in want]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_central_meridian_follows_null_tol(self, sign):
+        # X = sI + 1e-7 N with N nilpotent has tr X = 2s exactly: it reads
+        # as parabolic, and as central (so not parabolic) only when null_tol
+        # takes 1e-7 for zero
+        endo, letters = lift_inputs("LLRR")
+        (sol,) = solve_traces(letters)
+        rep = holonomy_from_triple(sol, endo, letters)
+        mat_x = sign * np.eye(2, dtype=EXT_COMPLEX) + 1e-7 * np.array([[0, 1], [0, 0]])
+        near = holonomy.sl2_images([rep[0], rep[1], mat_x])
+        assert holonomy_residuals(near, endo)["meridian_parabolic"] == 0.0
+        assert holonomy_residuals(near, endo, null_tol=1e-6)["meridian_parabolic"] == 1.0
 
     def test_residuals_small(self):
         for name in ("LLRR", "RRL"):
