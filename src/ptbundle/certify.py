@@ -3,7 +3,7 @@
 The certifier runs the whole tower once, on the holonomy's character,
 which the shape test of the trace solve proves to be the holonomy:
 derived linear representations, twisted Alexander polynomials, and the
-multiplicity of the root t = 1.  A solution is declared
+multiplicity of the root t = 1.  A word is declared
 rigid-rel-cusp only when one of the three certificates fires with a
 clear margin, and a battery of cross-checks can only downgrade that
 verdict, never upgrade it.  The certifier never claims non-rigidity:
@@ -29,7 +29,7 @@ from .alexander import (
 )
 from .holonomy import (
     HolonomySolution,
-    build_solutions,
+    build_solution,
     fixed_vectors_dim,
     holonomy_residuals,
     longitude_centralizer_dims,
@@ -45,7 +45,6 @@ from .numeric import (
 )
 from .presentation import (
     MonodromySpec,
-    is_hyperbolic,
     monodromy_endo,
     monodromy_trace,
     parse_monodromy,
@@ -150,19 +149,23 @@ class CrossCheck:
 
 
 @dataclass
-class SolutionReport:
-    """Everything the certifier established for the holonomy's character."""
+class RigidityReport:
+    """Everything the certifier established for one monodromy, on its holonomy."""
 
-    index: int
+    spec: MonodromySpec
+    tolerances: Tolerances
+    reps: tuple[str, ...]
     traces: tuple[complex, complex, complex]
     geometric_candidate: bool
     residuals: dict[str, float]
     evidence: dict[str, CertificateEvidence]
     failures: list[str]
+    # set from the certificates; the cross-checks may only downgrade it
     verdict: str
     shape_margin: float = math.nan
     route_match: Optional[bool] = None
     cross_checks: dict[str, CrossCheck] = field(default_factory=dict)
+    cross_checked: bool = False
     solution: Optional[HolonomySolution] = field(default=None, repr=False)
     images: dict[str, Mapping[int, np.ndarray]] = field(default_factory=dict, repr=False)
     # each label's cocycle action matrix (``fox_action``), read by both routes
@@ -178,25 +181,18 @@ class SolutionReport:
     def certificates(self) -> list[str]:
         return [ev.name for ev in self.evidence.values() if ev.decisive]
 
-
-@dataclass
-class RigidityReport:
-    """Certification results for one monodromy."""
-
-    spec: MonodromySpec
-    tolerances: Tolerances
-    reps: tuple[str, ...]
-    solutions: list[SolutionReport]
-    cross_checked: bool = False
-
     @property
-    def verdict(self) -> str:
-        if any(sol.verdict == RIGID for sol in self.solutions):
-            return RIGID
-        return INCONCLUSIVE
+    def solutions(self) -> tuple[RigidityReport]:
+        """The report itself, as a sequence of one.
+
+        Its only reader is the benchmark's ``_observe_certify`` in
+        ``perfbench/spans.py``, which iterates it.
+        """
+        return (self,)
 
 
-def _validated_reps(reps: Sequence[str]) -> tuple[str, ...]:
+def validated_reps(reps: Sequence[str]) -> tuple[str, ...]:
+    """The known labels among reps, in canonical order; ValueError otherwise."""
     chosen = []
     for label in reps:
         if label not in ALL_REPS:
@@ -210,12 +206,10 @@ def _validated_reps(reps: Sequence[str]) -> tuple[str, ...]:
 
 
 def _solution_report(
-    index: int,
-    sol: HolonomySolution,
-    endo,
-    reps: tuple[str, ...],
-    tols: Tolerances,
-) -> SolutionReport:
+    spec: MonodromySpec, sol: HolonomySolution, reps: tuple[str, ...], tols: Tolerances
+) -> RigidityReport:
+    """The certificate pass on a lifted solution, before the cross-checks."""
+    endo = monodromy_endo(spec)
     failures: list[str] = []
     residuals: dict[str, float] = {}
     try:
@@ -245,8 +239,10 @@ def _solution_report(
         and residuals.get("longitude_trace", math.inf) <= tols.root
     )
     decisive = any(ev.decisive for ev in evidence.values())
-    return SolutionReport(
-        index=index,
+    return RigidityReport(
+        spec=spec,
+        tolerances=tols,
+        reps=reps,
         traces=sol.triple.as_tuple(),
         geometric_candidate=geometric,
         residuals=residuals,
@@ -260,21 +256,6 @@ def _solution_report(
     )
 
 
-def select_solutions(
-    spec: MonodromySpec, *, tolerances: Optional[Tolerances] = None
-) -> list[HolonomySolution]:
-    """The holonomy of a hyperbolic monodromy, lifted through the tower, as a list of one.
-
-    Raises ValueError for a non-hyperbolic word, and ArithmeticError when
-    no flat start reaches the holonomy or its lift fails.
-    """
-    if not is_hyperbolic(spec):
-        raise ValueError(
-            f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
-        )
-    return build_solutions(spec, tolerances=tolerances)
-
-
 def certify(
     spec: MonodromySpec | str,
     *,
@@ -283,33 +264,23 @@ def certify(
 ) -> RigidityReport:
     """Run the full certification pipeline for a monodromy word.
 
-    The trace solve and the lift run for the whole word, in
-    `select_solutions` through `build_solutions`: when no start reaches
-    the holonomy, or its lift finds no meridian intertwiner or no unique
-    one, the ArithmeticError ends the call and the command line exits 3.
-    After the lift, an ArithmeticError, ValueError or LinAlgError in the
-    residuals, in one representation's images or certificate, or in one
-    of the cross-checks is recorded in the solution's `failures`, and
-    the other representations still complete.  The structural
-    consistency checks then run and may downgrade the verdict.  Input
-    errors raise as in `select_solutions`.
+    The trace solve and the lift run in `build_solution`: when no start
+    reaches the holonomy, or its lift finds no meridian intertwiner or no
+    unique one, the ArithmeticError ends the call and the command line
+    exits 3.  After the lift, an ArithmeticError, ValueError or
+    LinAlgError in the residuals, in one representation's images or
+    certificate, or in one of the cross-checks is recorded in the
+    report's `failures`, and the other representations still complete.
+    The structural consistency checks then run and may downgrade the
+    verdict.  Input errors raise ValueError, as in `validated_reps` and
+    `build_solution`.
     """
     if isinstance(spec, str):
         spec = parse_monodromy(spec)
     tols = tolerances or Tolerances()
-    chosen = _validated_reps(reps)
-    picked = select_solutions(spec, tolerances=tols)
-    endo = monodromy_endo(spec)
-    report = RigidityReport(
-        spec=spec,
-        tolerances=tols,
-        reps=chosen,
-        solutions=[
-            _solution_report(index, sol, endo, chosen, tols)
-            for index, sol in enumerate(picked)
-        ],
-    )
-    return cross_checks(report)
+    chosen = validated_reps(reps)
+    sol = build_solution(spec, tolerances=tols)
+    return cross_checks(_solution_report(spec, sol, chosen, tols))
 
 
 # ---------------------------------------------------------------------------
@@ -317,23 +288,23 @@ def certify(
 # ---------------------------------------------------------------------------
 
 
-def _check_multiplicity_step(sol: SolutionReport) -> Optional[CrossCheck]:
-    if "sl4" not in sol.evidence or "gl16" not in sol.evidence:
+def _check_multiplicity_step(report: RigidityReport) -> Optional[CrossCheck]:
+    if "sl4" not in report.evidence or "gl16" not in report.evidence:
         return None
-    m_sl = sol.evidence["sl4"].multiplicity
-    m_gl = sol.evidence["gl16"].multiplicity
+    m_sl = report.evidence["sl4"].multiplicity
+    m_gl = report.evidence["gl16"].multiplicity
     return CrossCheck(
         ok=(m_gl == m_sl - 1), values={"m_sl4": m_sl, "m_gl16": m_gl}
     )
 
 
-def _check_torsion(sol: SolutionReport, trace: int) -> Optional[CrossCheck]:
-    if "sl4" not in sol.evidence or "gl16" not in sol.evidence:
+def _check_torsion(report: RigidityReport, trace: int) -> Optional[CrossCheck]:
+    if "sl4" not in report.evidence or "gl16" not in report.evidence:
         return None
-    denom = sol.evidence["sl4"].deflated_at_one
+    denom = report.evidence["sl4"].deflated_at_one
     if abs(denom) == 0.0:
         return CrossCheck(ok=False, values={"ratio_at_one": math.inf})
-    ratio = abs(sol.evidence["gl16"].deflated_at_one / denom)
+    ratio = abs(report.evidence["gl16"].deflated_at_one / denom)
     expected = float(abs(trace - 2))
     ok = abs(ratio - expected) <= 1e-6 * max(1.0, expected)
     return CrossCheck(ok=ok, values={"ratio_at_one": ratio, "expected": expected})
@@ -353,7 +324,7 @@ def _check_adjoint(adjoint, tols: Tolerances) -> dict[str, CrossCheck]:
 
 
 def _check_routes(
-    sol: SolutionReport, tols: Tolerances
+    report: RigidityReport, tols: Tolerances
 ) -> tuple[CrossCheck, list[str]]:
     """Whether each label's action has one characteristic polynomial by both routes.
 
@@ -365,10 +336,10 @@ def _check_routes(
     the root tolerance.
     """
     differences, failures = {}, []
-    for label, ev in sol.evidence.items():
+    for label, ev in report.evidence.items():
         differences[label] = None
         try:
-            images, matrix = sol.images[label], sol.actions[label]
+            images, matrix = report.images[label], report.actions[label]
             if ev.source == "action":
                 kernel = ev.polynomial
                 wada = bundle_twisted_alexander(matrix, images, tolerances=tols)
@@ -382,7 +353,7 @@ def _check_routes(
             differences[label] = laurent_distance(normalize_unit(kernel), normalize_unit(wada))
         except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
             failures.append(f"routes[{label}]: {err}")
-    ok = all(d is not None and d <= tols.root and sol.residuals[f"relations_{label}"] <= tols.root
+    ok = all(d is not None and d <= tols.root and report.residuals[f"relations_{label}"] <= tols.root
              for label, d in differences.items())
     return CrossCheck(ok=ok, values=differences), failures
 
@@ -403,30 +374,28 @@ def cross_checks(report: RigidityReport) -> RigidityReport:
     certificate pass, building the sl4 images only when sl4 is not among
     the report's representations; no action matrix is built here.
     """
-    trace = monodromy_trace(report.spec)
-    for sol in report.solutions:
-        checks: dict[str, CrossCheck] = {}
-        step = _check_multiplicity_step(sol)
-        if step is not None:
-            checks["multiplicity_step"] = step
-        torsion = _check_torsion(sol, trace)
-        if torsion is not None:
-            checks["torsion"] = torsion
-        if sol.solution is not None:
-            try:
-                adjoint = sol.representation("sl4")
-                checks.update(_check_adjoint(adjoint, report.tolerances))
-            except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
-                sol.failures.append(f"centralizer: {err}")
-                checks["longitude_centralizer"] = CrossCheck(ok=False, values={})
-            routes, route_failures = _check_routes(sol, report.tolerances)
-            sol.failures.extend(route_failures)
-            if routes.values:
-                checks["routes"] = routes
-                sol.route_match = routes.ok
-        sol.cross_checks = checks
-        if any(not check.ok for check in checks.values()):
-            sol.verdict = INCONCLUSIVE
+    checks: dict[str, CrossCheck] = {}
+    step = _check_multiplicity_step(report)
+    if step is not None:
+        checks["multiplicity_step"] = step
+    torsion = _check_torsion(report, monodromy_trace(report.spec))
+    if torsion is not None:
+        checks["torsion"] = torsion
+    if report.solution is not None:
+        try:
+            adjoint = report.representation("sl4")
+            checks.update(_check_adjoint(adjoint, report.tolerances))
+        except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
+            report.failures.append(f"centralizer: {err}")
+            checks["longitude_centralizer"] = CrossCheck(ok=False, values={})
+        routes, route_failures = _check_routes(report, report.tolerances)
+        report.failures.extend(route_failures)
+        if routes.values:
+            checks["routes"] = routes
+            report.route_match = routes.ok
+    report.cross_checks = checks
+    if any(not check.ok for check in checks.values()):
+        report.verdict = INCONCLUSIVE
     report.cross_checked = True
     return report
 
@@ -488,28 +457,26 @@ def report_jsonable(report: RigidityReport) -> dict:
         "representations": list(report.reps),
         "cross_checked": report.cross_checked,
         "verdict": report.verdict,
-        "solutions": [
-            {
-                "index": sol.index,
-                "traces": [_pair(t) for t in sol.traces],
-                "shape_margin": sol.shape_margin,
-                "geometric_candidate": sol.geometric_candidate,
-                "residuals": {k: float(v) for k, v in sorted(sol.residuals.items())},
-                "evidence": {
-                    label: _evidence_jsonable(ev)
-                    for label, ev in sol.evidence.items()
-                },
-                "route_match": sol.route_match,
-                "cross_checks": {
-                    name: _check_jsonable(check)
-                    for name, check in sol.cross_checks.items()
-                },
-                "certificates": sol.certificates,
-                "failures": sol.failures,
-                "verdict": sol.verdict,
-            }
-            for sol in report.solutions
-        ],
+        # one entry: the holonomy's, in the list shape the output has always had
+        "solutions": [{
+            "index": 0,
+            "traces": [_pair(t) for t in report.traces],
+            "shape_margin": report.shape_margin,
+            "geometric_candidate": report.geometric_candidate,
+            "residuals": {k: float(v) for k, v in sorted(report.residuals.items())},
+            "evidence": {
+                label: _evidence_jsonable(ev)
+                for label, ev in report.evidence.items()
+            },
+            "route_match": report.route_match,
+            "cross_checks": {
+                name: _check_jsonable(check)
+                for name, check in report.cross_checks.items()
+            },
+            "certificates": report.certificates,
+            "failures": report.failures,
+            "verdict": report.verdict,
+        }],
     }
 
 
@@ -547,35 +514,34 @@ def report_text(
         f"null={report.tolerances.null:g}",
         f"overall verdict: {report.verdict}",
     ]
-    for sol in report.solutions:
-        tag = "  (geometric candidate)" if sol.geometric_candidate else ""
-        lines.append("")
-        lines.append(f"solution {sol.index}  shape_margin={sol.shape_margin:.6g}{tag}")
-        names = ("tr(a)", "tr(b)", "tr(ab)")
-        traced = ", ".join(
-            f"{name}={_format_complex(t)}" for name, t in zip(names, sol.traces)
+    tag = "  (geometric candidate)" if report.geometric_candidate else ""
+    lines.append("")
+    lines.append(f"solution 0  shape_margin={report.shape_margin:.6g}{tag}")
+    names = ("tr(a)", "tr(b)", "tr(ab)")
+    traced = ", ".join(
+        f"{name}={_format_complex(t)}" for name, t in zip(names, report.traces)
+    )
+    lines.append(f"  traces: {traced}")
+    if report.residuals:
+        worst = max(report.residuals.values())
+        lines.append(f"  worst residual: {worst:.3g}")
+    for label, ev in report.evidence.items():
+        status = "decisive" if ev.decisive else (
+            "fired (no margin)" if ev.fired else "did not fire"
         )
-        lines.append(f"  traces: {traced}")
-        if sol.residuals:
-            worst = max(sol.residuals.values())
-            lines.append(f"  worst residual: {worst:.3g}")
-        for label, ev in sol.evidence.items():
-            status = "decisive" if ev.decisive else (
-                "fired (no margin)" if ev.fired else "did not fire"
-            )
-            lines.append(
-                f"  {label} ({ev.source}): multiplicity {ev.multiplicity} at t=1 "
-                f"(expected {ev.expected_multiplicity}), "
-                f"deflated(1) = {abs(ev.deflated_at_one):.10g}, {status}"
-            )
-            lines.append(f"    {show(ev)}")
-        for name, check in sol.cross_checks.items():
-            state = "ok" if check.ok else "FAILED"
-            detail = ", ".join(f"{k}={v}" for k, v in check.values.items())
-            lines.append(f"  check {name}: {state} ({detail})")
-        for failure in sol.failures:
-            lines.append(f"  failure: {failure}")
-        if sol.certificates:
-            lines.append("  certificates: " + ", ".join(sol.certificates))
-        lines.append(f"  verdict: {sol.verdict}")
+        lines.append(
+            f"  {label} ({ev.source}): multiplicity {ev.multiplicity} at t=1 "
+            f"(expected {ev.expected_multiplicity}), "
+            f"deflated(1) = {abs(ev.deflated_at_one):.10g}, {status}"
+        )
+        lines.append(f"    {show(ev)}")
+    for name, check in report.cross_checks.items():
+        state = "ok" if check.ok else "FAILED"
+        detail = ", ".join(f"{k}={v}" for k, v in check.values.items())
+        lines.append(f"  check {name}: {state} ({detail})")
+    for failure in report.failures:
+        lines.append(f"  failure: {failure}")
+    if report.certificates:
+        lines.append("  certificates: " + ", ".join(report.certificates))
+    lines.append(f"  verdict: {report.verdict}")
     return "\n".join(lines) + "\n"

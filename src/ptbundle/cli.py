@@ -31,9 +31,9 @@ from .certify import (
     integer_coeffs,
     report_json,
     report_text,
-    select_solutions,
+    validated_reps,
 )
-from .holonomy import holonomy_residuals
+from .holonomy import build_solution, holonomy_residuals
 from .numeric import LaurentPoly, Tolerances, char_poly, integer_round
 from .presentation import (
     load_presentation,
@@ -295,23 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace) -> CliConfig:
     reps = getattr(args, "reps", None)
-    if reps is None:
-        chosen: tuple[str, ...] = ALL_REPS
-    else:
-        tokens = [tok.strip() for tok in reps.split(",") if tok.strip()]
-        for tok in tokens:
-            if tok not in ALL_REPS:
-                raise ValueError(f"unknown representation {tok!r} in --reps")
-        if not tokens:
-            raise ValueError("--reps selected no representations")
-        chosen = tuple(label for label in ALL_REPS if label in tokens)
+    tokens = ALL_REPS if reps is None else [tok.strip() for tok in reps.split(",") if tok.strip()]
     return CliConfig(
         command=args.command,
         monodromy=getattr(args, "monodromy", None),
         input_path=getattr(args, "file", None),
         tolerances=Tolerances(det=args.tol_det, root=args.tol_root,
                               null=args.tol_null),
-        reps=chosen,
+        reps=validated_reps(tokens),
         fmt=args.fmt,
         output=args.output,
     )
@@ -397,62 +388,44 @@ def _header(spec) -> dict:
     return {"monodromy": spec.text(), "trace": monodromy_trace(spec)}
 
 
-def _solution_data(index: int, sol) -> dict:
+def _solution_data(sol) -> dict:
     """The fields every per-monodromy JSON solution starts with."""
-    return {"index": index, "traces": [_pair(t) for t in sol.triple.as_tuple()],
+    return {"index": 0, "traces": [_pair(t) for t in sol.triple.as_tuple()],
             "shape_margin": sol.triple.shape_margin}
 
 
-def _traces_line(index: int, sol) -> str:
+def _traces_line(sol) -> str:
     a, b, c = sol.triple.as_tuple()
-    return (f"solution {index}: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
+    return (f"solution 0: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
             f"  shape_margin={sol.triple.shape_margin:.6g}")
 
 
 def _cmd_trace_solve(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
-    picked = select_solutions(spec, tolerances=config.tolerances)
+    sol = build_solution(spec, tolerances=config.tolerances)
     if config.fmt == "json":
-        return 0, _dumps({**_header(spec), "solutions": [
-            _solution_data(index, sol) for index, sol in enumerate(picked)
-        ]})
-    lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}"]
-    lines.extend(_traces_line(index, sol) for index, sol in enumerate(picked))
-    return 0, "\n".join(lines) + "\n"
+        return 0, _dumps({**_header(spec), "solutions": [_solution_data(sol)]})
+    return 0, f"monodromy {spec.text()}   trace {monodromy_trace(spec)}\n{_traces_line(sol)}\n"
 
 
 def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
-    picked = list(enumerate(select_solutions(spec, tolerances=config.tolerances)))
-    endo = monodromy_endo(spec)
-    residuals = [
-        {k: float(v) for k, v in sorted(holonomy_residuals(
-            sol.sl2, endo, null_tol=config.tolerances.null).items())}
-        for _, sol in picked
-    ]
+    sol = build_solution(spec, tolerances=config.tolerances)
+    res = {k: float(v) for k, v in sorted(holonomy_residuals(
+        sol.sl2, monodromy_endo(spec), null_tol=config.tolerances.null).items())}
     if config.fmt == "json":
-        return 0, _dumps({**_header(spec), "solutions": [
-            {
-                **_solution_data(index, sol),
-                "residuals": res,
-                "sl2": {name: _cmatrix(mat) for name, mat in
-                        zip("abx", sol.sl2.values())},
-                "so31": {name: _rmatrix(mat) for name, mat in
-                         zip("abx", sol.lorentz.values())},
-            }
-            for (index, sol), res in zip(picked, residuals)
-        ]})
-    lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}"]
-    for (index, sol), res in zip(picked, residuals):
-        lines += ["", _traces_line(index, sol),
-                  f"  worst residual: {max(res.values()):.3g}"]
-        for group, images in (
-            ("sl2", sol.sl2.values()),
-            ("so31", sol.lorentz.values()),
-        ):
-            for name, mat in zip("abx", images):
-                lines.append(f"  {group} {name}:")
-                lines.extend(_format_matrix_text(mat))
+        return 0, _dumps({**_header(spec), "solutions": [{
+            **_solution_data(sol),
+            "residuals": res,
+            "sl2": {name: _cmatrix(mat) for name, mat in zip("abx", sol.sl2.values())},
+            "so31": {name: _rmatrix(mat) for name, mat in zip("abx", sol.lorentz.values())},
+        }]})
+    lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}", "",
+             _traces_line(sol), f"  worst residual: {max(res.values()):.3g}"]
+    for group, images in (("sl2", sol.sl2.values()), ("so31", sol.lorentz.values())):
+        for name, mat in zip("abx", images):
+            lines.append(f"  {group} {name}:")
+            lines.extend(_format_matrix_text(mat))
     return 0, "\n".join(lines) + "\n"
 
 
@@ -472,44 +445,34 @@ def _action_data(action, evidence: CertificateEvidence, tols: Tolerances) -> dic
 
 def _cmd_action(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
-    picked = select_solutions(spec, tolerances=config.tolerances)
+    sol = build_solution(spec, tolerances=config.tolerances)
     endo = monodromy_endo(spec)
     tols = config.tolerances
-    results = []
-    for index, sol in enumerate(picked):
-        per_rep = {}
-        for label in config.reps:
-            images = sol.representation(label)
-            per_rep[label] = action_evidence(label, fox_action(endo, images), images, tols)
-        results.append((index, sol, per_rep))
+    per_rep = {}
+    for label in config.reps:
+        images = sol.representation(label)
+        per_rep[label] = action_evidence(label, fox_action(endo, images), images, tols)
     if config.fmt == "json":
-        solutions = [
-            {
-                **_solution_data(index, sol),
-                "representations": {
-                    label: _action_data(action, evidence, tols)
-                    for label, (action, evidence) in per_rep.items()
-                },
-            }
-            for index, sol, per_rep in results
-        ]
-        return 0, _dumps({**_header(spec), "direction": "inverse",
-                          "solutions": solutions})
+        return 0, _dumps({**_header(spec), "direction": "inverse", "solutions": [{
+            **_solution_data(sol),
+            "representations": {
+                label: _action_data(action, evidence, tols)
+                for label, (action, evidence) in per_rep.items()
+            },
+        }]})
     lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}   "
-             f"direction inverse"]
-    for index, _, per_rep in results:
-        lines += ["", f"solution {index}"]
-        for label, (action, evidence) in per_rep.items():
-            size = action.matrix.shape[0]
-            lines.append(
-                f"  {label}: action matrix {size}x{size} on cocycle "
-                f"pairs, kernel dimension {action.kernel_basis.shape[1]}"
-            )
-            lines.append(
-                f"    relative characteristic polynomial "
-                f"(multiplicity {evidence.multiplicity} at t=1):"
-            )
-            lines.append("      " + _poly_text(evidence.polynomial, "t", tols.root))
+             f"direction inverse", "", "solution 0"]
+    for label, (action, evidence) in per_rep.items():
+        size = action.matrix.shape[0]
+        lines.append(
+            f"  {label}: action matrix {size}x{size} on cocycle "
+            f"pairs, kernel dimension {action.kernel_basis.shape[1]}"
+        )
+        lines.append(
+            f"    relative characteristic polynomial "
+            f"(multiplicity {evidence.multiplicity} at t=1):"
+        )
+        lines.append("      " + _poly_text(evidence.polynomial, "t", tols.root))
     return 0, "\n".join(lines) + "\n"
 
 

@@ -63,7 +63,7 @@ from .numeric import (
     nullspace,
     word_product,
 )
-from .presentation import MonodromySpec, monodromy_endo
+from .presentation import MonodromySpec, is_hyperbolic, monodromy_endo
 from .words import EndoF2, parse_word
 
 # Matrices downstream of the trace solution are built in extended precision
@@ -198,7 +198,9 @@ def solve_traces(letters: str) -> list[TraceTriple]:
     one open half-plane is the holonomy (Gueritaud and Futer: the
     layered triangulation is geometric); it is returned, conjugated if
     need be so that Im z > 0, as a list of one ``TraceTriple`` of its
-    base layer (the layer the first letter acts on).  Raises
+    base layer (the layer the first letter acts on); the list shape is
+    kept for the benchmark's ``_observe_triples`` in
+    ``perfbench/spans.py``, which counts it with ``len()``.  Raises
     ArithmeticError, naming the best residual, when no start gets there.
     """
     is_l = np.array([letter == "L" for letter in letters])
@@ -362,6 +364,14 @@ def holonomy_from_triple(
     return sl2_images([*mats, mat_x])
 
 
+def _relation_sides(images: Mapping[int, np.ndarray], endo: EndoF2):
+    """(name, X g X^-1, image of phi(g)) for the fiber generators g = a, b."""
+    images = GeneratorImages.of(images)
+    for name, gen, image in (("relation_a", 0, endo.image_a),
+                             ("relation_b", 1, endo.image_b)):
+        yield name, images[2] @ images[gen] @ images.inverse(2), word_product(image, images)
+
+
 def holonomy_residuals(images: GeneratorImages, endo: EndoF2, *,
                        null_tol: float = 1e-9) -> dict[str, float]:
     """Diagnostics of the SL2 images: relation defects (up to sign),
@@ -373,14 +383,10 @@ def holonomy_residuals(images: GeneratorImages, endo: EndoF2, *,
     """
     out: dict[str, float] = {}
     mat_x = images[2]
-    for name, gen, image in (("relation_a", 0, endo.image_a),
-                             ("relation_b", 1, endo.image_b)):
-        lhs = mat_x @ images[gen] @ images.inverse(2)
-        rhs = word_product(image, images)
-        defect = min(
+    for name, lhs, rhs in _relation_sides(images, endo):
+        out[name] = min(
             float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))
         )
-        out[name] = defect
     for name, mat in zip(("det_a", "det_b", "det_x"), images.values()):
         out[name] = float(abs(complex(matrix_det(mat)) - 1.0))
     trace = np.trace(mat_x)
@@ -546,12 +552,8 @@ def rep_residuals(
     images: Mapping[int, np.ndarray], endo: EndoF2
 ) -> dict[str, float]:
     """Relation defects for a linear representation of the bundle group."""
-    images = GeneratorImages.of(images)
     out = {}
-    for name, gen, image in (("relation_a", 0, endo.image_a),
-                             ("relation_b", 1, endo.image_b)):
-        lhs = images[2] @ images[gen] @ images.inverse(2)
-        rhs = word_product(image, images)
+    for name, lhs, rhs in _relation_sides(images, endo):
         scale = max(1.0, float(np.max(np.abs(rhs))))
         out[name] = float(np.max(np.abs(lhs - rhs))) / scale
     return out
@@ -602,7 +604,7 @@ def fixed_vectors_dim(
 
 
 # ---------------------------------------------------------------------------
-# One-call pipeline per solution.
+# One-call pipeline for the holonomy.
 # ---------------------------------------------------------------------------
 
 
@@ -631,14 +633,20 @@ class HolonomySolution:
         raise ValueError(f"unknown representation kind: {kind!r}")
 
 
-def build_solutions(
+def build_solution(
     spec: MonodromySpec, *, tolerances: Tolerances | None = None
-) -> list[HolonomySolution]:
-    """Solve for the holonomy's character and lift it through the tower."""
+) -> HolonomySolution:
+    """The holonomy of a hyperbolic monodromy, lifted through the tower.
+
+    Raises ValueError for a non-hyperbolic word, and ArithmeticError when
+    no flat start reaches the holonomy or its lift fails.
+    """
+    if not is_hyperbolic(spec):
+        raise ValueError(
+            f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
+        )
     tols = tolerances or Tolerances()
     endo = monodromy_endo(spec)
-    out = []
-    for triple in solve_traces(spec.letters):
-        sl2 = holonomy_from_triple(triple, endo, spec.letters, null_tol=tols.null)
-        out.append(HolonomySolution(triple, sl2, lorentz_holonomy(sl2)))
-    return out
+    (triple,) = solve_traces(spec.letters)
+    sl2 = holonomy_from_triple(triple, endo, spec.letters, null_tol=tols.null)
+    return HolonomySolution(triple, sl2, lorentz_holonomy(sl2))

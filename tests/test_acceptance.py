@@ -31,7 +31,7 @@ from ptbundle.certify import certify
 from ptbundle.cli import run
 from ptbundle.holonomy import (
     LORENTZ_FORM,
-    build_solutions,
+    build_solution,
     fixed_vectors_dim,
     holonomy_residuals,
     longitude_centralizer_dims,
@@ -155,11 +155,11 @@ def heusener_rep(s, t):
 
 @pytest.fixture(scope="module")
 def bundles():
-    """Monodromy endomorphism and full solution list for both worked words."""
+    """Monodromy endomorphism and lifted holonomy for both worked words."""
     out = {}
     for word in BUNDLE_WORDS:
         spec = parse_monodromy(word)
-        out[word] = (monodromy_endo(spec), build_solutions(spec))
+        out[word] = (monodromy_endo(spec), build_solution(spec))
     return out
 
 
@@ -213,27 +213,23 @@ class TestIntegerPolynomialTargets:
     def test_rrl_tensor_square_determinant_route(self, tmp_path):
         start = time.perf_counter()
         spec = parse_monodromy("RRL")
-        endo, sols = monodromy_endo(spec), build_solutions(spec)
-        reps = [sol.representation("gl16") for sol in sols]
-        polys = [bundle_twisted_alexander(fox_action(endo, rep), rep) for rep in reps]
+        endo, rep = monodromy_endo(spec), build_solution(spec).representation("gl16")
+        poly = bundle_twisted_alexander(fox_action(endo, rep), rep)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
-        assert len(polys) >= 1
-        for poly in polys:
-            ints = integer_round(poly, tol=1e-6)
-            assert ints is not None
-            # dense() starts at the lowest nonzero exponent, so comparing
-            # trimmed lists already ignores an overall power of t.
-            assert ints in (RRL_GL16_INTS, negate(RRL_GL16_INTS))
+        ints = integer_round(poly, tol=1e-6)
+        assert ints is not None
+        # dense() starts at the lowest nonzero exponent, so comparing
+        # trimmed lists already ignores an overall power of t.
+        assert ints in (RRL_GL16_INTS, negate(RRL_GL16_INTS))
 
     def test_rrl_adjoint_cocycle_route(self, bundles):
-        endo, sols = bundles["RRL"]
-        for sol in sols:
-            rep = sol.representation("sl4")
-            action = monodromy_action(fox_action(endo, rep), rep)
-            ints = integer_round(relative_char_poly(action), tol=1e-6)
-            assert ints is not None
-            assert ints in (RRL_SL4_INTS, negate(RRL_SL4_INTS))
+        endo, sol = bundles["RRL"]
+        rep = sol.representation("sl4")
+        action = monodromy_action(fox_action(endo, rep), rep)
+        ints = integer_round(relative_char_poly(action), tol=1e-6)
+        assert ints is not None
+        assert ints in (RRL_SL4_INTS, negate(RRL_SL4_INTS))
 
 
 class TestCertification:
@@ -335,15 +331,14 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("word", BUNDLE_WORDS)
     @pytest.mark.parametrize("kind", ("sl4", "v"))
     def test_routes_match_up_to_unit(self, bundles, word, kind):
-        endo, sols = bundles[word]
-        for sol in sols:
-            rep = sol.representation(kind)
-            matrix = fox_action(endo, rep)
-            action = monodromy_action(matrix, rep)
-            assert coboundary_defect(action, rep) <= 1e-6
-            assert equal_up_to_unit(
-                bundle_twisted_alexander(matrix, rep), relative_char_poly(action), tol=1e-6
-            )
+        endo, sol = bundles[word]
+        rep = sol.representation(kind)
+        matrix = fox_action(endo, rep)
+        action = monodromy_action(matrix, rep)
+        assert coboundary_defect(action, rep) <= 1e-6
+        assert equal_up_to_unit(
+            bundle_twisted_alexander(matrix, rep), relative_char_poly(action), tol=1e-6
+        )
 
 
 class TestMultiplicityStep:
@@ -351,28 +346,28 @@ class TestMultiplicityStep:
 
     def test_step_down_on_both_words(self, reports):
         for word in BUNDLE_WORDS:
-            for sol in reports[word].solutions:
-                m_sl = sol.evidence["sl4"].multiplicity
-                m_gl = sol.evidence["gl16"].multiplicity
-                assert m_gl == m_sl - 1
+            report = reports[word]
+            m_sl = report.evidence["sl4"].multiplicity
+            m_gl = report.evidence["gl16"].multiplicity
+            assert m_gl == m_sl - 1
 
     def test_extra_factor_value_matches_trace(self, reports):
         for word in BUNDLE_WORDS:
             expected = abs(complex(monodromy_trace(parse_monodromy(word))) - 2.0)
-            for sol in reports[word].solutions:
-                ratio = abs(
-                    sol.evidence["gl16"].deflated_at_one
-                    / sol.evidence["sl4"].deflated_at_one
-                )
-                assert ratio == pytest.approx(expected, rel=1e-6)
+            report = reports[word]
+            ratio = abs(
+                report.evidence["gl16"].deflated_at_one
+                / report.evidence["sl4"].deflated_at_one
+            )
+            assert ratio == pytest.approx(expected, rel=1e-6)
 
     def test_rrl_extra_factor_value_is_two(self, reports):
-        for sol in reports["RRL"].solutions:
-            ratio = abs(
-                sol.evidence["gl16"].deflated_at_one
-                / sol.evidence["sl4"].deflated_at_one
-            )
-            assert ratio == pytest.approx(2.0, rel=1e-6)
+        report = reports["RRL"]
+        ratio = abs(
+            report.evidence["gl16"].deflated_at_one
+            / report.evidence["sl4"].deflated_at_one
+        )
+        assert ratio == pytest.approx(2.0, rel=1e-6)
 
 
 def _random_word(rng, max_len, rank):
@@ -404,55 +399,49 @@ class TestAlgebraicProperties:
 
     def test_lorentz_form_preserved(self, bundles):
         for word in BUNDLE_WORDS:
-            _, sols = bundles[word]
-            for sol in sols:
-                for g in sol.lorentz.values():
-                    defect = float(
-                        np.max(np.abs(g.T @ LORENTZ_FORM @ g - LORENTZ_FORM))
-                    )
-                    assert defect <= 1e-9
+            _, sol = bundles[word]
+            for g in sol.lorentz.values():
+                defect = float(
+                    np.max(np.abs(g.T @ LORENTZ_FORM @ g - LORENTZ_FORM))
+                )
+                assert defect <= 1e-9
 
     def test_markov_residual_of_accepted_triples(self, bundles):
         for word in BUNDLE_WORDS:
-            _, sols = bundles[word]
+            _, sol = bundles[word]
             triples = solve_traces(parse_monodromy(word).letters)
             assert triples
             for triple in triples:
                 assert abs(markov(*triple.as_tuple())) <= 1e-10
-            for sol in sols:
-                assert abs(markov(*sol.triple.as_tuple())) <= 1e-10
+            assert abs(markov(*sol.triple.as_tuple())) <= 1e-10
 
     def test_bundle_relations_hold_in_every_representation(self, bundles):
         for word in BUNDLE_WORDS:
-            endo, sols = bundles[word]
-            for sol in sols:
-                diag = holonomy_residuals(sol.sl2, endo)
-                assert diag["relation_a"] <= 1e-7
-                assert diag["relation_b"] <= 1e-7
-                for kind in ("pso31", "sl4", "v", "gl16"):
-                    res = rep_residuals(sol.representation(kind), endo)
-                    assert max(res.values()) <= 1e-7
+            endo, sol = bundles[word]
+            diag = holonomy_residuals(sol.sl2, endo)
+            assert diag["relation_a"] <= 1e-7
+            assert diag["relation_b"] <= 1e-7
+            for kind in ("pso31", "sl4", "v", "gl16"):
+                res = rep_residuals(sol.representation(kind), endo)
+                assert max(res.values()) <= 1e-7
 
     def test_longitude_restriction_kernel_dimensions(self, bundles):
         for word in BUNDLE_WORDS:
-            _, sols = bundles[word]
-            for sol in sols:
-                for kind, expected in (("sl4", 15), ("v", 9)):
-                    kernel = nullspace(res_l_map(sol.representation(kind)))
-                    assert kernel.shape[1] == expected
+            _, sol = bundles[word]
+            for kind, expected in (("sl4", 15), ("v", 9)):
+                kernel = nullspace(res_l_map(sol.representation(kind)))
+                assert kernel.shape[1] == expected
 
     def test_longitude_centralizer_dimensions(self, bundles):
         for word in BUNDLE_WORDS:
-            _, sols = bundles[word]
-            for sol in sols:
-                adjoint = sol.representation("sl4")
-                assert longitude_centralizer_dims(adjoint) == (5, 2, 3)
+            _, sol = bundles[word]
+            adjoint = sol.representation("sl4")
+            assert longitude_centralizer_dims(adjoint) == (5, 2, 3)
 
     def test_no_invariant_vectors_in_adjoint(self, bundles):
         for word in BUNDLE_WORDS:
-            _, sols = bundles[word]
-            for sol in sols:
-                assert fixed_vectors_dim(sol.representation("sl4")) == 0
+            _, sol = bundles[word]
+            assert fixed_vectors_dim(sol.representation("sl4")) == 0
 
 
 class TestDeterminism:

@@ -19,7 +19,6 @@ from ptbundle.certify import (
     ALL_REPS,
     INCONCLUSIVE,
     RIGID,
-    RigidityReport,
     _solution_report,
     certify,
     cross_checks,
@@ -27,7 +26,7 @@ from ptbundle.certify import (
 from ptbundle.holonomy import (
     HolonomySolution,
     TraceTriple,
-    build_solutions,
+    build_solution,
     holonomy_from_triple,
     lorentz_holonomy,
 )
@@ -119,13 +118,13 @@ SECOND_CYCLOTOMIC_LIKE = int_poly([1, -1, 1])
 @pytest.fixture(scope="module")
 def llrr():
     spec = parse_monodromy("LLRR")
-    return monodromy_endo(spec), build_solutions(spec)[0]
+    return monodromy_endo(spec), build_solution(spec)
 
 
 @pytest.fixture(scope="module")
 def rrl():
     spec = parse_monodromy("RRL")
-    return monodromy_endo(spec), build_solutions(spec)[0]
+    return monodromy_endo(spec), build_solution(spec)
 
 
 def entry(image, i, j):
@@ -298,12 +297,14 @@ class TestBundleRoute:
             assert poly.max_exp == dim
 
     def test_all_solution_branches_agree(self):
+        # the solve keeps one branch, the holonomy; its polynomial is the
+        # same whether the images come from the lift or from certify
         spec = parse_monodromy("LLRR")
         endo = monodromy_endo(spec)
-        reps = [sol.representation("sl4") for sol in build_solutions(spec)]
+        reps = [build_solution(spec).representation("sl4"), certify(spec).images["sl4"]]
         polys = [integer_round(bundle_twisted_alexander(fox_action(endo, rep), rep))
                  for rep in reps]
-        assert all(p == polys[0] for p in polys)
+        assert polys[0] is not None and polys[1] == polys[0]
 
     def test_generic_route_agrees_cross_multiplied(self, llrr, rrl):
         for word, (endo, sol) in (("RRL", rrl), ("LLRR", llrr)):
@@ -358,14 +359,11 @@ def pinned_reports():
 
 @pytest.fixture(scope="module")
 def pinned_solutions(pinned_reports):
-    """(endo, images by label, verdict) of every solution of the pinned words."""
-    out = []
-    for word, report in pinned_reports.items():
-        endo = monodromy_endo(parse_monodromy(word))
-        for sol in report.solutions:
-            out.append((endo, {label: sol.representation(label)
-                               for label in ("sl4", "v", "gl16")}, sol.verdict))
-    return out
+    """(endo, images by label, verdict) of the holonomy of each pinned word."""
+    return [(monodromy_endo(parse_monodromy(word)),
+             {label: report.representation(label) for label in ("sl4", "v", "gl16")},
+             report.verdict)
+            for word, report in pinned_reports.items()]
 
 
 @pytest.fixture(scope="module")
@@ -566,15 +564,14 @@ class TestRouteAgreement:
     def test_routes_agree_on_every_rigid_pinned_solution(self, pinned_reports):
         # the routes check compares the polynomial on the longitude-killing
         # kernel with the one on Z^1/B^1, for every label
-        rigid = [sol for report in pinned_reports.values() for sol in report.solutions
-                 if sol.verdict == RIGID]
+        rigid = [report for report in pinned_reports.values() if report.verdict == RIGID]
         assert len(rigid) == len(PINNED_WORDS)
-        for sol in rigid:
-            differences = sol.cross_checks["routes"].values
+        for report in rigid:
+            differences = report.cross_checks["routes"].values
             assert set(differences) == set(ALL_REPS)
             assert max(differences.values()) <= 1e-9, differences
         # the Wada unit is (-1)^16 for gl16, as the quotient of determinants gave
-        (rrl,) = pinned_reports["RRL"].solutions
+        rrl = pinned_reports["RRL"]
         assert int_poly(integer_round(rrl.evidence["gl16"].polynomial)) == RRL_GL16_TARGET
 
     def test_llllr_geometric_candidate_fails_the_routes_check(self):
@@ -588,13 +585,11 @@ class TestRouteAgreement:
         triple = TraceTriple(0.7044022574779152 + 0j, -0.6188503598659675j, 0.18293076933535973j)
         sl2 = holonomy_from_triple(triple, endo, spec.letters)
         solution = HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
-        report = cross_checks(RigidityReport(spec, tols, ALL_REPS, [
-            _solution_report(0, solution, endo, ALL_REPS, tols)]))
-        (sol,) = report.solutions
-        assert sol.geometric_candidate
-        assert set(sol.evidence) == set(ALL_REPS)
-        assert not sol.failures
-        routes = sol.cross_checks["routes"]
-        assert not routes.ok and sol.route_match is False
+        report = cross_checks(_solution_report(spec, solution, ALL_REPS, tols))
+        assert report.geometric_candidate
+        assert set(report.evidence) == set(ALL_REPS)
+        assert not report.failures
+        routes = report.cross_checks["routes"]
+        assert not routes.ok and report.route_match is False
         assert all(difference > 1e-6 for difference in routes.values.values())
-        assert sol.verdict == INCONCLUSIVE
+        assert report.verdict == INCONCLUSIVE

@@ -17,7 +17,6 @@ from ptbundle.certify import (
     RIGID,
     CertificateEvidence,
     RigidityReport,
-    SolutionReport,
     certify,
     cross_checks,
     evidence_from_poly,
@@ -28,7 +27,7 @@ from ptbundle.certify import (
 from ptbundle.holonomy import (
     HolonomySolution,
     TraceTriple,
-    build_solutions,
+    build_solution,
     holonomy_from_triple,
     letter_map,
     lorentz_holonomy,
@@ -81,29 +80,24 @@ class TestVerdicts:
         self, llrr_report, rrl_report, label, mult
     ):
         for report in (llrr_report, rrl_report):
-            for sol in report.solutions:
-                assert sol.evidence[label].multiplicity == mult
-                assert sol.evidence[label].fired
-                assert sol.evidence[label].decisive
+            assert report.evidence[label].multiplicity == mult
+            assert report.evidence[label].fired
+            assert report.evidence[label].decisive
 
     def test_some_solution_has_all_three_certificates(
         self, llrr_report, rrl_report
     ):
         for report in (llrr_report, rrl_report):
-            assert any(
-                set(sol.certificates)
-                == {"sl4-multiplicity-5", "v-multiplicity-3", "gl16-multiplicity-4"}
-                for sol in report.solutions
-            )
+            assert set(report.certificates) == {
+                "sl4-multiplicity-5", "v-multiplicity-3", "gl16-multiplicity-4"}
 
     def test_verdict_vocabulary(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
-            for sol in report.solutions:
-                assert sol.verdict in (RIGID, INCONCLUSIVE)
+            assert report.verdict in (RIGID, INCONCLUSIVE)
 
     def test_geometric_candidates_flagged(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
-            assert any(sol.geometric_candidate for sol in report.solutions)
+            assert report.geometric_candidate
 
     def test_non_hyperbolic_rejected(self):
         # a single twist has trace 2, so no hyperbolic structure exists
@@ -118,35 +112,32 @@ class TestVerdicts:
 class TestEvidence:
     def test_integer_polynomials_recovered(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
-            for sol in report.solutions:
-                for ev in sol.evidence.values():
-                    assert ev.integer_coeffs is not None
+            for ev in report.evidence.values():
+                assert ev.integer_coeffs is not None
 
     def test_reproducible_from_stored_polynomial(self, rrl_report):
-        for sol in rrl_report.solutions:
-            for ev in sol.evidence.values():
-                mult, deflated = root_multiplicity(
-                    ev.polynomial, 1.0, tol=ev.tolerance
-                )
-                assert mult == ev.multiplicity
-                assert complex(deflated.evaluate(1.0)) == pytest.approx(
-                    ev.deflated_at_one, abs=1e-6
-                )
+        for ev in rrl_report.evidence.values():
+            mult, deflated = root_multiplicity(
+                ev.polynomial, 1.0, tol=ev.tolerance
+            )
+            assert mult == ev.multiplicity
+            assert complex(deflated.evaluate(1.0)) == pytest.approx(
+                ev.deflated_at_one, abs=1e-6
+            )
 
     def test_orientation_reversed_gl16_polynomial_rounds(self):
         # -LLRR: the gl16 coefficients lie within 3.1e-8 of integers (2.0e-6,
         # above the rounding tolerance, when every sample was a stacked LU);
         # the verdict is still inconclusive, from the failed action routes
         report = certify("-LLRR")
-        (sol,) = report.solutions
-        ev = sol.evidence["gl16"]
+        ev = report.evidence["gl16"]
         coeffs = ev.integer_coeffs
         assert coeffs == [1, 80, -3656, 29168, 121756, -692144, 1675784, -3023504, 3785030,
                           -3023504, 1675784, -692144, 121756, 29168, -3656, 80, 1]
         assert coeffs == coeffs[::-1] and ev.multiplicity == 4
         _, values = ev.polynomial.dense()
         assert max(abs(c - k) for c, k in zip(values, coeffs)) < 1e-7
-        assert sol.verdict == report.verdict == INCONCLUSIVE
+        assert report.verdict == INCONCLUSIVE
 
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -184,42 +175,36 @@ class TestCrossChecks:
     def test_all_checks_pass(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
             assert report.cross_checked
-            for sol in report.solutions:
-                assert sol.cross_checks
-                for name, check in sol.cross_checks.items():
-                    assert check.ok, name
+            assert report.cross_checks
+            for name, check in report.cross_checks.items():
+                assert check.ok, name
 
     def test_multiplicity_step(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
-            for sol in report.solutions:
-                values = sol.cross_checks["multiplicity_step"].values
-                assert values == {"m_sl4": 5, "m_gl16": 4}
+            values = report.cross_checks["multiplicity_step"].values
+            assert values == {"m_sl4": 5, "m_gl16": 4}
 
     def test_torsion_ratio_values(self, llrr_report, rrl_report):
         for report, expected in ((llrr_report, 4.0), (rrl_report, 2.0)):
-            for sol in report.solutions:
-                values = sol.cross_checks["torsion"].values
-                assert values["expected"] == expected
-                assert values["ratio_at_one"] == pytest.approx(expected, rel=1e-9)
+            values = report.cross_checks["torsion"].values
+            assert values["expected"] == expected
+            assert values["ratio_at_one"] == pytest.approx(expected, rel=1e-9)
 
     def test_longitude_centralizer_split(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
-            for sol in report.solutions:
-                values = sol.cross_checks["longitude_centralizer"].values
-                assert values == {"sl4": 5, "lorentz": 2, "complement": 3}
+            values = report.cross_checks["longitude_centralizer"].values
+            assert values == {"sl4": 5, "lorentz": 2, "complement": 3}
 
     def test_no_fixed_vectors(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
-            for sol in report.solutions:
-                assert sol.cross_checks["fixed_vectors"].values == {"dimension": 0}
+            assert report.cross_checks["fixed_vectors"].values == {"dimension": 0}
 
     def test_route_match_flag(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
-            for sol in report.solutions:
-                assert sol.route_match is True
-                differences = sol.cross_checks["routes"].values
-                assert set(differences) == {"sl4", "v", "gl16"}
-                assert max(differences.values()) <= 1e-9
+            assert report.route_match is True
+            differences = report.cross_checks["routes"].values
+            assert set(differences) == {"sl4", "v", "gl16"}
+            assert max(differences.values()) <= 1e-9
 
     def test_failed_check_downgrades_verdict(self):
         # fabricate evidence whose multiplicities break the step relation
@@ -229,8 +214,10 @@ class TestCrossChecks:
         ev_gl = evidence_from_poly(
             "gl16", product(*(T_MINUS_1,) * 5, int_poly([1, -5, 1]))
         )
-        sol = SolutionReport(
-            index=0,
+        report = RigidityReport(
+            spec=parse_monodromy("LLRR"),
+            tolerances=Tolerances(),
+            reps=("sl4", "gl16"),
             traces=(1j, 1j, 1j),
             geometric_candidate=False,
             residuals={},
@@ -238,15 +225,8 @@ class TestCrossChecks:
             failures=[],
             verdict=RIGID,
         )
-        report = RigidityReport(
-            spec=parse_monodromy("LLRR"),
-            tolerances=Tolerances(),
-            reps=("sl4", "gl16"),
-            solutions=[sol],
-        )
         out = cross_checks(report)
-        assert not out.solutions[0].cross_checks["multiplicity_step"].ok
-        assert out.solutions[0].verdict == INCONCLUSIVE
+        assert not out.cross_checks["multiplicity_step"].ok
         assert out.verdict == INCONCLUSIVE
 
     def test_each_object_built_once_per_label(self, monkeypatch):
@@ -266,21 +246,19 @@ class TestCrossChecks:
             wrapper = counted(name, getattr(ptbundle.alexander, name))
             monkeypatch.setattr(ptbundle.alexander, name, wrapper)
             monkeypatch.setattr(ptbundle.certify, name, wrapper)
-        report = certify("RRL")
-        per_solution = 3 * len(report.solutions)
-        # one cocycle action matrix per (solution, label) serves both routes
+        certify("RRL")
+        # one cocycle action matrix per label serves both routes
         assert counts == {
-            "representation": per_solution,
-            "bundle_twisted_alexander": per_solution,
-            "fox_action": per_solution,
-            "monodromy_action": per_solution,
+            "representation": 3,
+            "bundle_twisted_alexander": 3,
+            "fox_action": 3,
+            "monodromy_action": 3,
         }
 
     def test_cross_checks_reuse_kept_action_matrices(self, monkeypatch):
         report = copy.deepcopy(certify("RRL"))
-        differences = [sol.cross_checks["routes"].values for sol in report.solutions]
-        for sol in report.solutions:
-            sol.cross_checks, sol.route_match = {}, None
+        kept = report.cross_checks["routes"].values
+        report.cross_checks, report.route_match = {}, None
 
         def rebuilt(endo, rep):
             raise AssertionError("cocycle action matrix built again")
@@ -289,10 +267,9 @@ class TestCrossChecks:
         monkeypatch.setattr(ptbundle.certify, "fox_action", rebuilt)
         out = cross_checks(report)
         assert out.verdict == RIGID
-        for sol, kept in zip(out.solutions, differences):
-            assert sol.route_match is True
-            assert sol.cross_checks["routes"].values == kept
-            assert set(kept) == set(ALL_REPS)
+        assert out.route_match is True
+        assert out.cross_checks["routes"].values == kept
+        assert set(kept) == set(ALL_REPS)
 
     def test_no_matrix_inverted_twice(self, monkeypatch):
         # the sl4 images are built once per solution, and every inverse is
@@ -312,8 +289,8 @@ class TestCrossChecks:
 
         monkeypatch.setattr(ptbundle.numeric, "matrix_inverse", recording_inverse)
         monkeypatch.setattr(ptbundle.holonomy, "adjoint_rep", recording_adjoint)
-        report = certify("LLRR")
-        assert report.solutions and len(adjoints) == len(report.solutions)
+        certify("LLRR")
+        assert len(adjoints) == 1
         assert inverted == []
 
     def test_real_representations_sample_half_the_circle(self, monkeypatch):
@@ -332,21 +309,20 @@ class TestCrossChecks:
         monkeypatch.setattr(ptbundle.numeric, "interpolate_on_circle", recording)
         report = certify("RRL")
         assert report.verdict == RIGID
-        # per solution, once for the certificates and once for the routes
+        # once for the certificates and once for the routes
         # check: the sl4 and v polynomials (degrees 15 and 9, one route each
         # time) and the gl16 polynomial of degree 17 (on Z^1/B^1, then on the
         # kernel); the gl16 one on H^0 (degree 1; sl4 and v have no H^0) is
         # computed once and shared by both
-        assert len(counts) == 7 * len(report.solutions)
+        assert len(counts) == 7
         assert {count for count, _ in counts} == {16, 10, 18, 2}
         assert all(points == count // 2 + 3 for count, points in counts)
 
     def test_relation_defect_downgrades_verdict(self):
-        report = certify("RRL", reps=("sl4", "v"))
-        report.solutions.append(copy.deepcopy(report.solutions[0]))
-        report.solutions[0].residuals["relations_v"] = 1e-3
-        out = cross_checks(report)
-        broken, intact = out.solutions[0], out.solutions[1]
+        broken = certify("RRL", reps=("sl4", "v"))
+        intact = copy.deepcopy(broken)
+        broken.residuals["relations_v"] = 1e-3
+        broken, intact = cross_checks(broken), cross_checks(intact)
         # both labels' polynomials agree; v's relation residual fails it
         differences = broken.cross_checks["routes"].values
         assert set(differences) == {"sl4", "v"} and max(differences.values()) <= 1e-9
@@ -367,13 +343,13 @@ class TestCrossChecks:
         # the action route still builds, but the coboundaries are not
         # invariant, so the Z^1/B^1 route refuses and no difference is recorded
         monkeypatch.setattr(HolonomySolution, "representation", perturbed)
-        sol = certify("RRL").solutions[0]
-        assert sol.residuals["relations_sl4"] > Tolerances().root
-        (refused,) = [f for f in sol.failures if f.startswith("routes[")]
+        report = certify("RRL")
+        assert report.residuals["relations_sl4"] > Tolerances().root
+        (refused,) = [f for f in report.failures if f.startswith("routes[")]
         assert refused.startswith("routes[sl4]: the cocycle action does not preserve "
                                   "the coboundaries: relative defect")
-        assert sol.cross_checks["routes"].values["sl4"] is None
-        assert sol.verdict == INCONCLUSIVE
+        assert report.cross_checks["routes"].values["sl4"] is None
+        assert report.verdict == INCONCLUSIVE
 
     def test_singular_pencil_is_a_label_failure(self, monkeypatch):
         original = HolonomySolution.representation
@@ -389,31 +365,30 @@ class TestCrossChecks:
         # the relation residuals would stop at the singular meridian first
         monkeypatch.setattr(ptbundle.certify, "rep_residuals",
                             lambda images, endo: {"relation_a": 0.0})
-        sol = certify("RRL").solutions[0]
-        assert "gl16: singular meridian image" in sol.failures
+        report = certify("RRL")
+        assert "gl16: singular meridian image" in report.failures
         # the other labels still complete
-        assert set(sol.evidence) == {"sl4", "v"}
-        assert set(sol.certificates) == {"sl4-multiplicity-5", "v-multiplicity-3"}
+        assert set(report.evidence) == {"sl4", "v"}
+        assert set(report.certificates) == {"sl4-multiplicity-5", "v-multiplicity-3"}
 
     def test_tightened_tolerances_never_promote(self):
         tight = Tolerances(det=1e-9, root=1e-7, null=1e-10)
         for word in ("LLRR", "RRL"):
             base = certify(word)
             tightened = certify(word, tolerances=tight)
-            for before, after in zip(base.solutions, tightened.solutions):
-                promoted = before.verdict == INCONCLUSIVE and after.verdict == RIGID
-                assert not promoted
-                # on these bundles the margins are huge, so in fact
-                # nothing changes at all
-                assert after.verdict == before.verdict
+            promoted = base.verdict == INCONCLUSIVE and tightened.verdict == RIGID
+            assert not promoted
+            # on these bundles the margins are huge, so in fact
+            # nothing changes at all
+            assert tightened.verdict == base.verdict
 
 
 class TestOrbitCollapse:
     """A sign image of the holonomy has the holonomy's certificate data."""
 
     @staticmethod
-    def certificate_data(sol, endo):
-        report = ptbundle.certify._solution_report(0, sol, endo, ALL_REPS, Tolerances())
+    def certificate_data(sol, spec):
+        report = ptbundle.certify._solution_report(spec, sol, ALL_REPS, Tolerances())
         return {label: (ev.multiplicity, ev.integer_coeffs)
                 for label, ev in report.evidence.items()}
 
@@ -421,8 +396,8 @@ class TestOrbitCollapse:
     def test_sign_images_share_certificate_data(self, word, roots):
         spec = parse_monodromy(word)
         endo = monodromy_endo(spec)
-        (kept,) = build_solutions(spec)
-        expected = self.certificate_data(kept, endo)
+        kept = build_solution(spec)
+        expected = self.certificate_data(kept, spec)
         assert set(expected) == set(ALL_REPS)
         assert all(ints is not None for _, ints in expected.values())
         lifted = 0
@@ -431,7 +406,7 @@ class TestOrbitCollapse:
             # only the sign images that the letter maps fix are characters of the bundle
             if fixed_point_defect(spec.letters, triple.as_tuple()) > 1e-9:
                 continue
-            assert self.certificate_data(self.lift(triple, endo, spec.letters), endo) == expected
+            assert self.certificate_data(self.lift(triple, endo, spec.letters), spec) == expected
             lifted += 1
         assert lifted == roots
 
@@ -447,7 +422,7 @@ class TestOrbitCollapse:
         for word, images in (("RRL", 4), ("LLRR", 8)):
             spec = parse_monodromy(word)
             endo = monodromy_endo(spec)
-            (kept,) = build_solutions(spec)
+            kept = build_solution(spec)
             found = []
             for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
                 signed = np.array(signs) * np.array(kept.triple.as_tuple())
@@ -455,7 +430,7 @@ class TestOrbitCollapse:
                     if fixed_point_defect(spec.letters, image) > 1e-9:
                         continue
                     lifted = self.lift(TraceTriple(*image), endo, spec.letters)
-                    data = self.certificate_data(lifted, endo)
+                    data = self.certificate_data(lifted, spec)
                     found.append({label: coeffs for label, (_, coeffs) in data.items()})
             assert len(found) == images, word
             for ints in found:
@@ -470,15 +445,14 @@ class TestOrbitCollapse:
         # the same polynomials.
         spec = parse_monodromy("L^4R^4")
         endo = monodromy_endo(spec)
-        (kept,) = build_solutions(spec)
+        kept = build_solution(spec)
         found = []
         for signs in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
             signed = np.array(signs) * np.array(kept.triple.as_tuple())
             for image in signed, signed.conj():
                 assert fixed_point_defect(spec.letters, image) <= 1e-9
                 lifted = self.lift(TraceTriple(*image), endo, spec.letters)
-                report = ptbundle.certify._solution_report(0, lifted, endo, ALL_REPS,
-                                                           Tolerances())
+                report = ptbundle.certify._solution_report(spec, lifted, ALL_REPS, Tolerances())
                 found.append(report.evidence)
         for evidence in found:
             assert set(evidence) == set(ALL_REPS)
@@ -490,23 +464,23 @@ class TestOrbitCollapse:
 class TestOptions:
     def test_representation_subset(self):
         report = certify("RRL", reps=("v",))
-        sol = report.solutions[0]
-        assert set(sol.evidence) == {"v"}
-        assert "multiplicity_step" not in sol.cross_checks
-        assert "torsion" not in sol.cross_checks
-        assert sol.verdict == RIGID
+        assert set(report.evidence) == {"v"}
+        assert "multiplicity_step" not in report.cross_checks
+        assert "torsion" not in report.cross_checks
+        assert report.verdict == RIGID
 
     def test_representation_order_is_canonical(self):
         report = certify("RRL", reps=("gl16", "sl4"))
         assert report.reps == ("sl4", "gl16")
 
     def test_solution_filter(self):
-        # the solve keeps the holonomy alone: one solution, index 0, with
-        # every shape in the upper half-plane
+        # the solve keeps the holonomy alone, with every shape in the upper
+        # half-plane; the report lists it as its one solution, index 0
         report = certify("LLLLR", reps=("sl4",))
-        assert [sol.index for sol in report.solutions] == [0]
-        assert all(z.imag > 0 for z in report.solutions[0].solution.triple.shapes)
-        assert report.solutions[0].shape_margin > 0
+        assert report.solutions == (report,)
+        assert [sol["index"] for sol in report_jsonable(report)["solutions"]] == [0]
+        assert all(z.imag > 0 for z in report.solution.triple.shapes)
+        assert report.shape_margin > 0
         assert report.verdict == RIGID
 
     def test_spec_object_accepted(self):

@@ -393,6 +393,16 @@ class TestSubcommands:
         assert run(["action", "LLLLR", "--reps", "sl4"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("solution")] == ["solution 0"]
+        # every monodromy subcommand keeps the envelope the benchmark parses:
+        # one JSON solution with index 0, one text line starting "solution 0"
+        for command in ("certify", "trace-solve", "holonomy", "action"):
+            assert run([command, "RRL", "--format", "json"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            assert [sol["index"] for sol in data["solutions"]] == [0]
+            assert run([command, "RRL"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            (line,) = [line for line in lines if line.startswith("solution")]
+            assert line.startswith("solution 0"), command
 
     def test_solution_filter_out_of_range(self, capsys):
         # no subcommand picks a solution: --solution is an unknown flag

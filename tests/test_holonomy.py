@@ -20,7 +20,7 @@ from ptbundle.holonomy import (
     _markov,
     _shooting_system,
     adjoint_rep,
-    build_solutions,
+    build_solution,
     holonomy_from_triple,
     holonomy_residuals,
     killing_split,
@@ -543,7 +543,7 @@ class TestMeridian:
             holonomy_from_triple(TraceTriple(*triple), *lift_inputs(word))
 
     def test_llllrr_lifts_every_triple(self):
-        (solution,) = build_solutions(parse_monodromy("LLLLRR"))
+        solution = build_solution(parse_monodromy("LLLLRR"))
         assert solution.triple == solve_traces("LLLLRR")[0]
 
     @pytest.mark.parametrize("word", ["LRL", "RLR"])
@@ -749,8 +749,7 @@ class TestSl4Basis:
 @pytest.fixture(scope="module")
 def llrr_solution():
     spec = parse_monodromy("LLRR")
-    (sol,) = build_solutions(spec)
-    return monodromy_endo(spec), sol
+    return monodromy_endo(spec), build_solution(spec)
 
 
 PINNED_WORDS = ("LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR")
@@ -803,9 +802,7 @@ def reference_adjoint(mat, inv):
 
 @pytest.fixture(scope="module")
 def pinned_solutions():
-    per_word = [build_solutions(parse_monodromy(word)) for word in PINNED_WORDS]
-    assert all(per_word)
-    return [sol for sols in per_word for sol in sols]
+    return [build_solution(parse_monodromy(word)) for word in PINNED_WORDS]
 
 
 class TestKroneckerReadouts:
