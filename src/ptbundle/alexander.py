@@ -31,6 +31,7 @@ from .numeric import (
     keep_product,
     normalize_unit,
     nullspace,
+    poly_quotient,
     quotient_interpolate,
     word_product,
 )
@@ -219,12 +220,12 @@ def fox_action(endo: EndoF2, rep: RepImages) -> np.ndarray:
         for gen, exp in image.letters:
             if exp > 0:
                 blocks[gen] = blocks[gen] + prefix
-                prefix = prefix @ rep[gen]
+                prefix = np.dot(prefix, rep[gen])
             else:
-                prefix = prefix @ rep.inverse(gen)
+                prefix = np.dot(prefix, rep.inverse(gen))
                 blocks[gen] = blocks[gen] - prefix
         keep_product(rep, image, prefix)
-        rows.append([prefactor @ block for block in blocks])
+        rows.append([np.dot(prefactor, block) for block in blocks])
     return np.block(rows)
 
 
@@ -268,10 +269,13 @@ def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,
             "the cocycle action does not preserve the coboundaries: relative "
             "defect %.3e exceeds the root tolerance %.3e" % (defect, tols.root))
     complement = nullspace(_coboundary_map(rep).conj().T, tol=tols.null, refine=True)
-    _, coeffs = char_poly(complement.conj().T @ matrix @ complement, tol=tols.det).dense()
-    if complement.shape[1] > rep[0].shape[0]:  # dim Z^1/B^1 = n + dim H^0; divide in extended
+    _, coeffs = char_poly(np.dot(np.dot(complement.conj().T, matrix), complement),
+                          tol=tols.det).dense()
+    if complement.shape[1] > rep[0].shape[0]:  # dim Z^1/B^1 = n + dim H^0
+        # the dividend in extended precision, the divisor as the double
+        # complex coefficients LaurentPoly.dense() gives
         _, fixed = fixed_char_poly(rep, tolerances=tols).dense()
-        coeffs = np.polydiv(np.array(coeffs[::-1], dtype=EXT_COMPLEX), fixed[::-1])[0][::-1]
+        coeffs = poly_quotient(np.array(coeffs[::-1], dtype=EXT_COMPLEX), fixed[::-1])[::-1]
     poly = LaurentPoly.from_coeffs(coeffs)
     return poly.realified(1e-6) if np.isrealobj(matrix) else poly
 
@@ -343,5 +347,5 @@ def coboundary_defect(action: CocycleAction | np.ndarray, rep: RepImages) -> flo
     rep = GeneratorImages.of(rep)
     matrix = action.matrix if isinstance(action, CocycleAction) else action
     embed = _coboundary_map(rep)
-    diff = matrix @ embed - embed @ rep.inverse(2)
+    diff = np.dot(matrix, embed) - np.dot(embed, rep.inverse(2))
     return float(np.max(np.abs(diff))) / max(1.0, float(np.max(np.abs(embed))))

@@ -43,6 +43,14 @@ the adjugate over the determinant, and every other layer reads its
 inverses off the layer below (the Lorentz image of the 2x2 inverse, the
 ``sl4`` read-out of g^-1 (x) g^T, the restricted ``sl4`` inverse,
 g^-1 (x) g^-1), each built on first use.
+
+Every Kronecker product, in the lift and in the tower, goes through the
+one broadcast helper ``_kron2``: the products np.kron forms, bit for bit,
+without the argument handling that makes np.kron three times as slow on a
+4x4 pair.  Every product whose operands can be extended precision is an
+``np.dot``, for the reason the ``numeric`` docstring gives; only the
+batched complex128 normal equations of ``solve_traces`` keep ``@``, as
+``np.dot`` of 3-D stacks is a different product.
 """
 
 from __future__ import annotations
@@ -287,14 +295,16 @@ def _polish_triple(triple: TraceTriple, letters: str) -> np.ndarray:
         markov, gradient = _markov(*chi)
         full = np.vstack([np.array(rows) - eye, gradient])
         adjoint = full.conj().T
-        chi = chi - linear_solve(adjoint @ full, adjoint @ np.append(np.array(image) - chi, markov))
+        chi = chi - linear_solve(np.dot(adjoint, full),
+                                 np.dot(adjoint, np.append(np.array(image) - chi, markov)))
     return chi
 
 
 def _kron2(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """np.kron of 2x2 matrices, over stacks of them: the products it forms."""
+    """np.kron of two matrices, over stacks of them: the products it forms, by broadcasting."""
     product = left[..., :, None, :, None] * right[..., None, :, None, :]
-    return product.reshape(product.shape[:-4] + (4, 4))
+    rows, cols = left.shape[-2] * right.shape[-2], left.shape[-1] * right.shape[-1]
+    return product.reshape(product.shape[:-4] + (rows, cols))
 
 
 def holonomy_from_triple(
@@ -348,7 +358,7 @@ def holonomy_from_triple(
     # The kernel direction dominates a solve with the normal matrix, so two
     # solve-and-normalize rounds from the double vector give it to extended
     # accuracy.
-    normal = stacked.conj().T @ stacked
+    normal = np.dot(stacked.conj().T, stacked)
     shifted = normal + np.finfo(np.longdouble).eps * np.max(np.abs(normal)) * np.eye(4)
     vec = vec.astype(EXT_COMPLEX)
     for _ in range(2):
@@ -369,7 +379,8 @@ def _relation_sides(images: Mapping[int, np.ndarray], endo: EndoF2):
     images = GeneratorImages.of(images)
     for name, gen, image in (("relation_a", 0, endo.image_a),
                              ("relation_b", 1, endo.image_b)):
-        yield name, images[2] @ images[gen] @ images.inverse(2), word_product(image, images)
+        conjugated = np.dot(np.dot(images[2], images[gen]), images.inverse(2))
+        yield name, conjugated, word_product(image, images)
 
 
 def holonomy_residuals(images: GeneratorImages, endo: EndoF2, *,
@@ -419,7 +430,7 @@ def psl2_to_lorentz(mat: np.ndarray) -> np.ndarray:
     matrices: x1 = Re H[0,1], x2 = Im H[0,1], x3 = (H[0,0] - H[1,1])/2,
     x4 = (H[0,0] + H[1,1])/2, so that -det H = x1^2 + x2^2 + x3^2 - x4^2.
     """
-    images = np.kron(mat, mat.conj()) @ _HERMITIAN_VECS
+    images = np.dot(_kron2(mat, mat.conj()), _HERMITIAN_VECS)
     scale = max(1.0, float(np.max(np.abs(mat))) ** 2)
     # vec(H*) lists conj(H) with H[0,1] and H[1,0] swapped
     herm_defect = float(np.max(np.abs(images - images[[0, 2, 1, 3]].conj())))
@@ -427,7 +438,7 @@ def psl2_to_lorentz(mat: np.ndarray) -> np.ndarray:
         raise ArithmeticError("Hermitian action produced a non-Hermitian matrix")
     out = np.array([images[1].real, images[1].imag, (images[0] - images[3]).real / 2.0,
                     (images[0] + images[3]).real / 2.0])  # real longdouble stays
-    defect = float(np.max(np.abs(out.T @ LORENTZ_FORM @ out - LORENTZ_FORM)))
+    defect = float(np.max(np.abs(np.dot(np.dot(out.T, LORENTZ_FORM), out) - LORENTZ_FORM)))
     if defect > 1e-7 * scale**2:
         raise ArithmeticError("Lorentz image failed the J-orthogonality check")
     return out
@@ -462,7 +473,7 @@ def sl4_coordinates(mat: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
     scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
     if np.any(np.abs(np.trace(mat, axis1=-2, axis2=-1)) > tol * scale):
         raise ValueError("matrix is not traceless")
-    return mat.reshape(*mat.shape[:-2], 16) @ SL4_COORDS.T
+    return np.dot(mat.reshape(*mat.shape[:-2], 16), SL4_COORDS.T)
 
 
 def _conjugation(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -471,7 +482,7 @@ def _conjugation(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     It is left (x) right^T on vec(X); every image of a basis matrix must be
     traceless.
     """
-    conjugated = np.kron(left, right.T) @ SL4_VECS
+    conjugated = np.dot(_kron2(left, right.T), SL4_VECS)
     return sl4_coordinates(conjugated.T.reshape(15, 4, 4)).T
 
 
@@ -544,8 +555,8 @@ def kronecker_rep(lorentz: GeneratorImages) -> GeneratorImages:
     """Tensor-square action g (x) g on 16 dimensions; its inverse is g^-1 (x) g^-1."""
     def invert(gen: int) -> np.ndarray:
         inverse = lorentz.inverse(gen)
-        return np.kron(inverse, inverse)
-    return GeneratorImages({gen: np.kron(mat, mat) for gen, mat in lorentz.items()}, invert)
+        return _kron2(inverse, inverse)
+    return GeneratorImages({gen: _kron2(mat, mat) for gen, mat in lorentz.items()}, invert)
 
 
 def rep_residuals(
@@ -578,7 +589,7 @@ def longitude_centralizer_dims(
     total = nullspace(tau - np.eye(tau.shape[0]), tol=null_tol).shape[1]
     dims = [total]
     for block in (KILLING_SPLIT.skew, KILLING_SPLIT.complement):
-        compressed = block.conj().T @ tau @ block
+        compressed = np.dot(np.dot(block.conj().T, tau), block)
         dims.append(
             nullspace(compressed - np.eye(block.shape[1]), tol=null_tol).shape[1]
         )
@@ -618,7 +629,7 @@ class HolonomySolution:
 
     @cached_property
     def adjoint(self) -> GeneratorImages:
-        """The sl4 images, built once; ``v`` and ``pso31`` restrict them."""
+        """The sl4 images, built once; ``v`` restricts them."""
         return adjoint_rep(self.lorentz)
 
     def representation(self, kind: str) -> GeneratorImages:
@@ -626,8 +637,6 @@ class HolonomySolution:
             return self.adjoint
         if kind == "v":
             return restrict_block(self.adjoint, KILLING_SPLIT.complement)
-        if kind == "pso31":
-            return restrict_block(self.adjoint, KILLING_SPLIT.skew)
         if kind == "gl16":
             return kronecker_rep(self.lorentz)
         raise ValueError(f"unknown representation kind: {kind!r}")

@@ -32,6 +32,16 @@ error inherited from the input matrices.  All public tolerances are
 relative: to the largest sample magnitude for interpolation, to the
 current max coefficient for deflation, to the largest singular value for
 nullspaces.
+
+numpy has no BLAS for long double, and its ``@`` runs a generic loop
+there that takes about twice as long as ``np.dot``, which forms the same
+sums in the same order (a 30 x 30 complex long double product: 350 us
+against 180 us, numpy 2.4 on x86-64).  So every matrix product whose
+operands can be extended precision, here and in ``alexander`` and
+``holonomy``, is an ``np.dot``, and polynomial long division is
+``poly_quotient``: the bits of ``np.polydiv``, without the remainder
+trimming that makes np.polydiv ten times as slow.  ``tests/test_imports.py``
+fails on an ``@``, ``np.kron`` or ``np.polydiv`` in those modules.
 """
 
 from __future__ import annotations
@@ -123,7 +133,7 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a[k + 1:, k:] -= factors[:, None] * a[k, k:]
         rhs[k + 1:] -= factors[:, None] * rhs[k]
     for k in range(n - 1, -1, -1):
-        rhs[k] = (rhs[k] - a[k, k + 1:] @ rhs[k + 1:]) / a[k, k]
+        rhs[k] = (rhs[k] - np.dot(a[k, k + 1:], rhs[k + 1:])) / a[k, k]
     return rhs[:, 0] if vector else rhs
 
 
@@ -153,7 +163,7 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
         factors = a[k + 2:, k] / a[k + 1, k]
         a[k + 2:, k + 1:] -= factors[:, None] * a[k + 1, k + 1:]
         a[k + 2:, k] = 0
-        a[:, k + 1] += a[:, k + 2:] @ factors
+        a[:, k + 1] += np.dot(a[:, k + 2:], factors)
     return a
 
 
@@ -179,10 +189,10 @@ def _hessenberg_det(h: np.ndarray, z: np.ndarray) -> np.ndarray:
         x = np.zeros((len(z), hi - lo), dtype=EXT_COMPLEX)
         x[:, -1] = 1
         for i in range(hi - lo - 1, 0, -1):
-            x[:, i - 1] = (z * x[:, i] - x[:, i:] @ block[i, i:]) / block[i, i - 1]
+            x[:, i - 1] = (z * x[:, i] - np.dot(x[:, i:], block[i, i:])) / block[i, i - 1]
         subdiagonal = np.prod(np.diagonal(block, -1))
         sign = 1 if (hi - lo) % 2 else -1
-        det = det * (x @ block[0] - z * x[:, 0]) * (sign * subdiagonal)
+        det = det * (np.dot(x, block[0]) - z * x[:, 0]) * (sign * subdiagonal)
     return det
 
 
@@ -261,7 +271,7 @@ def word_product(word, images) -> np.ndarray:
         dtype = np.result_type(*(np.asarray(m).dtype for m in images.values()))
         out = np.eye(images[0].shape[0], dtype=dtype)
         for gen, exp in word.letters:
-            out = out @ (images[gen] if exp > 0 else images.inverse(gen))
+            out = np.dot(out, images[gen] if exp > 0 else images.inverse(gen))
         return out
     return images.kept(("word_product", word.letters), build)
 
@@ -493,7 +503,7 @@ def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,
             values = sampled[:half]
             # samples count - k = conj(sample k); none are missing when half == count
             values = np.concatenate([values, values[1:count - half + 1][::-1].conj()])
-            raw = dft @ (values / points[:count] ** lo) / count
+            raw = np.dot(dft, values / points[:count] ** lo) / count
             size = np.abs(raw.astype(complex))
             coeffs = raw / r ** k.astype(_REAL_DT)
             # the cutoff, relative to the largest radius-scaled coefficient,
@@ -581,6 +591,25 @@ def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,
     return interpolate_on_circle(value_at, quotient_degree + 1, tol=tol, radii=radii)
 
 
+def poly_quotient(dividend, divisor) -> np.ndarray:
+    """Quotient of polynomial long division, coefficients highest degree first.
+
+    The bits of ``np.polydiv(dividend, divisor)[0]``: both inputs get
+    ``+ 0.0`` (no negative zeros), the quotient and running remainder take
+    their common dtype, and the reciprocal of the leading divisor
+    coefficient stays in the divisor's own dtype.  The remainder, which
+    np.polydiv trims with an ``allclose`` per leading zero, is dropped.
+    """
+    rem, div = np.atleast_1d(dividend) + 0.0, np.atleast_1d(divisor) + 0.0
+    rem = rem.astype(np.result_type(rem, div))
+    scale, n = 1.0 / div[0], len(div) - 1
+    quotient = np.zeros(max(len(rem) - n, 1), dtype=rem.dtype)
+    for k in range(len(rem) - n):
+        quotient[k] = step = scale * rem[k]
+        rem[k:k + n + 1] -= step * div
+    return quotient
+
+
 def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[int, LaurentPoly]:
     """Multiplicity of z0 as a root, with the deflated polynomial.
 
@@ -634,8 +663,9 @@ def nullspace(m: np.ndarray, tol: float = 1e-9, *, refine: bool = False) -> np.n
     rank = int(np.sum(s > tol * smax))
     basis = vh[rank:].conj().T
     if refine:
-        basis = basis - vh[:rank].conj().T @ (u[:, :rank].conj().T @ (given @ basis) / s[:rank, None])
-        basis = basis @ (3 * np.eye(n - rank) - basis.conj().T @ basis) / 2
+        step = np.dot(u[:, :rank].conj().T, np.dot(given, basis)) / s[:rank, None]
+        basis = basis - np.dot(vh[:rank].conj().T, step)
+        basis = np.dot(basis, 3 * np.eye(n - rank) - np.dot(basis.conj().T, basis)) / 2
     return basis
 
 
@@ -645,9 +675,9 @@ def compress(m: np.ndarray, basis: np.ndarray, leak_message: str) -> np.ndarray:
     Raises ArithmeticError(leak_message) when m carries the subspace out
     of itself by more than 1e-7 relative to max(1, max|m|).
     """
-    carried = m @ basis
-    compressed = basis.conj().T @ carried
-    leak = float(np.max(np.abs(carried - basis @ compressed), initial=0.0))
+    carried = np.dot(m, basis)
+    compressed = np.dot(basis.conj().T, carried)
+    leak = float(np.max(np.abs(carried - np.dot(basis, compressed)), initial=0.0))
     if leak > 1e-7 * max(1.0, float(np.max(np.abs(m)))):
         raise ArithmeticError(leak_message)
     return compressed

@@ -30,12 +30,14 @@ from ptbundle.alexander import (
 from ptbundle.certify import certify
 from ptbundle.cli import run
 from ptbundle.holonomy import (
+    KILLING_SPLIT,
     LORENTZ_FORM,
     build_solution,
     fixed_vectors_dim,
     holonomy_residuals,
     longitude_centralizer_dims,
     rep_residuals,
+    restrict_block,
     solve_traces,
 )
 from ptbundle.numeric import (
@@ -421,8 +423,9 @@ class TestAlgebraicProperties:
             diag = holonomy_residuals(sol.sl2, endo)
             assert diag["relation_a"] <= 1e-7
             assert diag["relation_b"] <= 1e-7
-            for kind in ("pso31", "sl4", "v", "gl16"):
-                res = rep_residuals(sol.representation(kind), endo)
+            lorentz_block = restrict_block(sol.adjoint, KILLING_SPLIT.skew)
+            for images in (lorentz_block, *map(sol.representation, ("sl4", "v", "gl16"))):
+                res = rep_residuals(images, endo)
                 assert max(res.values()) <= 1e-7
 
     def test_longitude_restriction_kernel_dimensions(self, bundles):

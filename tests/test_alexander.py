@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ptbundle import alexander
 from ptbundle.alexander import (
     RingRep,
     WadaInvariant,
@@ -40,6 +41,7 @@ from ptbundle.numeric import (
     integer_round,
     laurent_allclose,
     matrix_det,
+    poly_quotient,
     quotient_interpolate,
     root_multiplicity,
     word_product,
@@ -448,6 +450,31 @@ class TestFoxAction:
                                for _ in range(2)] + [np.eye(2)])
         want = np.block(fox_blocks(endo, rep))
         assert np.array_equal(fox_action(endo, rep), want)
+
+
+class TestFixedQuotient:
+    def test_gl16_divisions_are_polydiv_quotients(self, pinned_solutions, monkeypatch):
+        # the Wada route divides by the H^0 factor in gl16, where the
+        # Lorentz form is a fixed vector; each division must give the bits
+        # np.polydiv gave
+        divisions = []
+
+        def recorded(dividend, divisor):
+            quotient = poly_quotient(dividend, divisor)
+            divisions.append((dividend, divisor, quotient))
+            return quotient
+
+        monkeypatch.setattr(alexander, "poly_quotient", recorded)
+        for endo, images, _ in pinned_solutions:
+            bundle_twisted_alexander(fox_action(endo, images["gl16"]), images["gl16"])
+        assert len(divisions) == len(pinned_solutions)
+        for dividend, divisor, quotient in divisions:
+            want = np.polydiv(dividend, divisor)[0]
+            assert dividend.dtype == quotient.dtype == want.dtype == EXT_COMPLEX
+            assert len(divisor) > 1 and len(quotient) == 17
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(quotient), part(want))
+                assert np.array_equal(np.signbit(part(quotient)), np.signbit(part(want)))
 
 
 class TestPencilDeterminants:

@@ -17,6 +17,7 @@ from ptbundle.holonomy import (
     SL4_COORDS,
     SL4_VECS,
     TraceTriple,
+    _kron2,
     _markov,
     _shooting_system,
     adjoint_rep,
@@ -837,6 +838,35 @@ class TestKroneckerReadouts:
                     defect = np.max(np.abs(mat @ inverse - np.eye(len(mat))))
                     assert defect <= 1e-17 * scale
 
+    @pytest.mark.parametrize("dtype", [np.longdouble, EXT_COMPLEX, complex])
+    @pytest.mark.parametrize("left_shape, right_shape",
+                             [((2, 2), (2, 2)), ((4, 4), (4, 4)), ((2, 3), (3, 1))])
+    def test_kron2_forms_the_bits_of_kron(self, dtype, left_shape, right_shape):
+        rng = np.random.default_rng(len(left_shape + right_shape))
+        imag = 1j if np.issubdtype(dtype, np.complexfloating) else 0
+        left, right = (((rng.standard_normal(shape) + imag * rng.standard_normal(shape))
+                        .astype(dtype) / 3) for shape in (left_shape, right_shape))
+        # the lift's and the tower's operands: conjugates and transposed views
+        for a, b in ((left, right), (left, right.conj()), (left.T, right.T), (right, left)):
+            got, want = _kron2(a, b), np.kron(a, b)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert value_bytes(got) == value_bytes(want)
+
+    def test_kron2_of_stacks_is_kron_of_each_member(self):
+        rng = np.random.default_rng(4)
+        mats = (rng.standard_normal((3, 2, 2)) + 1j).astype(EXT_COMPLEX) / 3
+        signed = np.multiply.outer([1, -1], mats)  # (2, 3, 2, 2), as the lift's blocks
+        eye = np.eye(2, dtype=EXT_COMPLEX)
+        square = (rng.standard_normal((5, 4, 4)) - 1j).astype(EXT_COMPLEX) / 7
+        cases = [(_kron2(eye, mats), [np.kron(eye, m) for m in mats]),
+                 (_kron2(mats, np.transpose(mats, (0, 2, 1))), [np.kron(m, m.T) for m in mats]),
+                 (_kron2(signed, eye), [[np.kron(m, eye) for m in row] for row in signed]),
+                 (_kron2(square, square.conj()), [np.kron(m, m.conj()) for m in square])]
+        for got, members in cases:
+            want = np.array(members)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert value_bytes(got) == value_bytes(want)
+
     def test_adjoint_rejects_a_wrong_inverse(self, llrr_solution):
         class TransposedInverse(GeneratorImages):
             def inverse(self, gen):
@@ -925,7 +955,7 @@ class TestDerivedReps:
         _, sol = llrr_solution
         assert sol.representation("sl4")[0].shape == (15, 15)
         assert sol.representation("v")[2].shape == (9, 9)
-        assert sol.representation("pso31")[1].shape == (6, 6)
+        assert restrict_block(sol.adjoint, KILLING_SPLIT.skew)[1].shape == (6, 6)
         assert sol.representation("gl16")[0].shape == (16, 16)
         with pytest.raises(ValueError):
             sol.representation("spin")

@@ -1,6 +1,8 @@
 """Static checks: every name a package module imports is used in that module,
-every module-level helper is used somewhere in the package, and the package
-imports nothing beyond the standard library and its declared dependency."""
+every module-level helper is used somewhere in the package, the package
+imports nothing beyond the standard library and its declared dependency, and
+the modules that multiply extended-precision matrices keep off numpy's
+generic-loop products."""
 
 import ast
 import sys
@@ -115,3 +117,42 @@ def test_guard_finds_unreferenced_helpers():
 def test_no_unreferenced_helpers():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_helpers(sources) == []
+
+
+# The modules whose products can have long double operands, where ``@`` runs
+# numpy's generic loop and ``np.dot`` forms the same sums about twice as
+# fast; np.kron and np.polydiv have the broadcast helper ``_kron2`` and
+# ``poly_quotient`` in their place.  Only the complex128 stacks of
+# ``solve_traces`` keep ``@``: np.dot of 3-D stacks is a different product.
+EXTENDED_MODULES = ("numeric.py", "alexander.py", "holonomy.py")
+MATMUL_ALLOWED_IN = {"solve_traces"}
+
+
+def generic_products(source: str) -> list[str]:
+    """``line: what`` for each ``@`` outside the allowed functions, and each
+    ``kron`` or ``polydiv`` attribute anywhere."""
+    tree = ast.parse(source)
+    allowed = {id(node) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name in MATMUL_ALLOWED_IN
+               for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                and id(node) not in allowed):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("kron", "polydiv"):
+            found.append((node.lineno, node.attr))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_guard_finds_generic_products():
+    source = ("import numpy as np\n"
+              "def solve_traces(a):\n    return a @ a\n"
+              "def lift(a, b):\n    a @= b\n    return np.kron(a, b) @ b\n"
+              "q = np.polydiv([1.0], [1.0])[0]\n")
+    assert generic_products(source) == ["5: @", "6: @", "6: kron", "7: polydiv"]
+
+
+@pytest.mark.parametrize("name", EXTENDED_MODULES)
+def test_extended_modules_use_dot_products(name):
+    assert generic_products((PACKAGE / name).read_text()) == []

@@ -13,6 +13,7 @@ from ptbundle.numeric import (
     LaurentPoly,
     Tolerances,
     char_poly,
+    compress,
     det_polymatrix,
     equal_up_to_unit,
     integer_round,
@@ -24,6 +25,7 @@ from ptbundle.numeric import (
     normalize_unit,
     nullspace,
     pencil_det,
+    poly_quotient,
     quotient_interpolate,
     root_multiplicity,
 )
@@ -226,6 +228,97 @@ def test_shared_elimination_keeps_linear_solve_and_lu_bits(dtype):
     assert _bits(linear_solve(a, b)) == _bits(reference_solve(a, b))
     assert _bits(linear_solve(a, b[:, 0])) == _bits(reference_solve(a, b[:, :1])[:, 0].copy())
     assert _bits(matrix_det(a)) == _bits(reference_det(a))
+
+
+# ---------------------------------------------------------------------------
+# Extended-precision products: np.dot forms the bits of @
+# ---------------------------------------------------------------------------
+
+# (rows, inner, columns) of the products the lift and the tower form: the
+# 2x2 lift and its 3-unknown polish, the 8x4 intertwining systems, the
+# 4x4 Lorentz and 16x15 sl4 read-outs, the 6-, 9-, 15- and 16-dimensional
+# layers, and the 2n-square Fox actions.
+TOWER_SHAPES = [(2, 2, 2), (3, 4, 3), (4, 8, 4), (4, 4, 4), (15, 16, 15), (6, 15, 6),
+                (9, 15, 9), (15, 15, 15), (16, 16, 16), (30, 30, 30), (32, 32, 32)]
+
+
+def extended_operand(rng, shape, dtype):
+    """Random entries of dtype that use all of its mantissa."""
+    x = rng.standard_normal(shape)
+    if np.issubdtype(dtype, np.complexfloating):
+        x = x + 1j * rng.standard_normal(shape)
+    return x.astype(dtype) / dtype(3)
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+@pytest.mark.parametrize("rows, inner, cols", TOWER_SHAPES)
+def test_dot_forms_the_bits_of_matmul(dtype, rows, inner, cols):
+    rng = np.random.default_rng(rows * inner * cols)
+    left = extended_operand(rng, (rows, inner), dtype)
+    right = extended_operand(rng, (inner, cols), dtype)
+    vector = extended_operand(rng, inner, dtype)
+    covector = extended_operand(rng, rows, dtype)
+    # conjugate-transposed views, as in the normal matrices and compressions
+    left_h = extended_operand(rng, (inner, rows), dtype).conj().T
+    right_h = extended_operand(rng, (cols, inner), dtype).conj().T
+    for a, b in ((left, right), (left, vector), (covector, left), (left_h, right),
+                 (left, right_h), (left_h, right_h), (left_h, vector), (right_h.T, left_h.T)):
+        got, want = np.dot(a, b), a @ b
+        assert got.dtype == want.dtype == dtype
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("left_dtype, right_dtype", [
+    (np.longdouble, np.float64), (np.float64, np.longdouble),
+    (np.clongdouble, np.complex128), (np.complex128, np.clongdouble),
+    (np.clongdouble, np.float64), (np.longdouble, np.complex128),
+])
+@pytest.mark.parametrize("rows, inner, cols", TOWER_SHAPES[:6])
+def test_dot_forms_the_bits_of_matmul_on_mixed_operands(left_dtype, right_dtype,
+                                                        rows, inner, cols):
+    # extended matrices against the double constants (SL4_COORDS.T,
+    # LORENTZ_FORM, _HERMITIAN_VECS) and double kernel bases
+    rng = np.random.default_rng(rows + inner + cols)
+    left = extended_operand(rng, (rows, inner), left_dtype)
+    right = extended_operand(rng, (cols, inner), right_dtype).T
+    vector = extended_operand(rng, inner, right_dtype)
+    for a, b in ((left, right), (left, vector), (right.T, left.conj().T)):
+        got, want = np.dot(a, b), a @ b
+        assert got.dtype == want.dtype
+        assert np.finfo(got.dtype).eps < 1e-17
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("degrees", [(8, 2), (32, 1), (17, 3), (2, 4), (0, 0)])
+def test_poly_quotient_is_polydiv_quotient(degrees):
+    # an extended dividend over a double divisor, as the Wada route divides
+    rng = np.random.default_rng(sum(degrees))
+    dividend = extended_operand(rng, degrees[0] + 1, EXT_COMPLEX)
+    divisor = list(rng.standard_normal(degrees[1] + 1) + 1j * rng.standard_normal(degrees[1] + 1))
+    got, want = poly_quotient(dividend, divisor), np.polydiv(dividend, divisor)[0]
+    assert got.dtype == want.dtype == EXT_COMPLEX
+    assert _bits(got) == _bits(want)
+    real = rng.standard_normal(degrees[0] + 1)
+    assert _bits(poly_quotient(real, real[:degrees[1] + 1])) == _bits(
+        np.polydiv(real, real[:degrees[1] + 1])[0])
+
+
+def test_poly_quotient_adds_zero_like_polydiv():
+    # negative zeros in the dividend become +0 before any arithmetic
+    nz = complex(-0.0, -0.0)
+    dividend = np.array([nz, 1, nz, complex(-0.0, 2), nz, nz], dtype=EXT_COMPLEX)
+    for divisor in ([1 + 0j, 0j], [2 + 1j], [complex(-1.0, -0.0), nz, 3 + 0j]):
+        got, want = poly_quotient(dividend, divisor), np.polydiv(dividend, divisor)[0]
+        assert _bits(got) == _bits(want)
+    assert _bits(poly_quotient(dividend, [1 + 0j])) == _bits(dividend + 0.0)
+    assert not np.signbit(poly_quotient(dividend, [1 + 0j]).real).any()
+
+
+def test_poly_quotient_of_an_exact_product():
+    # (x - 1)^2 (x^2 - 18 x + 1) over (x - 1)^2
+    divisor = [1 + 0j, -2 + 0j, 1 + 0j]
+    dividend = np.convolve(divisor, [1, -18, 1]).astype(EXT_COMPLEX)
+    assert list(poly_quotient(dividend, divisor)) == [1, -18, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +564,49 @@ def test_nullspace_dims_and_quality():
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-12)
     assert nullspace(np.zeros((2, 3))).shape == (3, 3)
     assert nullspace(np.eye(4)).shape == (4, 0)
+
+
+def kernel_problem(dtype):
+    """A rank-4 7x9 matrix of dtype, kernel dimension 5, in full extended precision."""
+    rng = np.random.default_rng(11)
+    return np.dot(extended_operand(rng, (7, 4), dtype), extended_operand(rng, (4, 9), dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_refined_nullspace_keeps_the_extended_dtype(dtype):
+    m = kernel_problem(dtype)
+    assert nullspace(m).dtype == (np.float64 if dtype == np.longdouble else np.complex128)
+    refined = nullspace(m, refine=True)
+    assert refined.shape == (9, 5) and refined.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_refinement_cuts_the_kernel_residual(dtype):
+    m = kernel_problem(dtype)
+    scale = float(np.max(np.abs(m)))
+    plain = float(np.max(np.abs(np.dot(m, nullspace(m)))))
+    refined = float(np.max(np.abs(np.dot(m, nullspace(m, refine=True)))))
+    assert plain > 1e-17 * scale
+    assert refined < 1e-3 * plain and refined < 1e-18 * scale
+
+
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_refinement_makes_the_basis_orthonormal_in_extended(dtype):
+    basis = nullspace(kernel_problem(dtype), refine=True)
+    gram = np.dot(basis.conj().T, basis)
+    assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-18
+
+
+def test_compress_of_an_invariant_subspace():
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    block = rng.standard_normal((6, 6))
+    block[2:, :2] = 0    # the first two coordinates are invariant
+    m = q @ block @ q.T
+    got = compress(m, q[:, :2], "leaked")
+    assert np.max(np.abs(got - block[:2, :2])) < 1e-13
+    with pytest.raises(ArithmeticError, match="^the subspace leaks$"):
+        compress(m, q[:, 2:4], "the subspace leaks")
 
 
 def solve_from(starts, letters, monkeypatch):
