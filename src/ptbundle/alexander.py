@@ -246,8 +246,7 @@ def fixed_char_poly(rep: RepImages, *, tolerances: Tolerances | None = None) -> 
 
     def build() -> LaurentPoly:
         fixed = nullspace(_coboundary_map(rep), tol=tols.null, refine=True)
-        return char_poly(compress(rep.inverse(2), fixed, "the meridian moves the fixed vectors"),
-                         tol=tols.det)
+        return char_poly(compress(rep.inverse(2), fixed, "the meridian moves the fixed vectors"))
     return rep.kept(("fixed_char_poly", tols), build)
 
 
@@ -269,8 +268,7 @@ def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,
             "the cocycle action does not preserve the coboundaries: relative "
             "defect %.3e exceeds the root tolerance %.3e" % (defect, tols.root))
     complement = nullspace(_coboundary_map(rep).conj().T, tol=tols.null, refine=True)
-    _, coeffs = char_poly(np.dot(np.dot(complement.conj().T, matrix), complement),
-                          tol=tols.det).dense()
+    _, coeffs = char_poly(np.dot(np.dot(complement.conj().T, matrix), complement)).dense()
     if complement.shape[1] > rep[0].shape[0]:  # dim Z^1/B^1 = n + dim H^0
         # the dividend in extended precision, the divisor as the double
         # complex coefficients LaurentPoly.dense() gives
@@ -332,9 +330,9 @@ def monodromy_action(matrix: np.ndarray, rep: RepImages, *,
     return CocycleAction(matrix=matrix, kernel_basis=kernel, restricted=restricted)
 
 
-def relative_char_poly(action: CocycleAction, *, tol: float = 1e-8) -> LaurentPoly:
+def relative_char_poly(action: CocycleAction) -> LaurentPoly:
     """Characteristic polynomial of the action on the longitude-killing kernel."""
-    return char_poly(action.restricted, tol=tol)
+    return char_poly(action.restricted)
 
 
 def coboundary_defect(action: CocycleAction | np.ndarray, rep: RepImages) -> float:

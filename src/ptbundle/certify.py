@@ -136,7 +136,7 @@ def action_evidence(
 ) -> tuple[CocycleAction, CertificateEvidence]:
     """The cocycle action of one ``fox_action`` matrix and its certificate evidence."""
     action = monodromy_action(matrix, images, tolerances=tols)
-    poly = relative_char_poly(action, tol=tols.det)
+    poly = relative_char_poly(action)
     return action, evidence_from_poly(label, poly, tol=tols.root)
 
 
@@ -345,7 +345,7 @@ def _check_routes(
                 wada = bundle_twisted_alexander(matrix, images, tolerances=tols)
             else:
                 action = monodromy_action(matrix, images, tolerances=tols)
-                kernel, wada = relative_char_poly(action, tol=tols.det), ev.polynomial
+                kernel, wada = relative_char_poly(action), ev.polynomial
             # the modules are self-dual and a fixed dual vector kills every value
             # on the longitude, so the kernel has dimension >= n + dim H^0
             if kernel.span > wada.span:
@@ -450,7 +450,6 @@ def report_jsonable(report: RigidityReport) -> dict:
         "monodromy": report.spec.text(),
         "trace": monodromy_trace(report.spec),
         "tolerances": {
-            "det": report.tolerances.det,
             "root": report.tolerances.root,
             "null": report.tolerances.null,
         },
@@ -510,8 +509,7 @@ def report_text(
     show = poly_display or _default_poly_display
     lines = [
         f"monodromy {report.spec.text()}   trace {monodromy_trace(report.spec)}",
-        f"tolerances det={report.tolerances.det:g} root={report.tolerances.root:g} "
-        f"null={report.tolerances.null:g}",
+        f"tolerances root={report.tolerances.root:g} null={report.tolerances.null:g}",
         f"overall verdict: {report.verdict}",
     ]
     tag = "  (geometric candidate)" if report.geometric_candidate else ""

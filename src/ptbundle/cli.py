@@ -275,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name, helptext, tolerances, with_reps in (
-        ("certify", "full pipeline and rigidity report", "det root null", True),
+        ("certify", "full pipeline and rigidity report", "root null", True),
         ("holonomy", "traces and 2x2 / 4x4 holonomy matrices", "null", False),
         ("trace-solve", "the holonomy's traces and shapes only", "null", False),
         ("action", "monodromy action on cocycles and its characteristic "
-         "polynomials", "det root null", True),
+         "polynomials", "root null", True),
     ):
         p = command(name, helptext, tolerances)
         p.add_argument("monodromy", help="monodromy word, e.g. LLRR or -R^2L")
@@ -429,8 +429,8 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _action_data(action, evidence: CertificateEvidence, tols: Tolerances) -> dict:
-    full = char_poly(action.matrix, tol=tols.det)
+def _action_data(action, evidence: CertificateEvidence) -> dict:
+    full = char_poly(action.matrix)
     return {
         "dimension": action.matrix.shape[0] // 2,
         "kernel_dimension": int(action.kernel_basis.shape[1]),
@@ -456,7 +456,7 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
         return 0, _dumps({**_header(spec), "direction": "inverse", "solutions": [{
             **_solution_data(sol),
             "representations": {
-                label: _action_data(action, evidence, tols)
+                label: _action_data(action, evidence)
                 for label, (action, evidence) in per_rep.items()
             },
         }]})

@@ -2,36 +2,33 @@
 
 Scalars are python ``complex``; matrices are numpy arrays.  A matrix of
 Laurent polynomials sum_w x^w M_w is a map ``{exponent w: matrix M_w}``
-and is sampled at all points of a circle with one ``tensordot``.  Every
-polynomial that comes from a numeric function (a determinant of a
-polynomial matrix, a characteristic polynomial, a quotient of two
+and is sampled at all points of a circle with one ``tensordot``.  A
+characteristic polynomial is read off exactly: ``char_poly`` reduces the
+matrix once to upper Hessenberg form and runs La Budde's coefficient
+recurrence on it.  Every other polynomial that comes from a numeric
+function (a determinant of a polynomial matrix, a quotient of two
 determinants) goes through one engine, ``interpolate_on_circle``: the
 function is sampled on a circle, the coefficients are read off with one
 inverse DFT, and the result is validated at two fresh points on the same
 circle before it is returned.  The points of one radius arrive as one
-array.  Characteristic polynomials sample det(p - t) through
-``pencil_det``: p is reduced to upper Hessenberg form once, before the
-first radius, and the points of each radius then go through one
-batched Hyman recurrence, O(n^2) per point.  Polynomial matrices in
-general (``det_polymatrix``) are one stack for one ``matrix_det`` call
-per radius.
+array, and a polynomial matrix (``det_polymatrix``) is one stack for one
+``matrix_det`` call per radius.
 A polynomial with real coefficients (its caller's matrices have a real
 dtype) takes conjugate values at conjugate points, so it is sampled only
 on the closed upper half of the circle: count // 2 + 3 points per radius
 instead of count + 2.  A failed sample or validation moves on to the
 caller's next radius.
-Determinants and characteristic polynomials use radius 1.13, off the
-unit circle where group-element spectra like to sit; the quotients of
-two determinants (``quotient_interpolate``) use radii 2.0, 2.4 and 1.7,
-away from the root cluster of a unipotent denominator at 1.
+Determinants use radius 1.13, off the unit circle where group-element
+spectra like to sit; the quotients of two determinants
+(``quotient_interpolate``) use radii 2.0, 2.4 and 1.7, away from the root
+cluster of a unipotent denominator at 1.
 
-Sampling, the determinants, the Hessenberg reduction and the DFT run in
-80-bit extended precision when the platform provides it (x86 long
-double), which keeps the interpolation's rounding error far below the
-error inherited from the input matrices.  All public tolerances are
-relative: to the largest sample magnitude for interpolation, to the
-current max coefficient for deflation, to the largest singular value for
-nullspaces.
+Sampling, the determinants, the Hessenberg reduction, the recurrence and
+the DFT run in 80-bit extended precision when the platform provides it
+(x86 long double), which keeps their rounding error far below the error
+inherited from the input matrices.  All public tolerances are relative:
+to the largest sample magnitude for interpolation, to the current max
+coefficient for deflation, to the largest singular value for nullspaces.
 
 numpy has no BLAS for long double, and its ``@`` runs a generic loop
 there that takes about twice as long as ``np.dot``, which forms the same
@@ -40,8 +37,10 @@ against 180 us, numpy 2.4 on x86-64).  So every matrix product whose
 operands can be extended precision, here and in ``alexander`` and
 ``holonomy``, is an ``np.dot``, and polynomial long division is
 ``poly_quotient``: the bits of ``np.polydiv``, without the remainder
-trimming that makes np.polydiv ten times as slow.  ``tests/test_imports.py``
-fails on an ``@``, ``np.kron`` or ``np.polydiv`` in those modules.
+trimming that makes np.polydiv ten times as slow.  Rows and columns are
+swapped by slice copies, not by fancy indexing, which costs about three
+times as much there.  ``tests/test_imports.py`` fails on an ``@``,
+``np.kron``, ``np.polydiv`` or a fancy-index swap in those modules.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ _REAL_DT = np.longdouble if _HAS_EXTENDED else np.float64
 EXT_COMPLEX = np.clongdouble if _HAS_EXTENDED else np.complex128
 _PI = _REAL_DT("3.14159265358979323846264338327950288419716939937510") if _HAS_EXTENDED else np.float64(np.pi)
 
-# Sample circles: determinants and characteristic polynomials, quotients.
+# Sample circles: determinants, quotients.
 DET_RADII = (1.13,)
 QUOTIENT_RADII = (2.0, 2.4, 1.7)
 
@@ -127,8 +126,9 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a[p, k] == 0:
             raise ArithmeticError("singular matrix in linear_solve")
         if p != k:
-            a[[k, p]] = a[[p, k]]
-            rhs[[k, p]] = rhs[[p, k]]
+            row, rhs_row = a[k].copy(), rhs[k].copy()
+            a[k], a[p] = a[p], row
+            rhs[k], rhs[p] = rhs[p], rhs_row
         factors = a[k + 1:, k] / a[k, k]
         a[k + 1:, k:] -= factors[:, None] * a[k, k:]
         rhs[k + 1:] -= factors[:, None] * rhs[k]
@@ -158,54 +158,15 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
         if a[p, k] == 0:
             continue
         if p != k + 1:
-            a[[k + 1, p]] = a[[p, k + 1]]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            row = a[k + 1].copy()
+            a[k + 1], a[p] = a[p], row
+            column = a[:, k + 1].copy()
+            a[:, k + 1], a[:, p] = a[:, p], column
         factors = a[k + 2:, k] / a[k + 1, k]
         a[k + 2:, k + 1:] -= factors[:, None] * a[k + 1, k + 1:]
         a[k + 2:, k] = 0
         a[:, k + 1] += np.dot(a[:, k + 2:], factors)
     return a
-
-
-def _hessenberg_det(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """det(h - z I) at each point of z, for an upper Hessenberg h, by Hyman's recurrence.
-
-    h splits at its exactly zero subdiagonal entries into diagonal blocks,
-    and det(h - z I) is the product of theirs.  On a block B - z I of size
-    m, whose subdiagonal s has no zero, the vector x with x[m-1] = 1 that
-    rows 1 ... m-1 annihilate is found from the bottom row up,
-    x[i-1] = -((B - z I)[i, i:] . x[i:]) / s[i-1]; then (B - z I) x = f e_0,
-    f the value of row 0, and Cramer's rule gives
-    det(B - z I) = (-1)^(m-1) f prod(s) (Wilkinson, The Algebraic Eigenvalue
-    Problem, 1965, sec. 7.11).  All points go at once, O(n^2) per point;
-    a diagonal entry of h that is also an isolated block gets exactly 0 at
-    its own value.
-    """
-    n = h.shape[0]
-    det = np.ones(len(z), dtype=EXT_COMPLEX)
-    cuts = [0, *(np.flatnonzero(np.diagonal(h, -1) == 0) + 1), n] if n else []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        block = h[lo:hi, lo:hi]
-        x = np.zeros((len(z), hi - lo), dtype=EXT_COMPLEX)
-        x[:, -1] = 1
-        for i in range(hi - lo - 1, 0, -1):
-            x[:, i - 1] = (z * x[:, i] - np.dot(x[:, i:], block[i, i:])) / block[i, i - 1]
-        subdiagonal = np.prod(np.diagonal(block, -1))
-        sign = 1 if (hi - lo) % 2 else -1
-        det = det * (np.dot(x, block[0]) - z * x[:, 0]) * (sign * subdiagonal)
-    return det
-
-
-def pencil_det(p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> det(p - z I) over an array of points.
-
-    p is reduced to upper Hessenberg form H once, in extended precision of
-    its own kind (real for a real p), and each call then samples
-    det(p - z I) = det(H - z I) by Hyman's recurrence (``_hessenberg_det``),
-    O(n^2) per point and no pivoting.
-    """
-    h = _hessenberg(np.asarray(p).astype(_REAL_DT if np.isrealobj(p) else EXT_COMPLEX))
-    return lambda z: _hessenberg_det(h, z)
 
 
 class GeneratorImages(Mapping):
@@ -551,21 +512,34 @@ def det_polymatrix(coeffs: Mapping[int, np.ndarray], tol: float = 1e-8,
                                  real=all(np.isrealobj(m) for m in coeffs.values()))
 
 
-def char_poly(m: np.ndarray, tol: float = 1e-8,
-              radii: Sequence[float] = DET_RADII) -> LaurentPoly:
-    """det(m - t I) by sample-and-interpolate; leading coefficient snapped to (-1)^n.
+def char_poly(m: np.ndarray) -> LaurentPoly:
+    """det(m - t I) by La Budde's recurrence on the upper Hessenberg form of m.
 
-    m is reduced to Hessenberg form once (``pencil_det``), and every
-    radius samples that.  A real m is sampled on half the circle and
-    gives a realified polynomial.
+    m is reduced once (``_hessenberg``), in extended precision of its own
+    kind (real for a real m), to H with subdiagonal s.  For
+    p_k = det(t I - H_k), H_k the leading k x k block of H, expansion along
+    the last column of H_{k+1} gives p_0 = 1 and
+
+        p_{k+1}(t) = t p_k(t) - sum_{i <= k} g_ik p_i(t),  g_ik = h_ik s_i ... s_{k-1},
+
+    and det(m - t I) = (-1)^n p_n (Rehman and Ipsen, "La Budde's method for
+    computing characteristic polynomials", 2011; Wilkinson, The Algebraic
+    Eigenvalue Problem, 1965).  The recurrence is O(n^3), needs no
+    pivoting and cannot fail.  The leading coefficient is exactly (-1)^n,
+    and a real m gives exactly real coefficients.
     """
     n = m.shape[0]
-    if n == 0:
-        return LaurentPoly.one()
-    real = np.isrealobj(m)
-    poly = interpolate_on_circle(pencil_det(m), n + 1, tol=tol, radii=radii, real=real)
-    poly = LaurentPoly({**poly.coeffs, n: (-1.0) ** n})
-    return poly.realified(1e-6) if real else poly
+    h = _hessenberg(m.astype(_REAL_DT if np.isrealobj(m) else EXT_COMPLEX))
+    # steps[j, k] = s_j for j < k, else 1, so the running product up column k
+    # is s_i ... s_{k-1} in each row i <= k, the only rows the loop reads
+    steps = np.where(np.arange(n)[:, None] < np.arange(n), np.append(np.diagonal(h, -1), 1)[:, None], 1)
+    g = h * np.cumprod(steps[::-1], axis=0)[::-1]
+    p = np.zeros((n + 1, n + 1), dtype=h.dtype)
+    p[0, 0] = 1
+    for k in range(n):
+        p[k + 1, 1:] = p[k, :-1]
+        p[k + 1] -= np.dot(g[:k + 1, k], p[:k + 1])
+    return LaurentPoly.from_coeffs(-p[n] if n % 2 else p[n])
 
 
 def quotient_interpolate(numerator_at: Callable, denominator_at: Callable,

@@ -293,30 +293,32 @@ class TestCrossChecks:
         assert len(adjoints) == 1
         assert inverted == []
 
-    def test_real_representations_sample_half_the_circle(self, monkeypatch):
+    def test_characteristic_polynomials_reduce_real_matrices_once(self, monkeypatch):
         # the sl4, v and gl16 images are real, so every characteristic
         # polynomial, on Z^1/B^1, on the longitude-killing kernel or on the
-        # fixed vectors H^0, is sampled on half the circle
-        counts = []
-        original = ptbundle.numeric.interpolate_on_circle
+        # fixed vectors H^0, reduces a real long double matrix, and none is
+        # sampled on a circle
+        reduced, sampled = [], []
+        hessenberg = ptbundle.numeric._hessenberg
 
-        def recording(value_at, count, **kwargs):
-            def counted(z):
-                counts.append((count, len(z)))
-                return value_at(z)
-            return original(counted, count, **kwargs)
+        def recording(a):
+            reduced.append((a.shape[0], a.dtype))
+            return hessenberg(a)
 
-        monkeypatch.setattr(ptbundle.numeric, "interpolate_on_circle", recording)
+        monkeypatch.setattr(ptbundle.numeric, "_hessenberg", recording)
+        monkeypatch.setattr(ptbundle.numeric, "interpolate_on_circle",
+                            lambda *args, **kwargs: sampled.append(args))
         report = certify("RRL")
         assert report.verdict == RIGID
-        # once for the certificates and once for the routes
-        # check: the sl4 and v polynomials (degrees 15 and 9, one route each
-        # time) and the gl16 polynomial of degree 17 (on Z^1/B^1, then on the
-        # kernel); the gl16 one on H^0 (degree 1; sl4 and v have no H^0) is
-        # computed once and shared by both
-        assert len(counts) == 7
-        assert {count for count, _ in counts} == {16, 10, 18, 2}
-        assert all(points == count // 2 + 3 for count, points in counts)
+        # once for the certificates and once for the routes check: the sl4
+        # and v polynomials (degrees 15 and 9, one route each time) and the
+        # gl16 polynomial of degree 17 (on Z^1/B^1, then on the kernel); the
+        # gl16 one on H^0 (degree 1; sl4 and v have no H^0) is computed once
+        # and shared by both
+        assert len(reduced) == 7
+        assert {size for size, _ in reduced} == {15, 9, 17, 1}
+        assert all(dtype == np.dtype(ptbundle.numeric._REAL_DT) for _, dtype in reduced)
+        assert sampled == []
 
     def test_relation_defect_downgrades_verdict(self):
         broken = certify("RRL", reps=("sl4", "v"))

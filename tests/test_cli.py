@@ -151,6 +151,9 @@ class TestExitCodes:
         ["trace-solve", "--tol-root", "1e-3", "RRL"],
         ["holonomy", "--tol-det", "1e-3", "RRL"],
         ["holonomy", "--tol-root", "1e-3", "RRL"],
+        # certify and action interpolate no determinant, so neither reads it
+        ["certify", "--tol-det", "1e-3", "RRL"],
+        ["action", "--tol-det", "1e-3", "RRL"],
     ])
     def test_flag_the_subcommand_ignores_is_unknown(self, argv, capsys):
         assert run(argv) == 2
@@ -179,9 +182,10 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_nonfinite_tolerance_flags_exit_two(self, capsys):
-        for flag, value in (("--tol-det", "nan"), ("--tol-null", "inf")):
-            assert run(["certify", flag, value, "--", "RRL"]) == 2
-            assert flag in capsys.readouterr().err
+        for argv in (["alexander", "--tol-det", "nan", "presentations/trefoil_heusener.json"],
+                     ["certify", "--tol-null", "inf", "--", "RRL"]):
+            assert run(argv) == 2
+            assert argv[1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [[], ["--format", "json"]])
     def test_no_solutions_is_numerical_failure(self, extra, capsys):

@@ -2,7 +2,7 @@
 every module-level helper is used somewhere in the package, the package
 imports nothing beyond the standard library and its declared dependency, and
 the modules that multiply extended-precision matrices keep off numpy's
-generic-loop products."""
+generic-loop products and swap rows and columns by slices."""
 
 import ast
 import sys
@@ -156,3 +156,40 @@ def test_guard_finds_generic_products():
 @pytest.mark.parametrize("name", EXTENDED_MODULES)
 def test_extended_modules_use_dot_products(name):
     assert generic_products((PACKAGE / name).read_text()) == []
+
+
+# In the same modules a row or column swap is two slice copies: swapping a
+# row and a column of a 17 x 17 long double matrix by list-literal fancy
+# indexing takes about 15 us, by slices about 4.6 us (numpy 2.4 on x86-64).
+
+
+def _list_indexed(node: ast.AST) -> bool:
+    """Whether node is x[[...]], or x[..., [...], ...] with a list among its indices."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice
+    return any(isinstance(part, ast.List)
+               for part in (index.elts if isinstance(index, ast.Tuple) else [index]))
+
+
+def fancy_swaps(source: str) -> list[int]:
+    """Lines that assign a list-indexed read to a list-indexed target, as the
+    swaps ``x[[i, j]] = x[[j, i]]`` and ``x[:, [i, j]] = x[:, [j, i]]`` do."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assign) and _list_indexed(node.value)
+                  and any(_list_indexed(target) for target in node.targets))
+
+
+def test_guard_finds_fancy_swaps():
+    source = ("a[[k, p]] = a[[p, k]]\n"
+              "a[:, [k + 1, p]] = a[:, [p, k + 1]]\n"
+              "rows = a[[1, 0, 2]]\n"
+              "a[[5, 10], range(2)] = -1.0\n"
+              "row = a[k].copy()\n"
+              "a[k], a[p] = a[p], row\n")
+    assert fancy_swaps(source) == [1, 2]
+
+
+@pytest.mark.parametrize("name", EXTENDED_MODULES)
+def test_extended_modules_swap_by_slices(name):
+    assert fancy_swaps((PACKAGE / name).read_text()) == []

@@ -1,7 +1,6 @@
 """Numeric kernel tests: interpolated determinants, deflation, nullspaces."""
 
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from ptbundle.numeric import (
     monic_normalize,
     normalize_unit,
     nullspace,
-    pencil_det,
     poly_quotient,
     quotient_interpolate,
     root_multiplicity,
@@ -322,53 +320,96 @@ def test_poly_quotient_of_an_exact_product():
 
 
 # ---------------------------------------------------------------------------
-# Pencil determinants from one Hessenberg reduction
+# Characteristic polynomials by La Budde's recurrence on the Hessenberg form
 # ---------------------------------------------------------------------------
 
 
-def circle_points(count, radius=2.0):
-    return (radius * np.exp(2j * np.pi * np.arange(count) / count)).astype(EXT_COMPLEX)
+def reference_hessenberg(a):
+    """_hessenberg with its swaps by fancy indexing, the oracle of its bits."""
+    a = np.array(a, copy=True)
+    n = a.shape[0]
+    for k in range(n - 2):
+        p = int(np.argmax(np.abs(a[k + 1:, k]))) + k + 1
+        if a[p, k] == 0:
+            continue
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+        factors = a[k + 2:, k] / a[k + 1, k]
+        a[k + 2:, k + 1:] -= factors[:, None] * a[k + 1, k + 1:]
+        a[k + 2:, k] = 0
+        a[:, k + 1] += np.dot(a[:, k + 2:], factors)
+    return a
 
 
-def stacked_pencil(p, z):
-    """det(p - z I) by one stacked LU per point, the oracle of pencil_det."""
-    p = np.asarray(p).astype(EXT_COMPLEX)
-    return matrix_det(p - z[:, None, None] * np.eye(len(p)))
+def numpy_char_poly(m):
+    """det(m - t I), exponent 0 first, from np.poly's det(t I - m)."""
+    return np.poly(m)[::-1] * (-1) ** len(m)
 
 
-def test_pencil_det_of_sizes_one_and_two():
-    z = circle_points(5)
-    got = pencil_det(np.array([[3.0]]))(z)
-    assert got.dtype == EXT_COMPLEX
-    assert np.max(np.abs(got - (3 - z))) <= 1e-18
-    p = np.array([[1.0, 2.0], [3.0, 4.0]])
-    want = (p[0, 0] - z) * (p[1, 1] - z) - p[0, 1] * p[1, 0]
-    assert np.max(np.abs(pencil_det(p)(z) - want)) <= 1e-17 * np.max(np.abs(want))
-    assert np.max(np.abs(pencil_det(p)(z) - stacked_pencil(p, z))) <= 1e-17
-
-
-@pytest.mark.parametrize("n", [3, 8, 17])
-def test_pencil_det_of_complex_pencil(n):
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, EXT_COMPLEX])
+@pytest.mark.parametrize("n", [6, 9, 17])
+def test_hessenberg_swaps_by_slices_keep_the_bits(dtype, n):
     rng = np.random.default_rng(n)
-    p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    z = circle_points(n + 3)
-    want = stacked_pencil(p, z)
-    got = pencil_det(p)(z)
-    assert got.dtype == EXT_COMPLEX
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    a = rng.standard_normal((n, n)).astype(dtype)
+    if np.iscomplexobj(a):
+        a = a + 1j * rng.standard_normal((n, n))
+    # step 0 is skipped: column 0 is already zero below the diagonal
+    a[1:, 0] = 0
+    got = hessenberg(a)
+    assert got.dtype == a.dtype
+    assert _bits(got) == _bits(reference_hessenberg(a))
+    assert np.all(np.tril(got, -2) == 0)
 
 
-def test_pencil_det_splits_at_zero_subdiagonals():
-    # a real Hessenberg matrix whose subdiagonal is exactly zero at two
-    # places in the middle: Hyman's recurrence runs on blocks 4, 3 and 3
+@pytest.mark.parametrize("complex_input", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 17, 22, 30])
+def test_char_poly_matches_np_poly(n, complex_input):
+    # also the sign test: det(H - t I) and det(t I - H) differ at odd
+    # powers of t for even n and at even powers for odd n
+    rng = np.random.default_rng(100 + n)
+    m = rng.standard_normal((n, n))
+    if complex_input:
+        m = m + 1j * rng.standard_normal((n, n))
+    _, got = char_poly(m).dense()
+    want = numpy_char_poly(m)
+    assert len(got) == n + 1
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_char_poly_of_sizes_zero_and_one():
+    assert char_poly(np.zeros((0, 0))) == LaurentPoly.one()
+    assert char_poly(np.array([[3.0]])).coeffs == {0: 3.0, 1: -1.0}
+    assert char_poly(np.array([[2.0 - 1.5j]])).coeffs == {0: 2.0 - 1.5j, 1: -1.0}
+
+
+def test_char_poly_across_a_zero_subdiagonal():
+    # block upper triangular: the reduction leaves h[4, 3] exactly zero,
+    # and the polynomial is the product of the blocks'
     rng = np.random.default_rng(11)
-    p = np.triu(rng.standard_normal((10, 10)), -1)
-    p[[4, 7], [3, 6]] = 0.0
-    z = circle_points(13, radius=1.13)
-    got = pencil_det(p)(z)
-    want = stacked_pencil(p, z)
-    assert got.dtype == EXT_COMPLEX
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    m = rng.standard_normal((10, 10))
+    m[4:, :4] = 0.0
+    assert np.diagonal(hessenberg(m.astype(np.longdouble)), -1)[3] == 0
+    want = char_poly(m[:4, :4]) * char_poly(m[4:, 4:])
+    assert laurent_allclose(char_poly(m), want, 1e-14)
+    _, got = char_poly(m).dense()
+    assert np.max(np.abs(np.array(got) - numpy_char_poly(m))) <= 1e-12 * np.max(np.abs(got))
+    # already Hessenberg, with two zero subdiagonal entries in the middle
+    h = np.triu(rng.standard_normal((10, 10)), -1)
+    h[[4, 7], [3, 6]] = 0.0
+    want = char_poly(h[:4, :4]) * char_poly(h[4:7, 4:7]) * char_poly(h[7:, 7:])
+    assert laurent_allclose(char_poly(h), want, 1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16, 17])
+def test_char_poly_leading_coefficient_and_real_coefficients_are_exact(n):
+    rng = np.random.default_rng(n)
+    m = 40 * rng.standard_normal((n, n))
+    real, cplx = char_poly(m), char_poly(m + 1j * rng.standard_normal((n, n)))
+    assert real.max_exp == cplx.max_exp == n
+    assert real.coeff(n) == cplx.coeff(n) == (-1) ** n
+    assert all(c.imag == 0 for c in real.coeffs.values())
+    assert any(c.imag != 0 for c in cplx.coeffs.values())
 
 
 def test_real_pencil_is_reduced_in_real_extended_precision(monkeypatch):
@@ -380,27 +421,13 @@ def test_real_pencil_is_reduced_in_real_extended_precision(monkeypatch):
 
     monkeypatch.setattr(numeric, "_hessenberg", recording_reduction)
     rng = np.random.default_rng(3)
-    p = rng.standard_normal((6, 6))
-    z = circle_points(9)
-    got = pencil_det(p)(z)
-    pencil_det(p.astype(complex))
+    m = rng.standard_normal((6, 6))
+    got = char_poly(m)
+    char_poly(m.astype(complex))
     assert reduced == [np.dtype(numeric._REAL_DT), np.dtype(EXT_COMPLEX)]
-    want = stacked_pencil(p, z)
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-
-def test_pencil_det_is_exactly_zero_at_an_exact_eigenvalue():
-    # triangular, so H - zI has an exactly zero pivot column at z = 2
-    # (first step), z = -1 (a middle step) and z = 3 (the last pivot)
-    p = np.diag([2.0, -1.0, 3.0]) + np.triu(np.ones((3, 3)), 1)
-    z = np.array([2.0, -1.0, 3.0, 0.5, 1j], dtype=EXT_COMPLEX)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = pencil_det(p)(z)
-        swapped = pencil_det(np.array([[0.0, 1.0], [0.0, 0.0]]))(np.zeros(1, dtype=EXT_COMPLEX))
-    assert list(got[:3]) == [0, 0, 0] and np.all(np.isfinite(got))
-    assert np.max(np.abs(got[3:] - stacked_pencil(p, z[3:]))) <= 1e-17
-    assert swapped[0] == 0
+    _, coeffs = got.dense()
+    want = numpy_char_poly(m)
+    assert np.max(np.abs(np.array(coeffs) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def poly_matrix(entries):
