@@ -253,7 +253,16 @@ _TOLERANCE_HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The command-line parser, with the arguments of the subcommands argv names.
+
+    Every subcommand is registered, so the top-level help and the
+    "invalid choice" and "unrecognized arguments" errors stay whole; only
+    the subcommands whose names appear among the tokens of argv get their
+    arguments, as argparse dispatches on an exact token.  Without argv
+    every subcommand gets them.
+    """
+    named = None if argv is None else set(argv)
     parser = argparse.ArgumentParser(
         prog="ptbundle",
         description="Holonomy, twisted Alexander polynomials, and rigidity "
@@ -264,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, helptext: str, tolerances: str):
         # only the flags the handler reads; the rest keep their defaults
         p = sub.add_parser(name, help=helptext)
+        if named is not None and name not in named:
+            return None
         p.set_defaults(tol_det=Tolerances().det, tol_root=Tolerances().root,
                        tol_null=Tolerances().null)
         for tol in tolerances.split():
@@ -282,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
          "polynomials", "root null", True),
     ):
         p = command(name, helptext, tolerances)
+        if p is None:
+            continue
         p.add_argument("monodromy", help="monodromy word, e.g. LLRR or -R^2L")
         if with_reps:
             p.add_argument("--reps", default=",".join(ALL_REPS),
@@ -289,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     alexander = command("alexander", "generic twisted Alexander invariant "
                         "from a presentation file", "det root")
-    alexander.add_argument("file", help="presentation JSON path")
+    if alexander is not None:
+        alexander.add_argument("file", help="presentation JSON path")
     return parser
 
 
@@ -560,9 +574,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     0 success, 2 input error, 3 numerical failure, 4 when the certifier
     ran and its verdict is inconclusive.
     """
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args, extra = parser.parse_known_args(_route_negated_words(argv))
         if extra:

@@ -13,24 +13,26 @@ mapping-class action on Fricke coordinates; Goldman, Geom. Topol. 2003).
 with chi_(i+1) = g_i(chi_i) cyclically and the Markov relation
 A^2 + B^2 + C^2 - ABC = 0 on every layer (parabolic peripheral
 holonomy), and solves these 4n equations in 3n unknowns by Gauss-Newton
-(multiple shooting; Bock and Plitt, IFAC 1984), with the Jacobians of the
-whole batch assembled in a fixed number of array operations, each entry
-by the floating-point operations of the letter maps.  The four flat starts,
-every layer at the figure-eight holonomy or one of its conjugate and
-mirror images, are the same for every rotation of the word, and advance
-as one batch.  The layered triangulation of a hyperbolic bundle is
-geometric (Gueritaud and Futer, Geom. Topol. 2006), and its tetrahedron
-under layer i has shape -B^2/C^2 for an L and -C^2/A^2 for an R.  So the
-holonomy is the fixed point whose shapes all lie in one open half-plane,
-kept with Im z > 0; min |Im z_i| is the margin of that decision.  A
-leading '-' changes nothing: the elliptic involution fixes every
-character.
+(multiple shooting; Bock and Plitt, IFAC 1984).  The entries that depend
+only on the word are laid out once per solve (``_ShootingLayout``), and
+each iteration assembles the Jacobians of the whole batch in a fixed
+number of array operations, each entry by the floating-point operations
+of the letter maps.  The four flat starts, every layer at the
+figure-eight holonomy or one of its conjugate and mirror images, are the
+same for every rotation of the word, and advance as one batch.  The
+layered triangulation of a hyperbolic bundle is geometric (Gueritaud and
+Futer, Geom. Topol. 2006), and its tetrahedron under layer i has shape
+-B^2/C^2 for an L and -C^2/A^2 for an R.  So the holonomy is the fixed
+point whose shapes all lie in one open half-plane, kept with Im z > 0;
+min |Im z_i| is the margin of that decision.  A leading '-' changes
+nothing: the elliptic involution fixes every character.
 
 The solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
-gluing relations are tried once on systems built from Kronecker blocks
-formed once, and the one intertwining system with a one-dimensional
-kernel gives the meridian by inverse iteration.
+gluing relations are tried on systems built from Kronecker blocks formed
+once and decided by one stacked ``nullspace`` call, and the one
+intertwining system with a one-dimensional kernel gives the meridian by
+inverse iteration.
 
 Every layer of the tower is a Kronecker square followed by a constant
 read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
@@ -129,46 +131,79 @@ def _markov(a, b, c):
 # gives (C, B, BC - A).  The first two rows of the letter's derivative are
 # the constant _FIXED_ROWS, and the third is C u + p v - w, with (u, v, w)
 # from _THIRD_ROW: (e_0, e_2, e_1) for R and (e_1, e_2, e_0) for L.
+# _markov's products (BC, AC, AB) multiply the coordinates _PRODUCT_PAIRS
+# picks, the first three by the last three.
 _PICKS = np.array([[0, 2, 0, 1], [2, 1, 1, 0]])
 _FIXED_ROWS = np.eye(3)[[[0, 2], [2, 1]]]
 _THIRD_ROW = np.eye(3)[[[0, 2, 1], [1, 2, 0]]]
+_PRODUCT_PAIRS = np.array([1, 0, 0, 2, 2, 1])
 
 
-def _shooting_system(x: np.ndarray, is_l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _ShootingLayout:
+    """The parts of one word's shooting equations that do not depend on x.
+
+    is_l (n,) marks the L layers.  ``picks`` holds the flat indices, in a
+    start's (3n,) coordinates, of the four coordinates each layer's
+    letter picks, ``after`` each layer's successor, and ``u``, ``v``,
+    ``w`` (n, 3) the rows of each layer's third Jacobian row.
+    ``template`` is the (4n, 3n) Jacobian with only the entries that
+    depend on the word: the fixed rows of each letter's block and the -I
+    closing blocks.  ``third_at`` and ``markov_at`` are the flat positions
+    in it of every layer's third row and Markov row, within the layer's
+    own columns.
+    """
+
+    def __init__(self, is_l: np.ndarray):
+        n = len(is_l)
+        layers, letter = np.arange(n), is_l.astype(np.intp)
+        self.after = (layers + 1) % n
+        self.picks = 3 * layers[:, None] + _PICKS[letter]
+        self.u, self.v, self.w = _THIRD_ROW[letter].transpose(1, 0, 2)
+        fixed = np.zeros((n, 3, n, 3))
+        fixed[layers, :2, layers] = _FIXED_ROWS[letter]
+        fixed[layers, :, self.after] -= np.eye(3)
+        self.template = np.zeros((4 * n, 3 * n))
+        self.template[:3 * n] = fixed.reshape(3 * n, 3 * n)
+        columns = 3 * layers[:, None] + np.arange(3)
+        self.third_at = ((3 * layers + 2)[:, None] * 3 * n + columns).ravel()
+        self.markov_at = ((3 * n + layers)[:, None] * 3 * n + columns).ravel()
+
+
+def _shooting_system(x: np.ndarray, layout: _ShootingLayout) -> tuple[np.ndarray, np.ndarray]:
     """Values (k, 4n) and Jacobians (k, 4n, 3n) of the shooting equations.
 
-    x (k, n, 3) holds each start's layers and is_l (n,) marks the L
-    layers; rows 3i .. 3i+2 are g_i(chi_i) - chi_(i+1 mod n) and row
-    3n + i is the Markov polynomial of chi_i.  The entries that depend
-    only on the word, the fixed rows of each letter's block and the -I
-    closing blocks, are laid out from is_l.  The images, the third row of
-    every letter's block and the Markov rows are computed for the whole
-    batch at once, by the operations ``letter_map`` and ``_markov`` apply
-    to one layer, and scattered in.
+    x (k, n, 3) holds each start's layers, and ``layout`` is the word's
+    ``_ShootingLayout``; rows 3i .. 3i+2 are g_i(chi_i) - chi_(i+1 mod n)
+    and row 3n + i is the Markov polynomial of chi_i.  Each Jacobian is a
+    copy of the layout's template.  The images, the third row of every
+    letter's block and the Markov rows are computed for the whole batch at
+    once, by the operations ``letter_map`` and ``_markov`` apply to one
+    layer, and scattered in.
     """
     k, n, _ = x.shape
-    layers, letter = np.arange(n), is_l.astype(np.intp)
-    after = (layers + 1) % n
-    first, second, p, s = x[:, layers[:, None], _PICKS[letter]].transpose(2, 0, 1)
+    first, second, p, s = x.reshape(k, 3 * n)[:, layout.picks].transpose(2, 0, 1)
     c = x[..., 2]
-    images = np.stack([first, second, p * c - s], axis=-1)
-    u, v, w = _THIRD_ROW[letter].transpose(1, 0, 2)
-    third = c[..., None] * u + p[..., None] * v - w
+    third = c[..., None] * layout.u + p[..., None] * layout.v - layout.w
     if n == 1:  # the closing block is the layer's own
-        third = third - v
-    fixed = np.zeros((n, 3, n, 3))
-    fixed[layers, :2, layers] = _FIXED_ROWS[letter]
-    fixed[layers, :, after] -= np.eye(3)
+        third = third - layout.v
     # _markov's terms: (BC, AC, AB), and A^2 + B^2 + C^2 - ABC
-    products = x[..., [1, 0, 0]] * x[..., [2, 2, 1]]
+    pairs = x[..., _PRODUCT_PAIRS]
+    products = pairs[..., :3] * pairs[..., 3:]
     squares = x * x
-    markov = squares[..., 0] + squares[..., 1] + squares[..., 2] - products[..., 2] * c
-    jac = np.zeros((k, 4 * n, n, 3), dtype=x.dtype)
-    jac[:, :3 * n] = fixed.reshape(3 * n, n, 3)
-    jac[:, 3 * layers + 2, layers] = third
-    jac[:, 3 * n + layers, layers] = 2 * x - products
-    values = np.concatenate([(images - x[:, after]).reshape(k, 3 * n), markov], axis=1)
-    return values, jac.reshape(k, 4 * n, 3 * n)
+    values = np.empty((k, 4 * n), dtype=x.dtype)
+    np.subtract(squares[..., 0] + squares[..., 1] + squares[..., 2], products[..., 2] * c,
+                out=values[:, 3 * n:])
+    defects = values[:, :3 * n].reshape(k, n, 3)
+    following = x[:, layout.after]
+    np.subtract(first, following[..., 0], out=defects[..., 0])
+    np.subtract(second, following[..., 1], out=defects[..., 1])
+    np.subtract(p * c - s, following[..., 2], out=defects[..., 2])
+    jac = np.empty((k, 4 * n, 3 * n), dtype=x.dtype)
+    jac[:] = layout.template
+    flat = jac.reshape(k, 12 * n * n)
+    flat[:, layout.third_at] = third.reshape(k, 3 * n)
+    flat[:, layout.markov_at] = (2 * x - products).reshape(k, 3 * n)
+    return values, jac
 
 
 def layer_shapes(chi: np.ndarray, is_l: np.ndarray) -> np.ndarray:
@@ -194,13 +229,27 @@ _MAX_ITER = 50
 _HALF_PLANE_TOL = 1e-9
 
 
+def _gauss_newton_step(normal: np.ndarray, rhs: np.ndarray, jac: np.ndarray,
+                       values: np.ndarray) -> np.ndarray:
+    """One start's step, solved alone: the bits the batched solve gives it,
+    or the least-squares step when its normal matrix is singular."""
+    try:
+        return np.linalg.solve(normal, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jac, -values, rcond=None)[0]
+
+
 # A diverging start overflows before its finiteness check stops it.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_traces(letters: str) -> list[TraceTriple]:
     """The holonomy's character, from the four flat starts.
 
-    All starts advance together by Gauss-Newton on the normal equations
-    of ``_shooting_system``; a start stops when max|F| is at most
+    The word's ``_ShootingLayout`` is built once, and all starts advance
+    together by Gauss-Newton on the normal equations of
+    ``_shooting_system``, solved for the whole batch at once.  When that
+    raises, each start is solved alone, so it keeps the bits it has alone,
+    and a start whose normal matrix is singular takes the least-squares
+    step instead.  A start stops when max|F| is at most
     1e-13 max(1, max|chi|)^2, or when F is no longer finite.  The first
     converged start, in the order of ``FLAT_STARTS``, whose shapes lie in
     one open half-plane is the holonomy (Gueritaud and Futer: the
@@ -212,13 +261,14 @@ def solve_traces(letters: str) -> list[TraceTriple]:
     ArithmeticError, naming the best residual, when no start gets there.
     """
     is_l = np.array([letter == "L" for letter in letters])
+    layout = _ShootingLayout(is_l)
     x = np.repeat(FLAT_STARTS[:, None], len(letters), axis=1)
     residual = np.full(len(x), np.inf)
     converged = np.zeros(len(x), dtype=bool)
     active = np.arange(len(x))
     for _ in range(_MAX_ITER):
         current = x[active]
-        values, jac = _shooting_system(current, is_l)
+        values, jac = _shooting_system(current, layout)
         size = np.abs(values).max(axis=1)
         finite = np.isfinite(size)
         residual[active] = np.where(finite, size, np.inf)
@@ -231,10 +281,12 @@ def solve_traces(letters: str) -> list[TraceTriple]:
         if not active.size:
             break
         adjoint = jac.conj().transpose(0, 2, 1)
+        normal, rhs = adjoint @ jac, -(adjoint @ values[..., None])
         try:
-            steps = np.linalg.solve(adjoint @ jac, -(adjoint @ values[..., None]))[..., 0]
-        except np.linalg.LinAlgError:  # a rank-deficient start takes the least-squares step
-            steps = np.array([np.linalg.lstsq(j, -v, rcond=None)[0] for j, v in zip(jac, values)])
+            steps = np.linalg.solve(normal, rhs)[..., 0]
+        except np.linalg.LinAlgError:  # some start's normal matrix is singular
+            steps = np.array([_gauss_newton_step(*start)
+                              for start in zip(normal, rhs, jac, values)])
         x[active] = current + steps.reshape(current.shape)
     for start in np.flatnonzero(converged):
         shapes = layer_shapes(x[start], is_l)
@@ -307,6 +359,10 @@ def _kron2(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-4] + (rows, cols))
 
 
+# The signs (index 0 for +1, 1 for -1) of a and b in the four gluing patterns.
+_SIGN_PATTERNS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+
+
 def holonomy_from_triple(
     triple: TraceTriple,
     endo: EndoF2,
@@ -324,7 +380,8 @@ def holonomy_from_triple(
     the Kronecker products formed once for both generators and both signs,
     and exactly one intertwining space must be one-dimensional (the
     fiber representation is irreducible).  Those rank decisions run in
-    double precision; the kernel vector is then sharpened by inverse
+    double precision, on the (4, 8, 4) stack of the four systems in one
+    ``nullspace`` call; the kernel vector is then sharpened by inverse
     iteration on the chosen system, X is scaled to determinant 1, and the
     lift with trace nearest -2 is returned with the fiber pair, as the
     images of a, b, x.  ``endo`` is the word's automorphism and
@@ -344,12 +401,10 @@ def holonomy_from_triple(
     # block with the sign +1 (s = 0) or -1 (s = 1).
     blocks = (_kron2(eye, np.transpose(mats, (0, 2, 1)))
               - _kron2(np.multiply.outer([1, -1], targets), eye))
-    found = []
-    for signs in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        stacked = blocks[signs, (0, 1)].reshape(8, 4)
-        basis = nullspace(stacked, tol=null_tol)
-        if basis.shape[1] == 1:
-            found.append((stacked, basis[:, 0]))
+    systems = blocks[_SIGN_PATTERNS, (0, 1)].reshape(4, 8, 4)
+    found = [(stacked, basis[:, 0])
+             for stacked, basis in zip(systems, nullspace(systems, tol=null_tol))
+             if basis.shape[1] == 1]
     if not found:
         raise ArithmeticError("no meridian intertwiner found; traces may be spurious")
     if len(found) > 1:

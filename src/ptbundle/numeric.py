@@ -112,28 +112,29 @@ def linear_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Unlike numpy.linalg.solve this keeps longdouble/clongdouble inputs in
     their own precision.  b may be a vector or a matrix of right-hand
-    sides.  Raises ArithmeticError on an exactly zero pivot.
+    sides.  The elimination runs once on the augmented matrix [a | b], so
+    each step is one row swap and one update of a and b together.  Raises
+    ArithmeticError on an exactly zero pivot.
     """
-    a = np.array(a, copy=True)
-    vector = np.ndim(b) == 1
-    rhs = np.array(b, copy=True, dtype=np.promote_types(a.dtype, np.asarray(b).dtype))
-    if vector:
-        rhs = rhs.reshape(-1, 1)
-    a = a.astype(rhs.dtype, copy=False)
+    a, b = np.asarray(a), np.asarray(b)
+    vector = b.ndim == 1
     n = a.shape[0]
+    augmented = np.empty((n, n + (1 if vector else b.shape[1])),
+                         dtype=np.promote_types(a.dtype, b.dtype))
+    augmented[:, :n] = a
+    augmented[:, n:] = b.reshape(n, -1)
     for k in range(n):
-        p = int(np.argmax(np.abs(a[k:, k]))) + k
-        if a[p, k] == 0:
+        p = int(np.abs(augmented[k:, k]).argmax()) + k
+        if augmented[p, k] == 0:
             raise ArithmeticError("singular matrix in linear_solve")
         if p != k:
-            row, rhs_row = a[k].copy(), rhs[k].copy()
-            a[k], a[p] = a[p], row
-            rhs[k], rhs[p] = rhs[p], rhs_row
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= factors[:, None] * a[k, k:]
-        rhs[k + 1:] -= factors[:, None] * rhs[k]
+            row = augmented[k].copy()
+            augmented[k], augmented[p] = augmented[p], row
+        factors = augmented[k + 1:, k] / augmented[k, k]
+        augmented[k + 1:, k:] -= factors[:, None] * augmented[k, k:]
+    rhs = augmented[:, n:].copy()
     for k in range(n - 1, -1, -1):
-        rhs[k] = (rhs[k] - np.dot(a[k, k + 1:], rhs[k + 1:])) / a[k, k]
+        rhs[k] = (rhs[k] - np.dot(augmented[k, k + 1:n], rhs[k + 1:])) / augmented[k, k]
     return rhs[:, 0] if vector else rhs
 
 
@@ -613,7 +614,8 @@ def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[i
     return count, LaurentPoly.from_coeffs(coeffs, 0)
 
 
-def nullspace(m: np.ndarray, tol: float = 1e-9, *, refine: bool = False) -> np.ndarray:
+def nullspace(m: np.ndarray, tol: float = 1e-9, *,
+              refine: bool = False) -> np.ndarray | list[np.ndarray]:
     """Orthonormal kernel basis (columns); tol is relative to sigma_max.
 
     Extended-precision inputs are cast down to double first (LAPACK has no
@@ -621,20 +623,32 @@ def nullspace(m: np.ndarray, tol: float = 1e-9, *, refine: bool = False) -> np.n
     back into their own extended matrices, or ask for ``refine``: in m's
     own precision, one Newton step N - m^+ (m N) makes m annihilate the
     basis and one step N (3 - N^H N) / 2 makes it orthonormal again.
+    A stack m (k, r, n) is decomposed by one SVD, which gives each member
+    the bits of its own, and gives the list of the k members' bases, each
+    by the same rank rule.  This is the package's only SVD, so its only
+    rank rule; ``tests/test_imports.py`` fails on an svd anywhere else.
     """
-    m = given = np.atleast_2d(np.asarray(m))
-    if m.dtype == np.clongdouble:
-        m = m.astype(np.complex128)
-    elif m.dtype == np.longdouble:
-        m = m.astype(np.float64)
-    n = m.shape[1]
-    if m.size == 0:
-        return np.eye(n)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
+    given = members = np.atleast_2d(np.asarray(m))
+    if given.dtype == np.clongdouble:
+        members = given.astype(np.complex128)
+    elif given.dtype == np.longdouble:
+        members = given.astype(np.float64)
+    if members.size == 0:
+        n = members.shape[-1]
+        return [np.eye(n) for _ in members] if given.ndim == 3 else np.eye(n)
+    svd = np.linalg.svd(members, full_matrices=True)
+    if given.ndim == 3:
+        return [_kernel(*args, tol, refine) for args in zip(given, *svd)]
+    return _kernel(given, *svd, tol, refine)
+
+
+def _kernel(given: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray,
+            tol: float, refine: bool) -> np.ndarray:
+    """One matrix's kernel basis from its SVD, by ``nullspace``'s rank rule."""
+    n = vh.shape[0]
+    if s[0] == 0.0:
         return np.eye(n, dtype=vh.dtype)
-    rank = int(np.sum(s > tol * smax))
+    rank = int(np.sum(s > tol * s[0]))
     basis = vh[rank:].conj().T
     if refine:
         step = np.dot(u[:, :rank].conj().T, np.dot(given, basis)) / s[:rank, None]

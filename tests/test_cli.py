@@ -173,6 +173,40 @@ class TestExitCodes:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.endswith(f"error: unrecognized arguments: {flag}")
 
+    @pytest.mark.parametrize("argv", [
+        *([name, "-h"] for name in ("certify", "holonomy", "trace-solve", "action", "alexander")),
+        ["-h"],
+        [],
+        ["frobnicate", "LR"],
+        ["--format", "certify", "LR"],
+        ["certify", "--frobnicate", "LR"],
+        ["certify"],
+        ["alexander"],
+        ["certify", "--", "-RRL"],
+        ["trace-solve", "--format", "json", "-RRL"],
+    ])
+    def test_parser_for_the_named_subcommand_answers_as_the_full_one(self, argv, monkeypatch,
+                                                                     capsys):
+        # run builds the arguments of the subcommands argv names only; the
+        # exit code and every byte of output are those of the full parser
+        code = run(list(argv))
+        answer = capsys.readouterr()
+        full = ptbundle.cli.build_parser
+        monkeypatch.setattr(ptbundle.cli, "build_parser", lambda argv=None: full())
+        assert run(list(argv)) == code
+        assert capsys.readouterr() == answer
+
+    def test_parser_without_argv_builds_every_subcommand(self):
+        def actions(parser):
+            (sub,) = [a for a in parser._actions if a.dest == "command"]
+            return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+        full = actions(ptbundle.cli.build_parser())
+        assert all(len(dests) > 1 for dests in full.values())
+        named = actions(ptbundle.cli.build_parser(["action", "LR"]))
+        assert named == {name: dests if name == "action" else ["help"]
+                         for name, dests in full.items()}
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()

@@ -17,6 +17,10 @@ from ptbundle.holonomy import (
     SL4_COORDS,
     SL4_VECS,
     TraceTriple,
+    _FIXED_ROWS,
+    _PICKS,
+    _ShootingLayout,
+    _THIRD_ROW,
     _kron2,
     _markov,
     _shooting_system,
@@ -99,6 +103,10 @@ def is_conjugate_representative(sol: TraceTriple, target) -> bool:
 
 def is_l_of(letters):
     return np.array([letter == "L" for letter in letters])
+
+
+def layout_of(letters):
+    return _ShootingLayout(is_l_of(letters))
 
 
 def value_bytes(x):
@@ -204,7 +212,7 @@ class TestCompiledTraceSystem:
             x = self.random_layers(rng, 30, len(letters))
             # the solve in double, and the same equations in extended precision
             for z in x, x.astype(EXT_COMPLEX):
-                values, jac = _shooting_system(z, is_l_of(letters))
+                values, jac = _shooting_system(z, layout_of(letters))
                 assert values.dtype == jac.dtype == z.dtype
                 for k in range(len(z)):
                     want = layered_system(z[k], letters)
@@ -230,7 +238,7 @@ class TestCompiledTraceSystem:
             assert layer_shapes(x[k], is_l_of(letters)).tobytes() == shapes[k].tobytes()
 
     def test_empty_batch(self):
-        values, jac = _shooting_system(np.zeros((0, 4, 3), dtype=complex), is_l_of("LLRR"))
+        values, jac = _shooting_system(np.zeros((0, 4, 3), dtype=complex), layout_of("LLRR"))
         assert values.shape == (0, 16)
         assert jac.shape == (0, 16, 12)
 
@@ -243,17 +251,61 @@ class TestCompiledTraceSystem:
                            r"in one half-plane; best residual 0\)"):
             solve_traces("LLRR")
 
+    @staticmethod
+    def reference_system(x, is_l):
+        """The shooting equations with the word's layout rebuilt at every call,
+        as ``_shooting_system`` built it before ``_ShootingLayout``."""
+        k, n, _ = x.shape
+        layers, letter = np.arange(n), is_l.astype(np.intp)
+        after = (layers + 1) % n
+        first, second, p, s = x[:, layers[:, None], _PICKS[letter]].transpose(2, 0, 1)
+        c = x[..., 2]
+        images = np.stack([first, second, p * c - s], axis=-1)
+        u, v, w = _THIRD_ROW[letter].transpose(1, 0, 2)
+        third = c[..., None] * u + p[..., None] * v - w
+        if n == 1:
+            third = third - v
+        fixed = np.zeros((n, 3, n, 3))
+        fixed[layers, :2, layers] = _FIXED_ROWS[letter]
+        fixed[layers, :, after] -= np.eye(3)
+        products = x[..., [1, 0, 0]] * x[..., [2, 2, 1]]
+        squares = x * x
+        markov = squares[..., 0] + squares[..., 1] + squares[..., 2] - products[..., 2] * c
+        jac = np.zeros((k, 4 * n, n, 3), dtype=x.dtype)
+        jac[:, :3 * n] = fixed.reshape(3 * n, n, 3)
+        jac[:, 3 * layers + 2, layers] = third
+        jac[:, 3 * n + layers, layers] = 2 * x - products
+        values = np.concatenate([(images - x[:, after]).reshape(k, 3 * n), markov], axis=1)
+        return values, jac.reshape(k, 4 * n, 3 * n)
+
+    @np.errstate(all="ignore")
+    @pytest.mark.parametrize("letters", ["L", "R", "LR", "RL", "LLRR", "LLLRLRR", "L" * 12 + "R"])
+    def test_layout_built_once_keeps_the_bits(self, letters):
+        # One layout serves every iteration of a solve, as its batch
+        # shrinks; each batch gets the bits of the equations built whole.
+        rng = np.random.default_rng(len(letters))
+        layout = layout_of(letters)
+        x = self.random_layers(rng, 5, len(letters))
+        x[0] = FLAT_STARTS[0]
+        for dtype in (complex, EXT_COMPLEX):
+            for k in (5, 3, 2, 1):
+                batch = x[:k].astype(dtype)
+                got = _shooting_system(batch, layout)
+                want = self.reference_system(batch, is_l_of(letters))
+                assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+                assert [value_bytes(a) for a in got] == [value_bytes(a) for a in want]
+
     @np.errstate(all="ignore")
     def test_points_evaluate_independently_of_the_batch(self):
         rng = np.random.default_rng(8)
         letters = "LLRLRRLR"
         x = self.random_layers(rng, 64, len(letters))
         point = x[5].copy()
-        alone = [a[0].tobytes() for a in _shooting_system(point[None], is_l_of(letters))]
+        alone = [a[0].tobytes() for a in _shooting_system(point[None], layout_of(letters))]
         for index in range(64):
             batch = x.copy()
             batch[index] = point
-            values, jac = _shooting_system(batch, is_l_of(letters))
+            values, jac = _shooting_system(batch, layout_of(letters))
             assert [values[index].tobytes(), jac[index].tobytes()] == alone
 
 
@@ -298,7 +350,7 @@ class TestTraceSystem:
         size = (2, len(letters), 3)
         x = np.concatenate([np.repeat(FLAT_STARTS[:, None], len(letters), axis=1),
                             rng.standard_normal(size) + 1j * rng.standard_normal(size)])
-        values, jac = _shooting_system(x, is_l_of(letters))
+        values, jac = _shooting_system(x, layout_of(letters))
         for k in range(len(x)):
             want_values, want_jac = layered_system(x[k], letters)
             assert values[k].tobytes() == want_values.tobytes()
@@ -378,9 +430,9 @@ def record_batches(monkeypatch):
     batches = []
     system = holonomy._shooting_system
 
-    def record(x, is_l):
+    def record(x, layout):
         batches.append(x.copy())
-        return system(x, is_l)
+        return system(x, layout)
 
     monkeypatch.setattr(holonomy, "_shooting_system", record)
     return batches
@@ -586,11 +638,11 @@ class TestMeridian:
     @pytest.mark.parametrize("word", ["LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR", "LRL",
                                       "LLLRRRR"])
     def test_intertwining_systems_pinned(self, word, monkeypatch):
-        # The lift hands nullspace the systems the per-pattern np.kron
-        # construction gives, bit for bit and signed zeros included, so
-        # every later step of the lift keeps its bits.  LRL's holonomy lies
-        # on 2C = AB; LLLRRRR is lifted at its exactly representable
-        # character (0, -1, i), whose systems hold exact zeros.
+        # The lift hands nullspace, in one call, the stack of the systems the
+        # per-pattern np.kron construction gives, bit for bit and signed
+        # zeros included, so every later step of the lift keeps its bits.
+        # LRL's holonomy lies on 2C = AB; LLLRRRR is lifted at its exactly
+        # representable character (0, -1, i), whose systems hold exact zeros.
         endo, letters = lift_inputs(word)
         if word == "LLLRRRR":
             triple = TraceTriple(0j, -1 + 0j, 1j)
@@ -605,9 +657,9 @@ class TestMeridian:
 
         monkeypatch.setattr(holonomy, "nullspace", record)
         holonomy_from_triple(triple, endo, letters)
-        want = self.reference_systems(triple, endo, letters)
-        assert [(got.dtype, got.shape) for got in seen] == [(w.dtype, w.shape) for w in want]
-        assert [value_bytes(got) for got in seen] == [value_bytes(w) for w in want]
+        want = np.stack(self.reference_systems(triple, endo, letters))
+        assert [(got.dtype, got.shape) for got in seen] == [(want.dtype, (4, 8, 4))]
+        assert value_bytes(seen[0]) == value_bytes(want)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_central_meridian_follows_null_tol(self, sign):

@@ -228,6 +228,36 @@ def test_shared_elimination_keeps_linear_solve_and_lu_bits(dtype):
     assert _bits(matrix_det(a)) == _bits(reference_det(a))
 
 
+def diagonally_dominant(rng, n, dtype):
+    """A random n x n matrix of dtype whose partial pivoting swaps no rows."""
+    a = rng.standard_normal((n, n)) + 4 * n * np.eye(n)
+    if np.issubdtype(dtype, np.complexfloating):
+        a = a + 1j * rng.standard_normal((n, n))
+    return a.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, EXT_COMPLEX])
+@pytest.mark.parametrize("pivoting", [False, True])
+def test_augmented_elimination_keeps_the_bits_of_the_reference(dtype, pivoting):
+    # one elimination of [a | b] forms the sums of separate updates of a and b
+    rng = np.random.default_rng(3 + pivoting)
+    swaps = 0
+    for n in range(1, 6):
+        for _ in range(20):
+            a = diagonally_dominant(rng, n, dtype)
+            if pivoting:
+                a = np.ascontiguousarray(a[rng.permutation(n)][:, rng.permutation(n)])
+                swaps += n > 1 and np.argmax(np.abs(a[:, 0])) != 0
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3)),
+                      rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))):
+                b = b.astype(np.result_type(b, dtype))
+                want = reference_solve(a, b if b.ndim == 2 else b[:, None])
+                got = linear_solve(a, b)
+                assert got.dtype == want.dtype and got.shape == b.shape
+                assert _bits(got) == _bits(want if b.ndim == 2 else want[:, 0].copy())
+    assert (swaps > 0) == pivoting
+
+
 # ---------------------------------------------------------------------------
 # Extended-precision products: np.dot forms the bits of @
 # ---------------------------------------------------------------------------
@@ -593,6 +623,31 @@ def test_nullspace_dims_and_quality():
     assert nullspace(np.eye(4)).shape == (4, 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble, np.clongdouble])
+@pytest.mark.parametrize("refine", [False, True])
+def test_stacked_nullspace_is_each_members_own(dtype, refine):
+    # one SVD of the stack gives each member the basis, and the bits, of its
+    # own call: full rank, rank deficient, all zero and exactly zero rows
+    rng = np.random.default_rng(4)
+    stack = extended_operand(rng, (5, 8, 4), dtype)
+    stack[1] = np.dot(extended_operand(rng, (8, 3), dtype), extended_operand(rng, (3, 4), dtype))
+    stack[2] = 0
+    stack[3, 4:] = 0
+    stack[4] = np.dot(extended_operand(rng, (8, 1), dtype), extended_operand(rng, (1, 4), dtype))
+    bases = nullspace(stack, refine=refine)
+    assert isinstance(bases, list) and [b.shape[1] for b in bases] == [0, 1, 4, 0, 3]
+    for member, basis in zip(stack, bases):
+        alone = nullspace(member, refine=refine)
+        assert (basis.dtype, basis.shape) == (alone.dtype, alone.shape)
+        assert _bits(basis) == _bits(alone)
+
+
+def test_stacked_nullspace_of_empty_members():
+    assert nullspace(np.zeros((0, 8, 4))) == []
+    bases = nullspace(np.zeros((2, 0, 3)))
+    assert len(bases) == 2 and all(np.array_equal(b, np.eye(3)) for b in bases)
+
+
 def kernel_problem(dtype):
     """A rank-4 7x9 matrix of dtype, kernel dimension 5, in full extended precision."""
     rng = np.random.default_rng(11)
@@ -673,23 +728,49 @@ def test_newton_markov_symmetric_root():
 
 
 def test_newton_singular_jacobian_starts(monkeypatch):
-    # a batch whose normal equations are singular steps each start by
-    # least squares instead, and reaches the same holonomy
+    # when the batched solve of the normal equations raises, each start is
+    # solved alone, and the solve reaches the holonomy with the same bits
     solve = np.linalg.solve
     calls = []
 
     def singular_once(a, b):
-        calls.append(len(a))
+        calls.append(a.shape)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
 
-    expected = solve_traces("LLRR")
+    (expected,) = solve_traces("LLRR")
     monkeypatch.setattr(holonomy.np.linalg, "solve", singular_once)
     (sol,) = solve_traces("LLRR")
     monkeypatch.undo()
-    assert calls[0] == len(FLAT_STARTS)
-    assert np.max(np.abs(np.array(sol.as_tuple()) - expected[0].as_tuple())) < 1e-12
+    starts = len(FLAT_STARTS)
+    assert calls[:1 + starts] == [(starts, 12, 12)] + [(12, 12)] * starts
+    assert triple_bytes(sol) == triple_bytes(expected)
+
+
+def test_newton_singular_start_leaves_the_others_their_bits(monkeypatch):
+    # The start at (5, 5, 5) gets a zero Jacobian, so its normal matrix is
+    # singular at every iteration and the batched solve raises each time.
+    # It takes the least-squares step, 0, and stays put unconverged; the
+    # start beside it is solved alone and reaches the holonomy with the
+    # bits it has without the singular start.
+    system, lstsq, scales = holonomy._shooting_system, np.linalg.lstsq, []
+
+    def zero_jacobian_at_five(x, layout):
+        values, jac = system(x, layout)
+        jac[np.all(x == 5, axis=(1, 2))] = 0
+        return values, jac
+
+    def least_squares(jac, rhs, rcond):
+        scales.append(np.abs(jac).max())
+        return lstsq(jac, rhs, rcond=rcond)
+
+    monkeypatch.setattr(holonomy, "_shooting_system", zero_jacobian_at_five)
+    monkeypatch.setattr(holonomy.np.linalg, "lstsq", least_squares)
+    alone = solve_from([FLAT_STARTS[0]], "LLRLLR", monkeypatch)
+    beside = solve_from([[5, 5, 5], FLAT_STARTS[0]], "LLRLLR", monkeypatch)
+    assert triple_bytes(beside) == triple_bytes(alone)
+    assert scales and set(scales) == {0.0}
 
 
 # Two starts near the figure-eight start that reach the holonomy of LLRR
@@ -718,9 +799,9 @@ def test_newton_batch_drops_stopped_starts_and_steps_the_rest(monkeypatch):
     batches = []
     system = holonomy._shooting_system
 
-    def record(x, is_l):
+    def record(x, layout):
         batches.append(len(x))
-        return system(x, is_l)
+        return system(x, layout)
 
     monkeypatch.setattr(holonomy, "_shooting_system", record)
     sol = solve_from(starts, "LLRLLR", monkeypatch)
