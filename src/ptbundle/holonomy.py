@@ -15,17 +15,18 @@ A^2 + B^2 + C^2 - ABC = 0 on every layer (parabolic peripheral
 holonomy), and solves these 4n equations in 3n unknowns by Gauss-Newton
 (multiple shooting; Bock and Plitt, IFAC 1984).  The entries that depend
 only on the word are laid out once per solve (``_ShootingLayout``), and
-each iteration assembles the Jacobians of the whole batch in a fixed
-number of array operations, each entry by the floating-point operations
-of the letter maps.  The four flat starts, every layer at the
-figure-eight holonomy or one of its conjugate and mirror images, are the
-same for every rotation of the word, and advance as one batch.  The
-layered triangulation of a hyperbolic bundle is geometric (Gueritaud and
-Futer, Geom. Topol. 2006), and its tetrahedron under layer i has shape
--B^2/C^2 for an L and -C^2/A^2 for an R.  So the holonomy is the fixed
-point whose shapes all lie in one open half-plane, kept with Im z > 0;
-min |Im z_i| is the margin of that decision.  A leading '-' changes
-nothing: the elliptic involution fixes every character.
+each iteration assembles a start's Jacobian in a fixed number of array
+operations, each entry by the floating-point operations of the letter
+maps.  The four flat starts, every layer at the figure-eight holonomy or
+one of its conjugate and mirror images, are the same for every rotation
+of the word, and run one at a time, in order.  The layered triangulation
+of a hyperbolic bundle is geometric (Gueritaud and Futer, Geom. Topol.
+2006), and its tetrahedron under layer i has shape -B^2/C^2 for an L and
+-C^2/A^2 for an R.  So the holonomy is the fixed point whose shapes all
+lie in one open half-plane, kept with Im z > 0; min |Im z_i| is the
+margin of that decision, and the first start that reaches such a point
+ends the solve.  A leading '-' changes nothing: the elliptic involution
+fixes every character.
 
 The solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
@@ -49,10 +50,8 @@ g^-1 (x) g^-1), each built on first use.
 Every Kronecker product, in the lift and in the tower, goes through the
 one broadcast helper ``_kron2``: the products np.kron forms, bit for bit,
 without the argument handling that makes np.kron three times as slow on a
-4x4 pair.  Every product whose operands can be extended precision is an
-``np.dot``, for the reason the ``numeric`` docstring gives; only the
-batched complex128 normal equations of ``solve_traces`` keep ``@``, as
-``np.dot`` of 3-D stacks is a different product.
+4x4 pair.  Every matrix product is an ``np.dot``; the ``numeric``
+docstring says why.
 """
 
 from __future__ import annotations
@@ -170,39 +169,38 @@ class _ShootingLayout:
 
 
 def _shooting_system(x: np.ndarray, layout: _ShootingLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Values (k, 4n) and Jacobians (k, 4n, 3n) of the shooting equations.
+    """Values (4n,) and Jacobian (4n, 3n) of the shooting equations at one start's layers.
 
-    x (k, n, 3) holds each start's layers, and ``layout`` is the word's
+    x (n, 3) holds the layers, and ``layout`` is the word's
     ``_ShootingLayout``; rows 3i .. 3i+2 are g_i(chi_i) - chi_(i+1 mod n)
-    and row 3n + i is the Markov polynomial of chi_i.  Each Jacobian is a
+    and row 3n + i is the Markov polynomial of chi_i.  The Jacobian is a
     copy of the layout's template.  The images, the third row of every
-    letter's block and the Markov rows are computed for the whole batch at
+    letter's block and the Markov rows are computed for all layers at
     once, by the operations ``letter_map`` and ``_markov`` apply to one
     layer, and scattered in.
     """
-    k, n, _ = x.shape
-    first, second, p, s = x.reshape(k, 3 * n)[:, layout.picks].transpose(2, 0, 1)
-    c = x[..., 2]
-    third = c[..., None] * layout.u + p[..., None] * layout.v - layout.w
+    n = len(x)
+    first, second, p, s = x.reshape(3 * n)[layout.picks].T
+    c = x[:, 2]
+    third = c[:, None] * layout.u + p[:, None] * layout.v - layout.w
     if n == 1:  # the closing block is the layer's own
         third = third - layout.v
     # _markov's terms: (BC, AC, AB), and A^2 + B^2 + C^2 - ABC
-    pairs = x[..., _PRODUCT_PAIRS]
-    products = pairs[..., :3] * pairs[..., 3:]
+    pairs = x[:, _PRODUCT_PAIRS]
+    products = pairs[:, :3] * pairs[:, 3:]
     squares = x * x
-    values = np.empty((k, 4 * n), dtype=x.dtype)
-    np.subtract(squares[..., 0] + squares[..., 1] + squares[..., 2], products[..., 2] * c,
-                out=values[:, 3 * n:])
-    defects = values[:, :3 * n].reshape(k, n, 3)
-    following = x[:, layout.after]
-    np.subtract(first, following[..., 0], out=defects[..., 0])
-    np.subtract(second, following[..., 1], out=defects[..., 1])
-    np.subtract(p * c - s, following[..., 2], out=defects[..., 2])
-    jac = np.empty((k, 4 * n, 3 * n), dtype=x.dtype)
-    jac[:] = layout.template
-    flat = jac.reshape(k, 12 * n * n)
-    flat[:, layout.third_at] = third.reshape(k, 3 * n)
-    flat[:, layout.markov_at] = (2 * x - products).reshape(k, 3 * n)
+    values = np.empty(4 * n, dtype=x.dtype)
+    np.subtract(squares[:, 0] + squares[:, 1] + squares[:, 2], products[:, 2] * c,
+                out=values[3 * n:])
+    defects = values[:3 * n].reshape(n, 3)
+    following = x[layout.after]
+    np.subtract(first, following[:, 0], out=defects[:, 0])
+    np.subtract(second, following[:, 1], out=defects[:, 1])
+    np.subtract(p * c - s, following[:, 2], out=defects[:, 2])
+    jac = layout.template.astype(x.dtype)
+    flat = jac.reshape(12 * n * n)
+    flat[layout.third_at] = third.ravel()
+    flat[layout.markov_at] = (2 * x - products).ravel()
     return values, jac
 
 
@@ -229,76 +227,64 @@ _MAX_ITER = 50
 _HALF_PLANE_TOL = 1e-9
 
 
-def _gauss_newton_step(normal: np.ndarray, rhs: np.ndarray, jac: np.ndarray,
-                       values: np.ndarray) -> np.ndarray:
-    """One start's step, solved alone: the bits the batched solve gives it,
-    or the least-squares step when its normal matrix is singular."""
-    try:
-        return np.linalg.solve(normal, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(jac, -values, rcond=None)[0]
-
-
 # A diverging start overflows before its finiteness check stops it.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_traces(letters: str) -> list[TraceTriple]:
-    """The holonomy's character, from the four flat starts.
+    """The holonomy's character, from the first flat start that reaches it.
 
-    The word's ``_ShootingLayout`` is built once, and all starts advance
-    together by Gauss-Newton on the normal equations of
-    ``_shooting_system``, solved for the whole batch at once.  When that
-    raises, each start is solved alone, so it keeps the bits it has alone,
-    and a start whose normal matrix is singular takes the least-squares
-    step instead.  A start stops when max|F| is at most
-    1e-13 max(1, max|chi|)^2, or when F is no longer finite.  The first
-    converged start, in the order of ``FLAT_STARTS``, whose shapes lie in
-    one open half-plane is the holonomy (Gueritaud and Futer: the
-    layered triangulation is geometric); it is returned, conjugated if
-    need be so that Im z > 0, as a list of one ``TraceTriple`` of its
-    base layer (the layer the first letter acts on); the list shape is
-    kept for the benchmark's ``_observe_triples`` in
-    ``perfbench/spans.py``, which counts it with ``len()``.  Raises
-    ArithmeticError, naming the best residual, when no start gets there.
+    The word's ``_ShootingLayout`` is built once.  The starts run one at a
+    time, in the order of ``FLAT_STARTS``, each by Gauss-Newton on the
+    normal equations of ``_shooting_system``, or by the least-squares step
+    when its normal matrix is singular.  A start stops when max|F| is at
+    most 1e-13 max(1, max|chi|)^2, or when F is no longer finite.  The
+    first start that converges with its shapes in one open half-plane is
+    the holonomy (Gueritaud and Futer: the layered triangulation is
+    geometric), and the starts after it are never evaluated.  It is
+    returned, conjugated if need be so that Im z > 0, as a list of one
+    ``TraceTriple`` of its base layer (the layer the first letter acts
+    on); the list shape is kept for the benchmark's ``_observe_triples``
+    in ``perfbench/spans.py``, which counts it with ``len()``.  One
+    start's Gauss-Newton run is the unit a continuation in the run
+    lengths, for the long-run words no flat start reaches, is to repeat
+    from its own layers.  Raises ArithmeticError, naming the best
+    residual, when no start gets there.
     """
     is_l = np.array([letter == "L" for letter in letters])
     layout = _ShootingLayout(is_l)
-    x = np.repeat(FLAT_STARTS[:, None], len(letters), axis=1)
-    residual = np.full(len(x), np.inf)
-    converged = np.zeros(len(x), dtype=bool)
-    active = np.arange(len(x))
-    for _ in range(_MAX_ITER):
-        current = x[active]
-        values, jac = _shooting_system(current, layout)
-        size = np.abs(values).max(axis=1)
-        finite = np.isfinite(size)
-        residual[active] = np.where(finite, size, np.inf)
-        # a start far enough out overflows both sides of the bound
-        done = finite & (size <= 1e-13 * np.maximum(1.0, np.abs(current).max(axis=(1, 2))) ** 2)
-        converged[active[done]] = True
-        live = ~done & finite
-        if not live.all():
-            active, current, values, jac = active[live], current[live], values[live], jac[live]
-        if not active.size:
-            break
-        adjoint = jac.conj().transpose(0, 2, 1)
-        normal, rhs = adjoint @ jac, -(adjoint @ values[..., None])
-        try:
-            steps = np.linalg.solve(normal, rhs)[..., 0]
-        except np.linalg.LinAlgError:  # some start's normal matrix is singular
-            steps = np.array([_gauss_newton_step(*start)
-                              for start in zip(normal, rhs, jac, values)])
-        x[active] = current + steps.reshape(current.shape)
-    for start in np.flatnonzero(converged):
-        shapes = layer_shapes(x[start], is_l)
+    converged, best = 0, np.inf
+    for x in np.repeat(FLAT_STARTS[:, None], len(letters), axis=1):
+        done, residual = False, np.inf
+        for _ in range(_MAX_ITER):
+            values, jac = _shooting_system(x, layout)
+            residual = np.abs(values).max()
+            # a start far enough out overflows both sides of the bound
+            if not np.isfinite(residual):
+                residual = np.inf
+                break
+            done = residual <= 1e-13 * np.square(max(1.0, np.abs(x).max()))
+            if done:
+                break
+            adjoint = jac.conj().T
+            normal, rhs = np.dot(adjoint, jac), -np.dot(adjoint, values)
+            try:
+                step = np.linalg.solve(normal, rhs)
+            except np.linalg.LinAlgError:  # the normal matrix is singular
+                step = np.linalg.lstsq(jac, -values, rcond=None)[0]
+            x = x + step.reshape(x.shape)
+        best = min(best, residual)
+        if not done:
+            continue
+        converged += 1
+        shapes = layer_shapes(x, is_l)
         margin = shapes.imag / np.maximum(1.0, np.abs(shapes))
         if np.all(margin > _HALF_PLANE_TOL) or np.all(margin < -_HALF_PLANE_TOL):
-            chi = x[start] if margin[0] > 0 else x[start].conj()
+            chi = x if margin[0] > 0 else x.conj()
             shapes = shapes if margin[0] > 0 else shapes.conj()
             return [TraceTriple(*map(complex, chi[0]), shapes=tuple(map(complex, shapes)))]
     raise ArithmeticError(
         f"no start reached a positively oriented fixed point of the letter maps "
-        f"({converged.sum()} of {len(x)} converged, none with its shapes in one "
-        f"half-plane; best residual {residual.min():.3g})")
+        f"({converged} of {len(FLAT_STARTS)} converged, none with its shapes in one "
+        f"half-plane; best residual {best:.3g})")
 
 
 # ---------------------------------------------------------------------------

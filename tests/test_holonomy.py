@@ -1,6 +1,7 @@
 """Tests for the letter maps, the holonomy solve, and the representation tower."""
 
 import cmath
+import contextlib
 import itertools
 import tracemalloc
 import warnings
@@ -19,6 +20,7 @@ from ptbundle.holonomy import (
     TraceTriple,
     _FIXED_ROWS,
     _PICKS,
+    _PRODUCT_PAIRS,
     _ShootingLayout,
     _THIRD_ROW,
     _kron2,
@@ -136,6 +138,86 @@ def layered_system(x, letters):
     return values, jac
 
 
+# The solve as it stood when the four flat starts advanced as one batch,
+# kept as the oracle of the per-start solve: the shooting equations of a
+# (k, n, 3) stack, and Gauss-Newton on the stack, dropping each start as
+# it stops, with each start solved alone when the batched step raises.
+def batched_shooting_system(x, layout):
+    """Values (k, 4n) and Jacobians (k, 4n, 3n) of a stack of starts."""
+    k, n, _ = x.shape
+    first, second, p, s = x.reshape(k, 3 * n)[:, layout.picks].transpose(2, 0, 1)
+    c = x[..., 2]
+    third = c[..., None] * layout.u + p[..., None] * layout.v - layout.w
+    if n == 1:
+        third = third - layout.v
+    pairs = x[..., _PRODUCT_PAIRS]
+    products = pairs[..., :3] * pairs[..., 3:]
+    squares = x * x
+    values = np.empty((k, 4 * n), dtype=x.dtype)
+    np.subtract(squares[..., 0] + squares[..., 1] + squares[..., 2], products[..., 2] * c,
+                out=values[:, 3 * n:])
+    defects = values[:, :3 * n].reshape(k, n, 3)
+    following = x[:, layout.after]
+    np.subtract(first, following[..., 0], out=defects[..., 0])
+    np.subtract(second, following[..., 1], out=defects[..., 1])
+    np.subtract(p * c - s, following[..., 2], out=defects[..., 2])
+    jac = np.empty((k, 4 * n, 3 * n), dtype=x.dtype)
+    jac[:] = layout.template
+    flat = jac.reshape(k, 12 * n * n)
+    flat[:, layout.third_at] = third.reshape(k, 3 * n)
+    flat[:, layout.markov_at] = (2 * x - products).reshape(k, 3 * n)
+    return values, jac
+
+
+def batched_step(normal, rhs, jac, values):
+    """One start's step, solved alone, or its least-squares step."""
+    try:
+        return np.linalg.solve(normal, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jac, -values, rcond=None)[0]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def batched_solve_traces(letters):
+    is_l = np.array([letter == "L" for letter in letters])
+    layout = _ShootingLayout(is_l)
+    x = np.repeat(FLAT_STARTS[:, None], len(letters), axis=1)
+    residual = np.full(len(x), np.inf)
+    converged = np.zeros(len(x), dtype=bool)
+    active = np.arange(len(x))
+    for _ in range(holonomy._MAX_ITER):
+        current = x[active]
+        values, jac = batched_shooting_system(current, layout)
+        size = np.abs(values).max(axis=1)
+        finite = np.isfinite(size)
+        residual[active] = np.where(finite, size, np.inf)
+        done = finite & (size <= 1e-13 * np.maximum(1.0, np.abs(current).max(axis=(1, 2))) ** 2)
+        converged[active[done]] = True
+        live = ~done & finite
+        if not live.all():
+            active, current, values, jac = active[live], current[live], values[live], jac[live]
+        if not active.size:
+            break
+        adjoint = jac.conj().transpose(0, 2, 1)
+        normal, rhs = adjoint @ jac, -(adjoint @ values[..., None])
+        try:
+            steps = np.linalg.solve(normal, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            steps = np.array([batched_step(*start) for start in zip(normal, rhs, jac, values)])
+        x[active] = current + steps.reshape(current.shape)
+    for start in np.flatnonzero(converged):
+        shapes = layer_shapes(x[start], is_l)
+        margin = shapes.imag / np.maximum(1.0, np.abs(shapes))
+        tol = holonomy._HALF_PLANE_TOL
+        if np.all(margin > tol) or np.all(margin < -tol):
+            chi = x[start] if margin[0] > 0 else x[start].conj()
+            shapes = shapes if margin[0] > 0 else shapes.conj()
+            return [TraceTriple(*map(complex, chi[0]), shapes=tuple(map(complex, shapes)))]
+    raise ArithmeticError(
+        f"no start reached a positively oriented fixed point of the letter maps "
+        f"({converged.sum()} of {len(x)} converged, none with its shapes in one "
+        f"half-plane; best residual {residual.min():.3g})")
+
 class TestTracePoly:
     """The trace polynomials the solve is made of: the letter maps and the
     Markov polynomial."""
@@ -192,7 +274,7 @@ class TestTracePoly:
 
 
 class TestCompiledTraceSystem:
-    """The shooting equations of a batch of starts, ``_shooting_system``."""
+    """The shooting equations of one start, ``_shooting_system``."""
 
     @staticmethod
     def random_layers(rng, count, n):
@@ -212,11 +294,11 @@ class TestCompiledTraceSystem:
             x = self.random_layers(rng, 30, len(letters))
             # the solve in double, and the same equations in extended precision
             for z in x, x.astype(EXT_COMPLEX):
-                values, jac = _shooting_system(z, layout_of(letters))
-                assert values.dtype == jac.dtype == z.dtype
                 for k in range(len(z)):
+                    values, jac = _shooting_system(z[k], layout_of(letters))
+                    assert values.dtype == jac.dtype == z.dtype
                     want = layered_system(z[k], letters)
-                    for got, expected in zip((values[k], jac[k]), want):
+                    for got, expected in zip((values, jac), want):
                         finite = np.isfinite(expected)
                         assert np.array_equal(np.isfinite(got), finite)
                         assert value_bytes(got[finite]) == value_bytes(expected[finite])
@@ -224,9 +306,10 @@ class TestCompiledTraceSystem:
         assert overflowed
 
     def test_array_power_is_scalar_power(self):
-        # layer_shapes squares the ratios of a whole batch at once; each
-        # start's shapes, and so its half-plane test, have the bits they
-        # have when its layers are squared alone
+        # layer_shapes squares the ratios of a whole stack at once, as the
+        # batched solve kept here calls it; each start's shapes, and so its
+        # half-plane test, have the bits they have when its layers are
+        # squared alone
         rng = np.random.default_rng(2)
         letters = "LLRLRRLRR"
         x = rng.standard_normal((64, 9, 3)) + 1j * rng.standard_normal((64, 9, 3))
@@ -236,11 +319,6 @@ class TestCompiledTraceSystem:
         assert shapes[0, 0].imag == shapes[1, 0].imag == 0
         for k in range(len(x)):
             assert layer_shapes(x[k], is_l_of(letters)).tobytes() == shapes[k].tobytes()
-
-    def test_empty_batch(self):
-        values, jac = _shooting_system(np.zeros((0, 4, 3), dtype=complex), layout_of("LLRR"))
-        assert values.shape == (0, 16)
-        assert jac.shape == (0, 16, 12)
 
     def test_system_without_roots_gives_none(self, monkeypatch):
         # The trivial character 0 solves the shooting equations of every
@@ -281,31 +359,34 @@ class TestCompiledTraceSystem:
     @np.errstate(all="ignore")
     @pytest.mark.parametrize("letters", ["L", "R", "LR", "RL", "LLRR", "LLLRLRR", "L" * 12 + "R"])
     def test_layout_built_once_keeps_the_bits(self, letters):
-        # One layout serves every iteration of a solve, as its batch
-        # shrinks; each batch gets the bits of the equations built whole.
+        # One layout serves every iteration of every start of a solve; each
+        # start gets the bits of the equations built whole.
         rng = np.random.default_rng(len(letters))
         layout = layout_of(letters)
         x = self.random_layers(rng, 5, len(letters))
         x[0] = FLAT_STARTS[0]
         for dtype in (complex, EXT_COMPLEX):
-            for k in (5, 3, 2, 1):
-                batch = x[:k].astype(dtype)
-                got = _shooting_system(batch, layout)
-                want = self.reference_system(batch, is_l_of(letters))
+            batch = x.astype(dtype)
+            built = self.reference_system(batch, is_l_of(letters))
+            for k in range(len(batch)):
+                got = _shooting_system(batch[k], layout)
+                want = [a[k] for a in built]
                 assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
                 assert [value_bytes(a) for a in got] == [value_bytes(a) for a in want]
 
     @np.errstate(all="ignore")
     def test_points_evaluate_independently_of_the_batch(self):
+        # a start evaluated alone gets the bits it got at any place in the
+        # stack of the batched solve
         rng = np.random.default_rng(8)
         letters = "LLRLRRLR"
         x = self.random_layers(rng, 64, len(letters))
         point = x[5].copy()
-        alone = [a[0].tobytes() for a in _shooting_system(point[None], layout_of(letters))]
+        alone = [a.tobytes() for a in _shooting_system(point, layout_of(letters))]
         for index in range(64):
             batch = x.copy()
             batch[index] = point
-            values, jac = _shooting_system(batch, layout_of(letters))
+            values, jac = batched_shooting_system(batch, layout_of(letters))
             assert [values[index].tobytes(), jac[index].tobytes()] == alone
 
 
@@ -350,16 +431,16 @@ class TestTraceSystem:
         size = (2, len(letters), 3)
         x = np.concatenate([np.repeat(FLAT_STARTS[:, None], len(letters), axis=1),
                             rng.standard_normal(size) + 1j * rng.standard_normal(size)])
-        values, jac = _shooting_system(x, layout_of(letters))
         for k in range(len(x)):
+            values, jac = _shooting_system(x[k], layout_of(letters))
             want_values, want_jac = layered_system(x[k], letters)
-            assert values[k].tobytes() == want_values.tobytes()
-            assert jac[k].tobytes() == want_jac.tobytes()
+            assert values.tobytes() == want_values.tobytes()
+            assert jac.tobytes() == want_jac.tobytes()
 
     def test_composition_memory_bounded(self):
-        # The solve holds dense (4n, 3n) Jacobians for the batch, so its
-        # peak grows with the square of the word's length; for nine letters
-        # it stays near 0.3 MB.
+        # The solve holds one start's dense (4n, 3n) Jacobian at a time, so
+        # its peak grows with the square of the word's length; for nine
+        # letters it stays near 0.1 MB.
         tracemalloc.start()
         try:
             solve_traces("LLRLRRLRR")
@@ -425,17 +506,29 @@ def mirror(word):
     return word.translate(str.maketrans("LR", "RL"))
 
 
-def record_batches(monkeypatch):
-    """Every batch of starts the solve evaluates, in order."""
-    batches = []
+def record_evaluations(monkeypatch):
+    """The layers of every start the solve evaluates, in order."""
+    evaluations = []
     system = holonomy._shooting_system
 
     def record(x, layout):
-        batches.append(x.copy())
+        evaluations.append(x.copy())
         return system(x, layout)
 
     monkeypatch.setattr(holonomy, "_shooting_system", record)
-    return batches
+    return evaluations
+
+
+def runs_by_start(evaluations, starts):
+    """The evaluations split into the runs of the starts, in order: a run
+    begins where every layer is at the next start."""
+    runs = []
+    for x in evaluations:
+        if len(runs) < len(starts) and np.array_equal(x, np.broadcast_to(starts[len(runs)],
+                                                                         x.shape)):
+            runs.append([])
+        runs[-1].append(x)
+    return runs
 
 
 class TestSolveTraces:
@@ -498,13 +591,15 @@ class TestSolveTraces:
     def test_diverging_starts_raise_no_warning(self, monkeypatch):
         # A start at 1e200 overflows the Markov rows at its first
         # evaluation, and so does the convergence bound max(1, max|chi|)^2;
-        # it stops there unconverged, and the other start goes on alone.
-        batches = record_batches(monkeypatch)
-        monkeypatch.setattr(holonomy, "FLAT_STARTS", np.array([[1e200, 1, 1], FLAT_STARTS[0]]))
+        # it stops there unconverged, and the next start runs.
+        evaluations = record_evaluations(monkeypatch)
+        starts = np.array([[1e200, 1, 1], FLAT_STARTS[0]])
+        monkeypatch.setattr(holonomy, "FLAT_STARTS", starts)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             (sol,) = solve_traces("LLRLRRLR")
-            assert [len(x) for x in batches[:2]] == [2, 1]
+            runs = runs_by_start(evaluations, starts)
+            assert len(runs) == 2 and len(runs[0]) == 1
             monkeypatch.setattr(holonomy, "FLAT_STARTS", FLAT_STARTS[:1])
             assert solve_traces("LLRLRRLR") == [sol]
             monkeypatch.setattr(holonomy, "FLAT_STARTS", np.array([[1e200, 1, 1]], dtype=complex))
@@ -514,29 +609,94 @@ class TestSolveTraces:
     def test_escaping_starts_stop_at_the_radius(self, monkeypatch):
         # A start at 1e20 escapes to 1e107 in one step, and stops one step
         # later, where its equations are no longer finite: that is its only
-        # radius.  The flat start beside it converges unchanged.
-        batches = record_batches(monkeypatch)
-        monkeypatch.setattr(holonomy, "FLAT_STARTS", np.array([[1e20] * 3, FLAT_STARTS[0]],
-                                                               dtype=complex))
+        # radius.  The flat start after it converges unchanged.
+        evaluations = record_evaluations(monkeypatch)
+        starts = np.array([[1e20] * 3, FLAT_STARTS[0]], dtype=complex)
+        monkeypatch.setattr(holonomy, "FLAT_STARTS", starts)
         (sol,) = solve_traces("LRLRLR")
-        reach = [np.abs(x[0]).max() for x in batches]
-        assert [len(x) for x in batches[:4]] == [2, 2, 2, 1]
+        escaping, flat = runs_by_start(evaluations, starts)
+        reach = [np.abs(x).max() for x in escaping]
+        assert len(reach) == 3 and reach[0] == 1e20
         assert reach[1] > 1e100 and np.isnan(reach[2])
+        assert np.abs(np.array(flat)).max() < 10
         monkeypatch.setattr(holonomy, "FLAT_STARTS", FLAT_STARTS[:1])
         assert solve_traces("LRLRLR") == [sol]
 
     @pytest.mark.parametrize("word", ["LLRR", "LRLRLR", "LLRLLR", "LLRLRRLR"])
     def test_steps_stay_between_the_radii(self, word, monkeypatch):
         # Newton from random starts runs into the trivial character 0 or
-        # off to infinity on these words; from the flat starts every layer
-        # of every iterate keeps max|chi_i| between 1 and 10, and every
-        # start converges (stops finite) well inside the iteration cap.
-        batches = record_batches(monkeypatch)
-        solve_traces(word)
-        reach = np.concatenate([np.abs(x).max(axis=2).ravel() for x in batches])
-        assert 1.0 <= reach.min() and reach.max() <= 10.0
-        assert len(batches) <= 10 < holonomy._MAX_ITER
+        # off to infinity on these words; from each flat start, run alone,
+        # every layer of every iterate keeps max|chi_i| between 1 and 10,
+        # and the start converges (stops finite) well inside the
+        # iteration cap.
+        for start in FLAT_STARTS:
+            with monkeypatch.context() as patch:
+                evaluations = record_evaluations(patch)
+                patch.setattr(holonomy, "FLAT_STARTS", start[None])
+                with contextlib.suppress(ArithmeticError):  # not every start is the holonomy
+                    solve_traces(word)
+            reach = np.concatenate([np.abs(x).max(axis=1) for x in evaluations])
+            assert 1.0 <= reach.min() and reach.max() <= 10.0
+            assert len(evaluations) <= 10 < holonomy._MAX_ITER
 
+
+def solve_or_message(solve, letters):
+    """The one triple of a solve, or the message of its ArithmeticError."""
+    try:
+        (sol,) = solve(letters)
+    except ArithmeticError as err:
+        return str(err)
+    return sol
+
+
+def solution_bytes(sol):
+    return np.array([*sol.as_tuple(), *sol.shapes, sol.shape_margin]).tobytes()
+
+
+class TestAgainstTheBatchedSolve:
+    """The per-start solve gives what the batched solve gave, bit for bit."""
+
+    @staticmethod
+    def mismatches(words):
+        out = []
+        for word in words:
+            letters = parse_monodromy(word).letters
+            got = solve_or_message(solve_traces, letters)
+            want = solve_or_message(batched_solve_traces, letters)
+            if isinstance(got, str) or isinstance(want, str):
+                if got != want:
+                    out.append((word, got, want))
+            elif solution_bytes(got) != solution_bytes(want):
+                out.append((word, got, want))
+        return out
+
+    def test_corpus_words(self):
+        # every rotation of the corpus words of length 2 to 7, and the rest
+        assert self.mismatches(LR_WORDS) == []
+
+    def test_random_words(self):
+        rng = np.random.default_rng(7)
+        words = ["".join(rng.choice(["L", "R"], size=n)) for n in rng.integers(8, 21, size=60)]
+        assert self.mismatches(words) == []
+
+    @pytest.mark.parametrize("word", ["L^15R", "R^15L", "L^15R^15"])
+    def test_long_runs_fail_with_the_same_message(self, word):
+        letters = parse_monodromy(word).letters
+        got = solve_or_message(solve_traces, letters)
+        assert got.startswith("no start reached a positively oriented fixed point")
+        assert got == solve_or_message(batched_solve_traces, letters)
+
+    @pytest.mark.parametrize("word, starts", [("LLRR", 1), ("L^12R", 3), ("L^15R", 4)])
+    def test_stops_at_the_first_start_that_reaches_it(self, word, starts, monkeypatch):
+        # start 0 is the holonomy of LLRR, and the later starts are never
+        # evaluated; L^12R, the one corpus word start 0 misses, is reached
+        # by start 2; no start reaches the holonomy of L^15R
+        evaluations = record_evaluations(monkeypatch)
+        with contextlib.suppress(ArithmeticError):
+            solve_traces(parse_monodromy(word).letters)
+        runs = runs_by_start(evaluations, FLAT_STARTS)
+        assert len(runs) == starts
+        assert all(1 < len(run) <= holonomy._MAX_ITER for run in runs)
 
 class TestFiberMatrices:
     def test_trace_coordinates_recovered(self):

@@ -123,23 +123,17 @@ def test_no_unreferenced_helpers():
 # The modules whose products can have long double operands, where ``@`` runs
 # numpy's generic loop and ``np.dot`` forms the same sums about twice as
 # fast; np.kron and np.polydiv have the broadcast helper ``_kron2`` and
-# ``poly_quotient`` in their place.  Only the complex128 stacks of
-# ``solve_traces`` keep ``@``: np.dot of 3-D stacks is a different product.
+# ``poly_quotient`` in their place.  No product there is of stacks, so
+# ``@`` has no use in them, not even for the complex128 normal equations
+# of ``solve_traces``, which are formed one start at a time.
 EXTENDED_MODULES = ("numeric.py", "alexander.py", "holonomy.py")
-MATMUL_ALLOWED_IN = {"solve_traces"}
 
 
 def generic_products(source: str) -> list[str]:
-    """``line: what`` for each ``@`` outside the allowed functions, and each
-    ``kron`` or ``polydiv`` attribute anywhere."""
-    tree = ast.parse(source)
-    allowed = {id(node) for func in ast.walk(tree)
-               if isinstance(func, ast.FunctionDef) and func.name in MATMUL_ALLOWED_IN
-               for node in ast.walk(func)}
+    """``line: what`` for each ``@`` and each ``kron`` or ``polydiv`` attribute."""
     found = []
-    for node in ast.walk(tree):
-        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-                and id(node) not in allowed):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((node.lineno, "@"))
         elif isinstance(node, ast.Attribute) and node.attr in ("kron", "polydiv"):
             found.append((node.lineno, node.attr))
@@ -151,7 +145,7 @@ def test_guard_finds_generic_products():
               "def solve_traces(a):\n    return a @ a\n"
               "def lift(a, b):\n    a @= b\n    return np.kron(a, b) @ b\n"
               "q = np.polydiv([1.0], [1.0])[0]\n")
-    assert generic_products(source) == ["5: @", "6: @", "6: kron", "7: polydiv"]
+    assert generic_products(source) == ["3: @", "5: @", "6: @", "6: kron", "7: polydiv"]
 
 
 @pytest.mark.parametrize("name", EXTENDED_MODULES)

@@ -728,10 +728,11 @@ def test_newton_markov_symmetric_root():
 
 
 def test_newton_singular_jacobian_starts(monkeypatch):
-    # when the batched solve of the normal equations raises, each start is
-    # solved alone, and the solve reaches the holonomy with the same bits
-    solve = np.linalg.solve
-    calls = []
+    # when the solve of a start's normal equations raises, that step is the
+    # least-squares step on its Jacobian, and the start goes on to the
+    # holonomy
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+    calls, jacobians = [], []
 
     def singular_once(a, b):
         calls.append(a.shape)
@@ -739,26 +740,31 @@ def test_newton_singular_jacobian_starts(monkeypatch):
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
 
+    def least_squares(jac, rhs, rcond):
+        jacobians.append(jac.shape)
+        return lstsq(jac, rhs, rcond=rcond)
+
     (expected,) = solve_traces("LLRR")
     monkeypatch.setattr(holonomy.np.linalg, "solve", singular_once)
+    monkeypatch.setattr(holonomy.np.linalg, "lstsq", least_squares)
     (sol,) = solve_traces("LLRR")
     monkeypatch.undo()
-    starts = len(FLAT_STARTS)
-    assert calls[:1 + starts] == [(starts, 12, 12)] + [(12, 12)] * starts
-    assert triple_bytes(sol) == triple_bytes(expected)
+    assert calls[:2] == [(12, 12)] * 2 and jacobians == [(16, 12)]
+    assert np.max(np.abs(np.array([*sol.as_tuple(), *sol.shapes])
+                         - [*expected.as_tuple(), *expected.shapes])) <= 1e-12
 
 
 def test_newton_singular_start_leaves_the_others_their_bits(monkeypatch):
     # The start at (5, 5, 5) gets a zero Jacobian, so its normal matrix is
-    # singular at every iteration and the batched solve raises each time.
-    # It takes the least-squares step, 0, and stays put unconverged; the
-    # start beside it is solved alone and reaches the holonomy with the
-    # bits it has without the singular start.
+    # singular at every iteration.  It takes the least-squares step, 0, and
+    # stays put unconverged up to the iteration cap; the start after it
+    # reaches the holonomy with the bits it has without the singular start.
     system, lstsq, scales = holonomy._shooting_system, np.linalg.lstsq, []
 
     def zero_jacobian_at_five(x, layout):
         values, jac = system(x, layout)
-        jac[np.all(x == 5, axis=(1, 2))] = 0
+        if np.all(x == 5):
+            jac[:] = 0
         return values, jac
 
     def least_squares(jac, rhs, rcond):
@@ -785,27 +791,29 @@ def test_newton_keeps_the_first_start_of_a_repeated_root(first, third, monkeypat
     assert triple_bytes(alone) != triple_bytes(again)
     assert np.max(np.abs(np.array([*alone.as_tuple(), *alone.shapes])
                          - [*again.as_tuple(), *again.shapes])) <= 1e-12
-    # the trivial character between them converges first, and is no holonomy
-    batched = solve_from([first, [0, 0, 0], third], "LLRR", monkeypatch)
-    assert triple_bytes(batched) == triple_bytes(alone)
+    # the first start that reaches the holonomy gives it, and the trivial
+    # character and the other start after it are never evaluated
+    solved = solve_from([first, [0, 0, 0], third], "LLRR", monkeypatch)
+    assert triple_bytes(solved) == triple_bytes(alone)
 
 
 def test_newton_batch_drops_stopped_starts_and_steps_the_rest(monkeypatch):
     # F overflows at the first start, and the second is the trivial
-    # character, so both stop after one evaluation.  The other three step
-    # together; one converges in seven evaluations, two in eight.  The
-    # first of them in order is the holonomy, with the bits it has alone.
+    # character, so each stops after one evaluation.  The third converges
+    # in eight evaluations and is the holonomy, with the bits it has
+    # alone; the last two are never evaluated.
     starts = [[1e200, 1, 1], [0, 0, 0], FLAT_STARTS[3], FLAT_STARTS[0] + 0.01, FLAT_STARTS[2]]
-    batches = []
+    first_layers = []
     system = holonomy._shooting_system
 
     def record(x, layout):
-        batches.append(len(x))
+        first_layers.append(x[0].copy())
         return system(x, layout)
 
     monkeypatch.setattr(holonomy, "_shooting_system", record)
     sol = solve_from(starts, "LLRLLR", monkeypatch)
-    assert batches == [5, 3, 3, 3, 3, 3, 3, 2]
+    assert len(first_layers) == 1 + 1 + 8
+    assert np.array_equal(first_layers[:3], np.array(starts[:3], dtype=complex))
     assert triple_bytes(sol) == triple_bytes(solve_from(starts[2:3], "LLRLLR", monkeypatch))
 
 
@@ -813,14 +821,14 @@ def test_newton_batch_drops_stopped_starts_and_steps_the_rest(monkeypatch):
                                   "LLRLRRLR"])
 def test_solve_traces_matches_scalar_newton(word, monkeypatch):
     # The flat starts solved one at a time, in order: the first that
-    # reaches the holonomy gives the batched triple, bit for bit.
+    # reaches the holonomy gives the solve's triple, bit for bit.
     letters = parse_monodromy(word).letters
-    (batched,) = solve_traces(letters)
+    (solved,) = solve_traces(letters)
     for start in FLAT_STARTS:
         alone = solve_from([start], letters, monkeypatch)
         if not isinstance(alone, str):
             break
-    assert triple_bytes(batched) == triple_bytes(alone)
+    assert triple_bytes(solved) == triple_bytes(alone)
 
 
 def test_integer_round():
