@@ -202,37 +202,37 @@ def fox_action(endo: EndoF2, rep: RepImages) -> np.ndarray:
     """The cocycle action A = (I2 (x) rep(x)^-1) P, P the Fox blocks of the images.
 
     One pass over each monodromy image with a running prefix product: a
-    letter g adds the prefix to the g block, then multiplies it by rep(g);
-    a letter g^-1 multiplies it by rep(g)^-1, then subtracts it.  The
-    prefix ends on the image's ``word_product``, which ``rep`` keeps.  A
-    singular meridian image raises an ArithmeticError that names it.
+    letter g adds the prefix to the g block in place, then multiplies it by
+    rep(g); a letter g^-1 multiplies it by rep(g)^-1, then subtracts it.
+    The prefix ends on the image's ``word_product``, which ``rep`` keeps.
+    One product applies rep(x)^-1; a singular rep(x) raises an ArithmeticError.
     """
     rep = GeneratorImages.of(rep)
     try:
         prefactor = rep.inverse(2)
     except ArithmeticError:
         raise ArithmeticError("singular meridian image") from None
-    eye = np.eye(rep[0].shape[0], dtype=np.result_type(*rep.values()))
-    rows = []
-    for image in (endo.image_a, endo.image_b):
-        blocks = [np.zeros_like(eye), np.zeros_like(eye)]
+    n = rep[0].shape[0]
+    eye = np.eye(n, dtype=np.result_type(*rep.values()))
+    blocks = np.zeros((n, 2, 2, n), dtype=eye.dtype)  # [:, i, g]: P's block of image i, gen g
+    for i, image in enumerate((endo.image_a, endo.image_b)):
         prefix = eye
         for gen, exp in image.letters:
             if exp > 0:
-                blocks[gen] = blocks[gen] + prefix
+                blocks[:, i, gen] += prefix
                 prefix = np.dot(prefix, rep[gen])
             else:
                 prefix = np.dot(prefix, rep.inverse(gen))
-                blocks[gen] = blocks[gen] - prefix
+                blocks[:, i, gen] -= prefix
         keep_product(rep, image, prefix)
-        rows.append([np.dot(prefactor, block) for block in blocks])
-    return np.block(rows)
+    product = np.dot(prefactor, blocks.reshape(n, 4 * n)).reshape(n, 2, 2 * n)
+    return product.transpose(1, 0, 2).reshape(2 * n, 2 * n)
 
 
 def _coboundary_map(rep: GeneratorImages) -> np.ndarray:
-    """E = [I - rep(a); I - rep(b)]: its range is the coboundaries B^1, its kernel H^0."""
+    """E = [I - rep(a); I - rep(b)], kept on rep: its range is B^1, its kernel H^0."""
     eye = np.eye(rep[0].shape[0], dtype=np.result_type(*rep.values()))
-    return np.vstack([eye - rep[0], eye - rep[1]])
+    return rep.kept("coboundary_map", lambda: np.vstack([eye - rep[0], eye - rep[1]]))
 
 
 def fixed_char_poly(rep: RepImages, *, tolerances: Tolerances | None = None) -> LaurentPoly:

@@ -481,7 +481,7 @@ def report_jsonable(report: RigidityReport) -> dict:
 
 def report_json(report: RigidityReport) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report_jsonable(report), indent=2, sort_keys=True, check_circular=False) + "\n"
 
 
 def _default_poly_display(ev: CertificateEvidence) -> str:

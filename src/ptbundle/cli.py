@@ -259,8 +259,8 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     Every subcommand is registered, so the top-level help and the
     "invalid choice" and "unrecognized arguments" errors stay whole; only
     the subcommands whose names appear among the tokens of argv get their
-    arguments, as argparse dispatches on an exact token.  Without argv
-    every subcommand gets them.
+    arguments and -h, as argparse dispatches on an exact token; without
+    argv every subcommand gets them.
     """
     named = None if argv is None else set(argv)
     parser = argparse.ArgumentParser(
@@ -271,10 +271,10 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, helptext: str, tolerances: str):
-        # only the flags the handler reads; the rest keep their defaults
-        p = sub.add_parser(name, help=helptext)
-        if named is not None and name not in named:
+        p = sub.add_parser(name, help=helptext, add_help=named is None or name in named)
+        if not p.add_help:
             return None
+        # only the flags the handler reads; the rest keep their defaults
         p.set_defaults(tol_det=Tolerances().det, tol_root=Tolerances().root,
                        tol_null=Tolerances().null)
         for tol in tolerances.split():
@@ -343,7 +343,7 @@ def _poly_data(poly: LaurentPoly) -> dict:
 
 
 def _dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, check_circular=False) + "\n"
 
 
 def _format_matrix_text(mat: np.ndarray, indent: str = "    ") -> list[str]:

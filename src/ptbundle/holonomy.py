@@ -19,7 +19,8 @@ each iteration assembles a start's Jacobian in a fixed number of array
 operations, each entry by the floating-point operations of the letter
 maps.  The four flat starts, every layer at the figure-eight holonomy or
 one of its conjugate and mirror images, are the same for every rotation
-of the word, and run one at a time, in order.  The layered triangulation
+of the word, and run one at a time, in order; the conjugate of a start
+that missed misses alike and is not run.  The layered triangulation
 of a hyperbolic bundle is geometric (Gueritaud and Futer, Geom. Topol.
 2006), and its tetrahedron under layer i has shape -B^2/C^2 for an L and
 -C^2/A^2 for an R.  So the holonomy is the fixed point whose shapes all
@@ -37,28 +38,29 @@ inverse iteration.
 
 Every layer of the tower is a Kronecker square followed by a constant
 read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
-0, 1, 2).  The Lorentz image of M is M (x) conj(M) on the Hermitian
-basis, read in Minkowski coordinates; ``sl4`` is g (x) g^-T on the
-traceless basis ``SL4_VECS``, read by ``SL4_COORDS``; ``v`` restricts
-it to the Killing complement, a constant built from an explicit basis;
-``gl16`` is g (x) g.  No layer inverts by elimination: a 2x2 inverse is
-the adjugate over the determinant, and every other layer reads its
-inverses off the layer below (the Lorentz image of the 2x2 inverse, the
-``sl4`` read-out of g^-1 (x) g^T, the restricted ``sl4`` inverse,
-g^-1 (x) g^-1), each built on first use.
+0, 1, 2) given its inverses.  The Lorentz image of M is M (x) conj(M) on
+the Hermitian basis, read in Minkowski coordinates; ``sl4`` is
+g (x) g^-T on the traceless basis ``SL4_VECS``, read by ``SL4_COORDS``;
+``v`` restricts it to the Killing complement, a constant built from an
+explicit basis; ``gl16`` is g (x) g.  No layer inverts by elimination: a
+2x2 inverse is the adjugate over the determinant, and every other layer
+reads its inverses off the layer below (the Lorentz image of the 2x2
+inverse, the ``sl4`` read-out of g^-1 (x) g^T, the restricted ``sl4``
+inverse, g^-1 (x) g^-1), in one pass over the stack of the images and
+inverses below (``_layer``), each member with the bits it has alone.
 
 Every Kronecker product, in the lift and in the tower, goes through the
 one broadcast helper ``_kron2``: the products np.kron forms, bit for bit,
 without the argument handling that makes np.kron three times as slow on a
-4x4 pair.  Every matrix product is an ``np.dot``; the ``numeric``
-docstring says why.
+4x4 pair.  Every matrix product is an ``np.dot`` (the ``numeric`` docstring
+says why), but the J-orthogonality check's of two stacks, member by member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -239,8 +241,11 @@ def solve_traces(letters: str) -> list[TraceTriple]:
     most 1e-13 max(1, max|chi|)^2, or when F is no longer finite.  The
     first start that converges with its shapes in one open half-plane is
     the holonomy (Gueritaud and Futer: the layered triangulation is
-    geometric), and the starts after it are never evaluated.  It is
-    returned, conjugated if need be so that Im z > 0, as a list of one
+    geometric), and the starts after it are never evaluated.  The conjugate
+    of a start that missed would run through the conjugate iterates (the
+    letter maps are real) and miss alike, so it counts that start's
+    outcome without running.  The holonomy is returned, conjugated if need
+    be so that Im z > 0, as a list of one
     ``TraceTriple`` of its base layer (the layer the first letter acts
     on); the list shape is kept for the benchmark's ``_observe_triples``
     in ``perfbench/spans.py``, which counts it with ``len()``.  One
@@ -251,10 +256,11 @@ def solve_traces(letters: str) -> list[TraceTriple]:
     """
     is_l = np.array([letter == "L" for letter in letters])
     layout = _ShootingLayout(is_l)
-    converged, best = 0, np.inf
-    for x in np.repeat(FLAT_STARTS[:, None], len(letters), axis=1):
-        done, residual = False, np.inf
-        for _ in range(_MAX_ITER):
+    converged, best, missed = 0, np.inf, []
+    for start, x in zip(FLAT_STARTS, np.repeat(FLAT_STARTS[:, None], len(letters), axis=1)):
+        known = next((seen for other, seen in missed if np.array_equal(other, start.conj())), None)
+        done, residual = known or (False, np.inf)
+        for _ in range(0 if known else _MAX_ITER):
             values, jac = _shooting_system(x, layout)
             residual = np.abs(values).max()
             # a start far enough out overflows both sides of the bound
@@ -271,10 +277,10 @@ def solve_traces(letters: str) -> list[TraceTriple]:
             except np.linalg.LinAlgError:  # the normal matrix is singular
                 step = np.linalg.lstsq(jac, -values, rcond=None)[0]
             x = x + step.reshape(x.shape)
-        best = min(best, residual)
-        if not done:
+        best, converged = min(best, residual), converged + bool(done)
+        missed.append((start, (done, residual)))
+        if known or not done:
             continue
-        converged += 1
         shapes = layer_shapes(x, is_l)
         margin = shapes.imag / np.maximum(1.0, np.abs(shapes))
         if np.all(margin > _HALF_PLANE_TOL) or np.all(margin < -_HALF_PLANE_TOL):
@@ -292,27 +298,23 @@ def solve_traces(letters: str) -> list[TraceTriple]:
 # ---------------------------------------------------------------------------
 
 
-def _model_matrices(a, b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Maclachlan-Reid normal form for the free group on a, b.
+def _model_matrices(a, b, c) -> np.ndarray:
+    """Maclachlan-Reid normal form for the free group on a, b, as a (2, 2, 2) stack.
 
     The pair has tr a = A, tr b = B, tr ab = C, and both matrices have
     determinant 1 exactly when the triple satisfies the Markov relation.
     The dtype follows the scalars.
     """
-    mat_a = np.array([[a * c - b, a / c], [a * c, b]]) / c
-    mat_b = np.array([[b * c - a, -b / c], [-b * c, a]]) / c
-    return mat_a, mat_b
+    return np.array([[[a * c - b, a / c], [a * c, b]], [[b * c - a, -b / c], [-b * c, a]]]) / c
 
 
 LONGITUDE = parse_word("abAB", ("a", "b", "x"))
 
 
-def sl2_images(mats: Sequence[np.ndarray]) -> GeneratorImages:
-    """2x2 images whose inverses are their adjugates over their determinants."""
-    def invert(gen: int) -> np.ndarray:
-        (a, b), (c, d) = mats[gen]
-        return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
-    return GeneratorImages(mats, invert)
+def sl2_images(mats: np.ndarray) -> GeneratorImages:
+    """A stack (k, 2, 2) of images, given their adjugates over their determinants as inverses."""
+    (a, b), (c, d) = np.moveaxis(mats, 0, -1)
+    return GeneratorImages(mats, np.moveaxis(np.array([[d, -b], [-c, a]]) / (a * d - b * c), -1, 0))
 
 
 def _polish_triple(triple: TraceTriple, letters: str) -> np.ndarray:
@@ -412,7 +414,7 @@ def holonomy_from_triple(
     mat_x = mat_x / np.sqrt(det)
     if abs(np.trace(-mat_x) + 2.0) < abs(np.trace(mat_x) + 2.0):
         mat_x = -mat_x
-    return sl2_images([*mats, mat_x])
+    return sl2_images(np.concatenate([mats, mat_x[None]]))
 
 
 def _relation_sides(images: Mapping[int, np.ndarray], endo: EndoF2):
@@ -436,18 +438,15 @@ def holonomy_residuals(images: GeneratorImages, endo: EndoF2, *,
     out: dict[str, float] = {}
     mat_x = images[2]
     for name, lhs, rhs in _relation_sides(images, endo):
-        out[name] = min(
-            float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs)))
-        )
-    for name, mat in zip(("det_a", "det_b", "det_x"), images.values()):
-        out[name] = float(abs(complex(matrix_det(mat)) - 1.0))
+        out[name] = min(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs))))
+    for name, det in zip(("det_a", "det_b", "det_x"), matrix_det(np.array(list(images.values())))):
+        out[name] = float(abs(complex(det) - 1.0))
     trace = np.trace(mat_x)
     sign = 1.0 if abs(trace - 2.0) <= abs(trace + 2.0) else -1.0
     scale = null_tol * max(1.0, float(np.max(np.abs(mat_x))))
     central = float(np.max(np.abs(mat_x - sign * np.eye(2)))) <= scale
     out["meridian_parabolic"] = 1.0 if central else float(abs(trace - 2.0 * sign))
-    longitude = word_product(LONGITUDE, images)
-    out["longitude_trace"] = abs(complex(np.trace(longitude)) + 2.0)
+    out["longitude_trace"] = abs(complex(np.trace(word_product(LONGITUDE, images))) + 2.0)
     return out
 
 
@@ -464,31 +463,39 @@ _HERMITIAN_VECS = np.array([[0, 1, 1, 0], [0, 1j, -1j, 0],
 LORENTZ_FORM = np.diag([1.0, 1.0, 1.0, -1.0])
 
 
+def _layer(below: Mapping[int, np.ndarray], build) -> GeneratorImages:
+    """Images and inverses ``build`` forms in one pass over the stack of those below."""
+    below = GeneratorImages.of(below)
+    stack = build(np.array([*below.values(), *map(below.inverse, below)]))
+    return GeneratorImages(stack[:len(below)], stack[len(below):])
+
+
 def psl2_to_lorentz(mat: np.ndarray) -> np.ndarray:
-    """Image of a PSL2 element in SO(3,1) via the Hermitian action H -> M H M*.
+    """Image of a PSL2 element, or of each of a stack, in SO(3,1) via H -> M H M*.
 
     The action is M (x) conj(M) on vec(H).  Coordinates on Hermitian
     matrices: x1 = Re H[0,1], x2 = Im H[0,1], x3 = (H[0,0] - H[1,1])/2,
     x4 = (H[0,0] + H[1,1])/2, so that -det H = x1^2 + x2^2 + x3^2 - x4^2.
     """
     images = np.dot(_kron2(mat, mat.conj()), _HERMITIAN_VECS)
-    scale = max(1.0, float(np.max(np.abs(mat))) ** 2)
+    scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)).astype(float) ** 2)
     # vec(H*) lists conj(H) with H[0,1] and H[1,0] swapped
-    herm_defect = float(np.max(np.abs(images - images[[0, 2, 1, 3]].conj())))
-    if herm_defect > 1e-9 * scale:
+    herm_defect = np.max(np.abs(images - images[..., [0, 2, 1, 3], :].conj()), axis=(-2, -1))
+    if np.any(herm_defect.astype(float) > 1e-9 * scale):
         raise ArithmeticError("Hermitian action produced a non-Hermitian matrix")
-    out = np.array([images[1].real, images[1].imag, (images[0] - images[3]).real / 2.0,
-                    (images[0] + images[3]).real / 2.0])  # real longdouble stays
-    defect = float(np.max(np.abs(np.dot(np.dot(out.T, LORENTZ_FORM), out) - LORENTZ_FORM)))
-    if defect > 1e-7 * scale**2:
+    rows = np.moveaxis(images, -2, 0)
+    out = np.stack([rows[1].real, rows[1].imag, (rows[0] - rows[3]).real / 2.0,
+                    (rows[0] + rows[3]).real / 2.0], axis=-2)  # real longdouble stays
+    # the one product of two stacks, member by member; it only feeds the check
+    form = np.matmul(np.dot(np.swapaxes(out, -1, -2), LORENTZ_FORM), out)
+    if np.any(np.max(np.abs(form - LORENTZ_FORM), axis=(-2, -1)).astype(float) > 1e-7 * scale**2):
         raise ArithmeticError("Lorentz image failed the J-orthogonality check")
     return out
 
 
 def lorentz_holonomy(sl2: GeneratorImages) -> GeneratorImages:
     """The Lorentz images; each inverse is the image of the SL2 inverse."""
-    return GeneratorImages({gen: psl2_to_lorentz(mat) for gen, mat in sl2.items()},
-                           lambda gen: psl2_to_lorentz(sl2.inverse(gen)))
+    return _layer(sl2, psl2_to_lorentz)
 
 
 # The standard basis of traceless 4x4 matrices: the 12 off-diagonal units
@@ -520,22 +527,21 @@ def sl4_coordinates(mat: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
 def _conjugation(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """X -> left X right on traceless 4x4 matrices, read in ``SL4_BASIS``.
 
-    It is left (x) right^T on vec(X); every image of a basis matrix must be
-    traceless.
+    It is left (x) right^T on vec(X), or on stacks paired member by member;
+    every image of a basis matrix must be traceless.
     """
-    conjugated = np.dot(_kron2(left, right.T), SL4_VECS)
-    return sl4_coordinates(conjugated.T.reshape(15, 4, 4)).T
+    conjugated = np.swapaxes(np.dot(_kron2(left, np.swapaxes(right, -1, -2)), SL4_VECS), -1, -2)
+    return np.swapaxes(sl4_coordinates(conjugated.reshape(conjugated.shape[:-1] + (4, 4))), -1, -2)
 
 
 def adjoint_rep(lorentz: GeneratorImages) -> GeneratorImages:
     """Conjugation action of each generator on traceless 4x4 matrices (15-dim).
 
     X -> g X g^-1 with the kept inverse of each Lorentz image; its inverse
-    is the same read-out of X -> g^-1 X g.
+    is the same read-out of X -> g^-1 X g: each member of the stack is
+    paired with its partner half a stack away.
     """
-    return GeneratorImages({gen: _conjugation(mat, lorentz.inverse(gen))
-                            for gen, mat in lorentz.items()},
-                           lambda gen: _conjugation(lorentz.inverse(gen), lorentz[gen]))
+    return _layer(lorentz, lambda stack: _conjugation(stack, np.roll(stack, len(lorentz), axis=0)))
 
 
 @dataclass(frozen=True)
@@ -584,20 +590,13 @@ def restrict_block(images: Mapping[int, np.ndarray], block: np.ndarray) -> Gener
 
     Each inverse is the compressed inverse of the full image.
     """
-    images = GeneratorImages.of(images)
-
-    def restrict(mat: np.ndarray) -> np.ndarray:
-        return compress(mat, block, "subspace is not invariant under the action")
-    return GeneratorImages({gen: restrict(mat) for gen, mat in images.items()},
-                           lambda gen: restrict(images.inverse(gen)))
+    return _layer(images, lambda stack: compress(stack, block,
+                                                 "subspace is not invariant under the action"))
 
 
 def kronecker_rep(lorentz: GeneratorImages) -> GeneratorImages:
     """Tensor-square action g (x) g on 16 dimensions; its inverse is g^-1 (x) g^-1."""
-    def invert(gen: int) -> np.ndarray:
-        inverse = lorentz.inverse(gen)
-        return _kron2(inverse, inverse)
-    return GeneratorImages({gen: _kron2(mat, mat) for gen, mat in lorentz.items()}, invert)
+    return _layer(lorentz, lambda stack: _kron2(stack, stack))
 
 
 def rep_residuals(

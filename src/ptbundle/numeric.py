@@ -30,17 +30,19 @@ inherited from the input matrices.  All public tolerances are relative:
 to the largest sample magnitude for interpolation, to the current max
 coefficient for deflation, to the largest singular value for nullspaces.
 
-numpy has no BLAS for long double, and its ``@`` runs a generic loop
-there that takes about twice as long as ``np.dot``, which forms the same
-sums in the same order (a 30 x 30 complex long double product: 350 us
-against 180 us, numpy 2.4 on x86-64).  So every matrix product whose
-operands can be extended precision, here and in ``alexander`` and
-``holonomy``, is an ``np.dot``, and polynomial long division is
-``poly_quotient``: the bits of ``np.polydiv``, without the remainder
-trimming that makes np.polydiv ten times as slow.  Rows and columns are
-swapped by slice copies, not by fancy indexing, which costs about three
-times as much there.  ``tests/test_imports.py`` fails on an ``@``,
-``np.kron``, ``np.polydiv`` or a fancy-index swap in those modules.
+numpy has no BLAS for long double, and its ``@`` runs a generic loop there
+that takes about twice as long as ``np.dot``, which forms the same sums in
+the same order (a 30 x 30 complex long double product: 350 us against
+180 us, numpy 2.4 on x86-64).  So every matrix product whose operands can be
+extended precision, here and in ``alexander`` and ``holonomy``, is an
+``np.dot``, and polynomial long division is ``poly_quotient``: the bits of
+``np.polydiv``, without the remainder trimming that makes np.polydiv ten
+times as slow.  A stack times a constant is one ``np.dot``, each member
+with the bits of its own (with the constant on the left the stack's axis
+comes first).  Rows and columns are swapped by slice copies, not by fancy
+indexing, which costs about three times as much there.
+``tests/test_imports.py`` fails on an ``@``, ``np.kron``, ``np.polydiv``
+or a fancy-index swap in those modules.
 """
 
 from __future__ import annotations
@@ -153,20 +155,20 @@ def _hessenberg(a: np.ndarray) -> np.ndarray:
     that is already zero below the diagonal is skipped.  The dtype is kept.
     """
     a = np.array(a, copy=True)
-    n = a.shape[0]
-    for k in range(n - 2):
-        p = int(np.argmax(np.abs(a[k + 1:, k]))) + k + 1
+    columns = a.T  # column j of a is the row columns[j] of this view
+    for k in range(a.shape[0] - 2):
+        p = int(np.abs(a[k + 1:, k]).argmax()) + k + 1
         if a[p, k] == 0:
             continue
         if p != k + 1:
             row = a[k + 1].copy()
             a[k + 1], a[p] = a[p], row
-            column = a[:, k + 1].copy()
-            a[:, k + 1], a[:, p] = a[:, p], column
+            column = columns[k + 1].copy()
+            columns[k + 1], columns[p] = columns[p], column
         factors = a[k + 2:, k] / a[k + 1, k]
-        a[k + 2:, k + 1:] -= factors[:, None] * a[k + 1, k + 1:]
+        a[k + 2:, k + 1:] -= np.multiply.outer(factors, a[k + 1, k + 1:])
         a[k + 2:, k] = 0
-        a[:, k + 1] += np.dot(a[:, k + 2:], factors)
+        columns[k + 1] += np.dot(a[:, k + 2:], factors)
     return a
 
 
@@ -175,21 +177,18 @@ class GeneratorImages(Mapping):
 
     A representation is built once per solution and then used by every
     word product, relation check and action of that solution, so its
-    inverses are computed once, not in each of those calls.  ``invert``
-    builds the inverse of one generator's image by construction (a layer
-    of the holonomy tower reads it off the inverse of the layer below);
-    without it an inverse is a ``matrix_inverse``.  Being read-only, the
-    images cannot drift from their kept inverses.  ``kept`` holds any
-    other object derived from the images, computed once per key.
+    inverses are computed once, not in each of those calls.  ``inverses``
+    holds the inverses a builder formed by construction (a layer of the
+    holonomy tower forms them with its images); an inverse not given is a
+    ``matrix_inverse`` on first use.  Being read-only, the images cannot
+    drift from their kept inverses.  ``kept`` holds any other object
+    derived from the images, computed once per key.
     """
 
     def __init__(self, matrices: Mapping[int, np.ndarray] | Sequence[np.ndarray],
-                 invert: Optional[Callable[[int], np.ndarray]] = None):
-        if not isinstance(matrices, Mapping):
-            matrices = dict(enumerate(matrices))
-        self._matrices = dict(matrices)
-        self._invert = invert or (lambda gen: matrix_inverse(self._matrices[gen]))
-        self._inverses: dict[int, np.ndarray] = {}
+                 inverses: Mapping[int, np.ndarray] | Sequence[np.ndarray] = ()):
+        self._matrices = dict(matrices if isinstance(matrices, Mapping) else enumerate(matrices))
+        self._inverses = dict(inverses if isinstance(inverses, Mapping) else enumerate(inverses))
         self._kept: dict = {}
 
     @classmethod
@@ -208,7 +207,7 @@ class GeneratorImages(Mapping):
 
     def inverse(self, gen: int) -> np.ndarray:
         if gen not in self._inverses:
-            self._inverses[gen] = self._invert(gen)
+            self._inverses[gen] = matrix_inverse(self._matrices[gen])
         return self._inverses[gen]
 
     def kept(self, key, build: Callable[[], object]):
@@ -660,13 +659,14 @@ def _kernel(given: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray,
 def compress(m: np.ndarray, basis: np.ndarray, leak_message: str) -> np.ndarray:
     """basis^H m basis for orthonormal columns spanning an m-invariant subspace.
 
-    Raises ArithmeticError(leak_message) when m carries the subspace out
-    of itself by more than 1e-7 relative to max(1, max|m|).
+    Raises ArithmeticError(leak_message) when m (or a member of a stack m)
+    carries the subspace out of itself by more than 1e-7 relative to max(1, max|m|).
     """
     carried = np.dot(m, basis)
-    compressed = np.dot(basis.conj().T, carried)
-    leak = float(np.max(np.abs(carried - np.dot(basis, compressed)), initial=0.0))
-    if leak > 1e-7 * max(1.0, float(np.max(np.abs(m)))):
+    compressed = np.moveaxis(np.dot(basis.conj().T, carried), 0, -2)
+    leak = np.max(np.abs(carried - np.moveaxis(np.dot(basis, compressed), 0, -2)),
+                  axis=(-2, -1), initial=0.0).astype(float)
+    if np.any(leak > 1e-7 * np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)).astype(float))):
         raise ArithmeticError(leak_message)
     return compressed
 

@@ -431,13 +431,14 @@ class TestFoxAction:
 
         for endo, images, _ in pinned_solutions:
             for rep in images.values():
-                counted = Counted(dict(rep), rep.inverse)
+                inverses = {gen: rep.inverse(gen) for gen in rep}
+                counted = Counted(dict(rep), inverses)
                 fox_action(endo, counted)
                 for image in (endo.image_a, endo.image_b):
                     reads = counted.reads
                     product = word_product(image, counted)
                     assert counted.reads == reads
-                    want = word_product(image, GeneratorImages(dict(rep), rep.inverse))
+                    want = word_product(image, GeneratorImages(dict(rep), inverses))
                     assert product.dtype == want.dtype
                     assert np.array_equal(product, want)
 
@@ -453,6 +454,16 @@ class TestFoxAction:
 
 
 class TestFixedQuotient:
+    def test_coboundary_map_is_kept(self, pinned_solutions):
+        # the Wada route, H^0 and the defect check read one E per representation
+        for _, images, _ in pinned_solutions:
+            for rep in images.values():
+                eye = np.eye(len(rep[0]))
+                kept = alexander._coboundary_map(rep)
+                assert alexander._coboundary_map(rep) is kept
+                assert kept.dtype == rep[0].dtype
+                assert np.array_equal(kept, np.vstack([eye - rep[0], eye - rep[1]]))
+
     def test_gl16_divisions_are_polydiv_quotients(self, pinned_solutions, monkeypatch):
         # the Wada route divides by the H^0 factor in gl16, where the
         # Lorentz form is a fixed vector; each division must give the bits

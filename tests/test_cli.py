@@ -184,6 +184,13 @@ class TestExitCodes:
         ["alexander"],
         ["certify", "--", "-RRL"],
         ["trace-solve", "--format", "json", "-RRL"],
+        # the subcommands argv does not name have no -h of their own
+        ["--frobnicate"],
+        ["frobnicate", "certify", "-h"],
+        ["action", "-h", "certify"],
+        ["holonomy", "--reps", "sl4", "LR"],
+        ["certify", "--format", "xml", "LR"],
+        ["certify", "LR", "--output"],
     ])
     def test_parser_for_the_named_subcommand_answers_as_the_full_one(self, argv, monkeypatch,
                                                                      capsys):
@@ -203,8 +210,10 @@ class TestExitCodes:
 
         full = actions(ptbundle.cli.build_parser())
         assert all(len(dests) > 1 for dests in full.values())
+        # the subcommands argv does not name are never dispatched to, so
+        # they get no actions at all, not even -h
         named = actions(ptbundle.cli.build_parser(["action", "LR"]))
-        assert named == {name: dests if name == "action" else ["help"]
+        assert named == {name: dests if name == "action" else []
                          for name, dests in full.items()}
 
     def test_help_exits_zero(self, capsys):

@@ -113,8 +113,8 @@ def layout_of(letters):
 
 def value_bytes(x):
     """Bytes of the real and imaginary parts, without the padding of an
-    80-bit long double."""
-    parts = np.stack([x.real, x.imag])
+    80-bit long double, in row-major order whatever the layout of x."""
+    parts = np.ascontiguousarray(np.stack([x.real, x.imag]))
     width = 10 if np.finfo(parts.dtype).nmant == 63 else parts.dtype.itemsize
     return parts.view(np.uint8).reshape(parts.shape + (-1,))[..., :width].tobytes()
 
@@ -686,17 +686,35 @@ class TestAgainstTheBatchedSolve:
         assert got.startswith("no start reached a positively oriented fixed point")
         assert got == solve_or_message(batched_solve_traces, letters)
 
-    @pytest.mark.parametrize("word, starts", [("LLRR", 1), ("L^12R", 3), ("L^15R", 4)])
+    @pytest.mark.parametrize("word, starts", [("LLRR", 1), ("L^12R", 2), ("L^15R", 2)])
     def test_stops_at_the_first_start_that_reaches_it(self, word, starts, monkeypatch):
         # start 0 is the holonomy of LLRR, and the later starts are never
         # evaluated; L^12R, the one corpus word start 0 misses, is reached
-        # by start 2; no start reaches the holonomy of L^15R
+        # by start 2; no start reaches the holonomy of L^15R.  Starts 1 and
+        # 3, the conjugates of starts 0 and 2, are never evaluated.
         evaluations = record_evaluations(monkeypatch)
         with contextlib.suppress(ArithmeticError):
             solve_traces(parse_monodromy(word).letters)
-        runs = runs_by_start(evaluations, FLAT_STARTS)
+        runs = runs_by_start(evaluations, FLAT_STARTS[::2])
         assert len(runs) == starts
         assert all(1 < len(run) <= holonomy._MAX_ITER for run in runs)
+        assert not any(np.array_equal(x, np.broadcast_to(start, x.shape))
+                       for x in evaluations for start in FLAT_STARTS[1::2])
+
+    @pytest.mark.parametrize("word", ["L^12R", "L^15R", "R^15L", "L^15R^15", "LLRLRRLR"])
+    def test_conjugate_starts_repeat_their_partners(self, word, monkeypatch):
+        # each flat start run alone: starts 1 and 3 evaluate the conjugates
+        # of the layers starts 0 and 2 evaluate, bit for bit, which is why
+        # the solve reads their outcomes off their partners
+        runs = []
+        for start in FLAT_STARTS:
+            with monkeypatch.context() as patch:
+                runs.append(record_evaluations(patch))
+                patch.setattr(holonomy, "FLAT_STARTS", start[None])
+                with contextlib.suppress(ArithmeticError):
+                    solve_traces(parse_monodromy(word).letters)
+        for first, second in (runs[0:2], runs[2:4]):
+            assert [x.conj().tobytes() for x in first] == [x.tobytes() for x in second]
 
 class TestFiberMatrices:
     def test_trace_coordinates_recovered(self):
@@ -833,6 +851,23 @@ class TestMeridian:
         near = holonomy.sl2_images([rep[0], rep[1], mat_x])
         assert holonomy_residuals(near, endo)["meridian_parabolic"] == 0.0
         assert holonomy_residuals(near, endo, null_tol=1e-6)["meridian_parabolic"] == 1.0
+
+    def test_determinants_in_one_stacked_call(self, monkeypatch):
+        # det_a, det_b and det_x come from one matrix_det call on the stack
+        # of the three images, each with the bits of its own call
+        endo, letters = lift_inputs("LLRLRRLR")
+        rep = holonomy_from_triple(solve_traces(letters)[0], endo, letters)
+        calls = []
+
+        def record(a):
+            calls.append(np.shape(a))
+            return matrix_det(a)
+
+        monkeypatch.setattr(holonomy, "matrix_det", record)
+        res = holonomy_residuals(rep, endo)
+        assert calls == [(3, 2, 2)]
+        for name, mat in zip(("det_a", "det_b", "det_x"), rep.values()):
+            assert res[name] == float(abs(complex(matrix_det(mat)) - 1.0))
 
     def test_residuals_small(self):
         for name in ("LLRR", "RRL"):
@@ -1091,6 +1126,74 @@ class TestKroneckerReadouts:
     def test_lorentz_image_must_preserve_the_form(self):
         with pytest.raises(ArithmeticError, match="J-orthogonality"):
             psl2_to_lorentz(np.diag([2.0, 1.0]).astype(complex))
+
+
+def reference_tower(sl2):
+    """Every layer's (images, inverses) of a, b, x, each matrix built alone by
+    a copy of the per-generator builders the stacked tower replaced."""
+    def adjugate_inverse(mat):
+        (a, b), (c, d) = mat
+        return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+    def lorentz(mat):
+        images = np.dot(np.kron(mat, mat.conj()), holonomy._HERMITIAN_VECS)
+        return np.array([images[1].real, images[1].imag, (images[0] - images[3]).real / 2.0,
+                         (images[0] + images[3]).real / 2.0])
+
+    def conjugation(left, right):
+        conjugated = np.dot(np.kron(left, right.T), SL4_VECS)
+        return sl4_coordinates(conjugated.T.reshape(15, 4, 4)).T
+
+    def compress(mat):
+        block = KILLING_SPLIT.complement
+        return np.dot(block.conj().T, np.dot(mat, block))
+
+    images = list(sl2.values())
+    layers = {"sl2": (images, [adjugate_inverse(mat) for mat in images])}
+    layers["lorentz"] = tuple([lorentz(mat) for mat in mats] for mats in layers["sl2"])
+    lor, lor_inv = layers["lorentz"]
+    layers["sl4"] = ([conjugation(g, h) for g, h in zip(lor, lor_inv)],
+                     [conjugation(h, g) for g, h in zip(lor, lor_inv)])
+    layers["v"] = tuple([compress(mat) for mat in mats] for mats in layers["sl4"])
+    layers["gl16"] = tuple([np.kron(mat, mat) for mat in mats] for mats in layers["lorentz"])
+    return layers
+
+
+class TestStackedTower:
+    @pytest.mark.parametrize("word", PINNED_WORDS + ("LLRLRRLR", "L^12R"))
+    def test_every_layer_matches_the_per_generator_builders(self, word):
+        # each layer is built in one pass over the stack of the images of
+        # a, b, x and their inverses; every member keeps the bits and the
+        # dtype of the matrix built alone
+        sol = build_solution(parse_monodromy(word))
+        got = {"sl2": sol.sl2, "lorentz": sol.lorentz,
+               **{kind: sol.representation(kind) for kind in ("sl4", "v", "gl16")}}
+        for name, (images, inverses) in reference_tower(sol.sl2).items():
+            layer = got[name]
+            assert len(layer) == len(images) == len(inverses) == 3
+            for gen in layer:
+                for mat, ref in ((layer[gen], images[gen]), (layer.inverse(gen), inverses[gen])):
+                    assert mat.dtype == ref.dtype, (name, gen)
+                    assert value_bytes(mat) == value_bytes(ref), (name, gen)
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, EXT_COMPLEX])
+    @pytest.mark.parametrize("inner, outer", [(4, 4), (16, 15), (15, 9), (16, 16)])
+    def test_stack_times_a_constant_is_the_product_of_each_member(self, dtype, inner, outer):
+        # np.dot of a stack and a constant matrix forms the product of the
+        # stack's rows, as the reshaped stack gives it, and so each member's
+        # np.dot; with the constant on the left the stack's axis comes first
+        rng = np.random.default_rng(inner * outer)
+        imag = 1j if np.issubdtype(dtype, np.complexfloating) else 0
+        stack = (rng.standard_normal((6, inner, inner))
+                 + imag * rng.standard_normal((6, inner, inner))).astype(dtype) / 3
+        constant = rng.standard_normal((inner, outer)) + imag * rng.standard_normal((inner, outer))
+        right = np.dot(stack, constant)
+        rows = np.dot(stack.reshape(-1, inner), constant).reshape(6, inner, outer)
+        left = np.moveaxis(np.dot(constant.T, stack), 0, -2)
+        for got, member in ((right, lambda m: np.dot(m, constant)), (rows, lambda m: np.dot(m, constant)),
+                            (left, lambda m: np.dot(constant.T, m))):
+            want = np.array([member(m) for m in stack])
+            assert got.dtype == want.dtype and value_bytes(got) == value_bytes(want)
 
 
 class TestDerivedReps:

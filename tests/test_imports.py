@@ -123,9 +123,10 @@ def test_no_unreferenced_helpers():
 # The modules whose products can have long double operands, where ``@`` runs
 # numpy's generic loop and ``np.dot`` forms the same sums about twice as
 # fast; np.kron and np.polydiv have the broadcast helper ``_kron2`` and
-# ``poly_quotient`` in their place.  No product there is of stacks, so
-# ``@`` has no use in them, not even for the complex128 normal equations
-# of ``solve_traces``, which are formed one start at a time.
+# ``poly_quotient`` in their place.  A stack times a constant matrix is one
+# ``np.dot``, which forms the product of the stack's rows, each member's
+# bits, so ``@`` has no use in them, not even for the complex128 normal
+# equations of ``solve_traces``, which are formed one start at a time.
 EXTENDED_MODULES = ("numeric.py", "alexander.py", "holonomy.py")
 
 
