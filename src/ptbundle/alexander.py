@@ -106,16 +106,6 @@ class WadaInvariant:
             out = out * (-1.0)
         return out
 
-    def cross_residual(self, other_num: LaurentPoly, other_den: LaurentPoly) -> float:
-        """Max defect of numerator*other_den - other_num*denominator."""
-        diff = self.numerator * other_den - other_num * self.denominator
-        scale = max(
-            1.0,
-            (self.numerator * other_den).max_abs(),
-            (other_num * self.denominator).max_abs(),
-        )
-        return diff.max_abs() / scale
-
 
 def twisted_alexander(
     pres: Presentation,
@@ -235,28 +225,14 @@ def _coboundary_map(rep: GeneratorImages) -> np.ndarray:
     return rep.kept("coboundary_map", lambda: np.vstack([eye - rep[0], eye - rep[1]]))
 
 
-def fixed_char_poly(rep: RepImages, *, tolerances: Tolerances | None = None) -> LaurentPoly:
-    """det(rep(x)^-1 - t) on H^0, the vectors the fiber group fixes (1 when there are none).
-
-    Kept on ``GeneratorImages``, so the Wada route and the routes check
-    share one computation per representation and tolerances.
-    """
-    tols = tolerances or Tolerances()
-    rep = GeneratorImages.of(rep)
-
-    def build() -> LaurentPoly:
-        fixed = nullspace(_coboundary_map(rep), tol=tols.null, refine=True)
-        return char_poly(compress(rep.inverse(2), fixed, "the meridian moves the fixed vectors"))
-    return rep.kept(("fixed_char_poly", tols), build)
-
-
 def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,
                              tolerances: Tolerances | None = None) -> LaurentPoly:
     """Twisted Alexander polynomial of a bundle from its ``fox_action`` matrix A.
 
     A acts on B^1 = (module)/H^0 by rep(x)^-1, so the Wada quotient
     det(A - t) / det(rep(x)^-1 - t), leading coefficient (-1)^n, is
-    det(Abar - t) / ``fixed_char_poly`` for the map Abar induced on Z^1/B^1.
+    det(Abar - t) / det(rep(x)^-1 - t) on H^0, the vectors the fiber group
+    fixes, for the map Abar induced on Z^1/B^1.
     Abar is read off the complement of B^1, refined to the extended
     precision of A.  Raises ArithmeticError when ``coboundary_defect``
     exceeds the root tolerance: the images then break the bundle relations.
@@ -272,8 +248,10 @@ def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,
     if complement.shape[1] > rep[0].shape[0]:  # dim Z^1/B^1 = n + dim H^0
         # the dividend in extended precision, the divisor as the double
         # complex coefficients LaurentPoly.dense() gives
-        _, fixed = fixed_char_poly(rep, tolerances=tols).dense()
-        coeffs = poly_quotient(np.array(coeffs[::-1], dtype=EXT_COMPLEX), fixed[::-1])[::-1]
+        fixed = nullspace(_coboundary_map(rep), tol=tols.null, refine=True)
+        _, divisor = char_poly(compress(rep.inverse(2), fixed,
+                                        "the meridian moves the fixed vectors")).dense()
+        coeffs = poly_quotient(np.array(coeffs[::-1], dtype=EXT_COMPLEX), divisor[::-1])[::-1]
     poly = LaurentPoly.from_coeffs(coeffs)
     return poly.realified(1e-6) if np.isrealobj(matrix) else poly
 

@@ -1,13 +1,16 @@
 """Conservative rigidity certificates from root multiplicities at t = 1.
 
-The certifier runs the whole tower once, on the holonomy's character,
-which the shape test of the trace solve proves to be the holonomy:
-derived linear representations, twisted Alexander polynomials, and the
-multiplicity of the root t = 1.  A word is declared
-rigid-rel-cusp only when one of the three certificates fires with a
-clear margin, and a battery of cross-checks can only downgrade that
-verdict, never upgrade it.  The certifier never claims non-rigidity:
-the multiplicity conditions are sufficient, not necessary.
+The certifier runs on the holonomy's character, which the shape test of
+the trace solve proves to be the holonomy.  It builds one cocycle action,
+that of ``v``, and reads v's certificate off its polynomial on the
+longitude-killing cocycles.  The ``sl4`` and ``gl16`` polynomials are v's
+times the factors of the splittings sl4 = so(3,1) + v and
+R^4 (x) R^4 = so(3,1) + v + R, where the monodromy acts on the so(3,1)
+cohomology by the tangent map J (``split_evidence``).  A word is declared
+rigid-rel-cusp only when one of the three certificates fires with a clear
+margin, and the cross-checks can only downgrade that verdict, never
+upgrade it.  The certifier never claims non-rigidity: the multiplicity
+conditions are sufficient, not necessary.
 """
 
 from __future__ import annotations
@@ -15,14 +18,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .alexander import (
     CocycleAction,
     bundle_twisted_alexander,
-    fixed_char_poly,
     fox_action,
     monodromy_action,
     relative_char_poly,
@@ -34,10 +36,13 @@ from .holonomy import (
     holonomy_residuals,
     longitude_centralizer_dims,
     rep_residuals,
+    tangent_map,
 )
 from .numeric import (
+    GeneratorImages,
     LaurentPoly,
     Tolerances,
+    char_poly,
     integer_round,
     laurent_distance,
     normalize_unit,
@@ -55,15 +60,8 @@ INCONCLUSIVE = "inconclusive"
 
 ALL_REPS = ("sl4", "v", "gl16")
 
-# Which polynomial backs each certificate and the exact multiplicity of
-# the root t = 1 it requires.  "action" is the characteristic polynomial
-# of the monodromy action on cocycle pairs killing the longitude;
-# "wada" is the twisted Alexander polynomial, from the action on Z^1/B^1.
-CERTIFICATE_SOURCES = {
-    "sl4": ("action", 5),
-    "v": ("action", 3),
-    "gl16": ("wada", 4),
-}
+# The exact multiplicity of the root t = 1 each certificate requires.
+EXPECTED_MULTIPLICITIES = {"sl4": 5, "v": 3, "gl16": 4}
 
 # A certificate is decisive only when the deflated polynomial evaluated
 # at 1 clears the root tolerance by this factor.
@@ -77,6 +75,8 @@ class CertificateEvidence:
     The raw multiplicity is exposed so a reader can apply their own
     threshold; `fired` requires the exact expected multiplicity, not a
     lower bound, and `decisive` additionally requires the margin.
+    ``source`` is "action" for a cocycle action's polynomial and "split"
+    for one derived from v's.
     """
 
     label: str
@@ -113,21 +113,32 @@ def integer_coeffs(poly: LaurentPoly, *, tol: float = 1e-6) -> Optional[list[int
     return ints
 
 
+def int_product(*factors: Sequence[int]) -> list[int]:
+    """The exact product of integer coefficient lists (exponent 0 first)."""
+    out = [1]
+    for factor in factors:
+        product = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        out = product
+    return out
+
+
 def evidence_from_poly(
     label: str, poly: LaurentPoly, *, tol: float = 1e-6
 ) -> CertificateEvidence:
-    """Package a computed polynomial as certificate evidence."""
-    source, expected = CERTIFICATE_SOURCES[label]
+    """Package a cocycle action's polynomial as certificate evidence."""
     mult, deflated = root_multiplicity(poly, 1.0, tol=tol)
     return CertificateEvidence(
         label=label,
-        source=source,
+        source="action",
         polynomial=poly,
         integer_coeffs=integer_coeffs(poly, tol=tol),
         multiplicity=mult,
         deflated_at_one=complex(deflated.evaluate(1.0)),
         tolerance=tol,
-        expected_multiplicity=expected,
+        expected_multiplicity=EXPECTED_MULTIPLICITIES[label],
     )
 
 
@@ -138,6 +149,48 @@ def action_evidence(
     action = monodromy_action(matrix, images, tolerances=tols)
     poly = relative_char_poly(action)
     return action, evidence_from_poly(label, poly, tol=tols.root)
+
+
+def split_evidence(spec: MonodromySpec, sol: HolonomySolution,
+                   v: CertificateEvidence) -> dict[str, CertificateEvidence]:
+    """The sl4 and gl16 evidence, from v's and the tangent map J (``tangent_map``).
+
+    With q = det(J - t)/(t - 1) and tr the monodromy's trace, v's polynomial
+    times the factor (t - 1)^2 q qbar is sl4's, and times
+    (1 - t) q qbar (t^2 - tr t + 1) it is gl16's.  The multiplicity is v's
+    plus the factor's at 1 and the deflated value at 1 v's times the
+    factor's; the integer coefficients are the exact product of v's, q qbar's
+    and the integer factors', None unless v and q qbar both round.  Raises
+    ArithmeticError when det(J - t) does not vanish at 1.
+    """
+    tol = v.tolerance
+    char = char_poly(tangent_map(spec.letters, sol.sl2))
+    count, q = root_multiplicity(char, 1.0, tol=tol)
+    if not count:
+        raise ArithmeticError("det(J - t) of the tangent map does not vanish at t = 1 "
+                              "(|det(J - 1)| = %.3e)" % abs(complex(char.evaluate(1.0))))
+    _, coeffs = q.dense()
+    for _ in range(count - 1):  # q keeps every root at 1 but the one divided out
+        coeffs = np.convolve(coeffs, [-1.0, 1.0])
+    norm = LaurentPoly.from_coeffs(np.convolve(coeffs, np.conj(coeffs)).real)  # q qbar
+    norm_ints = integer_round(norm, tol=tol)
+    out = {}
+    for label, exact in (("sl4", [1, -2, 1]),
+                         ("gl16", int_product([1, -1], [1, -monodromy_trace(spec), 1]))):
+        factor = LaurentPoly.from_coeffs(exact) * norm
+        mult, deflated = root_multiplicity(factor, 1.0, tol=tol)
+        out[label] = CertificateEvidence(
+            label=label,
+            source="split",
+            polynomial=factor * v.polynomial,
+            integer_coeffs=None if norm_ints is None or v.integer_coeffs is None
+            else int_product(exact, norm_ints, v.integer_coeffs),
+            multiplicity=v.multiplicity + mult,
+            deflated_at_one=v.deflated_at_one * complex(deflated.evaluate(1.0)),
+            tolerance=tol,
+            expected_multiplicity=EXPECTED_MULTIPLICITIES[label],
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,15 +220,10 @@ class RigidityReport:
     cross_checks: dict[str, CrossCheck] = field(default_factory=dict)
     cross_checked: bool = False
     solution: Optional[HolonomySolution] = field(default=None, repr=False)
-    images: dict[str, Mapping[int, np.ndarray]] = field(default_factory=dict, repr=False)
-    # each label's cocycle action matrix (``fox_action``), read by both routes
-    actions: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-
-    def representation(self, label: str) -> Mapping[int, np.ndarray]:
-        """The label's images, built on first use and then reused."""
-        if label not in self.images:
-            self.images[label] = self.solution.representation(label)
-        return self.images[label]
+    # v's images, cocycle action matrix and evidence, which the routes
+    # check reads, kept also when v is not among reps; None when v failed
+    v: Optional[tuple[GeneratorImages, np.ndarray, CertificateEvidence]] = field(
+        default=None, repr=False)
 
     @property
     def certificates(self) -> list[str]:
@@ -205,34 +253,44 @@ def validated_reps(reps: Sequence[str]) -> tuple[str, ...]:
     return tuple(label for label in ALL_REPS if label in chosen)
 
 
+_FAILURES = (ArithmeticError, ValueError, np.linalg.LinAlgError)
+
+
 def _solution_report(
     spec: MonodromySpec, sol: HolonomySolution, reps: tuple[str, ...], tols: Tolerances
 ) -> RigidityReport:
-    """The certificate pass on a lifted solution, before the cross-checks."""
+    """The certificate pass on a lifted solution, before the cross-checks.
+
+    v's images, cocycle action, relation residual and evidence are built
+    whatever reps holds, and the other labels derive from v's evidence.
+    """
     endo = monodromy_endo(spec)
     failures: list[str] = []
     residuals: dict[str, float] = {}
     try:
         residuals.update(holonomy_residuals(sol.sl2, endo, null_tol=tols.null))
-    except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
+    except _FAILURES as err:
         failures.append(f"residuals: {err}")
 
-    evidence: dict[str, CertificateEvidence] = {}
-    images: dict[str, Mapping[int, np.ndarray]] = {}
-    actions: dict[str, np.ndarray] = {}
-    for label in reps:
-        try:
-            images[label] = rep = sol.representation(label)
-            # the relation residuals read the products fox_action keeps
-            actions[label] = matrix = fox_action(endo, rep)
-            residuals[f"relations_{label}"] = max(rep_residuals(rep, endo).values())
-            if CERTIFICATE_SOURCES[label][0] == "action":
-                _, evidence[label] = action_evidence(label, matrix, rep, tols)
-            else:
-                wada = bundle_twisted_alexander(matrix, rep, tolerances=tols)
-                evidence[label] = evidence_from_poly(label, wada, tol=tols.root)
-        except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
-            failures.append(f"{label}: {err}")
+    kept, found = None, {}
+    try:
+        images = sol.representation("v")
+        # the relation residuals read the products fox_action keeps
+        matrix = fox_action(endo, images)
+        residuals["relations_v"] = max(rep_residuals(images, endo).values())
+        found["v"] = action_evidence("v", matrix, images, tols)[1]
+        kept = (images, matrix, found["v"])
+    except _FAILURES as err:
+        failures.append(f"v: {err}")
+    derived = [label for label in reps if label != "v"]
+    try:
+        if derived and kept is None:
+            raise ArithmeticError("derived from v, which has no evidence")
+        if derived:
+            found.update(split_evidence(spec, sol, found["v"]))
+    except _FAILURES as err:
+        failures.extend(f"{label}: {err}" for label in derived)
+    evidence = {label: found[label] for label in reps if label in found}
 
     geometric = (
         residuals.get("meridian_parabolic", math.inf) <= tols.root
@@ -251,8 +309,7 @@ def _solution_report(
         verdict=RIGID if decisive else INCONCLUSIVE,
         shape_margin=sol.triple.shape_margin,
         solution=sol,
-        images=images,
-        actions=actions,
+        v=kept,
     )
 
 
@@ -268,12 +325,13 @@ def certify(
     reaches the holonomy, or its lift finds no meridian intertwiner or no
     unique one, the ArithmeticError ends the call and the command line
     exits 3.  After the lift, an ArithmeticError, ValueError or
-    LinAlgError in the residuals, in one representation's images or
-    certificate, or in one of the cross-checks is recorded in the
-    report's `failures`, and the other representations still complete.
-    The structural consistency checks then run and may downgrade the
-    verdict.  Input errors raise ValueError, as in `validated_reps` and
-    `build_solution`.
+    LinAlgError in the residuals, in v's images, cocycle action or
+    certificate, in the tangent map's factors, or in one of the
+    cross-checks is recorded in the report's `failures`: a failure of v
+    is recorded for v and for each label derived from it, and the report
+    still completes.  The structural consistency checks then run and may
+    downgrade the verdict.  Input errors raise ValueError, as in
+    `validated_reps` and `build_solution`.
     """
     if isinstance(spec, str):
         spec = parse_monodromy(spec)
@@ -288,111 +346,49 @@ def certify(
 # ---------------------------------------------------------------------------
 
 
-def _check_multiplicity_step(report: RigidityReport) -> Optional[CrossCheck]:
-    if "sl4" not in report.evidence or "gl16" not in report.evidence:
-        return None
-    m_sl = report.evidence["sl4"].multiplicity
-    m_gl = report.evidence["gl16"].multiplicity
-    return CrossCheck(
-        ok=(m_gl == m_sl - 1), values={"m_sl4": m_sl, "m_gl16": m_gl}
-    )
-
-
-def _check_torsion(report: RigidityReport, trace: int) -> Optional[CrossCheck]:
-    if "sl4" not in report.evidence or "gl16" not in report.evidence:
-        return None
-    denom = report.evidence["sl4"].deflated_at_one
-    if abs(denom) == 0.0:
-        return CrossCheck(ok=False, values={"ratio_at_one": math.inf})
-    ratio = abs(report.evidence["gl16"].deflated_at_one / denom)
-    expected = float(abs(trace - 2))
-    ok = abs(ratio - expected) <= 1e-6 * max(1.0, expected)
-    return CrossCheck(ok=ok, values={"ratio_at_one": ratio, "expected": expected})
-
-
-def _check_adjoint(adjoint, tols: Tolerances) -> dict[str, CrossCheck]:
-    """The longitude centralizer and fixed-vector checks on the sl4 images."""
-    dims = longitude_centralizer_dims(adjoint, null_tol=tols.null)
-    dim = fixed_vectors_dim(adjoint, null_tol=tols.null)
-    return {
-        "longitude_centralizer": CrossCheck(
-            ok=(dims == (5, 2, 3)),
-            values={"sl4": dims[0], "lorentz": dims[1], "complement": dims[2]},
-        ),
-        "fixed_vectors": CrossCheck(ok=(dim == 0), values={"dimension": dim}),
-    }
-
-
-def _check_routes(
-    report: RigidityReport, tols: Tolerances
-) -> tuple[CrossCheck, list[str]]:
-    """Whether each label's action has one characteristic polynomial by both routes.
-
-    From the kept action matrix, the route the certificate did not use is
-    built, and the polynomial on the longitude-killing kernel is compared
-    with the one on Z^1/B^1, the Wada polynomial times ``fixed_char_poly``.
-    Each label records their relative difference after ``normalize_unit``
-    (None when a route fails); it and the relation residual must be within
-    the root tolerance.
-    """
-    differences, failures = {}, []
-    for label, ev in report.evidence.items():
-        differences[label] = None
-        try:
-            images, matrix = report.images[label], report.actions[label]
-            if ev.source == "action":
-                kernel = ev.polynomial
-                wada = bundle_twisted_alexander(matrix, images, tolerances=tols)
-            else:
-                action = monodromy_action(matrix, images, tolerances=tols)
-                kernel, wada = relative_char_poly(action), ev.polynomial
-            # the modules are self-dual and a fixed dual vector kills every value
-            # on the longitude, so the kernel has dimension >= n + dim H^0
-            if kernel.span > wada.span:
-                wada = wada * fixed_char_poly(images, tolerances=tols)
-            differences[label] = laurent_distance(normalize_unit(kernel), normalize_unit(wada))
-        except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
-            failures.append(f"routes[{label}]: {err}")
-    ok = all(d is not None and d <= tols.root and report.residuals[f"relations_{label}"] <= tols.root
-             for label, d in differences.items())
-    return CrossCheck(ok=ok, values=differences), failures
-
-
 def cross_checks(report: RigidityReport) -> RigidityReport:
     """Fill in the structural consistency checks, downgrading on failure.
 
-    The checks are: the multiplicity of 1 drops by exactly one from the
-    15-dimensional polynomial to the 16-dimensional one; the leftover
-    factor evaluated at 1 has absolute value |tr(monodromy) - 2|; for
-    every representation with evidence, both routes give one polynomial
-    and the images satisfy the bundle relations within the root tolerance
-    (the "routes" check); the longitude's adjoint centralizer
-    is 5-dimensional and splits 2 + 3 across the two invariant blocks;
-    and the fiber group fixes no nonzero adjoint vector.  A check that
-    cannot run for lack of inputs is skipped, not failed.  The checks
-    reuse the images, cocycle action matrices and residuals of the
-    certificate pass, building the sl4 images only when sl4 is not among
-    the report's representations; no action matrix is built here.
+    The checks are: the longitude's adjoint centralizer is 5-dimensional
+    and splits 2 + 3 across the two invariant blocks; the fiber group
+    fixes no nonzero adjoint vector; and, when v has evidence, v's action
+    has one polynomial by both routes and v's images satisfy the bundle
+    relations within the root tolerance (the "routes" check).  That check
+    builds the Wada polynomial on Z^1/B^1 from v's kept action matrix and
+    records its relative difference from v's evidence, on the
+    longitude-killing kernel, after ``normalize_unit`` (None when the Wada
+    route fails); v has no fixed vectors when the fixed_vectors check
+    passes, so both have degree 9.  A check that cannot run for lack of
+    inputs is skipped, not failed, and no action matrix is built here.
+    The sl4 and gl16 evidence has no run-time check: it is v's times a
+    factor, and ``tests/test_split.py`` tests the identities behind the
+    factors on the full tower.
     """
     checks: dict[str, CrossCheck] = {}
-    step = _check_multiplicity_step(report)
-    if step is not None:
-        checks["multiplicity_step"] = step
-    torsion = _check_torsion(report, monodromy_trace(report.spec))
-    if torsion is not None:
-        checks["torsion"] = torsion
+    tols = report.tolerances
     if report.solution is not None:
         try:
-            adjoint = report.representation("sl4")
-            checks.update(_check_adjoint(adjoint, report.tolerances))
-        except (ArithmeticError, ValueError, np.linalg.LinAlgError) as err:
+            adjoint = report.solution.adjoint
+            dims = longitude_centralizer_dims(adjoint, null_tol=tols.null)
+            checks["longitude_centralizer"] = CrossCheck(
+                ok=(dims == (5, 2, 3)),
+                values={"sl4": dims[0], "lorentz": dims[1], "complement": dims[2]})
+            dim = fixed_vectors_dim(adjoint, null_tol=tols.null)
+            checks["fixed_vectors"] = CrossCheck(ok=(dim == 0), values={"dimension": dim})
+        except _FAILURES as err:
             report.failures.append(f"centralizer: {err}")
             checks["longitude_centralizer"] = CrossCheck(ok=False, values={})
-        routes, route_failures = _check_routes(report, report.tolerances)
-        report.failures.extend(route_failures)
-        if routes.values:
-            checks["routes"] = routes
-            report.route_match = routes.ok
+    if report.v is not None:
+        images, matrix, ev = report.v
+        difference = None
+        try:
+            wada = bundle_twisted_alexander(matrix, images, tolerances=tols)
+            difference = laurent_distance(normalize_unit(ev.polynomial), normalize_unit(wada))
+        except _FAILURES as err:
+            report.failures.append(f"routes[v]: {err}")
+        report.route_match = (difference is not None and difference <= tols.root
+                              and report.residuals["relations_v"] <= tols.root)
+        checks["routes"] = CrossCheck(ok=report.route_match, values={"v": difference})
     report.cross_checks = checks
     if any(not check.ok for check in checks.values()):
         report.verdict = INCONCLUSIVE

@@ -28,6 +28,7 @@ from .certify import (
     _pair,
     action_evidence,
     certify,
+    int_product,
     integer_coeffs,
     report_json,
     report_text,
@@ -54,16 +55,6 @@ def deflate_at_one(coeffs: Sequence[int], factor: Sequence[int] = (-1, 1)) -> tu
     while (quotient := _exact_int_division(rest, factor)) is not None:
         count, rest = count + 1, quotient
     return count, rest
-
-
-def _int_poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
 
 
 def _exact_int_division(num: Sequence[int], den: Sequence[int]) -> Optional[list[int]]:
@@ -197,10 +188,8 @@ def factored_display(coeffs: Sequence[int], var: str = "t") -> Optional[str]:
         factors.append((tuple(candidate), power))
     constant = rest[0]
 
-    check = [unit * constant]
-    for factor, power in factors:
-        for _ in range(power):
-            check = _int_poly_mul(check, list(factor))
+    check = int_product([unit * constant], *(factor for factor, power in factors
+                                              for _ in range(power)))
     if check != list(coeffs):
         return None
     if not factors:
@@ -589,16 +578,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _config(args)
         code, text = _HANDLERS[config.command](config)
+        if config.output:
+            with open(config.output, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(text)
-    else:
+    if not config.output:
         sys.stdout.write(text)
     return code
 

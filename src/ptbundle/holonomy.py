@@ -29,6 +29,11 @@ margin of that decision, and the first start that reaches such a point
 ends the solve.  A leading '-' changes nothing: the elliptic involution
 fixes every character.
 
+``_composed`` runs the letter maps with their Jacobian rows, for each
+polishing step of the lift below and for ``tangent_map``, the Jacobian J
+at the lifted character: the monodromy's action on the tangent space of
+the character variety, from which ``certify`` derives sl4 and gl16.
+
 The solution is lifted once, in extended precision: the polished triple
 gives the fiber pair and both phi-images, the four sign patterns of the
 gluing relations are tried on systems built from Kronecker blocks formed
@@ -317,6 +322,14 @@ def sl2_images(mats: np.ndarray) -> GeneratorImages:
     return GeneratorImages(mats, np.moveaxis(np.array([[d, -b], [-c, a]]) / (a * d - b * c), -1, 0))
 
 
+def _composed(letters: str, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The composed letter maps at chi, and their Jacobian there by the chain rule."""
+    image, rows = chi, np.eye(3, dtype=chi.dtype)
+    for letter in letters:
+        image, rows = letter_map(letter, image, rows)
+    return np.array(image), np.array(rows)
+
+
 def _polish_triple(triple: TraceTriple, letters: str) -> np.ndarray:
     """Four extended-precision Gauss-Newton steps on (F_A, F_B, F_C, markov).
 
@@ -329,15 +342,24 @@ def _polish_triple(triple: TraceTriple, letters: str) -> np.ndarray:
     chi = np.array(triple.as_tuple(), dtype=EXT_COMPLEX)
     eye = np.eye(3, dtype=EXT_COMPLEX)
     for _ in range(4):
-        image, rows = chi, eye
-        for letter in letters:
-            image, rows = letter_map(letter, image, rows)
+        image, rows = _composed(letters, chi)
         markov, gradient = _markov(*chi)
-        full = np.vstack([np.array(rows) - eye, gradient])
+        full = np.vstack([rows - eye, gradient])
         adjoint = full.conj().T
         chi = chi - linear_solve(np.dot(adjoint, full),
-                                 np.dot(adjoint, np.append(np.array(image) - chi, markov)))
+                                 np.dot(adjoint, np.append(image - chi, markov)))
     return chi
+
+
+def tangent_map(letters: str, sl2: GeneratorImages) -> np.ndarray:
+    """J, the Jacobian of the composed letter maps at (tr a, tr b, tr ab) of the images.
+
+    The monodromy acts on H^1(F2; sl(2,C)) by J.  At a fixed point, the
+    gradient of the Markov polynomial, which every letter map keeps, is a
+    left eigenvector of J for the eigenvalue 1.
+    """
+    a, b = sl2[0], sl2[1]
+    return _composed(letters, np.array([np.trace(a), np.trace(b), np.trace(np.dot(a, b))]))[1]
 
 
 def _kron2(left: np.ndarray, right: np.ndarray) -> np.ndarray:

@@ -394,11 +394,6 @@ def laurent_distance(p: LaurentPoly, q: LaurentPoly) -> float:
     return (p - q).max_abs() / max(p.max_abs(), q.max_abs(), 1.0)
 
 
-def laurent_allclose(p: LaurentPoly, q: LaurentPoly, tol: float = 1e-9) -> bool:
-    """Coefficientwise comparison, relative to the larger max coefficient."""
-    return laurent_distance(p, q) <= tol
-
-
 def normalize_unit(p: LaurentPoly, lead_tol: float = 1e-6) -> LaurentPoly:
     """Shift min exponent to 0; scale leading coefficient to +1 when |lead| ~ 1."""
     if p.is_zero():
@@ -408,22 +403,6 @@ def normalize_unit(p: LaurentPoly, lead_tol: float = 1e-6) -> LaurentPoly:
     if abs(abs(lead) - 1.0) <= lead_tol:
         q = q * (1.0 / lead)
     return q
-
-
-def monic_normalize(p: LaurentPoly) -> LaurentPoly:
-    """Shift min exponent to 0 and divide by the leading coefficient."""
-    if p.is_zero():
-        return p
-    q = p.shifted(-p.min_exp)
-    return q * (1.0 / q.coeff(q.max_exp))
-
-
-def equal_up_to_unit(p: LaurentPoly, q: LaurentPoly, tol: float = 1e-8) -> bool:
-    """Whether p = c x^k q for a scalar c."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    pm, qm = monic_normalize(p), monic_normalize(q)
-    return pm.span == qm.span and laurent_allclose(pm, qm, tol)
 
 
 def interpolate_on_circle(value_at: Callable, count: int, *, lo: int = 0,

@@ -305,7 +305,8 @@ class EndoF2:
     image_b: Word
 
     def apply(self, w: Word) -> Word:
-        out = Word()
+        """The image of w, its letters' images joined and then reduced once."""
+        letters = []
         for g, e in w:
             if g == 0:
                 img = self.image_a
@@ -313,8 +314,8 @@ class EndoF2:
                 img = self.image_b
             else:
                 raise ValueError("EndoF2 acts on words in generators 0 and 1 only")
-            out = out * (img if e > 0 else img.inverse())
-        return out
+            letters.extend(img.letters if e > 0 else img.inverse().letters)
+        return Word(letters)
 
 
 def compose(outer: EndoF2, inner: EndoF2) -> EndoF2:

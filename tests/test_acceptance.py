@@ -9,7 +9,6 @@ guarantee, each at the tolerance the rest of the code promises.
 
 import contextlib
 import io
-import itertools
 import json
 import random
 import time
@@ -17,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import cross_residual, equal_up_to_unit, laurent_allclose, necklace_words
 from ptbundle.alexander import (
     RingRep,
     bundle_twisted_alexander,
@@ -42,15 +42,12 @@ from ptbundle.holonomy import (
 )
 from ptbundle.numeric import (
     LaurentPoly,
-    equal_up_to_unit,
     integer_round,
-    laurent_allclose,
     nullspace,
 )
 from ptbundle.presentation import (
     Presentation,
     monodromy_endo,
-    is_hyperbolic,
     monodromy_trace,
     parse_monodromy,
 )
@@ -89,13 +86,6 @@ def certify_json(word):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(["certify", "--format", "json", "--", word])
     return code, json.loads(out.getvalue()) if out.getvalue() else None
-
-
-def necklace_words(length):
-    """One hyperbolic L/R word per rotation class: the least rotation."""
-    words = {min(w[k:] + w[:k] for k in range(length))
-             for w in map("".join, itertools.product("LR", repeat=length))}
-    return sorted(w for w in words if is_hyperbolic(parse_monodromy(w)))
 
 
 def negate(coeffs):
@@ -314,7 +304,7 @@ class TestTrefoilBaselines:
         assert inv.quotient is None
         # numerator * (x - 1) agrees with (x^2 - x + 1) * denominator,
         # cross-multiplied so the non-exact division never happens.
-        assert inv.cross_residual(quadratic, x_minus_1) <= 1e-10
+        assert cross_residual(inv, quadratic, x_minus_1) <= 1e-10
         assert equal_up_to_unit(
             inv.numerator * x_minus_1, quadratic * inv.denominator, tol=1e-10
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import equal_up_to_unit, laurent_allclose
 from ptbundle import alexander
 from ptbundle.alexander import (
     RingRep,
@@ -37,9 +38,7 @@ from ptbundle.numeric import (
     LaurentPoly,
     Tolerances,
     char_poly,
-    equal_up_to_unit,
     integer_round,
-    laurent_allclose,
     matrix_det,
     poly_quotient,
     quotient_interpolate,
@@ -303,7 +302,8 @@ class TestBundleRoute:
         # same whether the images come from the lift or from certify
         spec = parse_monodromy("LLRR")
         endo = monodromy_endo(spec)
-        reps = [build_solution(spec).representation("sl4"), certify(spec).images["sl4"]]
+        reps = [build_solution(spec).representation("sl4"),
+                certify(spec).solution.representation("sl4")]
         polys = [integer_round(bundle_twisted_alexander(fox_action(endo, rep), rep))
                  for rep in reps]
         assert polys[0] is not None and polys[1] == polys[0]
@@ -363,7 +363,7 @@ def pinned_reports():
 def pinned_solutions(pinned_reports):
     """(endo, images by label, verdict) of the holonomy of each pinned word."""
     return [(monodromy_endo(parse_monodromy(word)),
-             {label: report.representation(label) for label in ("sl4", "v", "gl16")},
+             {label: report.solution.representation(label) for label in ("sl4", "v", "gl16")},
              report.verdict)
             for word, report in pinned_reports.items()]
 
@@ -600,15 +600,16 @@ class TestRouteAgreement:
             both_routes(endo, rep)
 
     def test_routes_agree_on_every_rigid_pinned_solution(self, pinned_reports):
-        # the routes check compares the polynomial on the longitude-killing
-        # kernel with the one on Z^1/B^1, for every label
+        # the routes check compares v's polynomial on the longitude-killing
+        # kernel with the one on Z^1/B^1; sl4 and gl16 derive from v
         rigid = [report for report in pinned_reports.values() if report.verdict == RIGID]
         assert len(rigid) == len(PINNED_WORDS)
         for report in rigid:
             differences = report.cross_checks["routes"].values
-            assert set(differences) == set(ALL_REPS)
+            assert set(differences) == {"v"}
             assert max(differences.values()) <= 1e-9, differences
-        # the Wada unit is (-1)^16 for gl16, as the quotient of determinants gave
+        # the split keeps the Wada unit (-1)^16 of gl16, as the quotient of
+        # determinants gave
         rrl = pinned_reports["RRL"]
         assert int_poly(integer_round(rrl.evidence["gl16"].polynomial)) == RRL_GL16_TARGET
 
@@ -616,8 +617,9 @@ class TestRouteAgreement:
         # A fixed point of LLLLR's letter maps with real tr a and imaginary
         # tr b and tr ab, not the holonomy: its images break the bundle
         # relator at a relative 1e-4, though their relation residuals pass;
-        # the gl16 Wada polynomial is built, and the two polynomials of each
-        # label's action disagree
+        # v's Wada polynomial is built, and the two polynomials of v's action
+        # disagree, so the sl4 and gl16 evidence derived from v's counts for
+        # nothing either
         spec, tols = parse_monodromy("LLLLR"), Tolerances()
         endo = monodromy_endo(spec)
         triple = TraceTriple(0.7044022574779152 + 0j, -0.6188503598659675j, 0.18293076933535973j)
@@ -629,5 +631,5 @@ class TestRouteAgreement:
         assert not report.failures
         routes = report.cross_checks["routes"]
         assert not routes.ok and report.route_match is False
-        assert all(difference > 1e-6 for difference in routes.values.values())
+        assert set(routes.values) == {"v"} and routes.values["v"] > 1e-6
         assert report.verdict == INCONCLUSIVE

@@ -11,12 +11,12 @@ import ptbundle.alexander
 import ptbundle.certify
 import ptbundle.holonomy
 import ptbundle.numeric
+from ptbundle.alexander import bundle_twisted_alexander, fox_action
 from ptbundle.certify import (
     ALL_REPS,
     INCONCLUSIVE,
     RIGID,
     CertificateEvidence,
-    RigidityReport,
     certify,
     cross_checks,
     evidence_from_poly,
@@ -126,18 +126,28 @@ class TestEvidence:
             )
 
     def test_orientation_reversed_gl16_polynomial_rounds(self):
-        # -LLRR: the gl16 coefficients lie within 3.1e-8 of integers (2.0e-6,
-        # above the rounding tolerance, when every sample was a stacked LU);
-        # the verdict is still inconclusive, from the failed action routes
+        # -LLRR: v's action leaks out of the longitude-killing kernel, so v
+        # has no evidence, the sl4 and gl16 evidence derived from it is
+        # missing too, and the verdict is inconclusive.  The gl16 Wada
+        # polynomial of the full tower still lies within 3.1e-8 of integers
+        # (2.0e-6, above the rounding tolerance, when every sample was a
+        # stacked LU).
         report = certify("-LLRR")
-        ev = report.evidence["gl16"]
+        assert report.evidence == {}
+        assert report.failures == [
+            "v: monodromy action leaks out of the longitude-killing kernel",
+            "sl4: derived from v, which has no evidence",
+            "gl16: derived from v, which has no evidence"]
+        assert report.verdict == INCONCLUSIVE
+        rep = report.solution.representation("gl16")
+        wada = bundle_twisted_alexander(fox_action(monodromy_endo(report.spec), rep), rep)
+        ev = evidence_from_poly("gl16", wada)
         coeffs = ev.integer_coeffs
         assert coeffs == [1, 80, -3656, 29168, 121756, -692144, 1675784, -3023504, 3785030,
                           -3023504, 1675784, -692144, 121756, 29168, -3656, 80, 1]
         assert coeffs == coeffs[::-1] and ev.multiplicity == 4
         _, values = ev.polynomial.dense()
         assert max(abs(c - k) for c, k in zip(values, coeffs)) < 1e-7
-        assert report.verdict == INCONCLUSIVE
 
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -180,15 +190,23 @@ class TestCrossChecks:
                 assert check.ok, name
 
     def test_multiplicity_step(self, llrr_report, rrl_report):
+        # the split multiplies v's polynomial by (t - 1)^2 q qbar for sl4 and
+        # by (1 - t) q qbar (t^2 - tr t + 1) for gl16, with q(1) != 0, so
+        # the multiplicities step up from v's by 2 and by 1; an identity of
+        # the splits, no longer a run-time check
         for report in (llrr_report, rrl_report):
-            values = report.cross_checks["multiplicity_step"].values
-            assert values == {"m_sl4": 5, "m_gl16": 4}
+            assert {label: (ev.source, ev.multiplicity) for label, ev in report.evidence.items()} \
+                == {"sl4": ("split", 5), "v": ("action", 3), "gl16": ("split", 4)}
+            assert "multiplicity_step" not in report.cross_checks
 
     def test_torsion_ratio_values(self, llrr_report, rrl_report):
+        # the deflated values at 1 are v's times |q(1)|^2 and times
+        # |q(1)|^2 (tr - 2), so their ratio is |tr - 2| by construction
         for report, expected in ((llrr_report, 4.0), (rrl_report, 2.0)):
-            values = report.cross_checks["torsion"].values
-            assert values["expected"] == expected
-            assert values["ratio_at_one"] == pytest.approx(expected, rel=1e-9)
+            sl4, gl16 = report.evidence["sl4"], report.evidence["gl16"]
+            assert abs(gl16.deflated_at_one / sl4.deflated_at_one) == pytest.approx(
+                expected, rel=1e-12)
+            assert "torsion" not in report.cross_checks
 
     def test_longitude_centralizer_split(self, llrr_report, rrl_report):
         for report in (llrr_report, rrl_report):
@@ -203,34 +221,24 @@ class TestCrossChecks:
         for report in (llrr_report, rrl_report):
             assert report.route_match is True
             differences = report.cross_checks["routes"].values
-            assert set(differences) == {"sl4", "v", "gl16"}
+            assert set(differences) == {"v"}
             assert max(differences.values()) <= 1e-9
 
-    def test_failed_check_downgrades_verdict(self):
-        # fabricate evidence whose multiplicities break the step relation
-        ev_sl = evidence_from_poly(
-            "sl4", product(*(T_MINUS_1,) * 5, int_poly([1, -3, 1]))
-        )
-        ev_gl = evidence_from_poly(
-            "gl16", product(*(T_MINUS_1,) * 5, int_poly([1, -5, 1]))
-        )
-        report = RigidityReport(
-            spec=parse_monodromy("LLRR"),
-            tolerances=Tolerances(),
-            reps=("sl4", "gl16"),
-            traces=(1j, 1j, 1j),
-            geometric_candidate=False,
-            residuals={},
-            evidence={"sl4": ev_sl, "gl16": ev_gl},
-            failures=[],
-            verdict=RIGID,
-        )
+    def test_failed_check_downgrades_verdict(self, llrr_report):
+        # fabricate a kept v polynomial one coefficient away from the Wada
+        # route's: the routes check fails and downgrades the decisive report
+        report = copy.deepcopy(llrr_report)
+        images, matrix, ev = report.v
+        moved = ev.polynomial + LaurentPoly({4: 1e-3 * ev.polynomial.max_abs()})
+        report.v = (images, matrix, dataclasses.replace(ev, polynomial=moved))
+        report.verdict = RIGID
         out = cross_checks(report)
-        assert not out.cross_checks["multiplicity_step"].ok
-        assert out.verdict == INCONCLUSIVE
+        assert not out.cross_checks["routes"].ok
+        assert out.cross_checks["routes"].values["v"] > 1e-4
+        assert out.certificates and out.verdict == INCONCLUSIVE
 
     def test_each_object_built_once_per_label(self, monkeypatch):
-        counts = {}
+        counts, sizes = {}, []
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -242,18 +250,26 @@ class TestCrossChecks:
             HolonomySolution, "representation",
             counted("representation", HolonomySolution.representation),
         )
+        monkeypatch.setattr(ptbundle.holonomy, "kronecker_rep",
+                            counted("kronecker_rep", ptbundle.holonomy.kronecker_rep))
         for name in ("bundle_twisted_alexander", "fox_action", "monodromy_action"):
             wrapper = counted(name, getattr(ptbundle.alexander, name))
             monkeypatch.setattr(ptbundle.alexander, name, wrapper)
             monkeypatch.setattr(ptbundle.certify, name, wrapper)
-        certify("RRL")
-        # one cocycle action matrix per label serves both routes
+        fox = ptbundle.certify.fox_action
+        monkeypatch.setattr(ptbundle.certify, "fox_action",
+                            lambda endo, rep: sizes.append(rep[0].shape) or fox(endo, rep))
+        report = certify("RRL")
+        # one cocycle action, v's, serves both of v's routes; sl4 and gl16
+        # derive from v's evidence, and the tensor square is never built
+        assert report.verdict == RIGID and set(report.evidence) == set(ALL_REPS)
         assert counts == {
-            "representation": 3,
-            "bundle_twisted_alexander": 3,
-            "fox_action": 3,
-            "monodromy_action": 3,
+            "representation": 1,
+            "bundle_twisted_alexander": 1,
+            "fox_action": 1,
+            "monodromy_action": 1,
         }
+        assert sizes == [(9, 9)]
 
     def test_cross_checks_reuse_kept_action_matrices(self, monkeypatch):
         report = copy.deepcopy(certify("RRL"))
@@ -269,7 +285,7 @@ class TestCrossChecks:
         assert out.verdict == RIGID
         assert out.route_match is True
         assert out.cross_checks["routes"].values == kept
-        assert set(kept) == set(ALL_REPS)
+        assert set(kept) == {"v"}
 
     def test_no_matrix_inverted_twice(self, monkeypatch):
         # the sl4 images are built once per solution, and every inverse is
@@ -294,10 +310,9 @@ class TestCrossChecks:
         assert inverted == []
 
     def test_characteristic_polynomials_reduce_real_matrices_once(self, monkeypatch):
-        # the sl4, v and gl16 images are real, so every characteristic
-        # polynomial, on Z^1/B^1, on the longitude-killing kernel or on the
-        # fixed vectors H^0, reduces a real long double matrix, and none is
-        # sampled on a circle
+        # v's images are real, so both of its characteristic polynomials
+        # reduce a real long double matrix; the tangent map is complex; and
+        # none is sampled on a circle
         reduced, sampled = [], []
         hessenberg = ptbundle.numeric._hessenberg
 
@@ -310,14 +325,13 @@ class TestCrossChecks:
                             lambda *args, **kwargs: sampled.append(args))
         report = certify("RRL")
         assert report.verdict == RIGID
-        # once for the certificates and once for the routes check: the sl4
-        # and v polynomials (degrees 15 and 9, one route each time) and the
-        # gl16 polynomial of degree 17 (on Z^1/B^1, then on the kernel); the
-        # gl16 one on H^0 (degree 1; sl4 and v have no H^0) is computed once
-        # and shared by both
-        assert len(reduced) == 7
-        assert {size for size, _ in reduced} == {15, 9, 17, 1}
-        assert all(dtype == np.dtype(ptbundle.numeric._REAL_DT) for _, dtype in reduced)
+        # v's polynomial of degree 9 on the longitude-killing kernel for the
+        # certificate, det(J - t) of the 3 x 3 tangent map, which is complex,
+        # for the sl4 and gl16 factors, and v's polynomial on Z^1/B^1 for the
+        # routes check (v has no H^0)
+        assert reduced == [(9, np.dtype(ptbundle.numeric._REAL_DT)),
+                           (3, np.dtype(ptbundle.numeric.EXT_COMPLEX)),
+                           (9, np.dtype(ptbundle.numeric._REAL_DT))]
         assert sampled == []
 
     def test_relation_defect_downgrades_verdict(self):
@@ -325,9 +339,9 @@ class TestCrossChecks:
         intact = copy.deepcopy(broken)
         broken.residuals["relations_v"] = 1e-3
         broken, intact = cross_checks(broken), cross_checks(intact)
-        # both labels' polynomials agree; v's relation residual fails it
+        # v's two polynomials agree; its relation residual fails the check
         differences = broken.cross_checks["routes"].values
-        assert set(differences) == {"sl4", "v"} and max(differences.values()) <= 1e-9
+        assert set(differences) == {"v"} and differences["v"] <= 1e-9
         assert broken.route_match is False
         assert broken.certificates and broken.verdict == INCONCLUSIVE
         assert intact.route_match is True and intact.verdict == RIGID
@@ -337,20 +351,22 @@ class TestCrossChecks:
 
         def perturbed(self, label):
             images = dict(original(self, label))
-            if label == "sl4":
-                scale = np.eye(15) + 3e-7 * np.diag(np.arange(15) % 3 - 1.0)
+            if label == "v":
+                scale = np.eye(9) + 3e-8 * np.diag(np.arange(9) % 3 - 1.0)
                 images[0] = images[0] @ scale
             return images
 
-        # the action route still builds, but the coboundaries are not
-        # invariant, so the Z^1/B^1 route refuses and no difference is recorded
+        # the action route still builds (at 1e-7 the action leaks out of the
+        # longitude-killing kernel), but the coboundaries are not invariant
+        # (a relative defect of 1e-5), so the Z^1/B^1 route refuses and no
+        # difference is recorded
         monkeypatch.setattr(HolonomySolution, "representation", perturbed)
-        report = certify("RRL")
-        assert report.residuals["relations_sl4"] > Tolerances().root
+        report = certify("LLRR")
+        assert report.residuals["relations_v"] > Tolerances().root
         (refused,) = [f for f in report.failures if f.startswith("routes[")]
-        assert refused.startswith("routes[sl4]: the cocycle action does not preserve "
+        assert refused.startswith("routes[v]: the cocycle action does not preserve "
                                   "the coboundaries: relative defect")
-        assert report.cross_checks["routes"].values["sl4"] is None
+        assert report.cross_checks["routes"].values["v"] is None
         assert report.verdict == INCONCLUSIVE
 
     def test_singular_pencil_is_a_label_failure(self, monkeypatch):
@@ -358,20 +374,34 @@ class TestCrossChecks:
 
         def singular_meridian(self, label):
             images = dict(original(self, label))
-            if label == "gl16":
+            if label == "v":
                 images[2] = images[2].copy()
                 images[2][:, 0] = 0
             return images
 
         monkeypatch.setattr(HolonomySolution, "representation", singular_meridian)
-        # the relation residuals would stop at the singular meridian first
-        monkeypatch.setattr(ptbundle.certify, "rep_residuals",
-                            lambda images, endo: {"relation_a": 0.0})
         report = certify("RRL")
-        assert "gl16: singular meridian image" in report.failures
-        # the other labels still complete
-        assert set(report.evidence) == {"sl4", "v"}
-        assert set(report.certificates) == {"sl4-multiplicity-5", "v-multiplicity-3"}
+        # v's failure is recorded for v and for each label derived from it,
+        # and the report still completes its other checks
+        assert report.failures == ["v: singular meridian image",
+                                   "sl4: derived from v, which has no evidence",
+                                   "gl16: derived from v, which has no evidence"]
+        assert report.evidence == {} and report.verdict == INCONCLUSIVE
+        assert set(report.cross_checks) == {"longitude_centralizer", "fixed_vectors"}
+
+    def test_tangent_map_without_eigenvalue_one_is_a_label_failure(self, monkeypatch):
+        # a tangent map whose characteristic polynomial does not vanish at 1
+        # cannot be the holonomy's: sl4 and gl16 record the failure, and v
+        # still certifies alone
+        tangent = ptbundle.certify.tangent_map
+        monkeypatch.setattr(ptbundle.certify, "tangent_map",
+                            lambda letters, sl2: tangent(letters, sl2) + 0.1 * np.eye(3))
+        report = certify("RRL")
+        (sl4, gl16) = report.failures
+        assert sl4.startswith("sl4: det(J - t) of the tangent map does not vanish at t = 1")
+        assert gl16 == "gl16" + sl4[3:]
+        assert set(report.evidence) == {"v"}
+        assert report.certificates == ["v-multiplicity-3"] and report.verdict == RIGID
 
     def test_tightened_tolerances_never_promote(self):
         tight = Tolerances(det=1e-9, root=1e-7, null=1e-10)
@@ -520,8 +550,8 @@ class TestSerialization:
         text = report_text(rrl_report)
         assert "overall verdict: rigid-rel-cusp" in text
         assert "multiplicity 5 at t=1" in text
-        assert "gl16" in text
-        assert "check torsion: ok" in text
+        assert "gl16 (split)" in text
+        assert "check routes: ok (v=" in text
 
     def test_text_custom_polynomial_display(self, rrl_report):
         text = report_text(rrl_report, poly_display=lambda ev: f"<{ev.label}>")

@@ -134,6 +134,19 @@ class TestExitCodes:
         assert run(["alexander", "no-such-file.json"]) == 2
         assert "no-such-file.json" in capsys.readouterr().err
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        # an --output path in a missing directory, or a directory itself,
+        # ends in a named error and exit 2, not a traceback
+        missing = tmp_path / "no-such-dir" / "x.json"
+        heusener = str(PRESENTATIONS / "trefoil_heusener.json")
+        for argv, path in ((["certify", "--output", str(missing), "--", "LR"], missing),
+                           (["alexander", "--output", str(tmp_path), heusener], tmp_path)):
+            assert run(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and str(path) in err
+        assert not missing.parent.exists()
+
     def test_bad_reps_token_named(self, capsys):
         assert run(["certify", "LLRR", "--reps", "sl4,what"]) == 2
         assert "'what'" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import equal_up_to_unit, laurent_allclose, monic_normalize
 from ptbundle import holonomy, numeric
 from ptbundle.holonomy import FLAT_STARTS, solve_traces
 from ptbundle.numeric import (
@@ -14,13 +15,10 @@ from ptbundle.numeric import (
     char_poly,
     compress,
     det_polymatrix,
-    equal_up_to_unit,
     integer_round,
     interpolate_on_circle,
-    laurent_allclose,
     linear_solve,
     matrix_det,
-    monic_normalize,
     normalize_unit,
     nullspace,
     poly_quotient,

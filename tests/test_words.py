@@ -223,6 +223,20 @@ def test_negate_endo():
     assert phi.image_b == ELL_INVOLUTION.apply(plain.image_b)
 
 
+def test_apply_is_the_product_of_the_images():
+    # apply joins the letters' images and reduces once, which gives the
+    # images multiplied seam by seam, inverse letters included
+    rng = random.Random(5)
+    phi = endo_from_lr("LRRLRLLR", negate=True)
+    for _ in range(50):
+        w = Word([(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(12))])
+        product = IDENTITY
+        for g, e in w:
+            image = (phi.image_a, phi.image_b)[g]
+            product = product * (image if e > 0 else image.inverse())
+        assert phi.apply(w) == product
+
+
 def test_commutator_preserved_by_lr_words():
     # every positive L/R word fixes the boundary word aba^-1b^-1 exactly
     ell = w2("abAB")
