@@ -35,7 +35,7 @@ from .numeric import (
     quotient_interpolate,
     word_product,
 )
-from .presentation import AbelianizationMap, Presentation, validate_abelianization
+from .presentation import LONGITUDE, AbelianizationMap, Presentation, validate_abelianization
 from .words import (EndoF2, GroupRingElem, Word, format_word, fox_derivative, parse_word,
                     ring_one_minus)
 
@@ -261,7 +261,6 @@ def bundle_twisted_alexander(matrix: np.ndarray, rep: RepImages, *,
 # ---------------------------------------------------------------------------
 
 _WORD_ABA = parse_word("abA", ("a", "b", "x"))
-_WORD_COMMUTATOR = parse_word("abAB", ("a", "b", "x"))
 
 
 def res_l_map(rep: RepImages) -> np.ndarray:
@@ -275,7 +274,7 @@ def res_l_map(rep: RepImages) -> np.ndarray:
     dim = rep[0].shape[0]
     eye = np.eye(dim, dtype=complex)
     left = eye - word_product(_WORD_ABA, rep)
-    right = np.asarray(rep[0], dtype=complex) - word_product(_WORD_COMMUTATOR, rep)
+    right = np.asarray(rep[0], dtype=complex) - word_product(LONGITUDE, rep)
     out = np.hstack([left, right])
     if all(np.isrealobj(m) for m in rep.values()):
         # real kernel bases keep the restricted action (and its

@@ -50,7 +50,6 @@ from .numeric import (
 )
 from .presentation import (
     MonodromySpec,
-    monodromy_endo,
     monodromy_trace,
     parse_monodromy,
 )
@@ -264,7 +263,7 @@ def _solution_report(
     v's images, cocycle action, relation residual and evidence are built
     whatever reps holds, and the other labels derive from v's evidence.
     """
-    endo = monodromy_endo(spec)
+    endo = sol.endo
     failures: list[str] = []
     residuals: dict[str, float] = {}
     try:
@@ -322,14 +321,13 @@ def certify(
     """Run the full certification pipeline for a monodromy word.
 
     The trace solve and the lift run in `build_solution`: when no start
-    reaches the holonomy, or its lift finds no meridian intertwiner or no
-    unique one, the ArithmeticError ends the call and the command line
-    exits 3.  After the lift, an ArithmeticError, ValueError or
-    LinAlgError in the residuals, in v's images, cocycle action or
-    certificate, in the tangent map's factors, or in one of the
-    cross-checks is recorded in the report's `failures`: a failure of v
-    is recorded for v and for each label derived from it, and the report
-    still completes.  The structural consistency checks then run and may
+    reaches the holonomy, or its lift finds no meridian intertwiner, the
+    ArithmeticError ends the call and the command line exits 3.  After
+    the lift, an ArithmeticError, ValueError or LinAlgError in the
+    residuals, in v's images, cocycle action or certificate, in the
+    tangent map's factors, or in one of the cross-checks is recorded in
+    the report's `failures`: a failure of v is recorded for v and for
+    each label derived from it, and the report still completes.  The structural consistency checks then run and may
     downgrade the verdict.  Input errors raise ValueError, as in
     `validated_reps` and `build_solution`.
     """

@@ -38,7 +38,6 @@ from .holonomy import build_solution, holonomy_residuals
 from .numeric import LaurentPoly, Tolerances, char_poly, integer_round
 from .presentation import (
     load_presentation,
-    monodromy_endo,
     monodromy_trace,
     parse_monodromy,
 )
@@ -415,7 +414,7 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
     sol = build_solution(spec, tolerances=config.tolerances)
     res = {k: float(v) for k, v in sorted(holonomy_residuals(
-        sol.sl2, monodromy_endo(spec), null_tol=config.tolerances.null).items())}
+        sol.sl2, sol.endo, null_tol=config.tolerances.null).items())}
     if config.fmt == "json":
         return 0, _dumps({**_header(spec), "solutions": [{
             **_solution_data(sol),
@@ -449,12 +448,11 @@ def _action_data(action, evidence: CertificateEvidence) -> dict:
 def _cmd_action(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
     sol = build_solution(spec, tolerances=config.tolerances)
-    endo = monodromy_endo(spec)
     tols = config.tolerances
     per_rep = {}
     for label in config.reps:
         images = sol.representation(label)
-        per_rep[label] = action_evidence(label, fox_action(endo, images), images, tols)
+        per_rep[label] = action_evidence(label, fox_action(sol.endo, images), images, tols)
     if config.fmt == "json":
         return 0, _dumps({**_header(spec), "direction": "inverse", "solutions": [{
             **_solution_data(sol),

@@ -35,11 +35,11 @@ at the lifted character: the monodromy's action on the tangent space of
 the character variety, from which ``certify`` derives sl4 and gl16.
 
 The solution is lifted once, in extended precision: the polished triple
-gives the fiber pair and both phi-images, the four sign patterns of the
-gluing relations are tried on systems built from Kronecker blocks formed
-once and decided by one stacked ``nullspace`` call, and the one
-intertwining system with a one-dimensional kernel gives the meridian by
-inverse iteration.
+gives the fiber pair and both phi-images, whose character is the fiber
+pair's, so the gluing relations X rho(g) X^-1 = rho(phi(g)) make one
+intertwining system; one ``nullspace`` call decides that its kernel is
+one-dimensional, and inverse iteration gives the meridian.  The lifted
+images keep phi(a) and phi(b), for the relation residuals.
 
 Every layer of the tower is a Kronecker square followed by a constant
 read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
@@ -74,13 +74,14 @@ from .numeric import (
     GeneratorImages,
     Tolerances,
     compress,
+    keep_product,
     linear_solve,
     matrix_det,
     nullspace,
     word_product,
 )
-from .presentation import MonodromySpec, is_hyperbolic, monodromy_endo
-from .words import EndoF2, parse_word
+from .presentation import LONGITUDE, MonodromySpec, is_hyperbolic, monodromy_endo
+from .words import EndoF2
 
 # Matrices downstream of the trace solution are built in extended precision
 # (EXT_COMPLEX) so the characteristic-polynomial coefficients (up to ~10^6
@@ -313,9 +314,6 @@ def _model_matrices(a, b, c) -> np.ndarray:
     return np.array([[[a * c - b, a / c], [a * c, b]], [[b * c - a, -b / c], [-b * c, a]]]) / c
 
 
-LONGITUDE = parse_word("abAB", ("a", "b", "x"))
-
-
 def sl2_images(mats: np.ndarray) -> GeneratorImages:
     """A stack (k, 2, 2) of images, given their adjugates over their determinants as inverses."""
     (a, b), (c, d) = np.moveaxis(mats, 0, -1)
@@ -369,10 +367,6 @@ def _kron2(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-4] + (rows, cols))
 
 
-# The signs (index 0 for +1, 1 for -1) of a and b in the four gluing patterns.
-_SIGN_PATTERNS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-
-
 def holonomy_from_triple(
     triple: TraceTriple,
     endo: EndoF2,
@@ -383,19 +377,18 @@ def holonomy_from_triple(
     """SL2 holonomy of the character, built once in extended precision.
 
     The triple is polished on the composed letter maps and gives the fiber pair
-    of ``_model_matrices``.  The meridian X satisfies
-    X rho(g) X^-1 = +-rho(phi(g)) for g = a, b; the gluing relations fix
-    the conjugation only up to sign in SL2, so all four sign patterns are
-    tried, each on blocks I (x) rho(g)^T - (+-rho(phi(g))) (x) I taken from
-    the Kronecker products formed once for both generators and both signs,
-    and exactly one intertwining space must be one-dimensional (the
-    fiber representation is irreducible).  Those rank decisions run in
-    double precision, on the (4, 8, 4) stack of the four systems in one
-    ``nullspace`` call; the kernel vector is then sharpened by inverse
-    iteration on the chosen system, X is scaled to determinant 1, and the
-    lift with trace nearest -2 is returned with the fiber pair, as the
-    images of a, b, x.  ``endo`` is the word's automorphism and
-    ``letters`` its L/R letters.
+    of ``_model_matrices``.  The letter maps fix the character, so
+    rho o phi has rho's character, and the meridian X satisfies
+    X rho(g) X^-1 = rho(phi(g)) for g = a, b; as rho is irreducible, the
+    intertwining system of the blocks I (x) rho(g)^T - rho(phi(g)) (x) I
+    has a one-dimensional kernel, decided in double precision by one
+    ``nullspace`` call.  (A sign image (eps A, delta B, eps delta C) of a
+    character with C != 0 is another character, so no sign pattern but
+    + has an intertwiner.)  The kernel vector is then sharpened by inverse
+    iteration, X is scaled to determinant 1, and the lift with trace
+    nearest -2 is returned with the fiber pair, as the images of a, b, x,
+    which keep the products phi(a), phi(b) the system was built from.
+    ``endo`` is the word's automorphism and ``letters`` its L/R letters.
     """
     if abs(triple.trace_ab) < 1e-12:
         raise ValueError("trace of ab must be nonzero for the matrix model")
@@ -404,28 +397,21 @@ def holonomy_from_triple(
         raise ArithmeticError("polished trace of ab vanishes; the matrix model needs it nonzero")
     mats = _model_matrices(*polished)
     fiber = sl2_images(mats)
-    targets = np.array([word_product(image, fiber) for image in (endo.image_a, endo.image_b)])
+    phis = (endo.image_a, endo.image_b)
+    targets = np.array([word_product(image, fiber) for image in phis])
     eye = np.eye(2, dtype=EXT_COMPLEX)
     # Row-major vec: vec(XP - QX) = (I (x) P^T - Q (x) I) vec(X) for
-    # P = rho(g) and Q = +-rho(phi(g)), g = a, b; blocks[s, g] holds g's
-    # block with the sign +1 (s = 0) or -1 (s = 1).
-    blocks = (_kron2(eye, np.transpose(mats, (0, 2, 1)))
-              - _kron2(np.multiply.outer([1, -1], targets), eye))
-    systems = blocks[_SIGN_PATTERNS, (0, 1)].reshape(4, 8, 4)
-    found = [(stacked, basis[:, 0])
-             for stacked, basis in zip(systems, nullspace(systems, tol=null_tol))
-             if basis.shape[1] == 1]
-    if not found:
+    # P = rho(g) and Q = rho(phi(g)), g = a, b, one block under the other.
+    system = (_kron2(eye, np.transpose(mats, (0, 2, 1))) - _kron2(targets, eye)).reshape(8, 4)
+    basis = nullspace(system, tol=null_tol)
+    if basis.shape[1] != 1:
         raise ArithmeticError("no meridian intertwiner found; traces may be spurious")
-    if len(found) > 1:
-        raise ArithmeticError("meridian intertwiner is not unique across sign lifts")
-    ((stacked, vec),) = found
     # The kernel direction dominates a solve with the normal matrix, so two
     # solve-and-normalize rounds from the double vector give it to extended
     # accuracy.
-    normal = np.dot(stacked.conj().T, stacked)
+    normal = np.dot(system.conj().T, system)
     shifted = normal + np.finfo(np.longdouble).eps * np.max(np.abs(normal)) * np.eye(4)
-    vec = vec.astype(EXT_COMPLEX)
+    vec = basis[:, 0].astype(EXT_COMPLEX)
     for _ in range(2):
         vec = linear_solve(shifted, vec)
         vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2))
@@ -436,7 +422,11 @@ def holonomy_from_triple(
     mat_x = mat_x / np.sqrt(det)
     if abs(np.trace(-mat_x) + 2.0) < abs(np.trace(mat_x) + 2.0):
         mat_x = -mat_x
-    return sl2_images(np.concatenate([mats, mat_x[None]]))
+    images = sl2_images(np.concatenate([mats, mat_x[None]]))
+    # the fiber pair's inverses have the same bits here, so the products too
+    for image, target in zip(phis, targets):
+        keep_product(images, image, target)
+    return images
 
 
 def _relation_sides(images: Mapping[int, np.ndarray], endo: EndoF2):
@@ -450,8 +440,10 @@ def _relation_sides(images: Mapping[int, np.ndarray], endo: EndoF2):
 
 def holonomy_residuals(images: GeneratorImages, endo: EndoF2, *,
                        null_tol: float = 1e-9) -> dict[str, float]:
-    """Diagnostics of the SL2 images: relation defects (up to sign),
-    unimodularity, cusp traces.
+    """Diagnostics of the SL2 images: relation defects, unimodularity, cusp traces.
+
+    The relation defects read phi(a) and phi(b) off the products the lift
+    keeps on its images.
 
     ``meridian_parabolic`` is |tr X - 2s| for the sign s nearer tr X, or
     1.0 when max|X - sI| is at most null_tol max(1, max|X|): +-I is not
@@ -460,7 +452,7 @@ def holonomy_residuals(images: GeneratorImages, endo: EndoF2, *,
     out: dict[str, float] = {}
     mat_x = images[2]
     for name, lhs, rhs in _relation_sides(images, endo):
-        out[name] = min(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(lhs + rhs))))
+        out[name] = float(np.max(np.abs(lhs - rhs)))
     for name, det in zip(("det_a", "det_b", "det_x"), matrix_det(np.array(list(images.values())))):
         out[name] = float(abs(complex(det) - 1.0))
     trace = np.trace(mat_x)
@@ -683,11 +675,15 @@ def fixed_vectors_dim(
 
 @dataclass(frozen=True)
 class HolonomySolution:
-    """Everything derived from the holonomy's character: images of a, b, x by index."""
+    """Everything derived from the holonomy's character: images of a, b, x by index.
+
+    ``endo`` is the word's automorphism, composed once per solution.
+    """
 
     triple: TraceTriple
     sl2: GeneratorImages
     lorentz: GeneratorImages
+    endo: EndoF2
 
     @cached_property
     def adjoint(self) -> GeneratorImages:
@@ -720,4 +716,4 @@ def build_solution(
     endo = monodromy_endo(spec)
     (triple,) = solve_traces(spec.letters)
     sl2 = holonomy_from_triple(triple, endo, spec.letters, null_tol=tols.null)
-    return HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
+    return HolonomySolution(triple, sl2, lorentz_holonomy(sl2), endo)

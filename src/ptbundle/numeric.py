@@ -592,8 +592,7 @@ def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[i
     return count, LaurentPoly.from_coeffs(coeffs, 0)
 
 
-def nullspace(m: np.ndarray, tol: float = 1e-9, *,
-              refine: bool = False) -> np.ndarray | list[np.ndarray]:
+def nullspace(m: np.ndarray, tol: float = 1e-9, *, refine: bool = False) -> np.ndarray:
     """Orthonormal kernel basis (columns); tol is relative to sigma_max.
 
     Extended-precision inputs are cast down to double first (LAPACK has no
@@ -601,29 +600,18 @@ def nullspace(m: np.ndarray, tol: float = 1e-9, *,
     back into their own extended matrices, or ask for ``refine``: in m's
     own precision, one Newton step N - m^+ (m N) makes m annihilate the
     basis and one step N (3 - N^H N) / 2 makes it orthonormal again.
-    A stack m (k, r, n) is decomposed by one SVD, which gives each member
-    the bits of its own, and gives the list of the k members' bases, each
-    by the same rank rule.  This is the package's only SVD, so its only
-    rank rule; ``tests/test_imports.py`` fails on an svd anywhere else.
+    This is the package's only SVD, so its only rank rule;
+    ``tests/test_imports.py`` fails on an svd anywhere else.
     """
-    given = members = np.atleast_2d(np.asarray(m))
+    given = double = np.atleast_2d(np.asarray(m))
     if given.dtype == np.clongdouble:
-        members = given.astype(np.complex128)
+        double = given.astype(np.complex128)
     elif given.dtype == np.longdouble:
-        members = given.astype(np.float64)
-    if members.size == 0:
-        n = members.shape[-1]
-        return [np.eye(n) for _ in members] if given.ndim == 3 else np.eye(n)
-    svd = np.linalg.svd(members, full_matrices=True)
-    if given.ndim == 3:
-        return [_kernel(*args, tol, refine) for args in zip(given, *svd)]
-    return _kernel(given, *svd, tol, refine)
-
-
-def _kernel(given: np.ndarray, u: np.ndarray, s: np.ndarray, vh: np.ndarray,
-            tol: float, refine: bool) -> np.ndarray:
-    """One matrix's kernel basis from its SVD, by ``nullspace``'s rank rule."""
-    n = vh.shape[0]
+        double = given.astype(np.float64)
+    n = given.shape[1]
+    if double.size == 0:
+        return np.eye(n)
+    u, s, vh = np.linalg.svd(double, full_matrices=True)
     if s[0] == 0.0:
         return np.eye(n, dtype=vh.dtype)
     rank = int(np.sum(s > tol * s[0]))

@@ -33,6 +33,9 @@ from .words import EndoF2, Word, endo_from_lr, generator, parse_word
 L_MATRIX = ((1, 0), (1, 1))
 R_MATRIX = ((1, 1), (0, 1))
 
+# The longitude, the commutator [a, b] = a b a^-1 b^-1 around the puncture.
+LONGITUDE = parse_word("abAB", ("a", "b", "x"))
+
 
 @dataclass(frozen=True)
 class MonodromySpec:

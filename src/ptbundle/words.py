@@ -52,6 +52,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return (Word, (self.letters, True))
+
     # -- basic protocol ------------------------------------------------
 
     def __len__(self) -> int:

@@ -624,7 +624,7 @@ class TestRouteAgreement:
         endo = monodromy_endo(spec)
         triple = TraceTriple(0.7044022574779152 + 0j, -0.6188503598659675j, 0.18293076933535973j)
         sl2 = holonomy_from_triple(triple, endo, spec.letters)
-        solution = HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
+        solution = HolonomySolution(triple, sl2, lorentz_holonomy(sl2), endo)
         report = cross_checks(_solution_report(spec, solution, ALL_REPS, tols))
         assert report.geometric_candidate
         assert set(report.evidence) == set(ALL_REPS)

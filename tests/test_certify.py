@@ -445,7 +445,7 @@ class TestOrbitCollapse:
     @staticmethod
     def lift(triple, endo, letters):
         sl2 = holonomy_from_triple(triple, endo, letters)
-        return HolonomySolution(triple, sl2, lorentz_holonomy(sl2))
+        return HolonomySolution(triple, sl2, lorentz_holonomy(sl2), endo)
 
     def test_every_image_of_every_character_rounds(self):
         # Every sign and conjugate image of a holonomy that the letter maps

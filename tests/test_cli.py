@@ -271,12 +271,12 @@ class TestExitCodes:
 
     def test_trivial_character_aborts_no_word(self, capsys):
         # Many starts of these words' trace systems fall into the trivial
-        # character (0, 0, 0), whose lift has no unique meridian
-        # intertwiner; a root kept there would abort the whole word.
+        # character (0, 0, 0), whose lift has no meridian intertwiner; a
+        # root kept there would abort the whole word.
         for word in ("LLLLRR", "LLRLLR", "LLRRRR", "LRLRLR", "LRRLRR", "LLLLRLR", "LLLRLRR",
                      "LLRLLRR", "LLRLRLR", "LLRLRRR", "LLRRLRR", "LRLRLRR", "LLRLRRLR"):
             assert run(["certify", "--", word]) in (0, 3, 4), word
-            assert "not unique across sign lifts" not in capsys.readouterr().err, word
+            assert "no meridian intertwiner" not in capsys.readouterr().err, word
 
     def test_all_inconclusive_exits_four(self, capsys):
         # a root tolerance below the double-precision storage noise makes

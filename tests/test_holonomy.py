@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import CORPUS
 
 from ptbundle import holonomy
 from ptbundle.holonomy import (
@@ -49,7 +50,7 @@ from ptbundle.numeric import (
     nullspace,
     word_product,
 )
-from ptbundle.presentation import monodromy_endo, parse_monodromy
+from ptbundle.presentation import LONGITUDE, monodromy_endo, parse_monodromy
 
 
 def lift_inputs(word):
@@ -804,7 +805,8 @@ class TestMeridian:
 
     @staticmethod
     def reference_systems(triple, endo, letters):
-        """The four sign patterns' intertwining systems, one np.kron pair per block."""
+        """The intertwining systems of the sign patterns (+, +), (+, -), (-, +)
+        and (-, -), one np.kron pair per block."""
         mats = holonomy._model_matrices(*holonomy._polish_triple(triple, letters))
         fiber = holonomy.sl2_images(mats)
         targets = [word_product(image, fiber) for image in (endo.image_a, endo.image_b)]
@@ -816,11 +818,11 @@ class TestMeridian:
     @pytest.mark.parametrize("word", ["LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR", "LRL",
                                       "LLLRRRR"])
     def test_intertwining_systems_pinned(self, word, monkeypatch):
-        # The lift hands nullspace, in one call, the stack of the systems the
-        # per-pattern np.kron construction gives, bit for bit and signed
+        # The lift hands nullspace, in one call, the (+, +) system the
+        # per-block np.kron construction gives, bit for bit and signed
         # zeros included, so every later step of the lift keeps its bits.
         # LRL's holonomy lies on 2C = AB; LLLRRRR is lifted at its exactly
-        # representable character (0, -1, i), whose systems hold exact zeros.
+        # representable character (0, -1, i), whose system holds exact zeros.
         endo, letters = lift_inputs(word)
         if word == "LLLRRRR":
             triple = TraceTriple(0j, -1 + 0j, 1j)
@@ -829,15 +831,70 @@ class TestMeridian:
         seen = []
         original = holonomy.nullspace
 
-        def record(stacked, **kwargs):
-            seen.append(stacked.copy())
-            return original(stacked, **kwargs)
+        def record(system, **kwargs):
+            seen.append(system.copy())
+            return original(system, **kwargs)
 
         monkeypatch.setattr(holonomy, "nullspace", record)
         holonomy_from_triple(triple, endo, letters)
-        want = np.stack(self.reference_systems(triple, endo, letters))
-        assert [(got.dtype, got.shape) for got in seen] == [(want.dtype, (4, 8, 4))]
+        want = self.reference_systems(triple, endo, letters)[0]
+        assert [(got.dtype, got.shape) for got in seen] == [(want.dtype, (8, 4))]
         assert value_bytes(seen[0]) == value_bytes(want)
+
+    @staticmethod
+    def fixed_images(letters, triple):
+        """The sign and conjugate images of triple that the letter maps fix."""
+        found = []
+        for signs in SIGN_CHANGES:
+            signed = np.array(signs) * np.array(triple)
+            for image in signed, signed.conj():
+                if np.max(np.abs(compose(letters, image) - image)) <= 1e-9:
+                    found.append(TraceTriple(*image))
+        return found
+
+    def test_only_the_plus_system_has_an_intertwiner(self):
+        # The letter maps fix the character, so rho o phi has rho's and the
+        # (+, +) system has a one-dimensional kernel; another sign pattern
+        # asks rho o phi for the character (eps A, delta B, eps delta C),
+        # which differs from (A, B, C) as C != 0, so its system has none.
+        cases = []
+        for word in CORPUS:
+            endo, letters = lift_inputs(word)
+            cases.append((word, endo, letters, solve_traces(letters)[0]))
+        for word in ("RRL", "LLRR", "L^4R^4"):
+            endo, letters = lift_inputs(word)
+            cases.extend((word, endo, letters, image)
+                         for image in self.fixed_images(letters, solve_traces(letters)[0].as_tuple()))
+        endo, letters = lift_inputs("LLLRRRR")
+        cases.extend(("LLLRRRR", endo, letters, image)
+                     for image in self.fixed_images(letters, (0j, -1 + 0j, 1j)))
+        assert len(cases) == len(CORPUS) + 4 + 8 + 8 + 4
+        for word, endo, letters, triple in cases:
+            dims = [nullspace(system).shape[1]
+                    for system in self.reference_systems(triple, endo, letters)]
+            assert dims == [1, 0, 0, 0], (word, triple)
+
+    @pytest.mark.parametrize("word", ["RRL", "LLRR", "-LLRR", "LLRLRRLR"])
+    def test_lift_keeps_the_images_of_phi(self, word, monkeypatch):
+        # The lift keeps phi(a) and phi(b), which it multiplied out for its
+        # system, with the bits word_product gives on fresh images, and the
+        # residuals build no product but the longitude's.
+        endo, letters = lift_inputs(word)
+        rep = holonomy_from_triple(solve_traces(letters)[0], endo, letters)
+        fresh = holonomy.sl2_images(np.array(list(rep.values())))
+        for image in (endo.image_a, endo.image_b):
+            kept = rep.kept(("word_product", image.letters), lambda: None)
+            assert kept is not None
+            assert value_bytes(kept) == value_bytes(word_product(image, fresh))
+        built = []
+        original = GeneratorImages.kept
+
+        def record(images, key, build):
+            return original(images, key, lambda: built.append(key) or build())
+
+        monkeypatch.setattr(GeneratorImages, "kept", record)
+        holonomy_residuals(rep, endo)
+        assert built == [("word_product", LONGITUDE.letters)]
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_central_meridian_follows_null_tol(self, sign):
@@ -1102,7 +1159,7 @@ class TestKroneckerReadouts:
     def test_kron2_of_stacks_is_kron_of_each_member(self):
         rng = np.random.default_rng(4)
         mats = (rng.standard_normal((3, 2, 2)) + 1j).astype(EXT_COMPLEX) / 3
-        signed = np.multiply.outer([1, -1], mats)  # (2, 3, 2, 2), as the lift's blocks
+        signed = np.multiply.outer([1, -1], mats)  # (2, 3, 2, 2): a stack of stacks
         eye = np.eye(2, dtype=EXT_COMPLEX)
         square = (rng.standard_normal((5, 4, 4)) - 1j).astype(EXT_COMPLEX) / 7
         cases = [(_kron2(eye, mats), [np.kron(eye, m) for m in mats]),

@@ -621,31 +621,6 @@ def test_nullspace_dims_and_quality():
     assert nullspace(np.eye(4)).shape == (4, 0)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble, np.clongdouble])
-@pytest.mark.parametrize("refine", [False, True])
-def test_stacked_nullspace_is_each_members_own(dtype, refine):
-    # one SVD of the stack gives each member the basis, and the bits, of its
-    # own call: full rank, rank deficient, all zero and exactly zero rows
-    rng = np.random.default_rng(4)
-    stack = extended_operand(rng, (5, 8, 4), dtype)
-    stack[1] = np.dot(extended_operand(rng, (8, 3), dtype), extended_operand(rng, (3, 4), dtype))
-    stack[2] = 0
-    stack[3, 4:] = 0
-    stack[4] = np.dot(extended_operand(rng, (8, 1), dtype), extended_operand(rng, (1, 4), dtype))
-    bases = nullspace(stack, refine=refine)
-    assert isinstance(bases, list) and [b.shape[1] for b in bases] == [0, 1, 4, 0, 3]
-    for member, basis in zip(stack, bases):
-        alone = nullspace(member, refine=refine)
-        assert (basis.dtype, basis.shape) == (alone.dtype, alone.shape)
-        assert _bits(basis) == _bits(alone)
-
-
-def test_stacked_nullspace_of_empty_members():
-    assert nullspace(np.zeros((0, 8, 4))) == []
-    bases = nullspace(np.zeros((2, 0, 3)))
-    assert len(bases) == 2 and all(np.array_equal(b, np.eye(3)) for b in bases)
-
-
 def kernel_problem(dtype):
     """A rank-4 7x9 matrix of dtype, kernel dimension 5, in full extended precision."""
     rng = np.random.default_rng(11)
