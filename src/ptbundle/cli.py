@@ -16,7 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .certify import (
     report_text,
     validated_reps,
 )
-from .holonomy import build_solution, holonomy_residuals
+from .holonomy import build_solution, holonomy_residuals, solve_holonomy
 from .numeric import LaurentPoly, Tolerances, char_poly, integer_round
 from .presentation import (
     load_presentation,
@@ -276,7 +276,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
     for name, helptext, tolerances, with_reps in (
         ("certify", "full pipeline and rigidity report", "root null", True),
         ("holonomy", "traces and 2x2 / 4x4 holonomy matrices", "null", False),
-        ("trace-solve", "the holonomy's traces and shapes only", "null", False),
+        ("trace-solve", "the holonomy's traces and shapes only", "", False),
         ("action", "monodromy action on cocycles and its characteristic "
          "polynomials", "root null", True),
     ):
@@ -349,9 +349,8 @@ def _format_matrix_text(mat: np.ndarray, indent: str = "    ") -> list[str]:
     return lines
 
 
-def _poly_text(poly: LaurentPoly, var: str, tol: float) -> str:
-    """Factored form when the coefficients round to integers, else a list."""
-    ints = integer_coeffs(poly, tol=tol)
+def _poly_text(poly: LaurentPoly, var: str, ints: Optional[list[int]]) -> str:
+    """Factored form of poly's integer coefficients ints, else poly's coefficient list."""
     if ints is not None:
         factored = factored_display(ints, var=var)
         if factored is not None:
@@ -362,10 +361,9 @@ def _poly_text(poly: LaurentPoly, var: str, tol: float) -> str:
     return f"coefficients (exponent {poly.min_exp} up): [{shown}]"
 
 
-def _certify_poly_display(tol: float) -> Callable[[CertificateEvidence], str]:
-    def show(ev: CertificateEvidence) -> str:
-        return _poly_text(ev.polynomial, "t", tol)
-    return show
+def _evidence_text(ev: CertificateEvidence) -> str:
+    """The evidence's polynomial, from the integer coefficients its JSON reports."""
+    return _poly_text(ev.polynomial, "t", ev.integer_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +377,7 @@ def _cmd_certify(config: CliConfig) -> tuple[int, str]:
     if config.fmt == "json":
         text = report_json(report)
     else:
-        text = report_text(
-            report, poly_display=_certify_poly_display(config.tolerances.root)
-        )
+        text = report_text(report, poly_display=_evidence_text)
     return (0 if report.verdict != INCONCLUSIVE else 4), text
 
 
@@ -390,24 +386,24 @@ def _header(spec) -> dict:
     return {"monodromy": spec.text(), "trace": monodromy_trace(spec)}
 
 
-def _solution_data(sol) -> dict:
+def _solution_data(triple) -> dict:
     """The fields every per-monodromy JSON solution starts with."""
-    return {"index": 0, "traces": [_pair(t) for t in sol.triple.as_tuple()],
-            "shape_margin": sol.triple.shape_margin}
+    return {"index": 0, "traces": [_pair(t) for t in triple.as_tuple()],
+            "shape_margin": triple.shape_margin}
 
 
-def _traces_line(sol) -> str:
-    a, b, c = sol.triple.as_tuple()
+def _traces_line(triple) -> str:
+    a, b, c = triple.as_tuple()
     return (f"solution 0: tr(a)={a:.12g}  tr(b)={b:.12g}  tr(ab)={c:.12g}"
-            f"  shape_margin={sol.triple.shape_margin:.6g}")
+            f"  shape_margin={triple.shape_margin:.6g}")
 
 
 def _cmd_trace_solve(config: CliConfig) -> tuple[int, str]:
     spec = parse_monodromy(config.monodromy)
-    sol = build_solution(spec, tolerances=config.tolerances)
+    triple = solve_holonomy(spec)
     if config.fmt == "json":
-        return 0, _dumps({**_header(spec), "solutions": [_solution_data(sol)]})
-    return 0, f"monodromy {spec.text()}   trace {monodromy_trace(spec)}\n{_traces_line(sol)}\n"
+        return 0, _dumps({**_header(spec), "solutions": [_solution_data(triple)]})
+    return 0, f"monodromy {spec.text()}   trace {monodromy_trace(spec)}\n{_traces_line(triple)}\n"
 
 
 def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
@@ -417,13 +413,13 @@ def _cmd_holonomy(config: CliConfig) -> tuple[int, str]:
         sol.sl2, sol.endo, null_tol=config.tolerances.null).items())}
     if config.fmt == "json":
         return 0, _dumps({**_header(spec), "solutions": [{
-            **_solution_data(sol),
+            **_solution_data(sol.triple),
             "residuals": res,
             "sl2": {name: _cmatrix(mat) for name, mat in zip("abx", sol.sl2.values())},
             "so31": {name: _rmatrix(mat) for name, mat in zip("abx", sol.lorentz.values())},
         }]})
     lines = [f"monodromy {spec.text()}   trace {monodromy_trace(spec)}", "",
-             _traces_line(sol), f"  worst residual: {max(res.values()):.3g}"]
+             _traces_line(sol.triple), f"  worst residual: {max(res.values()):.3g}"]
     for group, images in (("sl2", sol.sl2.values()), ("so31", sol.lorentz.values())):
         for name, mat in zip("abx", images):
             lines.append(f"  {group} {name}:")
@@ -455,7 +451,7 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
         per_rep[label] = action_evidence(label, fox_action(sol.endo, images), images, tols)
     if config.fmt == "json":
         return 0, _dumps({**_header(spec), "direction": "inverse", "solutions": [{
-            **_solution_data(sol),
+            **_solution_data(sol.triple),
             "representations": {
                 label: _action_data(action, evidence)
                 for label, (action, evidence) in per_rep.items()
@@ -473,7 +469,7 @@ def _cmd_action(config: CliConfig) -> tuple[int, str]:
             f"    relative characteristic polynomial "
             f"(multiplicity {evidence.multiplicity} at t=1):"
         )
-        lines.append("      " + _poly_text(evidence.polynomial, "t", tols.root))
+        lines.append("      " + _evidence_text(evidence))
     return 0, "\n".join(lines) + "\n"
 
 
@@ -513,17 +509,17 @@ def _cmd_alexander(config: CliConfig) -> tuple[int, str]:
         f"removed generator column {invariant.column} "
         f"({pres.generator_names[invariant.column]})",
     ]
+
+    def show(poly: LaurentPoly) -> str:
+        return _poly_text(poly, "x", integer_coeffs(poly, tol=config.tolerances.root))
+
     if invariant.quotient is not None:
         lines.append("invariant (normalized quotient, up to units):")
-        lines.append("  " + _poly_text(normalized, "x", config.tolerances.root))
+        lines.append("  " + show(normalized))
     else:
         lines.append("division is not exact; the invariant is the fraction")
-        lines.append("  numerator:   "
-                     + _poly_text(invariant.numerator, "x",
-                                  config.tolerances.root))
-        lines.append("  denominator: "
-                     + _poly_text(invariant.denominator, "x",
-                                  config.tolerances.root))
+        lines.append("  numerator:   " + show(invariant.numerator))
+        lines.append("  denominator: " + show(invariant.denominator))
     return 0, "\n".join(lines) + "\n"
 
 

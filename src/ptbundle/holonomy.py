@@ -1,10 +1,11 @@
 """Holonomy reconstruction for once-punctured torus bundles.
 
 Pipeline: the holonomy's character by multiple shooting of the letter
-maps, explicit 2x2 matrices for the fiber group, meridian recovery from
-the gluing relations, and the derived linear representations (Lorentz
-4x4, adjoint 15x15, restricted 9x9, Kronecker 16x16) that feed the
-twisted Alexander machinery.
+maps (``solve_holonomy``, the whole of ``trace-solve``), explicit 2x2
+matrices for the fiber group, meridian recovery from the gluing
+relations, and the derived linear representations (Lorentz 4x4, adjoint
+15x15, restricted 9x9, Kronecker 16x16) that feed the twisted Alexander
+machinery.
 
 Each twist acts on characters (A, B, C) = (tr a, tr b, tr ab) by a
 polynomial map, L by (C, B, BC - A) and R by (A, C, AC - B) (the
@@ -39,7 +40,8 @@ gives the fiber pair and both phi-images, whose character is the fiber
 pair's, so the gluing relations X rho(g) X^-1 = rho(phi(g)) make one
 intertwining system; one ``nullspace`` call decides that its kernel is
 one-dimensional, and inverse iteration gives the meridian.  The lifted
-images keep phi(a) and phi(b), for the relation residuals.
+images keep phi(a) and phi(b), for the relation residuals, and the fiber
+pair's adjugate inverses, formed once.
 
 Every layer of the tower is a Kronecker square followed by a constant
 read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
@@ -422,8 +424,10 @@ def holonomy_from_triple(
     mat_x = mat_x / np.sqrt(det)
     if abs(np.trace(-mat_x) + 2.0) < abs(np.trace(mat_x) + 2.0):
         mat_x = -mat_x
-    images = sl2_images(np.concatenate([mats, mat_x[None]]))
-    # the fiber pair's inverses have the same bits here, so the products too
+    # the fiber pair keeps its inverses and only X's adjugate is formed, so
+    # the products phi(a), phi(b) built on the fiber pair are the images'
+    images = GeneratorImages(np.concatenate([mats, mat_x[None]]),
+                             [*map(fiber.inverse, fiber), sl2_images(mat_x[None]).inverse(0)])
     for image, target in zip(phis, targets):
         keep_product(images, image, target)
     return images
@@ -700,20 +704,33 @@ class HolonomySolution:
         raise ValueError(f"unknown representation kind: {kind!r}")
 
 
-def build_solution(
-    spec: MonodromySpec, *, tolerances: Tolerances | None = None
-) -> HolonomySolution:
-    """The holonomy of a hyperbolic monodromy, lifted through the tower.
+def solve_holonomy(spec: MonodromySpec) -> TraceTriple:
+    """The holonomy's character of a hyperbolic monodromy, with its layers' shapes.
 
     Raises ValueError for a non-hyperbolic word, and ArithmeticError when
-    no flat start reaches the holonomy or its lift fails.
+    no flat start reaches the holonomy.
     """
     if not is_hyperbolic(spec):
         raise ValueError(
             f"monodromy {spec.text()!r} is not hyperbolic (|trace| <= 2)"
         )
+    (triple,) = solve_traces(spec.letters)
+    return triple
+
+
+def build_solution(
+    spec: MonodromySpec, *, tolerances: Tolerances | None = None
+) -> HolonomySolution:
+    """The holonomy of a hyperbolic monodromy, lifted through the tower.
+
+    The character comes from ``solve_holonomy``; the word's automorphism is
+    composed once, for the lift and for every later reader of ``endo``,
+    and the lift gives the SL2 and Lorentz images.  Raises ValueError for
+    a non-hyperbolic word, and ArithmeticError when no flat start reaches
+    the holonomy or its lift fails.
+    """
+    triple = solve_holonomy(spec)
     tols = tolerances or Tolerances()
     endo = monodromy_endo(spec)
-    (triple,) = solve_traces(spec.letters)
     sl2 = holonomy_from_triple(triple, endo, spec.letters, null_tol=tols.null)
     return HolonomySolution(triple, sl2, lorentz_holonomy(sl2), endo)

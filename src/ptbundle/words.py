@@ -344,14 +344,20 @@ def endo_from_lr(letters: str, negate: bool = False) -> EndoF2:
     With negate=True the elliptic involution is applied outermost, matching
     the convention that a leading '-' on the monodromy word multiplies the
     induced 2x2 matrix by -I.
+
+    It is ``compose`` down the word, by concatenation: endo after L_TWIST
+    maps a to endo(a) endo(b), and endo after R_TWIST maps b to
+    endo(b) endo(a).  Both images stay positive words, so nothing cancels,
+    and the involution inverts each letter in place.
     """
-    table = {"L": L_TWIST, "R": R_TWIST}
-    endo = IDENTITY_ENDO
+    image_a, image_b = ((0, 1),), ((1, 1),)
     for ch in letters:
-        try:
-            endo = compose(endo, table[ch])
-        except KeyError:
+        if ch == "L":
+            image_a = image_a + image_b
+        elif ch == "R":
+            image_b = image_b + image_a
+        else:
             raise ValueError("monodromy letters must be 'L' or 'R', got %r" % (ch,))
     if negate:
-        endo = compose(ELL_INVOLUTION, endo)
-    return endo
+        image_a, image_b = (tuple((g, -e) for g, e in image) for image in (image_a, image_b))
+    return EndoF2(Word(image_a, _reduced=True), Word(image_b, _reduced=True))

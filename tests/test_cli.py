@@ -167,6 +167,8 @@ class TestExitCodes:
         # certify and action interpolate no determinant, so neither reads it
         ["certify", "--tol-det", "1e-3", "RRL"],
         ["action", "--tol-det", "1e-3", "RRL"],
+        # the trace solve decides no rank
+        ["trace-solve", "--tol-null", "1e-9", "RRL"],
     ])
     def test_flag_the_subcommand_ignores_is_unknown(self, argv, capsys):
         assert run(argv) == 2
@@ -299,6 +301,21 @@ class TestSubcommands:
         assert "certificates: sl4-multiplicity-5, v-multiplicity-3, " \
             "gl16-multiplicity-4" in out
 
+    @pytest.mark.parametrize("word", ["LRLR", "LLRLLR", "LRLRLR", "LRRLRR"])
+    def test_certify_text_shows_the_integer_polynomials_of_its_json(self, word, capsys):
+        # split evidence holds the exact product of its integer factors; its
+        # float polynomial need not round at the root tolerance, so the text
+        # renders the integers the JSON reports, not a rounding of its own
+        assert run(["certify", "--format", "json", "--", word]) == 0
+        (sol,) = json.loads(capsys.readouterr().out)["solutions"]
+        assert run(["certify", "--", word]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for label, ev in sol["evidence"].items():
+            ints = ev["integer_polynomial"]
+            assert ints is not None, (word, label)
+            (at,) = [k for k, line in enumerate(lines) if line.startswith(f"  {label} (")]
+            assert lines[at + 1] == "    " + factored_display(ints), (word, label)
+
     def test_certify_json(self, capsys):
         assert run(["certify", "RRL", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -314,6 +331,32 @@ class TestSubcommands:
         assert data["solutions"][0]["shape_margin"] == pytest.approx(0.5)
         for sol in data["solutions"]:
             assert len(sol["traces"]) == 3
+
+    def test_trace_solve_composes_no_automorphism_and_lifts_nothing(self, monkeypatch, capsys):
+        # trace-solve prints the character and its shapes, which the trace
+        # solve alone gives: with the automorphism and the lift refused it
+        # prints the same bytes
+        def outputs():
+            return {(word, fmt): (run(["trace-solve", "--format", fmt, "--", word]),
+                                  capsys.readouterr())
+                    for word in ("LLRR", "-RRL") for fmt in ("text", "json")}
+
+        def refuse(*args, **kwargs):
+            raise ArithmeticError("trace-solve reached the lift")
+
+        free = outputs()
+        for name in ("monodromy_endo", "holonomy_from_triple", "lorentz_holonomy"):
+            monkeypatch.setattr(holonomy, name, refuse)
+        assert outputs() == free
+        assert {code for code, _ in free.values()} == {0}
+        assert free["LLRR", "text"][1].out == (
+            "monodromy LLRR   trace 6\n"
+            "solution 0: tr(a)=1.55377397403+0.643594252906j  tr(b)=1.55377397403-0.643594252906j"
+            "  tr(ab)=1.41421356237+1.41421356237j  shape_margin=0.5\n")
+        assert free["-RRL", "text"][1].out == (
+            "monodromy -RRL   trace -4\n"
+            "solution 0: tr(a)=1.63224188231+0.405232726187j  tr(b)=1.5-1.32287565553j"
+            "  tr(ab)=1.35219344945-1.95663668696j  shape_margin=1.32288\n")
 
     def test_holonomy_shapes(self, capsys):
         assert run(["holonomy", "RRL", "--format", "json"]) == 0

@@ -215,6 +215,27 @@ def test_endo_from_lr_matches_manual_composition():
     assert rrl.image_b == w2("ba^2")
 
 
+def test_endo_from_lr_equals_the_compose_chain_on_random_words():
+    # the images built by concatenation are the reduced words compose
+    # gives, letter by letter, with the involution outermost when negated
+    rng = random.Random(11)
+    table = {"L": L_TWIST, "R": R_TWIST}
+    for _ in range(40):
+        letters = "".join(rng.choice("LR") for _ in range(rng.randrange(1, 13)))
+        chain = IDENTITY_ENDO
+        for ch in letters:
+            chain = compose(chain, table[ch])
+        for negate, want in ((False, chain), (True, compose(ELL_INVOLUTION, chain))):
+            got = endo_from_lr(letters, negate=negate)
+            assert (got.image_a, got.image_b) == (want.image_a, want.image_b), (letters, negate)
+            assert all(Word(image.letters) == image for image in (got.image_a, got.image_b))
+
+
+def test_endo_from_lr_rejects_other_letters():
+    with pytest.raises(ValueError, match="'X'"):
+        endo_from_lr("LXR")
+
+
 def test_negate_endo():
     phi = endo_from_lr("RRL", negate=True)
     plain = endo_from_lr("RRL")
