@@ -242,25 +242,29 @@ _TOLERANCE_HELP = {
 
 
 def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The command-line parser, with the arguments of the subcommands argv names.
+    """The command-line parser, with parsers for the subcommands argv names.
 
-    Every subcommand is registered, so the top-level help and the
-    "invalid choice" and "unrecognized arguments" errors stay whole; only
-    the subcommands whose names appear among the tokens of argv get their
-    arguments and -h, as argparse dispatches on an exact token; without
-    argv every subcommand gets them.
+    Every subcommand is registered with its help line, so the top-level
+    help and the "invalid choice" and "unrecognized arguments" errors stay
+    whole; argparse dispatches on an exact token, so only the subcommands
+    whose names are tokens of argv get a parser, and the others a None
+    that nothing reads.  Without argv every subcommand gets its parser.
     """
-    named = None if argv is None else set(argv)
     parser = argparse.ArgumentParser(
         prog="ptbundle",
         description="Holonomy, twisted Alexander polynomials, and rigidity "
         "certificates for hyperbolic once-punctured torus bundles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+
+    def subparser(named: bool, **kwargs) -> Optional[argparse.ArgumentParser]:
+        return argparse.ArgumentParser(**kwargs) if named else None
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    tokens = None if argv is None else set(argv)
 
     def command(name: str, helptext: str, tolerances: str):
-        p = sub.add_parser(name, help=helptext, add_help=named is None or name in named)
-        if not p.add_help:
+        p = sub.add_parser(name, help=helptext, named=tokens is None or name in tokens)
+        if p is None:
             return None
         # only the flags the handler reads; the rest keep their defaults
         p.set_defaults(tol_det=Tolerances().det, tol_root=Tolerances().root,

@@ -47,7 +47,7 @@ Every layer of the tower is a Kronecker square followed by a constant
 read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
 0, 1, 2) given its inverses.  The Lorentz image of M is M (x) conj(M) on
 the Hermitian basis, read in Minkowski coordinates; ``sl4`` is
-g (x) g^-T on the traceless basis ``SL4_VECS``, read by ``SL4_COORDS``;
+g (x) g^-T on the standard traceless basis, read off by indexing;
 ``v`` restricts it to the Killing complement, a constant built from an
 explicit basis; ``gl16`` is g (x) g.  No layer inverts by elimination: a
 2x2 inverse is the adjugate over the determinant, and every other layer
@@ -79,6 +79,7 @@ from .numeric import (
     keep_product,
     linear_solve,
     matrix_det,
+    nullity,
     nullspace,
     word_product,
 )
@@ -517,21 +518,19 @@ def lorentz_holonomy(sl2: GeneratorImages) -> GeneratorImages:
 
 
 # The standard basis of traceless 4x4 matrices: the 12 off-diagonal units
-# E_ij, then E_kk - E_k+1,k+1.  SL4_COORDS reads coordinates off a vec:
-# the off-diagonal entries, then the partial sums d0, d0+d1, d0+d1+d2 of
-# the diagonal.
+# E_ij, then E_kk - E_k+1,k+1.  On vecs (index 4i + j) the basis matrices
+# are e_ij, then e0 - e5, e5 - e10, e10 - e15, and the coordinates of a
+# traceless vec are its off-diagonal entries, then the running sums d0,
+# d0 + d1, d0 + d1 + d2 of its diagonal.  Both are read by indexing, with
+# the bits of the products with the dense 0/+-1 matrices
+# (``tests/helpers.py``): the same sums in the same order, which differ
+# from those products only in the sign of a zero, and the coordinates
+# + 0.0, so that a -0.0 reads +0.0 as a sum that starts at +0.0 does.
 _OFF_DIAGONAL = [4 * i + j for i in range(4) for j in range(4) if i != j]
-SL4_VECS = np.zeros((16, 15))
-SL4_VECS[_OFF_DIAGONAL + [0, 5, 10], range(15)] = 1.0
-SL4_VECS[[5, 10, 15], range(12, 15)] = -1.0
-SL4_BASIS = SL4_VECS.T.reshape(15, 4, 4)
-SL4_COORDS = np.zeros((15, 16))
-SL4_COORDS[range(12), _OFF_DIAGONAL] = 1.0
-SL4_COORDS[12:, [0, 5, 10]] = np.tril(np.ones((3, 3)))
 
 
 def sl4_coordinates(mat: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
-    """Coordinates in ``SL4_BASIS`` of a traceless 4x4 matrix or a stack of them.
+    """Coordinates in the standard traceless basis of a traceless 4x4 matrix or a stack.
 
     Each matrix must be traceless relative to its own largest entry; a
     stack (k, 4, 4) gives coordinates (k, 15).
@@ -539,16 +538,21 @@ def sl4_coordinates(mat: np.ndarray, *, tol: float = 1e-8) -> np.ndarray:
     scale = np.maximum(1.0, np.max(np.abs(mat), axis=(-2, -1)))
     if np.any(np.abs(np.trace(mat, axis1=-2, axis2=-1)) > tol * scale):
         raise ValueError("matrix is not traceless")
-    return np.dot(mat.reshape(*mat.shape[:-2], 16), SL4_COORDS.T)
+    vec = mat.reshape(*mat.shape[:-2], 16)
+    return np.concatenate([vec[..., _OFF_DIAGONAL],
+                           np.cumsum(vec[..., [0, 5, 10]], axis=-1)], axis=-1) + 0.0
 
 
 def _conjugation(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """X -> left X right on traceless 4x4 matrices, read in ``SL4_BASIS``.
+    """X -> left X right on traceless 4x4 matrices, read in the standard traceless basis.
 
     It is left (x) right^T on vec(X), or on stacks paired member by member;
     every image of a basis matrix must be traceless.
     """
-    conjugated = np.swapaxes(np.dot(_kron2(left, np.swapaxes(right, -1, -2)), SL4_VECS), -1, -2)
+    kron = _kron2(left, np.swapaxes(right, -1, -2))
+    conjugated = np.concatenate([kron[..., _OFF_DIAGONAL],
+                                 kron[..., [0, 5, 10]] - kron[..., [5, 10, 15]]], axis=-1)
+    conjugated = np.swapaxes(conjugated, -1, -2)
     return np.swapaxes(sl4_coordinates(conjugated.reshape(conjugated.shape[:-1] + (4, 4))), -1, -2)
 
 
@@ -596,7 +600,7 @@ def killing_split() -> KillingSplit:
     spatial, boosts = ((0, 1), (0, 2), (1, 2)), ((0, 3), (1, 3), (2, 3))
     skew = [column(i, j, -1) for i, j in spatial] + [column(i, j, 1) for i, j in boosts]
     complement = [column(i, j, 1) for i, j in spatial] + [column(i, j, -1) for i, j in boosts]
-    complement += list(np.eye(len(SL4_BASIS), dtype=np.longdouble)[-3:])
+    complement += list(np.eye(15, dtype=np.longdouble)[-3:])
     return KillingSplit(skew=np.array(skew).T, complement=np.array(complement).T)
 
 
@@ -643,14 +647,11 @@ def longitude_centralizer_dims(
     fourteen orders of magnitude around the cutoff, so the default
     tolerance is not fragile.
     """
-    tau = np.asarray(word_product(LONGITUDE, adjoint), dtype=complex)
-    total = nullspace(tau - np.eye(tau.shape[0]), tol=null_tol).shape[1]
-    dims = [total]
+    tau = word_product(LONGITUDE, adjoint)
+    dims = [nullity(tau - np.eye(len(tau)), null_tol)]
     for block in (KILLING_SPLIT.skew, KILLING_SPLIT.complement):
-        compressed = np.dot(np.dot(block.conj().T, tau), block)
-        dims.append(
-            nullspace(compressed - np.eye(block.shape[1]), tol=null_tol).shape[1]
-        )
+        compressed = np.dot(np.dot(block.T, tau), block)
+        dims.append(nullity(compressed - np.eye(block.shape[1]), null_tol))
     return (dims[0], dims[1], dims[2])
 
 
@@ -663,13 +664,8 @@ def fixed_vectors_dim(
     the module the images act on; zero for the modules derived from an
     irreducible holonomy.
     """
-    dim = images[0].shape[1]
-    eye = np.eye(dim)
-    stacked = np.vstack([
-        np.asarray(images[0], dtype=complex) - eye,
-        np.asarray(images[1], dtype=complex) - eye,
-    ])
-    return nullspace(stacked, tol=null_tol).shape[1]
+    eye = np.eye(images[0].shape[1])
+    return nullity(np.vstack([images[0] - eye, images[1] - eye]), null_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ the DFT run in 80-bit extended precision when the platform provides it
 (x86 long double), which keeps their rounding error far below the error
 inherited from the input matrices.  All public tolerances are relative:
 to the largest sample magnitude for interpolation, to the current max
-coefficient for deflation, to the largest singular value for nullspaces.
+coefficient for deflation, to the largest singular value for nullspaces
+and nullities.
 
 numpy has no BLAS for long double, and its ``@`` runs a generic loop there
 that takes about twice as long as ``np.dot``, which forms the same sums in
@@ -592,29 +593,50 @@ def root_multiplicity(p: LaurentPoly, z0: complex, tol: float = 1e-6) -> tuple[i
     return count, LaurentPoly.from_coeffs(coeffs, 0)
 
 
-def nullspace(m: np.ndarray, tol: float = 1e-9, *, refine: bool = False) -> np.ndarray:
-    """Orthonormal kernel basis (columns); tol is relative to sigma_max.
+def _ranked_svd(m: np.ndarray, tol: float, *, compute_uv: bool):
+    """m's rank by the package's one rule, s > tol * s[0], and its SVD in double.
 
     Extended-precision inputs are cast down to double first (LAPACK has no
-    longdouble kernels); callers keep precision by multiplying the basis
-    back into their own extended matrices, or ask for ``refine``: in m's
-    own precision, one Newton step N - m^+ (m N) makes m annihilate the
-    basis and one step N (3 - N^H N) / 2 makes it orthonormal again.
+    longdouble kernels); real stays real.  The SVD is (u, s, vh), or s
+    alone without ``compute_uv``, and None for an empty m, of rank 0.
     This is the package's only SVD, so its only rank rule;
     ``tests/test_imports.py`` fails on an svd anywhere else.
     """
-    given = double = np.atleast_2d(np.asarray(m))
-    if given.dtype == np.clongdouble:
-        double = given.astype(np.complex128)
-    elif given.dtype == np.longdouble:
-        double = given.astype(np.float64)
-    n = given.shape[1]
+    double = np.atleast_2d(np.asarray(m))
+    if double.dtype == np.clongdouble:
+        double = double.astype(np.complex128)
+    elif double.dtype == np.longdouble:
+        double = double.astype(np.float64)
     if double.size == 0:
+        return 0, None
+    svd = np.linalg.svd(double, full_matrices=True, compute_uv=compute_uv)
+    s = svd[1] if compute_uv else svd
+    return int(np.sum(s > tol * s[0])), svd
+
+
+def nullity(m: np.ndarray, tol: float = 1e-9) -> int:
+    """Kernel dimension of m, ``nullspace(m, tol).shape[1]``, from singular values alone."""
+    return np.atleast_2d(np.asarray(m)).shape[1] - _ranked_svd(m, tol, compute_uv=False)[0]
+
+
+def nullspace(m: np.ndarray, tol: float = 1e-9, *, refine: bool = False) -> np.ndarray:
+    """Orthonormal kernel basis (columns); tol is relative to sigma_max.
+
+    The rank comes from ``_ranked_svd``, in double; callers keep precision
+    by multiplying the basis back into their own extended matrices, or ask
+    for ``refine``: in m's own precision, one Newton step N - m^+ (m N)
+    makes m annihilate the basis and one step N (3 - N^H N) / 2 makes it
+    orthonormal again.  A caller that reads only the kernel's dimension
+    calls ``nullity``.
+    """
+    given = np.atleast_2d(np.asarray(m))
+    n = given.shape[1]
+    rank, factors = _ranked_svd(given, tol, compute_uv=True)
+    if factors is None:
         return np.eye(n)
-    u, s, vh = np.linalg.svd(double, full_matrices=True)
+    u, s, vh = factors
     if s[0] == 0.0:
         return np.eye(n, dtype=vh.dtype)
-    rank = int(np.sum(s > tol * s[0]))
     basis = vh[rank:].conj().T
     if refine:
         step = np.dot(u[:, :rank].conj().T, np.dot(given, basis)) / s[:rank, None]

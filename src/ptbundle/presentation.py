@@ -55,7 +55,11 @@ class MonodromySpec:
 
 
 def parse_monodromy(text: str) -> MonodromySpec:
-    """Parse monodromy syntax: 'LLRR', 'L^2R^2', '-RRL'."""
+    """Parse monodromy syntax: 'LLRR', 'L^2R^2', '-RRL'.
+
+    A power is ASCII digits; one whose word cannot be spelled out is a
+    ValueError that names the word, like every other input error.
+    """
     s = text.strip()
     negate = False
     if s.startswith("-"):
@@ -71,18 +75,21 @@ def parse_monodromy(text: str) -> MonodromySpec:
         if ch not in "LR":
             raise ValueError("bad monodromy token %r in %r" % (ch, text))
         i += 1
-        power = 1
+        power = "1"
         if i < len(s) and s[i] == "^":
             i += 1
             j = i
-            while j < len(s) and s[j].isdigit():
+            while j < len(s) and s[j] in "0123456789":
                 j += 1
             if j == i:
                 raise ValueError("malformed power in monodromy %r" % (text,))
-            power = int(s[i:j])
+            power = s[i:j]
             i = j
-        letters.append(ch * power)
-    word = "".join(letters)
+        letters.append((ch, power))
+    try:
+        word = "".join(ch * int(power) for ch, power in letters)
+    except (ValueError, OverflowError, MemoryError):
+        raise ValueError("monodromy %r is too long to spell out" % (text,)) from None
     if not word:
         raise ValueError("monodromy %r contains no twists" % (text,))
     return MonodromySpec(word, negate)

@@ -1,11 +1,15 @@
-"""Polynomial comparisons and word lists that only the tests use.
+"""Polynomial comparisons, word lists and dense constants that only the tests use.
 
 The package compares polynomials by ``numeric.laurent_distance`` after
 ``numeric.normalize_unit``; the tests also compare up to an arbitrary
-unit c x^k and cross-multiply fractions.
+unit c x^k and cross-multiply fractions.  The package reads the standard
+traceless basis of 4x4 matrices by indexing; the tests hold it as the
+dense 0/+-1 matrices that indexing must match bit for bit.
 """
 
 import itertools
+
+import numpy as np
 
 from ptbundle.numeric import LaurentPoly, laurent_distance
 from ptbundle.presentation import is_hyperbolic, parse_monodromy
@@ -51,3 +55,17 @@ def necklace_words(length: int) -> list[str]:
 # rotation, then six named words, two of them negated.
 CORPUS = [w for n in range(2, 8) for w in necklace_words(n)] + [
     "L^4R^4", "LLRLRRLR", "L^8R", "L^12R", "-LLRR", "-RRL"]
+
+
+# The standard basis of traceless 4x4 matrices as vecs (columns): the 12
+# off-diagonal units E_ij, then E_kk - E_k+1,k+1; SL4_COORDS reads
+# coordinates off a vec: the off-diagonal entries, then the partial sums
+# d0, d0+d1, d0+d1+d2 of the diagonal.
+_OFF_DIAGONAL = [4 * i + j for i in range(4) for j in range(4) if i != j]
+SL4_VECS = np.zeros((16, 15))
+SL4_VECS[_OFF_DIAGONAL + [0, 5, 10], range(15)] = 1.0
+SL4_VECS[[5, 10, 15], range(12, 15)] = -1.0
+SL4_BASIS = SL4_VECS.T.reshape(15, 4, 4)
+SL4_COORDS = np.zeros((15, 16))
+SL4_COORDS[range(12), _OFF_DIAGONAL] = 1.0
+SL4_COORDS[12:, [0, 5, 10]] = np.tril(np.ones((3, 3)))

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and the factored display."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -126,6 +127,19 @@ class TestExitCodes:
         assert run(["certify", "LRQ"]) == 2
         assert "'Q'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", [
+        "L^99999999999999999999R",  # beyond an index-sized integer
+        "L^1000000000000000R",  # beyond any address space
+        "L^²R",
+        "L^٣R",  # not read as L^3R
+    ])
+    def test_power_that_is_not_ascii_or_cannot_be_spelled_out_is_input_error(self, word,
+                                                                             capsys):
+        assert run(["certify", "--", word]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and repr(word) in err and "Traceback" not in err
+
     def test_non_hyperbolic_is_input_error(self, capsys):
         assert run(["trace-solve", "L"]) == 2
         assert "hyperbolic" in capsys.readouterr().err
@@ -221,15 +235,31 @@ class TestExitCodes:
     def test_parser_without_argv_builds_every_subcommand(self):
         def actions(parser):
             (sub,) = [a for a in parser._actions if a.dest == "command"]
-            return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+            return {name: p and [a.dest for a in p._actions] for name, p in sub.choices.items()}
 
         full = actions(ptbundle.cli.build_parser())
         assert all(len(dests) > 1 for dests in full.values())
         # the subcommands argv does not name are never dispatched to, so
-        # they get no actions at all, not even -h
+        # they get a None in place of a parser
         named = actions(ptbundle.cli.build_parser(["action", "LR"]))
-        assert named == {name: dests if name == "action" else []
+        assert named == {name: dests if name == "action" else None
                          for name, dests in full.items()}
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["-h"],
+        ["certify", "--", "LR"],
+        ["frobnicate", "certify", "-h"],
+        ["action", "-h", "certify"],
+        ["--format", "holonomy", "alexander", "x.json"],
+        ["certify=x", "trace-solve-", "LR"],
+    ])
+    def test_parser_is_built_exactly_for_the_subcommands_among_argv_tokens(self, argv):
+        (sub,) = [a for a in ptbundle.cli.build_parser(argv)._actions if a.dest == "command"]
+        assert list(sub.choices) == ["certify", "holonomy", "trace-solve", "action", "alexander"]
+        built = {name for name, p in sub.choices.items() if p is not None}
+        assert built == set(argv) & set(sub.choices)
+        assert all(isinstance(sub.choices[name], argparse.ArgumentParser) for name in built)
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -8,16 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import CORPUS
+from helpers import CORPUS, SL4_BASIS, SL4_COORDS, SL4_VECS
 
 from ptbundle import holonomy
 from ptbundle.holonomy import (
     FLAT_STARTS,
     KILLING_SPLIT,
     LORENTZ_FORM,
-    SL4_BASIS,
-    SL4_COORDS,
-    SL4_VECS,
     TraceTriple,
     _FIXED_ROWS,
     _PICKS,
@@ -1049,6 +1046,91 @@ class TestSl4Basis:
         assert sl4_coordinates(big)[12] == 1e9
         with pytest.raises(ValueError, match="not traceless"):
             sl4_coordinates(np.array([big, small]))
+
+
+def assert_same_bits(got, want):
+    """Equal values and zero signs, real and imaginary parts alike.
+
+    tobytes() is no comparison here: x86 long double carries padding bytes
+    whose contents are arbitrary.
+    """
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in (np.real(got), np.real(want)), (np.imag(got), np.imag(want)):
+        assert np.array_equal(*part)
+        assert np.array_equal(*map(np.signbit, part))
+
+
+def signed_zeros(rng, mat, share=0.3):
+    """mat with a random share of its entries set to +0 or -0."""
+    out = mat.copy()
+    mask = rng.random(mat.shape) < share
+    out[mask] = np.where(rng.random(mat.shape) < 0.5, 0.0, -0.0)[mask]
+    return out
+
+
+def conjugation_pair(rng, dtype):
+    """A (6, 4, 4) stack of left factors and of their inverses, as right factors.
+
+    Each left factor is P B Q for permutations P, Q and a block-diagonal B
+    of two 2x2 blocks; its inverse is Q^T B^-1 P^T, with the adjugate
+    inverses of the blocks.  Both carry +0 and -0 entries, and every
+    conjugate of a traceless matrix is traceless up to rounding.
+    """
+    lefts, rights = [], []
+    for _ in range(6):
+        block, inverse = [signed_zeros(rng, np.zeros((4, 4), dtype=dtype), 1.0)
+                          for _ in range(2)]
+        for k in (0, 2):
+            pair = rng.standard_normal((2, 2)).astype(dtype)
+            if np.issubdtype(dtype, np.complexfloating):
+                pair = pair + 1j * rng.standard_normal((2, 2)).astype(dtype)
+            pair[rng.integers(2), rng.integers(2)] = rng.choice([0.0, -0.0])  # det stays nonzero
+            (a, b), (c, d) = pair
+            block[k:k + 2, k:k + 2] = pair
+            inverse[k:k + 2, k:k + 2] = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+        p, q = rng.permutation(4), rng.permutation(4)
+        lefts.append(block[p][:, q])
+        rights.append(inverse[q][:, p])
+    return np.array(lefts), np.array(rights)
+
+
+class TestIndexReadouts:
+    """The sl4 read-outs index where the dense 0/+-1 products sum: same bits."""
+
+    @staticmethod
+    def dense_coordinates(vecs):
+        return np.dot(vecs, SL4_COORDS.T)
+
+    def dense_conjugation(self, left, right):
+        kron = holonomy._kron2(left, np.swapaxes(right, -1, -2))
+        conjugated = np.swapaxes(np.dot(kron, SL4_VECS), -1, -2)
+        return np.swapaxes(self.dense_coordinates(conjugated), -1, -2)
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_coordinates_match_the_dense_readout(self, dtype, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((6, 4, 4)).astype(dtype)
+        if np.issubdtype(dtype, np.complexfloating):
+            mat = mat + 1j * rng.standard_normal((6, 4, 4)).astype(dtype)
+        mat = signed_zeros(rng, mat)
+        mat[:, 3, 3] = -(mat[:, 0, 0] + mat[:, 1, 1] + mat[:, 2, 2])
+        assert np.any(np.signbit(mat.real) & (mat == 0))
+        assert_same_bits(sl4_coordinates(mat), self.dense_coordinates(mat.reshape(6, 16)))
+        mat[seed % 6, 3, 3] += 1.0
+        with pytest.raises(ValueError, match="matrix is not traceless"):
+            sl4_coordinates(mat)
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_conjugation_matches_the_dense_readout(self, dtype, seed):
+        rng = np.random.default_rng(100 + seed)
+        left, right = conjugation_pair(rng, dtype)
+        kron = holonomy._kron2(left, np.swapaxes(right, -1, -2))
+        assert np.any(np.signbit(kron.real) & (kron == 0))  # the read-outs see -0
+        assert_same_bits(holonomy._conjugation(left, right), self.dense_conjugation(left, right))
+        with pytest.raises(ValueError, match="matrix is not traceless"):
+            holonomy._conjugation(left, np.roll(left, 1, axis=0))
 
 
 @pytest.fixture(scope="module")

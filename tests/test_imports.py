@@ -3,7 +3,7 @@ every module-level helper is used somewhere in the package, the package
 imports nothing beyond the standard library and its declared dependency, and
 the modules that multiply extended-precision matrices keep off numpy's
 generic-loop products and swap rows and columns by slices, and every rank
-decision goes through ``numeric.nullspace``."""
+decision goes through ``numeric._ranked_svd``."""
 
 import ast
 import sys
@@ -191,19 +191,19 @@ def test_extended_modules_swap_by_slices(name):
     assert fancy_swaps((PACKAGE / name).read_text()) == []
 
 
-# One rank rule decides every kernel: ``numeric.nullspace`` is the only
-# caller of np.linalg.svd.
+# One rank rule decides every kernel: ``numeric._ranked_svd``, which
+# ``nullspace`` and ``nullity`` call, is the only caller of np.linalg.svd.
 
 
 def svd_calls(sources: dict[str, str]) -> list[str]:
     """``module:line`` for each ``svd`` attribute or import outside
-    ``numeric.nullspace``."""
+    ``numeric._ranked_svd``."""
     found = []
     for module, source in sources.items():
         tree = ast.parse(source)
         allowed = {id(node) for func in ast.walk(tree)
                    if module == "numeric" and isinstance(func, ast.FunctionDef)
-                   and func.name == "nullspace" for node in ast.walk(func)}
+                   and func.name == "_ranked_svd" for node in ast.walk(func)}
         found += [f"{module}:{node.lineno}" for node in ast.walk(tree) if id(node) not in allowed
                   and "svd" in referenced_names(node)]
     return sorted(found)
@@ -211,13 +211,13 @@ def svd_calls(sources: dict[str, str]) -> list[str]:
 
 def test_guard_finds_svd_calls():
     sources = {
-        "numeric": "import numpy as np\ndef nullspace(m):\n    return np.linalg.svd(m)\n"
+        "numeric": "import numpy as np\ndef _ranked_svd(m):\n    return np.linalg.svd(m)\n"
                    "def rank(m):\n    return len(np.linalg.svd(m)[1])\n",
         "holonomy": "from numpy.linalg import svd\nu, s, vh = np.linalg.svd(m)\n",
     }
     assert svd_calls(sources) == ["holonomy:1", "holonomy:2", "numeric:5"]
 
 
-def test_svd_only_in_nullspace():
+def test_svd_only_in_ranked_svd():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert svd_calls(sources) == []

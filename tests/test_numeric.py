@@ -20,6 +20,7 @@ from ptbundle.numeric import (
     linear_solve,
     matrix_det,
     normalize_unit,
+    nullity,
     nullspace,
     poly_quotient,
     quotient_interpolate,
@@ -302,8 +303,8 @@ def test_dot_forms_the_bits_of_matmul(dtype, rows, inner, cols):
 @pytest.mark.parametrize("rows, inner, cols", TOWER_SHAPES[:6])
 def test_dot_forms_the_bits_of_matmul_on_mixed_operands(left_dtype, right_dtype,
                                                         rows, inner, cols):
-    # extended matrices against the double constants (SL4_COORDS.T,
-    # LORENTZ_FORM, _HERMITIAN_VECS) and double kernel bases
+    # extended matrices against the double constants (LORENTZ_FORM,
+    # _HERMITIAN_VECS) and double kernel bases
     rng = np.random.default_rng(rows + inner + cols)
     left = extended_operand(rng, (rows, inner), left_dtype)
     right = extended_operand(rng, (cols, inner), right_dtype).T
@@ -650,6 +651,21 @@ def test_refinement_makes_the_basis_orthonormal_in_extended(dtype):
     basis = nullspace(kernel_problem(dtype), refine=True)
     gram = np.dot(basis.conj().T, basis)
     assert float(np.max(np.abs(gram - np.eye(5)))) < 1e-18
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble, np.clongdouble])
+def test_nullity_is_the_dimension_of_the_nullspace(dtype):
+    # the same cast and rank rule, from the singular values alone
+    rng = np.random.default_rng(17)
+    deficient = np.dot(extended_operand(rng, (7, 4), dtype), extended_operand(rng, (4, 9), dtype))
+    cases = [deficient, deficient.T, extended_operand(rng, (5, 5), dtype),
+             np.eye(4, dtype=dtype), np.zeros((2, 3), dtype=dtype),
+             np.zeros((0, 3), dtype=dtype), np.zeros((3, 0), dtype=dtype),
+             np.array([1, 1, 0], dtype=dtype)]
+    for m in cases:
+        for tol in (1e-9, 0.5):
+            assert nullity(m, tol) == nullspace(m, tol).shape[1]
+    assert [nullity(m) for m in cases] == [5, 3, 0, 0, 3, 3, 0, 2]
 
 
 def test_compress_of_an_invariant_subspace():

@@ -28,7 +28,7 @@ def test_parse_monodromy_forms():
 
 
 def test_parse_monodromy_rejects():
-    for bad in ["", "-", "LQ", "L^", "L^x", "xyz"]:
+    for bad in ["", "-", "LQ", "L^", "L^x", "xyz", "L^²R", "L^٣R", "L^1000000000000000R"]:
         with pytest.raises(ValueError):
             parse_monodromy(bad)
 
