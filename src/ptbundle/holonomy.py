@@ -35,13 +35,16 @@ polishing step of the lift below and for ``tangent_map``, the Jacobian J
 at the lifted character: the monodromy's action on the tangent space of
 the character variety, from which ``certify`` derives sl4 and gl16.
 
-The solution is lifted once, in extended precision: the polished triple
-gives the fiber pair and both phi-images, whose character is the fiber
-pair's, so the gluing relations X rho(g) X^-1 = rho(phi(g)) make one
-intertwining system; one ``nullspace`` call decides that its kernel is
-one-dimensional, and inverse iteration gives the meridian.  The lifted
-images keep phi(a) and phi(b), for the relation residuals, and the fiber
-pair's adjugate inverses, formed once.
+The solution is lifted once, in extended precision: the triple is
+polished until a Gauss-Newton step is at long double rounding, two steps
+from a double-precision root, and gives the fiber pair and both
+phi-images, whose character is the fiber pair's, so the gluing relations
+X rho(g) X^-1 = rho(phi(g)) make one intertwining system; one
+``nullspace`` call decides that its kernel is one-dimensional, and one
+round of inverse iteration gives the meridian: three ``linear_solve``
+calls in all from a double-precision root.  The lifted images keep
+phi(a) and phi(b), for the relation residuals, and the fiber pair's
+adjugate inverses, formed once.
 
 Every layer of the tower is a Kronecker square followed by a constant
 read-out, and every layer is a ``GeneratorImages`` of a, b, x (indices
@@ -331,24 +334,37 @@ def _composed(letters: str, chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(image), np.array(rows)
 
 
+# Gauss-Newton steps the polish may take; from a double-precision root the
+# second step is already at long double rounding.
+POLISH_STEPS = 4
+
+
 def _polish_triple(triple: TraceTriple, letters: str) -> np.ndarray:
-    """Four extended-precision Gauss-Newton steps on (F_A, F_B, F_C, markov).
+    """Extended-precision Gauss-Newton on (F_A, F_B, F_C, markov), to its limiting accuracy.
 
     F is the composed letter maps minus the identity, and its Jacobian
     comes from the letters' by the chain rule; the normal equations go
     through ``linear_solve``.  A holonomy on the curve 2C = AB, where the
     square system (F_A, F_B, markov) is singular (the rotation LRL), is
-    regular here.
+    regular here.  The polish stops after the first step no larger than
+    16 eps max(1, max|chi|), eps the long double epsilon: later steps only
+    move the rounding (Tisseur, SIAM J. Matrix Anal. Appl. 2001).  From a
+    double-precision root that is the second step, or the first when the
+    root is exact; it takes at most ``POLISH_STEPS``.
     """
     chi = np.array(triple.as_tuple(), dtype=EXT_COMPLEX)
     eye = np.eye(3, dtype=EXT_COMPLEX)
-    for _ in range(4):
+    rounding = 16 * np.finfo(np.longdouble).eps
+    for _ in range(POLISH_STEPS):
         image, rows = _composed(letters, chi)
         markov, gradient = _markov(*chi)
         full = np.vstack([rows - eye, gradient])
         adjoint = full.conj().T
-        chi = chi - linear_solve(np.dot(adjoint, full),
-                                 np.dot(adjoint, np.append(image - chi, markov)))
+        step = linear_solve(np.dot(adjoint, full),
+                            np.dot(adjoint, np.append(image - chi, markov)))
+        chi = chi - step
+        if np.max(np.abs(step)) <= rounding * max(1.0, np.max(np.abs(chi))):
+            break
     return chi
 
 
@@ -409,15 +425,13 @@ def holonomy_from_triple(
     basis = nullspace(system, tol=null_tol)
     if basis.shape[1] != 1:
         raise ArithmeticError("no meridian intertwiner found; traces may be spurious")
-    # The kernel direction dominates a solve with the normal matrix, so two
-    # solve-and-normalize rounds from the double vector give it to extended
+    # The kernel direction dominates a solve with the normal matrix, so one
+    # solve-and-normalize round from the double vector gives it to extended
     # accuracy.
     normal = np.dot(system.conj().T, system)
     shifted = normal + np.finfo(np.longdouble).eps * np.max(np.abs(normal)) * np.eye(4)
-    vec = basis[:, 0].astype(EXT_COMPLEX)
-    for _ in range(2):
-        vec = linear_solve(shifted, vec)
-        vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2))
+    vec = linear_solve(shifted, basis[:, 0].astype(EXT_COMPLEX))
+    vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2))
     mat_x = vec.reshape(2, 2)
     det = mat_x[0, 0] * mat_x[1, 1] - mat_x[0, 1] * mat_x[1, 0]
     if abs(det) < 1e-12:

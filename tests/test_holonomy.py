@@ -714,6 +714,77 @@ class TestAgainstTheBatchedSolve:
         for first, second in (runs[0:2], runs[2:4]):
             assert [x.conj().tobytes() for x in first] == [x.tobytes() for x in second]
 
+
+def counting_solves(monkeypatch):
+    """The list ``holonomy.linear_solve`` appends to on every call, patched in."""
+    calls = []
+    original = holonomy.linear_solve
+
+    def count(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(holonomy, "linear_solve", count)
+    return calls
+
+
+LONG_EPS = float(np.finfo(np.longdouble).eps)
+
+# The six pinned words, LRL, whose holonomy lies on 2C = AB, and L^12R,
+# whose letter maps compose to a Jacobian of norm about 1e3.
+POLISH_WORDS = ["LR", "LLR", "RRL", "LRR", "LLRR", "LLLLR", "LRL", "L^12R"]
+
+
+class TestPolish:
+    # The polish runs until a step is at long double rounding, and no
+    # further: judged by the point it reaches, not by its step count.
+
+    @pytest.mark.parametrize("word", POLISH_WORDS)
+    def test_polished_character_is_a_fixed_point_on_the_markov_curve(self, word):
+        # the Jacobian's norm scales the fixed-point defect
+        letters = parse_monodromy(word).letters
+        chi = holonomy._polish_triple(solve_traces(letters)[0], letters)
+        image, rows = holonomy._composed(letters, chi)
+        scale = max(1.0, float(np.max(np.abs(chi))))
+        jacobian = float(np.max(np.abs(rows)))
+        assert float(np.max(np.abs(image - chi))) <= 16 * LONG_EPS * scale * jacobian
+        assert float(abs(_markov(*chi)[0])) <= 16 * LONG_EPS * scale ** 3
+
+    @pytest.mark.parametrize("word", POLISH_WORDS)
+    def test_perturbed_start_reaches_the_same_character(self, word, monkeypatch):
+        letters = parse_monodromy(word).letters
+        (triple,) = solve_traces(letters)
+        chi = holonomy._polish_triple(triple, letters)
+        calls = counting_solves(monkeypatch)
+        nudged = holonomy._polish_triple(TraceTriple(*np.array(triple.as_tuple()) * (1 + 1e-9)),
+                                         letters)
+        assert len(calls) <= holonomy.POLISH_STEPS
+        scale = max(1.0, float(np.max(np.abs(chi))))
+        assert float(np.max(np.abs(nudged - chi))) <= 16 * LONG_EPS * scale
+
+    def test_exact_character_stops_after_one_step(self, monkeypatch):
+        # (0, -1, i) is a fixed point of LLLRRRR's letter maps on the Markov
+        # curve, exactly: the first step is zero
+        calls = counting_solves(monkeypatch)
+        chi = holonomy._polish_triple(TraceTriple(0j, -1 + 0j, 1j), "LLLRRRR")
+        assert len(calls) == 1
+        assert np.array_equal(chi, [0j, -1 + 0j, 1j])
+
+
+class TestLiftAccuracy:
+    # A stop rule that fired before the polish converged would show here:
+    # the lift reaches relation defects of 3.1e-17 and determinant defects
+    # of 4.1e-19 on these words.
+
+    @pytest.mark.parametrize("word", CORPUS)
+    def test_relations_and_determinants_at_long_double_accuracy(self, word):
+        endo, letters = lift_inputs(word)
+        res = holonomy_residuals(holonomy_from_triple(solve_traces(letters)[0], endo, letters),
+                                 endo)
+        assert max(res["relation_a"], res["relation_b"]) <= 1e-15, res
+        assert max(res["det_a"], res["det_b"], res["det_x"]) <= 1e-17, res
+
+
 class TestFiberMatrices:
     def test_trace_coordinates_recovered(self):
         endo, letters = lift_inputs("LLRR")

@@ -10,16 +10,18 @@ two of length 30, and asserts what must hold for every word: exit 0, 3
 or 4, never a traceback, ``numerical failure:`` on every exit 3, and a
 reason in every exit-4 report.  A word of length 20 costs about 60 ms and
 one of length 30 about 3 s (x86-64), so the words of length 30 run only
-when this file runs as a script, which prints the exit codes of every
-word:
+when this file runs as a script, which prints the table of exit codes of
+every group and, given a path, writes ``{word: exit code}`` there as JSON,
+so that the runs of two checkouts can be diffed word by word:
 
-    PYTHONPATH=src python tests/test_wide_corpus.py
+    PYTHONPATH=src python tests/test_wide_corpus.py [codes.json]
 """
 
 import contextlib
 import io
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -86,6 +88,7 @@ def test_every_word_ends_in_a_report_or_a_named_failure(words):
 
 
 if __name__ == "__main__":
+    by_word = {}
     print("| words | exit 0 | exit 3 | exit 4 | ms per word |")
     print("|---|---|---|---|---|")
     for name, words in wide_corpus().items():
@@ -93,7 +96,12 @@ if __name__ == "__main__":
         for word in words:
             code, stdout, stderr = certify_call(word)
             codes.append(code)
+            by_word[word] = code
             for problem in problems(word, code, stdout, stderr):
                 print("   ", problem)
         ms = 1000 * (time.perf_counter() - start) / len(words)
         print(f"| {name} | {codes.count(0)} | {codes.count(3)} | {codes.count(4)} | {ms:.0f} |")
+    if len(sys.argv) > 1:
+        with open(sys.argv[1], "w") as out:
+            json.dump(by_word, out, indent=1)
+            out.write("\n")
