@@ -113,7 +113,11 @@ def integer_coeffs(poly: LaurentPoly, *, tol: float = 1e-6) -> Optional[list[int
 
 
 def int_product(*factors: Sequence[int]) -> list[int]:
-    """The exact product of integer coefficient lists (exponent 0 first)."""
+    """The exact product of integer coefficient lists (exponent 0 first).
+
+    The loop is generic: on complex coefficients it gives the floating-point
+    product.
+    """
     out = [1]
     for factor in factors:
         product = [0] * (len(out) + len(factor) - 1)

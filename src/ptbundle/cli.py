@@ -118,8 +118,13 @@ def _root_orbits(rest: Sequence[int], tol: float = 1e-6) -> list[list[complex]]:
 
 
 def _candidate_factor(rest: list[int]) -> Optional[list[int]]:
-    """Smallest integer factor suggested by root clustering, if any divides."""
+    """Smallest integer factor suggested by root clustering, if any divides.
+
+    Each orbit's monic polynomial is formed once for this root pass; a
+    combination of orbits is tried as the product of their polynomials.
+    """
     orbits = _root_orbits(rest)
+    polys = [int_product(*([-z, 1] for z in orbit)) for orbit in orbits]
     degree_cap = min(6, len(rest) - 1)
     combos = []
     for size in (1, 2, 3):
@@ -129,9 +134,7 @@ def _candidate_factor(rest: list[int]) -> Optional[list[int]]:
                 combos.append((degree, combo))
     combos.sort()
     for _, combo in combos:
-        cluster = [z for k in combo for z in orbits[k]]
-        monic = np.poly(np.array(cluster, dtype=complex))
-        coeffs = list(reversed([c.real for c in monic]))
+        coeffs = [c.real for c in int_product(*(polys[k] for k in combo))]
         rounded = [round(c) for c in coeffs]
         if max(abs(c - r) for c, r in zip(coeffs, rounded)) > 1e-3:
             continue
@@ -164,9 +167,12 @@ def factored_display(coeffs: Sequence[int], var: str = "t") -> Optional[str]:
     """Factored rendering over the integers, or None when matching fails.
 
     Divides out (t - 1) exactly, then peels integer factors of degree at
-    most six suggested by root clusters.  The assembled factorization is
-    re-multiplied over the integers and must reproduce the input exactly,
-    so a wrong guess can only fall back, never mislead.
+    most six suggested by root clusters.  The roots are solved again after
+    every peeled factor, since double roots of the larger product are
+    poorly conditioned; within one root pass each orbit's polynomial is
+    formed once and candidates are products of them.  The assembled
+    factorization is re-multiplied over the integers and must reproduce
+    the input exactly, so a wrong guess can only fall back, never mislead.
     """
     ints = list(coeffs)
     if not ints or ints[-1] == 0:
@@ -198,7 +204,7 @@ def factored_display(coeffs: Sequence[int], var: str = "t") -> Optional[str]:
     if unit * constant == -1:
         pieces.append("-")
     elif unit * constant != 1:
-        pieces.append(str(unit * constant) + " ")
+        pieces.append(str(unit * constant))
     for factor, power in factors:
         body = f"({format_int_poly(list(factor), var)})"
         pieces.append(body if power == 1 else f"{body}^{power}")

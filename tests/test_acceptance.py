@@ -16,7 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import cross_residual, equal_up_to_unit, laurent_allclose, necklace_words
+from helpers import (
+    cross_residual,
+    equal_up_to_unit,
+    expand,
+    laurent_allclose,
+    necklace_words,
+)
 from ptbundle.alexander import (
     RingRep,
     bundle_twisted_alexander,
@@ -61,18 +67,6 @@ from ptbundle.words import (
 )
 
 BUNDLE_WORDS = ("LLRR", "RRL")
-
-
-def expand(*factors):
-    """Multiply integer coefficient lists (ascending powers) exactly."""
-    out = [1]
-    for f in factors:
-        new = [0] * (len(out) + len(f) - 1)
-        for i, x in enumerate(out):
-            for j, y in enumerate(f):
-                new[i + j] += x * y
-        out = new
-    return out
 
 
 def markov(a, b, c):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import expand, parse_display, reference_candidate_factor
 import ptbundle.certify
 import ptbundle.cli
 from ptbundle import holonomy
@@ -27,16 +28,81 @@ GL16_RRL = "(t - 1)^4 (t^2 - 4t + 1) (t^4 - 18t^3 + 90t^2 - 18t + 1) " \
     "(t^6 - 38t^5 + 15t^4 - 84t^3 + 15t^2 - 38t + 1)"
 
 
-def expand(factored_ints):
-    out = [1]
-    for factor, power in factored_ints:
-        for _ in range(power):
-            new = [0] * (len(out) + len(factor) - 1)
-            for i, a in enumerate(out):
-                for j, b in enumerate(factor):
-                    new[i + j] += a * b
-            out = new
-    return out
+# Every integer polynomial that `action` and `certify` text print for the
+# CORPUS words, as the displays receive them.
+CORPUS_DISPLAYED = [
+    [1, -2289, -3828, 7892, 11478, -11478, -7892, 3828, 2289, -1],
+    [1, -1417, -1884, 4652, 5374, -5374, -4652, 1884, 1417, -1],
+    [1, -174, 39, 163, 525, -525, -163, -39, 174, -1],
+    [1, -117, 328, -608, 994, -994, 608, -328, 117, -1],
+    [1, -41, 132, -244, 350, -350, 244, -132, 41, -1],
+    [1, -18, 75, -169, 249, -249, 169, -75, 18, -1],
+    [1, -2511, 516873, -27877863, 6667509, 162055845, -95488115, -325239651, 325239651,
+     95488115, -162055845, -6667509, 27877863, -516873, 2511, -1],
+    [1, -1563, 212741, -10707311, 6278845, 52887745, -42681887, -86299027, 86299027,
+     42681887, -52887745, -6278845, 10707311, -212741, 1563, -1],
+    [1, -222, 9015, -111439, 218457, -77643, 197224, -825999, 825999, -197224, 77643,
+     -218457, 111439, -9015, 222, -1],
+    [1, -155, 5173, -60479, 240077, -565551, 1010497, -1394867, 1394867, -1010497, 565551,
+     -240077, 60479, -5173, 155, -1],
+    [1, -61, 1079, -8307, 30977, -72077, 121983, -158731, 158731, -121983, 72077, -30977,
+     8307, -1079, 61, -1],
+    [1, -30, 339, -2007, 7257, -17775, 31432, -41511, 41511, -31432, 17775, -7257, 2007,
+     -339, 30, -1],
+    [1, -2528, 559544, -36624544, 472361372, 486524192, -2519301624, -963699360, 5120365894,
+     -963699360, -2519301624, 486524192, 472361372, -36624544, 559544, -2528, 1],
+    [1, -1576, 233048, -13454200, 142939740, 97216344, -679615128, -115479992, 1136323526,
+     -115479992, -679615128, 97216344, 142939740, -13454200, 233048, -1576, 1],
+    [1, -228, 10342, -164424, 843121, -875160, 84022, -2200188, 4605028, -2200188, 84022,
+     -875160, 843121, -164424, 10342, -228, 1],
+    [1, -160, 5944, -85728, 522396, -1544096, 3099784, -4923616, 5850950, -4923616, 3099784,
+     -1544096, 522396, -85728, 5944, -160, 1],
+    [1, -64, 1260, -11424, 53860, -150432, 290836, -427904, 487734, -427904, 290836,
+     -150432, 53860, -11424, 1260, -64, 1],
+    [1, -32, 398, -2656, 10961, -30592, 61422, -92160, 105316, -92160, 61422, -30592, 10961,
+     -2656, 398, -32, 1],
+    [1, -65, 1324, -12684, 65284, -204292, 441268, -718740, 915638, -915638, 718740,
+     -441268, 204292, -65284, 12684, -1324, 65, -1],
+    [1, -33, 430, -3054, 13617, -41553, 92014, -153582, 197476, -197476, 153582, -92014,
+     41553, -13617, 3054, -430, 33, -1],
+]
+
+# The irreducible factors of those displays.
+PINNED_FACTORS = [
+    [-1, 1], [1, -3, 1], [1, -4, 1], [1, -5, 1], [1, -6, 1], [1, -7, 1], [1, -14, 1],
+    [1, -18, 1], [1, -23, 1], [1, -110, 1], [1, -18, 90, -18, 1], [1, -144, 7454, -144, 1],
+    [1, -15, 27, -42, 27, -15, 1], [1, -38, 15, -84, 15, -38, 1],
+    [1, -114, -17, -316, -17, -114, 1], [1, -171, -477, -754, -477, -171, 1],
+    [1, -1414, -6129, -9492, -6129, -1414, 1], [1, -2286, -10689, -17316, -10689, -2286, 1],
+]
+
+
+def seeded_products(count, seed=36):
+    """Products of one to three pinned factors other than t - 1, each at most
+    squared, times (t - 1)^0..5 and a constant from -3..3 other than 0."""
+    rng = np.random.default_rng(seed)
+    products = []
+    for _ in range(count):
+        picks = rng.choice(np.arange(1, len(PINNED_FACTORS)), size=rng.integers(1, 4),
+                           replace=False)
+        factors = [PINNED_FACTORS[k] for k in picks for _ in range(rng.integers(1, 3))]
+        constant = int(rng.choice([-3, -2, -1, 1, 1, 1, 1, 2, 3]))
+        products.append(expand([constant], *[[-1, 1]] * rng.integers(0, 6), *factors))
+    return products
+
+
+@pytest.fixture(scope="module")
+def displayed():
+    """(coefficients, display) for the corpus polynomials and 300 seeded products."""
+    return [(coeffs, factored_display(coeffs))
+            for coeffs in CORPUS_DISPLAYED + seeded_products(300)]
+
+
+def reference_display(coeffs, monkeypatch):
+    """factored_display with the factor search swapped for the reference one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ptbundle.cli, "_candidate_factor", reference_candidate_factor)
+        return factored_display(coeffs)
 
 
 class TestFactoredDisplay:
@@ -52,25 +118,21 @@ class TestFactoredDisplay:
         assert format_int_poly([5, 1]) == "t + 5"
 
     def test_llrr_adjoint_form(self):
-        coeffs = expand([
-            ((-1, 1), 5),
-            ((1, -18, 1), 2),
-            ((1, -114, -17, -316, -17, -114, 1), 1),
-        ])
-        coeffs = [-c for c in coeffs]
+        coeffs = expand([-1], *[[-1, 1]] * 5, *[[1, -18, 1]] * 2,
+                        [1, -114, -17, -316, -17, -114, 1])
         assert factored_display(coeffs) == SL4_LLRR
 
     def test_rrl_kronecker_form(self):
-        coeffs = expand([
-            ((-1, 1), 4),
-            ((1, -4, 1), 1),
-            ((1, -18, 90, -18, 1), 1),
-            ((1, -38, 15, -84, 15, -38, 1), 1),
-        ])
+        coeffs = expand(*[[-1, 1]] * 4, [1, -4, 1], [1, -18, 90, -18, 1],
+                        [1, -38, 15, -84, 15, -38, 1])
         assert factored_display(coeffs) == GL16_RRL
 
     def test_cube_root_of_unity(self):
         assert factored_display([-1, 0, 0, 1], var="x") == "(x - 1) (x^2 + x + 1)"
+
+    def test_factor_of_three_root_orbits(self):
+        # the primitive 18th roots of unity: three conjugate pairs, one factor
+        assert factored_display([1, 0, 0, -1, 0, 0, 1]) == "(t^6 - t^3 + 1)"
 
     def test_repeated_linear_factor_groups_as_power(self):
         assert factored_display([1, 2, 1]) == "(t + 1)^2"
@@ -78,17 +140,32 @@ class TestFactoredDisplay:
     def test_constant_polynomial(self):
         assert [factored_display([c]) for c in (1, -1, 3)] == ["1", "-1", "3"]
 
+    def test_non_unit_constant_takes_one_space(self):
+        assert factored_display([2, 2]) == "2 (t + 1)"
+        assert factored_display([2, -4, 2]) == "2 (t - 1)^2"
+        assert factored_display([3, -3]) == "-3 (t - 1)"
+        with pytest.raises(ValueError):
+            parse_display("2  (t + 1)")
+
     def test_unmatched_polynomial_falls_back(self):
         # no factor of degree <= 6 divides this one
         assert factored_display([2, 0, 0, 0, 0, 0, 0, 0, 1]) is None
 
     def test_reassembly_is_verified(self):
         # a corrupted list must never produce a pretty-printed lie
-        coeffs = expand([((-1, 1), 5), ((1, -18, 1), 2)])
+        coeffs = expand(*[[-1, 1]] * 5, *[[1, -18, 1]] * 2)
         coeffs[3] += 1
         out = factored_display(coeffs)
-        if out is not None:
-            assert "(t - 1)^5" not in out or "353" in out
+        assert out is None or parse_display(out) == coeffs
+
+    def test_displays_expand_to_their_input(self, displayed):
+        for coeffs, out in displayed:
+            assert out is None or parse_display(out) == coeffs, (coeffs, out)
+        assert None not in [out for _, out in displayed[:len(CORPUS_DISPLAYED)]]
+
+    def test_orbit_products_find_what_per_combination_poly_found(self, displayed, monkeypatch):
+        for coeffs, out in displayed:
+            assert out == reference_display(coeffs, monkeypatch), coeffs
 
 
 class TestConfig:
