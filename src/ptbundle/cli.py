@@ -3,8 +3,9 @@
 Subcommands expose the pipeline stages separately: trace solving,
 holonomy reconstruction, the monodromy action with its characteristic
 polynomials, the generic twisted Alexander engine for presentation
-files, and the one-shot certifier.  Nothing is random, so identical
-invocations produce identical output bytes.
+files, and the one-shot certifier.  The parser is built once, at import,
+and shared by every call.  Nothing is random, so identical invocations
+produce identical output bytes.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ class CliConfig:
                     f"tolerance --tol-{name} must be positive and finite, "
                     f"got {value}"
                 )
+        if self.output == "":
+            raise ValueError("--output must name a file, got an empty path")
 
 
 _TOLERANCE_HELP = {
@@ -247,31 +250,21 @@ _TOLERANCE_HELP = {
 }
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The command-line parser, with parsers for the subcommands argv names.
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh command-line parser with every subcommand.
 
-    Every subcommand is registered with its help line, so the top-level
-    help and the "invalid choice" and "unrecognized arguments" errors stay
-    whole; argparse dispatches on an exact token, so only the subcommands
-    whose names are tokens of argv get a parser, and the others a None
-    that nothing reads.  Without argv every subcommand gets its parser.
+    ``run`` parses with the one built at import, ``_PARSER``; argparse
+    reads a parser without writing to it, so every call can share it.
     """
     parser = argparse.ArgumentParser(
         prog="ptbundle",
         description="Holonomy, twisted Alexander polynomials, and rigidity "
         "certificates for hyperbolic once-punctured torus bundles.",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def subparser(named: bool, **kwargs) -> Optional[argparse.ArgumentParser]:
-        return argparse.ArgumentParser(**kwargs) if named else None
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
-    tokens = None if argv is None else set(argv)
-
-    def command(name: str, helptext: str, tolerances: str):
-        p = sub.add_parser(name, help=helptext, named=tokens is None or name in tokens)
-        if p is None:
-            return None
+    def command(name: str, helptext: str, tolerances: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=helptext)
         # only the flags the handler reads; the rest keep their defaults
         p.set_defaults(tol_det=Tolerances().det, tol_root=Tolerances().root,
                        tol_null=Tolerances().null)
@@ -291,8 +284,6 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
          "polynomials", "root null", True),
     ):
         p = command(name, helptext, tolerances)
-        if p is None:
-            continue
         p.add_argument("monodromy", help="monodromy word, e.g. LLRR or -R^2L")
         if with_reps:
             p.add_argument("--reps", default=",".join(ALL_REPS),
@@ -300,9 +291,11 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
 
     alexander = command("alexander", "generic twisted Alexander invariant "
                         "from a presentation file", "det root")
-    if alexander is not None:
-        alexander.add_argument("file", help="presentation JSON path")
+    alexander.add_argument("file", help="presentation JSON path")
     return parser
+
+
+_PARSER = build_parser()
 
 
 def _config(args: argparse.Namespace) -> CliConfig:
@@ -564,19 +557,19 @@ _HANDLERS = {
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point returning the process exit status.
 
-    0 success, 2 input error, 3 numerical failure, 4 when the certifier
-    ran and its verdict is inconclusive.
+    Every call parses with the parser built once at import.  0 success,
+    2 input error, 3 numerical failure, 4 when the certifier ran and its
+    verdict is inconclusive.
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args, extra = parser.parse_known_args(_route_negated_words(argv))
+        args, extra = _PARSER.parse_known_args(_route_negated_words(argv))
         if extra:
             # argparse gives an unknown flag's value to the positional
             # argument and reports the positional, so name the flags alone
             flags = [tok for tok in extra if tok.startswith("-")]
-            parser.error("unrecognized arguments: " + " ".join(flags or extra))
+            _PARSER.error("unrecognized arguments: " + " ".join(flags or extra))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

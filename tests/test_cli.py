@@ -198,6 +198,32 @@ class TestConfig:
             with pytest.raises(ValueError, match="tol-root"):
                 self._base(tolerances=Tolerances(root=value))
 
+    def test_empty_output_rejected(self):
+        with pytest.raises(ValueError, match="--output"):
+            self._base(output="")
+
+
+# Help, errors, an invalid choice, negated words and a missing --output
+# value: argvs that exercise the parser rather than the pipeline.
+REUSED_ARGVS = [
+    *([name, "-h"] for name in ("certify", "holonomy", "trace-solve", "action", "alexander")),
+    ["-h"],
+    [],
+    ["frobnicate", "LR"],
+    ["--format", "certify", "LR"],
+    ["certify", "--frobnicate", "LR"],
+    ["certify"],
+    ["alexander"],
+    ["certify", "--", "-RRL"],
+    ["trace-solve", "--format", "json", "-RRL"],
+    ["--frobnicate"],
+    ["frobnicate", "certify", "-h"],
+    ["action", "-h", "certify"],
+    ["holonomy", "--reps", "sl4", "LR"],
+    ["certify", "--format", "xml", "LR"],
+    ["certify", "LR", "--output"],
+]
+
 
 class TestExitCodes:
     def test_bad_monodromy_token_names_it(self, capsys):
@@ -279,64 +305,53 @@ class TestExitCodes:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.endswith(f"error: unrecognized arguments: {flag}")
 
-    @pytest.mark.parametrize("argv", [
-        *([name, "-h"] for name in ("certify", "holonomy", "trace-solve", "action", "alexander")),
-        ["-h"],
-        [],
-        ["frobnicate", "LR"],
-        ["--format", "certify", "LR"],
-        ["certify", "--frobnicate", "LR"],
-        ["certify"],
-        ["alexander"],
-        ["certify", "--", "-RRL"],
-        ["trace-solve", "--format", "json", "-RRL"],
-        # the subcommands argv does not name have no -h of their own
-        ["--frobnicate"],
-        ["frobnicate", "certify", "-h"],
-        ["action", "-h", "certify"],
-        ["holonomy", "--reps", "sl4", "LR"],
-        ["certify", "--format", "xml", "LR"],
-        ["certify", "LR", "--output"],
+    @pytest.mark.parametrize("argv", REUSED_ARGVS)
+    def test_shared_parser_answers_as_a_fresh_one_on_every_call(self, argv, monkeypatch,
+                                                                capsys):
+        # run parses every argv with the one parser built at import; the
+        # parameters run in one process, each twice, and every call gives
+        # the exit code and every byte of output a freshly built parser gives
+        def answer():
+            return run(list(argv)), capsys.readouterr()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ptbundle.cli, "_PARSER", ptbundle.cli.build_parser())
+            fresh = answer()
+        assert answer() == fresh
+        assert answer() == fresh
+
+    @pytest.mark.parametrize("argv, code", [
+        (["certify", "--format", "json", "--", "LR"], 0),
+        (["certify", "--format", "xml", "LR"], 2),
+        (["-h"], 0),
     ])
-    def test_parser_for_the_named_subcommand_answers_as_the_full_one(self, argv, monkeypatch,
-                                                                     capsys):
-        # run builds the arguments of the subcommands argv names only; the
-        # exit code and every byte of output are those of the full parser
-        code = run(list(argv))
-        answer = capsys.readouterr()
-        full = ptbundle.cli.build_parser
-        monkeypatch.setattr(ptbundle.cli, "build_parser", lambda argv=None: full())
-        assert run(list(argv)) == code
-        assert capsys.readouterr() == answer
+    def test_no_parser_is_built_per_call(self, argv, code, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
 
-    def test_parser_without_argv_builds_every_subcommand(self):
-        def actions(parser):
-            (sub,) = [a for a in parser._actions if a.dest == "command"]
-            return {name: p and [a.dest for a in p._actions] for name, p in sub.choices.items()}
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-        full = actions(ptbundle.cli.build_parser())
-        assert all(len(dests) > 1 for dests in full.values())
-        # the subcommands argv does not name are never dispatched to, so
-        # they get a None in place of a parser
-        named = actions(ptbundle.cli.build_parser(["action", "LR"]))
-        assert named == {name: dests if name == "action" else None
-                         for name, dests in full.items()}
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(argv) == code
+        capsys.readouterr()
+        assert built == []
+        # the count sees a build: the top-level parser and five subparsers
+        ptbundle.cli.build_parser()
+        assert len(built) == 6
 
     @pytest.mark.parametrize("argv", [
-        [],
-        ["-h"],
-        ["certify", "--", "LR"],
-        ["frobnicate", "certify", "-h"],
-        ["action", "-h", "certify"],
-        ["--format", "holonomy", "alexander", "x.json"],
-        ["certify=x", "trace-solve-", "LR"],
+        ["certify", "--output=", "--", "LR"],
+        ["certify", "--output", "", "--", "LR"],
+        ["alexander", "--output", "", "presentations/trefoil_heusener.json"],
     ])
-    def test_parser_is_built_exactly_for_the_subcommands_among_argv_tokens(self, argv):
-        (sub,) = [a for a in ptbundle.cli.build_parser(argv)._actions if a.dest == "command"]
-        assert list(sub.choices) == ["certify", "holonomy", "trace-solve", "action", "alexander"]
-        built = {name for name, p in sub.choices.items() if p is not None}
-        assert built == set(argv) & set(sub.choices)
-        assert all(isinstance(sub.choices[name], argparse.ArgumentParser) for name in built)
+    def test_empty_output_path_is_input_error(self, argv, capsys):
+        # as from an unset shell variable; the report must not go to stdout
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "--output" in err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
